@@ -57,6 +57,10 @@ fn probe() -> Result<(), Box<dyn std::error::Error>> {
         "  measure CPU of n procs: {:8.2} + {:.2}*n us   (1.1 + 17.4*n)",
         p.measure_base_us, p.measure_per_proc_us
     );
+    println!(
+        "    by path, once out of descriptors: {:.2}*n us",
+        p.measure_per_proc_by_path_us
+    );
     println!("  signal a process      : {:8.2} us   (0.97)", p.signal_us);
     Ok(())
 }

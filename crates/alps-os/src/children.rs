@@ -15,18 +15,31 @@ pub struct SpinnerPool {
 impl SpinnerPool {
     /// Spawn `n` compute-bound children (`sh` busy loops).
     pub fn spawn(n: usize) -> Result<Self> {
-        let mut children = Vec::with_capacity(n);
+        SpinnerPool::spawn_each(
+            n,
+            Command::new("/bin/sh").args(["-c", "while :; do :; done"]),
+        )
+    }
+
+    /// Spawn `n` idle children (`sleep` for a minute): members to put a
+    /// supervisor through its paces with while the box stays idle.
+    pub fn spawn_sleepers(n: usize) -> Result<Self> {
+        SpinnerPool::spawn_each(n, Command::new("sleep").arg("60"))
+    }
+
+    fn spawn_each(n: usize, command: &mut Command) -> Result<Self> {
+        command
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null());
+        let mut pool = SpinnerPool {
+            children: Vec::with_capacity(n),
+        };
         for _ in 0..n {
-            let child = Command::new("/bin/sh")
-                .arg("-c")
-                .arg("while :; do :; done")
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()?;
-            children.push(child);
+            // Pushed one by one: if a spawn fails, drop reaps the rest.
+            pool.children.push(command.spawn()?);
         }
-        Ok(SpinnerPool { children })
+        Ok(pool)
     }
 
     /// Pids of the children.

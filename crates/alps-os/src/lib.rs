@@ -4,7 +4,8 @@
 //! on an unmodified Linux kernel with no privileges —
 //!
 //! * progress sampling via `/proc/<pid>/stat` (cumulative CPU time and the
-//!   wait-channel/blocked test of §2.4);
+//!   wait-channel/blocked test of §2.4), one `pread` per member per
+//!   quantum through a held descriptor ([`StatReader`]);
 //! * eligible/ineligible group moves via `SIGCONT`/`SIGSTOP`;
 //! * a drift-free quantum loop on the monotonic clock with coalescing of
 //!   missed boundaries (the pending-signal behavior of §4.2);
@@ -57,6 +58,6 @@ pub use error::{OsError, Result};
 pub use pidfd::{ExitWatcher, PidFd};
 pub use principal::{Membership, PrincipalSupervisor};
 pub use probe::{probe_table1, Table1Probe};
-pub use proc::{pids_of_uid, read_stat, ProcStat};
+pub use proc::{pids_of_uid, read_stat, ProcStat, StatReader};
 pub use substrate::OsSubstrate;
 pub use supervisor::Supervisor;

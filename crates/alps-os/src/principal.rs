@@ -112,6 +112,11 @@ impl PrincipalSupervisor {
                 }
             }
             if let Some(change) = self.engine.set_membership(id, &current) {
+                // Leavers may well be alive (dropped from the list, or
+                // changed owner): no read will ever find them gone.
+                for &pid in &change.removed {
+                    self.sub.forget(pid);
+                }
                 self.engine
                     .apply_signals(&mut self.sub, &change.signals, sink)?;
             }
@@ -232,5 +237,30 @@ mod tests {
         let mut want = pids.clone();
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_live_pid_dropped_from_the_list_is_forgotten_at_the_next_refresh() {
+        let pool = SpinnerPool::spawn_sleepers(2).unwrap();
+        let pids = pool.pids();
+        let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false);
+        let mut sup = PrincipalSupervisor::new(cfg, Duration::from_millis(50));
+        let a = sup.add_principal(1, Membership::Pids(pids.clone()));
+        // Descriptors are opened by the first reading of each member.
+        for _ in 0..100 {
+            sup.run_quantum().unwrap();
+            if sup.sub.held() == 2 {
+                break;
+            }
+        }
+        assert_eq!(sup.sub.held(), 2);
+        sup.set_members(a, vec![pids[0]]);
+        let refreshes = sup.refreshes();
+        while sup.refreshes() == refreshes {
+            sup.run_quantum().unwrap();
+        }
+        assert_eq!(sup.members(a), Some(vec![pids[0]]));
+        assert!(crate::signal::alive(pids[1]), "the dropped pid lives on");
+        assert_eq!(sup.sub.held(), 1);
     }
 }

@@ -4,13 +4,16 @@
 //! timer receipt 9.02 µs, progress measurement 1.1 + 17.4·n µs, signal
 //! 0.97 µs. `repro table1` reruns the equivalent micro-benchmarks here
 //! (Linux, `/proc` reads instead of `kvm`) so the cost model can be
-//! compared against current hardware.
+//! compared against current hardware. Progress measurement is timed the
+//! way the supervisors take it — through a [`StatReader`]'s held
+//! descriptor — and, beside it, by path: what a reading costs once the
+//! reader has degraded for want of descriptors.
 
 use alps_core::Nanos;
 
 use crate::clock;
 use crate::error::Result;
-use crate::proc;
+use crate::proc::{self, StatReader};
 
 /// Measured operation costs on the current machine, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,8 +22,11 @@ pub struct Table1Probe {
     pub timer_event_us: f64,
     /// Fixed cost of a progress-measurement pass.
     pub measure_base_us: f64,
-    /// Per-process cost of reading progress (`/proc/<pid>/stat`).
+    /// Per-process cost of reading progress: one `pread` of a held
+    /// `/proc/<pid>/stat` descriptor.
     pub measure_per_proc_us: f64,
+    /// The same by path (open + read + close): the degraded cost.
+    pub measure_per_proc_by_path_us: f64,
     /// Cost of sending one signal.
     pub signal_us: f64,
 }
@@ -35,6 +41,19 @@ fn time_per_iter(iters: u32, f: impl FnMut()) -> f64 {
     elapsed.as_micros_f64() / iters as f64
 }
 
+/// Split a measurement pass into its fixed and per-process cost by a
+/// two-point fit: a pass of one read against a pass of eight.
+fn fit_measure(iters: u32, mut read: impl FnMut()) -> (f64, f64) {
+    let one_us = time_per_iter(iters, &mut read);
+    let eight_us = time_per_iter(iters / 4, || {
+        for _ in 0..8 {
+            read();
+        }
+    });
+    let per_proc_us = ((eight_us - one_us) / 7.0).max(0.0);
+    ((one_us - per_proc_us).max(0.0), per_proc_us)
+}
+
 /// Run the Table-1 micro-benchmarks. `iters` controls precision (500 is
 /// plenty; the paper's numbers are microsecond-scale).
 pub fn probe_table1(iters: u32) -> Result<Table1Probe> {
@@ -47,22 +66,16 @@ pub fn probe_table1(iters: u32) -> Result<Table1Probe> {
     });
 
     // Measure: one /proc/<pid>/stat read per process, through the same
-    // reusable buffers the supervisor's batched read path uses.
-    let mut path_buf = String::new();
-    let mut stat_buf = String::new();
-    let read_one_us = time_per_iter(iters, || {
+    // reader the supervisor's batched read path uses...
+    let mut reader = StatReader::new();
+    let (measure_base_us, measure_per_proc_us) = fit_measure(iters, || {
+        let _ = reader.read(me);
+    });
+    // ...and by path, through reused buffers.
+    let (mut path_buf, mut stat_buf) = (String::new(), String::new());
+    let (_, measure_per_proc_by_path_us) = fit_measure(iters, || {
         let _ = proc::read_stat_into(me, tick, &mut path_buf, &mut stat_buf);
     });
-    // Batch of 8 reads to split fixed vs per-proc cost by a 2-point fit.
-    let mut path_buf = String::new();
-    let mut stat_buf = String::new();
-    let read_eight_us = time_per_iter(iters / 4, || {
-        for _ in 0..8 {
-            let _ = proc::read_stat_into(me, tick, &mut path_buf, &mut stat_buf);
-        }
-    });
-    let measure_per_proc_us = ((read_eight_us - read_one_us) / 7.0).max(0.0);
-    let measure_base_us = (read_one_us - measure_per_proc_us).max(0.0);
 
     // Signal: kill(pid, 0) performs the full permission path without
     // delivering anything.
@@ -77,6 +90,7 @@ pub fn probe_table1(iters: u32) -> Result<Table1Probe> {
         timer_event_us,
         measure_base_us,
         measure_per_proc_us,
+        measure_per_proc_by_path_us,
         signal_us,
     })
 }
@@ -92,6 +106,7 @@ mod tests {
         for (label, v) in [
             ("timer", p.timer_event_us),
             ("per-proc", p.measure_per_proc_us),
+            ("per-proc by path", p.measure_per_proc_by_path_us),
             ("signal", p.signal_us),
         ] {
             assert!(v > 0.0, "{label}: {v}");

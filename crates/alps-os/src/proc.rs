@@ -7,10 +7,29 @@
 //! `stime` (in clock ticks) and the one-letter state. The paper's "wait
 //! channel" test maps to state `S` (interruptible sleep) or `D`
 //! (uninterruptible I/O wait).
+//!
+//! There are two ways to take that reading, and one parser behind both:
+//!
+//! * [`StatReader`] — what the supervisors measure with. It keeps one open
+//!   `/proc/<pid>/stat` descriptor per member and re-reads it with a single
+//!   `pread` at offset 0, so a reading is one syscall instead of
+//!   open + read + close. The descriptor also pins the member's identity:
+//!   once the process is gone it answers `ESRCH` for good, so a recycled
+//!   pid number is never measured as if it were the old member.
+//! * [`read_stat`] / [`read_stat_into`] — one-off reads by path, for
+//!   callers that look at a pid once (liveness checks, membership
+//!   refresh), and what the reader falls back to when the process runs
+//!   out of descriptors.
+//!
+//! [`parse_stat_bytes`] works on the raw bytes: `comm` is sixteen arbitrary
+//! bytes the process chooses (`prctl(PR_SET_NAME)`), so the line is not
+//! UTF-8 in general and is never validated as such.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::io::Read as _;
+use std::fs::File;
+use std::io::{self, Read as _};
+use std::os::unix::fs::FileExt as _;
 
 use alps_core::Nanos;
 
@@ -50,46 +69,47 @@ impl ProcStat {
 }
 
 /// Parse the contents of a `/proc/<pid>/stat` file.
-///
-/// The second field (`comm`) may contain spaces and parentheses, so the
-/// parse anchors on the *last* `)` as the real field delimiter.
+/// See [`parse_stat_bytes`], which this delegates to.
 pub fn parse_stat(pid: i32, contents: &str, ns_tick: u64) -> Result<ProcStat> {
-    let close = contents.rfind(')').ok_or_else(|| OsError::Parse {
-        pid,
-        reason: "no closing paren around comm".into(),
-    })?;
-    let rest = contents[close + 1..].trim_start();
+    parse_stat_bytes(pid, contents.as_bytes(), ns_tick)
+}
+
+/// Parse the raw bytes of a `/proc/<pid>/stat` file.
+///
+/// The second field (`comm`) may contain spaces, parentheses and bytes
+/// that are not UTF-8, so the parse anchors on the *last* `)` as the real
+/// field delimiter and never looks inside `comm`.
+pub fn parse_stat_bytes(pid: i32, contents: &[u8], ns_tick: u64) -> Result<ProcStat> {
+    let bad = |reason: String| OsError::Parse { pid, reason };
+    let close = contents
+        .iter()
+        .rposition(|&b| b == b')')
+        .ok_or_else(|| bad("no closing paren around comm".into()))?;
+    let rest = &contents[close + 1..];
     // After comm: field 3 is state; utime and stime are fields 14 and 15 of
     // the full line, i.e. indices 0, 11 and 12 of `rest`. Walked with the
     // split iterator (no per-parse field vector — this runs once per
     // member per quantum on the supervisor hot path).
-    let mut fields = rest.split_ascii_whitespace();
-    let too_short = |pid| OsError::Parse {
-        pid,
-        reason: format!(
-            "only {} fields after comm",
-            rest.split_ascii_whitespace().count()
-        ),
+    let split = || {
+        rest.split(u8::is_ascii_whitespace)
+            .filter(|f| !f.is_empty())
     };
-    let state = fields
-        .next()
-        .ok_or_else(|| too_short(pid))?
-        .chars()
-        .next()
-        .ok_or_else(|| OsError::Parse {
-            pid,
-            reason: "empty state field".into(),
-        })?;
-    let utime_field = fields.nth(10).ok_or_else(|| too_short(pid))?;
-    let stime_field = fields.next().ok_or_else(|| too_short(pid))?;
-    let utime: u64 = utime_field.parse().map_err(|_| OsError::Parse {
-        pid,
-        reason: format!("bad utime {utime_field:?}"),
-    })?;
-    let stime: u64 = stime_field.parse().map_err(|_| OsError::Parse {
-        pid,
-        reason: format!("bad stime {stime_field:?}"),
-    })?;
+    let mut fields = split();
+    let too_short = || bad(format!("only {} fields after comm", split().count()));
+    let state = match fields.next().ok_or_else(too_short)?[0] {
+        b if b.is_ascii() => b as char,
+        b => return Err(bad(format!("state byte {b:#04x} is not ASCII"))),
+    };
+    let utime_field = fields.nth(10).ok_or_else(too_short)?;
+    let stime_field = fields.next().ok_or_else(too_short)?;
+    let ticks = |name: &str, field: &[u8]| {
+        std::str::from_utf8(field)
+            .ok()
+            .and_then(|f| f.parse::<u64>().ok())
+            .ok_or_else(|| bad(format!("bad {name} {:?}", String::from_utf8_lossy(field))))
+    };
+    let utime = ticks("utime", utime_field)?;
+    let stime = ticks("stime", stime_field)?;
     Ok(ProcStat {
         pid,
         state,
@@ -99,31 +119,182 @@ pub fn parse_stat(pid: i32, contents: &str, ns_tick: u64) -> Result<ProcStat> {
     })
 }
 
+/// Size of the buffer one stat read goes into. The kernel's longest line
+/// (52 fields of at most 20 digits, a `comm` of at most 64 bytes for
+/// kernel workers) stays under 1.2 KiB, so a read that fills this is
+/// rejected rather than parsed truncated.
+const STAT_BUF_LEN: usize = 2048;
+
+/// Parse the `n` bytes one read left in `buf`. Both `/proc` read paths take
+/// the whole line in a single read (the file is a one-record seq_file), so
+/// a read that fills the buffer is the only way to see a partial line.
+fn parse_read(pid: i32, buf: &[u8], n: usize, ns_tick: u64) -> Result<ProcStat> {
+    if n == buf.len() {
+        return Err(OsError::Parse {
+            pid,
+            reason: format!("stat line fills the {n}-byte read buffer"),
+        });
+    }
+    parse_stat_bytes(pid, &buf[..n], ns_tick)
+}
+
+fn open_stat(pid: i32, path_buf: &mut String) -> io::Result<File> {
+    path_buf.clear();
+    let _ = write!(path_buf, "/proc/{pid}/stat");
+    File::open(path_buf.as_str())
+}
+
+/// Retry a syscall wrapper that was interrupted by a signal.
+fn retrying<T>(mut f: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    loop {
+        match f() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            res => return res,
+        }
+    }
+}
+
+/// A vanished process shows as `ENOENT` when opening its `/proc` entry and
+/// as `ESRCH` when reading through a descriptor opened while it lived.
+fn gone_or_io(pid: i32, e: io::Error) -> OsError {
+    if e.kind() == io::ErrorKind::NotFound || e.raw_os_error() == Some(libc::ESRCH) {
+        OsError::NoSuchProcess(pid)
+    } else {
+        e.into()
+    }
+}
+
+/// The process (`EMFILE`) or the system (`ENFILE`) is out of descriptors.
+fn fd_exhausted(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(libc::EMFILE | libc::ENFILE))
+}
+
+/// The by-path read: open, one read, close. Returns the bytes read.
+fn read_path(pid: i32, path_buf: &mut String, buf: &mut [u8]) -> Result<usize> {
+    open_stat(pid, path_buf)
+        .and_then(|mut f| retrying(|| f.read(buf)))
+        .map_err(|e| gone_or_io(pid, e))
+}
+
 /// Read and parse `/proc/<pid>/stat`.
 pub fn read_stat(pid: i32, ns_tick: u64) -> Result<ProcStat> {
-    read_stat_into(pid, ns_tick, &mut String::new(), &mut String::new())
+    let mut buf = [0; STAT_BUF_LEN];
+    let n = read_path(pid, &mut String::new(), &mut buf)?;
+    parse_read(pid, &buf, n, ns_tick)
 }
 
 /// [`read_stat`] through caller-owned buffers: `path_buf` receives the
 /// formatted `/proc/<pid>/stat` path and `contents` the file body, both
-/// cleared first. A supervisor reading N members per quantum reuses the
-/// same two buffers for every read, so the steady state allocates
-/// nothing (the buffers grow to the longest stat line seen and stay
-/// there).
+/// cleared first. A caller reading many pids reuses the same two buffers
+/// for every read, so the steady state allocates nothing (the buffers
+/// grow to the longest stat line seen and stay there). The parse never
+/// depends on the line being UTF-8; if it is not (an arbitrary-bytes
+/// `comm`), `contents` gets the lossy conversion.
 pub fn read_stat_into(
     pid: i32,
     ns_tick: u64,
     path_buf: &mut String,
     contents: &mut String,
 ) -> Result<ProcStat> {
-    path_buf.clear();
-    let _ = write!(path_buf, "/proc/{pid}/stat");
     contents.clear();
-    let read = fs::File::open(path_buf.as_str()).and_then(|mut f| f.read_to_string(contents));
-    match read {
-        Ok(_) => parse_stat(pid, contents, ns_tick),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(OsError::NoSuchProcess(pid)),
-        Err(e) => Err(e.into()),
+    let mut buf = [0; STAT_BUF_LEN];
+    let n = read_path(pid, path_buf, &mut buf)?;
+    contents.push_str(&String::from_utf8_lossy(&buf[..n]));
+    parse_read(pid, &buf, n, ns_tick)
+}
+
+/// Measures processes through held `/proc/<pid>/stat` descriptors.
+///
+/// A descriptor is opened the first time a pid is [read](StatReader::read)
+/// (or ahead of that with [`hold`](StatReader::hold)) and every later
+/// reading is one `pread` through it. It is dropped when a reading finds
+/// the process gone or a zombie, and by [`forget`](StatReader::forget)
+/// when a live process leaves supervision.
+///
+/// If opening a descriptor to hold fails because the process or the
+/// system is out of descriptors (`EMFILE` / `ENFILE`), the reader closes
+/// every descriptor it holds and reads by path from then on. That is
+/// one-way, like the supervisor dropping its exit watcher when a
+/// `pidfd_open` fails: the loop keeps its cadence at the old per-reading
+/// cost instead of failing members one by one.
+#[derive(Debug)]
+pub struct StatReader {
+    ns_tick: u64,
+    /// pid → its open stat file; `None` once degraded to by-path reads.
+    held: Option<HashMap<i32, File>>,
+    path_buf: String,
+    buf: Box<[u8; STAT_BUF_LEN]>,
+}
+
+impl StatReader {
+    /// A reader holding nothing, converting ticks with the kernel's
+    /// reported tick length.
+    pub fn new() -> Self {
+        StatReader {
+            ns_tick: ns_per_tick(),
+            held: Some(HashMap::new()),
+            path_buf: String::new(),
+            buf: Box::new([0; STAT_BUF_LEN]),
+        }
+    }
+
+    /// How many descriptors are held (always 0 once degraded).
+    pub fn held(&self) -> usize {
+        self.held.as_ref().map_or(0, HashMap::len)
+    }
+
+    /// Open (or re-open) the descriptor held for `pid`, so that the
+    /// readings that follow are of the process that has the pid *now*.
+    /// [`OsError::NoSuchProcess`] if there is none. Once degraded this
+    /// holds nothing and succeeds; the next read finds out by path.
+    pub fn hold(&mut self, pid: i32) -> Result<()> {
+        let Some(held) = &mut self.held else {
+            return Ok(());
+        };
+        match open_stat(pid, &mut self.path_buf) {
+            Ok(file) => {
+                held.insert(pid, file);
+            }
+            Err(e) if fd_exhausted(&e) => self.held = None,
+            Err(e) => return Err(gone_or_io(pid, e)),
+        }
+        Ok(())
+    }
+
+    /// Drop the descriptor held for `pid`, if any. For a process that
+    /// leaves supervision alive; exits are noticed by the reads.
+    pub fn forget(&mut self, pid: i32) {
+        if let Some(held) = &mut self.held {
+            held.remove(&pid);
+        }
+    }
+
+    /// Take one reading of `pid`. [`OsError::NoSuchProcess`] if the
+    /// process is gone; a zombie comes back as a [`ProcStat`] that is
+    /// [`dead`](ProcStat::dead). Either way its descriptor is dropped.
+    pub fn read(&mut self, pid: i32) -> Result<ProcStat> {
+        if matches!(&self.held, Some(held) if !held.contains_key(&pid)) {
+            self.hold(pid)?;
+        }
+        let buf = &mut self.buf[..];
+        let Some(file) = self.held.as_ref().and_then(|held| held.get(&pid)) else {
+            // Degraded (possibly by the open just above).
+            let n = read_path(pid, &mut self.path_buf, buf)?;
+            return parse_read(pid, buf, n, self.ns_tick);
+        };
+        let res = retrying(|| file.read_at(buf, 0))
+            .map_err(|e| gone_or_io(pid, e))
+            .and_then(|n| parse_read(pid, buf, n, self.ns_tick));
+        if matches!(&res, Err(OsError::NoSuchProcess(_))) || matches!(&res, Ok(s) if s.dead()) {
+            self.forget(pid);
+        }
+        res
+    }
+}
+
+impl Default for StatReader {
+    fn default() -> Self {
+        StatReader::new()
     }
 }
 
@@ -132,13 +303,13 @@ pub fn read_stat_into(
 /// Ownership is the *real* uid from `/proc/<pid>/status`.
 pub fn pids_of_uid(uid: u32) -> Result<Vec<i32>> {
     let mut pids = Vec::new();
-    for entry in fs::read_dir("/proc")? {
+    for entry in std::fs::read_dir("/proc")? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(pid) = name.to_str().and_then(|s| s.parse::<i32>().ok()) else {
             continue;
         };
-        let status = match fs::read_to_string(format!("/proc/{pid}/status")) {
+        let status = match std::fs::read_to_string(format!("/proc/{pid}/status")) {
             Ok(s) => s,
             Err(_) => continue, // raced with exit
         };
@@ -185,6 +356,53 @@ mod tests {
         assert!(parse_stat(1, "not a stat line", 1).is_err());
         assert!(parse_stat(1, "1 (x) R 1", 1).is_err());
         assert!(parse_stat(1, "1 (x) R a b c d e f g h i j k l m n", 1).is_err());
+    }
+
+    #[test]
+    fn comm_is_bytes_not_text() {
+        // `prctl(PR_SET_NAME)` takes any sixteen bytes.
+        let mut line = b"77 (bad\xff\xfe)name) D 1 77 1 0 -1 0 0 0 0 0 5 5".to_vec();
+        line.extend_from_slice(b" 0 0 20 0 1 0 0 0 0\n");
+        let s = parse_stat_bytes(77, &line, 10_000_000).unwrap();
+        assert_eq!(s.state, 'D');
+        assert_eq!(s.cpu_time, Nanos::from_millis(100));
+        // Bytes after the anchor that are not ASCII are an error, not a
+        // state nobody has heard of.
+        assert!(parse_stat_bytes(1, b"1 (x) \xc3\xa9 1 2 3 4 5 6 7 8 9 10 11 12 13", 1).is_err());
+    }
+
+    #[test]
+    fn a_line_that_fills_the_buffer_is_rejected() {
+        let mut buf = [b' '; 256];
+        buf[..SAMPLE.len()].copy_from_slice(SAMPLE.as_bytes());
+        assert!(parse_read(1234, &buf, SAMPLE.len(), 1).is_ok());
+        // The same bytes, but the read stopped because the buffer ended.
+        match parse_read(1234, &buf, buf.len(), 1) {
+            Err(OsError::Parse { pid: 1234, .. }) => {}
+            other => panic!("expected Parse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reader_holds_one_descriptor_per_pid_until_told_to_forget() {
+        let me = std::process::id() as i32;
+        let mut reader = StatReader::new();
+        assert_eq!(reader.held(), 0);
+        for _ in 0..3 {
+            let held = reader.read(me).unwrap();
+            let by_path = read_stat(me, ns_per_tick()).unwrap();
+            assert_eq!(held.pid, by_path.pid);
+            assert!(held.cpu_time <= by_path.cpu_time);
+            assert_eq!(reader.held(), 1);
+        }
+        reader.forget(me);
+        assert_eq!(reader.held(), 0);
+        match reader.read(0) {
+            Err(OsError::NoSuchProcess(0)) => {}
+            other => panic!("expected NoSuchProcess, got {other:?}"),
+        }
+        assert!(matches!(reader.hold(0), Err(OsError::NoSuchProcess(0))));
+        assert_eq!(reader.held(), 0);
     }
 
     #[test]

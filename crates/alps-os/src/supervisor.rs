@@ -78,36 +78,52 @@ impl ActuatorSubstrate {
         }
     }
 
-    /// Backend-specific registration. A no-op for signals; creates and
-    /// populates the member's leaf group for cgroups.
+    /// Backend-specific registration, failing with
+    /// [`OsError::NoSuchProcess`] for an absent pid. Signals open the
+    /// descriptor the member is measured through; cgroups create and
+    /// populate the member's leaf group, which must not be done for a
+    /// pid that is not alive, so they look first.
     fn enroll(&mut self, pid: i32, share: u64) -> Result<()> {
         match &mut self.inner {
-            Inner::Signals(_) => Ok(()),
-            Inner::Cgroup(c) => c.enroll(pid, share),
+            Inner::Signals(s) => s.hold(pid),
+            Inner::Cgroup(c) => {
+                if proc::read_stat(pid, proc::ns_per_tick())?.dead() {
+                    return Err(OsError::NoSuchProcess(pid));
+                }
+                c.enroll(pid, share)
+            }
         }
     }
 
     /// Intentional release on removal/shutdown: resume the member
-    /// (`SIGCONT` / thaw + uncap), and for cgroups park it in the
-    /// subtree's parked leaf and remove its member leaf.
+    /// (`SIGCONT` / thaw + uncap) and stop holding it — its stat
+    /// descriptor for signals; for cgroups park it in the subtree's
+    /// parked leaf and remove its member leaf.
     fn release(&mut self, pid: i32) -> Result<()> {
         self.dead.remove(&pid);
         match &mut self.inner {
-            Inner::Signals(_) => match crate::signal::sigcont(pid) {
-                Ok(()) | Err(OsError::NoSuchProcess(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
+            Inner::Signals(s) => {
+                s.forget(pid);
+                match crate::signal::sigcont(pid) {
+                    Ok(()) | Err(OsError::NoSuchProcess(_)) => Ok(()),
+                    Err(e) => Err(e),
+                }
+            }
             Inner::Cgroup(c) => c.release(pid),
         }
     }
 
-    /// Cleanup after the engine reaped an *exited* member: nothing to do
-    /// for signals (never signal a reaped — possibly recycled — pid); for
-    /// cgroups the empty leaf is torn down.
+    /// Cleanup after the engine reaped an *exited* member. Signals only
+    /// drop the stat descriptor (still held if the watcher reported the
+    /// death, since then nothing read it) and never signal a reaped —
+    /// possibly recycled — pid; for cgroups the empty leaf is torn down.
     fn cleanup_reaped(&mut self, pid: i32) {
         self.dead.remove(&pid);
-        if let Inner::Cgroup(c) = &mut self.inner {
-            let _ = c.release(pid);
+        match &mut self.inner {
+            Inner::Signals(s) => s.forget(pid),
+            Inner::Cgroup(c) => {
+                let _ = c.release(pid);
+            }
         }
     }
 
@@ -294,14 +310,11 @@ impl Supervisor {
     /// immediately (it starts in the ineligible group per §2.2 and becomes
     /// eligible at the next quantum).
     pub fn add_process(&mut self, pid: i32, share: u64) -> Result<ProcId> {
-        let stat = proc::read_stat(pid, proc::ns_per_tick())?;
-        if stat.dead() {
-            return Err(OsError::NoSuchProcess(pid));
-        }
         self.sub.enroll(pid, share)?;
         // The initial reading comes from the substrate itself, so each
         // backend charges from its own zero: /proc cumulative CPU for
-        // signals, the fresh leaf's cpu.stat (zero) for cgroups.
+        // signals, the fresh leaf's cpu.stat (zero) for cgroups. It is
+        // also the liveness check: a zombie reads as gone.
         let obs = match self.sub.read(pid) {
             Ok(Some(o)) => o,
             Ok(None) => {
@@ -525,6 +538,14 @@ mod tests {
             .unwrap_or(Nanos::ZERO)
     }
 
+    /// Stat descriptors the signal backend holds.
+    fn held(sup: &Supervisor) -> usize {
+        match &sup.sub.inner {
+            Inner::Signals(s) => s.held(),
+            Inner::Cgroup(_) => panic!("not the signal actuator"),
+        }
+    }
+
     #[test]
     fn enforces_one_to_three_on_real_processes() {
         let pool = SpinnerPool::spawn(2).expect("spawn spinners");
@@ -575,6 +596,72 @@ mod tests {
         sup.run_for(Duration::from_millis(100)).unwrap();
         assert!(sup.processes().is_empty());
         assert_eq!(sup.stats().reaped, 1);
+        // The watcher's word was taken for it, so no read ever found the
+        // member gone; its descriptor must go all the same.
+        assert_eq!(held(&sup), 0);
+    }
+
+    #[test]
+    fn churn_leaks_no_stat_descriptors() {
+        let pool = SpinnerPool::spawn_sleepers(8).expect("spawn sleepers");
+        let pids = pool.pids();
+        let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)));
+        let mut ids: Vec<ProcId> = pids
+            .iter()
+            .map(|&pid| sup.add_process(pid, 1).unwrap())
+            .collect();
+        assert_eq!(held(&sup), 8);
+        for round in 0..50 {
+            let i = round % 8;
+            sup.remove_process(ids[i]).unwrap();
+            assert_eq!(held(&sup), 7, "round {round}: a removed member is let go");
+            ids[i] = sup.add_process(pids[i], 1).unwrap();
+            if round % 10 == 0 {
+                sup.run_quantum().unwrap();
+            }
+        }
+        assert_eq!(held(&sup), 8);
+        for id in ids {
+            sup.remove_process(id).unwrap();
+        }
+        assert_eq!(held(&sup), 0);
+    }
+
+    #[test]
+    fn a_member_whose_comm_is_not_utf8_is_supervised_like_any_other() {
+        use std::process::{Command, Stdio};
+        // The shell renames itself to six bytes that are not UTF-8, then
+        // blocks on the stdin this test keeps open.
+        let mut child = Command::new("/bin/sh")
+            .arg("-c")
+            .arg(r#"printf "\377\376bad" > /proc/$$/comm; read x"#)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn sh");
+        let pid = child.id() as i32;
+        let renamed = (0..400).any(|_| {
+            std::thread::sleep(Duration::from_millis(5));
+            std::fs::read(format!("/proc/{pid}/comm")).is_ok_and(|c| c.starts_with(b"\xff\xfe"))
+        });
+        assert!(renamed, "child did not rename itself");
+        let tick = proc::ns_per_tick();
+        assert_eq!(proc::read_stat(pid, tick).unwrap().pid, pid);
+        let (mut path, mut body) = (String::new(), String::new());
+        proc::read_stat_into(pid, tick, &mut path, &mut body).unwrap();
+        assert!(body.contains("bad)"), "lossy body keeps the rest: {body:?}");
+        // Neither enrolment nor a quantum may treat the line as text.
+        let mut sup =
+            Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false));
+        sup.add_process(pid, 1).unwrap();
+        for _ in 0..5 {
+            sup.run_quantum().unwrap();
+        }
+        assert!(sup.stats().measurements > 0);
+        assert_eq!(sup.processes().len(), 1);
+        sup.release_all();
+        drop(child.stdin.take()); // EOF ends the `read`
+        child.wait().unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the `/proc/<pid>/stat` parser: arbitrary input never
 //! panics, and well-formed lines round-trip the fields ALPS reads.
 
-use alps_os::proc::parse_stat;
+use alps_os::proc::{parse_stat, parse_stat_bytes};
 use proptest::prelude::*;
 
 proptest! {
@@ -106,5 +106,50 @@ proptest! {
     ) {
         let line = format!("3 (x) {}", tokens.join(" "));
         let _ = parse_stat(3, &line, 10_000_000);
+    }
+
+    /// The byte parser is total too: any bytes return Ok or Err.
+    #[test]
+    fn byte_parser_never_panics(input in prop::collection::vec(any::<u8>(), 0..200)) {
+        let _ = parse_stat_bytes(1, &input, 10_000_000);
+    }
+
+    /// `comm` is whatever sixteen bytes the process chose: invalid UTF-8
+    /// in it (and stray `)` among it) changes nothing about the fields.
+    #[test]
+    fn comm_bytes_that_are_not_utf8_round_trip(
+        comm in prop::collection::vec(prop::sample::select(vec![0xffu8, 0xfe, 0xc3, 0x80, b')', b' ', b'a']), 1..16),
+        utime in 0u64..1_000_000,
+        stime in 0u64..1_000_000,
+    ) {
+        let mut line = b"42 (".to_vec();
+        line.extend_from_slice(&comm);
+        line.extend_from_slice(
+            format!(") S 1 2 3 4 -5 6 7 8 9 10 {utime} {stime} 0 0 20 0 1 0 0 0 0\n").as_bytes(),
+        );
+        let s = parse_stat_bytes(42, &line, 1_000_000).expect("comm is never looked into");
+        prop_assert_eq!(s.state, 'S');
+        prop_assert_eq!(s.cpu_time.as_nanos(), (utime + stime) * 1_000_000);
+    }
+
+    /// Bytes >= 0x80 right after the last `)` are a clean error (a state
+    /// is an ASCII letter), and `parse_stat` on the text form of the same
+    /// line, where that is text, agrees.
+    #[test]
+    fn high_bytes_after_the_anchor_fail_cleanly(
+        junk in prop::collection::vec(0x80u8..=0xff, 1..6),
+        sep in any::<bool>(),
+    ) {
+        let mut line = b"5 (x)".to_vec();
+        line.extend_from_slice(&junk);
+        if sep {
+            line.push(b' ');
+        }
+        line.extend_from_slice(b"R 1 2 3 4 -5 6 7 8 9 10 11 12 0 0 20 0 1 0 0 0 0");
+        // The first field after `)` starts with a non-ASCII byte: no state.
+        prop_assert!(parse_stat_bytes(5, &line, 1).is_err());
+        if let Ok(text) = std::str::from_utf8(&line) {
+            prop_assert!(parse_stat(5, text, 1).is_err());
+        }
     }
 }

@@ -13,36 +13,35 @@ pub fn table1() {
     let table = Table::new(&[-38, 10, 14]);
     table.header(&["operation", "paper", "this machine"]);
     let probe = alps_os::probe_table1(400).ok();
-    let (timer, base, per_proc, signal) = probe
-        .map(|p| {
-            (
-                p.timer_event_us,
-                p.measure_base_us,
-                p.measure_per_proc_us,
-                p.signal_us,
-            )
-        })
-        .unwrap_or((f64::NAN, f64::NAN, f64::NAN, f64::NAN));
+    let live =
+        |cost: fn(&alps_os::Table1Probe) -> f64| fmt(probe.as_ref().map_or(f64::NAN, cost), 2);
     table.row(&[
         "Receive a timer event".into(),
         fmt(model.timer_event.as_micros_f64(), 2),
-        fmt(timer, 2),
+        live(|p| p.timer_event_us),
     ]);
     table.row(&[
         "Measure CPU time of n procs (base)".into(),
         fmt(model.measure_base.as_micros_f64(), 2),
-        fmt(base, 2),
+        live(|p| p.measure_base_us),
     ]);
     table.row(&[
         "Measure CPU time of n procs (per n)".into(),
         fmt(model.measure_per_proc.as_micros_f64(), 2),
-        fmt(per_proc, 2),
+        live(|p| p.measure_per_proc_us),
+    ]);
+    table.row(&[
+        "  ... by path, out of descriptors".into(),
+        "-".into(),
+        live(|p| p.measure_per_proc_by_path_us),
     ]);
     table.row(&[
         "Signal a process".into(),
         fmt(model.signal.as_micros_f64(), 2),
-        fmt(signal, 2),
+        live(|p| p.signal_us),
     ]);
     println!("\nThe simulator charges the paper column; the live column is");
-    println!("measured on this host by alps-os (Linux /proc, not FreeBSD kvm).");
+    println!("measured on this host by alps-os (Linux /proc, not FreeBSD kvm):");
+    println!("one pread per process of a held /proc/<pid>/stat descriptor, and");
+    println!("open + read + close by path once the supervisor cannot hold one.");
 }

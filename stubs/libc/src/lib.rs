@@ -33,8 +33,20 @@ pub const EINTR: c_int = 4;
 pub const ESRCH: c_int = 3;
 pub const ENOENT: c_int = 2;
 pub const EACCES: c_int = 13;
+pub const ENFILE: c_int = 23;
+pub const EMFILE: c_int = 24;
 pub const EROFS: c_int = 30;
 pub const ENOSYS: c_int = 38;
+
+/// `struct rlimit` (`rlim_t` is 64-bit on 64-bit Linux).
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct rlimit {
+    pub rlim_cur: u64,
+    pub rlim_max: u64,
+}
+
+pub const RLIMIT_NOFILE: c_int = 7;
 
 pub const CLOCK_MONOTONIC: clockid_t = 1;
 pub const TIMER_ABSTIME: c_int = 1;
@@ -78,6 +90,8 @@ extern "C" {
     ) -> c_int;
     pub fn syscall(num: c_long, ...) -> c_long;
     pub fn close(fd: c_int) -> c_int;
+    pub fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
+    pub fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
     pub fn epoll_create1(flags: c_int) -> c_int;
     pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
     pub fn epoll_wait(
