@@ -12,8 +12,8 @@ use core::convert::Infallible;
 use std::collections::{BTreeMap, HashMap};
 
 use alps_core::{
-    AlpsConfig, AlpsScheduler, Engine, Instrumentation, Nanos, NodeId, Observation, ProcId,
-    RecordingSink, Signal, Substrate, TreeShares,
+    AlpsConfig, AlpsScheduler, Engine, Instrumentation, IoPolicy, Nanos, NodeId, Observation,
+    ProcId, RecordingSink, Signal, Substrate, TreeShares,
 };
 
 use crate::engine::OracleEngine;
@@ -45,10 +45,47 @@ pub(crate) fn fold(fp: &mut u64, word: u64) {
     *fp = fp.wrapping_mul(0x0000_0100_0000_01B3) ^ word;
 }
 
-/// Drive one schedule against `AlpsScheduler` and [`OracleScheduler`],
-/// asserting lockstep equality after every op. Panics (with `seed` in the
-/// message) on any divergence.
+/// The configuration corners the suites sweep — {lazy, eager} × every
+/// I/O policy, in that order — at a 10 ms quantum with the cycle log on.
+pub fn config_corners() -> Vec<AlpsConfig> {
+    let mut out = Vec::new();
+    for lazy in [true, false] {
+        for io in [
+            IoPolicy::OneQuantumPenalty,
+            IoPolicy::NoPenalty,
+            IoPolicy::ForfeitAllowance,
+        ] {
+            out.push(
+                AlpsConfig::new(Nanos::from_millis(10))
+                    .with_lazy_measurement(lazy)
+                    .with_io_policy(io)
+                    .with_cycle_log(true),
+            );
+        }
+    }
+    out
+}
+
+/// Drive one generated schedule ([`generate`]) against `AlpsScheduler`
+/// and [`OracleScheduler`], asserting lockstep equality after every op.
+/// Panics (with `seed` in the message) on any divergence. The population
+/// is capped at 12 so short schedules spend their quanta crossing cycle
+/// boundaries rather than growing.
 pub fn run_core_schedule(cfg: AlpsConfig, seed: u64, len: usize) -> DriveReport {
+    drive_core(cfg, &generate(seed, len), seed, 12)
+}
+
+/// [`run_core_schedule`]'s driver on a caller-supplied op list, with no
+/// population cap: hand-written and property-generated schedules reach
+/// regimes the generator does not (populations past 12, shares large
+/// enough to park a deadline beyond the wheel's first level). `seed`
+/// seeds only the workload draws (initial CPU, per-quantum burn, blocked
+/// flags, stale-id picks). [`Op::Migrate`] is ignored.
+pub fn run_core_ops(cfg: AlpsConfig, ops: &[Op], seed: u64) -> DriveReport {
+    drive_core(cfg, ops, seed, usize::MAX)
+}
+
+fn drive_core(cfg: AlpsConfig, ops: &[Op], seed: u64, max_live: usize) -> DriveReport {
     let mut prod = AlpsScheduler::new(cfg);
     let mut oracle = OracleScheduler::new(cfg);
     let mut workload = Lcg::new(seed ^ 0x00C0_FFEE);
@@ -59,10 +96,10 @@ pub fn run_core_schedule(cfg: AlpsConfig, seed: u64, len: usize) -> DriveReport 
     let q = cfg.quantum;
     let mut report = DriveReport::default();
 
-    for op in generate(seed, len) {
+    for &op in ops {
         match op {
             Op::Add { share } => {
-                if live.len() >= 12 {
+                if live.len() >= max_live {
                     continue;
                 }
                 let initial = workload.nanos_below(q);
@@ -563,10 +600,8 @@ fn check_engine_state(
 /// invalidation diverges and panics with the seed.
 ///
 /// The returned [`DriveReport::fingerprint`] folds every quantum's due
-/// list, transitions, and allowance bit patterns. The schedule and every
-/// derived share are independent of [`alps_core::DueIndex`] and
-/// [`alps_core::MemberStore`], so suites assert the report is
-/// byte-identical across {wheel, scan} × {chunked, contiguous}.
+/// list, transitions, and allowance bit patterns; `tests/pins.rs` holds
+/// it to committed constants.
 pub fn run_tree_schedule(cfg: AlpsConfig, seed: u64, len: usize) -> DriveReport {
     let mut sched = AlpsScheduler::new(cfg);
     // A small quantization scale keeps total shares — and with them the
@@ -1087,128 +1122,6 @@ pub fn run_core_schedule_smp(cfg: AlpsConfig, seed: u64, len: usize, cpus: usize
             if let Some(a) = prod.allowance(id) {
                 fold(&mut report.fingerprint, a.to_bits());
             }
-        }
-        report.peak_live = report.peak_live.max(live.len());
-    }
-    report
-}
-
-/// Drive one SMP schedule against two production `AlpsScheduler`s that
-/// differ only in [`alps_core::DueIndex`] (deadline wheel vs reference
-/// scan), asserting they stay lockstep-identical on merged M-CPU
-/// accounting with migration churn.
-pub fn run_core_due_index_lockstep(
-    cfg: AlpsConfig,
-    seed: u64,
-    len: usize,
-    cpus: usize,
-) -> DriveReport {
-    use alps_core::DueIndex;
-    let mut wheel = AlpsScheduler::new(cfg.with_due_index(DueIndex::Wheel));
-    let mut scan = AlpsScheduler::new(cfg.with_due_index(DueIndex::Scan));
-    let mut workload = Lcg::new(seed ^ 0x0D0E_1D00_5EED_0001);
-    let mut live: Vec<ProcId> = Vec::new();
-    let mut minted: Vec<ProcId> = Vec::new();
-    let mut cpu: HashMap<ProcId, SmpCpuState> = HashMap::new();
-    let mut now = Nanos::ZERO;
-    let q = cfg.quantum;
-    let mut report = DriveReport::default();
-
-    for op in generate_smp(seed, len) {
-        match op {
-            Op::Add { share } => {
-                if live.len() >= 12 {
-                    continue;
-                }
-                let initial = workload.nanos_below(q);
-                let id = wheel.add_process(share, initial);
-                let sid = scan.add_process(share, initial);
-                assert_eq!(id, sid, "minted ids diverge (seed {seed})");
-                live.push(id);
-                minted.push(id);
-                cpu.insert(id, SmpCpuState::new(cpus, initial));
-            }
-            Op::Remove { victim } => {
-                if live.is_empty() {
-                    continue;
-                }
-                let id = live.remove(victim as usize % live.len());
-                assert_eq!(
-                    wheel.remove_process(id),
-                    scan.remove_process(id),
-                    "remove diverges (seed {seed})"
-                );
-            }
-            Op::SetShare { victim, share } => {
-                if live.is_empty() {
-                    continue;
-                }
-                let id = live[victim as usize % live.len()];
-                assert_eq!(
-                    wheel.set_share(id, share),
-                    scan.set_share(id, share),
-                    "set_share diverges (seed {seed})"
-                );
-            }
-            Op::Migrate { victim, cpu: c } => {
-                if live.is_empty() {
-                    continue;
-                }
-                let id = live[victim as usize % live.len()];
-                cpu.get_mut(&id).expect("live process has CPU state").on = c as usize % cpus;
-            }
-            Op::Quantum { repeat } => {
-                for _ in 0..repeat {
-                    now = now.saturating_add(q);
-                    let due = wheel.begin_quantum();
-                    let due_s = scan.begin_quantum();
-                    assert_eq!(due, due_s, "due lists diverge (seed {seed})");
-                    let obs: Vec<(ProcId, Observation)> = due
-                        .iter()
-                        .map(|&id| {
-                            let burn = workload.nanos_below(Nanos(q.0 * 3 / 2));
-                            let merged = cpu
-                                .get_mut(&id)
-                                .expect("due process has CPU state")
-                                .burn(burn, seed);
-                            let blocked = workload.chance(1, 6);
-                            (
-                                id,
-                                Observation {
-                                    total_cpu: merged,
-                                    blocked,
-                                },
-                            )
-                        })
-                        .collect();
-                    let out = wheel.complete_quantum(&obs, now);
-                    let out_s = scan.complete_quantum(&obs, now);
-                    assert_eq!(
-                        out.transitions, out_s.transitions,
-                        "transitions diverge (seed {seed})"
-                    );
-                    assert_eq!(
-                        out.cycle_completed, out_s.cycle_completed,
-                        "cycle boundary diverges (seed {seed})"
-                    );
-                    fold_quantum(&mut report.fingerprint, &due, &out);
-                    report.quanta += 1;
-                    report.cycles += u64::from(out.cycle_completed);
-                    report.transitions += out.transitions.len() as u64;
-                }
-            }
-        }
-        for &id in &minted {
-            assert_eq!(
-                wheel.allowance(id).map(f64::to_bits),
-                scan.allowance(id).map(f64::to_bits),
-                "allowance diverges (seed {seed})"
-            );
-            assert_eq!(
-                wheel.is_eligible(id),
-                scan.is_eligible(id),
-                "eligibility diverges (seed {seed})"
-            );
         }
         report.peak_live = report.peak_live.max(live.len());
     }

@@ -1,10 +1,9 @@
 //! # alps-conformance — a spec oracle for the ALPS algorithm
 //!
-//! PRs 2–4 layered heavy optimizations onto the Figure-3 algorithm: slot
-//! indexes, a deadline wheel, and an allocation-free quantum loop. Until
-//! now the only evidence they preserved semantics was pairwise lockstep
-//! testing between adjacent variants. This crate provides an *independent*
-//! reference: [`OracleScheduler`] is a deliberately naive transcription of
+//! The production scheduler layers heavy optimizations onto the Figure-3
+//! algorithm: slot indexes, a deadline wheel, and an allocation-free
+//! quantum loop. This crate is the *independent* reference they are held
+//! to: [`OracleScheduler`] is a deliberately naive transcription of
 //! Figure 3 — full O(N) scans every quantum, fresh allocations everywhere,
 //! no due index, no incremental counters — that performs the *arithmetic*
 //! of the spec in exactly the order the production scheduler does, so a
@@ -26,8 +25,11 @@
 //! drives oracle and production side by side, asserting identical due
 //! lists, transitions, signals, events, cycle records, and stats after
 //! every step. The suites in `tests/` sweep the full configuration matrix
-//! — {wheel, scan} × {lazy, eager} × I/O policies × {flat, principals} —
-//! across well over a thousand generated schedules.
+//! — {lazy, eager} × I/O policies × {flat, principals} — across well over
+//! a thousand generated schedules, drive hand-written and
+//! property-generated op lists the generator cannot reach
+//! (`tests/oracle_inputs.rs`), and pin production's fingerprints to
+//! committed constants (`tests/pins.rs`).
 //!
 //! The one non-naive concession: ids and emission order are part of the
 //! observable contract (transitions carry [`alps_core::ProcId`]s and are

@@ -6,8 +6,8 @@
 
 use alps_core::Nanos;
 
-/// Splittable LCG (same constants as the `due_index_lockstep` suite):
-/// deterministic, dependency-free, good enough to shake out schedules.
+/// Splittable LCG: deterministic, dependency-free, good enough to shake
+/// out schedules.
 #[derive(Debug, Clone)]
 pub struct Lcg(u64);
 

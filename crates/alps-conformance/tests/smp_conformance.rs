@@ -13,34 +13,31 @@
 //!    per-quantum observable, so report equality across M is exactly
 //!    that statement.
 
-use alps_conformance::harness::{
-    run_core_due_index_lockstep, run_core_schedule_smp, run_engine_schedule_smp, DriveReport,
-};
-use alps_core::{AlpsConfig, DueIndex, Instrumentation, IoPolicy, Nanos};
+use alps_conformance::harness::{run_core_schedule_smp, run_engine_schedule_smp, DriveReport};
+use alps_core::{AlpsConfig, Instrumentation, IoPolicy, Nanos};
 
 const QUANTUM: Nanos = Nanos(10_000_000);
 const CPU_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn config(due: DueIndex, lazy: bool, io: IoPolicy) -> AlpsConfig {
+fn config(lazy: bool, io: IoPolicy) -> AlpsConfig {
     AlpsConfig::default()
         .with_quantum(QUANTUM)
-        .with_due_index(due)
         .with_lazy_measurement(lazy)
         .with_io_policy(io)
         .with_cycle_log(true)
 }
 
-/// Core-level differential under migration churn, across the due-index ×
-/// laziness corners, at every CPU count.
+/// Core-level differential under migration churn, across the laziness ×
+/// I/O-policy corners, at every CPU count.
 #[test]
 fn core_scheduler_matches_oracle_on_smp_accounting() {
     for cpus in CPU_COUNTS {
         let mut total = DriveReport::default();
         for (c, cfg) in [
-            config(DueIndex::Wheel, true, IoPolicy::OneQuantumPenalty),
-            config(DueIndex::Scan, true, IoPolicy::OneQuantumPenalty),
-            config(DueIndex::Wheel, false, IoPolicy::NoPenalty),
-            config(DueIndex::Scan, false, IoPolicy::ForfeitAllowance),
+            config(true, IoPolicy::OneQuantumPenalty),
+            config(true, IoPolicy::NoPenalty),
+            config(false, IoPolicy::NoPenalty),
+            config(false, IoPolicy::ForfeitAllowance),
         ]
         .into_iter()
         .enumerate()
@@ -75,8 +72,8 @@ fn core_scheduler_matches_oracle_on_smp_accounting() {
 #[test]
 fn scheduler_outputs_are_invariant_in_cpu_count() {
     for cfg in [
-        config(DueIndex::Wheel, true, IoPolicy::OneQuantumPenalty),
-        config(DueIndex::Scan, false, IoPolicy::ForfeitAllowance),
+        config(true, IoPolicy::OneQuantumPenalty),
+        config(false, IoPolicy::ForfeitAllowance),
     ] {
         for seed in 0..20u64 {
             let baseline = run_core_schedule_smp(cfg, seed, 60, 1);
@@ -92,34 +89,14 @@ fn scheduler_outputs_are_invariant_in_cpu_count() {
     }
 }
 
-/// Wheel vs scan due-index lockstep under SMP accounting and migration
-/// churn, at every CPU count.
-#[test]
-fn due_index_lockstep_holds_on_smp_accounting() {
-    for cpus in CPU_COUNTS {
-        let mut total = DriveReport::default();
-        for lazy in [true, false] {
-            let cfg = config(DueIndex::Wheel, lazy, IoPolicy::OneQuantumPenalty);
-            for s in 0..50u64 {
-                let seed = 0x10C5_0000_0000_0000 | u64::from(lazy) << 32 | s;
-                let rep = run_core_due_index_lockstep(cfg, seed, 60, cpus);
-                total.quanta += rep.quanta;
-                total.cycles += rep.cycles;
-            }
-        }
-        assert!(total.quanta > 5_000, "cpus {cpus}: {} quanta", total.quanta);
-        assert!(total.cycles > 100, "cpus {cpus}: {} cycles", total.cycles);
-    }
-}
-
 /// Engine-level differential over twin M-CPU substrates: merged reads,
 /// migration churn, auto-reap, signal delivery — all byte-compared, and
 /// invariant in M.
 #[test]
 fn engine_matches_oracle_on_smp_substrates() {
     for (c, cfg) in [
-        config(DueIndex::Wheel, true, IoPolicy::OneQuantumPenalty),
-        config(DueIndex::Scan, false, IoPolicy::NoPenalty),
+        config(true, IoPolicy::OneQuantumPenalty),
+        config(false, IoPolicy::NoPenalty),
     ]
     .into_iter()
     .enumerate()
@@ -141,14 +118,10 @@ fn engine_matches_oracle_on_smp_substrates() {
 /// Same seed, same report: SMP differential runs replay exactly.
 #[test]
 fn smp_runs_are_deterministic() {
-    let cfg = config(DueIndex::Wheel, true, IoPolicy::OneQuantumPenalty);
+    let cfg = config(true, IoPolicy::OneQuantumPenalty);
     assert_eq!(
         run_core_schedule_smp(cfg, 7, 60, 2),
         run_core_schedule_smp(cfg, 7, 60, 2)
-    );
-    assert_eq!(
-        run_core_due_index_lockstep(cfg, 7, 60, 4),
-        run_core_due_index_lockstep(cfg, 7, 60, 4)
     );
     assert_eq!(
         run_engine_schedule_smp(cfg, Instrumentation::Measured, 7, 50, 2),

@@ -31,52 +31,6 @@ pub enum IoPolicy {
     ForfeitAllowance,
 }
 
-/// How [`crate::AlpsScheduler`] finds the processes due for measurement at
-/// the start of a quantum.
-///
-/// The §2.3 lazy-measurement optimization already bounds how many processes
-/// are *read* per quantum, but the seed implementation still walked every
-/// occupied slot to discover which ones those are — an O(N) control path
-/// regardless of how few were due. The deadline wheel indexes the `update`
-/// invocation count each slot already carries, so the due set is *popped*
-/// instead of scanned and the whole per-quantum path costs
-/// O(due + transitions). Both implementations are lockstep-identical (see
-/// `crates/alps-core/tests/due_index_lockstep.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum DueIndex {
-    /// Bucketed deadline wheel keyed on the invocation count: `due()` pops
-    /// only the slots whose lazy deadline arrived. Ignored (falls back to
-    /// the scan) when [`AlpsConfig::lazy_measurement`] is off, since the
-    /// eager baseline measures every eligible process every quantum anyway.
-    #[default]
-    Wheel,
-    /// The reference implementation: scan every occupied slot each
-    /// quantum. Retained for lockstep testing and the `due_index`
-    /// dimension of `bench-scalability`.
-    Scan,
-}
-
-/// How [`crate::AlpsScheduler`] lays out its per-process slot storage.
-///
-/// Purely a representation choice: both layouts hold identical slot
-/// contents behind identical generation-checked [`crate::ProcId`] handles,
-/// and the conformance suites drive them in lockstep. The difference is
-/// allocation behavior at scale: the contiguous layout doubles-and-copies
-/// as the population grows (a 10⁶-member registration storm pays for
-/// every intermediate copy), while the chunked arena allocates fixed-size
-/// chunks and never moves a slot once placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum MemberStore {
-    /// Chunked slab arena: fixed 4096-slot chunks, O(1) worst-case
-    /// registration, slots never move. The default.
-    #[default]
-    Chunked,
-    /// The seed layout: one contiguous growable vector. Retained for
-    /// lockstep testing and the `member_store` dimension of
-    /// `bench-scalability`.
-    Contiguous,
-}
-
 /// Configuration of one ALPS scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AlpsConfig {
@@ -87,14 +41,13 @@ pub struct AlpsConfig {
     /// Enable the lazy-measurement optimization of §2.3: a process whose
     /// allowance is `a` quanta is not re-measured for `⌈a⌉` invocations.
     /// Disabling this yields the unoptimized baseline used in the §3.2
-    /// ablation (every eligible process measured every quantum).
+    /// ablation (every eligible process measured every quantum). It also
+    /// decides how the due set is found: lazy deadlines are popped from
+    /// the deadline wheel in O(due); the eager baseline walks every
+    /// occupied slot, which it must read anyway.
     pub lazy_measurement: bool,
     /// Blocked-process accounting policy (§2.4).
     pub io_policy: IoPolicy,
-    /// How the due set is discovered each quantum (wheel vs reference
-    /// scan). Only affects cost, never behavior: the two are
-    /// lockstep-identical.
-    pub due_index: DueIndex,
     /// Record a per-cycle consumption log (the instrumentation the paper
     /// used for its accuracy evaluation, §3.1). Costs one `Vec` push per
     /// process per cycle.
@@ -106,12 +59,6 @@ pub struct AlpsConfig {
     /// annotates the run (reports, cycle capacity reasoning); no
     /// arithmetic branches on it.
     pub cpus: NonZeroUsize,
-    /// Slot-storage layout (chunked arena vs the seed contiguous vector).
-    /// Only affects allocation cost, never behavior: the two are
-    /// lockstep-identical. Defaults when absent from serialized configs
-    /// (pre-arena checkpoints).
-    #[serde(default)]
-    pub member_store: MemberStore,
 }
 
 impl AlpsConfig {
@@ -121,10 +68,8 @@ impl AlpsConfig {
             quantum,
             lazy_measurement: true,
             io_policy: IoPolicy::OneQuantumPenalty,
-            due_index: DueIndex::Wheel,
             record_cycles: false,
             cpus: NonZeroUsize::MIN,
-            member_store: MemberStore::Chunked,
         }
     }
 
@@ -146,12 +91,6 @@ impl AlpsConfig {
         self
     }
 
-    /// Builder-style choice of due-set index.
-    pub fn with_due_index(mut self, index: DueIndex) -> Self {
-        self.due_index = index;
-        self
-    }
-
     /// Builder-style switch for per-cycle logging.
     pub fn with_cycle_log(mut self, on: bool) -> Self {
         self.record_cycles = on;
@@ -161,12 +100,6 @@ impl AlpsConfig {
     /// Builder-style choice of machine CPU count.
     pub fn with_cpus(mut self, cpus: NonZeroUsize) -> Self {
         self.cpus = cpus;
-        self
-    }
-
-    /// Builder-style choice of slot-storage layout.
-    pub fn with_member_store(mut self, store: MemberStore) -> Self {
-        self.member_store = store;
         self
     }
 }
@@ -188,10 +121,8 @@ mod tests {
         assert_eq!(cfg.quantum, Nanos::from_millis(10));
         assert!(cfg.lazy_measurement);
         assert_eq!(cfg.io_policy, IoPolicy::OneQuantumPenalty);
-        assert_eq!(cfg.due_index, DueIndex::Wheel);
         assert!(!cfg.record_cycles);
         assert_eq!(cfg.cpus.get(), 1, "the paper's machine is uniprocessor");
-        assert_eq!(cfg.member_store, MemberStore::Chunked);
     }
 
     #[test]
@@ -200,16 +131,12 @@ mod tests {
             .with_quantum(Nanos::from_millis(40))
             .with_lazy_measurement(false)
             .with_io_policy(IoPolicy::NoPenalty)
-            .with_due_index(DueIndex::Scan)
             .with_cycle_log(true)
-            .with_cpus(NonZeroUsize::new(4).unwrap())
-            .with_member_store(MemberStore::Contiguous);
+            .with_cpus(NonZeroUsize::new(4).unwrap());
         assert_eq!(cfg.quantum, Nanos::from_millis(40));
         assert!(!cfg.lazy_measurement);
         assert_eq!(cfg.io_policy, IoPolicy::NoPenalty);
-        assert_eq!(cfg.due_index, DueIndex::Scan);
         assert!(cfg.record_cycles);
         assert_eq!(cfg.cpus.get(), 4);
-        assert_eq!(cfg.member_store, MemberStore::Contiguous);
     }
 }

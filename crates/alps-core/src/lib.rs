@@ -67,7 +67,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod arena;
 pub mod config;
 pub mod cycle;
 pub mod engine;
@@ -97,7 +96,7 @@ pub mod prelude {
     pub use crate::time::Nanos;
 }
 
-pub use config::{AlpsConfig, DueIndex, IoPolicy, MemberStore};
+pub use config::{AlpsConfig, IoPolicy};
 pub use cycle::{CycleEntry, CycleRecord};
 pub use engine::{
     Engine, EngineFor, EngineStats, Event, EventSink, FaultPolicy, HardenConfig, Instrumentation,

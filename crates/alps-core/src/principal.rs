@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::arena::ChunkedVec;
 use crate::config::AlpsConfig;
 use crate::cycle::CycleRecord;
 use crate::sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, Transition};
@@ -174,11 +173,9 @@ pub struct PrincipalScheduler<M: Ord + Copy> {
     inner: AlpsScheduler,
     /// Dense principal table indexed by [`ProcId::index`], each entry
     /// generation-checked against the handle on access (a stale id from a
-    /// reused slot misses instead of addressing the new tenant). Stored on
-    /// the same chunked arena layout as the inner scheduler's slots, so
-    /// the per-quantum lookups are O(1) without hashing and registration
-    /// never moves existing principals.
-    principals: ChunkedVec<Option<(u32, Principal<M>)>>,
+    /// reused slot misses instead of addressing the new tenant), so the
+    /// per-quantum lookups are O(1) without hashing.
+    principals: Vec<Option<(u32, Principal<M>)>>,
     /// Live principal count (occupied entries in `principals`).
     live: usize,
     /// Scratch: due principal ids, refilled each `begin_quantum_into`.
@@ -193,7 +190,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
     /// Create an empty principal scheduler.
     pub fn new(cfg: AlpsConfig) -> Self {
         PrincipalScheduler {
-            principals: ChunkedVec::for_store(cfg.member_store),
+            principals: Vec::new(),
             inner: AlpsScheduler::new(cfg),
             live: 0,
             due_ids: Vec::new(),

@@ -19,8 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::arena::ChunkedVec;
-use crate::config::{AlpsConfig, DueIndex, IoPolicy};
+use crate::config::{AlpsConfig, IoPolicy};
 use crate::cycle::{CycleEntry, CycleRecord};
 use crate::time::Nanos;
 
@@ -28,13 +27,10 @@ use crate::time::Nanos;
 const WHEEL_BITS: u32 = 6;
 /// Slots per deadline-wheel level (`2^WHEEL_BITS`).
 const WHEEL_SLOTS: u64 = 1 << WHEEL_BITS;
-/// Deadline-wheel levels. The single-level seed wheel parked every
-/// far-future member in one horizon bucket and re-touched each of them
-/// every 64 quanta — an O(N/64) per-quantum tax once most of a large
-/// population is far from its next deadline. Four levels span
-/// `64⁴ ≈ 16.7M` invocations, so a parked member is touched only when a
-/// level boundary passes it: at most [`WHEEL_LEVELS`] touches per actual
-/// deadline, independent of how long the deadline is.
+/// Deadline-wheel levels. Four levels span `64⁴ ≈ 16.7M` invocations, so
+/// a parked member is touched only when a level boundary passes it: at
+/// most [`WHEEL_LEVELS`] touches per actual deadline, independent of how
+/// long the deadline is.
 const WHEEL_LEVELS: usize = 4;
 /// Deadline bits covered by the wheel (level-0 slot = 1 invocation).
 const WHEEL_SPAN_BITS: u32 = WHEEL_BITS * WHEEL_LEVELS as u32;
@@ -158,7 +154,7 @@ struct Slot {
     /// fresh maximal key, a reuse of a still-listed slot inherits the old
     /// position (and key), and compaction preserves relative order — so
     /// sorting *any* subset of slots by `order_key` reproduces the
-    /// reference scan's iteration order exactly.
+    /// occupied-slot walk's iteration order exactly.
     order_key: u64,
     /// Nonce for deadline-wheel entries: an entry is live only while its
     /// recorded key matches. Bumped on every insertion and on removal, so
@@ -185,13 +181,10 @@ struct WheelEntry {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AlpsScheduler {
     cfg: AlpsConfig,
-    /// Slot storage: a chunked arena (or, per
-    /// [`crate::config::MemberStore::Contiguous`], a single growing chunk
-    /// reproducing the seed `Vec` layout). Indexed by [`ProcId::index`];
-    /// every access generation-checks the handle against the slot.
-    slots: ChunkedVec<Slot>,
-    /// Vacant slot indices (LIFO). Popping here replaces the historical
-    /// full-`Vec` vacancy scan, making registration and removal O(1)
+    /// Slot storage, indexed by [`ProcId::index`]; every access
+    /// generation-checks the handle against the slot.
+    slots: Vec<Slot>,
+    /// Vacant slot indices (LIFO), so registration and removal are O(1)
     /// regardless of population size.
     free: Vec<u32>,
     /// Slot indices holding (or recently holding) a process, in
@@ -210,16 +203,16 @@ pub struct AlpsScheduler {
     count: u64,
     /// Completed-cycle counter.
     cycles_completed: u64,
-    /// The hierarchical deadline wheel ([`DueIndex::Wheel`]):
+    /// The hierarchical deadline wheel (lazy mode):
     /// `WHEEL_LEVELS × WHEEL_SLOTS` buckets, level-major
     /// (`wheel[level * WHEEL_SLOTS + slot]`). An entry due at invocation
     /// `d` lives at the level of the highest bit where `d` and the
-    /// invocation counter differ (XOR leveling, the idiom of kernsim's
-    /// event wheel), in slot `(d >> WHEEL_BITS·level) & (WHEEL_SLOTS-1)`.
+    /// invocation counter differ (XOR leveling), in slot
+    /// `(d >> WHEEL_BITS·level) & (WHEEL_SLOTS-1)`.
     /// Advancing the counter only ever lowers an entry's level, so upper
     /// slots cascade toward level 0 as their window opens; deadlines
     /// beyond the whole span park at the top of the current window and
-    /// are re-filed when reached. Empty in scan mode.
+    /// are re-filed when reached. Empty in eager mode.
     wheel: Vec<Vec<WheelEntry>>,
     /// Due list saved by the last `begin_quantum` (wheel mode). Popping a
     /// wheel entry consumes it, so `complete_quantum` must reschedule
@@ -246,13 +239,13 @@ impl AlpsScheduler {
     /// Create a scheduler with no processes.
     pub fn new(cfg: AlpsConfig) -> Self {
         assert!(cfg.quantum > Nanos::ZERO, "quantum must be positive");
-        let wheel = if cfg.due_index == DueIndex::Wheel && cfg.lazy_measurement {
+        let wheel = if cfg.lazy_measurement {
             vec![Vec::new(); WHEEL_LEVELS * WHEEL_SLOTS as usize]
         } else {
             Vec::new()
         };
         AlpsScheduler {
-            slots: ChunkedVec::for_store(cfg.member_store),
+            slots: Vec::new(),
             cfg,
             free: Vec::new(),
             occupied: Vec::new(),
@@ -273,11 +266,11 @@ impl AlpsScheduler {
     }
 
     /// Whether the wheel drives due-set discovery. The wheel indexes lazy
-    /// deadlines, so the eager baseline (every eligible process due every
-    /// quantum) always uses the reference scan.
+    /// deadlines; the eager baseline (every eligible process due every
+    /// quantum) has none, and walks the occupied slots instead.
     #[inline]
     fn use_wheel(&self) -> bool {
-        self.cfg.due_index == DueIndex::Wheel && self.cfg.lazy_measurement
+        self.cfg.lazy_measurement
     }
 
     /// Bucket index for an entry due at invocation `deadline`, relative to
@@ -286,9 +279,8 @@ impl AlpsScheduler {
     /// level's slot of the deadline. Deadlines beyond the wheel's span are
     /// clamped to the top of the current window (the drain re-files them,
     /// keeping their key, as the window advances — at most one touch per
-    /// level per [`WHEEL_SPAN`] invocations, instead of the seed wheel's
-    /// one re-bucket per rotation). Deadlines at or before `count` map to
-    /// the bucket this invocation drains.
+    /// level per [`WHEEL_SPAN`] invocations). Deadlines at or before
+    /// `count` map to the bucket this invocation drains.
     #[inline]
     fn wheel_bucket(count: u64, deadline: u64) -> usize {
         let d = deadline.clamp(count, count | (WHEEL_SPAN - 1));
@@ -386,9 +378,7 @@ impl AlpsScheduler {
         self.total_shares += share;
         self.tc += share as f64 * self.cfg.quantum.as_f64();
         self.live += 1;
-        // Reuse the most recently freed slot if available. The free list
-        // replaces a full-`Vec` vacancy scan that made registering N
-        // processes O(N²) — the dominant cost of large-N sweeps.
+        // Reuse the most recently freed slot if available.
         let id = if let Some(idx) = self.free.pop() {
             let idx = idx as usize;
             debug_assert!(self.slots[idx].state.is_none(), "free slot occupied");
@@ -504,7 +494,7 @@ impl AlpsScheduler {
             // (superseding its previously indexed deadline), and the next
             // repartition must examine the slot even if it runs before any
             // `begin_quantum` does (complete-without-begin reschedules it
-            // exactly like the reference scan would).
+            // exactly like the full walk would).
             self.dirty.push(id.idx);
             if eligible {
                 let deadline = self.count + 1;
@@ -557,21 +547,19 @@ impl AlpsScheduler {
     /// Allocation-free [`Self::begin_quantum`]: clears `due` and fills it
     /// with the processes whose progress must be measured this quantum.
     ///
-    /// Under [`DueIndex::Wheel`] this pops the invocation's level-0
+    /// With lazy measurement this pops the invocation's level-0
     /// deadline-wheel slot (after cascading any upper-level slot whose
     /// window just opened) — O(due) plus at most [`WHEEL_LEVELS`] touches
-    /// per parked slot over its whole wait — instead of scanning every
-    /// occupied slot. Both paths return the same ids in the same
-    /// (registration) order.
+    /// per parked slot over its whole wait. The eager baseline walks every
+    /// occupied slot. Both return ids in registration order.
     pub fn begin_quantum_into(&mut self, due: &mut Vec<ProcId>) {
         due.clear();
         self.count += 1;
         let count = self.count;
         if self.use_wheel() {
             // Entries popped by an earlier `begin_quantum` whose invocation
-            // was never completed are still due (the scan would keep
-            // returning them, since only `complete_quantum` reschedules);
-            // fold them back in before draining this bucket.
+            // was never completed are still due (only `complete_quantum`
+            // reschedules); fold them back in before draining this bucket.
             if !self.pending.is_empty() {
                 let carry = std::mem::take(&mut self.pending);
                 for idx in carry {
@@ -648,7 +636,7 @@ impl AlpsScheduler {
                 }
             }
             self.drain.clear();
-            // Reproduce the reference scan's registration-order iteration.
+            // Report in registration order.
             let slots = &self.slots;
             self.pending
                 .sort_unstable_by_key(|&i| slots[i as usize].order_key);
@@ -780,7 +768,7 @@ impl AlpsScheduler {
             // its eligibility cannot have flipped and its scheduled
             // measurement still stands. Walking `pending ∪ dirty` in
             // registration order therefore emits exactly the transitions
-            // and reschedules the reference scan would.
+            // and reschedules a walk of every occupied slot would.
             debug_assert!(self.examined.is_empty());
             std::mem::swap(&mut self.examined, &mut self.pending);
             self.examined.append(&mut self.dirty);
@@ -798,7 +786,7 @@ impl AlpsScheduler {
         } else {
             // Cycle boundaries credit every slot's allowance, so the full
             // walk is inherent (it is O(N) once per cycle, not per
-            // quantum). The reference scan does it every quantum.
+            // quantum). The eager baseline does it every quantum.
             self.pending.clear();
             self.dirty.clear();
             for k in 0..self.occupied.len() {
@@ -824,7 +812,7 @@ impl AlpsScheduler {
     /// measurement if it was due this invocation.
     fn repartition_slot(&mut self, i: usize, credit: bool, transitions: &mut Vec<Transition>) {
         let count = self.count;
-        let use_wheel = self.cfg.due_index == DueIndex::Wheel && self.cfg.lazy_measurement;
+        let use_wheel = self.use_wheel();
         // Disjoint field borrows: the slot's state is mutated while the
         // eligibility counter and the wheel buckets are updated alongside.
         let AlpsScheduler {

@@ -46,3 +46,10 @@ fn default_config_survives_with_quantum_builder() {
     let back: AlpsConfig = serde_json::from_str(&serde_json::to_string(&cfg).unwrap()).unwrap();
     assert_eq!(cfg, back);
 }
+
+#[test]
+fn config_json_from_before_the_due_index_and_member_store_knobs_were_removed_still_loads() {
+    let old = r#"{"quantum":10000000,"lazy_measurement":true,"io_policy":"OneQuantumPenalty","due_index":"Wheel","record_cycles":false,"cpus":1,"member_store":"Chunked"}"#;
+    let cfg: AlpsConfig = serde_json::from_str(old).expect("extra keys are ignored");
+    assert_eq!(cfg, AlpsConfig::default());
+}

@@ -1,21 +1,17 @@
 //! `bench-scalability` — regenerate `BENCH_kernsim.json`.
 //!
 //! Sweeps the §3.2-shaped workload over N ∈ {10, 100, 1000, 5000}
-//! processes, lazy and unoptimized ALPS, on both the indexed and the seed
-//! linear ready queue, with both the wheel and the seed scan due index,
-//! on the paper's one-CPU machine — plus, per N, a binary-heap
-//! event-queue comparison point and an SMP series (default config, 2 and
-//! 4 simulated CPUs) — then an event-core series (kernel-only sleepers
-//! holding N pending wakeups, wheel vs heap) — and writes the report
-//! JSON. Every run
-//! (point × repetition) is fanned across the deterministic sweep
-//! executor; the simulation-derived results are identical at any thread
-//! count. Run with `--release`; see EXPERIMENTS.md.
+//! processes, lazy and unoptimized ALPS on the paper's one-CPU machine —
+//! plus, per N, an SMP series (lazy, 2 and 4 simulated CPUs) — and writes
+//! the report JSON. Every run (point × repetition) is fanned across the
+//! deterministic sweep executor; the simulation-derived results are
+//! identical at any thread count. Run with `--release`; see
+//! EXPERIMENTS.md.
 //!
 //! A sparse-activity series closes the report: N ∈ {10⁴, 10⁵, 10⁶}
 //! members on the bare scheduler (no simulator), ~10³ of them due on the
 //! §3.2 cadence and the rest parked on far §2.3 deadlines — the
-//! million-member regime the deadline wheel and member arena target.
+//! million-member regime the deadline wheel targets.
 //!
 //! Usage: `bench-scalability [--fast] [--sparse-only] [--sparse-n N]
 //!                           [--threads N] [--cpus M] [--out <path>]`
@@ -28,17 +24,14 @@
 //!                  `--sparse-only --sparse-n 1000000` nightly)
 //!   --threads      sweep worker threads (1 = serial; default ALPS_THREADS
 //!                  or all host cores)
-//!   --cpus         sweep the full configuration grid on an M-CPU simulated
-//!                  machine instead of the default 1-CPU grid + SMP series
+//!   --cpus         sweep {lazy, eager} per N on an M-CPU simulated machine
+//!                  instead of the default 1-CPU grid + SMP series
 //!   --out          output path (default `BENCH_kernsim.json`)
 
 use alps_bench::scalability::{
-    event_core_ns, event_core_sim_secs, run_event_core_best_of, run_point, run_sparse_best_of,
-    run_sweep, sparse_quanta, sparse_specs, sparse_specs_at, sweep_specs, sweep_specs_at,
-    BenchReport, QUANTUM_MS, SHARE, SPARSE_ACTIVE,
+    run_point, run_sparse_best_of, run_sweep, sparse_ns, sparse_quanta, sweep_specs,
+    sweep_specs_at, BenchReport, QUANTUM_MS, SHARE, SPARSE_ACTIVE,
 };
-use alps_core::DueIndex;
-use kernsim::{EventQueueKind, RunQueueKind};
 
 /// Repetitions per point; the fastest is kept (the sim is deterministic,
 /// so repetitions differ only in wall-clock noise).
@@ -102,8 +95,7 @@ fn main() {
         eprintln!(
             "warning: measuring on {} — the parallel_speedup and absolute \
              wall-clock numbers in the report reflect a serial sweep; \
-             relative comparisons (lazy/eager, indexed/linear, wheel/scan) \
-             remain valid",
+             the lazy/eager comparison remains valid",
             if host_cores == 1 {
                 "a single-core host".to_string()
             } else {
@@ -114,15 +106,7 @@ fn main() {
     // Discarded warmup so the first measured points don't pay for page
     // faults and CPU frequency ramp-up.
     if !sparse_only {
-        let _ = run_point(
-            100,
-            true,
-            RunQueueKind::Indexed,
-            EventQueueKind::Wheel,
-            DueIndex::Wheel,
-            2,
-            1,
-        );
+        let _ = run_point(100, true, 2, 1);
     }
 
     let specs = if sparse_only {
@@ -136,12 +120,9 @@ fn main() {
     let outcome = run_sweep(&specs, REPS);
     for p in &outcome.points {
         eprintln!(
-            "N={:5} lazy={:5} {:7} eq={:5} {:5} cpus={}: reg {:8.5}s drive {:8.5}s teardown {:8.5}s | {:8.5} wall-s/sim-s, {:10.0} events/s, {:8} ctx, {:9.1} ns/q/member ({:4.1}% drive)",
+            "N={:5} lazy={:5} cpus={}: reg {:8.5}s drive {:8.5}s teardown {:8.5}s | {:8.5} wall-s/sim-s, {:10.0} events/s, {:8} ctx, {:9.1} ns/q/member ({:4.1}% drive)",
             p.n,
             p.lazy,
-            p.runqueue,
-            p.event_queue,
-            p.due_index,
             p.sim_cpus,
             p.register_seconds,
             p.drive_seconds,
@@ -154,43 +135,21 @@ fn main() {
         );
     }
 
-    // The event-core series: kernel-only sleepers holding N pending
-    // wakeups — the event-dense regime the supervised grid never enters
-    // (ALPS keeps all but the on-deck member stopped, so that grid holds
-    // only a handful of pending events at any N).
-    let ec_secs = event_core_sim_secs(fast);
-    let mut event_core = Vec::new();
-    if !sparse_only {
-        for n in event_core_ns(fast) {
-            for eq in [EventQueueKind::Wheel, EventQueueKind::Heap] {
-                let p = run_event_core_best_of(n, eq, ec_secs, REPS);
-                eprintln!(
-                    "event-core N={:6} eq={:5}: {:9} events in {:8.5}s wall ({:10.0} events/s, {:6} pending)",
-                    p.n, p.event_queue, p.events, p.wall_seconds, p.events_per_wall_second,
-                    p.pending_events
-                );
-                event_core.push(p);
-            }
-        }
-    }
-
     // The sparse-activity series: the bare scheduler at N registered /
     // ~10³ due members. Points run serially (each fans its repetitions
     // across the executor) — the 10⁶-member points are memory-bound and
     // co-running them would perturb the timings.
     let sq = sparse_quanta(fast);
     let sparse_grid = match sparse_n {
-        Some(n) => sparse_specs_at(n),
-        None => sparse_specs(fast),
+        Some(n) => vec![n],
+        None => sparse_ns(fast),
     };
     let mut sparse = Vec::new();
-    for (n, due, store) in sparse_grid {
-        let p = run_sparse_best_of(n, SPARSE_ACTIVE.min(n / 10), due, store, sq, REPS);
+    for n in sparse_grid {
+        let p = run_sparse_best_of(n, SPARSE_ACTIVE.min(n / 10), sq, REPS);
         eprintln!(
-            "sparse N={:8} due={:5} store={:10}: reg {:8.5}s drive {:8.5}s teardown {:8.5}s | {:10.1} ns/q, {:7.1} due/q, {:8.1} ns/due",
+            "sparse N={:8}: reg {:8.5}s drive {:8.5}s teardown {:8.5}s | {:10.1} ns/q, {:7.1} due/q, {:8.1} ns/due",
             p.n,
-            p.due_index,
-            p.member_store,
             p.register_seconds,
             p.drive_seconds,
             p.teardown_seconds,
@@ -213,50 +172,8 @@ fn main() {
         parallel_speedup: outcome.serial_wall_estimate_seconds
             / outcome.sweep_wall_seconds.max(1e-9),
         points: outcome.points,
-        event_core,
         sparse,
     };
-    let mut ns: Vec<usize> = report.points.iter().map(|p| p.n).collect();
-    ns.dedup();
-    for n in &ns {
-        for lazy in [true, false] {
-            for due in ["wheel", "scan"] {
-                if let Some(s) = report.speedup(*n, lazy, due) {
-                    eprintln!(
-                        "N={n:5} lazy={lazy:5} due={due:5} indexed speedup over linear: {s:.2}x"
-                    );
-                }
-            }
-        }
-    }
-    for n in &ns {
-        for lazy in [true, false] {
-            if let Some(r) = report.due_overhead_ratio(*n, lazy) {
-                eprintln!(
-                    "N={n:5} lazy={lazy:5} scan/wheel supervisor overhead (indexed): {r:.2}x"
-                );
-            }
-        }
-    }
-    for n in &ns {
-        if let Some(s) = report.event_queue_speedup(*n) {
-            eprintln!("N={n:5} wheel event-queue speedup over heap (events/s): {s:.2}x");
-        }
-    }
-    let mut ec_ns: Vec<usize> = report.event_core.iter().map(|p| p.n).collect();
-    ec_ns.dedup();
-    for n in &ec_ns {
-        if let Some(s) = report.event_core_speedup(*n) {
-            eprintln!("event-core N={n:6} wheel speedup over heap (events/s): {s:.2}x");
-        }
-    }
-    let mut sp_ns: Vec<usize> = report.sparse.iter().map(|p| p.n).collect();
-    sp_ns.dedup();
-    for n in &sp_ns {
-        if let Some(r) = report.sparse_scan_ratio(*n) {
-            eprintln!("sparse N={n:8} scan/wheel per-quantum cost: {r:.2}x");
-        }
-    }
     eprintln!(
         "sweep wall {:.3}s on {} thread{}; serial estimate {:.3}s ({:.2}x)",
         report.sweep_wall_seconds,

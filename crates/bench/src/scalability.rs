@@ -5,29 +5,19 @@
 //! a 10 ms quantum — but measures the *simulator*: wall-clock per
 //! simulated second, events per wall second, and context switches, for
 //! N ∈ {10, 100, 1000, 5000}, each under the lazy (§2.3) and unoptimized
-//! ALPS variants, each on both ready-queue implementations
-//! ([`RunQueueKind::Indexed`] vs the seed [`RunQueueKind::Linear`]), and
-//! each with both due-index implementations ([`DueIndex::Wheel`] vs the
-//! seed [`DueIndex::Scan`]). A per-N event-queue comparison series rides
-//! along: the default configuration rerun on the seed binary-heap event
-//! queue ([`EventQueueKind::Heap`]) against the timing-wheel default,
-//! which is what [`BenchReport::event_queue_speedup`] reports. The
-//! linear, scan, and heap points exist to quantify the optimized hot
-//! paths' speedups; each pair is trace-identical (see
-//! `crates/kernsim/tests/lockstep.rs`,
-//! `crates/kernsim/tests/event_queue_lockstep.rs`, and
-//! `crates/alps-core/tests/due_index_lockstep.rs`).
+//! ALPS variants on the paper's one-CPU machine, plus the lazy variant on
+//! 2 and 4 simulated CPUs.
 //!
 //! Besides the simulator-throughput numbers, every point reports the
 //! *supervisor overhead*: steady-state drive-phase wall nanoseconds per
 //! ALPS quantum per controlled member — the per-quantum control-path
-//! cost the deadline wheel exists to flatten.
+//! cost the deadline wheel exists to flatten. A sparse-activity series
+//! ([`run_sparse_point`]) measures that path alone, on the bare
+//! scheduler, at up to 10⁶ registered members.
 
-use alps_core::{
-    AlpsConfig, AlpsScheduler, DueIndex, MemberStore, Nanos, Observation, ProcId, QuantumOutcome,
-};
+use alps_core::{AlpsConfig, AlpsScheduler, Nanos, Observation, ProcId, QuantumOutcome};
 use alps_sim::{spawn_alps, CostModel};
-use kernsim::{ComputeBound, ComputeThenSleep, EventQueueKind, Pid, RunQueueKind, Sim, SimConfig};
+use kernsim::{ComputeBound, Pid, Sim, SimConfig};
 use serde::{Deserialize, Serialize};
 
 /// Equal share per process, as in §3.2.
@@ -39,74 +29,6 @@ pub const QUANTUM_MS: u64 = 10;
 /// Simulated seconds driven after mass termination (the teardown phase:
 /// the ALPS runner discovers the exits and reaps every principal).
 pub const TAIL_SECS: u64 = 5;
-
-/// CPU burst of one event-core workload process ([`run_event_core_point`]).
-pub const EVENT_CORE_BURST: Nanos = Nanos::from_micros(1);
-
-/// Sleep between bursts of one event-core workload process. Together with
-/// [`EVENT_CORE_BURST`] it keeps the simulated CPU unsaturated up to
-/// N = 100 000, so all N sleepers stay pending in the event queue at once.
-pub const EVENT_CORE_SLEEP: Nanos = Nanos::from_millis(100);
-
-/// Population sizes of the event-core series. The §3.2 supervised grid is
-/// event-*sparse* (a handful of pending events regardless of N, since ALPS
-/// keeps all but the on-deck member stopped), so it cannot separate the
-/// event-queue implementations; this series holds N wakeups pending at
-/// once — the population the queue swap targets.
-pub fn event_core_ns(fast: bool) -> Vec<usize> {
-    if fast {
-        vec![1000]
-    } else {
-        vec![1000, 5000, 20000, 80000]
-    }
-}
-
-/// Simulated seconds per event-core point.
-pub fn event_core_sim_secs(fast: bool) -> u64 {
-    if fast {
-        2
-    } else {
-        10
-    }
-}
-
-/// One measured point of the event-core series: N kernel-only sleepers
-/// (no ALPS supervisor), each holding a pending wakeup, so the event
-/// queue itself dominates the run. See [`run_event_core_point`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EventCorePoint {
-    /// Number of sleeper processes — and, at steady state, the pending
-    /// event population.
-    pub n: usize,
-    /// Simulator event-queue implementation: `"wheel"` or `"heap"`.
-    pub event_queue: String,
-    /// Simulated seconds driven.
-    pub sim_seconds: u64,
-    /// Simulation events processed.
-    pub events: u64,
-    /// Events still pending when the drive ended — the steady-state
-    /// queue population the point exercised (≈ N while the simulated
-    /// CPU is unsaturated).
-    pub pending_events: usize,
-    /// Wall-clock seconds for the drive.
-    pub wall_seconds: f64,
-    /// Events processed per wall-clock second.
-    pub events_per_wall_second: f64,
-}
-
-impl EventCorePoint {
-    /// The simulation-derived fields — a pure function of the point's
-    /// parameters and seed, identical at any sweep thread count.
-    pub fn sim_key(&self) -> (usize, &str, u64, u64, usize) {
-        (
-            self.n,
-            self.event_queue.as_str(),
-            self.sim_seconds,
-            self.events,
-            self.pending_events,
-        )
-    }
-}
 
 /// Active members of a sparse-activity point ([`run_sparse_point`]).
 pub const SPARSE_ACTIVE: usize = 1000;
@@ -121,11 +43,6 @@ pub const SPARSE_ACTIVE_SHARE: u64 = 5;
 /// members spread across every level of the deadline wheel instead of
 /// thundering in one slot.
 pub const SPARSE_IDLE_BASE: u64 = 1000;
-
-/// Largest population the O(N)-per-quantum scan due index is driven at;
-/// beyond this only the wheel series runs (the scan would dominate the
-/// sweep's wall clock while measuring nothing new).
-pub const SPARSE_SCAN_MAX_N: usize = 100_000;
 
 /// Population sizes of the sparse-activity series.
 pub fn sparse_ns(fast: bool) -> Vec<usize> {
@@ -158,10 +75,6 @@ pub struct SparsePoint {
     pub n: usize,
     /// Members on the active (share-[`SPARSE_ACTIVE_SHARE`]) cadence.
     pub active: usize,
-    /// ALPS due-index implementation: `"wheel"` or `"scan"`.
-    pub due_index: String,
-    /// Member-storage implementation: `"chunked"` or `"contiguous"`.
-    pub member_store: String,
     /// Quanta driven (excluding the warm-up quantum).
     pub quanta: u64,
     /// Due members measured over the drive.
@@ -172,8 +85,7 @@ pub struct SparsePoint {
     pub drive_seconds: f64,
     /// Wall-clock seconds to remove all N members.
     pub teardown_seconds: f64,
-    /// Drive nanoseconds per quantum — the headline: flat in N under
-    /// the wheel, linear in N under the scan.
+    /// Drive nanoseconds per quantum — the headline: flat in N.
     pub ns_per_quantum: f64,
     /// Due members per quantum (~[`SPARSE_ACTIVE`]/5, independent of N).
     pub due_per_quantum: f64,
@@ -184,15 +96,8 @@ pub struct SparsePoint {
 impl SparsePoint {
     /// The deterministic fields — a pure function of the point's
     /// parameters, identical at any sweep thread count.
-    pub fn sim_key(&self) -> (usize, usize, &str, &str, u64, u64) {
-        (
-            self.n,
-            self.active,
-            self.due_index.as_str(),
-            self.member_store.as_str(),
-            self.quanta,
-            self.total_due,
-        )
+    pub fn sim_key(&self) -> (usize, usize, u64, u64) {
+        (self.n, self.active, self.quanta, self.total_due)
     }
 }
 
@@ -203,13 +108,6 @@ pub struct BenchPoint {
     pub n: usize,
     /// Whether the §2.3 lazy-measurement optimization was on.
     pub lazy: bool,
-    /// Ready-queue implementation: `"indexed"` or `"linear"`.
-    pub runqueue: String,
-    /// Simulator event-queue implementation: `"wheel"` (the timing-wheel
-    /// default) or `"heap"` (the seed binary heap).
-    pub event_queue: String,
-    /// ALPS due-index implementation: `"wheel"` or `"scan"`.
-    pub due_index: String,
     /// CPUs the simulated machine modeled ([`SimConfig::cpus`]) — the
     /// *modeled* dimension, distinct from [`BenchReport::host_cores`]
     /// (the measuring host's hardware threads).
@@ -254,13 +152,10 @@ impl BenchPoint {
     /// the wall-clock timings. These are a pure function of the point's
     /// parameters and seed, so they must be identical at any sweep
     /// thread count; the determinism tests compare exactly this key.
-    pub fn sim_key(&self) -> (usize, bool, &str, &str, &str, usize, u64, u64, u64, u64) {
+    pub fn sim_key(&self) -> (usize, bool, usize, u64, u64, u64, u64) {
         (
             self.n,
             self.lazy,
-            self.runqueue.as_str(),
-            self.event_queue.as_str(),
-            self.due_index.as_str(),
             self.sim_cpus,
             self.sim_seconds,
             self.events,
@@ -297,122 +192,30 @@ pub struct BenchReport {
     pub parallel_speedup: f64,
     /// The measured points.
     pub points: Vec<BenchPoint>,
-    /// The event-core series: wheel-vs-heap throughput with N pending
-    /// events, the population the §3.2 supervised grid never builds.
-    #[serde(default)]
-    pub event_core: Vec<EventCorePoint>,
     /// The sparse-activity series: N registered / ~10³ due members on
-    /// the bare scheduler, the regime the deadline wheel and member
-    /// arena target.
+    /// the bare scheduler, the regime the deadline wheel targets.
     #[serde(default)]
     pub sparse: Vec<SparsePoint>,
 }
 
 impl BenchReport {
-    /// The single-CPU point for `(n, lazy, kind, due)`, if present. The
-    /// full configuration grid runs on the paper's one-CPU machine; the
-    /// SMP series is reached via [`BenchReport::point_at`].
-    pub fn point(&self, n: usize, lazy: bool, kind: &str, due: &str) -> Option<&BenchPoint> {
-        self.point_at(n, lazy, kind, due, 1)
+    /// The single-CPU point for `(n, lazy)`, if present. The SMP series
+    /// is reached via [`BenchReport::point_at`].
+    pub fn point(&self, n: usize, lazy: bool) -> Option<&BenchPoint> {
+        self.point_at(n, lazy, 1)
     }
 
-    /// The point for `(n, lazy, kind, due)` on a `cpus`-CPU simulated
-    /// machine, if present. Always the timing-wheel event queue — the
-    /// configuration grid runs on the default; the binary-heap
-    /// comparison series is reached via [`BenchReport::heap_point`].
-    pub fn point_at(
-        &self,
-        n: usize,
-        lazy: bool,
-        kind: &str,
-        due: &str,
-        cpus: usize,
-    ) -> Option<&BenchPoint> {
-        self.points.iter().find(|p| {
-            p.n == n
-                && p.lazy == lazy
-                && p.runqueue == kind
-                && p.event_queue == "wheel"
-                && p.due_index == due
-                && p.sim_cpus == cpus
-        })
-    }
-
-    /// The binary-heap event-queue comparison point for `n` (the default
-    /// configuration otherwise: lazy, indexed run queue, wheel due
-    /// index, one CPU), if present.
-    pub fn heap_point(&self, n: usize) -> Option<&BenchPoint> {
-        self.points.iter().find(|p| {
-            p.n == n
-                && p.lazy
-                && p.runqueue == "indexed"
-                && p.event_queue == "heap"
-                && p.due_index == "wheel"
-                && p.sim_cpus == 1
-        })
-    }
-
-    /// Event-throughput speedup of the timing-wheel event queue over the
-    /// seed binary heap at the default configuration for `n`:
-    /// `events_per_wall_second(wheel) / events_per_wall_second(heap)`.
-    pub fn event_queue_speedup(&self, n: usize) -> Option<f64> {
-        let wheel = self.point(n, true, "indexed", "wheel")?;
-        let heap = self.heap_point(n)?;
-        Some(wheel.events_per_wall_second / heap.events_per_wall_second.max(1e-12))
-    }
-
-    /// The event-core point for `(n, kind)` (`"wheel"` or `"heap"`), if
+    /// The point for `(n, lazy)` on a `cpus`-CPU simulated machine, if
     /// present.
-    pub fn event_core_point(&self, n: usize, kind: &str) -> Option<&EventCorePoint> {
-        self.event_core
+    pub fn point_at(&self, n: usize, lazy: bool, cpus: usize) -> Option<&BenchPoint> {
+        self.points
             .iter()
-            .find(|p| p.n == n && p.event_queue == kind)
+            .find(|p| p.n == n && p.lazy == lazy && p.sim_cpus == cpus)
     }
 
-    /// Event-throughput speedup of the timing-wheel event queue over the
-    /// seed binary heap on the event-core workload at `n`:
-    /// `events_per_wall_second(wheel) / events_per_wall_second(heap)`.
-    pub fn event_core_speedup(&self, n: usize) -> Option<f64> {
-        let wheel = self.event_core_point(n, "wheel")?;
-        let heap = self.event_core_point(n, "heap")?;
-        Some(wheel.events_per_wall_second / heap.events_per_wall_second.max(1e-12))
-    }
-
-    /// The sparse-activity point for `(n, due, store)` (`"wheel"` /
-    /// `"scan"` × `"chunked"` / `"contiguous"`), if present.
-    pub fn sparse_point(&self, n: usize, due: &str, store: &str) -> Option<&SparsePoint> {
-        self.sparse
-            .iter()
-            .find(|p| p.n == n && p.due_index == due && p.member_store == store)
-    }
-
-    /// Per-quantum cost ratio of the scan due index over the wheel at
-    /// `n` registered members (chunked store):
-    /// `ns_per_quantum(scan) / ns_per_quantum(wheel)` — the linear-in-N
-    /// factor the wheel removes from the sparse regime.
-    pub fn sparse_scan_ratio(&self, n: usize) -> Option<f64> {
-        let wheel = self.sparse_point(n, "wheel", "chunked")?;
-        let scan = self.sparse_point(n, "scan", "chunked")?;
-        Some(scan.ns_per_quantum / wheel.ns_per_quantum.max(1e-12))
-    }
-
-    /// Wall-clock speedup of the indexed queue over the linear one for
-    /// `(n, lazy, due)`: `wall(linear) / wall(indexed)` over the whole
-    /// point.
-    pub fn speedup(&self, n: usize, lazy: bool, due: &str) -> Option<f64> {
-        let idx = self.point(n, lazy, "indexed", due)?;
-        let lin = self.point(n, lazy, "linear", due)?;
-        Some(lin.wall_seconds / idx.wall_seconds)
-    }
-
-    /// Supervisor-overhead ratio of the scan due index over the wheel
-    /// for `(n, lazy)` on the indexed queue:
-    /// `overhead(scan) / overhead(wheel)` in drive-phase ns per quantum
-    /// per member.
-    pub fn due_overhead_ratio(&self, n: usize, lazy: bool) -> Option<f64> {
-        let wheel = self.point(n, lazy, "indexed", "wheel")?;
-        let scan = self.point(n, lazy, "indexed", "scan")?;
-        Some(scan.supervisor_ns_per_quantum_per_member / wheel.supervisor_ns_per_quantum_per_member)
+    /// The sparse-activity point at `n` registered members, if present.
+    pub fn sparse_point(&self, n: usize) -> Option<&SparsePoint> {
+        self.sparse.iter().find(|p| p.n == n)
     }
 
     /// Render as multi-line JSON, one point per line (stable git diffs).
@@ -445,17 +248,6 @@ impl BenchReport {
             out.push_str("    ");
             out.push_str(&serde_json::to_string(p).expect("point"));
             out.push_str(if i + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"event_core\": [\n");
-        for (i, p) in self.event_core.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&serde_json::to_string(p).expect("event-core point"));
-            out.push_str(if i + 1 < self.event_core.len() {
                 ",\n"
             } else {
                 "\n"
@@ -519,23 +311,10 @@ pub fn sweep_ns(fast: bool) -> Vec<usize> {
 /// 3. **teardown** — terminate every member and drive [`TAIL_SECS`] more
 ///    simulated seconds, during which the runner discovers the exits and
 ///    reaps all N principals.
-pub fn run_point(
-    n: usize,
-    lazy: bool,
-    kind: RunQueueKind,
-    eventq: EventQueueKind,
-    due: DueIndex,
-    sim_secs: u64,
-    cpus: usize,
-) -> BenchPoint {
+pub fn run_point(n: usize, lazy: bool, sim_secs: u64, cpus: usize) -> BenchPoint {
     let cfg = SimConfig {
         seed: 1,
         spawn_estcpu_jitter: 8.0,
-        runqueue: kind,
-        event_queue: eventq,
-        // Size the event queue for the population: at steady state every
-        // member holds a wakeup/burst event, plus the ALPS timer.
-        event_capacity: n + 8,
         cpus: std::num::NonZeroUsize::new(cpus).expect("at least one CPU"),
         ..SimConfig::default()
     };
@@ -545,9 +324,7 @@ pub fn run_point(
     let members: Vec<(Pid, u64)> = (0..n)
         .map(|i| (sim.spawn(format!("w{i}"), Box::new(ComputeBound)), SHARE))
         .collect();
-    let alps_cfg = AlpsConfig::new(Nanos::from_millis(QUANTUM_MS))
-        .with_lazy_measurement(lazy)
-        .with_due_index(due);
+    let alps_cfg = AlpsConfig::new(Nanos::from_millis(QUANTUM_MS)).with_lazy_measurement(lazy);
     let alps = spawn_alps(&mut sim, "alps", alps_cfg, CostModel::paper(), &members);
     let register_seconds = t_register.elapsed().as_secs_f64();
 
@@ -568,18 +345,6 @@ pub fn run_point(
     BenchPoint {
         n,
         lazy,
-        runqueue: match kind {
-            RunQueueKind::Indexed => "indexed".to_string(),
-            RunQueueKind::Linear => "linear".to_string(),
-        },
-        event_queue: match eventq {
-            EventQueueKind::Wheel => "wheel".to_string(),
-            EventQueueKind::Heap => "heap".to_string(),
-        },
-        due_index: match due {
-            DueIndex::Wheel => "wheel".to_string(),
-            DueIndex::Scan => "scan".to_string(),
-        },
         sim_cpus: cpus,
         sim_seconds: sim_secs,
         wall_seconds,
@@ -597,94 +362,9 @@ pub fn run_point(
     }
 }
 
-/// Measure [`run_point`] `reps` times and keep the fastest repetition
-/// (by whole-lifecycle wall clock). The simulation is deterministic, so
-/// the repetitions differ only in wall-clock noise — the minimum is the
-/// least-disturbed measurement. Repetitions are independent runs and
-/// fan out across the sweep executor.
-#[allow(clippy::too_many_arguments)] // mirrors run_point's parameter list
-pub fn run_point_best_of(
-    n: usize,
-    lazy: bool,
-    kind: RunQueueKind,
-    eventq: EventQueueKind,
-    due: DueIndex,
-    sim_secs: u64,
-    cpus: usize,
-    reps: usize,
-) -> BenchPoint {
-    alps_sweep::sweep_map((0..reps.max(1)).collect(), |_rep: usize| {
-        run_point(n, lazy, kind, eventq, due, sim_secs, cpus)
-    })
-    .into_iter()
-    .min_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds))
-    .expect("reps >= 1")
-}
-
-/// Measure one event-core point: N kernel-only sleepers, each running
-/// [`EVENT_CORE_BURST`] then sleeping [`EVENT_CORE_SLEEP`], driven for
-/// `sim_secs` simulated seconds with no ALPS supervisor. Every sleeper
-/// holds a pending wakeup, so the queue carries ~N events throughout —
-/// the regime where the heap pays O(log N) comparisons plus cache misses
-/// per operation and the wheel stays flat.
-pub fn run_event_core_point(n: usize, eventq: EventQueueKind, sim_secs: u64) -> EventCorePoint {
-    let cfg = SimConfig {
-        seed: 1,
-        spawn_estcpu_jitter: 8.0,
-        runqueue: RunQueueKind::Indexed,
-        event_queue: eventq,
-        event_capacity: n + 8,
-        ..SimConfig::default()
-    };
-    let mut sim = Sim::new(cfg);
-    for i in 0..n {
-        sim.spawn(
-            format!("s{i}"),
-            Box::new(ComputeThenSleep::new(
-                EVENT_CORE_BURST,
-                EVENT_CORE_SLEEP,
-                Nanos::ZERO,
-            )),
-        );
-    }
-    let t = std::time::Instant::now();
-    let events = sim.run_until(Nanos::from_secs(sim_secs));
-    let wall_seconds = t.elapsed().as_secs_f64();
-    EventCorePoint {
-        n,
-        event_queue: match eventq {
-            EventQueueKind::Wheel => "wheel".to_string(),
-            EventQueueKind::Heap => "heap".to_string(),
-        },
-        sim_seconds: sim_secs,
-        events,
-        pending_events: sim.pending_events(),
-        wall_seconds,
-        events_per_wall_second: events as f64 / wall_seconds.max(1e-9),
-    }
-}
-
-/// Measure [`run_event_core_point`] `reps` times and keep the fastest
-/// repetition, fanned across the sweep executor like
-/// [`run_point_best_of`].
-pub fn run_event_core_best_of(
-    n: usize,
-    eventq: EventQueueKind,
-    sim_secs: u64,
-    reps: usize,
-) -> EventCorePoint {
-    alps_sweep::sweep_map((0..reps.max(1)).collect(), |_rep: usize| {
-        run_event_core_point(n, eventq, sim_secs)
-    })
-    .into_iter()
-    .min_by(|a, b| a.wall_seconds.total_cmp(&b.wall_seconds))
-    .expect("reps >= 1")
-}
-
 /// Measure one sparse-activity point. Three phases are timed:
-/// registration of all N members (the arena's chunked-allocation path),
-/// a `quanta`-quantum stationary drive (the wheel's O(due) control
-/// path), and removal of all N members (the arena's free-list path).
+/// registration of all N members, a `quanta`-quantum stationary drive
+/// (the wheel's O(due) control path), and removal of all N members.
 ///
 /// Idle members never come due inside a short drive *en masse*: their
 /// staggered shares ([`SPARSE_IDLE_BASE`]` + i`) park them across the
@@ -692,18 +372,9 @@ pub fn run_event_core_best_of(
 /// the wheel's design promises — O(1) amortized per parked member per
 /// level-window crossing — while the active members due every
 /// [`SPARSE_ACTIVE_SHARE`] quanta dominate `total_due`.
-pub fn run_sparse_point(
-    n: usize,
-    active: usize,
-    due: DueIndex,
-    store: MemberStore,
-    quanta: u64,
-) -> SparsePoint {
+pub fn run_sparse_point(n: usize, active: usize, quanta: u64) -> SparsePoint {
     assert!(active <= n, "active members are a subset of the population");
-    let cfg = AlpsConfig::new(Nanos::from_millis(QUANTUM_MS))
-        .with_due_index(due)
-        .with_member_store(store);
-    let mut alps = AlpsScheduler::new(cfg);
+    let mut alps = AlpsScheduler::new(AlpsConfig::new(Nanos::from_millis(QUANTUM_MS)));
 
     let t_register = std::time::Instant::now();
     let idle = n - active;
@@ -764,14 +435,6 @@ pub fn run_sparse_point(
     SparsePoint {
         n,
         active,
-        due_index: match due {
-            DueIndex::Wheel => "wheel".to_string(),
-            DueIndex::Scan => "scan".to_string(),
-        },
-        member_store: match store {
-            MemberStore::Chunked => "chunked".to_string(),
-            MemberStore::Contiguous => "contiguous".to_string(),
-        },
         quanta,
         total_due,
         register_seconds,
@@ -785,47 +448,14 @@ pub fn run_sparse_point(
 
 /// Measure [`run_sparse_point`] `reps` times and keep the repetition
 /// with the fastest drive (the headline phase), fanned across the sweep
-/// executor like [`run_point_best_of`].
-pub fn run_sparse_best_of(
-    n: usize,
-    active: usize,
-    due: DueIndex,
-    store: MemberStore,
-    quanta: u64,
-    reps: usize,
-) -> SparsePoint {
+/// executor.
+pub fn run_sparse_best_of(n: usize, active: usize, quanta: u64, reps: usize) -> SparsePoint {
     alps_sweep::sweep_map((0..reps.max(1)).collect(), |_rep: usize| {
-        run_sparse_point(n, active, due, store, quanta)
+        run_sparse_point(n, active, quanta)
     })
     .into_iter()
     .min_by(|a, b| a.drive_seconds.total_cmp(&b.drive_seconds))
     .expect("reps >= 1")
-}
-
-/// The sparse-activity grid in report order. Per N: the wheel due index
-/// on both member stores, then the scan baseline (chunked store) up to
-/// [`SPARSE_SCAN_MAX_N`] — the scan exists to show the linear-in-N cost
-/// the wheel removes, and needs only one storage flavor to do it.
-pub fn sparse_specs(fast: bool) -> Vec<(usize, DueIndex, MemberStore)> {
-    let mut specs = Vec::new();
-    for n in sparse_ns(fast) {
-        specs.extend(sparse_specs_at(n));
-    }
-    specs
-}
-
-/// The sparse-activity specs for one explicit population — the
-/// `--sparse-n` path (CI's scale smoke pins N = 10⁵ on the PR path,
-/// N = 10⁶ nightly).
-pub fn sparse_specs_at(n: usize) -> Vec<(usize, DueIndex, MemberStore)> {
-    let mut specs = vec![
-        (n, DueIndex::Wheel, MemberStore::Chunked),
-        (n, DueIndex::Wheel, MemberStore::Contiguous),
-    ];
-    if n <= SPARSE_SCAN_MAX_N {
-        specs.push((n, DueIndex::Scan, MemberStore::Chunked));
-    }
-    specs
 }
 
 /// One cell of the bench grid: the parameters of a [`run_point`] call.
@@ -835,64 +465,30 @@ pub struct SweepSpec {
     pub n: usize,
     /// §2.3 lazy measurement on/off.
     pub lazy: bool,
-    /// Ready-queue implementation under test.
-    pub kind: RunQueueKind,
-    /// Simulator event-queue implementation under test.
-    pub eventq: EventQueueKind,
-    /// ALPS due-index implementation under test.
-    pub due: DueIndex,
     /// Simulated seconds of steady-state drive.
     pub sim_secs: u64,
     /// CPUs the simulated machine models ([`SimConfig::cpus`]).
     pub cpus: usize,
 }
 
-/// CPU counts of the SMP series ([`sweep_specs`] runs the default
-/// configuration at each of these beyond 1).
+/// CPU counts of the SMP series ([`sweep_specs`] runs the lazy variant
+/// at each of these beyond 1).
 pub const SMP_CPUS: [usize; 2] = [2, 4];
 
-/// The full grid in its canonical (report) order. Per N:
-/// {lazy, eager} × {indexed, linear} × {wheel, scan} on one CPU (the
-/// paper's machine) on the timing-wheel event queue, then the default
-/// configuration rerun on the seed binary-heap event queue (the
-/// event-queue comparison series), then the default configuration on
-/// each of [`SMP_CPUS`] — the heap and SMP series measure their one
-/// dimension alone, not its cross product with every other axis.
+/// The full grid in its canonical (report) order. Per N: {lazy, eager}
+/// on one CPU (the paper's machine), then the lazy variant on each of
+/// [`SMP_CPUS`].
 pub fn sweep_specs(fast: bool) -> Vec<SweepSpec> {
     let mut specs = Vec::new();
     for n in sweep_ns(fast) {
         let sim_secs = sim_secs_for(n, fast);
-        for lazy in [true, false] {
-            for kind in [RunQueueKind::Indexed, RunQueueKind::Linear] {
-                for due in [DueIndex::Wheel, DueIndex::Scan] {
-                    specs.push(SweepSpec {
-                        n,
-                        lazy,
-                        kind,
-                        eventq: EventQueueKind::Wheel,
-                        due,
-                        sim_secs,
-                        cpus: 1,
-                    });
-                }
-            }
-        }
-        specs.push(SweepSpec {
-            n,
-            lazy: true,
-            kind: RunQueueKind::Indexed,
-            eventq: EventQueueKind::Heap,
-            due: DueIndex::Wheel,
-            sim_secs,
-            cpus: 1,
-        });
-        for cpus in SMP_CPUS {
+        for (lazy, cpus) in [(true, 1), (false, 1)]
+            .into_iter()
+            .chain(SMP_CPUS.map(|cpus| (true, cpus)))
+        {
             specs.push(SweepSpec {
                 n,
-                lazy: true,
-                kind: RunQueueKind::Indexed,
-                eventq: EventQueueKind::Wheel,
-                due: DueIndex::Wheel,
+                lazy,
                 sim_secs,
                 cpus,
             });
@@ -901,7 +497,7 @@ pub fn sweep_specs(fast: bool) -> Vec<SweepSpec> {
     specs
 }
 
-/// The full configuration grid at a single, explicit CPU count — what
+/// {lazy, eager} per N at a single, explicit CPU count — what
 /// `bench-scalability --cpus N` sweeps instead of [`sweep_specs`].
 pub fn sweep_specs_at(fast: bool, cpus: usize) -> Vec<SweepSpec> {
     let mut specs = sweep_specs(fast);
@@ -945,7 +541,7 @@ pub fn run_sweep_threads(threads: usize, specs: &[SweepSpec], reps: usize) -> Sw
         .collect();
     let t_sweep = std::time::Instant::now();
     let runs = alps_sweep::sweep_map_threads(threads, jobs, |s| {
-        run_point(s.n, s.lazy, s.kind, s.eventq, s.due, s.sim_secs, s.cpus)
+        run_point(s.n, s.lazy, s.sim_secs, s.cpus)
     });
     let sweep_wall_seconds = t_sweep.elapsed().as_secs_f64();
     let serial_wall_estimate_seconds = runs.iter().map(|p| p.wall_seconds).sum();
@@ -981,196 +577,68 @@ mod tests {
             sweep_wall_seconds: 0.25,
             serial_wall_estimate_seconds: 1.0,
             parallel_speedup: 4.0,
-            points: vec![
-                run_point(
-                    4,
-                    true,
-                    RunQueueKind::Indexed,
-                    EventQueueKind::Wheel,
-                    DueIndex::Wheel,
-                    1,
-                    1,
-                ),
-                run_point(
-                    4,
-                    true,
-                    RunQueueKind::Indexed,
-                    EventQueueKind::Wheel,
-                    DueIndex::Wheel,
-                    1,
-                    2,
-                ),
-                run_point(
-                    4,
-                    true,
-                    RunQueueKind::Indexed,
-                    EventQueueKind::Heap,
-                    DueIndex::Wheel,
-                    1,
-                    1,
-                ),
-            ],
-            event_core: vec![
-                run_event_core_point(8, EventQueueKind::Wheel, 1),
-                run_event_core_point(8, EventQueueKind::Heap, 1),
-            ],
-            sparse: vec![
-                run_sparse_point(64, 8, DueIndex::Wheel, MemberStore::Chunked, 20),
-                run_sparse_point(64, 8, DueIndex::Scan, MemberStore::Chunked, 20),
-            ],
+            points: vec![run_point(4, true, 1, 1), run_point(4, true, 1, 2)],
+            sparse: vec![run_sparse_point(64, 8, 20)],
         };
         let back = BenchReport::parse(&report.to_pretty_json()).expect("parse");
         assert_eq!(report, back);
-        assert!(report.point(4, true, "indexed", "wheel").is_some());
-        assert!(report.point(4, true, "indexed", "scan").is_none());
+        assert!(report.point(4, false).is_none());
         // `point` is the one-CPU lookup; the SMP series needs `point_at`.
-        assert_eq!(
-            report.point(4, true, "indexed", "wheel").unwrap().sim_cpus,
-            1
-        );
-        assert!(report.point_at(4, true, "indexed", "wheel", 2).is_some());
-        assert!(report.point_at(4, true, "indexed", "wheel", 4).is_none());
-        // The grid lookups never answer with the heap comparison point...
-        assert_eq!(
-            report
-                .point(4, true, "indexed", "wheel")
-                .unwrap()
-                .event_queue,
-            "wheel"
-        );
-        // ...which has its own accessor, and a throughput ratio on top.
-        assert_eq!(report.heap_point(4).unwrap().event_queue, "heap");
-        assert!(report.heap_point(5).is_none());
-        assert!(report.event_queue_speedup(4).unwrap() > 0.0);
-        assert!(report.event_queue_speedup(5).is_none());
-        // The event-core series has its own lookups and ratio.
-        assert_eq!(
-            report.event_core_point(8, "wheel").unwrap().event_queue,
-            "wheel"
-        );
-        assert!(report.event_core_point(9, "wheel").is_none());
-        assert!(report.event_core_speedup(8).unwrap() > 0.0);
-        assert!(report.event_core_speedup(9).is_none());
-        // The sparse series has its own lookup and scan-vs-wheel ratio.
-        assert_eq!(report.sparse_point(64, "wheel", "chunked").unwrap().n, 64);
-        assert!(report.sparse_point(64, "wheel", "contiguous").is_none());
-        assert!(report.sparse_scan_ratio(64).unwrap() > 0.0);
-        assert!(report.sparse_scan_ratio(65).is_none());
-        // Reports written before the series existed (no "event_core" /
-        // "sparse" keys) still parse, to empty series.
+        assert_eq!(report.point(4, true).unwrap().sim_cpus, 1);
+        assert!(report.point_at(4, true, 2).is_some());
+        assert!(report.point_at(4, true, 4).is_none());
+        assert_eq!(report.sparse_point(64).unwrap().n, 64);
+        assert!(report.sparse_point(65).is_none());
+        // Reports written before the sparse series existed (no "sparse"
+        // key) still parse, to an empty series.
         let rendered = report.to_pretty_json();
         let (head, _tail) = rendered
-            .split_once("  \"event_core\": [")
+            .split_once("  \"sparse\": [")
             .expect("series rendered");
         let legacy = format!("{}\n}}\n", head.trim_end().trim_end_matches(','));
         let back = BenchReport::parse(&legacy).expect("legacy parse");
-        assert!(back.event_core.is_empty());
         assert!(back.sparse.is_empty());
         assert_eq!(back.points, report.points);
     }
 
     #[test]
-    fn sparse_point_is_stationary_and_store_invariant() {
-        let chunked = run_sparse_point(256, 16, DueIndex::Wheel, MemberStore::Chunked, 40);
-        let contig = run_sparse_point(256, 16, DueIndex::Wheel, MemberStore::Contiguous, 40);
-        let scan = run_sparse_point(256, 16, DueIndex::Scan, MemberStore::Chunked, 40);
-        // All three implementations measure the identical due schedule.
-        assert_eq!(chunked.sim_key().5, contig.sim_key().5);
-        assert_eq!(chunked.total_due, scan.total_due);
+    fn sparse_point_is_stationary() {
+        let p = run_sparse_point(256, 16, 40);
         // The 16 active members are due every 5 quanta: 8 spikes of 16
         // over 40 quanta, plus idle members whose staggered deadlines
         // fall inside the window (shares 1000+i: none within 40 quanta).
-        assert_eq!(chunked.total_due, 8 * 16, "active cadence only");
-        assert!(chunked.due_per_quantum > 0.0);
-        assert!(chunked.ns_per_quantum > 0.0);
-        assert!(chunked.ns_per_due_member > 0.0);
-        assert_eq!(chunked.quanta, 40);
-    }
-
-    #[test]
-    fn sparse_specs_cap_the_scan_series() {
-        let specs = sparse_specs(false);
-        // Per N: wheel × {chunked, contiguous}, plus the scan baseline
-        // up to SPARSE_SCAN_MAX_N.
-        assert_eq!(specs.len(), 3 * 2 + 2);
-        assert!(specs
-            .iter()
-            .all(|&(n, due, _)| due != DueIndex::Scan || n <= SPARSE_SCAN_MAX_N));
-        assert!(specs.iter().any(|&(n, _, _)| n == 1_000_000));
-        let fast = sparse_specs(true);
-        assert!(fast.iter().all(|&(n, _, _)| n == 10_000));
-        assert_eq!(fast.len(), 3);
+        assert_eq!(p.total_due, 8 * 16, "active cadence only");
+        assert!(p.due_per_quantum > 0.0);
+        assert!(p.ns_per_quantum > 0.0);
+        assert!(p.ns_per_due_member > 0.0);
+        assert_eq!(p.quanta, 40);
     }
 
     #[test]
     fn sweep_specs_cover_the_grid_in_report_order() {
         let specs = sweep_specs(true);
-        // Per N ∈ {10,100}: {lazy,eager} × {indexed,linear} × {wheel,scan}
-        // on one CPU, then the heap event-queue comparison point, then
-        // the default config at each SMP CPU count.
-        assert_eq!(specs.len(), 2 * (2 * 2 * 2 + 1 + SMP_CPUS.len()));
+        // Per N ∈ {10,100}: {lazy,eager} on one CPU, then the lazy
+        // variant at each SMP CPU count.
+        assert_eq!(specs.len(), 2 * (2 + SMP_CPUS.len()));
+        assert_eq!(sweep_specs(false).len(), 16);
         assert_eq!(specs[0].n, 10);
-        assert!(specs[0].lazy && specs[0].kind == RunQueueKind::Indexed);
-        assert_eq!(specs[0].due, DueIndex::Wheel);
-        assert_eq!(specs[1].due, DueIndex::Scan);
-        assert!(specs[2].lazy && specs[2].kind == RunQueueKind::Linear);
-        assert!(!specs[7].lazy && specs[7].kind == RunQueueKind::Linear);
-        assert_eq!(specs[7].due, DueIndex::Scan);
-        assert!(specs[..8].iter().all(|s| s.cpus == 1));
-        // The configuration grid runs on the wheel (the default)...
-        assert!(specs[..8].iter().all(|s| s.eventq == EventQueueKind::Wheel));
-        // ...then the heap comparison point at the default config...
-        assert_eq!(specs[8].eventq, EventQueueKind::Heap);
-        assert!(specs[8].lazy && specs[8].kind == RunQueueKind::Indexed);
-        assert_eq!(specs[8].due, DueIndex::Wheel);
-        assert_eq!(specs[8].cpus, 1);
-        // ...then the SMP series at the end of each N block.
-        assert_eq!(specs[9].cpus, 2);
-        assert_eq!(specs[10].cpus, 4);
-        assert!(specs[9].lazy && specs[9].kind == RunQueueKind::Indexed);
-        assert_eq!(specs[9].eventq, EventQueueKind::Wheel);
-        assert_eq!(specs[9].due, DueIndex::Wheel);
-        assert_eq!(specs[11].n, 100);
+        assert!(specs[0].lazy && !specs[1].lazy);
+        assert!(specs[..2].iter().all(|s| s.cpus == 1));
+        assert_eq!((specs[2].cpus, specs[3].cpus), (2, 4));
+        assert!(specs[2].lazy && specs[3].lazy);
+        assert_eq!(specs[4].n, 100);
     }
 
     #[test]
     fn sweep_specs_at_pins_the_cpu_count_over_the_whole_grid() {
         let specs = sweep_specs_at(true, 2);
-        assert_eq!(specs.len(), 2 * (2 * 2 * 2 + 1));
+        assert_eq!(specs.len(), 2 * 2);
         assert!(specs.iter().all(|s| s.cpus == 2));
     }
 
     #[test]
-    fn event_core_point_is_queue_invariant_and_event_dense() {
-        let wheel = run_event_core_point(16, EventQueueKind::Wheel, 1);
-        let heap = run_event_core_point(16, EventQueueKind::Heap, 1);
-        // The two implementations must agree on everything but wall time.
-        assert_eq!(wheel.sim_key().0, heap.sim_key().0);
-        assert_eq!(wheel.events, heap.events);
-        assert_eq!(wheel.pending_events, heap.pending_events);
-        // Nearly every sleeper holds a pending wakeup when the drive
-        // ends (a couple may be awake mid-burst at the boundary).
-        assert!(
-            wheel.pending_events >= 14,
-            "pending {}",
-            wheel.pending_events
-        );
-        // ~10 wake/burst-done pairs per sleeper per simulated second.
-        assert!(wheel.events >= 16 * 10, "events {}", wheel.events);
-        assert!(wheel.events_per_wall_second > 0.0);
-    }
-
-    #[test]
     fn point_reports_drive_quanta_and_overhead() {
-        let p = run_point(
-            4,
-            true,
-            RunQueueKind::Indexed,
-            EventQueueKind::Wheel,
-            DueIndex::Wheel,
-            2,
-            1,
-        );
+        let p = run_point(4, true, 2, 1);
         // A 10 ms quantum over 2 simulated seconds services ~200 quanta.
         assert!(
             (150..=250).contains(&p.drive_quanta),

@@ -3,51 +3,21 @@
 //! of the point's parameters, so a sweep's results must be identical at
 //! any thread count — parallelism may only move the wall-clock numbers.
 
-use alps_bench::scalability::{
-    run_event_core_best_of, run_event_core_point, run_point, run_sweep_threads, SweepSpec,
-};
-use alps_core::DueIndex;
-use kernsim::{EventQueueKind, RunQueueKind};
+use alps_bench::scalability::{run_point, run_sweep_threads, SweepSpec};
 
-/// A small grid that still exercises both ready-queue kinds, both event
-/// queues, both due indexes, both ALPS variants, and a two-CPU point
-/// (sim_secs kept tiny so the suite stays fast).
+/// A small grid that still exercises both ALPS variants and a two-CPU
+/// point (sim_secs kept tiny so the suite stays fast).
 fn tiny_grid() -> Vec<SweepSpec> {
     let mut specs = Vec::new();
     for n in [4usize, 16] {
-        for lazy in [true, false] {
-            for kind in [RunQueueKind::Indexed, RunQueueKind::Linear] {
-                for due in [DueIndex::Wheel, DueIndex::Scan] {
-                    specs.push(SweepSpec {
-                        n,
-                        lazy,
-                        kind,
-                        eventq: EventQueueKind::Wheel,
-                        due,
-                        sim_secs: 1,
-                        cpus: 1,
-                    });
-                }
-            }
+        for (lazy, cpus) in [(true, 1), (false, 1), (true, 2)] {
+            specs.push(SweepSpec {
+                n,
+                lazy,
+                sim_secs: 1,
+                cpus,
+            });
         }
-        specs.push(SweepSpec {
-            n,
-            lazy: true,
-            kind: RunQueueKind::Indexed,
-            eventq: EventQueueKind::Heap,
-            due: DueIndex::Wheel,
-            sim_secs: 1,
-            cpus: 1,
-        });
-        specs.push(SweepSpec {
-            n,
-            lazy: true,
-            kind: RunQueueKind::Indexed,
-            eventq: EventQueueKind::Wheel,
-            due: DueIndex::Wheel,
-            sim_secs: 1,
-            cpus: 2,
-        });
     }
     specs
 }
@@ -69,89 +39,15 @@ fn sweep_results_identical_at_threads_1_and_8() {
 fn repetitions_share_one_sim_trajectory() {
     // Best-of-N only filters wall-clock noise: every repetition of a
     // point runs the exact same simulation.
-    let wheel = EventQueueKind::Wheel;
-    let a = run_point(8, true, RunQueueKind::Indexed, wheel, DueIndex::Wheel, 1, 1);
-    let b = run_point(8, true, RunQueueKind::Indexed, wheel, DueIndex::Wheel, 1, 1);
-    assert_eq!(a.sim_key(), b.sim_key());
+    assert_eq!(
+        run_point(8, true, 1, 1).sim_key(),
+        run_point(8, true, 1, 1).sim_key()
+    );
     // The SMP points replay exactly too: work stealing is deterministic.
-    let a2 = run_point(8, true, RunQueueKind::Indexed, wheel, DueIndex::Wheel, 1, 2);
-    let b2 = run_point(8, true, RunQueueKind::Indexed, wheel, DueIndex::Wheel, 1, 2);
-    assert_eq!(a2.sim_key(), b2.sim_key());
-}
-
-#[test]
-fn wheel_and_scan_share_one_sim_trajectory() {
-    // The due index is a pure control-path data structure: wheel and
-    // scan points must drive byte-identical simulations (same events,
-    // context switches, and serviced quanta) — only wall clocks differ.
-    let eq = EventQueueKind::Wheel;
-    let wheel = run_point(16, true, RunQueueKind::Indexed, eq, DueIndex::Wheel, 2, 1);
-    let scan = run_point(16, true, RunQueueKind::Indexed, eq, DueIndex::Scan, 2, 1);
-    let strip = |p: &alps_bench::scalability::BenchPoint| {
-        (
-            p.n,
-            p.lazy,
-            p.sim_seconds,
-            p.events,
-            p.context_switches,
-            p.drive_quanta,
-        )
-    };
-    assert_eq!(strip(&wheel), strip(&scan));
-}
-
-#[test]
-fn event_queues_share_one_sim_trajectory() {
-    // The event queue is a pure data structure: a point on the heap must
-    // drive the byte-identical simulation to the same point on the wheel
-    // — only wall clocks may differ.
-    let wheel = run_point(
-        16,
-        true,
-        RunQueueKind::Indexed,
-        EventQueueKind::Wheel,
-        DueIndex::Wheel,
-        2,
-        1,
+    assert_eq!(
+        run_point(8, true, 1, 2).sim_key(),
+        run_point(8, true, 1, 2).sim_key()
     );
-    let heap = run_point(
-        16,
-        true,
-        RunQueueKind::Indexed,
-        EventQueueKind::Heap,
-        DueIndex::Wheel,
-        2,
-        1,
-    );
-    assert_eq!(wheel.event_queue, "wheel");
-    assert_eq!(heap.event_queue, "heap");
-    let strip = |p: &alps_bench::scalability::BenchPoint| {
-        (
-            p.n,
-            p.lazy,
-            p.sim_seconds,
-            p.events,
-            p.context_switches,
-            p.drive_quanta,
-        )
-    };
-    assert_eq!(strip(&wheel), strip(&heap));
-}
-
-#[test]
-fn event_core_points_share_one_sim_trajectory_across_queues() {
-    // The event-core series compares the queues on the same workload:
-    // both implementations must process the identical event stream and
-    // end with the identical pending population — only wall clocks may
-    // differ. Repetitions and the best-of reduction replay exactly too.
-    let wheel = run_event_core_point(32, EventQueueKind::Wheel, 1);
-    let heap = run_event_core_point(32, EventQueueKind::Heap, 1);
-    assert_eq!(wheel.event_queue, "wheel");
-    assert_eq!(heap.event_queue, "heap");
-    assert_eq!(wheel.events, heap.events);
-    assert_eq!(wheel.pending_events, heap.pending_events);
-    let again = run_event_core_best_of(32, EventQueueKind::Wheel, 1, 3);
-    assert_eq!(wheel.sim_key(), again.sim_key());
 }
 
 #[test]

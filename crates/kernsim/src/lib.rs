@@ -74,11 +74,9 @@ pub mod table;
 pub mod trace;
 
 pub use cpu::CpuId;
-pub use event::EventQueueKind;
 pub use fault::{FaultLog, FaultPlan, FaultPlanSpec, FaultRates};
 pub use pid::Pid;
 pub use process::{Behavior, ComputeBound, ComputeThenSleep, PState, ProcView, Step};
-pub use sched::RunQueueKind;
 pub use sim::{CpuAccounting, KernelPolicy, Sim, SimConfig, SimCtl};
 pub use table::ProcTable;
 pub use trace::{Trace, TraceEvent, TraceKind};

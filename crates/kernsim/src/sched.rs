@@ -119,9 +119,7 @@ impl Default for Node {
 /// through a pid-indexed slab of link cells, so *every* operation —
 /// `push`, `pop_best`, and crucially the mid-queue `remove` that
 /// `SIGSTOP` and the once-per-second `schedcpu` requeue perform — is
-/// O(1). The historical `Vec<VecDeque>` representation (kept as
-/// [`LinearRunQueue`] for lockstep testing and benchmarking) pays O(n)
-/// per removal, which made large-N scalability sweeps quadratic.
+/// O(1).
 #[derive(Debug, Clone)]
 pub struct RunQueue {
     /// First queued pid index per priority, or [`NIL`].
@@ -248,186 +246,74 @@ impl RunQueue {
     }
 }
 
-/// The seed's `Vec<VecDeque>` run-queue representation, kept verbatim so
-/// the lockstep test and the scalability bench can run the indexed and
-/// the original implementation side by side ([`RunQueueKind::Linear`]).
-/// Semantically identical to [`RunQueue`]; `remove` is O(n).
-#[derive(Debug, Clone)]
-pub struct LinearRunQueue {
-    queues: Vec<std::collections::VecDeque<Pid>>,
-    bitmap: [u64; 2],
-    len: usize,
-}
-
-impl Default for LinearRunQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LinearRunQueue {
-    /// An empty run queue.
-    pub fn new() -> Self {
-        LinearRunQueue {
-            queues: (0..128)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            bitmap: [0; 2],
-            len: 0,
-        }
-    }
-
-    /// Number of queued processes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is runnable.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether a specific process is queued. O(n).
-    pub fn contains(&self, pid: Pid) -> bool {
-        self.queues.iter().any(|q| q.contains(&pid))
-    }
-
-    /// Enqueue at the tail of the priority's FIFO (`setrunqueue`).
-    pub fn push(&mut self, pid: Pid, priority: u8) {
-        let p = priority.min(MAXPRI) as usize;
-        self.queues[p].push_back(pid);
-        self.bitmap[p / 64] |= 1u64 << (p % 64);
-        self.len += 1;
-    }
-
-    /// Best (numerically smallest) occupied priority, if any.
-    pub fn best_priority(&self) -> Option<u8> {
-        if self.bitmap[0] != 0 {
-            Some(self.bitmap[0].trailing_zeros() as u8)
-        } else if self.bitmap[1] != 0 {
-            Some(64 + self.bitmap[1].trailing_zeros() as u8)
-        } else {
-            None
-        }
-    }
-
-    /// Dequeue the process at the head of the best priority queue.
-    pub fn pop_best(&mut self) -> Option<(Pid, u8)> {
-        let p = self.best_priority()? as usize;
-        let pid = self.queues[p].pop_front().expect("bitmap said non-empty");
-        if self.queues[p].is_empty() {
-            self.bitmap[p / 64] &= !(1u64 << (p % 64));
-        }
-        self.len -= 1;
-        Some((pid, p as u8))
-    }
-
-    /// Remove a specific process wherever it is queued (`remrq`). Returns
-    /// true if it was present.
-    pub fn remove(&mut self, pid: Pid) -> bool {
-        for p in 0..self.queues.len() {
-            if let Some(pos) = self.queues[p].iter().position(|&q| q == pid) {
-                self.queues[p].remove(pos);
-                if self.queues[p].is_empty() {
-                    self.bitmap[p / 64] &= !(1u64 << (p % 64));
-                }
-                self.len -= 1;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Which run-queue representation a simulation uses
-/// ([`crate::SimConfig::runqueue`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunQueueKind {
-    /// The O(1) intrusive-list [`RunQueue`] (default).
-    #[default]
-    Indexed,
-    /// The seed's [`LinearRunQueue`] with O(n) removal — the baseline the
-    /// lockstep test and the scalability bench compare against.
-    Linear,
-}
-
-/// A run queue of either representation, dispatched at runtime. Both
-/// variants implement identical FIFO-per-priority semantics; the lockstep
-/// test (`tests/lockstep.rs`) pins trace equality between them.
-#[derive(Debug, Clone)]
-pub enum ReadyQueue {
-    /// O(1) intrusive-list representation.
-    Indexed(RunQueue),
-    /// The seed's linear-scan representation.
-    Linear(LinearRunQueue),
-}
-
-impl ReadyQueue {
-    /// An empty queue of the given representation.
-    pub fn new(kind: RunQueueKind) -> Self {
-        match kind {
-            RunQueueKind::Indexed => ReadyQueue::Indexed(RunQueue::new()),
-            RunQueueKind::Linear => ReadyQueue::Linear(LinearRunQueue::new()),
-        }
-    }
-
-    /// Number of queued processes.
-    pub fn len(&self) -> usize {
-        match self {
-            ReadyQueue::Indexed(q) => q.len(),
-            ReadyQueue::Linear(q) => q.len(),
-        }
-    }
-
-    /// True when nothing is runnable.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether a specific process is queued.
-    pub fn contains(&self, pid: Pid) -> bool {
-        match self {
-            ReadyQueue::Indexed(q) => q.contains(pid),
-            ReadyQueue::Linear(q) => q.contains(pid),
-        }
-    }
-
-    /// Enqueue at the tail of the priority's FIFO.
-    pub fn push(&mut self, pid: Pid, priority: u8) {
-        match self {
-            ReadyQueue::Indexed(q) => q.push(pid, priority),
-            ReadyQueue::Linear(q) => q.push(pid, priority),
-        }
-    }
-
-    /// Best occupied priority, if any.
-    pub fn best_priority(&self) -> Option<u8> {
-        match self {
-            ReadyQueue::Indexed(q) => q.best_priority(),
-            ReadyQueue::Linear(q) => q.best_priority(),
-        }
-    }
-
-    /// Dequeue the process at the head of the best priority queue.
-    pub fn pop_best(&mut self) -> Option<(Pid, u8)> {
-        match self {
-            ReadyQueue::Indexed(q) => q.pop_best(),
-            ReadyQueue::Linear(q) => q.pop_best(),
-        }
-    }
-
-    /// Remove a specific process wherever it is queued.
-    pub fn remove(&mut self, pid: Pid) -> bool {
-        match self {
-            ReadyQueue::Indexed(q) => q.remove(pid),
-            ReadyQueue::Linear(q) => q.remove(pid),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
+
+    /// Reference model for `indexed_and_linear_agree_on_interleaved_ops`:
+    /// one `VecDeque` per priority, O(n) `remove`.
+    struct LinearRunQueue {
+        queues: Vec<VecDeque<Pid>>,
+        bitmap: [u64; 2],
+        len: usize,
+    }
+
+    impl LinearRunQueue {
+        fn new() -> Self {
+            LinearRunQueue {
+                queues: (0..128).map(|_| VecDeque::new()).collect(),
+                bitmap: [0; 2],
+                len: 0,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn push(&mut self, pid: Pid, priority: u8) {
+            let p = priority.min(MAXPRI) as usize;
+            self.queues[p].push_back(pid);
+            self.bitmap[p / 64] |= 1u64 << (p % 64);
+            self.len += 1;
+        }
+
+        fn best_priority(&self) -> Option<u8> {
+            if self.bitmap[0] != 0 {
+                Some(self.bitmap[0].trailing_zeros() as u8)
+            } else if self.bitmap[1] != 0 {
+                Some(64 + self.bitmap[1].trailing_zeros() as u8)
+            } else {
+                None
+            }
+        }
+
+        fn pop_best(&mut self) -> Option<(Pid, u8)> {
+            let p = self.best_priority()? as usize;
+            let pid = self.queues[p].pop_front().expect("bitmap said non-empty");
+            if self.queues[p].is_empty() {
+                self.bitmap[p / 64] &= !(1u64 << (p % 64));
+            }
+            self.len -= 1;
+            Some((pid, p as u8))
+        }
+
+        fn remove(&mut self, pid: Pid) -> bool {
+            for p in 0..self.queues.len() {
+                if let Some(pos) = self.queues[p].iter().position(|&q| q == pid) {
+                    self.queues[p].remove(pos);
+                    if self.queues[p].is_empty() {
+                        self.bitmap[p / 64] &= !(1u64 << (p % 64));
+                    }
+                    self.len -= 1;
+                    return true;
+                }
+            }
+            false
+        }
+    }
 
     #[test]
     fn priority_formula() {
@@ -519,8 +405,8 @@ mod tests {
 
     #[test]
     fn indexed_and_linear_agree_on_interleaved_ops() {
-        let mut a = ReadyQueue::new(RunQueueKind::Indexed);
-        let mut b = ReadyQueue::new(RunQueueKind::Linear);
+        let mut a = RunQueue::new();
+        let mut b = LinearRunQueue::new();
         // Deterministic interleaving of pushes, removes, and pops across
         // both bitmap words, with re-pushes after pops.
         let mut next = 0u32;

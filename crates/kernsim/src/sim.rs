@@ -34,12 +34,9 @@
 //! keeps a live-process index so the once-per-second `schedcpu` pass walks
 //! only live processes; the decay-usage ready queue
 //! ([`crate::sched::RunQueue`]) supports O(1) insert/remove/pop; and the
-//! timer/burst/wakeup machinery is a hierarchical timing-wheel event
-//! queue with O(1) schedule/pop, so quiescent processes cost nothing per
-//! tick. Set [`SimConfig::runqueue`] to [`RunQueueKind::Linear`] (or
-//! [`SimConfig::event_queue`] to [`EventQueueKind::Heap`]) to run the
-//! seed implementations instead — the lockstep tests and the bench
-//! harness use them to pin trace equivalence and quantify the speedups.
+//! timer/burst/wakeup machinery is an event queue
+//! ([`crate::event::EventQueue`]) holding one entry per *armed* timer,
+//! burst or sleep, so quiescent processes cost nothing per tick.
 
 use std::num::NonZeroUsize;
 
@@ -48,10 +45,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cpu::CpuId;
-use crate::event::{EventKind, EventQueue, EventQueueKind};
+use crate::event::{EventKind, EventQueue};
 use crate::pid::Pid;
 use crate::process::{Behavior, IntervalTimer, PState, ProcView, Process, Step};
-use crate::sched::{self, ReadyQueue, RunQueueKind};
+use crate::sched::{self, RunQueue};
 use crate::table::ProcTable;
 use crate::trace::{Trace, TraceKind};
 
@@ -114,22 +111,6 @@ pub struct SimConfig {
     pub cpus: NonZeroUsize,
     /// In-kernel scheduling policy.
     pub policy: KernelPolicy,
-    /// Ready-queue implementation for the decay-usage policy. The default
-    /// indexed queue is O(1) per operation; [`RunQueueKind::Linear`] keeps
-    /// the pre-index linear-scan queue for lockstep comparison and
-    /// benchmarking. Both produce identical schedules.
-    pub runqueue: RunQueueKind,
-    /// Event-queue implementation for the timer/burst/wakeup machinery.
-    /// The default timing wheel is O(1) per schedule/pop;
-    /// [`EventQueueKind::Heap`] keeps the seed binary heap for lockstep
-    /// comparison and benchmarking. Both fire identical event streams.
-    pub event_queue: EventQueueKind,
-    /// Pre-allocation hint for the event queue: the expected number of
-    /// simultaneously pending events. Large populations keep roughly one
-    /// timer/burst/wakeup event per process pending, so drivers that know
-    /// N should set this to at least N — regrowth is pure overhead on the
-    /// hot path. Purely a capacity hint: it never affects behavior.
-    pub event_capacity: usize,
 }
 
 impl Default for SimConfig {
@@ -143,9 +124,6 @@ impl Default for SimConfig {
             accounting: CpuAccounting::Exact,
             cpus: NonZeroUsize::MIN,
             policy: KernelPolicy::DecayUsage,
-            runqueue: RunQueueKind::Indexed,
-            event_queue: EventQueueKind::Wheel,
-            event_capacity: 64,
         }
     }
 }
@@ -159,7 +137,7 @@ pub struct Sim {
     procs: ProcTable,
     /// One decay-usage ready queue per CPU (`runqs[cpu]`). A process is
     /// queued only on its home CPU's queue.
-    runqs: Vec<ReadyQueue>,
+    runqs: Vec<RunQueue>,
     /// Runnable set under [`KernelPolicy::Stride`] (min-pass scan; the
     /// stride policy keeps a single global pool rather than per-CPU
     /// queues — pass values are globally comparable).
@@ -196,7 +174,7 @@ impl Sim {
     pub fn new(cfg: SimConfig) -> Self {
         assert!(cfg.tick > Nanos::ZERO, "tick must be positive");
         let cpus = cfg.cpus.get();
-        let mut events = EventQueue::with_kind(cfg.event_queue, cfg.event_capacity);
+        let mut events = EventQueue::new();
         events.schedule(cfg.tick, EventKind::Tick);
         events.schedule(Nanos::SECOND, EventKind::SchedCpu);
         Sim {
@@ -205,7 +183,7 @@ impl Sim {
             last_account: Nanos::ZERO,
             events,
             procs: ProcTable::new(cpus),
-            runqs: (0..cpus).map(|_| ReadyQueue::new(cfg.runqueue)).collect(),
+            runqs: (0..cpus).map(|_| RunQueue::new()).collect(),
             stride_q: Vec::new(),
             running: vec![None; cpus],
             loadavg: 0.0,
@@ -276,13 +254,6 @@ impl Sim {
     /// Current 1-minute load average.
     pub fn loadavg(&self) -> f64 {
         self.loadavg
-    }
-
-    /// Events currently pending in the event queue (including parked
-    /// far-future events and not-yet-reaped stale-token entries). Useful
-    /// for sizing [`SimConfig::event_capacity`] against a real workload.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
     }
 
     /// Number of processes ever spawned (including exited ones).
@@ -1533,31 +1504,6 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         assert_ne!(run(1), run(2), "different seeds perturb the trace");
-    }
-
-    #[test]
-    fn linear_runqueue_reproduces_the_indexed_schedule() {
-        let run = |kind| {
-            let cfg = SimConfig {
-                seed: 3,
-                spawn_estcpu_jitter: 8.0,
-                runqueue: kind,
-                ..SimConfig::default()
-            };
-            let mut s = Sim::new(cfg);
-            s.enable_trace(1 << 16);
-            for i in 0..8 {
-                s.spawn(format!("w{i}"), Box::new(ComputeBound));
-            }
-            s.run_until(Nanos::from_secs(10));
-            s.trace()
-                .unwrap()
-                .events()
-                .iter()
-                .map(|e| (e.at, e.pid, e.kind))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(RunQueueKind::Indexed), run(RunQueueKind::Linear));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! at arbitrary times into a mixed workload, must leave the pid→slot map,
 //! the live index, and the ready queues exactly consistent with a
 //! brute-force scan of every process's state
-//! (`Sim::assert_index_consistent`), under both queue implementations.
+//! (`Sim::assert_index_consistent`).
 
 use alps_core::Nanos;
 use kernsim::{ComputeBound, ComputeThenSleep, Sim, SimConfig};
@@ -14,17 +14,11 @@ proptest! {
     #[test]
     fn signal_churn_keeps_every_index_consistent(
         seed in 0u64..1_000,
-        kind in 0u8..2,
         ops in proptest::collection::vec((0u8..4, 0usize..12, 1u64..120), 1..50),
     ) {
         let cfg = SimConfig {
             seed,
             spawn_estcpu_jitter: 4.0,
-            runqueue: if kind == 0 {
-                kernsim::RunQueueKind::Indexed
-            } else {
-                kernsim::RunQueueKind::Linear
-            },
             ..SimConfig::default()
         };
         let mut sim = Sim::new(cfg);

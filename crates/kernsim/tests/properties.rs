@@ -6,7 +6,7 @@ use std::num::NonZeroUsize;
 
 use alps_core::Nanos;
 use kernsim::event::{EventKind, EventQueue};
-use kernsim::{Behavior, ComputeBound, EventQueueKind, Sim, SimConfig, SimCtl, Step};
+use kernsim::{Behavior, ComputeBound, Sim, SimConfig, SimCtl, Step};
 use proptest::prelude::*;
 
 /// A behavior exercising every step type from a scripted list.
@@ -236,45 +236,40 @@ proptest! {
         }
     }
 
-    /// The timing wheel and the binary heap pop any legal schedule in the
-    /// identical `(time, seq)` order. Offsets mix zero (simultaneous
-    /// events, including inserts at the just-consumed time), slot-dense,
-    /// level-crossing, and beyond-span values (horizon parking), and pops
-    /// interleave with schedules so the wheel cursor keeps moving.
+    /// The event queue pops any schedule in strictly increasing
+    /// `(time, seq)` order, each event exactly once. Offsets mix zero
+    /// (simultaneous events, including inserts at the just-popped time),
+    /// dense, and far-future values, and pops interleave with schedules.
     #[test]
-    fn event_queues_pop_any_legal_schedule_identically(
+    fn event_queue_pops_any_schedule_in_time_seq_order(
         ops in proptest::collection::vec(
             (
                 prop_oneof![
                     0u64..4,                        // dense + simultaneous
-                    0u64..10_000,                   // level 0–2 spans
-                    0u64..(1u64 << 30),             // mid-level crossings
-                    (1u64 << 36)..(1u64 << 38),     // beyond span: parks
+                    0u64..10_000,
+                    0u64..(1u64 << 30),
+                    (1u64 << 36)..(1u64 << 38),     // minutes ahead
                 ],
                 0usize..4,                          // pops after this schedule
             ),
             1..250,
         ),
     ) {
-        let mut wheel = EventQueue::with_kind(EventQueueKind::Wheel, 0);
-        let mut heap = EventQueue::with_kind(EventQueueKind::Heap, 0);
+        let mut q = EventQueue::new();
         // Schedules never land before the last popped time — the same
         // contract the simulator honors (its clock never outruns the
-        // queue), and the wheel cursor requires.
+        // queue).
         let mut floor = 0u64;
         let mut last: Option<(Nanos, u64)> = None;
         let mut popped = 0usize;
         let total = ops.len();
-        for (off, pops) in ops {
-            let at = Nanos(floor.saturating_add(off));
-            wheel.schedule(at, EventKind::Tick);
-            heap.schedule(at, EventKind::Tick);
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            prop_assert_eq!(wheel.len(), heap.len());
+        for (scheduled, (off, pops)) in ops.into_iter().enumerate() {
+            q.schedule(Nanos(floor.saturating_add(off)), EventKind::Tick);
+            prop_assert_eq!(q.len(), scheduled + 1 - popped);
             for _ in 0..pops {
-                let (a, b) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                let Some(e) = a else { break };
+                let at = q.peek_time();
+                let Some(e) = q.pop() else { break };
+                prop_assert_eq!(at, Some(e.at), "peek disagrees with pop");
                 if let Some(prev) = last {
                     prop_assert!((e.at, e.seq) > prev, "pop order regressed");
                 }
@@ -283,11 +278,7 @@ proptest! {
                 popped += 1;
             }
         }
-        // Drain both to empty; order must stay identical to the end.
-        loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            let Some(e) = a else { break };
+        while let Some(e) = q.pop() {
             if let Some(prev) = last {
                 prop_assert!((e.at, e.seq) > prev, "drain order regressed");
             }

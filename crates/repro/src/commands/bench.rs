@@ -2,20 +2,17 @@
 //!
 //! Reads `BENCH_kernsim.json` (written by `bench-scalability`, see
 //! EXPERIMENTS.md) and prints the sweep as a table: per-point lifecycle
-//! timings, the indexed-over-linear wall-clock speedup for each
-//! `(N, lazy)` pair, the timing-wheel event queue's throughput speedup
-//! over the seed binary heap per N, the event-core series (the
-//! event-dense kernel-only workload where the wheel's advantage shows),
-//! and the sparse-activity series (up to 10⁶ registered members, ~10³
-//! active — the hierarchical deadline wheel's flat-in-N regime, reported
-//! as ns per quantum and ns per due member).
+//! timings for each `(N, lazy, cpus)`, the eager-over-lazy supervisor
+//! overhead per N, the SMP series against its one-CPU points, and the
+//! sparse-activity series (up to 10⁶ registered members, ~10³ active —
+//! the deadline wheel's flat-in-N regime, reported as ns per quantum and
+//! ns per due member).
 
 use alps_bench::scalability::{
-    run_sparse_best_of, run_sweep, sparse_quanta, sparse_specs, sweep_specs, BenchPoint,
-    BenchReport, SparsePoint, SPARSE_ACTIVE,
+    run_sparse_best_of, run_sweep, sparse_ns, sparse_quanta, sweep_specs, BenchPoint, BenchReport,
+    SparsePoint, SPARSE_ACTIVE,
 };
 use alps_metrics::regression::linear_fit;
-use alps_metrics::Summary;
 
 use super::table::Table;
 use crate::output::{fmt, heading};
@@ -64,13 +61,10 @@ pub fn bench(check: bool, strict: bool) {
         report.serial_wall_estimate_seconds,
         report.parallel_speedup
     );
-    let table = Table::new(&[5, -5, -7, -6, -5, 5, 6, 10, 10, 10, 12, 13, 9, 11, 7]);
+    let table = Table::new(&[5, -5, 5, 6, 10, 10, 10, 12, 13, 9, 11, 7]);
     table.header(&[
         "N",
         "lazy",
-        "queue",
-        "eventq",
-        "due",
         "cpus",
         "sim-s",
         "reg(ms)",
@@ -86,9 +80,6 @@ pub fn bench(check: bool, strict: bool) {
         table.row(&[
             p.n.to_string(),
             p.lazy.to_string(),
-            p.runqueue.clone(),
-            p.event_queue.clone(),
-            p.due_index.clone(),
             p.sim_cpus.to_string(),
             p.sim_seconds.to_string(),
             fmt(p.register_seconds * 1e3, 3),
@@ -103,100 +94,24 @@ pub fn bench(check: bool, strict: bool) {
     }
     let mut ns: Vec<usize> = report.points.iter().map(|p| p.n).collect();
     ns.dedup();
-    println!("\nindexed speedup over linear (whole-lifecycle wall clock):");
+    println!("\neager/lazy supervisor overhead (ns per quantum per member, one CPU):");
     for n in &ns {
-        for lazy in [true, false] {
-            for due in ["wheel", "scan"] {
-                if let Some(s) = report.speedup(*n, lazy, due) {
-                    println!("  N={n:<5} lazy={lazy:<5} due={due:<5} {s:.2}x");
-                }
-            }
-        }
-    }
-    println!("\nscan/wheel supervisor overhead on the indexed queue (ns per quantum per member):");
-    for n in &ns {
-        for lazy in [true, false] {
-            if let Some(r) = report.due_overhead_ratio(*n, lazy) {
-                println!("  N={n:<5} lazy={lazy:<5} {r:.2}x");
-            }
-        }
-    }
-
-    println!(
-        "\nwheel event-queue speedup over the seed heap (events per wall second, default config):"
-    );
-    for n in &ns {
-        if let (Some(s), Some(wheel), Some(heap)) = (
-            report.event_queue_speedup(*n),
-            report.point(*n, true, "indexed", "wheel"),
-            report.heap_point(*n),
-        ) {
+        if let (Some(lazy), Some(eager)) = (report.point(*n, true), report.point(*n, false)) {
             println!(
-                "  N={n:<5} wheel {:>12}/s heap {:>12}/s  {s:.2}x",
-                fmt(wheel.events_per_wall_second, 0),
-                fmt(heap.events_per_wall_second, 0),
+                "  N={n:<5} lazy {:>9} eager {:>9}  {:.2}x",
+                fmt(lazy.supervisor_ns_per_quantum_per_member, 1),
+                fmt(eager.supervisor_ns_per_quantum_per_member, 1),
+                eager.supervisor_ns_per_quantum_per_member
+                    / lazy.supervisor_ns_per_quantum_per_member.max(1e-12),
             );
-        }
-    }
-
-    if !report.event_core.is_empty() {
-        println!(
-            "\nevent-core series (kernel-only sleepers, ~N events pending; \
-             the supervised grid above is event-sparse):"
-        );
-        let ec = Table::new(&[6, -6, 6, 10, 8, 10, 12]);
-        ec.header(&[
-            "N", "eventq", "sim-s", "events", "pending", "wall(ms)", "events/s",
-        ]);
-        for p in &report.event_core {
-            ec.row(&[
-                p.n.to_string(),
-                p.event_queue.clone(),
-                p.sim_seconds.to_string(),
-                p.events.to_string(),
-                p.pending_events.to_string(),
-                fmt(p.wall_seconds * 1e3, 3),
-                fmt(p.events_per_wall_second, 0),
-            ]);
-        }
-        let mut ec_ns: Vec<usize> = report.event_core.iter().map(|p| p.n).collect();
-        ec_ns.dedup();
-        println!("\nevent-core wheel speedup over the seed heap (events per wall second):");
-        for n in &ec_ns {
-            if let Some(s) = report.event_core_speedup(*n) {
-                println!("  N={n:<6} {s:.2}x");
-            }
-        }
-    }
-
-    println!("\nsupervisor overhead by implementation pair (ns per quantum per member, across N):");
-    for queue in ["indexed", "linear"] {
-        for due in ["wheel", "scan"] {
-            let xs: Vec<f64> = report
-                .points
-                .iter()
-                .filter(|p| p.runqueue == queue && p.due_index == due)
-                .map(|p| p.supervisor_ns_per_quantum_per_member)
-                .collect();
-            let s = Summary::from_samples(&xs);
-            if s.count > 0 {
-                println!(
-                    "  {queue:<8} {due:<6} n={:<3} mean {:>9} stddev {:>9} min {:>8} max {:>9}",
-                    s.count,
-                    fmt(s.mean, 1),
-                    fmt(s.stddev, 1),
-                    fmt(s.min, 1),
-                    fmt(s.max, 1)
-                );
-            }
         }
     }
 
     let smp: Vec<&BenchPoint> = report.points.iter().filter(|p| p.sim_cpus > 1).collect();
     if !smp.is_empty() {
-        println!("\nSMP series (default config; modeled-CPU dimension, same workload per N):");
+        println!("\nSMP series (lazy; modeled-CPU dimension, same workload per N):");
         for p in &smp {
-            if let Some(uni) = report.point(p.n, p.lazy, &p.runqueue, &p.due_index) {
+            if let Some(uni) = report.point(p.n, p.lazy) {
                 println!(
                     "  N={:<5} cpus={} wall/sim-s {:.6} ({:.2}x the 1-CPU point), ctxsw {}",
                     p.n,
@@ -214,12 +129,10 @@ pub fn bench(check: bool, strict: bool) {
             "\nsparse-activity series (N registered, {} active; pure alps-core control path):",
             SPARSE_ACTIVE
         );
-        let sp = Table::new(&[8, 7, -5, -11, 7, 8, 9, 10, 10, 11, 13]);
+        let sp = Table::new(&[8, 7, 7, 8, 9, 10, 10, 11, 13]);
         sp.header(&[
             "N",
             "active",
-            "due",
-            "store",
             "quanta",
             "due/qtm",
             "reg(ms)",
@@ -232,8 +145,6 @@ pub fn bench(check: bool, strict: bool) {
             sp.row(&[
                 p.n.to_string(),
                 p.active.to_string(),
-                p.due_index.clone(),
-                p.member_store.clone(),
                 p.quanta.to_string(),
                 fmt(p.due_per_quantum, 1),
                 fmt(p.register_seconds * 1e3, 3),
@@ -242,17 +153,6 @@ pub fn bench(check: bool, strict: bool) {
                 fmt(p.ns_per_quantum, 0),
                 fmt(p.ns_per_due_member, 1),
             ]);
-        }
-        let mut sp_ns: Vec<usize> = report.sparse.iter().map(|p| p.n).collect();
-        sp_ns.dedup();
-        println!(
-            "\nsparse scan/wheel per-quantum overhead ratio (chunked store; \
-             the wheel is flat in N, the scan linear):"
-        );
-        for n in &sp_ns {
-            if let Some(r) = report.sparse_scan_ratio(*n) {
-                println!("  N={n:<8} {r:.2}x");
-            }
         }
     }
 
@@ -283,8 +183,8 @@ const CHECKED_METRICS: [CheckedMetric; 2] = [
 const RATIO_TOLERANCE: f64 = 10.0;
 
 /// Run a fresh `--fast` sweep and compare each point against a linear
-/// fit (over N) of the committed report's same series (lazy × queue ×
-/// due index × modeled CPUs). Soft gate by default: warnings are printed
+/// fit (over N) of the committed report's same series (lazy × modeled
+/// CPUs). Soft gate by default: warnings are printed
 /// as GitHub annotations and the exit stays 0 — the committed numbers
 /// came from a different host than CI's, so this can only catch gross
 /// regressions. Returns the number of out-of-tolerance points so
@@ -299,13 +199,7 @@ fn check_against_trend(committed: &BenchReport, path: &str) -> usize {
             let series: Vec<(f64, f64)> = committed
                 .points
                 .iter()
-                .filter(|p| {
-                    p.lazy == fresh.lazy
-                        && p.runqueue == fresh.runqueue
-                        && p.event_queue == fresh.event_queue
-                        && p.due_index == fresh.due_index
-                        && p.sim_cpus == fresh.sim_cpus
-                })
+                .filter(|p| p.lazy == fresh.lazy && p.sim_cpus == fresh.sim_cpus)
                 .map(|p| (p.n as f64, get(p)))
                 .collect();
             let Some(fit) = linear_fit(&series) else {
@@ -319,9 +213,8 @@ fn check_against_trend(committed: &BenchReport, path: &str) -> usize {
             let ratio = measured / predicted;
             compared += 1;
             let label = format!(
-                "N={} lazy={} {} eq={} {} cpus={}: {metric} measured {measured:.6} vs trend {predicted:.6} ({ratio:.2}x)",
-                fresh.n, fresh.lazy, fresh.runqueue, fresh.event_queue, fresh.due_index,
-                fresh.sim_cpus
+                "N={} lazy={} cpus={}: {metric} measured {measured:.6} vs trend {predicted:.6} ({ratio:.2}x)",
+                fresh.n, fresh.lazy, fresh.sim_cpus
             );
             if !(1.0 / RATIO_TOLERANCE..=RATIO_TOLERANCE).contains(&ratio) {
                 warnings += 1;
@@ -336,25 +229,20 @@ fn check_against_trend(committed: &BenchReport, path: &str) -> usize {
             // Direct same-N comparison when the committed report carries
             // the point (both normalized metrics are quanta-count
             // independent); otherwise fall back to a fit over N.
-            let predicted =
-                match committed.sparse_point(fresh.n, &fresh.due_index, &fresh.member_store) {
-                    Some(p) => get(p),
-                    None => {
-                        let series: Vec<(f64, f64)> = committed
-                            .sparse
-                            .iter()
-                            .filter(|p| {
-                                p.due_index == fresh.due_index
-                                    && p.member_store == fresh.member_store
-                            })
-                            .map(|p| (p.n as f64, get(p)))
-                            .collect();
-                        match linear_fit(&series) {
-                            Some(fit) => fit.at(fresh.n as f64),
-                            None => continue,
-                        }
+            let predicted = match committed.sparse_point(fresh.n) {
+                Some(p) => get(p),
+                None => {
+                    let series: Vec<(f64, f64)> = committed
+                        .sparse
+                        .iter()
+                        .map(|p| (p.n as f64, get(p)))
+                        .collect();
+                    match linear_fit(&series) {
+                        Some(fit) => fit.at(fresh.n as f64),
+                        None => continue,
                     }
-                };
+                }
+            };
             if predicted <= 0.0 {
                 continue;
             }
@@ -362,8 +250,8 @@ fn check_against_trend(committed: &BenchReport, path: &str) -> usize {
             let ratio = measured / predicted;
             compared += 1;
             let label = format!(
-                "sparse N={} {} {}: {metric} measured {measured:.1} vs committed {predicted:.1} ({ratio:.2}x)",
-                fresh.n, fresh.due_index, fresh.member_store
+                "sparse N={}: {metric} measured {measured:.1} vs committed {predicted:.1} ({ratio:.2}x)",
+                fresh.n
             );
             if !(1.0 / RATIO_TOLERANCE..=RATIO_TOLERANCE).contains(&ratio) {
                 warnings += 1;
@@ -395,10 +283,8 @@ const SPARSE_CHECKED_METRICS: [SparseCheckedMetric; 2] = [
 /// `--check`'s comparison against the committed report.
 fn fresh_sparse(reps: usize) -> Vec<SparsePoint> {
     let quanta = sparse_quanta(true);
-    sparse_specs(true)
+    sparse_ns(true)
         .into_iter()
-        .map(|(n, due, store)| {
-            run_sparse_best_of(n, SPARSE_ACTIVE.min(n / 10), due, store, quanta, reps)
-        })
+        .map(|n| run_sparse_best_of(n, SPARSE_ACTIVE.min(n / 10), quanta, reps))
         .collect()
 }

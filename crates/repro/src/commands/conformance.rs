@@ -1,46 +1,21 @@
 //! `repro conformance` — drive the spec-oracle differential from the CLI.
 //!
 //! Runs the SMP-aware differential harness (production `AlpsScheduler` /
-//! `Engine` vs the executable-spec oracle, plus the wheel-vs-scan
-//! due-index lockstep) on an M-CPU accounting substrate with randomized
-//! migration churn, across the configuration corners. Every assertion
-//! lives inside the harness — a completed run *is* the pass — and when
-//! `--cpus M > 1` each seed is additionally checked against its one-CPU
-//! baseline: the `DriveReport` fingerprint folds every per-quantum
-//! observable, so report equality across M is byte-identical behavior.
+//! `Engine` vs the executable-spec oracle) on an M-CPU accounting
+//! substrate with randomized migration churn, across the configuration
+//! corners. Every assertion lives inside the harness — a completed run
+//! *is* the pass — and when `--cpus M > 1` each seed is additionally
+//! checked against its one-CPU baseline: the `DriveReport` fingerprint
+//! folds every per-quantum observable, so report equality across M is
+//! byte-identical behavior.
 
 use alps_conformance::harness::{
-    run_core_due_index_lockstep, run_core_schedule_smp, run_engine_schedule_smp, DriveReport,
+    config_corners, run_core_schedule_smp, run_engine_schedule_smp, DriveReport,
 };
-use alps_core::{AlpsConfig, DueIndex, Instrumentation, IoPolicy, Nanos};
+use alps_core::Instrumentation;
 
 use super::table::Table;
 use crate::output::heading;
-
-/// ALPS quantum for the differential runs.
-const QUANTUM: Nanos = Nanos(10_000_000);
-
-/// The configuration corners every driver sweeps: both due indexes, both
-/// measurement modes, every I/O policy.
-fn corners() -> [AlpsConfig; 4] {
-    let base = AlpsConfig::default()
-        .with_quantum(QUANTUM)
-        .with_cycle_log(true);
-    [
-        base.with_due_index(DueIndex::Wheel)
-            .with_lazy_measurement(true)
-            .with_io_policy(IoPolicy::OneQuantumPenalty),
-        base.with_due_index(DueIndex::Scan)
-            .with_lazy_measurement(true)
-            .with_io_policy(IoPolicy::OneQuantumPenalty),
-        base.with_due_index(DueIndex::Wheel)
-            .with_lazy_measurement(false)
-            .with_io_policy(IoPolicy::NoPenalty),
-        base.with_due_index(DueIndex::Scan)
-            .with_lazy_measurement(false)
-            .with_io_policy(IoPolicy::ForfeitAllowance),
-    ]
-}
 
 /// Run the conformance suite on a `cpus`-CPU accounting substrate.
 /// Panics (non-zero exit) on any divergence; `quick` trims the seed
@@ -51,7 +26,7 @@ pub fn conformance(quick: bool, cpus: usize) {
     let len = 60;
     heading(&format!(
         "spec-oracle conformance: {cpus}-CPU accounting, {seeds} seeds x {} configs",
-        corners().len()
+        config_corners().len()
     ));
 
     let table = Table::new(&[-28, 9, 8, 12, 9]);
@@ -60,8 +35,7 @@ pub fn conformance(quick: bool, cpus: usize) {
 
     let mut core = DriveReport::default();
     let mut engine = DriveReport::default();
-    let mut lockstep = DriveReport::default();
-    for (c, cfg) in corners().into_iter().enumerate() {
+    for (c, cfg) in config_corners().into_iter().enumerate() {
         for s in 0..seeds {
             let seed = 0xC0DE_0000_0000_0000 | (c as u64) << 32 | s;
             let rep = run_core_schedule_smp(cfg, seed, len, cpus);
@@ -78,12 +52,6 @@ pub fn conformance(quick: bool, cpus: usize) {
             core.transitions += rep.transitions;
             core.peak_live = core.peak_live.max(rep.peak_live);
 
-            let rep = run_core_due_index_lockstep(cfg, seed, len, cpus);
-            lockstep.quanta += rep.quanta;
-            lockstep.cycles += rep.cycles;
-            lockstep.transitions += rep.transitions;
-            lockstep.peak_live = lockstep.peak_live.max(rep.peak_live);
-
             let rep = run_engine_schedule_smp(cfg, Instrumentation::Exact, seed, len, cpus);
             if cpus > 1 {
                 assert_eq!(
@@ -99,11 +67,7 @@ pub fn conformance(quick: bool, cpus: usize) {
             engine.peak_live = engine.peak_live.max(rep.peak_live);
         }
     }
-    for (name, rep) in [
-        ("core vs oracle", &core),
-        ("wheel vs scan lockstep", &lockstep),
-        ("engine vs oracle", &engine),
-    ] {
+    for (name, rep) in [("core vs oracle", &core), ("engine vs oracle", &engine)] {
         table.row(&[
             name.to_string(),
             rep.quanta.to_string(),
@@ -113,7 +77,7 @@ pub fn conformance(quick: bool, cpus: usize) {
         ]);
     }
     // A run that proved nothing is a configuration bug, not a pass.
-    assert!(core.quanta > 0 && engine.quanta > 0 && lockstep.quanta > 0);
+    assert!(core.quanta > 0 && engine.quanta > 0);
     if cpus > 1 {
         println!(
             "\n{invariance_checks} fingerprint comparisons against the 1-CPU baseline: \
@@ -122,6 +86,6 @@ pub fn conformance(quick: bool, cpus: usize) {
     }
     println!(
         "conformance: no divergence across {seeds} seeds x {} configs",
-        corners().len()
+        config_corners().len()
     );
 }
