@@ -453,7 +453,8 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
             .map(|p| p.members.keys().copied().collect())
     }
 
-    /// Replace a principal's member set (§5 refresh).
+    /// Replace a principal's member set (§5 refresh). A member listed
+    /// twice counts once, at its first listing.
     pub fn set_membership(
         &mut self,
         id: ProcId,
@@ -464,6 +465,9 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
         let mut new_members = BTreeMap::new();
         let mut added = Vec::new();
         for &(m, cpu) in current {
+            if new_members.contains_key(&m) {
+                continue;
+            }
             match p.members.remove(&m) {
                 Some(last) => {
                     new_members.insert(m, last);

@@ -14,8 +14,10 @@
 
 use alps_conformance::harness::{run_core_ops, MockProc, MockSubstrate};
 use alps_conformance::schedule::Op;
-use alps_conformance::OracleEngine;
-use alps_core::{AlpsConfig, Engine, Instrumentation, Nanos, RecordingSink};
+use alps_conformance::{OracleEngine, OraclePrincipalScheduler};
+use alps_core::{
+    AlpsConfig, Engine, Instrumentation, Nanos, Observation, PrincipalScheduler, RecordingSink,
+};
 use proptest::prelude::*;
 
 const QUANTUM: Nanos = Nanos(10_000_000);
@@ -219,4 +221,50 @@ fn engine_trace_stats_and_cycle_log_match_the_oracle_under_member_churn() {
         );
         assert!(prod.stats().reaped > 0, "fixture must reap dead members");
     }
+}
+
+/// A refresh that lists a member twice counts it once, at its first
+/// listing, in the oracle as in production: the member already present
+/// keeps its baseline (so the CPU it used since its last reading is still
+/// charged) and a joiner is reported and seeded once. The schedule
+/// generator never lists a member twice.
+#[test]
+fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
+    let ms = Nanos::from_millis;
+    let cfg = AlpsConfig::new(QUANTUM);
+    let mut prod: PrincipalScheduler<u32> = PrincipalScheduler::new(cfg);
+    let mut oracle: OraclePrincipalScheduler<u32> = OraclePrincipalScheduler::new(cfg);
+    let (u, uo) = (prod.add_principal(4), oracle.add_principal(4));
+    prod.set_membership(u, &[(1, Nanos::ZERO)]);
+    oracle.set_membership(uo, &[(1, Nanos::ZERO)]);
+    prod.complete_quantum(&[], Nanos::ZERO);
+    oracle.complete_quantum(&[], Nanos::ZERO);
+    let listing = [(1, ms(25)), (2, ms(5)), (1, ms(25)), (2, Nanos::ZERO)];
+    let change = oracle.set_membership(uo, &listing).unwrap();
+    assert_eq!(change.added, vec![2]);
+    assert!(change.removed.is_empty());
+    assert_eq!(prod.set_membership(u, &listing), Some(change));
+    for _ in 0..3 {
+        prod.begin_quantum();
+        prod.complete_quantum(&[], Nanos::ZERO);
+        oracle.begin_quantum();
+        oracle.complete_quantum(&[], Nanos::ZERO);
+    }
+    assert_eq!(oracle.begin_quantum(), vec![(uo, vec![1, 2])]);
+    assert_eq!(prod.begin_quantum(), vec![(u, vec![1, 2])]);
+    let read = |cpu| Observation {
+        total_cpu: cpu,
+        blocked: false,
+    };
+    oracle.complete_quantum(
+        &[(uo, vec![(1, Some(read(ms(30)))), (2, Some(read(ms(10))))])],
+        Nanos::ZERO,
+    );
+    prod.complete_quantum(
+        &[(u, vec![(1, read(ms(30))), (2, read(ms(10)))])],
+        Nanos::ZERO,
+    );
+    // Charged 30 ms since registration plus 5 ms since joining.
+    assert_eq!(oracle.inner().allowance(uo), Some(0.5));
+    assert_eq!(prod.inner().allowance(u), Some(0.5));
 }

@@ -180,21 +180,19 @@ pub type EngineFor<S> = Engine<<S as Substrate>::Member>;
 #[derive(Debug, Clone)]
 pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     sched: PrincipalScheduler<M>,
-    /// Principals in registration order (the order cycle-record entries
-    /// are emitted in).
-    order: Vec<ProcId>,
-    /// Stale (removed) ids still present in `order`/`snapshot`. Removal
-    /// only tombstones; both vectors are compacted once stale entries
-    /// outnumber live ones, so a mass reap (every member of a large
-    /// workload exiting) costs O(n) amortized instead of the O(n²) that
-    /// eager `retain` per removal used to.
+    /// Every principal in registration order (the order cycle-record
+    /// entries are emitted in), each with its cumulative exact CPU at the
+    /// last cycle boundary — that reading is only meaningful under
+    /// [`Instrumentation::Exact`].
+    snapshot: Vec<(ProcId, Nanos)>,
+    /// Stale (removed) ids still present in `snapshot`. Removal only
+    /// tombstones; the vector is compacted once stale entries outnumber
+    /// live ones, so a mass reap (every member of a large workload
+    /// exiting) costs O(n) amortized instead of the O(n²) that eager
+    /// `retain` per removal used to.
     stale: usize,
     /// Member → owning principal, for reap lookups on failed delivery.
     member_index: HashMap<M, ProcId>,
-    /// Per-principal cumulative exact CPU at the last cycle boundary,
-    /// parallel to `order`. Only meaningful under
-    /// [`Instrumentation::Exact`].
-    snapshot: Vec<(ProcId, Nanos)>,
     cycles: Vec<CycleRecord>,
     stats: EngineStats,
     record_cycles: bool,
@@ -240,10 +238,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         };
         Engine {
             sched: PrincipalScheduler::new(inner_cfg),
-            order: Vec::new(),
+            snapshot: Vec::new(),
             stale: 0,
             member_index: HashMap::new(),
-            snapshot: Vec::new(),
             cycles: Vec::new(),
             stats: EngineStats::default(),
             record_cycles,
@@ -305,12 +302,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Per §2.2 the principal starts ineligible; the caller is responsible
     /// for suspending the member now (the first invocation will resume it).
     pub fn add_member(&mut self, member: M, share: u64, initial_cpu: Nanos) -> ProcId {
-        let id = self.sched.add_principal(share);
-        // The returned change only asks us to suspend `member`, which the
-        // caller does as part of registration.
-        let _ = self.sched.set_membership(id, &[(member, initial_cpu)]);
+        let id = self.sched.add_member(member, share, initial_cpu);
         self.member_index.insert(member, id);
-        self.order.push(id);
         self.snapshot.push((id, initial_cpu));
         id
     }
@@ -319,7 +312,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// with [`Engine::set_membership`].
     pub fn add_principal(&mut self, share: u64) -> ProcId {
         let id = self.sched.add_principal(share);
-        self.order.push(id);
         self.snapshot.push((id, Nanos::ZERO));
         id
     }
@@ -432,9 +424,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             t.unbind(id);
         }
         self.stale += 1;
-        if self.stale * 2 > self.order.len() {
+        if self.stale * 2 > self.snapshot.len() {
             let sched = &self.sched;
-            self.order.retain(|&x| sched.is_eligible(x).is_some());
             self.snapshot
                 .retain(|&(x, _)| sched.is_eligible(x).is_some());
             self.stale = 0;
@@ -788,22 +779,20 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         };
         self.stats.quarantined += 1;
         sink.on_event(&Event::Quarantined { member: m });
-        let members = self.sched.members(id);
-        if members.as_deref() == Some(&[m]) {
+        if self.is_sole_member(id, m) {
             self.remove_principal(id);
             return;
         }
-        let kept: Vec<(M, Nanos)> = members
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|&x| x != m)
-            // Kept members retain their stored readings; the reading here
-            // only seeds *new* members, of which there are none.
-            .map(|x| (x, Nanos::ZERO))
-            .collect();
-        // Reconciliation signals for the evicted member are deliberately
-        // dropped: it is faulting, and intent re-assertion covers the rest.
-        let _ = self.set_membership(id, &kept);
+        // The evicted member deliberately gets no reconciliation signal:
+        // it is faulting, and intent re-assertion covers the rest.
+        if self.sched.evict(id, m) {
+            self.member_index.remove(&m);
+        }
+    }
+
+    /// Whether `m` is the only member of principal `id`.
+    fn is_sole_member(&self, id: ProcId, m: M) -> bool {
+        matches!(self.sched.member_entries(id), Some(&[(x, _)]) if x == m)
     }
 
     /// Start-of-quantum reconciliation under [`FaultPolicy::Harden`]:
@@ -890,7 +879,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         // Only tear the principal down if the vanished process was its
         // sole member; otherwise membership reconciliation is the
         // backend's job (refresh).
-        if self.sched.members(id).as_deref() != Some(&[m]) {
+        if !self.is_sole_member(id, m) {
             return;
         }
         self.health.remove(&m);
@@ -914,7 +903,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             }
             let mut sum = Nanos::ZERO;
             let mut alive = false;
-            for m in self.sched.members(id).unwrap_or_default() {
+            for &(m, _) in self.sched.member_entries(id).unwrap_or_default() {
                 if let Some(cpu) = sub.read_exact(m)? {
                     sum += cpu;
                     alive = true;
@@ -956,9 +945,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// Live principals, in registration order.
     pub fn proc_ids(&self) -> Vec<ProcId> {
-        self.order
+        self.snapshot
             .iter()
-            .copied()
+            .map(|&(id, _)| id)
             .filter(|&id| self.sched.is_eligible(id).is_some())
             .collect()
     }

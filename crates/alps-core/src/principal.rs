@@ -13,8 +13,6 @@
 //! table once per second with `kvm_getprocs`); see
 //! [`PrincipalScheduler::set_membership`].
 
-use std::collections::BTreeMap;
-
 use crate::config::AlpsConfig;
 use crate::cycle::CycleRecord;
 use crate::sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, Transition};
@@ -137,14 +135,101 @@ impl<M> DueList<M> {
     }
 }
 
+/// A principal's members, each with its cumulative CPU at its last
+/// reading, in ascending member order. Every backend registers processes
+/// as single-member principals, so one member is held inline and costs no
+/// allocation; two or more are a `Vec` sorted by member. The empty set is
+/// an empty `Vec`, which does not allocate either.
+#[derive(Debug, Clone)]
+enum MemberSet<M> {
+    One((M, Nanos)),
+    /// Never exactly one entry.
+    Many(Vec<(M, Nanos)>),
+}
+
+impl<M> Default for MemberSet<M> {
+    fn default() -> Self {
+        MemberSet::Many(Vec::new())
+    }
+}
+
+impl<M: Ord + Copy> MemberSet<M> {
+    fn as_slice(&self) -> &[(M, Nanos)] {
+        match self {
+            MemberSet::One(e) => std::slice::from_ref(e),
+            MemberSet::Many(v) => v,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn keys(&self) -> impl Iterator<Item = M> + '_ {
+        self.as_slice().iter().map(|&(m, _)| m)
+    }
+
+    fn position(&self, m: &M) -> Result<usize, usize> {
+        self.as_slice().binary_search_by_key(m, |&(x, _)| x)
+    }
+
+    fn get(&self, m: &M) -> Option<Nanos> {
+        self.position(m).ok().map(|i| self.as_slice()[i].1)
+    }
+
+    fn get_mut(&mut self, m: &M) -> Option<&mut Nanos> {
+        let i = self.position(m).ok()?;
+        Some(match self {
+            MemberSet::One((_, cpu)) => cpu,
+            MemberSet::Many(v) => &mut v[i].1,
+        })
+    }
+
+    /// Set `m`'s reading, returning the one it replaces (as
+    /// `BTreeMap::insert` does).
+    fn insert(&mut self, m: M, cpu: Nanos) -> Option<Nanos> {
+        let i = match self.position(&m) {
+            Ok(_) => return self.get_mut(&m).map(|last| std::mem::replace(last, cpu)),
+            Err(i) => i,
+        };
+        match self {
+            MemberSet::Many(v) if v.is_empty() => *self = MemberSet::One((m, cpu)),
+            MemberSet::Many(v) => v.insert(i, (m, cpu)),
+            MemberSet::One(e) => {
+                let mut v = vec![*e; 2];
+                v[i] = (m, cpu);
+                *self = MemberSet::Many(v);
+            }
+        }
+        None
+    }
+
+    /// Drop `m`, returning its reading.
+    fn remove(&mut self, m: &M) -> Option<Nanos> {
+        let i = self.position(m).ok()?;
+        let (_, cpu) = match std::mem::take(self) {
+            MemberSet::One(e) => e,
+            MemberSet::Many(mut v) => {
+                let e = v.remove(i);
+                *self = if v.len() == 1 {
+                    MemberSet::One(v[0])
+                } else {
+                    MemberSet::Many(v)
+                };
+                e
+            }
+        };
+        Some(cpu)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Principal<M> {
     /// Aggregate cumulative CPU across current and past members. Member
     /// churn does not disturb this: each member's consumption is folded in
     /// as deltas from its own last reading.
     cumulative: Nanos,
-    /// Member → cumulative CPU at that member's last reading.
-    members: BTreeMap<M, Nanos>,
+    members: MemberSet<M>,
 }
 
 /// Proportional-share scheduling over groups of processes.
@@ -225,6 +310,17 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
     /// Register a principal with the given share and no members.
     /// Per §2.2 it starts ineligible and becomes eligible next quantum.
     pub fn add_principal(&mut self, share: u64) -> ProcId {
+        self.insert_principal(share, MemberSet::default())
+    }
+
+    /// Register a principal whose sole member is `member`, read at `cpu`:
+    /// [`Self::add_principal`] + [`Self::set_membership`] without building
+    /// the change nobody needs (the caller suspends the member itself).
+    pub(crate) fn add_member(&mut self, member: M, share: u64, cpu: Nanos) -> ProcId {
+        self.insert_principal(share, MemberSet::One((member, cpu)))
+    }
+
+    fn insert_principal(&mut self, share: u64, members: MemberSet<M>) -> ProcId {
         let id = self.inner.add_process(share, Nanos::ZERO);
         let idx = id.index();
         while self.principals.len() <= idx {
@@ -234,7 +330,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
             id.generation(),
             Principal {
                 cumulative: Nanos::ZERO,
-                members: BTreeMap::new(),
+                members,
             },
         ));
         self.live += 1;
@@ -252,7 +348,14 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         let (_, p) = entry.take().expect("entry matched above");
         self.inner.remove_process(id);
         self.live -= 1;
-        Some(p.members.into_keys().collect())
+        Some(p.members.keys().collect())
+    }
+
+    /// Drop one member from a principal without reconciliation signals,
+    /// returning whether it was a member.
+    pub(crate) fn evict(&mut self, id: ProcId, member: M) -> bool {
+        self.principal_mut(id)
+            .is_some_and(|p| p.members.remove(&member).is_some())
     }
 
     /// Number of principals.
@@ -287,8 +390,13 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
 
     /// Members of a principal, in key order.
     pub fn members(&self, id: ProcId) -> Option<Vec<M>> {
-        self.principal(id)
-            .map(|p| p.members.keys().copied().collect())
+        self.member_entries(id)
+            .map(|e| e.iter().map(|&(m, _)| m).collect())
+    }
+
+    /// [`Self::members`] borrowed, each member with its last reading.
+    pub(crate) fn member_entries(&self, id: ProcId) -> Option<&[(M, Nanos)]> {
+        self.principal(id).map(|p| p.members.as_slice())
     }
 
     /// Replace a principal's member set (the once-per-second refresh of §5).
@@ -299,7 +407,8 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
     /// leavers and the signals needed to reconcile member run states with
     /// the principal's eligibility (new members of a suspended principal
     /// must be stopped; members leaving a suspended principal should be
-    /// resumed so they are not orphaned in the stopped state).
+    /// resumed so they are not orphaned in the stopped state). A member
+    /// listed twice counts once, at its first listing.
     pub fn set_membership(
         &mut self,
         id: ProcId,
@@ -307,20 +416,23 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
     ) -> Option<MembershipChange<M>> {
         let eligible = self.inner.is_eligible(id)?;
         let p = self.principal_mut(id)?;
-        let mut new_members = BTreeMap::new();
+        let mut new_members = MemberSet::default();
         let mut added = Vec::new();
         for &(m, cpu) in current {
-            match p.members.remove(&m) {
-                Some(last) => {
-                    new_members.insert(m, last);
-                }
-                None => {
-                    added.push(m);
-                    new_members.insert(m, cpu);
-                }
+            if new_members.get(&m).is_some() {
+                continue;
             }
+            let last = p.members.get(&m).unwrap_or_else(|| {
+                added.push(m);
+                cpu
+            });
+            new_members.insert(m, last);
         }
-        let removed: Vec<M> = p.members.keys().copied().collect();
+        let removed: Vec<M> = p
+            .members
+            .keys()
+            .filter(|m| new_members.get(m).is_none())
+            .collect();
         p.members = new_members;
         let mut signals = Vec::new();
         if !eligible {
@@ -340,10 +452,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         let due = self.inner.begin_quantum();
         due.into_iter()
             .map(|id| {
-                let members = self
-                    .principal(id)
-                    .map(|p| p.members.keys().copied().collect())
-                    .unwrap_or_default();
+                let members = self.members(id).unwrap_or_default();
                 (id, members)
             })
             .collect()
@@ -358,7 +467,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
             let id = self.due_ids[i];
             let start = due.members.len() as u32;
             if let Some(p) = self.principal(id) {
-                due.members.extend(p.members.keys().copied());
+                due.members.extend(p.members.keys());
             }
             due.entries
                 .push((id, start, due.members.len() as u32 - start));
@@ -461,7 +570,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         for t in &out.transitions {
             let id = t.proc_id();
             if let Some(p) = self.principal(id) {
-                for &m in p.members.keys() {
+                for m in p.members.keys() {
                     out.signals.push(match t {
                         Transition::Resume(_) => MemberTransition::Resume(m),
                         Transition::Suspend(_) => MemberTransition::Suspend(m),
@@ -475,6 +584,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     type Pid = u64;
 
@@ -563,6 +673,75 @@ mod tests {
         s.complete_quantum(&[(u, vec![(2, obs(505, false))])], Nanos::ZERO);
         // Total charged: 10ms + 5ms = 1.5 quanta; allowance 4 - 1.5 = 2.5.
         assert!((s.inner().allowance(u).unwrap() - 2.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_member_listed_twice_counts_once_at_its_first_listing() {
+        let mut s = sched();
+        let u = s.add_principal(4);
+        s.set_membership(u, &[(1, Nanos::ZERO)]);
+        s.complete_quantum(&[], Nanos::ZERO);
+        // At this refresh member 1 reads 25 ms, and joiner 2 reads 5 ms at
+        // its first listing.
+        let change = s
+            .set_membership(
+                u,
+                &[
+                    (1, Nanos::from_millis(25)),
+                    (2, Nanos::from_millis(5)),
+                    (1, Nanos::from_millis(25)),
+                    (2, Nanos::ZERO),
+                ],
+            )
+            .unwrap();
+        assert_eq!(change.added, vec![2]);
+        assert!(change.removed.is_empty());
+        assert_eq!(s.members(u), Some(vec![1, 2]));
+        for _ in 0..3 {
+            s.begin_quantum();
+            s.complete_quantum(&[], Nanos::ZERO);
+        }
+        assert_eq!(s.begin_quantum().len(), 1);
+        s.complete_quantum(
+            &[(u, vec![(1, obs(30, false)), (2, obs(10, false))])],
+            Nanos::ZERO,
+        );
+        // Charged 30 ms since registration plus 5 ms since joining:
+        // 4 − 3.5 = 0.5 quanta left.
+        assert!((s.inner().allowance(u).unwrap() - 0.5).abs() < 1e-9);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The member set agrees with a `BTreeMap` under arbitrary
+        /// insert / remove / `get_mut` sequences that cross empty, one
+        /// and many members, and always iterates in ascending order.
+        #[test]
+        fn member_set_matches_a_btree_map(
+            ops in proptest::collection::vec((0u8..3, 0u32..6, 0u64..1000), 1..80),
+        ) {
+            let mut set: MemberSet<u32> = MemberSet::default();
+            let mut model: BTreeMap<u32, Nanos> = BTreeMap::new();
+            for (op, m, cpu) in ops {
+                let cpu = Nanos(cpu);
+                match op {
+                    0 => proptest::prop_assert_eq!(set.insert(m, cpu), model.insert(m, cpu)),
+                    1 => proptest::prop_assert_eq!(set.remove(&m), model.remove(&m)),
+                    _ => {
+                        let got = set.get_mut(&m).map(|last| std::mem::replace(last, cpu));
+                        let want = model.get_mut(&m).map(|last| std::mem::replace(last, cpu));
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                }
+                let want: Vec<(u32, Nanos)> = model.iter().map(|(&m, &c)| (m, c)).collect();
+                proptest::prop_assert_eq!(set.as_slice(), &want[..]);
+                proptest::prop_assert!(
+                    matches!(set, MemberSet::One(_)) == (model.len() == 1),
+                    "exactly one member is held inline"
+                );
+            }
+        }
     }
 
     #[test]
