@@ -28,7 +28,6 @@ OPTIONS:
                            `weights` (cgroup-v2 cpu.weight writes), or
                            `caps` (cgroup-v2 cpu.max hard caps); weights
                            and caps need a delegated cgroup-v2 subtree
-                           (run/attach modes only)
     -v, --verbose          print a status line at each completed cycle
     -t, --trace            trace every engine event to stderr
     -h, --help             show this help

@@ -1,11 +1,11 @@
-//! Command execution: wire the parsed CLI onto the `alps-os` supervisors.
+//! Command execution: wire the parsed CLI onto the `alps-os` supervisor.
 
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use alps_core::{AlpsConfig, Nanos, TraceSink};
-use alps_os::{ActuatorMode, Membership, PrincipalSupervisor, Supervisor};
+use alps_os::{ActuatorMode, Membership, Supervisor};
 
 use crate::args::{Cmd, Opts, ShareSpec, USAGE};
 
@@ -16,7 +16,7 @@ extern "C" fn on_signal(_sig: libc::c_int) {
 }
 
 /// Install SIGINT/SIGTERM handlers so a Ctrl-C unwinds through the
-/// supervisors' `Drop` (which SIGCONTs every controlled process) instead
+/// supervisor's `Drop` (which SIGCONTs every controlled process) instead
 /// of leaving children frozen.
 fn install_signal_handlers() {
     // SAFETY: on_signal only touches an atomic; signal(2) with a valid
@@ -191,8 +191,12 @@ fn drive(sup: &mut Supervisor, opts: &Opts) -> Result<(), Box<dyn std::error::Er
         }
     }
     let s = sup.stats();
+    let refreshes = match sup.refreshes() {
+        0 => String::new(),
+        n => format!(", {n} membership refreshes"),
+    };
     eprintln!(
-        "alps: done — {} quanta, {} measurements, {} signals, {} cycles",
+        "alps: done — {} quanta, {} measurements, {} signals, {} cycles{refreshes}",
         s.quanta,
         s.measurements,
         s.signals,
@@ -203,14 +207,7 @@ fn drive(sup: &mut Supervisor, opts: &Opts) -> Result<(), Box<dyn std::error::Er
 
 fn supervise_users(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
     install_signal_handlers();
-    if opts.actuator != ActuatorMode::Signals {
-        return Err(format!(
-            "user mode actuates per-process groups via signals only (got --actuator {})",
-            opts.actuator
-        )
-        .into());
-    }
-    let mut sup = PrincipalSupervisor::new(config(&opts), Duration::from_secs(opts.refresh_s));
+    let mut sup = supervisor(&opts)?.with_refresh_period(Duration::from_secs(opts.refresh_s));
     for spec in &opts.specs {
         let uid: u32 = spec
             .target
@@ -219,19 +216,7 @@ fn supervise_users(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
         sup.add_principal(spec.share, Membership::Uid(uid));
         eprintln!("alps: uid {uid} <- {} share(s)", spec.share);
     }
-    let end = deadline(&opts);
-    let mut trace = opts.trace.then(|| TraceSink::new(std::io::stderr()));
-    while !should_stop(end) {
-        match trace.as_mut() {
-            Some(sink) => sup.run_quantum_with(sink)?,
-            None => sup.run_quantum()?,
-        }
-    }
+    let result = drive(&mut sup, &opts);
     sup.release_all();
-    eprintln!(
-        "alps: done — {} quanta, {} membership refreshes",
-        sup.quanta(),
-        sup.refreshes()
-    );
-    Ok(())
+    result
 }

@@ -1,8 +1,9 @@
 //! A naive replica of the generic engine loop (`alps_core::Engine`).
 //!
 //! Mirrors every externally visible behavior — overrun detection, the
-//! read/complete/signal stages, auto-reaping, cycle instrumentation,
-//! [`EngineStats`] — over the same [`Substrate`] trait, but built on the
+//! read/complete/signal stages, auto-reaping of fixed principals, cycle
+//! instrumentation, first-owner-keeps-it membership, [`EngineStats`] —
+//! over the same [`Substrate`] trait, but built on the
 //! naive oracle schedulers with fresh allocations per quantum. The
 //! differential harness runs it and the production engine over identical
 //! mock substrates and demands identical event streams.
@@ -68,23 +69,22 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         }
     }
 
-    /// Enable sole-member auto-reaping.
+    /// Enable auto-reaping of fixed principals whose member is gone.
     pub fn with_auto_reap(mut self, on: bool) -> Self {
         self.auto_reap = on;
         self
     }
 
-    /// Register a single-member principal.
+    /// Register a fixed single-member principal.
     pub fn add_member(&mut self, member: M, share: u64, initial_cpu: Nanos) -> ProcId {
-        let id = self.sched.add_principal(share);
-        let _ = self.sched.set_membership(id, &[(member, initial_cpu)]);
+        let id = self.sched.add_member(member, share, initial_cpu);
         self.member_index.insert(member, id);
         self.order.push(id);
         self.snapshot.push((id, initial_cpu));
         id
     }
 
-    /// Register an empty principal.
+    /// Register an empty group.
     pub fn add_principal(&mut self, share: u64) -> ProcId {
         let id = self.sched.add_principal(share);
         self.order.push(id);
@@ -92,13 +92,19 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         id
     }
 
-    /// Replace a principal's member set.
+    /// Replace a group's member set, leaving out any member another
+    /// principal owns.
     pub fn set_membership(
         &mut self,
         id: ProcId,
         current: &[(M, Nanos)],
     ) -> Option<MembershipChange<M>> {
-        let change = self.sched.set_membership(id, current)?;
+        let kept: Vec<(M, Nanos)> = current
+            .iter()
+            .copied()
+            .filter(|(m, _)| self.member_index.get(m).is_none_or(|&o| o == id))
+            .collect();
+        let change = self.sched.set_membership(id, &kept)?;
         for m in &change.added {
             self.member_index.insert(*m, id);
         }
@@ -305,10 +311,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
     }
 
     fn reap(&mut self, id: ProcId, m: M, sink: &mut dyn EventSink<M>) {
-        if !self.auto_reap {
-            return;
-        }
-        if self.sched.members(id).as_deref() != Some(&[m]) {
+        if !self.auto_reap || self.sched.is_group(id) != Some(false) {
             return;
         }
         self.remove_principal(id);
@@ -324,18 +327,19 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         let mut total = Nanos::ZERO;
         for i in 0..self.snapshot.len() {
             let (id, last) = self.snapshot[i];
-            if self.sched.is_eligible(id).is_none() {
-                continue;
-            }
-            let mut sum = Nanos::ZERO;
-            let mut alive = false;
-            for m in self.sched.members(id).unwrap_or_default() {
-                if let Some(cpu) = sub.read_exact(m)? {
-                    sum += cpu;
-                    alive = true;
+            let current = match self.sched.is_group(id) {
+                None => continue,
+                Some(true) => self.sched.cumulative(id).unwrap_or(last),
+                Some(false) => {
+                    let mut current = last;
+                    for m in self.sched.members(id).unwrap_or_default() {
+                        if let Some(cpu) = sub.read_exact(m)? {
+                            current = cpu;
+                        }
+                    }
+                    current
                 }
-            }
-            let current = if alive { sum } else { last };
+            };
             let consumed = current.saturating_sub(last);
             self.snapshot[i].1 = current;
             total += consumed;

@@ -313,14 +313,14 @@ impl<M: Copy + Ord + core::hash::Hash + core::fmt::Debug> Substrate for MockSubs
     }
 }
 
-/// Whether an engine schedule drives flat single-member principals (the
-/// per-process supervisor shape, auto-reap on) or multi-member principals
-/// with §5 membership refreshes (auto-reap off).
+/// Whether an engine schedule drives fixed single-member principals or
+/// groups with §5 membership refreshes. Both engines auto-reap, as every
+/// driver's does: a fixed principal dies with its member, a group never.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// One member per principal; exits are auto-reaped.
+    /// One fixed member per principal; exits are auto-reaped.
     Flat,
-    /// 1–3 members per principal; membership reconciled by refresh ops.
+    /// Groups of 1–3 members; membership reconciled by refresh ops.
     Principals,
 }
 
@@ -335,10 +335,9 @@ pub fn run_engine_schedule(
     seed: u64,
     len: usize,
 ) -> DriveReport {
-    let auto_reap = mode == EngineMode::Flat;
-    let mut prod: Engine<u32> = Engine::new(cfg, instrumentation).with_auto_reap(auto_reap);
+    let mut prod: Engine<u32> = Engine::new(cfg, instrumentation).with_auto_reap(true);
     let mut oracle: OracleEngine<u32> =
-        OracleEngine::new(cfg, instrumentation).with_auto_reap(auto_reap);
+        OracleEngine::new(cfg, instrumentation).with_auto_reap(true);
     let mut sub_p = MockSubstrate::default();
     let mut sub_o = MockSubstrate::default();
     let mut sink_p = RecordingSink::new();

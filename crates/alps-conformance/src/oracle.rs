@@ -389,6 +389,9 @@ impl OracleScheduler {
 
 #[derive(Debug, Clone)]
 struct OraclePrincipal<M> {
+    /// A group's membership is refreshed; a fixed principal keeps its one
+    /// member.
+    group: bool,
     cumulative: Nanos,
     members: BTreeMap<M, Nanos>,
 }
@@ -416,17 +419,38 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
         &self.inner
     }
 
-    /// Register a principal with no members.
+    /// Register a group with no members.
     pub fn add_principal(&mut self, share: u64) -> ProcId {
+        self.insert(share, true, BTreeMap::new())
+    }
+
+    /// Register a fixed principal whose one member is `member`, read at
+    /// `cpu`.
+    pub fn add_member(&mut self, member: M, share: u64, cpu: Nanos) -> ProcId {
+        self.insert(share, false, BTreeMap::from([(member, cpu)]))
+    }
+
+    fn insert(&mut self, share: u64, group: bool, members: BTreeMap<M, Nanos>) -> ProcId {
         let id = self.inner.add_process(share, Nanos::ZERO);
         self.principals.insert(
             id,
             OraclePrincipal {
+                group,
                 cumulative: Nanos::ZERO,
-                members: BTreeMap::new(),
+                members,
             },
         );
         id
+    }
+
+    /// Whether a principal is a group (`None` for a stale id).
+    pub fn is_group(&self, id: ProcId) -> Option<bool> {
+        self.principals.get(&id).map(|p| p.group)
+    }
+
+    /// A principal's CPU charged so far, over current and past members.
+    pub fn cumulative(&self, id: ProcId) -> Option<Nanos> {
+        self.principals.get(&id).map(|p| p.cumulative)
     }
 
     /// Deregister a principal, returning its members.
@@ -453,15 +477,16 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
             .map(|p| p.members.keys().copied().collect())
     }
 
-    /// Replace a principal's member set (§5 refresh). A member listed
-    /// twice counts once, at its first listing.
+    /// Replace a group's member set (§5 refresh). A member listed twice
+    /// counts once, at its first listing. `None` for a stale id or a
+    /// fixed principal.
     pub fn set_membership(
         &mut self,
         id: ProcId,
         current: &[(M, Nanos)],
     ) -> Option<MembershipChange<M>> {
         let eligible = self.inner.is_eligible(id)?;
-        let p = self.principals.get_mut(&id)?;
+        let p = self.principals.get_mut(&id).filter(|p| p.group)?;
         let mut new_members = BTreeMap::new();
         let mut added = Vec::new();
         for &(m, cpu) in current {

@@ -87,41 +87,38 @@ fn flat_engine_matches_oracle() {
     );
 }
 
-/// Engine-level differential: multi-member principals with measured
-/// instrumentation and membership churn.
+/// Engine-level differential: groups with membership churn, under both
+/// instrumentations.
 #[test]
 fn principal_engine_matches_oracle() {
-    let mut total = DriveReport::default();
-    for (c, cfg) in [
-        config(true, IoPolicy::OneQuantumPenalty),
-        config(true, IoPolicy::NoPenalty),
-        config(false, IoPolicy::ForfeitAllowance),
-        config(false, IoPolicy::NoPenalty),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for s in 0..50u64 {
-            let seed = 0x9E1A_0000_0000_0000 | (c as u64) << 32 | s;
-            let rep = run_engine_schedule(
-                cfg,
-                Instrumentation::Measured,
-                EngineMode::Principals,
-                seed,
-                50,
-            );
-            total.quanta += rep.quanta;
-            total.cycles += rep.cycles;
-            total.transitions += rep.transitions;
+    for instrumentation in [Instrumentation::Exact, Instrumentation::Measured] {
+        let mut total = DriveReport::default();
+        for (c, cfg) in [
+            config(true, IoPolicy::OneQuantumPenalty),
+            config(true, IoPolicy::NoPenalty),
+            config(false, IoPolicy::ForfeitAllowance),
+            config(false, IoPolicy::NoPenalty),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for s in 0..50u64 {
+                let seed = 0x9E1A_0000_0000_0000 | (c as u64) << 32 | s;
+                let rep =
+                    run_engine_schedule(cfg, instrumentation, EngineMode::Principals, seed, 50);
+                total.quanta += rep.quanta;
+                total.cycles += rep.cycles;
+                total.transitions += rep.transitions;
+            }
         }
+        assert!(total.quanta > 10_000, "too few quanta: {}", total.quanta);
+        assert!(total.cycles > 200, "too few cycles: {}", total.cycles);
+        assert!(
+            total.transitions > 1_000,
+            "too few transitions: {}",
+            total.transitions
+        );
     }
-    assert!(total.quanta > 10_000, "too few quanta: {}", total.quanta);
-    assert!(total.cycles > 200, "too few cycles: {}", total.cycles);
-    assert!(
-        total.transitions > 1_000,
-        "too few transitions: {}",
-        total.transitions
-    );
 }
 
 /// Live share tree under full churn: the cached incremental-entitlement

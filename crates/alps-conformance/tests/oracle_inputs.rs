@@ -268,3 +268,37 @@ fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
     assert_eq!(oracle.inner().allowance(uo), Some(0.5));
     assert_eq!(prod.inner().allowance(u), Some(0.5));
 }
+
+/// A pid listed by two principals is owned by the first, in the oracle as
+/// in production: a group's refresh leaves out members another group or a
+/// fixed principal already owns, and a fixed principal's membership
+/// cannot be refreshed at all. The schedule generator never lists one pid
+/// twice.
+#[test]
+fn a_member_listed_by_two_principals_stays_with_its_first_owner_in_both_engines() {
+    let cfg = config(true);
+    let mut prod: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut oracle: OracleEngine<u32> =
+        OracleEngine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let fixed = prod.add_member(9, 1, Nanos::ZERO);
+    assert_eq!(oracle.add_member(9, 1, Nanos::ZERO), fixed);
+    let (a, b) = (prod.add_principal(1), prod.add_principal(2));
+    assert_eq!((oracle.add_principal(1), oracle.add_principal(2)), (a, b));
+    let refreshes: [(_, &[(u32, Nanos)]); 5] = [
+        (a, &[(7, Nanos::ZERO)]),
+        (b, &[(7, Nanos::ZERO), (8, Nanos::ZERO), (9, Nanos::ZERO)]),
+        (fixed, &[(7, Nanos::ZERO)]),
+        (a, &[]),
+        (b, &[(7, Nanos::ZERO), (8, Nanos::ZERO)]),
+    ];
+    for (id, listing) in refreshes {
+        let change = oracle.set_membership(id, listing);
+        assert_eq!(prod.set_membership(id, listing), change);
+        for id in [fixed, a, b] {
+            assert_eq!(prod.members(id), oracle.members(id));
+        }
+    }
+    assert_eq!(prod.members(a), Some(vec![]));
+    assert_eq!(prod.members(b), Some(vec![7, 8]));
+    assert_eq!(prod.members(fixed), Some(vec![9]));
+}

@@ -11,10 +11,12 @@
 //! stream ([`Event`]/[`EventSink`]) for free.
 //!
 //! The engine is principal-granular — it drives a
-//! [`PrincipalScheduler`], so a scheduled entity may be one process (the
-//! common case; see [`Engine::add_member`]) or a group of processes
+//! [`PrincipalScheduler`], so a scheduled entity may be one fixed process
+//! (the common case; see [`Engine::add_member`]) or a group of processes
 //! scheduled as a unit (§5; see [`Engine::add_principal`] +
-//! [`Engine::set_membership`]).
+//! [`Engine::set_membership`]). The engine knows which each principal is:
+//! a fixed principal dies with its member, a group lives until removed
+//! and its members come and go at the backend's refreshes.
 
 mod event;
 mod substrate;
@@ -54,7 +56,7 @@ pub struct EngineStats {
     /// Invocations that arrived two or more quanta after the previous one
     /// (late/coalesced timer, §4.2).
     pub overruns: u64,
-    /// Principals removed because their sole member exited.
+    /// Fixed principals removed because their member exited.
     pub reaped: u64,
     /// CPU-time reads that failed with a substrate error and were
     /// tolerated (only under [`FaultPolicy::Harden`]).
@@ -76,12 +78,15 @@ pub struct EngineStats {
 /// How the engine fills its per-cycle consumption log (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instrumentation {
-    /// At each cycle boundary, re-read every principal's members through
-    /// [`Substrate::read_exact`] and record deltas against a snapshot taken
-    /// at the previous boundary. This measures what was *actually* consumed
-    /// — ground truth in the simulator, a fresh `/proc` read on Linux —
-    /// independent of what the scheduler happened to observe. The inner
-    /// scheduler's own (measurement-granular) log is disabled.
+    /// At each cycle boundary, re-read every fixed principal's member
+    /// through [`Substrate::read_exact`] and record deltas against a
+    /// snapshot taken at the previous boundary. This measures what was
+    /// *actually* consumed — ground truth in the simulator, a fresh
+    /// `/proc` read on Linux — independent of what the scheduler happened
+    /// to observe. A group is recorded as the CPU charged to it since the
+    /// previous boundary (re-reading its current members would charge a
+    /// joiner's whole lifetime), which is what `Measured` records for it.
+    /// The inner scheduler's own (measurement-granular) log is disabled.
     Exact,
     /// Keep the inner scheduler's log: consumption at measurement
     /// granularity, exactly what the algorithm itself saw.
@@ -172,11 +177,11 @@ pub type EngineFor<S> = Engine<<S as Substrate>::Member>;
 /// 3. [`apply_signals`](Engine::apply_signals) — deliver the resulting
 ///    stop/continue signals.
 ///
-/// Members that turn out to be gone (unreadable, or a signal bounces) are
-/// reaped automatically when [`with_auto_reap`](Engine::with_auto_reap) is
-/// enabled and they are their principal's sole member; group-scheduling
-/// backends instead reconcile membership at their refresh period via
-/// [`set_membership`](Engine::set_membership).
+/// A fixed principal whose member turns out to be gone (unreadable, or a
+/// signal bounces) is reaped automatically when
+/// [`with_auto_reap`](Engine::with_auto_reap) is enabled; a group's gone
+/// member is skipped without charge until the backend's next refresh
+/// ([`set_membership`](Engine::set_membership)) drops it.
 #[derive(Debug, Clone)]
 pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     sched: PrincipalScheduler<M>,
@@ -271,10 +276,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         self
     }
 
-    /// Enable automatic removal of a principal when its sole member is
-    /// found to be gone (per-process backends). Off by default: a
-    /// group-scheduling backend must not tear a principal down just
-    /// because one member exited.
+    /// Enable automatic removal of a fixed principal when its member is
+    /// found to be gone. Off by default. Groups are never torn down by
+    /// the engine either way.
     pub fn with_auto_reap(mut self, on: bool) -> Self {
         self.auto_reap = on;
         self
@@ -294,8 +298,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     // --- registration -----------------------------------------------------
 
-    /// Register a single-member principal — the common "schedule this
-    /// process with this share" case. `initial_cpu` is the member's
+    /// Register a fixed single-member principal — the common "schedule
+    /// this process with this share" case. `initial_cpu` is the member's
     /// cumulative CPU reading at registration, so only consumption from
     /// this point on is charged.
     ///
@@ -308,8 +312,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         id
     }
 
-    /// Register an empty principal (group scheduling, §5). Populate it
-    /// with [`Engine::set_membership`].
+    /// Register an empty group (§5). Populate it with
+    /// [`Engine::set_membership`].
     pub fn add_principal(&mut self, share: u64) -> ProcId {
         let id = self.sched.add_principal(share);
         self.snapshot.push((id, Nanos::ZERO));
@@ -328,7 +332,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             .add_group(parent, share)
     }
 
-    /// Register a single-member principal as a leaf of the share tree:
+    /// Register a fixed single-member principal as a leaf of the share tree:
     /// like [`Engine::add_member`], but its integer share is derived from
     /// its entitlement (weight `weight` relative to its siblings under
     /// `parent`) and tracks the tree from then on. Requires
@@ -397,16 +401,23 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         self.tree = Some(tree);
     }
 
-    /// Replace a principal's member set (the once-per-second refresh of
-    /// §5). Returns the joiners/leavers and the reconciliation signals the
+    /// Replace a group's member set (the once-per-second refresh of §5).
+    /// Returns the joiners/leavers and the reconciliation signals the
     /// backend must deliver (conveniently via
-    /// [`Engine::apply_signals`]).
+    /// [`Engine::apply_signals`]), or `None` for a stale id or a fixed
+    /// principal. A listed member that another principal owns stays with
+    /// that first owner and is left out of this group.
     pub fn set_membership(
         &mut self,
         id: ProcId,
         current: &[(M, Nanos)],
     ) -> Option<MembershipChange<M>> {
-        let change = self.sched.set_membership(id, current)?;
+        let kept: Vec<(M, Nanos)> = current
+            .iter()
+            .copied()
+            .filter(|(m, _)| self.member_index.get(m).is_none_or(|&o| o == id))
+            .collect();
+        let change = self.sched.set_membership(id, &kept)?;
         for m in &change.added {
             self.member_index.insert(*m, id);
         }
@@ -769,9 +780,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         }
     }
 
-    /// Remove a persistently faulting member from scheduling: its sole-
-    /// member principal is torn down entirely; in a group, just the member
-    /// leaves (the backend's next refresh may re-admit it if it recovers).
+    /// Remove a persistently faulting member from scheduling: a fixed
+    /// principal is torn down entirely; from a group, just the member is
+    /// evicted (the backend's next refresh may re-admit it if it
+    /// recovers).
     fn quarantine(&mut self, m: M, sink: &mut dyn EventSink<M>) {
         self.health.remove(&m);
         let Some(&id) = self.member_index.get(&m) else {
@@ -779,7 +791,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         };
         self.stats.quarantined += 1;
         sink.on_event(&Event::Quarantined { member: m });
-        if self.is_sole_member(id, m) {
+        if self.sched.is_group(id) == Some(false) {
             self.remove_principal(id);
             return;
         }
@@ -788,11 +800,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         if self.sched.evict(id, m) {
             self.member_index.remove(&m);
         }
-    }
-
-    /// Whether `m` is the only member of principal `id`.
-    fn is_sole_member(&self, id: ProcId, m: M) -> bool {
-        matches!(self.sched.member_entries(id), Some(&[(x, _)]) if x == m)
     }
 
     /// Start-of-quantum reconciliation under [`FaultPolicy::Harden`]:
@@ -873,13 +880,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     }
 
     fn reap(&mut self, id: ProcId, m: M, sink: &mut dyn EventSink<M>) {
-        if !self.auto_reap {
-            return;
-        }
-        // Only tear the principal down if the vanished process was its
-        // sole member; otherwise membership reconciliation is the
-        // backend's job (refresh).
-        if !self.is_sole_member(id, m) {
+        // Only a fixed principal dies with its member; a group's gone
+        // member is skipped until the backend's next refresh drops it.
+        if !self.auto_reap || self.sched.is_group(id) != Some(false) {
             return;
         }
         self.health.remove(&m);
@@ -888,8 +891,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         sink.on_event(&Event::MemberReaped { member: m });
     }
 
-    /// Build a [`CycleRecord`] from exact substrate readings, differenced
-    /// against the snapshot taken at the previous boundary.
+    /// Build a [`CycleRecord`] differenced against the snapshot taken at
+    /// the previous boundary: a fixed principal's member is re-read
+    /// exactly, a group is charged what it was charged since (its current
+    /// members' lifetimes say nothing about what the group consumed).
     fn record_exact_cycle<S>(&mut self, sub: &mut S, now: Nanos) -> Result<(), S::Error>
     where
         S: Substrate<Member = M>,
@@ -898,20 +903,16 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         let mut total = Nanos::ZERO;
         for i in 0..self.snapshot.len() {
             let (id, last) = self.snapshot[i];
-            if self.sched.is_eligible(id).is_none() {
-                continue; // tombstoned (principal removed, not yet compacted)
-            }
-            let mut sum = Nanos::ZERO;
-            let mut alive = false;
-            for &(m, _) in self.sched.member_entries(id).unwrap_or_default() {
-                if let Some(cpu) = sub.read_exact(m)? {
-                    sum += cpu;
-                    alive = true;
-                }
-            }
-            // A principal whose members are all gone is charged nothing
-            // further; keep the old snapshot so the record is stable.
-            let current = if alive { sum } else { last };
+            let current = match self.sched.is_group(id) {
+                None => continue, // tombstoned (removed, not yet compacted)
+                Some(true) => self.sched.cumulative(id).unwrap_or(last),
+                // A member that is gone is charged nothing further; keep
+                // the old snapshot so the record is stable.
+                Some(false) => match self.sched.member_entries(id) {
+                    Some(&[(m, _)]) => sub.read_exact(m)?.unwrap_or(last),
+                    _ => last,
+                },
+            };
             let consumed = current.saturating_sub(last);
             self.snapshot[i].1 = current;
             total += consumed;
@@ -990,6 +991,11 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Members of a principal.
     pub fn members(&self, id: ProcId) -> Option<Vec<M>> {
         self.sched.members(id)
+    }
+
+    /// The principal a member belongs to, if any.
+    pub fn principal_of(&self, m: M) -> Option<ProcId> {
+        self.member_index.get(&m).copied()
     }
 
     /// The inner Figure-3 scheduler, for read-only inspection.

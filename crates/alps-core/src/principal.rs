@@ -259,8 +259,11 @@ pub struct PrincipalScheduler<M: Ord + Copy> {
     /// Dense principal table indexed by [`ProcId::index`], each entry
     /// generation-checked against the handle on access (a stale id from a
     /// reused slot misses instead of addressing the new tenant), so the
-    /// per-quantum lookups are O(1) without hashing.
-    principals: Vec<Option<(u32, Principal<M>)>>,
+    /// per-quantum lookups are O(1) without hashing. The flag beside the
+    /// generation marks a group ([`Self::add_principal`]) as opposed to a
+    /// fixed single-member principal ([`Self::add_member`]); it sits in
+    /// the generation's padding and costs no bytes.
+    principals: Vec<Option<(u32, bool, Principal<M>)>>,
     /// Live principal count (occupied entries in `principals`).
     live: usize,
     /// Scratch: due principal ids, refilled each `begin_quantum_into`.
@@ -288,7 +291,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
     #[inline]
     fn principal(&self, id: ProcId) -> Option<&Principal<M>> {
         match self.principals.get(id.index()) {
-            Some(Some((generation, p))) if *generation == id.generation() => Some(p),
+            Some(Some((generation, _, p))) if *generation == id.generation() => Some(p),
             _ => None,
         }
     }
@@ -297,7 +300,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
     #[inline]
     fn principal_mut(&mut self, id: ProcId) -> Option<&mut Principal<M>> {
         match self.principals.get_mut(id.index()) {
-            Some(Some((generation, p))) if *generation == id.generation() => Some(p),
+            Some(Some((generation, _, p))) if *generation == id.generation() => Some(p),
             _ => None,
         }
     }
@@ -307,20 +310,21 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         &self.inner
     }
 
-    /// Register a principal with the given share and no members.
-    /// Per §2.2 it starts ineligible and becomes eligible next quantum.
+    /// Register a group with the given share and no members; its member
+    /// set is whatever [`Self::set_membership`] last said. Per §2.2 it
+    /// starts ineligible and becomes eligible next quantum.
     pub fn add_principal(&mut self, share: u64) -> ProcId {
-        self.insert_principal(share, MemberSet::default())
+        self.insert_principal(share, true, MemberSet::default())
     }
 
-    /// Register a principal whose sole member is `member`, read at `cpu`:
-    /// [`Self::add_principal`] + [`Self::set_membership`] without building
-    /// the change nobody needs (the caller suspends the member itself).
+    /// Register a fixed principal whose one member is `member`, read at
+    /// `cpu`. Its membership never changes (the caller suspends the
+    /// member itself).
     pub(crate) fn add_member(&mut self, member: M, share: u64, cpu: Nanos) -> ProcId {
-        self.insert_principal(share, MemberSet::One((member, cpu)))
+        self.insert_principal(share, false, MemberSet::One((member, cpu)))
     }
 
-    fn insert_principal(&mut self, share: u64, members: MemberSet<M>) -> ProcId {
+    fn insert_principal(&mut self, share: u64, group: bool, members: MemberSet<M>) -> ProcId {
         let id = self.inner.add_process(share, Nanos::ZERO);
         let idx = id.index();
         while self.principals.len() <= idx {
@@ -328,6 +332,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         }
         self.principals[idx] = Some((
             id.generation(),
+            group,
             Principal {
                 cumulative: Nanos::ZERO,
                 members,
@@ -342,10 +347,10 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
     pub fn remove_principal(&mut self, id: ProcId) -> Option<Vec<M>> {
         let entry = self.principals.get_mut(id.index())?;
         match entry {
-            Some((generation, _)) if *generation == id.generation() => {}
+            Some((generation, _, _)) if *generation == id.generation() => {}
             _ => return None,
         }
-        let (_, p) = entry.take().expect("entry matched above");
+        let (_, _, p) = entry.take().expect("entry matched above");
         self.inner.remove_process(id);
         self.live -= 1;
         Some(p.members.keys().collect())
@@ -373,7 +378,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         self.principals
             .iter()
             .flatten()
-            .map(|(_, p)| p.members.len())
+            .map(|(_, _, p)| p.members.len())
             .sum()
     }
 
@@ -399,7 +404,22 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         self.principal(id).map(|p| p.members.as_slice())
     }
 
-    /// Replace a principal's member set (the once-per-second refresh of §5).
+    /// Whether a principal is a group (`Some(false)`: a fixed
+    /// single-member principal; `None`: stale id).
+    pub(crate) fn is_group(&self, id: ProcId) -> Option<bool> {
+        match self.principals.get(id.index()) {
+            Some(Some((generation, group, _))) if *generation == id.generation() => Some(*group),
+            _ => None,
+        }
+    }
+
+    /// A principal's CPU charged so far, summed over its current and past
+    /// members.
+    pub(crate) fn cumulative(&self, id: ProcId) -> Option<Nanos> {
+        self.principal(id).map(|p| p.cumulative)
+    }
+
+    /// Replace a group's member set (the once-per-second refresh of §5).
     ///
     /// `current` carries, for each member, its *current* cumulative CPU
     /// reading: a newly joined member is charged only for consumption from
@@ -408,12 +428,17 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
     /// the principal's eligibility (new members of a suspended principal
     /// must be stopped; members leaving a suspended principal should be
     /// resumed so they are not orphaned in the stopped state). A member
-    /// listed twice counts once, at its first listing.
+    /// listed twice counts once, at its first listing. Returns `None` for
+    /// a stale id and for a fixed principal, whose one member never
+    /// changes.
     pub fn set_membership(
         &mut self,
         id: ProcId,
         current: &[(M, Nanos)],
     ) -> Option<MembershipChange<M>> {
+        if !self.is_group(id)? {
+            return None;
+        }
         let eligible = self.inner.is_eligible(id)?;
         let p = self.principal_mut(id)?;
         let mut new_members = MemberSet::default();
@@ -532,7 +557,7 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
             // Field-level lookup (not the `principal_mut` helper) so the
             // borrow stays on `principals` while `obs_scratch` grows.
             let p = match self.principals.get_mut(id.index()) {
-                Some(Some((generation, p))) if *generation == id.generation() => p,
+                Some(Some((generation, _, p))) if *generation == id.generation() => p,
                 _ => continue,
             };
             let range = start as usize..(start + len) as usize;

@@ -549,7 +549,7 @@ impl AlpsScheduler {
     ///
     /// With lazy measurement this pops the invocation's level-0
     /// deadline-wheel slot (after cascading any upper-level slot whose
-    /// window just opened) — O(due) plus at most [`WHEEL_LEVELS`] touches
+    /// window just opened) — O(due) plus at most one touch per wheel level
     /// per parked slot over its whole wait. The eager baseline walks every
     /// occupied slot. Both return ids in registration order.
     pub fn begin_quantum_into(&mut self, due: &mut Vec<ProcId>) {

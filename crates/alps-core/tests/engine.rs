@@ -1,25 +1,27 @@
 //! The generic engine must be a faithful wrapper: driven in lockstep with
 //! a raw [`AlpsScheduler`] over identical observations it must produce
 //! identical transitions and identical per-cycle records, and its event
-//! stream must narrate every quantum and cycle boundary.
+//! stream must narrate every quantum and cycle boundary. Fixed principals
+//! and groups obey their own teardown, logging and membership rules.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::convert::Infallible;
 
 use alps_core::{
-    AlpsConfig, AlpsScheduler, Engine, Event, Instrumentation, Nanos, NullSink, Observation,
-    ProcId, RecordingSink, Signal, Substrate,
+    AlpsConfig, AlpsScheduler, Engine, Event, FaultPolicy, HardenConfig, Instrumentation, Nanos,
+    NullSink, Observation, ProcId, RecordingSink, Signal, Substrate,
 };
 
 /// A fully scripted substrate: the test owns the clock and every member's
 /// cumulative CPU counter; `deliver` tracks the stopped set like a kernel
-/// would.
-#[derive(Debug, Default)]
+/// would. Reads of a `faulty` member fail.
+#[derive(Debug, Default, Clone, PartialEq)]
 struct MockSubstrate {
     now: Nanos,
     cpu: BTreeMap<u32, Nanos>,
     stopped: BTreeSet<u32>,
     gone: BTreeSet<u32>,
+    blocked: BTreeSet<u32>,
+    faulty: BTreeSet<u32>,
 }
 
 impl MockSubstrate {
@@ -42,23 +44,26 @@ impl MockSubstrate {
 
 impl Substrate for MockSubstrate {
     type Member = u32;
-    type Error = Infallible;
+    type Error = &'static str;
 
     fn now(&mut self) -> Nanos {
         self.now
     }
 
-    fn read(&mut self, m: u32) -> Result<Option<Observation>, Infallible> {
+    fn read(&mut self, m: u32) -> Result<Option<Observation>, &'static str> {
+        if self.faulty.contains(&m) {
+            return Err("unreadable");
+        }
         if self.gone.contains(&m) {
             return Ok(None);
         }
         Ok(self.cpu.get(&m).map(|&total_cpu| Observation {
             total_cpu,
-            blocked: false,
+            blocked: self.blocked.contains(&m),
         }))
     }
 
-    fn deliver(&mut self, m: u32, sig: Signal) -> Result<bool, Infallible> {
+    fn deliver(&mut self, m: u32, sig: Signal) -> Result<bool, &'static str> {
         if self.gone.contains(&m) || !self.cpu.contains_key(&m) {
             return Ok(false);
         }
@@ -319,4 +324,213 @@ fn adjust_share_counts_and_narrates() {
     engine.remove_principal(a);
     assert!(engine.adjust_share(a, 9, &mut sink).is_err());
     assert_eq!(sink.events.len(), events_before);
+}
+
+/// Member churn inside groups — joiners arriving with seconds of CPU
+/// already behind them, leavers, deaths, blocked readings — must not make
+/// the exact cycle log disagree with the measured one: a group's entry is
+/// the CPU charged to it, not its current members' lifetimes.
+#[test]
+fn exact_log_equals_measured_log_for_churning_groups() {
+    let q = Nanos::from_millis(10);
+    for lazy in [true, false] {
+        for seed in 1..=4u64 {
+            let mut rng = seed;
+            let mut next = move |n: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % n
+            };
+            let cfg = AlpsConfig::new(q)
+                .with_lazy_measurement(lazy)
+                .with_cycle_log(true);
+            let mut exact: Engine<u32> =
+                Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+            let mut measured: Engine<u32> =
+                Engine::new(cfg, Instrumentation::Measured).with_auto_reap(true);
+            let mut sub = MockSubstrate::default();
+            let mut next_pid = 1u32;
+            let groups: Vec<ProcId> = (1..=4u64)
+                .map(|share| {
+                    let g = exact.add_principal(share);
+                    assert_eq!(measured.add_principal(share), g);
+                    g
+                })
+                .collect();
+            let mut sub_m = sub.clone();
+            for k in 0..400u64 {
+                if k % 5 == 0 {
+                    // Refresh one group: drop the dead, sometimes a live
+                    // member, and sometimes admit a long-lived joiner.
+                    let g = groups[next(4) as usize];
+                    let mut current: Vec<(u32, Nanos)> = exact
+                        .members(g)
+                        .unwrap()
+                        .into_iter()
+                        .filter(|m| !sub.gone.contains(m))
+                        .map(|m| (m, sub.cpu[&m]))
+                        .collect();
+                    if current.len() > 1 && next(3) == 0 {
+                        current.remove(next(current.len() as u64) as usize);
+                    }
+                    if current.is_empty() || next(2) == 0 {
+                        let m = next_pid;
+                        next_pid += 1;
+                        let lifetime = Nanos::from_millis(1_000 + next(5_000));
+                        for s in [&mut sub, &mut sub_m] {
+                            s.cpu.insert(m, lifetime);
+                        }
+                        current.push((m, lifetime));
+                    }
+                    let change = exact.set_membership(g, &current).unwrap();
+                    assert_eq!(measured.set_membership(g, &current), Some(change.clone()));
+                    exact
+                        .apply_signals(&mut sub, &change.signals, &mut NullSink)
+                        .unwrap();
+                    measured
+                        .apply_signals(&mut sub_m, &change.signals, &mut NullSink)
+                        .unwrap();
+                }
+                // One quantum of the workload, identical in both worlds.
+                let live: Vec<u32> = sub.cpu.keys().copied().collect();
+                for m in live {
+                    let burn = Nanos(next(q.0 * 3 / 2));
+                    let blocked = next(6) == 0;
+                    let dies = next(150) == 0;
+                    for s in [&mut sub, &mut sub_m] {
+                        if !s.stopped.contains(&m) && !s.gone.contains(&m) {
+                            *s.cpu.get_mut(&m).unwrap() += burn;
+                        }
+                        if blocked {
+                            s.blocked.insert(m);
+                        } else {
+                            s.blocked.remove(&m);
+                        }
+                        if dies {
+                            s.gone.insert(m);
+                        }
+                    }
+                }
+                sub.now += q;
+                sub_m.now += q;
+                exact.run_quantum(&mut sub, &mut NullSink).unwrap();
+                measured.run_quantum(&mut sub_m, &mut NullSink).unwrap();
+                assert_eq!(sub, sub_m, "the logs must not change a decision");
+            }
+            assert!(exact.cycles().len() > 10, "seed {seed}: too few cycles");
+            assert_eq!(exact.stats().reaped, 0, "groups are never reaped");
+            assert_eq!(
+                exact.cycles(),
+                measured.cycles(),
+                "seed {seed}, lazy {lazy}"
+            );
+        }
+    }
+}
+
+/// Auto-reap tears down a fixed principal whose member exits, but a group
+/// that loses its only member is kept, charged nothing for the dead
+/// member, and filled again by the next refresh.
+#[test]
+fn a_group_whose_only_member_exits_is_kept_and_refilled() {
+    let q = Nanos::from_millis(10);
+    let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut sub = MockSubstrate::default();
+    for m in [1, 2, 9] {
+        sub.add(m);
+    }
+    let fixed = engine.add_member(9, 1, Nanos::ZERO);
+    let group = engine.add_principal(1);
+    engine.set_membership(group, &[(1, Nanos::ZERO)]).unwrap();
+    assert_eq!(engine.set_membership(fixed, &[(2, Nanos::ZERO)]), None);
+    assert_eq!(
+        engine.members(fixed),
+        Some(vec![9]),
+        "a fixed member is fixed"
+    );
+    for _ in 0..3 {
+        sub.advance(q);
+        engine.run_quantum(&mut sub, &mut NullSink).unwrap();
+    }
+    sub.gone.extend([1, 9]);
+    for _ in 0..5 {
+        sub.advance(q);
+        engine.run_quantum(&mut sub, &mut NullSink).unwrap();
+    }
+    assert_eq!(engine.share(fixed), None, "the fixed principal is reaped");
+    assert_eq!(engine.stats().reaped, 1);
+    assert_eq!(engine.share(group), Some(1), "the group is kept");
+    assert_eq!(
+        engine.members(group),
+        Some(vec![1]),
+        "until the next refresh"
+    );
+    let change = engine.set_membership(group, &[(2, Nanos::ZERO)]).unwrap();
+    assert_eq!((change.added, change.removed), (vec![2], vec![1]));
+    assert_eq!(engine.members(group), Some(vec![2]));
+    assert_eq!(engine.principal_of(2), Some(group));
+    assert_eq!(engine.principal_of(1), None);
+}
+
+/// Under hardening a member that keeps faulting is quarantined: a fixed
+/// principal goes with it, but a group — even one left empty — only loses
+/// that member, and a later refresh may admit it again.
+#[test]
+fn quarantining_a_group_member_evicts_only_that_member() {
+    let q = Nanos::from_millis(10);
+    let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact)
+        .with_auto_reap(true)
+        .with_fault_policy(FaultPolicy::Harden(HardenConfig::default()));
+    let mut sub = MockSubstrate::default();
+    for m in [1, 9] {
+        sub.add(m);
+    }
+    let fixed = engine.add_member(9, 1, Nanos::ZERO);
+    let group = engine.add_principal(1);
+    engine.set_membership(group, &[(1, Nanos::ZERO)]).unwrap();
+    sub.faulty.extend([1, 9]);
+    for _ in 0..6 {
+        sub.advance(q);
+        engine.run_quantum(&mut sub, &mut NullSink).unwrap();
+    }
+    assert_eq!(engine.stats().quarantined, 2);
+    assert_eq!(engine.share(fixed), None);
+    assert_eq!(engine.share(group), Some(1));
+    assert_eq!(engine.members(group), Some(vec![]));
+    assert_eq!(engine.principal_of(1), None);
+    sub.faulty.clear();
+    let change = engine.set_membership(group, &[(1, sub.cpu[&1])]).unwrap();
+    assert_eq!(change.added, vec![1]);
+    assert_eq!(engine.principal_of(1), Some(group));
+}
+
+/// One pid is never charged to two principals: a group's refresh leaves
+/// out any listed member another principal — group or fixed — already
+/// owns, and the first owner keeps it.
+#[test]
+fn a_member_listed_by_two_principals_stays_with_its_first_owner() {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let fixed = engine.add_member(9, 1, Nanos::ZERO);
+    let a = engine.add_principal(1);
+    let b = engine.add_principal(1);
+    engine.set_membership(a, &[(7, Nanos::ZERO)]).unwrap();
+    let change = engine
+        .set_membership(b, &[(7, Nanos::ZERO), (8, Nanos::ZERO), (9, Nanos::ZERO)])
+        .unwrap();
+    assert_eq!(change.added, vec![8]);
+    assert_eq!(engine.members(a), Some(vec![7]));
+    assert_eq!(engine.members(b), Some(vec![8]));
+    assert_eq!(engine.principal_of(7), Some(a));
+    assert_eq!(engine.principal_of(9), Some(fixed));
+    // Once the first owner lets go, the other group may take the pid.
+    engine.set_membership(a, &[]).unwrap();
+    let change = engine
+        .set_membership(b, &[(7, Nanos::ZERO), (8, Nanos::ZERO)])
+        .unwrap();
+    assert_eq!(change.added, vec![7]);
+    assert_eq!(engine.principal_of(7), Some(b));
 }

@@ -9,9 +9,9 @@
 //! * eligible/ineligible group moves via `SIGCONT`/`SIGSTOP`;
 //! * a drift-free quantum loop on the monotonic clock with coalescing of
 //!   missed boundaries (the pending-signal behavior of §4.2);
-//! * per-process supervision ([`Supervisor`]) and per-user/per-group
-//!   principals with periodic membership refresh ([`PrincipalSupervisor`],
-//!   §5);
+//! * one supervisor ([`Supervisor`]) for fixed processes and for
+//!   per-user/per-group principals with periodic membership refresh
+//!   ([`Membership`], §5);
 //! * live re-measurement of the Table-1 operation costs
 //!   ([`probe::probe_table1`]).
 //!
@@ -45,7 +45,6 @@ pub mod children;
 pub mod clock;
 pub mod error;
 pub mod pidfd;
-pub mod principal;
 pub mod probe;
 pub mod proc;
 pub mod signal;
@@ -56,8 +55,7 @@ pub use cgroup::{ActuatorMode, CgroupFs, CgroupSubstrate, CpuMax, FakeCgroupFs, 
 pub use children::SpinnerPool;
 pub use error::{OsError, Result};
 pub use pidfd::{ExitWatcher, PidFd};
-pub use principal::{Membership, PrincipalSupervisor};
 pub use probe::{probe_table1, Table1Probe};
 pub use proc::{pids_of_uid, read_stat, ProcStat, StatReader};
 pub use substrate::OsSubstrate;
-pub use supervisor::Supervisor;
+pub use supervisor::{Membership, Supervisor};

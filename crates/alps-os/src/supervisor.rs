@@ -6,18 +6,25 @@
 //! moves processes between the eligible and ineligible groups. No special
 //! priority, no kernel support. The per-quantum loop itself is the generic
 //! [`alps_core::Engine`] driven over a substrate; this module adds the
-//! sleep cadence, the process registration surface, and two things the
-//! paper's FreeBSD box could not offer:
+//! sleep cadence, the registration surface — fixed processes
+//! ([`Supervisor::add_process`]) and groups whose members are refreshed
+//! once per period, e.g. all processes of one user (§5,
+//! [`Supervisor::add_principal`]) — and two things the paper's FreeBSD box
+//! could not offer:
 //!
 //! * **event-driven exits** — the quantum sleep parks inside an
 //!   [`ExitWatcher`] (`pidfd_open` + epoll), so a member death is known
-//!   the moment it happens and its reap costs zero `/proc` syscalls (the
-//!   substrate short-circuits the read). On kernels without pidfd the
-//!   loop degrades to the original pure clock sleep;
+//!   the moment it happens and costs zero `/proc` syscalls (the substrate
+//!   short-circuits the read). On kernels without pidfd the loop degrades
+//!   to the original pure clock sleep;
 //! * **a choice of actuator** ([`ActuatorMode`]) — classic
 //!   `SIGSTOP`/`SIGCONT`, or cgroup-v2 `cpu.weight` / `cpu.max` writes
 //!   through [`CgroupSubstrate`] when the host delegates a subtree
 //!   ([`Supervisor::with_actuator`]).
+//!
+//! Both, and hardening ([`Supervisor::hardened`]), apply to every member:
+//! a group's joiners are enrolled with the actuator and watched exactly as
+//! [`Supervisor::add_process`] enrols a process.
 //!
 //! ```no_run
 //! use alps_core::{AlpsConfig, Nanos};
@@ -113,11 +120,12 @@ impl ActuatorSubstrate {
         }
     }
 
-    /// Cleanup after the engine reaped an *exited* member. Signals only
-    /// drop the stat descriptor (still held if the watcher reported the
-    /// death, since then nothing read it) and never signal a reaped —
-    /// possibly recycled — pid; for cgroups the empty leaf is torn down.
-    fn cleanup_reaped(&mut self, pid: i32) {
+    /// Stop holding a member that exited, or that left its group after
+    /// its reconciliation signal. Signals only drop the stat descriptor
+    /// (still held if the watcher reported the death, since then nothing
+    /// read it) and never signal a reaped — possibly recycled — pid; for
+    /// cgroups the leaf is released and torn down.
+    fn let_go(&mut self, pid: i32) {
         self.dead.remove(&pid);
         match &mut self.inner {
             Inner::Signals(s) => s.forget(pid),
@@ -209,12 +217,35 @@ impl Substrate for ActuatorSubstrate {
     }
 }
 
+/// Where a group's member pids come from at each refresh.
+#[derive(Debug, Clone)]
+pub enum Membership {
+    /// All processes owned by this uid (the paper's per-user principals).
+    Uid(u32),
+    /// An explicit pid list, updatable via [`Supervisor::set_members`].
+    Pids(Vec<i32>),
+}
+
+/// A group: where its pids come from, and which of them are enrolled with
+/// the actuator and watched on its behalf. That is its engine member set
+/// except for a member quarantined since the last refresh.
+#[derive(Debug)]
+struct Group {
+    id: ProcId,
+    source: Membership,
+    enrolled: Vec<i32>,
+}
+
 /// A user-level proportional-share scheduler for real processes.
 #[derive(Debug)]
 pub struct Supervisor {
     engine: Engine<i32>,
-    /// core id ↔ kernel pid, in registration order.
+    /// Fixed processes: core id ↔ kernel pid, in registration order.
     procs: Vec<(ProcId, i32)>,
+    groups: Vec<Group>,
+    refresh_period: Nanos,
+    next_refresh: Nanos,
+    refreshes: u64,
     sub: ActuatorSubstrate,
     /// pidfd exit notification; `None` degrades to pure clock sleeps.
     watcher: Option<ExitWatcher>,
@@ -234,6 +265,11 @@ impl Supervisor {
         Supervisor {
             engine,
             procs: Vec::new(),
+            groups: Vec::new(),
+            // The paper refreshed membership once per second.
+            refresh_period: Nanos::SECOND,
+            next_refresh: Nanos::ZERO,
+            refreshes: 0,
             sub: ActuatorSubstrate {
                 inner,
                 dead: HashSet::new(),
@@ -246,7 +282,7 @@ impl Supervisor {
     }
 
     /// Create a supervisor with no controlled processes, actuating with
-    /// classic job-control signals.
+    /// classic job-control signals and refreshing groups once a second.
     pub fn new(cfg: AlpsConfig) -> Self {
         Supervisor::build(cfg, None, Inner::Signals(OsSubstrate::new()))
     }
@@ -295,6 +331,13 @@ impl Supervisor {
         Ok(Supervisor::build(cfg, policy, inner))
     }
 
+    /// Refresh each group's membership every `period` instead of every
+    /// second.
+    pub fn with_refresh_period(mut self, period: Duration) -> Self {
+        self.refresh_period = period.into();
+        self
+    }
+
     /// The actuator this supervisor enforces with.
     pub fn actuator(&self) -> ActuatorMode {
         self.sub.mode()
@@ -339,47 +382,113 @@ impl Supervisor {
         }
         let id = self.engine.add_member(pid, share, obs.total_cpu);
         self.procs.push((id, pid));
+        self.watch(pid);
+        Ok(id)
+    }
+
+    /// Schedule a group of processes as one principal with `share`. Its
+    /// members are discovered, enrolled and — it starts ineligible —
+    /// suspended at the next quantum's refresh, and re-resolved every
+    /// refresh period from then on.
+    pub fn add_principal(&mut self, share: u64, membership: Membership) -> ProcId {
+        let id = self.engine.add_principal(share);
+        self.groups.push(Group {
+            id,
+            source: membership,
+            enrolled: Vec::new(),
+        });
+        self.next_refresh = Nanos::ZERO;
+        id
+    }
+
+    /// Replace the pid list of a [`Membership::Pids`] group, applied at
+    /// the next refresh. Returns `false`, changing nothing, for a
+    /// [`Membership::Uid`] group or an unknown id.
+    pub fn set_members(&mut self, id: ProcId, pids: Vec<i32>) -> bool {
+        match self.groups.iter_mut().find(|g| g.id == id) {
+            Some(Group {
+                source: Membership::Pids(list),
+                ..
+            }) => {
+                *list = pids;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Current members of a principal.
+    pub fn members(&self, id: ProcId) -> Option<Vec<i32>> {
+        self.engine.members(id)
+    }
+
+    /// Group membership refreshes performed so far.
+    pub fn refreshes(&self) -> u64 {
+        self.refreshes
+    }
+
+    /// A watch failure is not worth failing registration over: degrade
+    /// the whole loop back to clock polling, which the read path handles
+    /// anyway.
+    fn watch(&mut self, pid: i32) {
         if let Some(w) = &mut self.watcher {
-            // A watch failure is not worth failing registration over:
-            // degrade the whole loop back to clock polling, which the
-            // read path handles anyway.
             if w.watch(pid).is_err() {
                 self.watcher = None;
             }
         }
-        Ok(id)
     }
 
-    /// Release a process from control (and resume it if suspended).
+    fn unwatch(&mut self, pid: i32) {
+        if let Some(w) = &mut self.watcher {
+            w.unwatch(pid);
+        }
+    }
+
+    /// Release a fixed process, or a group and all its members, from
+    /// control (resuming whatever is suspended).
     ///
-    /// On failure (e.g. a transient cgroupfs write error) nothing is
-    /// torn down: the process stays fully managed — engine state, pid
-    /// table, and exit watch intact — so the call can simply be retried.
+    /// On failure (e.g. a transient cgroupfs write error) nothing more is
+    /// torn down: what is still managed stays fully managed — engine
+    /// state, pid table, and exit watch intact — so the call can simply
+    /// be retried.
     pub fn remove_process(&mut self, id: ProcId) -> Result<()> {
+        if let Some(g) = self.groups.iter().position(|g| g.id == id) {
+            while let Some(&pid) = self.groups[g].enrolled.last() {
+                self.sub.release(pid)?;
+                self.unwatch(pid);
+                self.groups[g].enrolled.pop();
+            }
+            self.groups.remove(g);
+            self.engine.remove_principal(id);
+            return Ok(());
+        }
         let Some(pid) = self.pid_of(id) else {
             // Stale handle: nothing is enrolled under it.
             self.engine.remove_principal(id);
             return Ok(());
         };
         self.sub.release(pid)?;
-        if let Some(w) = &mut self.watcher {
-            w.unwatch(pid);
-        }
+        self.unwatch(pid);
         self.engine.remove_principal(id);
         self.procs.retain(|&(i, _)| i != id);
         Ok(())
     }
 
-    /// Change a controlled process's share at runtime (e.g. when the
-    /// application's notion of the process's importance changes, as in the
-    /// adaptive-mesh scenario of the paper's introduction).
+    /// Change a principal's share at runtime (e.g. when the application's
+    /// notion of the process's importance changes, as in the adaptive-mesh
+    /// scenario of the paper's introduction).
     pub fn set_share(&mut self, id: ProcId, share: u64) -> Result<()> {
         match self.engine.set_share(id, share) {
             Ok(()) => {
+                // Keep the weight the cgroup backend restores on
+                // `continue` in step with the share, for every member.
                 if let Some(pid) = self.pid_of(id) {
-                    // Keep the weight the cgroup backend restores on
-                    // `continue` in step with the share.
                     self.sub.set_share(pid, share);
+                }
+                if let Some(g) = self.groups.iter().find(|g| g.id == id) {
+                    for &pid in &g.enrolled {
+                        self.sub.set_share(pid, share);
+                    }
                 }
                 Ok(())
             }
@@ -393,12 +502,12 @@ impl Supervisor {
         }
     }
 
-    /// The kernel pid of a controlled process.
+    /// The kernel pid of a fixed process.
     pub fn pid_of(&self, id: ProcId) -> Option<i32> {
         self.procs.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p)
     }
 
-    /// Registered `(ProcId, pid)` pairs in registration order.
+    /// Registered fixed `(ProcId, pid)` pairs in registration order.
     pub fn processes(&self) -> &[(ProcId, i32)] {
         &self.procs
     }
@@ -423,10 +532,67 @@ impl Supervisor {
         self.engine.scheduler()
     }
 
-    /// Sleep until the next quantum boundary, then run one scheduler
-    /// invocation. Returns the transitions that were applied (borrowed
-    /// from the engine's reusable buffer, so the steady-state loop
-    /// allocates nothing).
+    /// Re-resolve every group's pids: enrol and watch each joiner (taking
+    /// its baseline from the substrate, as [`Supervisor::add_process`]
+    /// does), hand the member set to the engine, deliver the change's
+    /// reconciliation signals, and let go of every pid no longer a member.
+    /// A pid another principal owns is skipped before enrolment, which
+    /// would move it out of its owner's cgroup leaf.
+    fn refresh(&mut self, sink: &mut dyn EventSink<i32>) -> Result<()> {
+        self.refreshes += 1;
+        let me = std::process::id() as i32;
+        for g in 0..self.groups.len() {
+            let id = self.groups[g].id;
+            let share = self.engine.share(id).unwrap_or(1);
+            let pids = match &self.groups[g].source {
+                Membership::Uid(uid) => proc::pids_of_uid(*uid).unwrap_or_default(),
+                Membership::Pids(pids) => pids.clone(),
+            };
+            let mut current = Vec::with_capacity(pids.len());
+            for pid in pids {
+                if pid == me || self.engine.principal_of(pid).is_some_and(|o| o != id) {
+                    continue;
+                }
+                if !self.groups[g].enrolled.contains(&pid) {
+                    if self.sub.enroll(pid, share).is_err() {
+                        continue; // gone already
+                    }
+                    self.groups[g].enrolled.push(pid);
+                    self.watch(pid);
+                }
+                // The reading is also the liveness check: an exited or
+                // unreadable pid is not a member this period.
+                if let Ok(Some(o)) = self.sub.read(pid) {
+                    current.push((pid, o.total_cpu));
+                }
+            }
+            if let Some(change) = self.engine.set_membership(id, &current) {
+                self.engine
+                    .apply_signals(&mut self.sub, &change.signals, sink)?;
+            }
+            // Ascending, so membership is a binary search.
+            let members = self.engine.members(id).unwrap_or_default();
+            let mut enrolled = std::mem::take(&mut self.groups[g].enrolled);
+            enrolled.retain(|&pid| {
+                let keep = members.binary_search(&pid).is_ok();
+                if !keep {
+                    if let Some(w) = &mut self.watcher {
+                        w.unwatch(pid);
+                    }
+                    self.sub.let_go(pid);
+                }
+                keep
+            });
+            self.groups[g].enrolled = enrolled;
+        }
+        Ok(())
+    }
+
+    /// Sleep until the next quantum boundary, refresh the groups if the
+    /// refresh period has elapsed, then run one scheduler invocation.
+    /// Returns the transitions that were applied (borrowed from the
+    /// engine's reusable buffer, so the steady-state loop allocates
+    /// nothing).
     pub fn run_quantum(&mut self) -> Result<&[Transition]> {
         self.run_quantum_with(&mut NullSink)
     }
@@ -466,9 +632,14 @@ impl Supervisor {
             next = deadline + q * (behind + 1);
         }
         self.next_deadline = Some(next);
+        if !self.groups.is_empty() && now >= self.next_refresh {
+            self.refresh(sink)?;
+            self.next_refresh = now + self.refresh_period;
+        }
         self.engine.run_quantum(&mut self.sub, sink)?;
         // Keep the pid table, the watcher, and the backend in sync with
-        // what the engine auto-reaped.
+        // what the engine auto-reaped (fixed processes only: the engine
+        // never tears a group down).
         let engine = &self.engine;
         let removed = &mut self.removed_buf;
         removed.clear();
@@ -481,10 +652,8 @@ impl Supervisor {
         });
         for i in 0..self.removed_buf.len() {
             let pid = self.removed_buf[i];
-            if let Some(w) = &mut self.watcher {
-                w.unwatch(pid);
-            }
-            self.sub.cleanup_reaped(pid);
+            self.unwatch(pid);
+            self.sub.let_go(pid);
         }
         Ok(self.engine.last_transitions())
     }
@@ -509,11 +678,12 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Resume every controlled process (used on shutdown so nothing is
-    /// left frozen or capped).
+    /// Resume every controlled process, fixed or group member (used on
+    /// shutdown so nothing is left frozen or capped).
     pub fn release_all(&mut self) {
-        for i in 0..self.procs.len() {
-            let pid = self.procs[i].1;
+        let fixed = self.procs.iter().map(|&(_, pid)| pid);
+        let grouped = self.groups.iter().flat_map(|g| g.enrolled.iter().copied());
+        for pid in fixed.chain(grouped) {
             let _ = self.sub.release(pid);
         }
     }
@@ -756,6 +926,146 @@ mod tests {
         let rec = &sup.cycles()[0];
         assert_eq!(rec.total_shares, 4);
         assert_eq!(rec.entries.len(), 2);
+    }
+
+    /// Summed CPU of a pid set.
+    fn cpu_of_all(pids: &[i32]) -> Nanos {
+        pids.iter().map(|&p| cpu_of(p)).sum()
+    }
+
+    #[test]
+    fn two_pid_groups_split_one_to_two() {
+        let pool_a = SpinnerPool::spawn(2).unwrap();
+        let pool_b = SpinnerPool::spawn(2).unwrap();
+        let cfg = AlpsConfig::new(Nanos::from_millis(20));
+        let mut sup = Supervisor::new(cfg);
+        let base_a = cpu_of_all(&pool_a.pids());
+        let base_b = cpu_of_all(&pool_b.pids());
+        sup.add_principal(1, Membership::Pids(pool_a.pids()));
+        sup.add_principal(2, Membership::Pids(pool_b.pids()));
+        sup.run_for(Duration::from_secs(4)).unwrap();
+        sup.release_all();
+        let ca = (cpu_of_all(&pool_a.pids()) - base_a).as_secs_f64();
+        let cb = (cpu_of_all(&pool_b.pids()) - base_b).as_secs_f64();
+        assert!(ca > 0.0 && cb > 0.0);
+        let ratio = cb / ca;
+        assert!(
+            (1.2..=3.2).contains(&ratio),
+            "expected ~2.0 between groups, got {cb:.2}/{ca:.2} = {ratio:.2}"
+        );
+        assert!(sup.refreshes() >= 1);
+    }
+
+    #[test]
+    fn membership_update_is_applied() {
+        let pool = SpinnerPool::spawn(2).unwrap();
+        let pids = pool.pids();
+        let cfg = AlpsConfig::new(Nanos::from_millis(10));
+        let mut sup = Supervisor::new(cfg).with_refresh_period(Duration::from_millis(100));
+        let a = sup.add_principal(1, Membership::Pids(vec![pids[0]]));
+        sup.run_for(Duration::from_millis(300)).unwrap();
+        assert_eq!(sup.members(a), Some(vec![pids[0]]));
+        assert!(sup.set_members(a, pids.clone()));
+        sup.run_for(Duration::from_millis(300)).unwrap();
+        let mut want = pids.clone();
+        want.sort_unstable();
+        assert_eq!(sup.members(a), Some(want));
+    }
+
+    #[test]
+    fn set_members_replaces_only_an_explicit_pid_list() {
+        let mut sup = Supervisor::new(AlpsConfig::default());
+        let by_uid = sup.add_principal(1, Membership::Uid(u32::MAX));
+        let by_pids = sup.add_principal(1, Membership::Pids(vec![]));
+        assert!(!sup.set_members(by_uid, vec![1]), "a uid group stays one");
+        assert!(matches!(sup.groups[0].source, Membership::Uid(u32::MAX)));
+        assert!(sup.set_members(by_pids, vec![7]));
+        assert!(matches!(&sup.groups[1].source, Membership::Pids(p) if p == &[7]));
+        sup.remove_process(by_pids).unwrap();
+        assert!(!sup.set_members(by_pids, vec![8]), "unknown id");
+    }
+
+    #[test]
+    fn a_live_pid_dropped_from_the_list_is_forgotten_at_the_next_refresh() {
+        let pool = SpinnerPool::spawn_sleepers(2).unwrap();
+        let pids = pool.pids();
+        let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false);
+        let mut sup = Supervisor::new(cfg).with_refresh_period(Duration::from_millis(50));
+        let a = sup.add_principal(1, Membership::Pids(pids.clone()));
+        // Joiners are enrolled, and their descriptors opened, by the
+        // refresh that admits them.
+        sup.run_quantum().unwrap();
+        assert_eq!(held(&sup), 2);
+        sup.set_members(a, vec![pids[0]]);
+        let refreshes = sup.refreshes();
+        while sup.refreshes() == refreshes {
+            sup.run_quantum().unwrap();
+        }
+        assert_eq!(sup.members(a), Some(vec![pids[0]]));
+        assert!(crate::signal::alive(pids[1]), "the dropped pid lives on");
+        assert_eq!(held(&sup), 1);
+    }
+
+    #[test]
+    fn a_killed_group_member_is_reported_by_the_watcher_and_let_go_at_the_refresh() {
+        let pool = SpinnerPool::spawn_sleepers(2).unwrap();
+        let pids = pool.pids();
+        let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false);
+        let mut sup = Supervisor::new(cfg).with_refresh_period(Duration::from_millis(300));
+        assert!(sup.event_driven(), "pidfd watcher active on Linux >= 5.3");
+        let a = sup.add_principal(1, Membership::Pids(pids.clone()));
+        sup.run_quantum().unwrap();
+        assert_eq!(held(&sup), 2);
+        let watched = |sup: &Supervisor| sup.watcher.as_ref().map(ExitWatcher::watched);
+        assert_eq!(watched(&sup), Some(2));
+        signal::sigkill(pids[0]).unwrap();
+        let refreshes = sup.refreshes();
+        let reported = (0..10).any(|_| {
+            sup.run_quantum().unwrap();
+            sup.sub.dead.contains(&pids[0])
+        });
+        assert!(reported, "the watcher reports the death within a quantum");
+        assert_eq!(sup.refreshes(), refreshes, "no refresh yet");
+        assert_eq!(sup.members(a).map(|m| m.len()), Some(2), "still listed");
+        while sup.refreshes() == refreshes {
+            sup.run_quantum().unwrap();
+        }
+        assert_eq!(sup.members(a), Some(vec![pids[1]]));
+        assert_eq!(held(&sup), 1, "its descriptor is released");
+        assert_eq!(watched(&sup), Some(1));
+        assert!(sup.sub.dead.is_empty());
+        assert_eq!(sup.stats().reaped, 0, "a group is never reaped");
+    }
+
+    #[test]
+    fn a_hardened_supervisor_runs_a_pid_group() {
+        let pool_a = SpinnerPool::spawn(1).unwrap();
+        let pool_b = SpinnerPool::spawn(2).unwrap();
+        let mut sup = Supervisor::hardened(
+            AlpsConfig::new(Nanos::from_millis(10)),
+            alps_core::HardenConfig::default(),
+        )
+        .with_refresh_period(Duration::from_millis(200));
+        let base_a = cpu_of_all(&pool_a.pids());
+        let base_b = cpu_of_all(&pool_b.pids());
+        let a = sup.add_principal(1, Membership::Pids(pool_a.pids()));
+        let b = sup.add_principal(3, Membership::Pids(pool_b.pids()));
+        sup.run_for(Duration::from_secs(2)).unwrap();
+        // One of b's members dies mid-run; the loop keeps going.
+        signal::sigkill(pool_b.pids()[0]).unwrap();
+        sup.run_for(Duration::from_millis(500)).unwrap();
+        sup.release_all();
+        assert_eq!(sup.members(a), Some(pool_a.pids()));
+        assert_eq!(sup.members(b), Some(vec![pool_b.pids()[1]]));
+        let ca = (cpu_of_all(&pool_a.pids()) - base_a).as_secs_f64();
+        let cb = (cpu_of_all(&pool_b.pids()) - base_b).as_secs_f64();
+        let ratio = cb / ca.max(1e-9);
+        assert!(
+            (1.5..=6.0).contains(&ratio),
+            "want ~3.0 between groups, got {cb:.2}/{ca:.2} = {ratio:.2}"
+        );
+        let stats = sup.stats();
+        assert_eq!((stats.read_faults, stats.quarantined), (0, 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! keeps the machine saturated, and an [`alps_core::SloController`]
 //! observes each tenant's windowed p95 every control period and nudges
 //! its ALPS share toward its SLO target via
-//! [`PrincipalAlpsHandle::adjust_share`].
+//! [`AlpsHandle::adjust_share`](crate::AlpsHandle::adjust_share).
 //!
 //! The operating regime is deliberate. Each tenant is *overloaded*
 //! (offered load exceeds its CPU fraction) with a bounded queue, so its
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use workloads::{Arrivals, BestEffort, OpenLoop, Tenant, Workload};
 
 use crate::cost::CostModel;
-use crate::principal_runner::{spawn_alps_principals, MemberList};
+use crate::runner::{spawn_alps_principals, MemberList};
 
 /// One latency-sensitive tenant of the scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -280,7 +280,7 @@ pub fn run_slo(p: &SloParams) -> SloResult {
         &groups,
         p.refresh,
     );
-    let ids = alps.principal_ids();
+    let ids = alps.proc_ids();
     let tenant_ids = &ids[..p.tenants.len()];
 
     let controller = SloController::new(

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use workloads::{Site, Tenant, Workload};
 
 use crate::cost::CostModel;
-use crate::principal_runner::{spawn_alps_principals, MemberList};
+use crate::runner::{spawn_alps_principals, MemberList};
 
 /// Parameters of the web-server experiment.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]

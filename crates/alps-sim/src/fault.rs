@@ -1,7 +1,7 @@
 //! Fault injection at the [`Substrate`] boundary.
 //!
 //! [`FaultySubstrate`] wraps any substrate and corrupts its answers
-//! according to a seeded [`FaultPlan`](kernsim::FaultPlan): signal
+//! according to a seeded [`FaultPlan`]: signal
 //! deliveries are silently dropped or deferred to the next quantum
 //! boundary, CPU-time reads fail outright or return the previous
 //! observation, and the clock jitters. Because the plan's decision stream

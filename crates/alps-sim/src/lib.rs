@@ -14,9 +14,9 @@
 //!
 //! * [`cost`] — the Table-1 cost model;
 //! * [`substrate`] — the simulator as an engine substrate;
-//! * [`runner`] — per-process ALPS ([`runner::spawn_alps`]);
-//! * [`principal_runner`] — per-user (§5) ALPS
-//!   ([`principal_runner::spawn_alps_principals`]);
+//! * [`runner`] — the ALPS process, over fixed processes
+//!   ([`runner::spawn_alps`]) or per-user groups (§5,
+//!   [`runner::spawn_alps_principals`]);
 //! * [`experiments`] — drivers for every figure and table.
 //!
 //! ## Example: impose 1:3 scheduling on two compute-bound processes
@@ -43,12 +43,10 @@
 pub mod cost;
 pub mod experiments;
 pub mod fault;
-pub mod principal_runner;
 pub mod runner;
 pub mod substrate;
 
 pub use cost::CostModel;
 pub use fault::{Faulty, FaultySubstrate};
-pub use principal_runner::{spawn_alps_principals, MemberList, PrincipalAlpsHandle};
-pub use runner::{spawn_alps, AlpsHandle};
+pub use runner::{spawn_alps, spawn_alps_principals, AlpsHandle, MemberList};
 pub use substrate::SimSubstrate;

@@ -10,21 +10,35 @@
 //! between the engine's stages. The returned [`AlpsHandle`] lets the
 //! experiment driver inspect the algorithm state and harvest per-cycle
 //! records afterwards.
+//!
+//! [`spawn_alps_principals`] runs the same process over *groups* (§5): the
+//! web-server experiment schedules users, not processes, and refreshes
+//! each user's membership once per second (the paper used `kvm_getprocs`
+//! to list a user's pids), paying a process-table scan per refresh.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use alps_core::{
-    AlpsConfig, CycleRecord, Engine, EngineStats, Instrumentation, Nanos, NullSink, ProcId,
+    AlpsConfig, CycleRecord, Engine, EngineStats, Instrumentation, Nanos, NullSink, ProcId, StaleId,
 };
 use kernsim::{Behavior, Pid, Sim, SimCtl, Step};
 
 use crate::cost::CostModel;
 use crate::substrate::SimSubstrate;
 
+/// Where a group's membership comes from: the driver owns the
+/// authoritative pid list (in the real system this is "all processes of
+/// uid X"), and may mutate it between `run_until` calls; the runner
+/// re-reads it every refresh period.
+pub type MemberList = Rc<RefCell<Vec<Pid>>>;
+
 #[derive(Debug)]
 struct Shared {
     engine: Engine<Pid>,
+    /// Each group and the list its membership is refreshed from.
+    groups: Vec<(ProcId, MemberList)>,
+    refreshes: u64,
 }
 
 /// Driver-side handle to a spawned ALPS instance.
@@ -53,12 +67,13 @@ impl AlpsHandle {
     }
 
     /// The core [`ProcId`]s in registration order (parallel to the pid
-    /// slice passed to [`spawn_alps`]).
+    /// slice passed to [`spawn_alps`], or to the groups passed to
+    /// [`spawn_alps_principals`]).
     pub fn proc_ids(&self) -> Vec<ProcId> {
         self.shared.borrow().engine.proc_ids()
     }
 
-    /// Current allowance of a controlled process, in quanta.
+    /// Current allowance of a principal, in quanta.
     pub fn allowance(&self, id: ProcId) -> Option<f64> {
         self.shared.borrow().engine.allowance(id)
     }
@@ -68,10 +83,31 @@ impl AlpsHandle {
         self.shared.borrow().engine.invocations()
     }
 
-    /// Change a controlled process's share at runtime (e.g. when a mesh
-    /// region refines in the paper's scientific-application scenario).
-    pub fn set_share(&self, id: ProcId, share: u64) -> Result<(), alps_core::StaleId> {
+    /// A principal's current share.
+    pub fn share(&self, id: ProcId) -> Option<u64> {
+        self.shared.borrow().engine.share(id)
+    }
+
+    /// Change a principal's share at runtime (e.g. when a mesh region
+    /// refines in the paper's scientific-application scenario).
+    pub fn set_share(&self, id: ProcId, share: u64) -> Result<(), StaleId> {
         self.shared.borrow_mut().engine.set_share(id, share)
+    }
+
+    /// Change a principal's share mid-run — the SLO controller's actuator.
+    /// Unlike [`Self::set_share`] it is counted and narrated by the
+    /// engine; a no-op (same share) leaves the engine's event stream and
+    /// counters untouched.
+    pub fn adjust_share(&self, id: ProcId, share: u64) -> Result<(), StaleId> {
+        self.shared
+            .borrow_mut()
+            .engine
+            .adjust_share(id, share, &mut NullSink)
+    }
+
+    /// Group membership refreshes performed.
+    pub fn refreshes(&self) -> u64 {
+        self.shared.borrow().refreshes
     }
 }
 
@@ -89,7 +125,44 @@ enum Phase {
 struct AlpsBehavior {
     shared: Rc<RefCell<Shared>>,
     cost: CostModel,
+    /// The group refresh period; `None` when there are no groups.
+    refresh_period: Option<Nanos>,
+    next_refresh: Nanos,
     phase: Phase,
+    name: &'static str,
+}
+
+impl AlpsBehavior {
+    /// Re-read each group's member list; returns the extra CPU cost of the
+    /// process-table scan plus any reconciliation signals sent.
+    fn refresh_memberships(&mut self, ctl: &mut SimCtl<'_>) -> Nanos {
+        let mut shared = self.shared.borrow_mut();
+        let Shared {
+            engine,
+            groups,
+            refreshes,
+        } = &mut *shared;
+        *refreshes += 1;
+        let mut scanned = 0usize;
+        let mut signals = Vec::new();
+        for (id, members) in groups.iter() {
+            let current: Vec<(Pid, Nanos)> = members
+                .borrow()
+                .iter()
+                .copied()
+                .filter(|&p| !ctl.is_exited(p))
+                .map(|p| (p, ctl.cputime(p)))
+                .collect();
+            scanned += current.len();
+            if let Some(change) = engine.set_membership(*id, &current) {
+                signals.extend(change.signals);
+            }
+        }
+        engine
+            .apply_signals(&mut SimSubstrate::new(ctl), &signals, &mut NullSink)
+            .unwrap();
+        self.cost.measure(scanned) + self.cost.signals(signals.len())
+    }
 }
 
 impl Behavior for AlpsBehavior {
@@ -97,7 +170,9 @@ impl Behavior for AlpsBehavior {
         let mut sink = NullSink;
         match std::mem::replace(&mut self.phase, Phase::Waiting) {
             Phase::Init => {
-                // Registered processes start ineligible (§2.2): stop them.
+                // Registered processes start ineligible (§2.2): stop the
+                // fixed ones now; groups are still empty, and the first
+                // refresh stops their members.
                 let pids: Vec<Pid> = {
                     let shared = self.shared.borrow();
                     let engine = &shared.engine;
@@ -110,14 +185,27 @@ impl Behavior for AlpsBehavior {
                 for pid in pids {
                     ctl.sigstop(pid);
                 }
+                if let Some(period) = self.refresh_period {
+                    // Spawn-time setup is not charged as overhead.
+                    let _ = self.refresh_memberships(ctl);
+                    self.next_refresh = ctl.now() + period;
+                }
                 ctl.set_interval_timer(self.shared.borrow().engine.quantum());
                 self.phase = Phase::Waiting;
                 Step::AwaitTimer
             }
             Phase::Waiting => {
-                // Timer expired: begin an invocation. The due list (held in
-                // the engine's reusable buffer) and its measurement cost are
-                // known before any reads happen.
+                // Timer expired: refresh the groups if one is due, then
+                // begin an invocation. The due list (held in the engine's
+                // reusable buffer) and its measurement cost are known
+                // before any reads happen.
+                let mut work = self.cost.timer_event;
+                if let Some(period) = self.refresh_period {
+                    if ctl.now() >= self.next_refresh {
+                        work += self.refresh_memberships(ctl);
+                        self.next_refresh = ctl.now() + period;
+                    }
+                }
                 let to_read = {
                     let mut shared = self.shared.borrow_mut();
                     shared
@@ -125,7 +213,7 @@ impl Behavior for AlpsBehavior {
                         .begin_quantum(&mut SimSubstrate::new(ctl), &mut sink)
                         .unwrap()
                 };
-                let work = self.cost.timer_event + self.cost.measure(to_read);
+                work += self.cost.measure(to_read);
                 self.phase = Phase::Measuring;
                 Step::Compute(work.max(Nanos::from_nanos(1)))
             }
@@ -162,7 +250,7 @@ impl Behavior for AlpsBehavior {
     }
 
     fn name(&self) -> &str {
-        "alps"
+        self.name
     }
 }
 
@@ -177,6 +265,40 @@ pub fn spawn_alps(
     cost: CostModel,
     procs: &[(Pid, u64)],
 ) -> AlpsHandle {
+    spawn(sim, name.into(), cfg, cost, procs, &[], None)
+}
+
+/// Spawn an ALPS scheduler process controlling `(share, member-list)`
+/// groups, each refreshed from its list every `refresh_period`.
+pub fn spawn_alps_principals(
+    sim: &mut Sim,
+    name: impl Into<String>,
+    cfg: AlpsConfig,
+    cost: CostModel,
+    groups: &[(u64, MemberList)],
+    refresh_period: Nanos,
+) -> AlpsHandle {
+    assert!(refresh_period > Nanos::ZERO);
+    spawn(
+        sim,
+        name.into(),
+        cfg,
+        cost,
+        &[],
+        groups,
+        Some(refresh_period),
+    )
+}
+
+fn spawn(
+    sim: &mut Sim,
+    name: String,
+    cfg: AlpsConfig,
+    cost: CostModel,
+    procs: &[(Pid, u64)],
+    groups: &[(u64, MemberList)],
+    refresh_period: Option<Nanos>,
+) -> AlpsHandle {
     // The engine's CPU-count annotation always reflects the machine it
     // actually governs.
     let cfg = cfg.with_cpus(std::num::NonZeroUsize::new(sim.cpus()).expect("at least one CPU"));
@@ -186,11 +308,26 @@ pub fn spawn_alps(
     for &(pid, share) in procs {
         engine.add_member(pid, share, sim.proc(pid).unwrap().cputime());
     }
-    let shared = Rc::new(RefCell::new(Shared { engine }));
+    let groups = groups
+        .iter()
+        .map(|(share, members)| (engine.add_principal(*share), Rc::clone(members)))
+        .collect();
+    let shared = Rc::new(RefCell::new(Shared {
+        engine,
+        groups,
+        refreshes: 0,
+    }));
     let behavior = AlpsBehavior {
         shared: Rc::clone(&shared),
         cost,
+        refresh_period,
+        next_refresh: Nanos::ZERO,
         phase: Phase::Init,
+        name: if refresh_period.is_some() {
+            "alps-principal"
+        } else {
+            "alps"
+        },
     };
     let pid = sim.spawn(name, Box::new(behavior));
     AlpsHandle { pid, shared }
@@ -371,5 +508,129 @@ mod tests {
         sim.run_until(Nanos::from_millis(40));
         assert!(!sim.proc(a).unwrap().is_stopped());
         assert!(sim.proc(a).unwrap().cputime() > Nanos::ZERO);
+    }
+
+    #[test]
+    fn principals_get_proportional_cpu() {
+        let mut sim = Sim::new(SimConfig::default());
+        // Two "users" with two compute-bound processes each, shares 1:3.
+        let mk_group = |sim: &mut Sim, tag: &str| -> MemberList {
+            let pids: Vec<Pid> = (0..2)
+                .map(|i| sim.spawn(format!("{tag}{i}"), Box::new(ComputeBound)))
+                .collect();
+            Rc::new(RefCell::new(pids))
+        };
+        let ga = mk_group(&mut sim, "a");
+        let gb = mk_group(&mut sim, "b");
+        let cfg = AlpsConfig::new(Nanos::from_millis(20));
+        let _alps = spawn_alps_principals(
+            &mut sim,
+            "alps",
+            cfg,
+            CostModel::paper(),
+            &[(1, Rc::clone(&ga)), (3, Rc::clone(&gb))],
+            Nanos::SECOND,
+        );
+        sim.run_until(Nanos::from_secs(40));
+        let sum = |g: &MemberList| -> f64 {
+            g.borrow()
+                .iter()
+                .map(|&p| sim.proc(p).unwrap().cputime().as_secs_f64())
+                .sum()
+        };
+        let (ca, cb) = (sum(&ga), sum(&gb));
+        let ratio = cb / ca;
+        assert!((ratio - 3.0).abs() < 0.25, "expected 3:1, got {ratio:.3}");
+    }
+
+    #[test]
+    fn exited_members_are_skipped_without_charge() {
+        use workloads::FiniteJob;
+        let mut sim = Sim::new(SimConfig::default());
+        let short = sim.spawn("short", Box::new(FiniteJob::new(Nanos::from_millis(100))));
+        let long = sim.spawn("long", Box::new(ComputeBound));
+        let other = sim.spawn("other", Box::new(ComputeBound));
+        let ga: MemberList = Rc::new(RefCell::new(vec![short, long]));
+        let gb: MemberList = Rc::new(RefCell::new(vec![other]));
+        let cfg = AlpsConfig::new(Nanos::from_millis(10));
+        let alps = spawn_alps_principals(
+            &mut sim,
+            "alps",
+            cfg,
+            CostModel::paper(),
+            &[(1, Rc::clone(&ga)), (1, Rc::clone(&gb))],
+            Nanos::SECOND,
+        );
+        sim.run_until(Nanos::from_secs(10));
+        assert!(sim.proc(short).unwrap().is_exited());
+        // Group totals still split ~1:1 after the exit (the refresh drops
+        // the dead member; the live one inherits the group's share).
+        let ca =
+            (sim.proc(short).unwrap().cputime() + sim.proc(long).unwrap().cputime()).as_secs_f64();
+        let cb = sim.proc(other).unwrap().cputime().as_secs_f64();
+        assert!((ca / cb - 1.0).abs() < 0.15, "split {ca:.2}:{cb:.2}");
+        assert!(alps.refreshes() >= 9);
+    }
+
+    #[test]
+    fn refresh_scan_is_charged_as_cpu() {
+        // Identical workloads, one with a 100ms refresh and one with a 10s
+        // refresh: the frequent scanner must burn measurably more CPU.
+        let run = |refresh: Nanos| {
+            let mut sim = Sim::new(SimConfig::default());
+            let members: Vec<Pid> = (0..60)
+                .map(|i| sim.spawn(format!("w{i}"), Box::new(ComputeBound)))
+                .collect();
+            let g: MemberList = Rc::new(RefCell::new(members));
+            let g2: MemberList = Rc::new(RefCell::new(Vec::new()));
+            let alps = spawn_alps_principals(
+                &mut sim,
+                "alps",
+                AlpsConfig::new(Nanos::from_millis(100)),
+                CostModel::paper(),
+                &[(1, g), (1, g2)],
+                refresh,
+            );
+            sim.run_until(Nanos::from_secs(30));
+            sim.proc(alps.pid).unwrap().cputime()
+        };
+        let frequent = run(Nanos::from_millis(100));
+        let rare = run(Nanos::from_secs(10));
+        assert!(
+            frequent > rare + Nanos::from_millis(5),
+            "frequent {frequent} vs rare {rare}"
+        );
+    }
+
+    #[test]
+    fn membership_change_is_picked_up_at_refresh() {
+        let mut sim = Sim::new(SimConfig::default());
+        let a0 = sim.spawn("a0", Box::new(ComputeBound));
+        let b0 = sim.spawn("b0", Box::new(ComputeBound));
+        let ga: MemberList = Rc::new(RefCell::new(vec![a0]));
+        let gb: MemberList = Rc::new(RefCell::new(vec![b0]));
+        let cfg = AlpsConfig::new(Nanos::from_millis(10));
+        let alps = spawn_alps_principals(
+            &mut sim,
+            "alps",
+            cfg,
+            CostModel::paper(),
+            &[(1, Rc::clone(&ga)), (1, Rc::clone(&gb))],
+            Nanos::SECOND,
+        );
+        sim.run_until(Nanos::from_secs(5));
+        // A new process joins user A's pool mid-run.
+        let a1 = sim.spawn("a1", Box::new(ComputeBound));
+        ga.borrow_mut().push(a1);
+        let refreshes_before = alps.refreshes();
+        sim.run_until(Nanos::from_secs(15));
+        assert!(alps.refreshes() > refreshes_before);
+        // Group totals still split 1:1 (a0+a1 vs b0) after the join.
+        let ca = sim.proc(a0).unwrap().cputime() + sim.proc(a1).unwrap().cputime();
+        let cb = sim.proc(b0).unwrap().cputime();
+        let ratio = ca.as_secs_f64() / cb.as_secs_f64();
+        assert!((ratio - 1.0).abs() < 0.15, "group split {ratio}");
+        // And the joiner really did run.
+        assert!(sim.proc(a1).unwrap().cputime() > Nanos::from_millis(500));
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! Each module covers one slice of the paper: [`costs`] (Table 1),
 //! [`workload`] (Table 2, Figs. 4–5, the §3.2 and accounting ablations),
-//! [`io`] (Fig. 6, §2.4), [`multi`] (Fig. 7, Table 3), [`scalability`]
-//! (Figs. 8–9, §4.2, the stride baseline), [`web`] (§5), plus the
-//! [`batch`], [`bench`] (the committed kernsim scalability report),
-//! [`conformance`] (the spec-oracle differential, SMP-aware), [`smp`],
-//! [`slo`] (SLO-driven share feedback under open-loop overload),
-//! [`actuators`] (per-actuation-backend Figure-4 accuracy), and
-//! [`verify`] extensions. All commands keep their
+//! [`io`] (Fig. 6, §2.4), [`multi`] (Fig. 7, Table 3),
+//! [`scalability`](mod@scalability) (Figs. 8–9, §4.2, the stride
+//! baseline), [`web`] (§5), plus the [`batch`](mod@batch),
+//! [`bench`](mod@bench) (the committed kernsim scalability report),
+//! [`conformance`](mod@conformance) (the spec-oracle differential,
+//! SMP-aware), [`smp`](mod@smp), [`slo`](mod@slo) (SLO-driven share
+//! feedback under open-loop overload), [`actuators`](mod@actuators)
+//! (per-actuation-backend Figure-4 accuracy), and [`verify`](mod@verify)
+//! extensions. All commands keep their
 //! `commands::<name>()` paths via the re-exports below, so `main.rs` is
 //! oblivious to the file layout. Column alignment is shared in
 //! [`table::Table`].

@@ -61,5 +61,5 @@ pub use alps_core::{
     Instrumentation, IoPolicy, Nanos, NodeId, NullSink, Observation, PrincipalScheduler, ProcId,
     RecordingSink, ShareTree, Signal, Substrate, TraceSink, Transition,
 };
-pub use alps_os::{Membership, PrincipalSupervisor, SpinnerPool, Supervisor};
+pub use alps_os::{Membership, SpinnerPool, Supervisor};
 pub use alps_sim::{spawn_alps, spawn_alps_principals, AlpsHandle, CostModel};

@@ -31,6 +31,7 @@ fn engine_matches_the_oracle_flat_and_with_principals() {
     for (mode, instrumentation) in [
         (EngineMode::Flat, Instrumentation::Exact),
         (EngineMode::Principals, Instrumentation::Measured),
+        (EngineMode::Principals, Instrumentation::Exact),
     ] {
         for lazy in [true, false] {
             for seed in 0..8 {

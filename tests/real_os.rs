@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use alps::{AlpsConfig, Membership, Nanos, PrincipalSupervisor, SpinnerPool, Supervisor};
+use alps::{AlpsConfig, Membership, Nanos, SpinnerPool, Supervisor};
 
 fn cpu_of(pid: i32) -> Nanos {
     alps::os::read_stat(pid, alps::os::proc::ns_per_tick())
@@ -67,10 +67,8 @@ fn real_supervisor_survives_child_churn() {
 fn real_principals_split_by_group_share() {
     let pool_a = SpinnerPool::spawn(2).expect("spawn");
     let pool_b = SpinnerPool::spawn(1).expect("spawn");
-    let mut sup = PrincipalSupervisor::new(
-        AlpsConfig::new(Nanos::from_millis(20)),
-        Duration::from_millis(500),
-    );
+    let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(20)))
+        .with_refresh_period(Duration::from_millis(500));
     sup.add_principal(1, Membership::Pids(pool_a.pids()));
     sup.add_principal(3, Membership::Pids(pool_b.pids()));
     let before_a: f64 = pool_a.pids().iter().map(|&p| cpu_of(p).as_secs_f64()).sum();
