@@ -116,6 +116,23 @@ fn parse_spec(s: &str) -> Result<ShareSpec, ParseError> {
     })
 }
 
+const NS_PER_MS: u64 = 1_000_000;
+const NS_PER_S: u64 = 1_000_000_000;
+
+/// Parse a time value counted in units of `unit_ns` nanoseconds. A value
+/// whose nanosecond count does not fit in an `i64` (about 292 years) is
+/// rejected, so adding it to a clock reading cannot overflow.
+fn parse_time(what: &str, v: &str, unit_ns: u64) -> Result<u64, ParseError> {
+    let n: u64 = v
+        .parse()
+        .map_err(|_| ParseError(format!("bad {what} {v:?}")))?;
+    let max = i64::MAX as u64 / unit_ns;
+    if n > max {
+        return err(format!("{what} {v} is out of range (at most {max})"));
+    }
+    Ok(n)
+}
+
 /// Parse an argument vector (without the program name).
 pub fn parse(argv: &[String]) -> Result<Cmd, ParseError> {
     let mut it = argv.iter().peekable();
@@ -144,9 +161,7 @@ pub fn parse(argv: &[String]) -> Result<Cmd, ParseError> {
                 let v = it
                     .next()
                     .ok_or(ParseError("--quantum needs a value".into()))?;
-                opts.quantum_ms = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad quantum {v:?}")))?;
+                opts.quantum_ms = parse_time("quantum", v, NS_PER_MS)?;
                 if opts.quantum_ms == 0 {
                     return err("quantum must be positive");
                 }
@@ -155,18 +170,13 @@ pub fn parse(argv: &[String]) -> Result<Cmd, ParseError> {
                 let v = it
                     .next()
                     .ok_or(ParseError("--duration needs a value".into()))?;
-                opts.duration_s = Some(
-                    v.parse()
-                        .map_err(|_| ParseError(format!("bad duration {v:?}")))?,
-                );
+                opts.duration_s = Some(parse_time("duration", v, NS_PER_S)?);
             }
             "-r" | "--refresh" => {
                 let v = it
                     .next()
                     .ok_or(ParseError("--refresh needs a value".into()))?;
-                opts.refresh_s = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad refresh {v:?}")))?;
+                opts.refresh_s = parse_time("refresh", v, NS_PER_S)?;
                 if opts.refresh_s == 0 {
                     return err("refresh must be positive");
                 }
@@ -295,6 +305,23 @@ mod tests {
         assert!(parse(&v(&["run", "x:y", "1:z"])).is_err(), "bad share");
         assert!(parse(&v(&["run", "1:", "1:z"])).is_err(), "empty target");
         assert!(parse(&v(&["run", "-q", "0", "1:a", "1:b"])).is_err());
+    }
+
+    #[test]
+    fn rejects_time_values_past_i64_nanoseconds() {
+        // The largest values accepted: i64::MAX nanoseconds in ms and in s.
+        for (mode, flag, max) in [
+            ("run", "-q", 9_223_372_036_854u64),
+            ("run", "-d", 9_223_372_036),
+            ("user", "-r", 9_223_372_036),
+        ] {
+            let parse_at = |n: u64| parse(&v(&[mode, flag, &n.to_string(), "1:a", "1:b"]));
+            assert!(parse_at(max).is_ok(), "{flag} {max}");
+            for bad in [max + 1, u64::MAX] {
+                let e = parse_at(bad).unwrap_err();
+                assert!(e.0.contains("out of range"), "{flag} {bad}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -170,6 +170,19 @@ fn bad_share_spec_exits_2_with_usage() {
 }
 
 #[test]
+fn out_of_range_duration_exits_2_before_spawning() {
+    let out = alps()
+        .args(["run", "-d", "18446744073709551615", "1:true", "2:true"])
+        .output()
+        .expect("run alps");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("out of range"), "{err}");
+    assert!(err.contains("USAGE"), "{err}");
+    assert!(!err.contains("alps: pid"), "nothing may be spawned: {err}");
+}
+
+#[test]
 fn runtime_failure_exits_1_without_usage() {
     // Both pids missing: parse succeeds, execution fails.
     let out = alps()

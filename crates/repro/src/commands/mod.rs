@@ -5,7 +5,6 @@
 //! [`io`] (Fig. 6, §2.4), [`multi`] (Fig. 7, Table 3),
 //! [`scalability`](mod@scalability) (Figs. 8–9, §4.2, the stride
 //! baseline), [`web`] (§5), plus the [`batch`](mod@batch),
-//! [`bench`](mod@bench) (the committed kernsim scalability report),
 //! [`conformance`](mod@conformance) (the spec-oracle differential,
 //! SMP-aware), [`smp`](mod@smp), [`slo`](mod@slo) (SLO-driven share
 //! feedback under open-loop overload), [`actuators`](mod@actuators)
@@ -17,7 +16,6 @@
 
 mod actuators;
 mod batch;
-mod bench;
 mod conformance;
 mod costs;
 mod io;
@@ -32,7 +30,6 @@ mod workload;
 
 pub use actuators::actuators;
 pub use batch::batch;
-pub use bench::bench;
 pub use conformance::conformance;
 pub use costs::table1;
 pub use io::{fig6, io_policy};

@@ -1,8 +1,10 @@
 //! `repro` — regenerate every table and figure of the ALPS paper.
 //!
-//! Usage: `repro [--quick] <experiment>...` where experiments are any of
-//! `table1 table2 fig4 fig5 ablation fig6 io-policy fig7 table3 fig8 fig9
-//! thresholds websrv all`.
+//! Usage: `repro [--quick] [--threads N] [--cpus M] [--data <dir>]
+//! <experiment>...` where experiments are any of `table1 table2 fig4 fig5
+//! ablation accounting fig6 io-policy fig7 table3 fig8 fig9 thresholds
+//! websrv smp baseline batch conformance verify latency slo overload
+//! actuators all` (`all` runs every one but `conformance`).
 
 #![forbid(unsafe_code)]
 
@@ -11,24 +13,21 @@ mod output;
 
 use commands::Scale;
 
+const USAGE: &str = "\
+usage: repro [--quick] [--threads N] [--cpus M] [--data <dir>] <experiment>...
+experiments: table1 table2 fig4 fig5 ablation accounting fig6 io-policy
+             fig7 table3 fig8 fig9 thresholds websrv smp baseline batch
+             conformance verify latency slo overload actuators
+             all (every experiment above but conformance)
+--quick: shorter runs (fewer cycles/seeds) for smoke testing
+--threads N: sweep worker threads (1 = serial; default ALPS_THREADS or all cores)
+--cpus M: conformance only: drive the differential on an M-CPU accounting
+          substrate (default 1; M > 1 also byte-checks every run against
+          its 1-CPU baseline); ignored by every other experiment
+--data <dir>: also write gnuplot-ready .dat files";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: repro [--quick] [--threads N] <experiment>...\n\
-         experiments: table1 table2 fig4 fig5 ablation accounting fig6 io-policy\n\
-                      fig7 table3 fig8 fig9 thresholds websrv smp baseline batch bench\n\
-                      conformance latency slo overload actuators verify all\n\
-         --quick: shorter runs (fewer cycles/seeds) for smoke testing\n\
-         --threads N: sweep worker threads (1 = serial; default ALPS_THREADS or all cores)\n\
-         --cpus M: with `conformance`, drive the differential on an M-CPU\n\
-                   accounting substrate (default 1; M > 1 also byte-checks\n\
-                   every run against its 1-CPU baseline)\n\
-         --data <dir>: also write gnuplot-ready .dat files\n\
-         --check: with `bench`, run a fresh fast sweep and flag points that\n\
-                  drifted more than 10x from the committed report's trend\n\
-                  (exits 0 unless --strict; prints GitHub warning annotations)\n\
-         --strict: make `bench --check` exit 1 when any point is outside\n\
-                   tolerance (the default stays a soft gate)"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }
 
@@ -36,10 +35,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     args.retain(|a| a != "--quick");
-    let bench_check = args.iter().any(|a| a == "--check");
-    args.retain(|a| a != "--check");
-    let bench_strict = args.iter().any(|a| a == "--strict");
-    args.retain(|a| a != "--strict");
     let mut cpus = 1usize;
     if let Some(i) = args.iter().position(|a| a == "--cpus") {
         if i + 1 >= args.len() {
@@ -84,10 +79,7 @@ fn main() {
         args.drain(i..=i + 1);
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "usage: repro [--quick] [--threads N] [--data <dir>] <experiment>...\n\
-             run `repro all` for every table and figure; see DESIGN.md"
-        );
+        println!("{USAGE}");
         return;
     }
     if args.is_empty() {
@@ -142,7 +134,6 @@ fn main() {
             "smp" => commands::smp(),
             "baseline" => commands::baseline(&scale),
             "batch" => commands::batch(),
-            "bench" => commands::bench(bench_check, bench_strict),
             "conformance" => commands::conformance(quick, cpus),
             "verify" => commands::verify(),
             "latency" => commands::latency(&scale),

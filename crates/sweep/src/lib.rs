@@ -1,9 +1,9 @@
 //! Deterministic parallel sweep executor.
 //!
 //! Every multi-run code path in this repo — seed averaging, share-model ×
-//! N grids, the seven `repro verify` claims, the kernsim scalability
-//! bench — is a set of *independent* jobs: each one is a pure function of
-//! its parameters (every simulation builds its own `Sim` from a seed).
+//! N grids, the seven `repro verify` claims — is a set of *independent*
+//! jobs: each one is a pure function of its parameters (every simulation
+//! builds its own `Sim` from a seed).
 //! [`sweep_map`] fans such jobs across a pool of scoped worker threads
 //! and returns the results **in input order**, so the output of a sweep
 //! is byte-identical at any thread count; parallelism changes only the
