@@ -116,6 +116,10 @@ fn parse_spec(s: &str) -> Result<ShareSpec, ParseError> {
     })
 }
 
+/// The largest share total accepted: 2⁵³, the largest integer an `f64`
+/// allowance (and cycle length in quanta) holds exactly.
+const MAX_TOTAL_SHARES: u64 = 1 << 53;
+
 const NS_PER_MS: u64 = 1_000_000;
 const NS_PER_S: u64 = 1_000_000_000;
 
@@ -204,6 +208,15 @@ pub fn parse(argv: &[String]) -> Result<Cmd, ParseError> {
     }
     if opts.specs.len() < 2 {
         return err("need at least two SHARE:TARGET pairs (one has nothing to share against)");
+    }
+    let total = opts
+        .specs
+        .iter()
+        .try_fold(0u64, |sum, s| sum.checked_add(s.share));
+    if total.is_none_or(|t| t > MAX_TOTAL_SHARES) {
+        return err(format!(
+            "share total is out of range (at most {MAX_TOTAL_SHARES})"
+        ));
     }
     Ok(match mode.as_str() {
         "run" => Cmd::Run(opts),
@@ -321,6 +334,18 @@ mod tests {
                 let e = parse_at(bad).unwrap_err();
                 assert!(e.0.contains("out of range"), "{flag} {bad}: {e}");
             }
+        }
+    }
+
+    #[test]
+    fn rejects_share_totals_past_2_pow_53() {
+        let parse_shares =
+            |a: u64, b: u64| parse(&v(&["run", &format!("{a}:x"), &format!("{b}:y")]));
+        let max = 1u64 << 53;
+        assert!(parse_shares(max - 1, 1).is_ok(), "the bound itself");
+        for (a, b) in [(max, 1), (u64::MAX, 1), (u64::MAX, u64::MAX), (1, u64::MAX)] {
+            let e = parse_shares(a, b).unwrap_err();
+            assert!(e.0.contains("out of range"), "{a}+{b}: {e}");
         }
     }
 

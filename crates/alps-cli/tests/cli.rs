@@ -170,16 +170,21 @@ fn bad_share_spec_exits_2_with_usage() {
 }
 
 #[test]
-fn out_of_range_duration_exits_2_before_spawning() {
-    let out = alps()
-        .args(["run", "-d", "18446744073709551615", "1:true", "2:true"])
-        .output()
-        .expect("run alps");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("out of range"), "{err}");
-    assert!(err.contains("USAGE"), "{err}");
-    assert!(!err.contains("alps: pid"), "nothing may be spawned: {err}");
+fn out_of_range_values_exit_2_before_spawning() {
+    for argv in [
+        ["run", "-d", "18446744073709551615", "1:true", "2:true"], // duration past i64 ns
+        ["run", "-d", "1", "18446744073709551615:true", "1:true"], // share total past 2^53
+    ] {
+        let out = alps().args(argv).output().expect("run alps");
+        assert_eq!(out.status.code(), Some(2), "argv {argv:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("out of range"), "argv {argv:?}: {err}");
+        assert!(err.contains("USAGE"), "argv {argv:?}: {err}");
+        assert!(
+            !err.contains("alps: pid"),
+            "argv {argv:?}: nothing may be spawned: {err}"
+        );
+    }
 }
 
 #[test]

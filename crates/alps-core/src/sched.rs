@@ -149,13 +149,12 @@ struct Slot {
     /// Whether this slot has an entry in the `occupied` index (either
     /// live, or vacated and awaiting compaction).
     listed: bool,
-    /// Monotonic key minted when the slot was (re-)listed in `occupied`.
-    /// `occupied` is always sorted by it — fresh listings append with a
-    /// fresh maximal key, a reuse of a still-listed slot inherits the old
-    /// position (and key), and compaction preserves relative order — so
-    /// sorting *any* subset of slots by `order_key` reproduces the
-    /// occupied-slot walk's iteration order exactly.
-    order_key: u64,
+    /// The slot's index in `occupied` while `listed`: set when the slot is
+    /// appended, kept when a still-listed slot is reused, renumbered by
+    /// compaction. Registration order is therefore position order, so
+    /// marking any set of slots in a [`PosBitmap`] and draining it
+    /// reproduces the occupied-slot walk's iteration order exactly.
+    pos: u32,
     /// Nonce for deadline-wheel entries: an entry is live only while its
     /// recorded key matches. Bumped on every insertion and on removal, so
     /// superseded entries and entries from a previous tenant of a reused
@@ -224,8 +223,6 @@ pub struct AlpsScheduler {
     /// therefore examine. The off-boundary repartition walks
     /// `pending ∪ dirty` instead of every occupied slot.
     dirty: Vec<u32>,
-    /// Next [`Slot::order_key`] to mint.
-    next_order_key: u64,
     /// Number of currently eligible processes (the O(1) replacement for
     /// the liveness valve's full-occupied scan).
     eligible_count: usize,
@@ -233,6 +230,67 @@ pub struct AlpsScheduler {
     drain: Vec<WheelEntry>,
     /// Repartition examined-set scratch; empty between invocations.
     examined: Vec<u32>,
+    /// Due-set ordering scratch over `occupied` positions; filled and
+    /// drained within one call, so empty between calls (and a compaction
+    /// between `begin_quantum` and `complete_quantum` cannot stale it).
+    #[serde(skip)]
+    bits: PosBitmap,
+}
+
+/// A set of `occupied` positions that drains in ascending order: a
+/// counting sort for due sets. One bit per position, plus a summary bit
+/// per non-zero 64-bit word, so a drain costs O(members + capacity/4096).
+#[derive(Debug, Clone, Default)]
+struct PosBitmap {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl PosBitmap {
+    /// Make room for positions `0..n`. Only grows; O(1) when it fits.
+    fn fit(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+            self.summary.resize(words.div_ceil(64), 0);
+        }
+    }
+
+    fn insert(&mut self, pos: u32) {
+        let w = pos as usize / 64;
+        self.words[w] |= 1 << (pos % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Call `f` on every position in the set, ascending and each once,
+    /// leaving the set empty.
+    fn drain(&mut self, mut f: impl FnMut(u32)) {
+        for (s, summary) in self.summary.iter_mut().enumerate() {
+            let mut ws = std::mem::take(summary);
+            while ws != 0 {
+                let w = s * 64 + ws.trailing_zeros() as usize;
+                ws &= ws - 1;
+                let mut bits = std::mem::take(&mut self.words[w]);
+                while bits != 0 {
+                    f((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// `⌈a⌉` quanta as an invocation count, for any `a`: exactly
+/// `a.ceil().max(0.0) as u64` (NaN and negatives give 0, values past
+/// `u64::MAX` saturate), without the libm `ceil` call.
+#[inline]
+fn ceil_quanta(a: f64) -> u64 {
+    let t = a as u64; // truncates toward zero, saturating
+    if (t as f64) < a {
+        t.saturating_add(1)
+    } else {
+        t
+    }
 }
 
 impl AlpsScheduler {
@@ -258,10 +316,10 @@ impl AlpsScheduler {
             wheel,
             pending: Vec::new(),
             dirty: Vec::new(),
-            next_order_key: 0,
             eligible_count: 0,
             drain: Vec::new(),
             examined: Vec::new(),
+            bits: PosBitmap::default(),
         }
     }
 
@@ -382,18 +440,15 @@ impl AlpsScheduler {
         let id = if let Some(idx) = self.free.pop() {
             let idx = idx as usize;
             debug_assert!(self.slots[idx].state.is_none(), "free slot occupied");
-            let order_key = self.next_order_key;
             let slot = &mut self.slots[idx];
             slot.generation = slot.generation.wrapping_add(1);
             slot.state = Some(state);
             if !slot.listed {
                 // The vacated entry was compacted away; list the slot
                 // again. (If it is still listed, the old entry simply
-                // becomes live again at its original position, so it also
-                // keeps the position's order key.)
+                // becomes live again at its original position.)
                 slot.listed = true;
-                slot.order_key = order_key;
-                self.next_order_key += 1;
+                slot.pos = self.occupied.len() as u32;
                 self.occupied.push(idx as u32);
             } else {
                 self.vacated -= 1;
@@ -407,10 +462,9 @@ impl AlpsScheduler {
                 generation: 0,
                 state: Some(state),
                 listed: true,
-                order_key: self.next_order_key,
+                pos: self.occupied.len() as u32,
                 wheel_key: 0,
             });
-            self.next_order_key += 1;
             self.occupied.push((self.slots.len() - 1) as u32);
             ProcId {
                 idx: (self.slots.len() - 1) as u32,
@@ -448,12 +502,16 @@ impl AlpsScheduler {
         self.vacated += 1;
         if self.vacated * 2 > self.occupied.len() {
             let slots = &mut self.slots;
+            let mut pos = 0;
             self.occupied.retain(|&i| {
-                let keep = slots[i as usize].state.is_some();
-                if !keep {
-                    slots[i as usize].listed = false;
+                let slot = &mut slots[i as usize];
+                if slot.state.is_none() {
+                    slot.listed = false;
+                    return false;
                 }
-                keep
+                slot.pos = pos;
+                pos += 1;
+                true
             });
             self.vacated = 0;
         }
@@ -549,34 +607,39 @@ impl AlpsScheduler {
     ///
     /// With lazy measurement this pops the invocation's level-0
     /// deadline-wheel slot (after cascading any upper-level slot whose
-    /// window just opened) — O(due) plus at most one touch per wheel level
-    /// per parked slot over its whole wait. The eager baseline walks every
-    /// occupied slot. Both return ids in registration order.
+    /// window just opened) and orders the due slots by marking their
+    /// `occupied` positions in a bitmap — O(due + N/4096) plus at most one
+    /// touch per wheel level per parked slot over its whole wait. The eager
+    /// baseline walks every occupied slot. Both return ids in registration
+    /// order.
     pub fn begin_quantum_into(&mut self, due: &mut Vec<ProcId>) {
         due.clear();
         self.count += 1;
         let count = self.count;
         if self.use_wheel() {
+            // The due set is marked by `occupied` position in `bits` and
+            // read back in position (= registration) order at the end.
+            self.bits.fit(self.occupied.len());
             // Entries popped by an earlier `begin_quantum` whose invocation
             // was never completed are still due (only `complete_quantum`
             // reschedules); fold them back in before draining this bucket.
-            if !self.pending.is_empty() {
-                let carry = std::mem::take(&mut self.pending);
-                for idx in carry {
-                    let Some(s) = self.slots[idx as usize].state.as_ref() else {
-                        continue;
-                    };
-                    if !s.eligible {
-                        continue;
-                    }
-                    if s.update > count {
-                        let deadline = s.update;
-                        self.wheel_insert(idx, deadline);
-                    } else {
-                        self.pending.push(idx);
-                    }
+            for k in 0..self.pending.len() {
+                let idx = self.pending[k];
+                let slot = &self.slots[idx as usize];
+                let Some(s) = slot.state.as_ref() else {
+                    continue;
+                };
+                if !s.eligible {
+                    continue;
+                }
+                if s.update > count {
+                    let deadline = s.update;
+                    self.wheel_insert(idx, deadline);
+                } else {
+                    self.bits.insert(slot.pos);
                 }
             }
+            self.pending.clear();
             // Cascade: whenever the counter crosses a level-`l` window
             // boundary (its low `6·l` bits are zero), the upper-level slot
             // covering the next window spills downward — each entry refiles
@@ -632,27 +695,26 @@ impl AlpsScheduler {
                 if s.update > count {
                     self.wheel[Self::wheel_bucket(count, s.update)].push(e);
                 } else {
-                    self.pending.push(e.idx);
+                    self.bits.insert(slot.pos);
                 }
             }
             self.drain.clear();
-            // Report in registration order.
-            let slots = &self.slots;
-            self.pending
-                .sort_unstable_by_key(|&i| slots[i as usize].order_key);
-            self.pending.dedup();
-            due.extend(self.pending.iter().map(|&i| ProcId {
-                idx: i,
-                generation: slots[i as usize].generation,
-            }));
+            // Report in registration order, each slot once.
+            self.bits.drain(|p| {
+                let i = self.occupied[p as usize];
+                self.pending.push(i);
+                due.push(ProcId {
+                    idx: i,
+                    generation: self.slots[i as usize].generation,
+                });
+            });
         } else {
-            let lazy = self.cfg.lazy_measurement;
             for &i in &self.occupied {
                 let slot = &self.slots[i as usize];
                 let Some(s) = slot.state.as_ref() else {
                     continue;
                 };
-                if s.eligible && (!lazy || s.update <= count) {
+                if s.eligible {
                     due.push(ProcId {
                         idx: i,
                         generation: slot.generation,
@@ -770,12 +832,25 @@ impl AlpsScheduler {
             // registration order therefore emits exactly the transitions
             // and reschedules a walk of every occupied slot would.
             debug_assert!(self.examined.is_empty());
+            // `pending` is already in registration order (`begin_quantum`
+            // drained it from the bitmap, and compaction keeps relative
+            // order); only slots dirtied since need merging in. A slot
+            // vacated since needs no examination, and may have lost its
+            // position to compaction.
             std::mem::swap(&mut self.examined, &mut self.pending);
-            self.examined.append(&mut self.dirty);
-            let slots = &self.slots;
-            self.examined
-                .sort_unstable_by_key(|&i| slots[i as usize].order_key);
-            self.examined.dedup();
+            if !self.dirty.is_empty() {
+                self.bits.fit(self.occupied.len());
+                for &i in self.examined.iter().chain(&self.dirty) {
+                    let slot = &self.slots[i as usize];
+                    if slot.state.is_some() {
+                        self.bits.insert(slot.pos);
+                    }
+                }
+                self.examined.clear();
+                self.dirty.clear();
+                self.bits
+                    .drain(|p| self.examined.push(self.occupied[p as usize]));
+            }
             let mut k = 0;
             while k < self.examined.len() {
                 let i = self.examined[k] as usize;
@@ -850,14 +925,15 @@ impl AlpsScheduler {
             // A process with allowance a cannot become ineligible in
             // fewer than ⌈a⌉ quanta, so the next measurement can wait
             // that long (§2.3). Ineligible processes get update ≤ count
-            // and are re-examined as soon as they are eligible again.
-            let wait = s.allowance.ceil().max(0.0) as u64;
-            s.update = count + wait;
+            // and are re-examined as soon as they are eligible again. (A
+            // share near `u64::MAX` waits past the counter's range: the
+            // deadline saturates instead of wrapping into the past.)
+            s.update = count.saturating_add(ceil_quanta(s.allowance));
             if use_wheel && s.eligible {
                 // Index the new deadline (inlined `wheel_insert`; `s`
                 // holds a borrow into `slots`). Eligible implies
-                // allowance > 0, so `wait >= 1` and the deadline is in
-                // the future.
+                // allowance > 0, so `⌈allowance⌉ >= 1` and the deadline
+                // is in the future.
                 slot.wheel_key = slot.wheel_key.wrapping_add(1);
                 let key = slot.wheel_key;
                 wheel[Self::wheel_bucket(count, s.update)].push(WheelEntry { idx: i as u32, key });
@@ -1328,6 +1404,107 @@ mod tests {
         assert_eq!(due, vec![a], "due exactly at ceil(4.3)=5 quanta");
     }
 
+    #[test]
+    fn a_huge_share_saturates_its_deadline() {
+        // Allowance 2⁶⁴ quanta: `count + ⌈a⌉` overflowed (a debug panic; in
+        // release the deadline wrapped to 0 and the member was re-measured
+        // 64 quanta later, when its wheel bucket came round again).
+        let mut s = AlpsScheduler::new(cfg_ms(10));
+        let a = s.add_process(u64::MAX, Nanos::ZERO);
+        let out = quantum(&mut s, &[], Nanos::ZERO);
+        assert_eq!(out.transitions, vec![Transition::Resume(a)]);
+        assert_eq!(s.state(a).map(|p| p.update), Some(u64::MAX));
+        for k in 0..200 {
+            assert!(s.begin_quantum().is_empty(), "quantum {k}: not due");
+            s.complete_quantum(&[], Nanos::ZERO);
+        }
+    }
+
+    #[test]
+    fn ceil_quanta_matches_libm_ceil() {
+        let libm = |a: f64| a.ceil().max(0.0) as u64;
+        let two = |e: i32| 2f64.powi(e);
+        let mut cases = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            4.3,
+            -0.5,
+            -1.0,
+            -4.3,
+        ];
+        for e in [52, 53, 63, 64] {
+            for x in [two(e), -two(e)] {
+                cases.extend([x, x.next_down(), x.next_up()]);
+                cases.extend([x + 0.5, x - 0.5, x + 1.0, x - 1.0]);
+            }
+        }
+        for a in cases {
+            assert_eq!(ceil_quanta(a), libm(a), "a = {a:e} ({:#x})", a.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn ceil_quanta_matches_libm_ceil_on_any_bit_pattern(bits in proptest::prelude::any::<u64>()) {
+            let a = f64::from_bits(bits);
+            proptest::prop_assert_eq!(ceil_quanta(a), a.ceil().max(0.0) as u64);
+        }
+
+        /// Draining a position multiset yields it sorted and deduplicated
+        /// and leaves the bitmap empty, across the 64- and 4096-bit word
+        /// boundaries, for bitmaps reused over several rounds and grown
+        /// in between.
+        #[test]
+        fn pos_bitmap_drains_sorted_and_deduplicated(
+            rounds in proptest::collection::vec(
+                (1usize..10_000, proptest::collection::vec((0u32..10_000, 0u8..3), 0..300)),
+                1..4,
+            ),
+        ) {
+            let mut bits = PosBitmap::default();
+            for (n, picks) in rounds {
+                bits.fit(n);
+                // Each pick lands in `0..n`; `copies` inserts duplicates.
+                // The positions either side of each word boundary go in too.
+                let n32 = n as u32;
+                let picks = picks.into_iter().map(|(p, copies)| (p % n32, copies));
+                let edges = [0, 63, 64, 4095, 4096, n32 - 1].into_iter().filter(|&p| p < n32);
+                let mut inserted = Vec::new();
+                for (p, copies) in picks.chain(edges.map(|p| (p, 0))) {
+                    for _ in 0..=copies {
+                        bits.insert(p);
+                        inserted.push(p);
+                    }
+                }
+                let mut drained = Vec::new();
+                bits.drain(|p| drained.push(p));
+                inserted.sort_unstable();
+                inserted.dedup();
+                proptest::prop_assert_eq!(drained, inserted);
+                proptest::prop_assert!(
+                    bits.words.iter().chain(&bits.summary).all(|&w| w == 0),
+                    "bitmap not empty after a drain"
+                );
+            }
+        }
+    }
+
     /// Brute-force check that the slot indexes (`free`, `occupied`,
     /// `listed`, `vacated`) exactly summarize `slots`.
     fn assert_indexes_consistent(s: &AlpsScheduler) {
@@ -1384,11 +1561,15 @@ mod tests {
             s.vacated,
             s.occupied.len()
         );
+        for (pos, &idx) in s.occupied.iter().enumerate() {
+            assert_eq!(
+                s.slots[idx as usize].pos as usize, pos,
+                "slot {idx}: pos disagrees with its occupied index"
+            );
+        }
         assert!(
-            s.occupied
-                .windows(2)
-                .all(|w| s.slots[w[0] as usize].order_key < s.slots[w[1] as usize].order_key),
-            "occupied index not sorted by order_key"
+            s.bits.words.iter().chain(&s.bits.summary).all(|&w| w == 0),
+            "position bitmap not empty between calls"
         );
         let eligible = s
             .occupied

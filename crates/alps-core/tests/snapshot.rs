@@ -1,7 +1,7 @@
 //! Checkpoint/restore: a serialized scheduler must behave identically to
 //! the original after restore, mid-cycle state included.
 
-use alps_core::{AlpsConfig, AlpsScheduler, Nanos, Observation, ProcId};
+use alps_core::{AlpsConfig, AlpsScheduler, Nanos, Observation, ProcId, QuantumOutcome};
 
 fn obs(id: ProcId, ms: u64) -> (ProcId, Observation) {
     (
@@ -52,6 +52,88 @@ fn snapshot_round_trips_mid_cycle() {
         assert_eq!(out_o.transitions, out_r.transitions, "quantum {k}");
         assert_eq!(out_o.cycle_completed, out_r.cycle_completed, "quantum {k}");
     }
+}
+
+/// Leave, join and change share between `begin_quantum` and
+/// `complete_quantum`, so the off-boundary repartition merges dirtied
+/// slots into the due set.
+fn mid_quantum_churn(s: &mut AlpsScheduler, live: &mut Vec<ProcId>, k: u64) {
+    if k.is_multiple_of(3) && live.len() > 8 {
+        let id = live.remove(k as usize * 7 % live.len());
+        s.remove_process(id).expect("live id");
+    }
+    if k % 4 == 1 {
+        live.push(s.add_process(1 + k % 5, Nanos::from_millis(3 * k)));
+    }
+    if k % 5 == 2 {
+        let id = live[k as usize % live.len()];
+        s.set_share(id, 1 + k % 9).expect("live id");
+    }
+}
+
+/// Complete quantum `k`: every due member reports a cumulative CPU reading
+/// that grows with `k`.
+fn complete(s: &mut AlpsScheduler, due: &[ProcId], k: u64) -> QuantumOutcome {
+    let readings: Vec<_> = due
+        .iter()
+        .map(|&id| obs(id, 3 * k + id.index() as u64))
+        .collect();
+    s.complete_quantum(&readings, Nanos::from_millis(10 * k))
+}
+
+fn churn_quantum(
+    s: &mut AlpsScheduler,
+    live: &mut Vec<ProcId>,
+    k: u64,
+) -> (Vec<ProcId>, QuantumOutcome) {
+    let due = s.begin_quantum();
+    mid_quantum_churn(s, live, k);
+    let out = complete(s, &due, k);
+    (due, out)
+}
+
+#[test]
+fn snapshot_round_trips_after_compaction_and_slot_reuse() {
+    let mut sched = AlpsScheduler::new(AlpsConfig::new(Nanos::from_millis(10)));
+    let mut live: Vec<ProcId> = (0..60)
+        .map(|i| sched.add_process(1 + i % 7, Nanos::ZERO))
+        .collect();
+    // Two in three leave: once more than half the registration index is
+    // vacated it compacts, renumbering every survivor's position.
+    let mut n = 0u32;
+    live.retain(|&id| {
+        n += 1;
+        n.is_multiple_of(3) || sched.remove_process(id).is_none()
+    });
+    // Refill: the most recently freed slots are still listed and keep
+    // their positions, the earlier ones were compacted away and are listed
+    // anew at the end.
+    live.extend((0..15).map(|i| sched.add_process(2 + i % 4, Nanos::ZERO)));
+    assert!(live.iter().any(|id| id.generation() > 0), "slots reused");
+    const CHECKPOINT: u64 = 57; // removes, adds and re-shares mid-quantum
+    for k in 0..CHECKPOINT {
+        churn_quantum(&mut sched, &mut live, k);
+    }
+
+    // Checkpoint mid-quantum: the due set popped, slots dirtied since.
+    let due = sched.begin_quantum();
+    mid_quantum_churn(&mut sched, &mut live, CHECKPOINT);
+    let json = serde_json::to_string(&sched).expect("serialize");
+    let mut restored: AlpsScheduler = serde_json::from_str(&json).expect("deserialize");
+    let mut live_r = live.clone();
+    let out_o = complete(&mut sched, &due, CHECKPOINT);
+    let out_r = complete(&mut restored, &due, CHECKPOINT);
+    assert_eq!(out_o.transitions, out_r.transitions);
+
+    let mut original = sched;
+    for k in CHECKPOINT + 1..CHECKPOINT + 201 {
+        let (due_o, out_o) = churn_quantum(&mut original, &mut live, k);
+        let (due_r, out_r) = churn_quantum(&mut restored, &mut live_r, k);
+        assert_eq!(due_o, due_r, "due lists diverged at quantum {k}");
+        assert_eq!(out_o.transitions, out_r.transitions, "quantum {k}");
+        assert_eq!(out_o.cycle_completed, out_r.cycle_completed, "quantum {k}");
+    }
+    assert_eq!(live, live_r);
 }
 
 #[test]
