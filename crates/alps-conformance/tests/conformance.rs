@@ -6,8 +6,7 @@
 //! the seed, so any divergence replays exactly.
 
 use alps_conformance::harness::{
-    config_corners, run_core_schedule, run_engine_schedule, run_tree_flat_equivalence,
-    run_tree_schedule, DriveReport, EngineMode,
+    config_corners, run_core_schedule, run_engine_schedule, DriveReport, EngineMode,
 };
 use alps_core::{AlpsConfig, Instrumentation, IoPolicy, Nanos};
 
@@ -72,7 +71,8 @@ fn flat_engine_matches_oracle() {
     {
         for s in 0..50u64 {
             let seed = 0xF1A7_0000_0000_0000 | (c as u64) << 32 | s;
-            let rep = run_engine_schedule(cfg, Instrumentation::Exact, EngineMode::Flat, seed, 50);
+            let rep =
+                run_engine_schedule(cfg, Instrumentation::Exact, EngineMode::Flat, seed, 50, 1);
             total.quanta += rep.quanta;
             total.cycles += rep.cycles;
             total.transitions += rep.transitions;
@@ -105,7 +105,7 @@ fn principal_engine_matches_oracle() {
             for s in 0..50u64 {
                 let seed = 0x9E1A_0000_0000_0000 | (c as u64) << 32 | s;
                 let rep =
-                    run_engine_schedule(cfg, instrumentation, EngineMode::Principals, seed, 50);
+                    run_engine_schedule(cfg, instrumentation, EngineMode::Principals, seed, 50, 1);
                 total.quanta += rep.quanta;
                 total.cycles += rep.cycles;
                 total.transitions += rep.transitions;
@@ -121,57 +121,6 @@ fn principal_engine_matches_oracle() {
     }
 }
 
-/// Live share tree under full churn: the cached incremental-entitlement
-/// path is held against a from-scratch tree walk at every bind and every
-/// due-member refresh (inside the driver), lazy and eager.
-#[test]
-fn tree_schedule_cache_matches_naive_walk() {
-    let mut total = DriveReport::default();
-    for lazy in [true, false] {
-        let cfg = config(lazy, IoPolicy::OneQuantumPenalty);
-        for s in 0..40u64 {
-            let rep = run_tree_schedule(cfg, 0x73EE_0000_0000_0000 | s, 60);
-            total.quanta += rep.quanta;
-            total.cycles += rep.cycles;
-            total.transitions += rep.transitions;
-            total.peak_live = total.peak_live.max(rep.peak_live);
-        }
-    }
-    assert!(total.quanta > 4_000, "too few quanta: {}", total.quanta);
-    assert!(total.cycles >= 50, "too few cycles: {}", total.cycles);
-    assert!(
-        total.transitions > 1_000,
-        "too few transitions: {}",
-        total.transitions
-    );
-    assert!(
-        total.peak_live >= 8,
-        "population never grew: {}",
-        total.peak_live
-    );
-}
-
-/// A static, fully balanced 3-level tree schedules byte-identically to a
-/// flat scheduler given the same integer shares, lazy and eager, with
-/// balanced churn keeping the entitlement cache honest (every
-/// re-derivation must be a no-op).
-#[test]
-fn static_balanced_tree_matches_flat_scheduler() {
-    let mut total = DriveReport::default();
-    for lazy in [true, false] {
-        let cfg = config(lazy, IoPolicy::OneQuantumPenalty);
-        for s in 0..50u64 {
-            let seed = 0xF1A7_7EE0_0000_0000 | s;
-            let rep = run_tree_flat_equivalence(cfg, seed, 80);
-            total.quanta += rep.quanta;
-            total.cycles += rep.cycles;
-            total.transitions += rep.transitions;
-        }
-    }
-    assert!(total.quanta > 5_000, "too few quanta: {}", total.quanta);
-    assert!(total.cycles > 100, "too few cycles: {}", total.cycles);
-}
-
 /// The same seed drives the same schedule to the same report — the whole
 /// suite is replayable from a failure message.
 #[test]
@@ -184,14 +133,16 @@ fn differential_runs_are_deterministic() {
             Instrumentation::Measured,
             EngineMode::Principals,
             7,
-            50
+            50,
+            1
         ),
         run_engine_schedule(
             cfg,
             Instrumentation::Measured,
             EngineMode::Principals,
             7,
-            50
+            50,
+            1
         ),
     );
 }

@@ -16,7 +16,8 @@ use alps_conformance::harness::{run_core_ops, MockProc, MockSubstrate};
 use alps_conformance::schedule::Op;
 use alps_conformance::{OracleEngine, OraclePrincipalScheduler};
 use alps_core::{
-    AlpsConfig, Engine, Instrumentation, Nanos, Observation, PrincipalScheduler, RecordingSink,
+    AlpsConfig, DueList, Engine, Instrumentation, Nanos, Observation, PrincipalOutcome,
+    PrincipalScheduler, RecordingSink,
 };
 use proptest::prelude::*;
 
@@ -237,7 +238,8 @@ fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
     let (u, uo) = (prod.add_principal(4), oracle.add_principal(4));
     prod.set_membership(u, &[(1, Nanos::ZERO)]);
     oracle.set_membership(uo, &[(1, Nanos::ZERO)]);
-    prod.complete_quantum(&[], Nanos::ZERO);
+    let (mut due, mut out) = (DueList::new(), PrincipalOutcome::default());
+    prod.complete_quantum_into(&due, &[], Nanos::ZERO, &mut out);
     oracle.complete_quantum(&[], Nanos::ZERO);
     let listing = [(1, ms(25)), (2, ms(5)), (1, ms(25)), (2, Nanos::ZERO)];
     let change = oracle.set_membership(uo, &listing).unwrap();
@@ -245,13 +247,14 @@ fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
     assert!(change.removed.is_empty());
     assert_eq!(prod.set_membership(u, &listing), Some(change));
     for _ in 0..3 {
-        prod.begin_quantum();
-        prod.complete_quantum(&[], Nanos::ZERO);
+        prod.begin_quantum_into(&mut due);
+        prod.complete_quantum_into(&due, &[], Nanos::ZERO, &mut out);
         oracle.begin_quantum();
         oracle.complete_quantum(&[], Nanos::ZERO);
     }
     assert_eq!(oracle.begin_quantum(), vec![(uo, vec![1, 2])]);
-    assert_eq!(prod.begin_quantum(), vec![(u, vec![1, 2])]);
+    prod.begin_quantum_into(&mut due);
+    assert_eq!(due.iter().collect::<Vec<_>>(), vec![(u, &[1, 2][..])]);
     let read = |cpu| Observation {
         total_cpu: cpu,
         blocked: false,
@@ -260,10 +263,8 @@ fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
         &[(uo, vec![(1, Some(read(ms(30)))), (2, Some(read(ms(10))))])],
         Nanos::ZERO,
     );
-    prod.complete_quantum(
-        &[(u, vec![(1, read(ms(30))), (2, read(ms(10)))])],
-        Nanos::ZERO,
-    );
+    let readings = [Some(read(ms(30))), Some(read(ms(10)))];
+    prod.complete_quantum_into(&due, &readings, Nanos::ZERO, &mut out);
     // Charged 30 ms since registration plus 5 ms since joining.
     assert_eq!(oracle.inner().allowance(uo), Some(0.5));
     assert_eq!(prod.inner().allowance(u), Some(0.5));

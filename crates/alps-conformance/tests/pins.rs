@@ -12,7 +12,7 @@
 //! the `got` values from the failure messages.
 
 use alps_conformance::harness::{
-    run_core_schedule_smp, run_engine_schedule_smp, run_tree_schedule, DriveReport,
+    run_core_schedule_smp, run_engine_schedule, DriveReport, EngineMode,
 };
 use alps_core::{AlpsConfig, Instrumentation, IoPolicy, Nanos};
 
@@ -86,26 +86,9 @@ fn core_schedules_are_pinned() {
 }
 
 #[test]
-fn tree_schedules_are_pinned() {
-    assert_pinned(
-        "run_tree_schedule",
-        20,
-        [
-            0xa2bc_e2e2_2890_7ec6,
-            0x42ab_d72d_3f9c_1108,
-            0x35e5_3256_c59d_c392,
-            0xa941_bc4f_e6f9_84cb,
-            0xd9c9_707a_4477_4415,
-            0xab6b_acd2_0111_9ee7,
-        ],
-        |cfg, seed| run_tree_schedule(cfg, seed, 60),
-    );
-}
-
-#[test]
 fn engine_schedules_are_pinned() {
     assert_pinned(
-        "run_engine_schedule_smp",
+        "run_engine_schedule",
         10,
         [
             0xeb9c_56de_4b13_5049,
@@ -115,6 +98,6 @@ fn engine_schedules_are_pinned() {
             0xd3bd_fb9b_14cb_ee0e,
             0x1b31_c3ab_51db_9112,
         ],
-        |cfg, seed| run_engine_schedule_smp(cfg, Instrumentation::Exact, seed, 50, 2),
+        |cfg, seed| run_engine_schedule(cfg, Instrumentation::Exact, EngineMode::Flat, seed, 50, 2),
     );
 }

@@ -13,7 +13,9 @@
 //!    per-quantum observable, so report equality across M is exactly
 //!    that statement.
 
-use alps_conformance::harness::{run_core_schedule_smp, run_engine_schedule_smp, DriveReport};
+use alps_conformance::harness::{
+    run_core_schedule_smp, run_engine_schedule, DriveReport, EngineMode,
+};
 use alps_core::{AlpsConfig, Instrumentation, IoPolicy, Nanos};
 
 const QUANTUM: Nanos = Nanos(10_000_000);
@@ -91,25 +93,30 @@ fn scheduler_outputs_are_invariant_in_cpu_count() {
 
 /// Engine-level differential over twin M-CPU substrates: merged reads,
 /// migration churn, auto-reap, signal delivery — all byte-compared, and
-/// invariant in M.
+/// invariant in M — for fixed principals and for groups whose §5
+/// membership refreshes spawn members onto a migrating machine.
 #[test]
 fn engine_matches_oracle_on_smp_substrates() {
-    for (c, cfg) in [
-        config(true, IoPolicy::OneQuantumPenalty),
-        config(false, IoPolicy::NoPenalty),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for s in 0..25u64 {
-            let seed = 0xE5E5_0000_0000_0000 | (c as u64) << 32 | s;
-            let baseline = run_engine_schedule_smp(cfg, Instrumentation::Exact, seed, 50, 1);
-            for cpus in [2, 4] {
-                assert_eq!(
-                    run_engine_schedule_smp(cfg, Instrumentation::Exact, seed, 50, cpus),
-                    baseline,
-                    "engine outputs differ between 1 and {cpus} CPUs (seed {seed})"
-                );
+    for mode in [EngineMode::Flat, EngineMode::Principals] {
+        for (c, cfg) in [
+            config(true, IoPolicy::OneQuantumPenalty),
+            config(false, IoPolicy::NoPenalty),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for s in 0..25u64 {
+                let seed = 0xE5E5_0000_0000_0000 | (c as u64) << 32 | s;
+                let run =
+                    |cpus| run_engine_schedule(cfg, Instrumentation::Exact, mode, seed, 50, cpus);
+                let baseline = run(1);
+                for cpus in [2, 4] {
+                    assert_eq!(
+                        run(cpus),
+                        baseline,
+                        "{mode:?} engine outputs differ between 1 and {cpus} CPUs (seed {seed})"
+                    );
+                }
             }
         }
     }
@@ -124,7 +131,7 @@ fn smp_runs_are_deterministic() {
         run_core_schedule_smp(cfg, 7, 60, 2)
     );
     assert_eq!(
-        run_engine_schedule_smp(cfg, Instrumentation::Measured, 7, 50, 2),
-        run_engine_schedule_smp(cfg, Instrumentation::Measured, 7, 50, 2)
+        run_engine_schedule(cfg, Instrumentation::Measured, EngineMode::Flat, 7, 50, 2),
+        run_engine_schedule(cfg, Instrumentation::Measured, EngineMode::Flat, 7, 50, 2)
     );
 }

@@ -30,7 +30,6 @@ use std::collections::HashMap;
 
 use crate::config::AlpsConfig;
 use crate::cycle::{CycleEntry, CycleRecord};
-use crate::hierarchy::{NodeId, TreeShares};
 use crate::principal::{
     DueList, MemberTransition, MembershipChange, PrincipalOutcome, PrincipalScheduler,
 };
@@ -225,9 +224,6 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     /// Outcome of the last completed invocation; its buffers are reused,
     /// so steady-state quanta allocate nothing.
     outcome: PrincipalOutcome<M>,
-    /// Hierarchical share bindings ([`Engine::with_share_tree`]); `None`
-    /// leaves the engine flat and byte-identical to its pre-tree behavior.
-    tree: Option<TreeShares>,
 }
 
 impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
@@ -261,19 +257,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             sig_batch: Vec::new(),
             delivered: Vec::new(),
             outcome: PrincipalOutcome::default(),
-            tree: None,
         }
-    }
-
-    /// Attach a hierarchical share tree ([`TreeShares`]). Principals
-    /// registered through [`Engine::add_grouped_member`] are bound to tree
-    /// leaves, and each due member's integer share is lazily refreshed
-    /// from its entitlement at the end of the quantum that measured it —
-    /// tree churn never costs the per-quantum control path more than the
-    /// O(depth) queries for the members already being touched.
-    pub fn with_share_tree(mut self, shares: TreeShares) -> Self {
-        self.tree = Some(shares);
-        self
     }
 
     /// Enable automatic removal of a fixed principal when its member is
@@ -320,87 +304,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         id
     }
 
-    // --- hierarchical shares ----------------------------------------------
-
-    /// Add a group node to the attached share tree (`None` parent = a
-    /// root-level group). Requires [`Engine::with_share_tree`].
-    pub fn add_share_group(&mut self, parent: Option<NodeId>, share: u64) -> NodeId {
-        self.tree
-            .as_mut()
-            .expect("share tree not attached (Engine::with_share_tree)")
-            .tree_mut()
-            .add_group(parent, share)
-    }
-
-    /// Register a fixed single-member principal as a leaf of the share tree:
-    /// like [`Engine::add_member`], but its integer share is derived from
-    /// its entitlement (weight `weight` relative to its siblings under
-    /// `parent`) and tracks the tree from then on. Requires
-    /// [`Engine::with_share_tree`].
-    pub fn add_grouped_member(
-        &mut self,
-        member: M,
-        parent: Option<NodeId>,
-        weight: u64,
-        initial_cpu: Nanos,
-    ) -> ProcId {
-        // Two-phase: the id must exist before the binding can be recorded,
-        // so register with a placeholder share and immediately overwrite it
-        // with the derived one (before the principal's first quantum).
-        let id = self.add_member(member, 1, initial_cpu);
-        let share = self
-            .tree
-            .as_mut()
-            .expect("share tree not attached (Engine::with_share_tree)")
-            .bind(id, parent, weight);
-        let _ = self.sched.set_share(id, share);
-        id
-    }
-
-    /// Change a share-tree node's weight. O(1) on the tree; every affected
-    /// member's integer share is re-derived lazily when it next comes up
-    /// for measurement. Returns `false` for stale/removed nodes or when no
-    /// tree is attached.
-    pub fn set_node_share(&mut self, node: NodeId, share: u64) -> bool {
-        match self.tree.as_mut() {
-            Some(t) => t.tree_mut().set_share(node, share),
-            None => false,
-        }
-    }
-
-    /// The attached share-tree binding layer, if any.
-    pub fn share_tree(&self) -> Option<&TreeShares> {
-        self.tree.as_ref()
-    }
-
-    /// The tree leaf a principal is bound to, if any.
-    pub fn node_of(&self, id: ProcId) -> Option<NodeId> {
-        self.tree.as_ref()?.node_of(id)
-    }
-
-    /// End-of-quantum share refresh: re-derive the integer share of every
-    /// principal measured this quantum from the tree (O(1) per member when
-    /// the tree is unchanged). Runs after the invocation completes, so a
-    /// change lands between quanta exactly like an external
-    /// [`Engine::adjust_share`] call would.
-    fn refresh_due_shares(&mut self, sink: &mut dyn EventSink<M>) {
-        let Some(mut tree) = self.tree.take() else {
-            return;
-        };
-        for (id, _) in self.due.iter() {
-            if let Some(new) = tree.refresh(id) {
-                let Some(old) = self.sched.inner().share(id) else {
-                    continue;
-                };
-                if old != new && self.sched.set_share(id, new).is_ok() {
-                    self.stats.share_adjustments += 1;
-                    sink.on_event(&Event::ShareChanged { id, old, new });
-                }
-            }
-        }
-        self.tree = Some(tree);
-    }
-
     /// Replace a group's member set (the once-per-second refresh of §5).
     /// Returns the joiners/leavers and the reconciliation signals the
     /// backend must deliver (conveniently via
@@ -431,9 +334,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// should resume if the principal was ineligible).
     pub fn remove_principal(&mut self, id: ProcId) -> Option<Vec<M>> {
         let members = self.sched.remove_principal(id)?;
-        if let Some(t) = self.tree.as_mut() {
-            t.unbind(id);
-        }
         self.stale += 1;
         if self.stale * 2 > self.snapshot.len() {
             let sched = &self.sched;
@@ -636,7 +536,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 }
             }
         }
-        self.refresh_due_shares(sink);
         Ok(())
     }
 

@@ -1,36 +1,15 @@
-//! Hierarchical share trees (the §6 related-work direction).
+//! Hierarchical share trees (§5's hierarchy, flattened).
 //!
-//! The paper's related work cites hierarchical CPU schedulers (Goyal et
-//! al.) and composable scheduler frameworks (HLS). ALPS itself schedules a
-//! flat set of shares — but a *static* hierarchy ("users get equal shares;
-//! within a user, apps get weighted shares; within an app, processes…")
-//! flattens exactly: each leaf's entitlement is the product of its
-//! ancestors' share fractions. [`ShareTree`] maintains that mapping onto
-//! the integer shares an [`AlpsScheduler`](crate::AlpsScheduler) consumes.
+//! ALPS schedules a flat set of integer shares. A *static* hierarchy
+//! ("users get equal shares; within a user, apps get weighted shares;
+//! within an app, processes…") flattens exactly: each leaf's entitlement
+//! is the product of its ancestors' share fractions. [`ShareTree`] holds
+//! such a tree, and [`ShareTree::flatten`] turns it into the integer
+//! shares an [`AlpsScheduler`](crate::AlpsScheduler) consumes.
 //!
-//! ## A live tree, not a snapshot
-//!
-//! The seed implementation recomputed the whole flattening on every
-//! membership or share change — O(tree) per change, which at a
-//! million-member population makes every process exit a full-tree walk.
-//! The tree is now *live*:
-//!
-//! * every interior node carries two aggregates — its subtree's live-leaf
-//!   count and the share sum of its *active* children (those with live
-//!   leaves beneath) — and [`ShareTree::add_leaf`] /
-//!   [`ShareTree::remove_leaf`] / [`ShareTree::set_share`] maintain them
-//!   along the root path in O(depth), propagating only as far as liveness
-//!   actually flips;
-//! * each leaf's entitlement (the product of ancestor share fractions) is
-//!   computed lazily per query by [`ShareTree::entitlement`] and cached
-//!   per node with an epoch stamp, so a query whose path saw no change
-//!   since the last one is a pure O(depth) stamp comparison — unchanged
-//!   subtrees never recompute, and a share change in one department never
-//!   touches another department's cache.
-//!
-//! [`ShareTree::flatten`] remains as the from-scratch oracle: it derives
-//! the same fractions by walking the whole tree, and the property suite
-//! holds the two equivalent under arbitrary churn.
+//! The tree is flattened once and handed over. When a leaf departs or a
+//! weight changes, the caller edits the tree, flattens it again and
+//! passes the new shares to the scheduler's `set_share`.
 //!
 //! What flattening does *not* capture is hierarchical redistribution: when
 //! a leaf blocks, a true hierarchical scheduler gives its time to siblings
@@ -41,20 +20,22 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::sched::ProcId;
-
 /// Node identifier within a [`ShareTree`].
 ///
 /// Ids are never reused: a removed leaf's id keeps referring to its
-/// tombstone, and [`ShareTree::set_share`] / [`ShareTree::remove_leaf`]
-/// report `false` for it instead of addressing another node.
+/// tombstone, and [`ShareTree::remove_leaf`] reports `false` for it
+/// instead of addressing another node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(u32);
 
-/// Greatest common divisor (iterative — the share reduction in
-/// [`ShareTree::flatten`] folds over every leaf, and recursion depth must
-/// not scale with anything).
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+/// The largest share total [`ShareTree::flatten`] returns: 2⁵³, the
+/// largest integer an `f64` allowance (and cycle length in quanta) holds
+/// exactly.
+const MAX_TOTAL_SHARES: u128 = 1 << 53;
+
+/// Greatest common divisor (iterative — recursion depth must not scale
+/// with anything).
+fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -68,26 +49,10 @@ struct Node {
     parent: Option<NodeId>,
     share: u64,
     children: Vec<NodeId>,
-    /// This node's index in `parent.children`, so detaching is O(1)
-    /// (swap-remove plus one fixup) instead of a scan of the siblings.
-    pos_in_parent: u32,
     /// Leaf payload: an opaque tag the caller maps to a pid or principal.
     leaf_tag: Option<u64>,
     /// Tombstone: set when a leaf is removed. The slot is never reused.
     removed: bool,
-    /// Live leaves in this node's subtree (a leaf counts itself).
-    live_leaves: u64,
-    /// Share sum of this node's *active* children — those with live
-    /// leaves beneath. The denominator of each active child's fraction.
-    active_share: u64,
-    /// Epoch at which this node's active-child set or an active child's
-    /// share last changed — i.e. when its children's fractions were last
-    /// invalidated.
-    children_changed: u64,
-    /// Cached absolute fraction (product of ancestor fractions), valid
-    /// through epoch `abs_stamp` (0 = never computed).
-    abs_frac: f64,
-    abs_stamp: u64,
 }
 
 /// A tree of weighted groups with tagged leaves.
@@ -99,32 +64,19 @@ struct Node {
 /// let mut tree = ShareTree::new();
 /// let eng = tree.add_group(None, 2);
 /// let res = tree.add_group(None, 1);
-/// let a = tree.add_leaf(Some(eng), 1, 10);
+/// tree.add_leaf(Some(eng), 1, 10);
 /// tree.add_leaf(Some(eng), 1, 11);
 /// tree.add_leaf(Some(res), 1, 20);
 /// // Fractions 1/3, 1/3, 1/3 — flattened to equal integer shares.
-/// let mut flat = tree.flatten();
+/// let mut flat = tree.flatten().expect("shares fit");
 /// flat.sort();
 /// assert_eq!(flat, vec![(10, 1), (11, 1), (20, 1)]);
-/// // The live entitlement query agrees, in O(depth) per leaf.
-/// assert!((tree.entitlement(a).unwrap() - 1.0 / 3.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ShareTree {
     nodes: Vec<Node>,
-    /// Mutation epoch: bumped by every fraction-affecting change. Cache
-    /// stamps and `children_changed` marks are drawn from it; callers can
-    /// read it ([`ShareTree::epoch`]) to skip refreshing bindings that are
-    /// already in sync.
-    epoch: u64,
-    /// Share sum of the active root-level nodes (the virtual root's
-    /// `active_share`).
-    root_active_share: u64,
-    /// Epoch at which the root-level fractions last changed (the virtual
-    /// root's `children_changed`).
-    root_changed: u64,
-    /// Path scratch for [`ShareTree::entitlement`]; empty between calls.
-    scratch: Vec<u32>,
+    /// Root-level nodes (the children of the virtual root).
+    roots: Vec<NodeId>,
 }
 
 impl ShareTree {
@@ -140,7 +92,7 @@ impl ShareTree {
     }
 
     /// Add a leaf (a schedulable entity tagged with caller data, e.g. a
-    /// pid). Aggregates along the root path update in O(depth).
+    /// pid).
     pub fn add_leaf(&mut self, parent: Option<NodeId>, share: u64, tag: u64) -> NodeId {
         self.add_node(parent, share, Some(tag))
     }
@@ -155,245 +107,33 @@ impl ShareTree {
             );
         }
         let id = NodeId(self.nodes.len() as u32);
-        let pos_in_parent = match parent {
-            Some(p) => self.nodes[p.0 as usize].children.len() as u32,
-            None => 0,
-        };
         self.nodes.push(Node {
             parent,
             share,
             children: Vec::new(),
-            pos_in_parent,
             leaf_tag,
             removed: false,
-            live_leaves: u64::from(leaf_tag.is_some()),
-            active_share: 0,
-            children_changed: 0,
-            abs_frac: 0.0,
-            abs_stamp: 0,
         });
-        if let Some(p) = parent {
-            self.nodes[p.0 as usize].children.push(id);
-        }
-        if leaf_tag.is_some() {
-            self.propagate_liveness(parent, id, true);
-        }
+        self.siblings_mut(parent).push(id);
         id
     }
 
-    /// Walk the root path above the leaf whose liveness just flipped,
-    /// updating leaf counts everywhere and active-share sums exactly as
-    /// far as the flip cascades (an ancestor whose subtree stays live
-    /// absorbs it; above that, only the count changes).
-    fn propagate_liveness(&mut self, start: Option<NodeId>, leaf: NodeId, added: bool) {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        // The node whose subtree just became (in)active, if the flip is
-        // still cascading at the current level.
-        let mut flipped = Some(leaf);
-        let mut cur = start;
-        while let Some(p) = cur {
-            if let Some(c) = flipped {
-                let child_share = self.nodes[c.0 as usize].share;
-                let pn = &mut self.nodes[p.0 as usize];
-                pn.children_changed = epoch;
-                if added {
-                    pn.active_share += child_share;
-                    flipped = (pn.live_leaves == 0).then_some(p);
-                    pn.live_leaves += 1;
-                } else {
-                    pn.active_share -= child_share;
-                    pn.live_leaves -= 1;
-                    flipped = (pn.live_leaves == 0).then_some(p);
-                }
-            } else {
-                let pn = &mut self.nodes[p.0 as usize];
-                if added {
-                    pn.live_leaves += 1;
-                } else {
-                    pn.live_leaves -= 1;
-                }
-            }
-            cur = self.nodes[p.0 as usize].parent;
-        }
-        if let Some(c) = flipped {
-            let child_share = self.nodes[c.0 as usize].share;
-            if added {
-                self.root_active_share += child_share;
-            } else {
-                self.root_active_share -= child_share;
-            }
-            self.root_changed = epoch;
-        }
-    }
-
-    /// Change a node's share. Returns `false` (and changes nothing) if the
-    /// id refers to a removed leaf or is not from this tree; O(1) —
-    /// fractions under the node's parent are re-derived lazily on the next
-    /// [`ShareTree::entitlement`] query through them.
-    pub fn set_share(&mut self, id: NodeId, share: u64) -> bool {
-        assert!(share > 0, "share must be positive");
-        let Some(n) = self.nodes.get(id.0 as usize) else {
-            return false;
-        };
-        if n.removed {
-            return false;
-        }
-        let old = n.share;
-        let active = n.leaf_tag.is_some() || n.live_leaves > 0;
-        let parent = n.parent;
-        self.nodes[id.0 as usize].share = share;
-        if old == share || !active {
-            // An inactive subtree contributes to no denominator; its new
-            // share is picked up by the activation propagation when a
-            // leaf next appears beneath it.
-            return true;
-        }
-        self.epoch += 1;
-        match parent {
-            Some(p) => {
-                let pn = &mut self.nodes[p.0 as usize];
-                pn.active_share = pn.active_share - old + share;
-                pn.children_changed = self.epoch;
-            }
-            None => {
-                self.root_active_share = self.root_active_share - old + share;
-                self.root_changed = self.epoch;
-            }
-        }
-        true
-    }
-
-    /// Remove a leaf (e.g. its process exited), redistributing its weight
-    /// among its siblings. Returns `false` (and changes nothing) if the id
-    /// is a group, an already-removed leaf, or not from this tree.
-    /// O(depth): the leaf detaches from its parent in O(1) and the
-    /// aggregates along the root path adjust incrementally.
+    /// Remove a leaf (e.g. its process exited); the next
+    /// [`ShareTree::flatten`] redistributes its weight among its siblings.
+    /// Returns `false` (and changes nothing) if the id is a group, an
+    /// already-removed leaf, or not from this tree.
     pub fn remove_leaf(&mut self, id: NodeId) -> bool {
-        let Some(n) = self.nodes.get(id.0 as usize) else {
+        let Some(n) = self.nodes.get_mut(id.0 as usize) else {
             return false;
         };
         if n.leaf_tag.is_none() {
             return false; // a group, or already removed
         }
+        n.leaf_tag = None;
+        n.removed = true;
         let parent = n.parent;
-        let pos = n.pos_in_parent as usize;
-        // Liveness flips while the leaf still counts, then tombstone.
-        self.propagate_liveness(parent, id, false);
-        let node = &mut self.nodes[id.0 as usize];
-        node.leaf_tag = None;
-        node.removed = true;
-        node.live_leaves = 0;
-        if let Some(p) = parent {
-            let pn = &mut self.nodes[p.0 as usize];
-            pn.children.swap_remove(pos);
-            if let Some(&moved) = pn.children.get(pos) {
-                self.nodes[moved.0 as usize].pos_in_parent = pos as u32;
-            }
-        }
+        self.siblings_mut(parent).retain(|&c| c != id);
         true
-    }
-
-    /// Number of live leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.leaf_tag.is_some()).count()
-    }
-
-    /// The tree's mutation epoch: changes exactly when some entitlement
-    /// may have changed. A binding layer that recorded the epoch at its
-    /// last refresh can skip whole refreshes while it is unchanged.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// This leaf's entitlement: the fraction of the machine its path
-    /// prescribes (product of `share / active sibling total` along the
-    /// root path). `None` unless `id` is a live leaf.
-    ///
-    /// O(depth), and cache-hot when nothing on the path changed: each
-    /// node's absolute fraction is cached with an epoch stamp and is
-    /// recomputed only when an ancestor's `children_changed` mark (or a
-    /// re-stamped ancestor cache) outruns it — mutations in disjoint
-    /// subtrees never invalidate it.
-    pub fn entitlement(&mut self, id: NodeId) -> Option<f64> {
-        let n = self.nodes.get(id.0 as usize)?;
-        n.leaf_tag?;
-        let mut path = std::mem::take(&mut self.scratch);
-        path.clear();
-        let mut cur = id;
-        loop {
-            path.push(cur.0);
-            match self.nodes[cur.0 as usize].parent {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        // Resolve top-down. `required` is the epoch a node's cache must
-        // have seen to be trusted: everything that could change its value
-        // — an ancestor's child-set/share change, or an ancestor cache
-        // re-stamp — raises it. Stamping recomputed nodes with exactly
-        // `required` (not the global epoch) keeps stamps minimal, so a
-        // recompute here never spuriously invalidates deeper caches.
-        let mut parent_abs = 1.0f64;
-        let mut parent_active = self.root_active_share;
-        let mut required = self.root_changed;
-        for &i in path.iter().rev() {
-            let node = &self.nodes[i as usize];
-            let abs = if node.abs_stamp >= required && node.abs_stamp > 0 {
-                node.abs_frac
-            } else {
-                let f = parent_abs * (node.share as f64 / parent_active.max(1) as f64);
-                let node = &mut self.nodes[i as usize];
-                node.abs_frac = f;
-                node.abs_stamp = required.max(1);
-                f
-            };
-            let node = &self.nodes[i as usize];
-            required = node.abs_stamp.max(node.children_changed);
-            parent_abs = abs;
-            parent_active = node.active_share;
-        }
-        self.scratch = path;
-        Some(parent_abs)
-    }
-
-    /// The from-scratch counterpart of [`ShareTree::entitlement`]: walks
-    /// the whole path recomputing every active sibling total by subtree
-    /// search, using no maintained aggregate and no cache, with the same
-    /// arithmetic in the same order. The conformance suite drives it in
-    /// lockstep with the incremental query — the two must agree bit for
-    /// bit.
-    pub fn entitlement_naive(&self, id: NodeId) -> Option<f64> {
-        let n = self.nodes.get(id.0 as usize)?;
-        n.leaf_tag?;
-        let mut path = Vec::new();
-        let mut cur = id;
-        loop {
-            path.push(cur.0);
-            match self.nodes[cur.0 as usize].parent {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        let mut abs = 1.0f64;
-        for &i in path.iter().rev() {
-            let node = &self.nodes[i as usize];
-            let sibling_total: u64 = match node.parent {
-                Some(p) => self.nodes[p.0 as usize]
-                    .children
-                    .iter()
-                    .filter(|&&c| self.subtree_has_leaves(c))
-                    .map(|&c| self.nodes[c.0 as usize].share)
-                    .sum(),
-                None => self
-                    .roots()
-                    .filter(|&r| self.subtree_has_leaves(r))
-                    .map(|r| self.nodes[r.0 as usize].share)
-                    .sum(),
-            };
-            abs *= node.share as f64 / sibling_total.max(1) as f64;
-        }
-        Some(abs)
     }
 
     /// Flatten the hierarchy into integer per-leaf shares whose ratios
@@ -401,72 +141,78 @@ impl ShareTree {
     ///
     /// Empty groups (no live leaves beneath) are excluded before fractions
     /// are computed, so their weight redistributes among their siblings.
-    /// This is the from-scratch O(tree·depth) derivation — the oracle the
-    /// live incremental aggregates are property-tested against, and still
-    /// the right call for one-shot static setups.
     ///
-    /// Returns `(tag, share)` pairs; shares are scaled to the smallest
-    /// integers preserving the exact ratios.
-    pub fn flatten(&self) -> Vec<(u64, u64)> {
-        // Compute, per leaf, the rational weight num/den as u128 to avoid
-        // overflow, then bring to a common denominator and reduce.
+    /// Returns `(tag, share)` pairs, scaled to the smallest integers that
+    /// preserve the exact ratios, or `None` when those integers would sum
+    /// past 2⁵³ (the most an `f64` allowance holds exactly). Nothing is
+    /// quantized: a tree whose exact shares do not fit is refused, not
+    /// approximated.
+    pub fn flatten(&self) -> Option<Vec<(u64, u64)>> {
+        // Each live leaf's entitlement as a fraction num/den in lowest
+        // terms, built root-down so every intermediate is an ancestor's
+        // own entitlement.
         let mut weights: Vec<(u64, u128, u128)> = Vec::new(); // (tag, num, den)
+        let mut path = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let Some(tag) = node.leaf_tag else { continue };
-            let mut num: u128 = 1;
-            let mut den: u128 = 1;
-            let mut cur = NodeId(i as u32);
-            loop {
-                let n = &self.nodes[cur.0 as usize];
-                let sibling_total: u64 = match n.parent {
-                    Some(p) => self.nodes[p.0 as usize]
-                        .children
-                        .iter()
-                        .filter(|&&c| self.subtree_has_leaves(c))
-                        .map(|&c| self.nodes[c.0 as usize].share)
-                        .sum(),
-                    None => self
-                        .roots()
-                        .filter(|&r| self.subtree_has_leaves(r))
-                        .map(|r| self.nodes[r.0 as usize].share)
-                        .sum(),
-                };
-                num *= n.share as u128;
-                den *= sibling_total.max(1) as u128;
-                match n.parent {
-                    Some(p) => cur = p,
-                    None => break,
-                }
+            path.clear();
+            let mut cur = Some(NodeId(i as u32));
+            while let Some(id) = cur {
+                path.push(id);
+                cur = self.nodes[id.0 as usize].parent;
+            }
+            let (mut num, mut den) = (1u128, 1u128);
+            for &id in path.iter().rev() {
+                let n = &self.nodes[id.0 as usize];
+                let (share, total) = (u128::from(n.share), self.active_share(n.parent));
+                let g = gcd(share, total);
+                let (share, total) = (share / g, total / g);
+                // Cross-reduce, so the product stays in lowest terms and
+                // no factor grows past what the result needs.
+                let (g1, g2) = (gcd(num, total), gcd(share, den));
+                num = (num / g1).checked_mul(share / g2)?;
+                den = (den / g2).checked_mul(total / g1)?;
             }
             weights.push((tag, num, den));
         }
-        if weights.is_empty() {
-            return Vec::new();
+        // The live entitlements sum to 1, so over the common denominator
+        // L the shares num·L/den sum to L. They are already coprime: every
+        // prime power of L is some leaf's whole denominator, and that
+        // leaf's numerator does not contain the prime.
+        let mut lcm = 1u128;
+        for &(_, _, d) in &weights {
+            lcm = (lcm / gcd(lcm, d))
+                .checked_mul(d)
+                .filter(|&l| l <= MAX_TOTAL_SHARES)?;
         }
-        // Common denominator via product-free approach: share_i ∝ num_i *
-        // (lcm / den_i). Compute lcm of denominators.
-        let lcm = weights.iter().fold(1u128, |acc, &(_, _, d)| {
-            acc / gcd(acc as u64, d as u64) as u128 * d
-        });
-        let mut shares: Vec<(u64, u64)> = weights
-            .iter()
-            .map(|&(tag, n, d)| (tag, (n * (lcm / d)) as u64))
-            .collect();
-        let g = shares.iter().fold(0u64, |acc, &(_, s)| gcd(acc, s));
-        if g > 1 {
-            for (_, s) in shares.iter_mut() {
-                *s /= g;
-            }
-        }
-        shares
+        Some(
+            weights
+                .iter()
+                .map(|&(tag, n, d)| (tag, (n * (lcm / d)) as u64))
+                .collect(),
+        )
     }
 
-    fn roots(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
+    /// `parent`'s children, or the root-level nodes for `None`.
+    fn siblings_mut(&mut self, parent: Option<NodeId>) -> &mut Vec<NodeId> {
+        match parent {
+            Some(p) => &mut self.nodes[p.0 as usize].children,
+            None => &mut self.roots,
+        }
+    }
+
+    /// Share sum of `parent`'s children (the root level for `None`) that
+    /// have live leaves beneath.
+    fn active_share(&self, parent: Option<NodeId>) -> u128 {
+        let siblings = match parent {
+            Some(p) => &self.nodes[p.0 as usize].children,
+            None => &self.roots,
+        };
+        siblings
             .iter()
-            .enumerate()
-            .filter(|(_, n)| n.parent.is_none())
-            .map(|(i, _)| NodeId(i as u32))
+            .filter(|&&c| self.subtree_has_leaves(c))
+            .map(|&c| u128::from(self.nodes[c.0 as usize].share))
+            .sum()
     }
 
     fn subtree_has_leaves(&self, id: NodeId) -> bool {
@@ -476,195 +222,6 @@ impl ShareTree {
         }
         n.children.iter().any(|&c| self.subtree_has_leaves(c))
     }
-
-    /// Brute-force verification that every maintained aggregate equals a
-    /// from-scratch recount (test support).
-    #[cfg(test)]
-    fn assert_aggregates_consistent(&self) {
-        fn count_leaves(t: &ShareTree, id: NodeId) -> u64 {
-            let n = &t.nodes[id.0 as usize];
-            u64::from(n.leaf_tag.is_some())
-                + n.children.iter().map(|&c| count_leaves(t, c)).sum::<u64>()
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            assert_eq!(
-                node.live_leaves,
-                count_leaves(self, id),
-                "node {i}: live_leaves disagrees with a recount"
-            );
-            let active: u64 = node
-                .children
-                .iter()
-                .filter(|&&c| self.subtree_has_leaves(c))
-                .map(|&c| self.nodes[c.0 as usize].share)
-                .sum();
-            assert_eq!(
-                node.active_share, active,
-                "node {i}: active_share disagrees with a recount"
-            );
-            for (pos, &c) in node.children.iter().enumerate() {
-                assert_eq!(
-                    self.nodes[c.0 as usize].pos_in_parent as usize, pos,
-                    "child {c:?} of node {i} has a stale pos_in_parent"
-                );
-            }
-        }
-        let root_active: u64 = self
-            .roots()
-            .filter(|&r| self.subtree_has_leaves(r))
-            .map(|r| self.nodes[r.0 as usize].share)
-            .sum();
-        assert_eq!(
-            self.root_active_share, root_active,
-            "root_active_share disagrees with a recount"
-        );
-    }
-}
-
-/// Default [`TreeShares`] scale: entitlement fractions are quantized to
-/// integer shares out of roughly this total, giving ~one-in-a-million
-/// resolution — fine enough that a 10⁶-member tree still distinguishes its
-/// smallest leaves.
-pub const DEFAULT_TREE_SCALE: u64 = 1 << 20;
-
-/// One scheduler handle bound to a tree leaf.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct BoundLeaf {
-    generation: u32,
-    node: NodeId,
-    /// Tree epoch at the last refresh; while the tree's epoch still equals
-    /// it, the binding is in sync by construction and the refresh is O(1).
-    synced_epoch: u64,
-    /// Integer share last derived for this leaf.
-    share: u64,
-}
-
-/// The binding layer between a live [`ShareTree`] and the flat integer
-/// shares an [`AlpsScheduler`](crate::AlpsScheduler) consumes.
-///
-/// Each scheduled principal ([`ProcId`]) is bound to one tree leaf; its
-/// integer share is its entitlement fraction times [`TreeShares::scale`],
-/// rounded (and floored at 1). [`TreeShares::refresh`] re-derives a
-/// binding lazily: an O(1) epoch comparison when the tree is unchanged, an
-/// O(depth) cache-hot entitlement query otherwise, reporting a new share
-/// only when the quantized value actually moved. The engine calls it for
-/// *due* members only, so tree churn costs the control path nothing until
-/// a member comes up for measurement anyway.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TreeShares {
-    tree: ShareTree,
-    scale: u64,
-    /// Bindings indexed by [`ProcId::index`], generation-checked.
-    bound: Vec<Option<BoundLeaf>>,
-}
-
-impl Default for TreeShares {
-    fn default() -> Self {
-        TreeShares::new(DEFAULT_TREE_SCALE)
-    }
-}
-
-impl TreeShares {
-    /// An empty binding over an empty tree.
-    pub fn new(scale: u64) -> Self {
-        assert!(scale > 0, "scale must be positive");
-        TreeShares {
-            tree: ShareTree::new(),
-            scale,
-            bound: Vec::new(),
-        }
-    }
-
-    /// The share total entitlement fractions are quantized against.
-    pub fn scale(&self) -> u64 {
-        self.scale
-    }
-
-    /// The underlying tree (e.g. to grow groups with
-    /// [`ShareTree::add_group`] or inspect it).
-    pub fn tree(&self) -> &ShareTree {
-        &self.tree
-    }
-
-    /// Mutable access to the underlying tree. Any mutation advances the
-    /// tree's epoch, so bindings pick it up at their next refresh.
-    pub fn tree_mut(&mut self) -> &mut ShareTree {
-        &mut self.tree
-    }
-
-    /// Quantize an entitlement fraction to an integer share.
-    fn quantize(&self, frac: f64) -> u64 {
-        ((frac * self.scale as f64).round() as u64).max(1)
-    }
-
-    /// Add a leaf under `parent` and bind it to `id`, returning the
-    /// integer share the principal must be registered with.
-    pub fn bind(&mut self, id: ProcId, parent: Option<NodeId>, weight: u64) -> u64 {
-        let node = self.tree.add_leaf(parent, weight, id.index() as u64);
-        let frac = self.tree.entitlement(node).expect("leaf was just added");
-        let share = self.quantize(frac);
-        let idx = id.index();
-        if self.bound.len() <= idx {
-            self.bound.resize(idx + 1, None);
-        }
-        self.bound[idx] = Some(BoundLeaf {
-            generation: id.generation(),
-            node,
-            synced_epoch: self.tree.epoch(),
-            share,
-        });
-        share
-    }
-
-    /// The leaf bound to `id`, if the handle is current.
-    pub fn node_of(&self, id: ProcId) -> Option<NodeId> {
-        match self.bound.get(id.index()) {
-            Some(Some(b)) if b.generation == id.generation() => Some(b.node),
-            _ => None,
-        }
-    }
-
-    /// Drop `id`'s binding and remove its leaf from the tree (its weight
-    /// redistributes among the siblings). Returns the removed leaf.
-    pub fn unbind(&mut self, id: ProcId) -> Option<NodeId> {
-        let node = self.node_of(id)?;
-        self.bound[id.index()] = None;
-        self.tree.remove_leaf(node);
-        Some(node)
-    }
-
-    /// Re-derive `id`'s integer share from the tree. Returns the new share
-    /// only if it changed since the last bind/refresh; `None` for unbound
-    /// or stale handles and for bindings already in sync.
-    pub fn refresh(&mut self, id: ProcId) -> Option<u64> {
-        let epoch = self.tree.epoch();
-        let b = match self.bound.get(id.index()) {
-            Some(Some(b)) if b.generation == id.generation() => *b,
-            _ => return None,
-        };
-        if b.synced_epoch == epoch {
-            return None;
-        }
-        let frac = self.tree.entitlement(b.node)?;
-        let share = self.quantize(frac);
-        let slot = self.bound[id.index()].as_mut().expect("checked above");
-        slot.synced_epoch = epoch;
-        if share == b.share {
-            return None;
-        }
-        slot.share = share;
-        Some(share)
-    }
-
-    /// The integer share a from-scratch walk derives for `id` right now:
-    /// [`ShareTree::entitlement_naive`] quantized exactly like the cached
-    /// path. Differential harnesses hold this against
-    /// [`TreeShares::refresh`] under churn to gate the incremental cache.
-    pub fn share_naive(&self, id: ProcId) -> Option<u64> {
-        let node = self.node_of(id)?;
-        Some(self.quantize(self.tree.entitlement_naive(node)?))
-    }
 }
 
 #[cfg(test)]
@@ -672,8 +229,8 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    fn as_map(v: Vec<(u64, u64)>) -> BTreeMap<u64, u64> {
-        v.into_iter().collect()
+    fn as_map(t: &ShareTree) -> BTreeMap<u64, u64> {
+        t.flatten().expect("shares fit").into_iter().collect()
     }
 
     #[test]
@@ -682,11 +239,10 @@ mod tests {
         t.add_leaf(None, 1, 10);
         t.add_leaf(None, 2, 20);
         t.add_leaf(None, 3, 30);
-        let m = as_map(t.flatten());
+        let m = as_map(&t);
         assert_eq!(m[&10], 1);
         assert_eq!(m[&20], 2);
         assert_eq!(m[&30], 3);
-        t.assert_aggregates_consistent();
     }
 
     #[test]
@@ -702,13 +258,12 @@ mod tests {
         for u in 0..4 {
             t.add_leaf(Some(b), 1, 10 + u);
         }
-        let m = as_map(t.flatten());
+        let m = as_map(&t);
         assert_eq!(m[&0], 2, "{m:?}");
         assert_eq!(m[&1], 2);
         for u in 10..14 {
             assert_eq!(m[&u], 1);
         }
-        t.assert_aggregates_consistent();
     }
 
     #[test]
@@ -719,17 +274,14 @@ mod tests {
         let mut t = ShareTree::new();
         let g = t.add_group(None, 2);
         let h = t.add_group(None, 1);
-        let l1 = t.add_leaf(Some(g), 3, 1);
-        let l2 = t.add_leaf(Some(g), 1, 2);
-        let l3 = t.add_leaf(Some(h), 5, 3); // share value inside a singleton group is moot
-        let m = as_map(t.flatten());
+        t.add_leaf(Some(g), 3, 1);
+        t.add_leaf(Some(g), 1, 2);
+        t.add_leaf(Some(h), 5, 3); // share value inside a singleton group is moot
+        let m = as_map(&t);
         // Ratios 1/2 : 1/6 : 1/3 = 3 : 1 : 2.
         assert_eq!(m[&1], 3, "{m:?}");
         assert_eq!(m[&2], 1);
         assert_eq!(m[&3], 2);
-        assert!((t.entitlement(l1).unwrap() - 0.5).abs() < 1e-12);
-        assert!((t.entitlement(l2).unwrap() - 1.0 / 6.0).abs() < 1e-12);
-        assert!((t.entitlement(l3).unwrap() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -741,21 +293,18 @@ mod tests {
         t.add_leaf(Some(b), 1, 2);
         t.add_leaf(Some(b), 1, 3);
         // Both groups populated: A-leaf gets 1/2; B leaves 1/4 each.
-        let m = as_map(t.flatten());
+        let m = as_map(&t);
         assert_eq!((m[&1], m[&2], m[&3]), (2, 1, 1));
         // A's only leaf leaves: B's subtree now owns everything.
         assert!(t.remove_leaf(leaf_a));
-        let m = as_map(t.flatten());
+        let m = as_map(&t);
         assert_eq!(m.len(), 2);
         assert_eq!((m[&2], m[&3]), (1, 1));
-        t.assert_aggregates_consistent();
     }
 
     #[test]
     fn empty_tree_flattens_to_nothing() {
-        let t = ShareTree::new();
-        assert!(t.flatten().is_empty());
-        assert_eq!(t.leaf_count(), 0);
+        assert_eq!(ShareTree::new().flatten(), Some(Vec::new()));
     }
 
     #[test]
@@ -767,125 +316,104 @@ mod tests {
     }
 
     #[test]
-    fn set_share_changes_ratios() {
-        let mut t = ShareTree::new();
-        let a = t.add_leaf(None, 1, 1);
-        t.add_leaf(None, 1, 2);
-        assert!(t.set_share(a, 9));
-        let m = as_map(t.flatten());
-        assert_eq!((m[&1], m[&2]), (9, 1));
-        t.assert_aggregates_consistent();
-    }
-
-    #[test]
     fn stale_ids_are_rejected_not_followed() {
         let mut t = ShareTree::new();
         let g = t.add_group(None, 1);
         let a = t.add_leaf(Some(g), 1, 1);
-        let b = t.add_leaf(Some(g), 1, 2);
+        t.add_leaf(Some(g), 1, 2);
         assert!(t.remove_leaf(a));
-        // Second removal and share updates on the tombstone: rejected.
+        // A second removal of the tombstone is rejected.
         assert!(!t.remove_leaf(a));
-        assert!(!t.set_share(a, 5));
-        assert_eq!(t.entitlement(a), None);
         // Groups are not removable; out-of-tree ids are rejected.
         assert!(!t.remove_leaf(g));
-        assert!(!t.set_share(NodeId(999), 5));
-        // The survivor is untouched.
-        assert!((t.entitlement(b).unwrap() - 1.0).abs() < 1e-12);
-        assert_eq!(as_map(t.flatten())[&2], 1);
-        t.assert_aggregates_consistent();
+        assert!(!t.remove_leaf(NodeId(999)));
+        // The survivor owns the machine.
+        assert_eq!(t.flatten(), Some(vec![(2, 1)]));
     }
 
     #[test]
-    fn entitlement_is_cached_and_tracks_mutations() {
-        let mut t = ShareTree::new();
-        let a = t.add_group(None, 1);
-        let b = t.add_group(None, 1);
-        let la = t.add_leaf(Some(a), 1, 1);
-        let lb1 = t.add_leaf(Some(b), 1, 2);
-        let lb2 = t.add_leaf(Some(b), 3, 3);
-        for _ in 0..3 {
-            // Repeated queries (cache-hot after the first) stay stable.
-            assert!((t.entitlement(la).unwrap() - 0.5).abs() < 1e-12);
-            assert!((t.entitlement(lb1).unwrap() - 0.125).abs() < 1e-12);
-            assert!((t.entitlement(lb2).unwrap() - 0.375).abs() < 1e-12);
-        }
-        let before = t.epoch();
-        assert!(t.set_share(lb1, 3));
-        assert!(t.epoch() > before, "mutations must advance the epoch");
-        assert!((t.entitlement(la).unwrap() - 0.5).abs() < 1e-12);
-        assert!((t.entitlement(lb1).unwrap() - 0.25).abs() < 1e-12);
-        assert!((t.entitlement(lb2).unwrap() - 0.25).abs() < 1e-12);
-        // Cached and naive paths agree exactly, including after churn.
-        for leaf in [la, lb1, lb2] {
-            assert_eq!(t.entitlement_naive(leaf), t.entitlement(leaf));
-        }
-        t.assert_aggregates_consistent();
-    }
-
-    #[test]
-    fn tree_shares_bind_refresh_unbind() {
-        let mut ts = TreeShares::new(1 << 20);
-        let dept = ts.tree_mut().add_group(None, 1);
-        let a = ProcId::from_raw(0, 1);
-        let b = ProcId::from_raw(1, 1);
-        let c = ProcId::from_raw(2, 1);
-        // Bind-time shares reflect the tree as it stands at each bind.
-        let sa = ts.bind(a, Some(dept), 1);
-        assert_eq!(sa, 1 << 20, "a is alone: whole machine");
-        let sb = ts.bind(b, Some(dept), 1);
-        assert_eq!(sb, 1 << 19, "a:b = 1:1");
-        let sc = ts.bind(c, None, 2);
-        assert_eq!(sc, (2 * (1u64 << 20)) / 3 + 1, "dept:c = 1:2, rounded");
-        // A binding made at the current epoch is in sync: O(1) no-op.
-        assert_eq!(ts.refresh(c), None);
-        // a's stored share predates b and c; refresh re-derives 1/6.
-        let ra = ts.refresh(a).expect("a's fraction shrank");
-        assert!(ra < sb);
-        let node_a = ts.node_of(a).unwrap();
-        assert!(ts.tree_mut().set_share(node_a, 3));
-        let ra2 = ts.refresh(a).expect("a:b now 3:1");
-        assert_eq!(ra2, 1 << 18, "3/4 of a third of the machine");
-        // Stale generation: rejected.
-        assert_eq!(ts.refresh(ProcId::from_raw(0, 7)), None);
-        // Unbind removes the leaf; the survivor owns its whole group.
-        assert_eq!(ts.unbind(a), Some(node_a));
-        assert_eq!(ts.unbind(a), None);
-        let rb = ts.refresh(b).expect("b inherits the department");
-        assert_eq!(
-            rb,
-            ((1u64 << 20) + 1) / 3,
-            "a third of the machine, rounded"
-        );
-        assert_eq!(ts.refresh(b), None, "second refresh is in sync");
-    }
-
-    #[test]
-    fn deep_chain_liveness_flips_propagate() {
+    fn deep_chain_counts_only_while_its_leaf_lives() {
         // A 6-deep chain of singleton groups over one leaf, next to a flat
-        // leaf: the chain's leaf arrival/departure must activate and
-        // deactivate the whole chain.
+        // leaf: the chain weighs in only while its leaf is present.
         let mut t = ShareTree::new();
-        let flat = t.add_leaf(None, 1, 1);
+        t.add_leaf(None, 1, 1);
         let mut g = t.add_group(None, 3);
-        let top = g;
         for _ in 0..5 {
             g = t.add_group(Some(g), 7);
         }
-        t.assert_aggregates_consistent();
-        assert!(
-            (t.entitlement(flat).unwrap() - 1.0).abs() < 1e-12,
-            "empty chain is inactive"
-        );
+        assert_eq!(t.flatten(), Some(vec![(1, 1)]), "empty chain is inactive");
         let deep = t.add_leaf(Some(g), 2, 9);
-        t.assert_aggregates_consistent();
-        assert!((t.entitlement(flat).unwrap() - 0.25).abs() < 1e-12);
-        assert!((t.entitlement(deep).unwrap() - 0.75).abs() < 1e-12);
-        assert!(t.set_share(top, 1));
-        assert!((t.entitlement(deep).unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(t.flatten(), Some(vec![(1, 1), (9, 3)]));
         assert!(t.remove_leaf(deep));
-        t.assert_aggregates_consistent();
-        assert!((t.entitlement(flat).unwrap() - 1.0).abs() < 1e-12);
+        assert_eq!(t.flatten(), Some(vec![(1, 1)]));
+    }
+
+    #[test]
+    fn flatten_caps_the_share_total_at_2_pow_53() {
+        let flat = |shares: &[u64]| {
+            let mut t = ShareTree::new();
+            for (tag, &s) in shares.iter().enumerate() {
+                t.add_leaf(None, s, tag as u64);
+            }
+            t.flatten()
+        };
+        let half = 1u64 << 52;
+        assert_eq!(
+            flat(&[half, half - 1]),
+            Some(vec![(0, half), (1, half - 1)])
+        );
+        assert_eq!(flat(&[half, half]), Some(vec![(0, 1), (1, 1)]));
+        assert_eq!(flat(&[half, half + 1]), None);
+        assert_eq!(flat(&[u64::MAX, u64::MAX - 1]), None);
+    }
+
+    #[test]
+    fn flatten_refuses_denominators_past_64_bits() {
+        // Coprime five- and six-digit weights: the exact shares' common
+        // denominator is ~10²¹. They used to be truncated to 64 bits and
+        // returned as wrong ratios (leaf 0 at 12.4 % instead of 16.66 %).
+        let mut t = ShareTree::new();
+        let groups = [
+            (100_003, vec![100_019, 100_043, 1]),
+            (100_049, vec![100_057, 7]),
+            (100_069, vec![100_103, 13]),
+        ];
+        let mut tag = 0;
+        for (share, leaves) in groups {
+            let g = t.add_group(None, share);
+            for s in leaves {
+                t.add_leaf(Some(g), s, tag);
+                tag += 1;
+            }
+        }
+        assert_eq!(t.flatten(), None);
+    }
+
+    #[test]
+    fn flatten_survives_shares_near_2_pow_32() {
+        // Two groups of ~3·10⁹ over two leaves of ~3·10⁹ each: the common
+        // denominator overflowed `u128` (a debug-build panic).
+        let mut t = ShareTree::new();
+        for (g, base) in [
+            (3_000_000_000, 3_000_000_000),
+            (3_000_000_001, 3_000_000_002),
+        ] {
+            let g = t.add_group(None, g);
+            t.add_leaf(Some(g), base, base);
+            t.add_leaf(Some(g), base + 1, base + 1);
+        }
+        assert_eq!(t.flatten(), None);
+        // The same shape at small weights flattens exactly.
+        let mut t = ShareTree::new();
+        for (g, base) in [(3, 3), (4, 5)] {
+            let g = t.add_group(None, g);
+            t.add_leaf(Some(g), base, base);
+            t.add_leaf(Some(g), base + 1, base + 1);
+        }
+        // 3/7·3/7, 3/7·4/7, 4/7·5/11, 4/7·6/11 over 539.
+        assert_eq!(
+            t.flatten(),
+            Some(vec![(3, 99), (4, 132), (5, 140), (6, 168)])
+        );
     }
 }

@@ -54,9 +54,9 @@
 //!   instrumentation stream.
 //! * [`principal`] — §5's resource principals: schedule groups of processes
 //!   (e.g. all processes of one user) as single entities.
-//! * [`hierarchy`] — share *trees* (users → apps → processes), flattened
-//!   into the per-process shares ALPS consumes (a §6 related-work
-//!   extension).
+//! * [`hierarchy`] — a static share *tree* (users → apps → processes),
+//!   flattened once into the per-process shares ALPS consumes (§5's
+//!   hierarchy; re-flattened by the caller when it changes).
 //! * [`slo`] — the latency-feedback controller: observe per-tenant tail
 //!   latency, nudge shares to meet per-tenant SLO targets.
 //! * [`cycle`] — per-cycle consumption records for accuracy analysis.
@@ -102,7 +102,7 @@ pub use engine::{
     Engine, EngineFor, EngineStats, Event, EventSink, FaultPolicy, HardenConfig, Instrumentation,
     NullSink, RecordingSink, Signal, Substrate, TraceSink,
 };
-pub use hierarchy::{NodeId, ShareTree, TreeShares, DEFAULT_TREE_SCALE};
+pub use hierarchy::{NodeId, ShareTree};
 pub use principal::{
     DueList, MemberTransition, MembershipChange, PrincipalOutcome, PrincipalScheduler,
 };

@@ -238,7 +238,7 @@ struct Principal<M> {
 /// Linux, a simulator pid in `kernsim`).
 ///
 /// ```
-/// use alps_core::{AlpsConfig, Nanos, PrincipalScheduler};
+/// use alps_core::{AlpsConfig, DueList, Nanos, PrincipalOutcome, PrincipalScheduler};
 ///
 /// // Two users with a 1:2 share split; the first owns pids 100 and 101.
 /// let mut sched: PrincipalScheduler<i32> =
@@ -249,8 +249,10 @@ struct Principal<M> {
 /// sched.set_membership(bob, &[(200, Nanos::ZERO)]);
 /// // First quantum: both principals become eligible; every member of
 /// // each flipped principal gets a signal.
-/// sched.begin_quantum();
-/// let out = sched.complete_quantum(&[], Nanos::ZERO);
+/// let (mut due, mut out) = (DueList::new(), PrincipalOutcome::default());
+/// sched.begin_quantum_into(&mut due);
+/// assert!(due.is_empty());
+/// sched.complete_quantum_into(&due, &[], Nanos::ZERO, &mut out);
 /// assert_eq!(out.signals.len(), 3);
 /// ```
 #[derive(Debug, Clone)]
@@ -471,20 +473,10 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         })
     }
 
-    /// Begin an invocation: returns, for each principal due for measurement,
-    /// the member processes whose CPU time and blocked state must be read.
-    pub fn begin_quantum(&mut self) -> Vec<(ProcId, Vec<M>)> {
-        let due = self.inner.begin_quantum();
-        due.into_iter()
-            .map(|id| {
-                let members = self.members(id).unwrap_or_default();
-                (id, members)
-            })
-            .collect()
-    }
-
-    /// Allocation-free [`Self::begin_quantum`]: refills `due` with each due
-    /// principal and its members.
+    /// Begin an invocation: refills `due` with each principal due for
+    /// measurement and the member processes whose CPU time and blocked
+    /// state must be read. Once `due`'s buffers have grown, this allocates
+    /// nothing.
     pub fn begin_quantum_into(&mut self, due: &mut DueList<M>) {
         due.clear();
         self.inner.begin_quantum_into(&mut self.due_ids);
@@ -499,41 +491,16 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         }
     }
 
-    /// Complete the invocation with per-member readings for each due
-    /// principal.
-    ///
-    /// A principal is considered *blocked* (§2.4) when every member that was
-    /// read reports blocked — if any member is runnable, the principal can
-    /// make progress. Members missing from the readings (e.g. they exited
-    /// between `begin` and `complete`) are skipped without charge.
-    pub fn complete_quantum(
-        &mut self,
-        readings: &[(ProcId, Vec<(M, Observation)>)],
-        now: Nanos,
-    ) -> PrincipalOutcome<M> {
-        let mut due = DueList::default();
-        let mut flat = Vec::new();
-        for (id, members) in readings {
-            let start = due.members.len() as u32;
-            for &(m, obs) in members {
-                due.members.push(m);
-                flat.push(Some(obs));
-            }
-            due.entries.push((*id, start, members.len() as u32));
-        }
-        let mut out = PrincipalOutcome::default();
-        self.complete_quantum_into(&due, &flat, now, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Self::complete_quantum`].
+    /// Complete the invocation with per-member readings.
     ///
     /// `due` is the list filled by the matching [`Self::begin_quantum_into`]
     /// and `readings` runs parallel to [`DueList::members`] — `None` marks a
     /// member the backend could not read (it exited between the two calls),
-    /// which is skipped without charge. The outcome is written into `out`,
-    /// whose buffers are cleared and reused; in steady state the whole
-    /// invocation performs no heap allocation.
+    /// which is skipped without charge. A principal is considered *blocked*
+    /// (§2.4) when every member that was read reports blocked — if any
+    /// member is runnable, the principal can make progress. The outcome is
+    /// written into `out`, whose buffers are cleared and reused; in steady
+    /// state the whole invocation performs no heap allocation.
     pub fn complete_quantum_into(
         &mut self,
         due: &DueList<M>,
@@ -624,14 +591,44 @@ mod tests {
         PrincipalScheduler::new(AlpsConfig::new(Nanos::from_millis(10)))
     }
 
+    fn begin(s: &mut PrincipalScheduler<Pid>) -> DueList<Pid> {
+        let mut due = DueList::new();
+        s.begin_quantum_into(&mut due);
+        due
+    }
+
+    /// Complete the invocation `due` began, reading each due member from
+    /// `readings` (a member missing from it is unread).
+    fn complete(
+        s: &mut PrincipalScheduler<Pid>,
+        due: &DueList<Pid>,
+        readings: &[(Pid, Observation)],
+    ) -> PrincipalOutcome<Pid> {
+        let read: Vec<Option<Observation>> = due
+            .members()
+            .iter()
+            .map(|m| readings.iter().find(|(r, _)| r == m).map(|&(_, o)| o))
+            .collect();
+        let mut out = PrincipalOutcome::default();
+        s.complete_quantum_into(due, &read, Nanos::ZERO, &mut out);
+        out
+    }
+
+    /// One invocation in which nothing is due.
+    fn idle_quantum(s: &mut PrincipalScheduler<Pid>) {
+        let due = begin(s);
+        assert!(due.is_empty());
+        complete(s, &due, &[]);
+    }
+
     #[test]
     fn principal_becomes_eligible_resuming_all_members() {
         let mut s = sched();
         let u = s.add_principal(1);
         s.set_membership(u, &[(100, Nanos::ZERO), (101, Nanos::ZERO)]);
-        let due = s.begin_quantum();
+        let due = begin(&mut s);
         assert!(due.is_empty());
-        let out = s.complete_quantum(&[], Nanos::ZERO);
+        let out = complete(&mut s, &due, &[]);
         let mut resumed: Vec<Pid> = out
             .signals
             .iter()
@@ -651,17 +648,16 @@ mod tests {
         let v = s.add_principal(2);
         s.set_membership(u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
         s.set_membership(v, &[(3, Nanos::ZERO)]);
-        s.complete_quantum(&[], Nanos::ZERO); // both eligible (count=1)
-        s.begin_quantum(); // count=2, none due (ceil(2)=2 → due at 3)
-        s.complete_quantum(&[], Nanos::ZERO);
-        let due = s.begin_quantum(); // count=3: both due
+        complete(&mut s, &DueList::new(), &[]); // both eligible (count=1)
+        idle_quantum(&mut s); // count=2, none due (ceil(2)=2 → due at 3)
+        let due = begin(&mut s); // count=3: both due
         assert_eq!(due.len(), 2);
         // u's two members consumed 8 and 7 ms; v's one member 5 ms.
-        let readings = vec![
-            (u, vec![(1, obs(8, false)), (2, obs(7, false))]),
-            (v, vec![(3, obs(5, false))]),
-        ];
-        s.complete_quantum(&readings, Nanos::from_millis(30));
+        complete(
+            &mut s,
+            &due,
+            &[(1, obs(8, false)), (2, obs(7, false)), (3, obs(5, false))],
+        );
         // u: 15ms = 1.5 quanta consumed of allowance 2 → 0.5 left.
         assert!((s.inner().allowance(u).unwrap() - 0.5).abs() < 1e-9);
         assert!((s.inner().allowance(v).unwrap() - 1.5).abs() < 1e-9);
@@ -672,16 +668,16 @@ mod tests {
         let mut s = sched();
         let u = s.add_principal(4);
         s.set_membership(u, &[(1, Nanos::ZERO)]);
-        s.complete_quantum(&[], Nanos::ZERO); // eligible
-                                              // Member 1 exits after consuming 10ms; member 2 joins having already
-                                              // consumed 500ms under some other ownership.
+        complete(&mut s, &DueList::new(), &[]); // eligible
+
+        // Member 1 exits after consuming 10ms; member 2 joins having already
+        // consumed 500ms under some other ownership.
         for _ in 0..3 {
-            s.begin_quantum();
-            s.complete_quantum(&[], Nanos::ZERO);
+            idle_quantum(&mut s);
         }
-        let due = s.begin_quantum(); // count=5: due (ceil(4)=4 after count=1)
+        let due = begin(&mut s); // count=5: due (ceil(4)=4 after count=1)
         assert_eq!(due.len(), 1);
-        s.complete_quantum(&[(u, vec![(1, obs(10, false))])], Nanos::ZERO);
+        complete(&mut s, &due, &[(1, obs(10, false))]);
         let change = s
             .set_membership(u, &[(2, Nanos::from_millis(500))])
             .unwrap();
@@ -690,12 +686,11 @@ mod tests {
         assert!(change.signals.is_empty(), "principal is eligible");
         // Member 2 consumes 5ms more (cumulative 505).
         for _ in 0..2 {
-            s.begin_quantum();
-            s.complete_quantum(&[], Nanos::ZERO);
+            idle_quantum(&mut s);
         }
-        let due = s.begin_quantum();
+        let due = begin(&mut s);
         assert_eq!(due.len(), 1, "due again after ceil(3)=3 quanta");
-        s.complete_quantum(&[(u, vec![(2, obs(505, false))])], Nanos::ZERO);
+        complete(&mut s, &due, &[(2, obs(505, false))]);
         // Total charged: 10ms + 5ms = 1.5 quanta; allowance 4 - 1.5 = 2.5.
         assert!((s.inner().allowance(u).unwrap() - 2.5).abs() < 1e-9);
     }
@@ -705,7 +700,7 @@ mod tests {
         let mut s = sched();
         let u = s.add_principal(4);
         s.set_membership(u, &[(1, Nanos::ZERO)]);
-        s.complete_quantum(&[], Nanos::ZERO);
+        complete(&mut s, &DueList::new(), &[]);
         // At this refresh member 1 reads 25 ms, and joiner 2 reads 5 ms at
         // its first listing.
         let change = s
@@ -723,14 +718,11 @@ mod tests {
         assert!(change.removed.is_empty());
         assert_eq!(s.members(u), Some(vec![1, 2]));
         for _ in 0..3 {
-            s.begin_quantum();
-            s.complete_quantum(&[], Nanos::ZERO);
+            idle_quantum(&mut s);
         }
-        assert_eq!(s.begin_quantum().len(), 1);
-        s.complete_quantum(
-            &[(u, vec![(1, obs(30, false)), (2, obs(10, false))])],
-            Nanos::ZERO,
-        );
+        let due = begin(&mut s);
+        assert_eq!(due.len(), 1);
+        complete(&mut s, &due, &[(1, obs(30, false)), (2, obs(10, false))]);
         // Charged 30 ms since registration plus 5 ms since joining:
         // 4 − 3.5 = 0.5 quanta left.
         assert!((s.inner().allowance(u).unwrap() - 0.5).abs() < 1e-9);
@@ -775,11 +767,11 @@ mod tests {
         let u = s.add_principal(1);
         let _v = s.add_principal(9);
         s.set_membership(u, &[(1, Nanos::ZERO)]);
-        s.complete_quantum(&[], Nanos::ZERO); // eligible, count=1, due at 2
-        let due = s.begin_quantum();
+        complete(&mut s, &DueList::new(), &[]); // eligible, count=1, due at 2
+        let due = begin(&mut s);
         assert_eq!(due.len(), 1, "only u due (v due at ceil(9)+1)");
         // u overconsumes: suspended.
-        let out = s.complete_quantum(&[(u, vec![(1, obs(10, false))])], Nanos::ZERO);
+        let out = complete(&mut s, &due, &[(1, obs(10, false))]);
         assert_eq!(out.signals, vec![MemberTransition::Suspend(1)]);
         // A new worker is forked into the suspended principal.
         let change = s
@@ -796,22 +788,18 @@ mod tests {
         let mut s = sched();
         let u = s.add_principal(2);
         s.set_membership(u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
-        s.complete_quantum(&[], Nanos::ZERO);
-        s.begin_quantum();
-        s.complete_quantum(&[], Nanos::ZERO);
-        s.begin_quantum(); // due
-                           // One member runnable → principal not blocked → no penalty.
-        s.complete_quantum(
-            &[(u, vec![(1, obs(0, true)), (2, obs(0, false))])],
-            Nanos::ZERO,
-        );
+        complete(&mut s, &DueList::new(), &[]);
+        idle_quantum(&mut s);
+        // Due: one member runnable → principal not blocked → no penalty.
+        let due = begin(&mut s);
+        complete(&mut s, &due, &[(1, obs(0, true)), (2, obs(0, false))]);
         assert!((s.inner().allowance(u).unwrap() - 2.0).abs() < 1e-9);
-        // Both blocked → one-quantum penalty.
-        s.begin_quantum();
-        s.complete_quantum(
-            &[(u, vec![(1, obs(0, true)), (2, obs(0, true))])],
-            Nanos::ZERO,
-        );
+        // Due again after ceil(2)=2 quanta: both blocked → one-quantum
+        // penalty.
+        idle_quantum(&mut s);
+        let due = begin(&mut s);
+        assert_eq!(due.len(), 1);
+        complete(&mut s, &due, &[(1, obs(0, true)), (2, obs(0, true))]);
         assert!((s.inner().allowance(u).unwrap() - 1.0).abs() < 1e-9);
     }
 
@@ -832,9 +820,10 @@ mod tests {
         // receive the blocked penalty.
         let mut s = sched();
         let u = s.add_principal(1);
-        s.complete_quantum(&[], Nanos::ZERO); // eligible
-        s.begin_quantum();
-        s.complete_quantum(&[(u, vec![])], Nanos::ZERO);
+        complete(&mut s, &DueList::new(), &[]); // eligible
+        let due = begin(&mut s);
+        assert_eq!(due.iter().collect::<Vec<_>>(), vec![(u, &[][..])]);
+        complete(&mut s, &due, &[]);
         assert!((s.inner().allowance(u).unwrap() - 1.0).abs() < 1e-9);
     }
 }

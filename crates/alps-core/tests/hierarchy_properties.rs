@@ -43,7 +43,7 @@ proptest! {
         ),
     ) {
         let (t, expected) = build(&groups);
-        let flat = t.flatten();
+        let flat = t.flatten().expect("small trees fit");
         prop_assert_eq!(flat.len(), expected.len());
         let share_total: u64 = flat.iter().map(|&(_, s)| s).sum();
         for (tag, frac) in expected {
@@ -65,7 +65,7 @@ proptest! {
         ),
     ) {
         let (t, _) = build(&groups);
-        let flat = t.flatten();
+        let flat = t.flatten().expect("small trees fit");
         let g = flat.iter().fold(0u64, |acc, &(_, s)| {
             fn gcd(a: u64, b: u64) -> u64 { if b == 0 { a } else { gcd(b, a % b) } }
             gcd(acc, s)
@@ -104,7 +104,7 @@ proptest! {
             let idx = (r as usize) % live.len();
             let id = live.remove(idx);
             t.remove_leaf(id);
-            let flat = t.flatten();
+            let flat = t.flatten().expect("small trees fit");
             prop_assert_eq!(flat.len(), live.len());
             if !flat.is_empty() {
                 let total: u64 = flat.iter().map(|&(_, s)| s).sum();
@@ -113,94 +113,74 @@ proptest! {
         }
     }
 
-    /// The live tree's incremental aggregate propagation: after an
-    /// arbitrary interleaving of group/leaf adds, reshares, and leaf
-    /// removals, the cached `entitlement` path must be *bit-identical* to
-    /// the from-scratch `entitlement_naive` walk for every live leaf, and
-    /// `flatten` must still quantize those exact fractions.
+    /// Nested groups under churn: after an arbitrary interleaving of
+    /// group and leaf adds and leaf removals, every live leaf's flattened
+    /// share ratio equals its entitlement walked from scratch over a
+    /// model of the tree (product of `share / active sibling total`).
     #[test]
-    fn incremental_propagation_matches_from_scratch_after_churn(
+    fn flatten_matches_a_path_walk_after_nested_churn(
         ops in proptest::collection::vec((any::<u8>(), 1u64..16, any::<u16>()), 1..50),
     ) {
         let mut t = ShareTree::new();
-        let mut groups: Vec<NodeId> = Vec::new();
-        let mut live: Vec<(NodeId, u64)> = Vec::new();
-        let mut next_tag = 0u64;
+        // Model: (parent index, share, live leaf tag).
+        let mut model: Vec<(Option<usize>, u64, Option<u64>)> = Vec::new();
+        let mut groups: Vec<(NodeId, usize)> = Vec::new();
+        let mut live: Vec<(NodeId, usize)> = Vec::new();
+        fn has_leaves(m: &[(Option<usize>, u64, Option<u64>)], i: usize) -> bool {
+            m[i].2.is_some() || (0..m.len()).any(|c| m[c].0 == Some(i) && has_leaves(m, c))
+        }
         for (kind, share, pick) in ops {
             let pick = pick as usize;
-            match kind % 4 {
+            let parent = (!groups.is_empty() && !pick.is_multiple_of(3))
+                .then(|| groups[pick % groups.len()]);
+            match kind % 3 {
                 0 => {
-                    // New group, sometimes nested under an existing one.
-                    let parent = if groups.is_empty() || pick.is_multiple_of(3) {
-                        None
-                    } else {
-                        Some(groups[pick % groups.len()])
-                    };
-                    groups.push(t.add_group(parent, share));
+                    groups.push((t.add_group(parent.map(|p| p.0), share), model.len()));
+                    model.push((parent.map(|p| p.1), share, None));
                 }
                 1 => {
-                    // New leaf under a random group (or the root).
-                    let parent = if groups.is_empty() {
-                        None
-                    } else {
-                        Some(groups[pick % groups.len()])
-                    };
-                    live.push((t.add_leaf(parent, share, next_tag), next_tag));
-                    next_tag += 1;
-                }
-                2 => {
-                    // Reshare a random live node — leaf or interior group.
-                    let total = groups.len() + live.len();
-                    if total > 0 {
-                        let i = pick % total;
-                        let id = if i < groups.len() {
-                            groups[i]
-                        } else {
-                            live[i - groups.len()].0
-                        };
-                        prop_assert!(t.set_share(id, share));
-                    }
+                    let tag = model.len() as u64;
+                    live.push((t.add_leaf(parent.map(|p| p.0), share, tag), model.len()));
+                    model.push((parent.map(|p| p.1), share, Some(tag)));
                 }
                 _ => {
-                    // Remove a random leaf; its id must then be dead to
-                    // every mutator and both entitlement paths.
                     if !live.is_empty() {
-                        let (id, _) = live.remove(pick % live.len());
+                        let (id, i) = live.remove(pick % live.len());
                         prop_assert!(t.remove_leaf(id));
-                        prop_assert!(!t.set_share(id, share), "removed leaf took a share");
                         prop_assert!(!t.remove_leaf(id), "double removal succeeded");
-                        prop_assert_eq!(t.entitlement_naive(id), None);
-                        prop_assert_eq!(t.entitlement(id), None);
+                        model[i].2 = None;
                     }
                 }
             }
-            // After *every* op: the O(depth)-maintained caches agree with a
-            // full recomputation, bit for bit.
-            for &(leaf, tag) in &live {
-                let naive = t.entitlement_naive(leaf);
-                let cached = t.entitlement(leaf);
-                prop_assert_eq!(
-                    cached.map(f64::to_bits),
-                    naive.map(f64::to_bits),
-                    "leaf tag {}: cached {:?} vs naive {:?}",
-                    tag, cached, naive
-                );
-            }
-            // And the flattened integer shares quantize those fractions.
-            let flat = t.flatten();
+            let walk = |mut i: usize| {
+                let mut frac = 1.0;
+                loop {
+                    let total: u64 = (0..model.len())
+                        .filter(|&c| model[c].0 == model[i].0 && has_leaves(&model, c))
+                        .map(|c| model[c].1)
+                        .sum();
+                    frac *= model[i].1 as f64 / total as f64;
+                    match model[i].0 {
+                        Some(p) => i = p,
+                        None => return frac,
+                    }
+                }
+            };
+            let flat = t.flatten().expect("small trees fit");
             prop_assert_eq!(flat.len(), live.len());
             let share_total: u64 = flat.iter().map(|&(_, s)| s).sum();
-            for &(leaf, tag) in &live {
-                let frac = t.entitlement_naive(leaf).expect("live leaf has a fraction");
+            for &(_, i) in &live {
+                let tag = i as u64;
                 let (_, s) = flat
                     .iter()
                     .find(|&&(tg, _)| tg == tag)
                     .expect("live leaf survives flatten");
                 let got = *s as f64 / share_total as f64;
+                let want = walk(i);
                 prop_assert!(
-                    (got - frac).abs() < 1e-9,
+                    (got - want).abs() < 1e-9,
                     "tag {}: flattened {:.9} vs walked {:.9}",
-                    tag, got, frac
+                    tag, got, want
                 );
             }
         }

@@ -2,7 +2,10 @@
 //! accounting must be invariant under membership churn, and signals must
 //! always reconcile member run-states with principal eligibility.
 
-use alps_core::{AlpsConfig, MemberTransition, Nanos, Observation, PrincipalScheduler, ProcId};
+use alps_core::{
+    AlpsConfig, DueList, MemberTransition, Nanos, Observation, PrincipalOutcome,
+    PrincipalScheduler, ProcId,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -39,6 +42,7 @@ proptest! {
             world.members.insert(k, BTreeSet::new());
         }
         let mut next_pid: Pid = 1;
+        let (mut due, mut out) = (DueList::new(), PrincipalOutcome::default());
 
         let apply_signals = |world: &mut World, signals: &[MemberTransition<Pid>]| {
             for s in signals {
@@ -97,26 +101,18 @@ proptest! {
                 }
                 _ => {
                     // a quantum
-                    let due = sched.begin_quantum();
-                    let readings: Vec<(ProcId, Vec<(Pid, Observation)>)> = due
+                    sched.begin_quantum_into(&mut due);
+                    let readings: Vec<Option<Observation>> = due
+                        .members()
                         .iter()
-                        .map(|(pid_id, members)| {
-                            let obs = members
-                                .iter()
-                                .map(|&m| {
-                                    (
-                                        m,
-                                        Observation {
-                                            total_cpu: Nanos(world.cpu[&m]),
-                                            blocked: false,
-                                        },
-                                    )
-                                })
-                                .collect();
-                            (*pid_id, obs)
+                        .map(|&m| {
+                            Some(Observation {
+                                total_cpu: Nanos(world.cpu[&m]),
+                                blocked: false,
+                            })
                         })
                         .collect();
-                    let out = sched.complete_quantum(&readings, Nanos::ZERO);
+                    sched.complete_quantum_into(&due, &readings, Nanos::ZERO, &mut out);
                     apply_signals(&mut world, &out.signals);
                     // After the quantum, stopped pids must belong only to
                     // ineligible principals and vice versa.

@@ -10,9 +10,9 @@
 //! byte-identical behavior.
 
 use alps_conformance::harness::{
-    config_corners, run_core_schedule_smp, run_engine_schedule_smp, DriveReport,
+    config_corners, run_core_schedule_smp, run_engine_schedule, DriveReport, EngineMode,
 };
-use alps_core::Instrumentation;
+use alps_core::{AlpsConfig, Instrumentation};
 
 use super::table::Table;
 use crate::output::heading;
@@ -33,41 +33,40 @@ pub fn conformance(quick: bool, cpus: usize) {
     table.header(&["driver", "quanta", "cycles", "transitions", "peak"]);
     let mut invariance_checks = 0usize;
 
-    let mut core = DriveReport::default();
-    let mut engine = DriveReport::default();
+    type Driver = fn(AlpsConfig, u64, usize, usize) -> DriveReport;
+    let drivers: [(&str, Driver); 3] = [
+        ("core vs oracle", run_core_schedule_smp),
+        ("engine flat", |cfg, seed, len, cpus| {
+            let mode = EngineMode::Flat;
+            run_engine_schedule(cfg, Instrumentation::Exact, mode, seed, len, cpus)
+        }),
+        ("engine groups", |cfg, seed, len, cpus| {
+            let mode = EngineMode::Principals;
+            run_engine_schedule(cfg, Instrumentation::Exact, mode, seed, len, cpus)
+        }),
+    ];
+    let mut totals = [DriveReport::default(); 3];
     for (c, cfg) in config_corners().into_iter().enumerate() {
         for s in 0..seeds {
             let seed = 0xC0DE_0000_0000_0000 | (c as u64) << 32 | s;
-            let rep = run_core_schedule_smp(cfg, seed, len, cpus);
-            if cpus > 1 {
-                assert_eq!(
-                    rep,
-                    run_core_schedule_smp(cfg, seed, len, 1),
-                    "core outputs differ between 1 and {cpus} CPUs (seed {seed})"
-                );
-                invariance_checks += 1;
+            for ((name, run), total) in drivers.iter().zip(&mut totals) {
+                let rep = run(cfg, seed, len, cpus);
+                if cpus > 1 {
+                    assert_eq!(
+                        rep,
+                        run(cfg, seed, len, 1),
+                        "{name} outputs differ between 1 and {cpus} CPUs (seed {seed})"
+                    );
+                    invariance_checks += 1;
+                }
+                total.quanta += rep.quanta;
+                total.cycles += rep.cycles;
+                total.transitions += rep.transitions;
+                total.peak_live = total.peak_live.max(rep.peak_live);
             }
-            core.quanta += rep.quanta;
-            core.cycles += rep.cycles;
-            core.transitions += rep.transitions;
-            core.peak_live = core.peak_live.max(rep.peak_live);
-
-            let rep = run_engine_schedule_smp(cfg, Instrumentation::Exact, seed, len, cpus);
-            if cpus > 1 {
-                assert_eq!(
-                    rep,
-                    run_engine_schedule_smp(cfg, Instrumentation::Exact, seed, len, 1),
-                    "engine outputs differ between 1 and {cpus} CPUs (seed {seed})"
-                );
-                invariance_checks += 1;
-            }
-            engine.quanta += rep.quanta;
-            engine.cycles += rep.cycles;
-            engine.transitions += rep.transitions;
-            engine.peak_live = engine.peak_live.max(rep.peak_live);
         }
     }
-    for (name, rep) in [("core vs oracle", &core), ("engine vs oracle", &engine)] {
+    for ((name, _), rep) in drivers.iter().zip(&totals) {
         table.row(&[
             name.to_string(),
             rep.quanta.to_string(),
@@ -77,7 +76,7 @@ pub fn conformance(quick: bool, cpus: usize) {
         ]);
     }
     // A run that proved nothing is a configuration bug, not a pass.
-    assert!(core.quanta > 0 && engine.quanta > 0);
+    assert!(totals.iter().all(|rep| rep.quanta > 0));
     if cpus > 1 {
         println!(
             "\n{invariance_checks} fingerprint comparisons against the 1-CPU baseline: \

@@ -31,7 +31,7 @@ fn main() {
         leaf_ids.push(tree.add_leaf(Some(group), weight, i as u64));
     }
 
-    let flat = tree.flatten();
+    let flat = tree.flatten().expect("shares fit");
     println!("tree: departments eng:res = 2:1; eng users 1:1:2; res users 1:1");
     println!("flattened integer shares:");
     let procs: Vec<(kernsim::Pid, u64)> = flat
@@ -67,7 +67,7 @@ fn main() {
     println!("\neng/cy departs; re-flattening within engineering...");
     tree.remove_leaf(leaf_ids[2]);
     let ids = alps.proc_ids();
-    for &(tag, share) in &tree.flatten() {
+    for &(tag, share) in &tree.flatten().expect("shares fit") {
         // Map tags to still-registered core ids (same registration order as
         // `procs`, which follows `flat`).
         let pos = flat

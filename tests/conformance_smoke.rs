@@ -35,9 +35,15 @@ fn engine_matches_the_oracle_flat_and_with_principals() {
     ] {
         for lazy in [true, false] {
             for seed in 0..8 {
-                quanta +=
-                    run_engine_schedule(config(lazy), instrumentation, mode, 0xE6_0000 | seed, 50)
-                        .quanta;
+                quanta += run_engine_schedule(
+                    config(lazy),
+                    instrumentation,
+                    mode,
+                    0xE6_0000 | seed,
+                    50,
+                    1,
+                )
+                .quanta;
             }
         }
     }

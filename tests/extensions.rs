@@ -72,7 +72,7 @@ fn share_tree_end_to_end_with_trace_replay() {
         pids.push(pid);
         tree.add_leaf(Some(group), 1, i);
     }
-    let flat = tree.flatten();
+    let flat = tree.flatten().expect("shares fit");
     let procs: Vec<_> = flat
         .iter()
         .map(|&(tag, share)| (pids[tag as usize], share))
