@@ -13,8 +13,8 @@ use core::hash::Hash;
 use std::collections::HashMap;
 
 use alps_core::{
-    AlpsConfig, CycleEntry, CycleRecord, EngineStats, Event, EventSink, Instrumentation,
-    MemberTransition, MembershipChange, Nanos, ProcId, Signal, StaleId, Substrate, Transition,
+    AlpsConfig, CycleEntry, CycleRecord, EngineStats, Event, EventSink, MemberTransition,
+    MembershipChange, Nanos, ProcId, Signal, StaleId, Substrate, Transition,
 };
 
 use crate::oracle::{MemberReadings, OraclePrincipalScheduler};
@@ -30,7 +30,6 @@ pub struct OracleEngine<M: Copy + Ord + Hash + fmt::Debug> {
     cycles: Vec<CycleRecord>,
     stats: EngineStats,
     record_cycles: bool,
-    instrumentation: Instrumentation,
     auto_reap: bool,
     last_begin: Option<Nanos>,
     /// The due list of the in-flight invocation (fresh each quantum).
@@ -42,24 +41,18 @@ pub struct OracleEngine<M: Copy + Ord + Hash + fmt::Debug> {
 }
 
 impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
-    /// An empty oracle engine with the same constructor contract as the
-    /// production engine.
-    pub fn new(cfg: AlpsConfig, instrumentation: Instrumentation) -> Self {
-        let record_cycles = cfg.record_cycles;
-        let inner_cfg = match instrumentation {
-            Instrumentation::Exact => cfg.with_cycle_log(false),
-            Instrumentation::Measured => cfg,
-        };
+    /// An empty oracle engine; `cfg.record_cycles` selects whether the
+    /// exact per-cycle log is kept, as in the production engine.
+    pub fn new(cfg: AlpsConfig) -> Self {
         OracleEngine {
-            sched: OraclePrincipalScheduler::new(inner_cfg),
+            sched: OraclePrincipalScheduler::new(cfg),
             order: Vec::new(),
             stale: 0,
             member_index: HashMap::new(),
             snapshot: Vec::new(),
             cycles: Vec::new(),
             stats: EngineStats::default(),
-            record_cycles,
-            instrumentation,
+            record_cycles: cfg.record_cycles,
             auto_reap: false,
             last_begin: None,
             due: Vec::new(),
@@ -207,7 +200,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
             self.reap(id, m, sink);
         }
         let now = sub.now();
-        let out = self.sched.complete_quantum(&readings, now);
+        let out = self.sched.complete_quantum(&readings);
         self.transitions = out.transitions;
         self.signals = out.signals;
         self.cycle_completed = out.cycle_completed;
@@ -218,14 +211,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
                 now,
             });
             if self.record_cycles {
-                match self.instrumentation {
-                    Instrumentation::Exact => self.record_exact_cycle(sub, now)?,
-                    Instrumentation::Measured => {
-                        if let Some(rec) = out.cycle_record {
-                            self.cycles.push(rec);
-                        }
-                    }
-                }
+                self.record_exact_cycle(sub, now)?;
             }
         }
         self.due = due;

@@ -10,8 +10,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use alps_core::{
-    AlpsConfig, CycleEntry, CycleRecord, IoPolicy, MemberTransition, MembershipChange, Nanos,
-    Observation, PrincipalOutcome, ProcId, QuantumOutcome, StaleId, Transition,
+    AlpsConfig, IoPolicy, MemberTransition, MembershipChange, Nanos, Observation, PrincipalOutcome,
+    ProcId, QuantumOutcome, StaleId, Transition,
 };
 
 #[derive(Debug, Clone)]
@@ -21,7 +21,6 @@ struct OracleProc {
     eligible: bool,
     update: u64,
     last_cpu: Nanos,
-    cycle_consumed: Nanos,
     forfeited: bool,
 }
 
@@ -38,8 +37,8 @@ pub type MemberReadings<M> = Vec<(M, Option<Observation>)>;
 
 /// Naive reference implementation of `alps_core::AlpsScheduler`.
 ///
-/// Same public contract (ids, due lists, transitions, cycle records,
-/// aggregate counters), O(N) everything, allocation per call.
+/// Same public contract (ids, due lists, transitions, aggregate
+/// counters), O(N) everything, allocation per call.
 #[derive(Debug, Clone)]
 pub struct OracleScheduler {
     cfg: AlpsConfig,
@@ -125,7 +124,6 @@ impl OracleScheduler {
             eligible: false,
             update: 0,
             last_cpu: initial_cpu,
-            cycle_consumed: Nanos::ZERO,
             forfeited: false,
         };
         self.total_shares += share;
@@ -237,11 +235,7 @@ impl OracleScheduler {
 
     /// Complete the invocation: the measurement loop, cycle-boundary
     /// handling, and the full-scan repartition of Figure 3.
-    pub fn complete_quantum(
-        &mut self,
-        observations: &[(ProcId, Observation)],
-        now: Nanos,
-    ) -> QuantumOutcome {
+    pub fn complete_quantum(&mut self, observations: &[(ProcId, Observation)]) -> QuantumOutcome {
         let q = self.cfg.quantum.as_f64();
         let io_policy = self.cfg.io_policy;
 
@@ -256,7 +250,6 @@ impl OracleScheduler {
             let consumed = obs.total_cpu.saturating_sub(state.last_cpu);
             state.last_cpu = obs.total_cpu;
             state.allowance -= consumed.as_f64() / q;
-            state.cycle_consumed += consumed;
             tc_delta -= consumed.as_f64();
             if obs.blocked {
                 match io_policy {
@@ -277,21 +270,16 @@ impl OracleScheduler {
         }
         self.tc += tc_delta;
 
-        // Cycle boundary: exactly one cycle credited per invocation.
+        // Cycle boundary: exactly one cycle credited per invocation, and
+        // every forfeit flag cleared for the new cycle.
         let cycle_completed = self.tc <= 0.0 && self.total_shares > 0;
-        let mut cycle_record = None;
         if cycle_completed {
             self.tc += self.cycle_len();
             self.cycles_completed += 1;
-            if self.cfg.record_cycles {
-                cycle_record = Some(self.take_cycle_record(now));
-            } else {
-                for k in 0..self.occupied.len() {
-                    let i = self.occupied[k] as usize;
-                    if let Some(s) = self.slots[i].state.as_mut() {
-                        s.cycle_consumed = Nanos::ZERO;
-                        s.forfeited = false;
-                    }
+            for k in 0..self.occupied.len() {
+                let i = self.occupied[k] as usize;
+                if let Some(s) = self.slots[i].state.as_mut() {
+                    s.forfeited = false;
                 }
             }
         }
@@ -340,33 +328,6 @@ impl OracleScheduler {
         QuantumOutcome {
             transitions,
             cycle_completed,
-            cycle_record,
-        }
-    }
-
-    fn take_cycle_record(&mut self, now: Nanos) -> CycleRecord {
-        let mut entries = Vec::new();
-        let mut total = Nanos::ZERO;
-        for k in 0..self.occupied.len() {
-            let i = self.occupied[k] as usize;
-            let slot = &mut self.slots[i];
-            if let Some(s) = slot.state.as_mut() {
-                entries.push(CycleEntry {
-                    id: ProcId::from_raw(i as u32, slot.generation),
-                    share: s.share,
-                    consumed: s.cycle_consumed,
-                });
-                total += s.cycle_consumed;
-                s.cycle_consumed = Nanos::ZERO;
-                s.forfeited = false;
-            }
-        }
-        CycleRecord {
-            index: self.cycles_completed - 1,
-            completed_at: now,
-            total_shares: self.total_shares,
-            total_consumed: total,
-            entries,
         }
     }
 
@@ -541,7 +502,6 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
     pub fn complete_quantum(
         &mut self,
         readings: &[(ProcId, MemberReadings<M>)],
-        now: Nanos,
     ) -> PrincipalOutcome<M> {
         let mut obs = Vec::new();
         for (id, members) in readings {
@@ -572,7 +532,7 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
                 },
             ));
         }
-        let inner_out = self.inner.complete_quantum(&obs, now);
+        let inner_out = self.inner.complete_quantum(&obs);
         let mut signals = Vec::new();
         for t in &inner_out.transitions {
             let id = t.proc_id();
@@ -589,7 +549,6 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
             signals,
             transitions: inner_out.transitions,
             cycle_completed: inner_out.cycle_completed,
-            cycle_record: inner_out.cycle_record,
         }
     }
 }

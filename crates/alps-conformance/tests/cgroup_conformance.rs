@@ -11,7 +11,7 @@
 
 use alps_conformance::actuator::run_cgroup_schedule;
 use alps_conformance::harness::{config_corners, DriveReport};
-use alps_core::{AlpsConfig, Instrumentation, IoPolicy, Nanos};
+use alps_core::{AlpsConfig, IoPolicy, Nanos};
 
 const QUANTUM: Nanos = Nanos(10_000_000);
 
@@ -40,7 +40,7 @@ fn cgroup_substrate_matches_mock_substrate() {
     {
         for s in 0..25u64 {
             let seed = 0xC6_0000_0000_0000 | (c as u64) << 32 | s;
-            let rep = run_cgroup_schedule(cfg, Instrumentation::Exact, seed, 50);
+            let rep = run_cgroup_schedule(cfg, seed, 50);
             total.quanta += rep.quanta;
             total.cycles += rep.cycles;
             total.transitions += rep.transitions;
@@ -61,56 +61,33 @@ fn cgroup_substrate_matches_mock_substrate() {
     );
 }
 
-/// Measured instrumentation takes the cycle-boundary readings through the
-/// substrate's visible counters (`cpu.stat` vs the mock's) — the
-/// substrates must still be indistinguishable.
-#[test]
-fn cgroup_substrate_matches_mock_under_measured_instrumentation() {
-    let mut total = DriveReport::default();
-    let cfg = config(true, IoPolicy::OneQuantumPenalty);
-    for s in 0..25u64 {
-        let seed = 0xC6_3EA5_0000_0000 | s;
-        let rep = run_cgroup_schedule(cfg, Instrumentation::Measured, seed, 50);
-        total.quanta += rep.quanta;
-        total.transitions += rep.transitions;
-    }
-    assert!(total.quanta > 1_000, "too few quanta: {}", total.quanta);
-    assert!(
-        total.transitions > 200,
-        "too few transitions: {}",
-        total.transitions
-    );
-}
-
 /// Replayability: the same seed drives the same schedule to the same
 /// report.
 #[test]
 fn cgroup_differential_runs_are_deterministic() {
     let cfg = config(true, IoPolicy::OneQuantumPenalty);
     assert_eq!(
-        run_cgroup_schedule(cfg, Instrumentation::Exact, 11, 50),
-        run_cgroup_schedule(cfg, Instrumentation::Exact, 11, 50)
+        run_cgroup_schedule(cfg, 11, 50),
+        run_cgroup_schedule(cfg, 11, 50)
     );
 }
 
 /// The nightly deep matrix: the full {lazy, eager} × I/O-policy grid ×
-/// 40 seeds × {exact, measured}. Ignored on the PR path; CI's scheduled
-/// run executes it with `--ignored`.
+/// 80 seeds. Ignored on the PR path; CI's scheduled run executes it with
+/// `--ignored`.
 #[test]
 #[ignore = "nightly: full randomized-schedule matrix (run with --ignored)"]
 fn cgroup_substrate_matches_mock_across_full_matrix() {
     let mut total = DriveReport::default();
     let mut schedules = 0u64;
     for (c, cfg) in config_corners().into_iter().enumerate() {
-        for s in 0..40u64 {
+        for s in 0..80u64 {
             let seed = 0xC6_F011_0000_0000 | (c as u64) << 32 | s;
-            for inst in [Instrumentation::Exact, Instrumentation::Measured] {
-                let rep = run_cgroup_schedule(cfg, inst, seed, 60);
-                total.quanta += rep.quanta;
-                total.cycles += rep.cycles;
-                total.transitions += rep.transitions;
-                schedules += 1;
-            }
+            let rep = run_cgroup_schedule(cfg, seed, 60);
+            total.quanta += rep.quanta;
+            total.cycles += rep.cycles;
+            total.transitions += rep.transitions;
+            schedules += 1;
         }
     }
     assert!(schedules >= 480, "only {schedules} schedules driven");

@@ -142,10 +142,8 @@ proptest! {
 fn engine_trace_stats_and_cycle_log_match_the_oracle_under_member_churn() {
     for lazy in [true, false] {
         let cfg = config(lazy);
-        let mut prod: Engine<u32> =
-            Engine::new(cfg, Instrumentation::Measured).with_auto_reap(true);
-        let mut oracle: OracleEngine<u32> =
-            OracleEngine::new(cfg, Instrumentation::Measured).with_auto_reap(true);
+        let mut prod: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+        let mut oracle: OracleEngine<u32> = OracleEngine::new(cfg).with_auto_reap(true);
         let mut sub_p: MockSubstrate = MockSubstrate::default();
         let mut sub_o: MockSubstrate = MockSubstrate::default();
         let mut sink_p = RecordingSink::new();
@@ -239,8 +237,8 @@ fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
     prod.set_membership(u, &[(1, Nanos::ZERO)]);
     oracle.set_membership(uo, &[(1, Nanos::ZERO)]);
     let (mut due, mut out) = (DueList::new(), PrincipalOutcome::default());
-    prod.complete_quantum_into(&due, &[], Nanos::ZERO, &mut out);
-    oracle.complete_quantum(&[], Nanos::ZERO);
+    prod.complete_quantum_into(&due, &[], &mut out);
+    oracle.complete_quantum(&[]);
     let listing = [(1, ms(25)), (2, ms(5)), (1, ms(25)), (2, Nanos::ZERO)];
     let change = oracle.set_membership(uo, &listing).unwrap();
     assert_eq!(change.added, vec![2]);
@@ -248,9 +246,9 @@ fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
     assert_eq!(prod.set_membership(u, &listing), Some(change));
     for _ in 0..3 {
         prod.begin_quantum_into(&mut due);
-        prod.complete_quantum_into(&due, &[], Nanos::ZERO, &mut out);
+        prod.complete_quantum_into(&due, &[], &mut out);
         oracle.begin_quantum();
-        oracle.complete_quantum(&[], Nanos::ZERO);
+        oracle.complete_quantum(&[]);
     }
     assert_eq!(oracle.begin_quantum(), vec![(uo, vec![1, 2])]);
     prod.begin_quantum_into(&mut due);
@@ -259,12 +257,9 @@ fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
         total_cpu: cpu,
         blocked: false,
     };
-    oracle.complete_quantum(
-        &[(uo, vec![(1, Some(read(ms(30)))), (2, Some(read(ms(10))))])],
-        Nanos::ZERO,
-    );
+    oracle.complete_quantum(&[(uo, vec![(1, Some(read(ms(30)))), (2, Some(read(ms(10))))])]);
     let readings = [Some(read(ms(30))), Some(read(ms(10)))];
-    prod.complete_quantum_into(&due, &readings, Nanos::ZERO, &mut out);
+    prod.complete_quantum_into(&due, &readings, &mut out);
     // Charged 30 ms since registration plus 5 ms since joining.
     assert_eq!(oracle.inner().allowance(uo), Some(0.5));
     assert_eq!(prod.inner().allowance(u), Some(0.5));
@@ -279,8 +274,7 @@ fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
 fn a_member_listed_by_two_principals_stays_with_its_first_owner_in_both_engines() {
     let cfg = config(true);
     let mut prod: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
-    let mut oracle: OracleEngine<u32> =
-        OracleEngine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut oracle: OracleEngine<u32> = OracleEngine::new(cfg).with_auto_reap(true);
     let fixed = prod.add_member(9, 1, Nanos::ZERO);
     assert_eq!(oracle.add_member(9, 1, Nanos::ZERO), fixed);
     let (a, b) = (prod.add_principal(1), prod.add_principal(2));

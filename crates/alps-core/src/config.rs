@@ -48,9 +48,11 @@ pub struct AlpsConfig {
     pub lazy_measurement: bool,
     /// Blocked-process accounting policy (§2.4).
     pub io_policy: IoPolicy,
-    /// Record a per-cycle consumption log (the instrumentation the paper
-    /// used for its accuracy evaluation, §3.1). Costs one `Vec` push per
-    /// process per cycle.
+    /// Keep the engine's per-cycle consumption log (the instrumentation
+    /// the paper used for its accuracy evaluation, §3.1): at each cycle
+    /// boundary the engine re-reads every fixed principal's member exactly
+    /// and appends one record with an entry per principal. The bare
+    /// scheduler keeps no log and ignores this switch.
     pub record_cycles: bool,
     /// Number of CPUs on the machine whose consumption ALPS governs
     /// (default 1 — the paper's uniprocessor). The algorithm itself is

@@ -18,8 +18,9 @@ pub struct CycleEntry {
     pub id: ProcId,
     /// Its share at the time the cycle completed.
     pub share: u64,
-    /// CPU time attributed to this cycle (measured deltas; attribution is at
-    /// measurement granularity, exactly as in the paper's instrumentation).
+    /// CPU time consumed this cycle: the difference between exact
+    /// cumulative readings at this boundary and the previous one (for a
+    /// group, the CPU charged to it in between).
     pub consumed: Nanos,
 }
 

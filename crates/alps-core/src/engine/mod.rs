@@ -75,6 +75,11 @@ pub struct EngineStats {
 }
 
 /// How the engine fills its per-cycle consumption log (§3.1).
+///
+/// There is one way, so this enum has one variant. [`Engine::new`] still
+/// takes it because the `benchmark` package, which builds against this
+/// API from outside the workspace, passes `Instrumentation::Exact`; the
+/// argument goes when that caller drops it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instrumentation {
     /// At each cycle boundary, re-read every fixed principal's member
@@ -84,12 +89,8 @@ pub enum Instrumentation {
     /// `/proc` read on Linux — independent of what the scheduler happened
     /// to observe. A group is recorded as the CPU charged to it since the
     /// previous boundary (re-reading its current members would charge a
-    /// joiner's whole lifetime), which is what `Measured` records for it.
-    /// The inner scheduler's own (measurement-granular) log is disabled.
+    /// joiner's whole lifetime).
     Exact,
-    /// Keep the inner scheduler's log: consumption at measurement
-    /// granularity, exactly what the algorithm itself saw.
-    Measured,
 }
 
 /// How the engine responds to substrate faults — errors from CPU-time
@@ -186,8 +187,7 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     sched: PrincipalScheduler<M>,
     /// Every principal in registration order (the order cycle-record
     /// entries are emitted in), each with its cumulative exact CPU at the
-    /// last cycle boundary — that reading is only meaningful under
-    /// [`Instrumentation::Exact`].
+    /// last cycle boundary.
     snapshot: Vec<(ProcId, Nanos)>,
     /// Stale (removed) ids still present in `snapshot`. Removal only
     /// tombstones; the vector is compacted once stale entries outnumber
@@ -200,7 +200,6 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     cycles: Vec<CycleRecord>,
     stats: EngineStats,
     record_cycles: bool,
-    instrumentation: Instrumentation,
     auto_reap: bool,
     fault_policy: FaultPolicy,
     /// Per-member recovery state (populated only under
@@ -227,25 +226,18 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
 }
 
 impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
-    /// An empty engine. `cfg.record_cycles` selects whether a per-cycle
-    /// log is kept at all; `instrumentation` selects how it is filled.
-    pub fn new(cfg: AlpsConfig, instrumentation: Instrumentation) -> Self {
-        let record_cycles = cfg.record_cycles;
-        let inner_cfg = match instrumentation {
-            // The engine rebuilds records from exact readings itself; the
-            // inner measurement-granular log would only waste work.
-            Instrumentation::Exact => cfg.with_cycle_log(false),
-            Instrumentation::Measured => cfg,
-        };
+    /// An empty engine. `cfg.record_cycles` selects whether the per-cycle
+    /// log is kept; the second argument is [`Instrumentation::Exact`], its
+    /// only value.
+    pub fn new(cfg: AlpsConfig, _: Instrumentation) -> Self {
         Engine {
-            sched: PrincipalScheduler::new(inner_cfg),
+            sched: PrincipalScheduler::new(cfg),
             snapshot: Vec::new(),
             stale: 0,
             member_index: HashMap::new(),
             cycles: Vec::new(),
             stats: EngineStats::default(),
-            record_cycles,
-            instrumentation,
+            record_cycles: cfg.record_cycles,
             auto_reap: false,
             fault_policy: FaultPolicy::Propagate,
             health: HashMap::new(),
@@ -423,8 +415,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Stage 2: read every due member from the substrate and complete the
     /// scheduler invocation. Members that are gone are skipped without
     /// charge (and reaped, under auto-reap, if they were their principal's
-    /// sole member). On a cycle boundary the per-cycle log is extended
-    /// according to the configured [`Instrumentation`]. The results are
+    /// sole member). On a cycle boundary the per-cycle log, if kept, gains
+    /// one exact record (see [`Instrumentation::Exact`]). The results are
     /// held internally — see [`Engine::pending_signals`],
     /// [`Engine::last_transitions`], [`Engine::last_cycle_completed`] —
     /// and every buffer involved is reused across invocations.
@@ -518,7 +510,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         }
         let now = sub.now();
         self.sched
-            .complete_quantum_into(&self.due, &self.readings, now, &mut self.outcome);
+            .complete_quantum_into(&self.due, &self.readings, &mut self.outcome);
         if self.outcome.cycle_completed {
             self.stats.cycles += 1;
             sink.on_event(&Event::CycleEnd {
@@ -526,14 +518,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 now,
             });
             if self.record_cycles {
-                match self.instrumentation {
-                    Instrumentation::Exact => self.record_exact_cycle(sub, now)?,
-                    Instrumentation::Measured => {
-                        if let Some(rec) = self.outcome.cycle_record.take() {
-                            self.cycles.push(rec);
-                        }
-                    }
-                }
+                self.record_exact_cycle(sub, now, sink)?;
             }
         }
         Ok(())
@@ -794,10 +779,23 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// the previous boundary: a fixed principal's member is re-read
     /// exactly, a group is charged what it was charged since (its current
     /// members' lifetimes say nothing about what the group consumed).
-    fn record_exact_cycle<S>(&mut self, sub: &mut S, now: Nanos) -> Result<(), S::Error>
+    ///
+    /// The scheduler has already committed this quantum, so under
+    /// [`FaultPolicy::Harden`] a faulting read must not abort it: the
+    /// fault is counted and narrated, and the entry is charged nothing
+    /// and keeps its snapshot, like a gone member's (the next boundary
+    /// charges what it missed). Nobody is struck here — a quarantine
+    /// would compact `snapshot` mid-walk; the quantum's own reads strike.
+    fn record_exact_cycle<S>(
+        &mut self,
+        sub: &mut S,
+        now: Nanos,
+        sink: &mut dyn EventSink<M>,
+    ) -> Result<(), S::Error>
     where
         S: Substrate<Member = M>,
     {
+        let hardened = matches!(self.fault_policy, FaultPolicy::Harden(_));
         let mut entries = Vec::with_capacity(self.snapshot.len());
         let mut total = Nanos::ZERO;
         for i in 0..self.snapshot.len() {
@@ -808,7 +806,15 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 // A member that is gone is charged nothing further; keep
                 // the old snapshot so the record is stable.
                 Some(false) => match self.sched.member_entries(id) {
-                    Some(&[(m, _)]) => sub.read_exact(m)?.unwrap_or(last),
+                    Some(&[(m, _)]) => match sub.read_exact(m) {
+                        Ok(cpu) => cpu.unwrap_or(last),
+                        Err(e) if !hardened => return Err(e),
+                        Err(_) => {
+                            self.stats.read_faults += 1;
+                            sink.on_event(&Event::ReadFault { member: m });
+                            last
+                        }
+                    },
                     _ => last,
                 },
             };

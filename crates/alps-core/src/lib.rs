@@ -31,7 +31,7 @@
 //!
 //! // First invocation: nothing to measure yet; both become eligible.
 //! assert!(alps.begin_quantum().is_empty());
-//! let out = alps.complete_quantum(&[], Nanos::ZERO);
+//! let out = alps.complete_quantum(&[]);
 //! assert_eq!(out.transitions, vec![Transition::Resume(a), Transition::Resume(b)]);
 //!
 //! // Next invocation where `a` is due: report its cumulative CPU time.
@@ -40,7 +40,7 @@
 //!     .into_iter()
 //!     .map(|id| (id, Observation { total_cpu: Nanos::from_millis(10), blocked: false }))
 //!     .collect();
-//! let out = alps.complete_quantum(&obs, Nanos::from_millis(10));
+//! let out = alps.complete_quantum(&obs);
 //! // `a` consumed its whole 1-share allowance and is suspended.
 //! assert_eq!(out.transitions, vec![Transition::Suspend(a)]);
 //! ```

@@ -14,7 +14,6 @@
 //! [`PrincipalScheduler::set_membership`].
 
 use crate::config::AlpsConfig;
-use crate::cycle::CycleRecord;
 use crate::sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, Transition};
 use crate::time::Nanos;
 
@@ -62,8 +61,6 @@ pub struct PrincipalOutcome<M> {
     pub transitions: Vec<Transition>,
     /// Whether a cycle boundary was crossed.
     pub cycle_completed: bool,
-    /// Per-cycle record (principal-granularity), if logging is enabled.
-    pub cycle_record: Option<CycleRecord>,
 }
 
 impl<M> Default for PrincipalOutcome<M> {
@@ -72,7 +69,6 @@ impl<M> Default for PrincipalOutcome<M> {
             signals: Vec::new(),
             transitions: Vec::new(),
             cycle_completed: false,
-            cycle_record: None,
         }
     }
 }
@@ -252,7 +248,7 @@ struct Principal<M> {
 /// let (mut due, mut out) = (DueList::new(), PrincipalOutcome::default());
 /// sched.begin_quantum_into(&mut due);
 /// assert!(due.is_empty());
-/// sched.complete_quantum_into(&due, &[], Nanos::ZERO, &mut out);
+/// sched.complete_quantum_into(&due, &[], &mut out);
 /// assert_eq!(out.signals.len(), 3);
 /// ```
 #[derive(Debug, Clone)]
@@ -505,7 +501,6 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         &mut self,
         due: &DueList<M>,
         readings: &[Option<Observation>],
-        now: Nanos,
         out: &mut PrincipalOutcome<M>,
     ) {
         assert_eq!(
@@ -516,9 +511,6 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
         out.signals.clear();
         out.transitions.clear();
         out.cycle_completed = false;
-        // Hand the caller's previous cycle record to the inner scheduler so
-        // its entry buffer gets recycled.
-        self.inner_out.cycle_record = out.cycle_record.take();
         self.obs_scratch.clear();
         for &(id, start, len) in &due.entries {
             // Field-level lookup (not the `principal_mut` helper) so the
@@ -553,12 +545,11 @@ impl<M: Ord + Copy> PrincipalScheduler<M> {
             ));
         }
         self.inner
-            .complete_quantum_into(&self.obs_scratch, now, &mut self.inner_out);
+            .complete_quantum_into(&self.obs_scratch, &mut self.inner_out);
         // Move (not copy) the inner buffers out; the cleared ones come back
         // on the next invocation's `clear()`.
         std::mem::swap(&mut out.transitions, &mut self.inner_out.transitions);
         out.cycle_completed = self.inner_out.cycle_completed;
-        out.cycle_record = self.inner_out.cycle_record.take();
         for t in &out.transitions {
             let id = t.proc_id();
             if let Some(p) = self.principal(id) {
@@ -610,7 +601,7 @@ mod tests {
             .map(|m| readings.iter().find(|(r, _)| r == m).map(|&(_, o)| o))
             .collect();
         let mut out = PrincipalOutcome::default();
-        s.complete_quantum_into(due, &read, Nanos::ZERO, &mut out);
+        s.complete_quantum_into(due, &read, &mut out);
         out
     }
 

@@ -20,7 +20,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AlpsConfig, IoPolicy};
-use crate::cycle::{CycleEntry, CycleRecord};
 use crate::time::Nanos;
 
 /// Bits of the deadline consumed per deadline-wheel level.
@@ -119,9 +118,6 @@ pub struct QuantumOutcome {
     pub transitions: Vec<Transition>,
     /// Whether a cycle boundary was crossed during this invocation.
     pub cycle_completed: bool,
-    /// The per-cycle consumption record, if a cycle completed and
-    /// [`AlpsConfig::record_cycles`] is on.
-    pub cycle_record: Option<CycleRecord>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -136,8 +132,6 @@ struct ProcState {
     update: u64,
     /// Cumulative CPU reading at the last measurement.
     last_cpu: Nanos,
-    /// CPU consumed (as measured) during the current cycle; for logging.
-    cycle_consumed: Nanos,
     /// Whether the `ForfeitAllowance` I/O policy already fired this cycle.
     forfeited: bool,
 }
@@ -430,7 +424,6 @@ impl AlpsScheduler {
             eligible: false,
             update: 0, // due immediately once eligible
             last_cpu: initial_cpu,
-            cycle_consumed: Nanos::ZERO,
             forfeited: false,
         };
         self.total_shares += share;
@@ -729,41 +722,25 @@ impl AlpsScheduler {
     /// Figure 3.
     ///
     /// `observations` must contain exactly the processes returned by
-    /// `begin_quantum` (order is irrelevant); `now` is the backend's wall
-    /// clock, used only to timestamp cycle records. Observations carrying a
+    /// `begin_quantum` (order is irrelevant). Observations carrying a
     /// stale [`ProcId`] (the process was removed between the two calls) are
     /// ignored.
-    pub fn complete_quantum(
-        &mut self,
-        observations: &[(ProcId, Observation)],
-        now: Nanos,
-    ) -> QuantumOutcome {
+    pub fn complete_quantum(&mut self, observations: &[(ProcId, Observation)]) -> QuantumOutcome {
         let mut out = QuantumOutcome::default();
-        self.complete_quantum_into(observations, now, &mut out);
+        self.complete_quantum_into(observations, &mut out);
         out
     }
 
     /// Allocation-free [`Self::complete_quantum`]: the outcome is written
-    /// into `out`, whose buffers (transition list, cycle-record entries) are
-    /// cleared and reused. In steady state this performs no heap allocation.
+    /// into `out`, whose transition list is cleared and reused. In steady
+    /// state this performs no heap allocation.
     pub fn complete_quantum_into(
         &mut self,
         observations: &[(ProcId, Observation)],
-        now: Nanos,
         out: &mut QuantumOutcome,
     ) {
         out.transitions.clear();
         out.cycle_completed = false;
-        // Recycle the previous cycle record's entry buffer, if the caller
-        // left one in `out`.
-        let recycled = match out.cycle_record.take() {
-            Some(rec) => {
-                let mut entries = rec.entries;
-                entries.clear();
-                entries
-            }
-            None => Vec::new(),
-        };
         let q = self.cfg.quantum.as_f64();
 
         // Measurement loop. `t_c` adjustments are accumulated locally to
@@ -777,7 +754,6 @@ impl AlpsScheduler {
             let consumed = obs.total_cpu.saturating_sub(state.last_cpu);
             state.last_cpu = obs.total_cpu;
             state.allowance -= consumed.as_f64() / q;
-            state.cycle_consumed += consumed;
             tc_delta -= consumed.as_f64();
             if obs.blocked {
                 match io_policy {
@@ -807,17 +783,6 @@ impl AlpsScheduler {
         if cycle_completed {
             self.tc += self.cycle_len();
             self.cycles_completed += 1;
-            if self.cfg.record_cycles {
-                out.cycle_record = Some(self.take_cycle_record_into(now, recycled));
-            } else {
-                for k in 0..self.occupied.len() {
-                    let i = self.occupied[k] as usize;
-                    if let Some(s) = self.slots[i].state.as_mut() {
-                        s.cycle_consumed = Nanos::ZERO;
-                        s.forfeited = false;
-                    }
-                }
-            }
         }
 
         // Repartition loop: credit shares, flip eligibility, schedule the
@@ -859,9 +824,10 @@ impl AlpsScheduler {
             }
             self.examined.clear();
         } else {
-            // Cycle boundaries credit every slot's allowance, so the full
-            // walk is inherent (it is O(N) once per cycle, not per
-            // quantum). The eager baseline does it every quantum.
+            // Cycle boundaries credit every slot's allowance (and reset its
+            // forfeit flag), so the full walk is inherent (it is O(N) once
+            // per cycle, not per quantum). The eager baseline does it
+            // every quantum.
             self.pending.clear();
             self.dirty.clear();
             for k in 0..self.occupied.len() {
@@ -883,8 +849,9 @@ impl AlpsScheduler {
     }
 
     /// The repartition-loop body of Figure 3 for one slot: credit its share
-    /// (at cycle boundaries), flip its eligibility, and schedule its next
-    /// measurement if it was due this invocation.
+    /// and clear its forfeit flag (at cycle boundaries), flip its
+    /// eligibility, and schedule its next measurement if it was due this
+    /// invocation.
     fn repartition_slot(&mut self, i: usize, credit: bool, transitions: &mut Vec<Transition>) {
         let count = self.count;
         let use_wheel = self.use_wheel();
@@ -902,6 +869,7 @@ impl AlpsScheduler {
         };
         if credit {
             s.allowance += s.share as f64;
+            s.forfeited = false;
         }
         let want_eligible = s.allowance > 0.0;
         if want_eligible != s.eligible {
@@ -938,38 +906,6 @@ impl AlpsScheduler {
                 let key = slot.wheel_key;
                 wheel[Self::wheel_bucket(count, s.update)].push(WheelEntry { idx: i as u32, key });
             }
-        }
-    }
-
-    /// Snapshot and reset the per-cycle consumption counters, reusing a
-    /// cleared `entries` buffer.
-    fn take_cycle_record_into(&mut self, now: Nanos, mut entries: Vec<CycleEntry>) -> CycleRecord {
-        debug_assert!(entries.is_empty());
-        entries.reserve(self.live);
-        let mut total = Nanos::ZERO;
-        for k in 0..self.occupied.len() {
-            let i = self.occupied[k] as usize;
-            let slot = &mut self.slots[i];
-            if let Some(s) = slot.state.as_mut() {
-                entries.push(CycleEntry {
-                    id: ProcId {
-                        idx: i as u32,
-                        generation: slot.generation,
-                    },
-                    share: s.share,
-                    consumed: s.cycle_consumed,
-                });
-                total += s.cycle_consumed;
-                s.cycle_consumed = Nanos::ZERO;
-                s.forfeited = false;
-            }
-        }
-        CycleRecord {
-            index: self.cycles_completed - 1,
-            completed_at: now,
-            total_shares: self.total_shares,
-            total_consumed: total,
-            entries,
         }
     }
 
@@ -1012,11 +948,7 @@ mod tests {
 
     /// Drive one quantum where each listed process reports the given
     /// *cumulative* CPU and blocked flag.
-    fn quantum(
-        s: &mut AlpsScheduler,
-        readings: &[(ProcId, u64, bool)],
-        now: Nanos,
-    ) -> QuantumOutcome {
+    fn quantum(s: &mut AlpsScheduler, readings: &[(ProcId, u64, bool)]) -> QuantumOutcome {
         let due = s.begin_quantum();
         let obs: Vec<_> = due
             .iter()
@@ -1034,7 +966,7 @@ mod tests {
                 )
             })
             .collect();
-        s.complete_quantum(&obs, now)
+        s.complete_quantum(&obs)
     }
 
     #[test]
@@ -1044,7 +976,7 @@ mod tests {
         assert_eq!(s.is_eligible(a), Some(false));
         let due = s.begin_quantum();
         assert!(due.is_empty(), "ineligible processes are never measured");
-        let out = s.complete_quantum(&[], Nanos::ZERO);
+        let out = s.complete_quantum(&[]);
         assert_eq!(out.transitions, vec![Transition::Resume(a)]);
         assert_eq!(s.is_eligible(a), Some(true));
     }
@@ -1053,13 +985,13 @@ mod tests {
     fn allowance_decrements_by_consumption() {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(3, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO); // becomes eligible, allowance 3
+        quantum(&mut s, &[]); // becomes eligible, allowance 3
         assert_eq!(s.allowance(a), Some(3.0));
         // Not due again for ceil(3) = 3 quanta.
-        quantum(&mut s, &[], Nanos::from_millis(10));
-        quantum(&mut s, &[], Nanos::from_millis(20));
+        quantum(&mut s, &[]);
+        quantum(&mut s, &[]);
         // Due now; has consumed 10ms (one quantum) in total.
-        quantum(&mut s, &[(a, 10, false)], Nanos::from_millis(30));
+        quantum(&mut s, &[(a, 10, false)]);
         assert_eq!(s.allowance(a), Some(2.0));
         assert_eq!(s.is_eligible(a), Some(true));
     }
@@ -1069,17 +1001,13 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(1, Nanos::ZERO);
         let b = s.add_process(1, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO); // both eligible
-                                           // Cycle is S*Q = 20ms. A consumes its full 10ms allowance.
-        let out = quantum(
-            &mut s,
-            &[(a, 10, false), (b, 0, false)],
-            Nanos::from_millis(10),
-        );
+        quantum(&mut s, &[]); // both eligible
+                              // Cycle is S*Q = 20ms. A consumes its full 10ms allowance.
+        let out = quantum(&mut s, &[(a, 10, false), (b, 0, false)]);
         assert_eq!(out.transitions, vec![Transition::Suspend(a)]);
         assert!(!out.cycle_completed);
         // B consumes its 10ms: cycle completes, A resumes.
-        let out = quantum(&mut s, &[(b, 10, false)], Nanos::from_millis(20));
+        let out = quantum(&mut s, &[(b, 10, false)]);
         assert!(out.cycle_completed);
         assert_eq!(out.transitions, vec![Transition::Resume(a)]);
         assert_eq!(s.allowance(a), Some(1.0));
@@ -1093,13 +1021,9 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(1, Nanos::ZERO);
         let b = s.add_process(1, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
+        quantum(&mut s, &[]);
         // A consumes 20ms in one go (2 quanta = twice its share); B idle.
-        let out = quantum(
-            &mut s,
-            &[(a, 20, false), (b, 0, false)],
-            Nanos::from_millis(20),
-        );
+        let out = quantum(&mut s, &[(a, 20, false), (b, 0, false)]);
         // t_c hit zero (cycle was 20ms), so a cycle completed; A's allowance
         // is 1-2+1 = 0 => ineligible for the whole next cycle.
         assert!(out.cycle_completed);
@@ -1109,8 +1033,8 @@ mod tests {
         // Next cycle: B consumes its 20ms over the following quanta; the
         // cycle completes and A comes back.
         let mut completed = false;
-        for i in 0..4 {
-            let out = quantum(&mut s, &[(b, 20, false)], Nanos::from_millis(30 + 10 * i));
+        for _ in 0..4 {
+            let out = quantum(&mut s, &[(b, 20, false)]);
             if out.cycle_completed {
                 completed = true;
                 break;
@@ -1127,12 +1051,12 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let _a = s.add_process(5, Nanos::ZERO);
         let _b = s.add_process(5, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO); // both become eligible; update = count + ceil(5) = 1+5
-                                           // For the next 4 invocations neither process is due.
+        quantum(&mut s, &[]); // both become eligible; update = count + ceil(5) = 1+5
+                              // For the next 4 invocations neither process is due.
         for i in 0..4 {
             let due = s.begin_quantum();
             assert!(due.is_empty(), "invocation {i} should measure nothing");
-            s.complete_quantum(&[], Nanos::ZERO);
+            s.complete_quantum(&[]);
         }
         // 5th invocation: both due.
         let due = s.begin_quantum();
@@ -1149,7 +1073,6 @@ mod tests {
                     )
                 })
                 .collect::<Vec<_>>(),
-            Nanos::ZERO,
         );
     }
 
@@ -1158,7 +1081,7 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10).with_lazy_measurement(false));
         let _a = s.add_process(5, Nanos::ZERO);
         let _b = s.add_process(5, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
+        quantum(&mut s, &[]);
         for _ in 0..3 {
             let due = s.begin_quantum();
             assert_eq!(due.len(), 2);
@@ -1174,7 +1097,7 @@ mod tests {
                     )
                 })
                 .collect();
-            s.complete_quantum(&obs, Nanos::ZERO);
+            s.complete_quantum(&obs);
         }
     }
 
@@ -1183,11 +1106,11 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(2, Nanos::ZERO);
         let _b = s.add_process(4, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
+        quantum(&mut s, &[]);
         let tc_before = s.cycle_time_remaining();
         // A is due after ceil(2) = 2 quanta; observed blocked, no CPU used.
-        quantum(&mut s, &[], Nanos::from_millis(10));
-        quantum(&mut s, &[(a, 0, true)], Nanos::from_millis(20));
+        quantum(&mut s, &[]);
+        quantum(&mut s, &[(a, 0, true)]);
         assert_eq!(s.allowance(a), Some(1.0));
         let q = s.quantum().as_f64();
         assert!((tc_before - s.cycle_time_remaining() - q).abs() < 1e-6);
@@ -1200,19 +1123,15 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(3, Nanos::ZERO); // blocked forever
         let b = s.add_process(3, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
+        quantum(&mut s, &[]);
         // Cycle = 60ms. B consumes 30ms (its full share) while A blocks.
         // Lazy measurement means A is only penalized when it becomes due, so
         // the cycle ends after a handful of quanta rather than immediately.
         let mut completed = false;
         let mut b_total = 0u64;
-        for i in 1..=12 {
+        for _ in 0..12 {
             b_total = (b_total + 10).min(30);
-            let out = quantum(
-                &mut s,
-                &[(a, 0, true), (b, b_total, false)],
-                Nanos::from_millis(10 * i),
-            );
+            let out = quantum(&mut s, &[(a, 0, true), (b, b_total, false)]);
             if out.cycle_completed {
                 completed = true;
                 break;
@@ -1227,9 +1146,9 @@ mod tests {
     fn no_penalty_policy_does_not_charge_blocked() {
         let mut s = AlpsScheduler::new(cfg_ms(10).with_io_policy(IoPolicy::NoPenalty));
         let a = s.add_process(2, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::from_millis(10));
-        quantum(&mut s, &[(a, 0, true)], Nanos::from_millis(20));
+        quantum(&mut s, &[]);
+        quantum(&mut s, &[]);
+        quantum(&mut s, &[(a, 0, true)]);
         assert_eq!(s.allowance(a), Some(2.0));
     }
 
@@ -1238,15 +1157,11 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10).with_io_policy(IoPolicy::ForfeitAllowance));
         let a = s.add_process(3, Nanos::ZERO);
         let b = s.add_process(3, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
+        quantum(&mut s, &[]);
         // Both due after ceil(3) = 3 quanta.
-        quantum(&mut s, &[], Nanos::from_millis(10));
-        quantum(&mut s, &[], Nanos::from_millis(20));
-        let out = quantum(
-            &mut s,
-            &[(a, 0, true), (b, 0, false)],
-            Nanos::from_millis(30),
-        );
+        quantum(&mut s, &[]);
+        quantum(&mut s, &[]);
+        let out = quantum(&mut s, &[(a, 0, true), (b, 0, false)]);
         assert_eq!(s.allowance(a), Some(0.0));
         assert!(out.transitions.contains(&Transition::Suspend(a)));
         // The cycle shortened by A's whole allowance: only B's 30ms remain.
@@ -1254,29 +1169,8 @@ mod tests {
     }
 
     #[test]
-    fn cycle_record_contents() {
-        let mut s = AlpsScheduler::new(cfg_ms(10).with_cycle_log(true));
-        let a = s.add_process(1, Nanos::ZERO);
-        let b = s.add_process(2, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
-        quantum(
-            &mut s,
-            &[(a, 10, false), (b, 0, false)],
-            Nanos::from_millis(10),
-        );
-        let out = quantum(&mut s, &[(b, 20, false)], Nanos::from_millis(30));
-        assert!(out.cycle_completed);
-        let rec = out.cycle_record.expect("cycle record requested");
-        assert_eq!(rec.index, 0);
-        assert_eq!(rec.completed_at, Nanos::from_millis(30));
-        assert_eq!(rec.total_shares, 3);
-        assert_eq!(rec.total_consumed, Nanos::from_millis(30));
-        let ca = rec.entries.iter().find(|e| e.id == a).unwrap();
-        let cb = rec.entries.iter().find(|e| e.id == b).unwrap();
-        assert_eq!(ca.consumed, Nanos::from_millis(10));
-        assert_eq!(cb.consumed, Nanos::from_millis(20));
-        assert_eq!(ca.share, 1);
-        assert_eq!(cb.share, 2);
+    fn a_slot_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Slot>(), 64);
     }
 
     #[test]
@@ -1284,7 +1178,7 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(2, Nanos::ZERO);
         let b = s.add_process(2, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
+        quantum(&mut s, &[]);
         let tc_before = s.cycle_time_remaining();
         assert_eq!(s.remove_process(a), Some(2));
         assert_eq!(s.total_shares(), 2);
@@ -1323,7 +1217,7 @@ mod tests {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(1, Nanos::ZERO);
         let b = s.add_process(1, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO);
+        quantum(&mut s, &[]);
         let due = s.begin_quantum();
         assert_eq!(due.len(), 2);
         // a exits between measurement and completion.
@@ -1340,7 +1234,7 @@ mod tests {
                 )
             })
             .collect();
-        let out = s.complete_quantum(&obs, Nanos::from_millis(10));
+        let out = s.complete_quantum(&obs);
         // No panic; b was still accounted.
         assert!(out.transitions.iter().all(|t| t.proc_id() != a));
         assert!((s.allowance(b).unwrap() - 0.5).abs() < 1e-9);
@@ -1351,8 +1245,8 @@ mod tests {
         // /proc readings can glitch; the core must not panic or credit time.
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(1, Nanos::from_millis(100));
-        quantum(&mut s, &[], Nanos::ZERO);
-        quantum(&mut s, &[(a, 50, false)], Nanos::from_millis(10));
+        quantum(&mut s, &[]);
+        quantum(&mut s, &[(a, 50, false)]);
         assert_eq!(s.allowance(a), Some(1.0), "no consumption charged");
     }
 
@@ -1360,7 +1254,7 @@ mod tests {
     fn empty_scheduler_quantum_is_noop() {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         assert!(s.begin_quantum().is_empty());
-        let out = s.complete_quantum(&[], Nanos::ZERO);
+        let out = s.complete_quantum(&[]);
         assert!(out.transitions.is_empty());
         assert!(!out.cycle_completed);
         assert_eq!(s.cycles_completed(), 0);
@@ -1378,27 +1272,24 @@ mod tests {
         // Allowance 4.3 => next measurement 5 quanta later (§2.3 example).
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(5, Nanos::ZERO);
-        quantum(&mut s, &[], Nanos::ZERO); // count=1, eligible, update = 1+5 = 6
+        quantum(&mut s, &[]); // count=1, eligible, update = 1+5 = 6
         for _ in 0..4 {
             assert!(s.begin_quantum().is_empty());
-            s.complete_quantum(&[], Nanos::ZERO);
+            s.complete_quantum(&[]);
         } // count=5
         let due = s.begin_quantum(); // count=6: due
         assert_eq!(due, vec![a]);
         // Consumed 7ms => allowance 5 - 0.7 = 4.3 => due again in 5 quanta.
-        s.complete_quantum(
-            &[(
-                a,
-                Observation {
-                    total_cpu: Nanos::from_millis(7),
-                    blocked: false,
-                },
-            )],
-            Nanos::ZERO,
-        );
+        s.complete_quantum(&[(
+            a,
+            Observation {
+                total_cpu: Nanos::from_millis(7),
+                blocked: false,
+            },
+        )]);
         for i in 0..4 {
             assert!(s.begin_quantum().is_empty(), "quantum {i} not due");
-            s.complete_quantum(&[], Nanos::ZERO);
+            s.complete_quantum(&[]);
         }
         let due = s.begin_quantum();
         assert_eq!(due, vec![a], "due exactly at ceil(4.3)=5 quanta");
@@ -1411,12 +1302,12 @@ mod tests {
         // 64 quanta later, when its wheel bucket came round again).
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(u64::MAX, Nanos::ZERO);
-        let out = quantum(&mut s, &[], Nanos::ZERO);
+        let out = quantum(&mut s, &[]);
         assert_eq!(out.transitions, vec![Transition::Resume(a)]);
         assert_eq!(s.state(a).map(|p| p.update), Some(u64::MAX));
         for k in 0..200 {
             assert!(s.begin_quantum().is_empty(), "quantum {k}: not due");
-            s.complete_quantum(&[], Nanos::ZERO);
+            s.complete_quantum(&[]);
         }
     }
 
@@ -1640,7 +1531,7 @@ mod tests {
                                 })
                             })
                             .collect();
-                        s.complete_quantum(&obs, Nanos::from_millis(clock));
+                        s.complete_quantum(&obs);
                     }
                 }
                 assert_indexes_consistent(&s);

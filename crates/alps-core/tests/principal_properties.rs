@@ -112,7 +112,7 @@ proptest! {
                             })
                         })
                         .collect();
-                    sched.complete_quantum_into(&due, &readings, Nanos::ZERO, &mut out);
+                    sched.complete_quantum_into(&due, &readings, &mut out);
                     apply_signals(&mut world, &out.signals);
                     // After the quantum, stopped pids must belong only to
                     // ineligible principals and vice versa.

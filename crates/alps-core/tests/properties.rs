@@ -31,13 +31,7 @@ struct ProcModel {
 
 /// One simulated quantum: split `busy_frac` of a quantum among eligible
 /// processes with the given weights, then run the scheduler invocation.
-fn step(
-    sched: &mut AlpsScheduler,
-    procs: &mut [ProcModel],
-    weights: &[u8],
-    busy_frac: f64,
-    now: Nanos,
-) {
+fn step(sched: &mut AlpsScheduler, procs: &mut [ProcModel], weights: &[u8], busy_frac: f64) {
     let eligible: Vec<usize> = procs
         .iter()
         .enumerate()
@@ -73,7 +67,7 @@ fn step(
             })
         })
         .collect();
-    let out = sched.complete_quantum(&obs, now);
+    let out = sched.complete_quantum(&obs);
     // Eligibility consistency after every invocation.
     for p in procs.iter() {
         let eligible = sched.is_eligible(p.id).expect("live process");
@@ -121,8 +115,8 @@ proptest! {
             })
             .collect();
         let mut stall = 0u32;
-        for (k, &b) in busy.iter().enumerate() {
-            step(&mut sched, &mut procs, &weights, b, Nanos(Q_NS * k as u64));
+        for &b in &busy {
+            step(&mut sched, &mut procs, &weights, b);
             conservation_holds(&sched, &procs);
             let any_eligible = procs
                 .iter()
@@ -158,8 +152,8 @@ proptest! {
         // the backend is fully busy.
         let total_shares: u64 = shares.iter().sum();
         let quanta = (total_shares * 12) as usize;
-        for k in 0..quanta {
-            step(&mut sched, &mut procs, &weights, 1.0, Nanos(Q_NS * k as u64));
+        for _ in 0..quanta {
+            step(&mut sched, &mut procs, &weights, 1.0);
         }
         let cycles = sched.cycles_completed();
         prop_assert!(cycles >= 3, "expected several cycles, got {cycles}");
@@ -213,8 +207,8 @@ proptest! {
         // its allowance, so budget quadratically in the largest share.
         let max_share = *shares.iter().max().unwrap();
         let quanta = (total_shares + max_share * max_share) as usize * 8;
-        for k in 0..quanta {
-            step(&mut sched, &mut procs, &weights, 1.0, Nanos(Q_NS * k as u64));
+        for _ in 0..quanta {
+            step(&mut sched, &mut procs, &weights, 1.0);
             conservation_holds(&sched, &procs);
         }
         // Cycles keep completing even with persistent blockers.
@@ -236,7 +230,6 @@ proptest! {
     ) {
         let mut sched = AlpsScheduler::new(AlpsConfig::new(Nanos(Q_NS)));
         let mut procs: Vec<ProcModel> = Vec::new();
-        let mut k = 0u64;
         for (op, arg) in ops {
             match op {
                 0 => {
@@ -266,8 +259,7 @@ proptest! {
                 _ => {
                     // run a quantum
                     if !procs.is_empty() {
-                        step(&mut sched, &mut procs, &weights, 0.9, Nanos(Q_NS * k));
-                        k += 1;
+                        step(&mut sched, &mut procs, &weights, 0.9);
                         conservation_holds(&sched, &procs);
                     }
                 }

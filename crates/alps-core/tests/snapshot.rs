@@ -21,9 +21,9 @@ fn snapshot_round_trips_mid_cycle() {
     let b = sched.add_process(3, Nanos::ZERO);
     // Advance into the middle of a cycle.
     sched.begin_quantum();
-    sched.complete_quantum(&[], Nanos::ZERO);
+    sched.complete_quantum(&[]);
     sched.begin_quantum();
-    sched.complete_quantum(&[obs(a, 7)], Nanos::from_millis(10));
+    sched.complete_quantum(&[obs(a, 7)]);
 
     let json = serde_json::to_string(&sched).expect("serialize");
     let mut restored: AlpsScheduler = serde_json::from_str(&json).expect("deserialize");
@@ -47,8 +47,8 @@ fn snapshot_round_trips_mid_cycle() {
         let total = 7 + (k + 1) * 4;
         let readings_o: Vec<_> = due_o.iter().map(|&id| obs(id, total)).collect();
         let readings_r: Vec<_> = due_r.iter().map(|&id| obs(id, total)).collect();
-        let out_o = original.complete_quantum(&readings_o, Nanos::from_millis(20 + 10 * k));
-        let out_r = restored.complete_quantum(&readings_r, Nanos::from_millis(20 + 10 * k));
+        let out_o = original.complete_quantum(&readings_o);
+        let out_r = restored.complete_quantum(&readings_r);
         assert_eq!(out_o.transitions, out_r.transitions, "quantum {k}");
         assert_eq!(out_o.cycle_completed, out_r.cycle_completed, "quantum {k}");
     }
@@ -78,7 +78,7 @@ fn complete(s: &mut AlpsScheduler, due: &[ProcId], k: u64) -> QuantumOutcome {
         .iter()
         .map(|&id| obs(id, 3 * k + id.index() as u64))
         .collect();
-    s.complete_quantum(&readings, Nanos::from_millis(10 * k))
+    s.complete_quantum(&readings)
 }
 
 fn churn_quantum(
@@ -145,4 +145,78 @@ fn snapshot_preserves_stale_id_rejection() {
     let json = serde_json::to_string(&sched).unwrap();
     let restored: AlpsScheduler = serde_json::from_str(&json).unwrap();
     assert!(restored.allowance(a).is_none(), "stale generation survives");
+}
+
+/// A checkpoint written before the scheduler dropped its own per-cycle
+/// consumption counters: three members after four quanta of the recipe in
+/// [`checkpoint_recipe`], one slot reused, two counters non-zero.
+const OLD_CHECKPOINT: &str = concat!(
+    r#"{"cfg":{"quantum":10000000,"lazy_measurement":true,"io_policy":"OneQuantumPenalty","record_cycles":false,"#,
+    r#""cpus":1},"slots":[{"generation":1,"state":{"share":4,"allowance":4,"eligible":true,"#,
+    r#""update":7,"last_cpu":1000000,"cycle_consumed":0,"forfeited":false},"listed":true,"pos":0,"#,
+    r#""wheel_key":3},{"generation":0,"state":{"share":3,"allowance":1.3,"eligible":true,"update":6,"#,
+    r#""last_cpu":21000000,"cycle_consumed":17000000,"forfeited":false},"listed":true,"pos":1,"#,
+    r#""wheel_key":2},{"generation":0,"state":{"share":1,"allowance":-0.19999999999999996,"eligible":false,"#,
+    r#""update":2,"last_cpu":12000000,"cycle_consumed":12000000,"forfeited":false},"listed":true,"#,
+    r#""pos":2,"wheel_key":1}],"free":[],"occupied":[0,1,2],"vacated":0,"live":3,"total_shares":8,"#,
+    r#""tc":51000000,"count":4,"cycles_completed":0,"wheel":[[],[],[],[],[],[],[{"idx":1,"key":2}],"#,
+    r#"[{"idx":0,"key":3}],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],[],["#,
+    r#"],[],[]],"pending":[],"dirty":[],"eligible_count":2,"drain":[],"examined":[]}"#,
+);
+
+/// The quanta behind [`OLD_CHECKPOINT`]: every due member reports
+/// `5·k + slot` ms of cumulative CPU at quantum `k`.
+fn checkpoint_recipe() -> AlpsScheduler {
+    let mut s = AlpsScheduler::new(AlpsConfig::new(Nanos::from_millis(10)));
+    let a = s.add_process(2, Nanos::ZERO);
+    s.add_process(3, Nanos::from_millis(4));
+    s.add_process(1, Nanos::ZERO);
+    for k in 1..=4u64 {
+        if k == 3 {
+            s.remove_process(a);
+            s.add_process(4, Nanos::from_millis(1));
+        }
+        let due = s.begin_quantum();
+        let readings: Vec<_> = due
+            .iter()
+            .map(|&id| obs(id, 5 * k + id.index() as u64))
+            .collect();
+        s.complete_quantum(&readings);
+    }
+    s
+}
+
+#[test]
+fn a_checkpoint_with_per_cycle_counters_still_restores() {
+    assert!(OLD_CHECKPOINT.contains(r#""cycle_consumed":17000000"#));
+    let mut restored: AlpsScheduler = serde_json::from_str(OLD_CHECKPOINT).expect("deserialize");
+    let mut fresh = checkpoint_recipe();
+    // The retired field is dropped; everything else is the same state.
+    assert_eq!(
+        serde_json::to_string(&restored).unwrap(),
+        serde_json::to_string(&fresh).unwrap()
+    );
+    let mut live: Vec<ProcId> = fresh.proc_ids().collect();
+    let mut live_r: Vec<ProcId> = restored.proc_ids().collect();
+    assert_eq!(live, live_r);
+    for k in 5..205u64 {
+        let (due_f, out_f) = churn_quantum(&mut fresh, &mut live, k);
+        let (due_r, out_r) = churn_quantum(&mut restored, &mut live_r, k);
+        assert_eq!(due_f, due_r, "due lists diverged at quantum {k}");
+        assert_eq!(out_f.transitions, out_r.transitions, "quantum {k}");
+        assert_eq!(out_f.cycle_completed, out_r.cycle_completed, "quantum {k}");
+    }
+    assert!(fresh.cycles_completed() > 0);
+    assert_eq!(
+        serde_json::to_string(&restored).unwrap(),
+        serde_json::to_string(&fresh).unwrap()
+    );
 }

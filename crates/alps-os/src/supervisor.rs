@@ -22,9 +22,12 @@
 //!   through [`CgroupSubstrate`] when the host delegates a subtree
 //!   ([`Supervisor::with_actuator`]).
 //!
-//! Both, and hardening ([`Supervisor::hardened`]), apply to every member:
-//! a group's joiners are enrolled with the actuator and watched exactly as
-//! [`Supervisor::add_process`] enrols a process.
+//! There are three constructors: [`Supervisor::new`] (signals),
+//! [`Supervisor::hardened`] (signals, with a fault-tolerant loop) and
+//! [`Supervisor::with_actuator`] (any [`ActuatorMode`]). Whichever is
+//! chosen applies to every member: a group's joiners are enrolled with the
+//! actuator and watched exactly as [`Supervisor::add_process`] enrols a
+//! process.
 //!
 //! ```no_run
 //! use alps_core::{AlpsConfig, Nanos};
@@ -304,31 +307,13 @@ impl Supervisor {
     /// `cpu.weight` / `cpu.max` writes, failing with
     /// [`OsError::Unsupported`] when the host offers none.
     pub fn with_actuator(cfg: AlpsConfig, mode: ActuatorMode) -> Result<Self> {
-        Supervisor::with_actuator_policy(cfg, None, mode)
-    }
-
-    /// [`Supervisor::with_actuator`] with the fault-tolerant loop of
-    /// [`Supervisor::hardened`].
-    pub fn hardened_with_actuator(
-        cfg: AlpsConfig,
-        harden: HardenConfig,
-        mode: ActuatorMode,
-    ) -> Result<Self> {
-        Supervisor::with_actuator_policy(cfg, Some(harden), mode)
-    }
-
-    fn with_actuator_policy(
-        cfg: AlpsConfig,
-        policy: Option<HardenConfig>,
-        mode: ActuatorMode,
-    ) -> Result<Self> {
         let inner = match mode {
             ActuatorMode::Signals => Inner::Signals(OsSubstrate::new()),
             ActuatorMode::Weights | ActuatorMode::Caps => {
                 Inner::Cgroup(CgroupSubstrate::new(RealCgroupFs::discover()?, mode))
             }
         };
-        Ok(Supervisor::build(cfg, policy, inner))
+        Ok(Supervisor::build(cfg, None, inner))
     }
 
     /// Refresh each group's membership every `period` instead of every

@@ -31,7 +31,7 @@ struct Rig {
 /// shares on a single-CPU fake, ready to drive quanta.
 fn rig(mode: ActuatorMode, policy: FaultPolicy) -> Rig {
     let cfg = AlpsConfig::default().with_quantum(Q);
-    let mut engine: Engine<i32> = Engine::new(cfg, Instrumentation::Measured)
+    let mut engine: Engine<i32> = Engine::new(cfg, Instrumentation::Exact)
         .with_auto_reap(true)
         .with_fault_policy(policy);
     let mut sub = CgroupSubstrate::new(FakeCgroupFs::new(1), mode);

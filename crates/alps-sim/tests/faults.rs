@@ -71,7 +71,7 @@ struct Run {
 /// (the harness plays the kernel), everything else from the wrapper.
 fn drive(rates: FaultRates, seed: u64, quanta: u64, fail_every: u64) -> Run {
     let cfg = AlpsConfig::default().with_quantum(Q);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Measured)
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact)
         .with_auto_reap(true)
         .with_fault_policy(FaultPolicy::Harden(HardenConfig {
             max_strikes: 3,
@@ -258,8 +258,8 @@ fn fault_free_wrapper_is_transparent() {
         assert_eq!(sub.plan().log().total(), 0);
         (engine.stats(), sub.inner().clone())
     };
-    let (s1, m1) = drive_bare(Engine::new(cfg, Instrumentation::Measured), build());
-    let (s2, m2) = drive_wrapped(Engine::new(cfg, Instrumentation::Measured), build());
+    let (s1, m1) = drive_bare(Engine::new(cfg, Instrumentation::Exact), build());
+    let (s2, m2) = drive_wrapped(Engine::new(cfg, Instrumentation::Exact), build());
     assert_eq!(s1, s2);
     assert_eq!(m1, m2);
 }

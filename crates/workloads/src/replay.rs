@@ -296,7 +296,7 @@ mod tests {
                         })
                     })
                     .collect();
-                let out = self.sched.complete_quantum(&obs, ctl.now());
+                let out = self.sched.complete_quantum(&obs);
                 for t in &out.transitions {
                     if let Some(&(_, pid)) = self.map.iter().find(|(i, _)| *i == t.proc_id()) {
                         match t {

@@ -104,12 +104,12 @@ fn scheduler_checkpoint_survives_a_backend_swap() {
     use alps::{AlpsConfig, AlpsScheduler, Observation};
 
     // Serialize a scheduler mid-flight and keep driving the restored copy
-    // with a different backend clock base — proportions must continue.
+    // — proportions must continue.
     let mut sched = AlpsScheduler::new(AlpsConfig::new(Nanos::from_millis(10)));
     let a = sched.add_process(1, Nanos::ZERO);
     let b = sched.add_process(3, Nanos::ZERO);
     let mut cpu = [0u64; 2];
-    for k in 0..50u64 {
+    for _ in 0..50 {
         let due = sched.begin_quantum();
         // Greedy backend: split the quantum among eligible procs evenly.
         let eligible: Vec<_> = [a, b]
@@ -133,11 +133,11 @@ fn scheduler_checkpoint_survives_a_backend_swap() {
                 )
             })
             .collect();
-        sched.complete_quantum(&obs, Nanos(10_000_000 * k));
+        sched.complete_quantum(&obs);
     }
     let json = serde_json::to_string(&sched).expect("serialize");
     let mut restored: AlpsScheduler = serde_json::from_str(&json).expect("restore");
-    for k in 50..400u64 {
+    for _ in 50..400 {
         let due = restored.begin_quantum();
         let eligible: Vec<_> = [a, b]
             .into_iter()
@@ -160,7 +160,7 @@ fn scheduler_checkpoint_survives_a_backend_swap() {
                 )
             })
             .collect();
-        restored.complete_quantum(&obs, Nanos(10_000_000 * k));
+        restored.complete_quantum(&obs);
     }
     let ratio = cpu[1] as f64 / cpu[0] as f64;
     assert!(

@@ -25,8 +25,7 @@ const REPEATS: usize = 3;
 /// One drive over `n` registered members: the due members measured and
 /// the wall clock of the `QUANTA` quanta after the warm-up quantum.
 fn drive(n: usize) -> (u64, Duration) {
-    let quantum = Nanos::from_millis(10);
-    let mut alps = AlpsScheduler::new(AlpsConfig::new(quantum));
+    let mut alps = AlpsScheduler::new(AlpsConfig::new(Nanos::from_millis(10)));
     for i in 0..n - ACTIVE {
         alps.add_process(IDLE_BASE_SHARE + i as u64, Nanos::ZERO);
     }
@@ -40,14 +39,12 @@ fn drive(n: usize) -> (u64, Duration) {
     let mut obs: Vec<(ProcId, Observation)> = Vec::new();
     let mut out = QuantumOutcome::default();
     alps.begin_quantum_into(&mut due);
-    alps.complete_quantum_into(&[], Nanos::ZERO, &mut out);
+    alps.complete_quantum_into(&[], &mut out);
     assert_eq!(out.transitions.len(), n, "warm-up resumes everyone");
 
-    let mut now = Nanos::ZERO;
     let mut total_due = 0;
     let start = Instant::now();
     for _ in 0..QUANTA {
-        now += quantum;
         alps.begin_quantum_into(&mut due);
         total_due += due.len() as u64;
         obs.clear();
@@ -58,7 +55,7 @@ fn drive(n: usize) -> (u64, Duration) {
             };
             (id, reading)
         }));
-        alps.complete_quantum_into(&obs, now, &mut out);
+        alps.complete_quantum_into(&obs, &mut out);
         assert!(out.transitions.is_empty() && !out.cycle_completed);
     }
     (total_due, start.elapsed())
