@@ -69,7 +69,7 @@ pub enum Op {
         repeat: u32,
     },
     /// Move the `victim % live`-th live entity's execution to CPU
-    /// `cpu % cpus` (SMP schedules only; a no-op on one CPU). Raw
+    /// `cpu % cpus` (a no-op on one CPU). Raw
     /// selectors are resolved at drive time so the same schedule is valid
     /// — byte-identical, in fact — for any CPU count.
     Migrate {
@@ -82,43 +82,16 @@ pub enum Op {
 
 /// Generate a schedule of `len` ops from `seed`. Quanta dominate (so
 /// cycles actually complete); registration outweighs removal (so
-/// populations grow into the interesting regime).
+/// populations grow into the interesting regime); [`Op::Migrate`] churn
+/// moves members between CPUs. The CPU count is *not* an input — migrate
+/// targets are raw selectors resolved modulo the CPU count at drive time
+/// — so one seed yields one schedule that drives machines of any size
+/// identically (the lever behind the "outputs are invariant in M"
+/// suites).
 pub fn generate(seed: u64, len: usize) -> Vec<Op> {
-    let mut rng = Lcg::new(seed);
-    let mut ops = Vec::with_capacity(len + 1);
-    // Ensure at least one process exists before anything else happens.
-    ops.push(Op::Add {
-        share: 1 + rng.below(8),
-    });
-    for _ in 0..len {
-        let roll = rng.below(10);
-        ops.push(match roll {
-            0 | 1 => Op::Add {
-                share: 1 + rng.below(8),
-            },
-            2 => Op::Remove {
-                victim: rng.next_u64(),
-            },
-            3 => Op::SetShare {
-                victim: rng.next_u64(),
-                share: 1 + rng.below(8),
-            },
-            _ => Op::Quantum {
-                repeat: 1 + rng.below(4) as u32,
-            },
-        });
-    }
-    ops
-}
-
-/// Generate an SMP schedule: [`generate`]'s op mix plus [`Op::Migrate`]
-/// churn. The CPU count is *not* an input — migrate targets are raw
-/// selectors resolved modulo the CPU count at drive time — so one seed
-/// yields one schedule that drives machines of any size identically
-/// (the lever behind the "engine outputs are invariant in M" suites).
-pub fn generate_smp(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = Lcg::new(seed ^ 0x0051_0051_0051_0051);
     let mut ops = Vec::with_capacity(len + 1);
+    // Ensure at least one process exists before anything else happens.
     ops.push(Op::Add {
         share: 1 + rng.below(8),
     });
@@ -152,18 +125,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generation_is_deterministic() {
+    fn generation_is_deterministic_and_migrates() {
         assert_eq!(generate(42, 50), generate(42, 50));
         assert_ne!(generate(42, 50), generate(43, 50));
-    }
-
-    #[test]
-    fn smp_generation_is_deterministic_and_migrates() {
-        assert_eq!(generate_smp(42, 50), generate_smp(42, 50));
-        let ops = generate_smp(42, 200);
-        assert!(ops.iter().any(|op| matches!(op, Op::Migrate { .. })));
-        // The uniprocessor generator never emits migrations.
-        assert!(!generate(42, 200)
+        assert!(generate(42, 200)
             .iter()
             .any(|op| matches!(op, Op::Migrate { .. })));
     }
