@@ -17,12 +17,12 @@ use alps_core::{
     MembershipChange, Nanos, ProcId, Signal, StaleId, Substrate, Transition,
 };
 
-use crate::oracle::{MemberReadings, OraclePrincipalScheduler};
+use crate::oracle::{MemberReadings, OraclePrincipalLayer};
 
 /// Naive reference implementation of `alps_core::Engine`.
 #[derive(Debug, Clone)]
 pub struct OracleEngine<M: Copy + Ord + Hash + fmt::Debug> {
-    sched: OraclePrincipalScheduler<M>,
+    sched: OraclePrincipalLayer<M>,
     order: Vec<ProcId>,
     stale: usize,
     member_index: HashMap<M, ProcId>,
@@ -45,7 +45,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
     /// exact per-cycle log is kept, as in the production engine.
     pub fn new(cfg: AlpsConfig) -> Self {
         OracleEngine {
-            sched: OraclePrincipalScheduler::new(cfg),
+            sched: OraclePrincipalLayer::new(cfg),
             order: Vec::new(),
             stale: 0,
             member_index: HashMap::new(),

@@ -14,12 +14,13 @@
 //!
 //! * [`OracleScheduler`] — flat Figure-3 oracle mirroring
 //!   `alps_core::AlpsScheduler`;
-//! * [`OraclePrincipalScheduler`] — naive §5 principal aggregation
-//!   mirroring `alps_core::PrincipalScheduler`;
+//! * a crate-private naive §5 principal layer (member deltas summed per
+//!   principal, eligibility fanned out to members), the reference for
+//!   the principal rules `alps_core::Engine` keeps itself;
 //! * [`OracleEngine`] — a naive replica of the generic engine loop
 //!   (overrun detection, reads, reaping, signals, cycle records,
 //!   [`alps_core::EngineStats`]) driven over the same
-//!   [`alps_core::Substrate`].
+//!   [`alps_core::Substrate`], on top of that principal layer.
 //!
 //! [`harness`] generates randomized schedules (seeded, deterministic) and
 //! drives oracle and production side by side, asserting identical due
@@ -49,4 +50,4 @@ pub mod harness;
 pub mod schedule;
 
 pub use engine::OracleEngine;
-pub use oracle::{OraclePrincipalScheduler, OracleScheduler};
+pub use oracle::OracleScheduler;

@@ -10,8 +10,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use alps_core::{
-    AlpsConfig, IoPolicy, MemberTransition, MembershipChange, Nanos, Observation, PrincipalOutcome,
-    ProcId, QuantumOutcome, StaleId, Transition,
+    AlpsConfig, IoPolicy, MemberTransition, MembershipChange, Nanos, Observation, ProcId,
+    QuantumOutcome, StaleId, Transition,
 };
 
 #[derive(Debug, Clone)]
@@ -357,19 +357,33 @@ struct OraclePrincipal<M> {
     members: BTreeMap<M, Nanos>,
 }
 
-/// Naive reference implementation of `alps_core::PrincipalScheduler`:
-/// member deltas folded into a per-principal aggregate, eligibility
-/// fanned out to member signals.
+/// Outcome of one [`OraclePrincipalLayer`] invocation.
 #[derive(Debug, Clone)]
-pub struct OraclePrincipalScheduler<M: Ord + Copy> {
+pub(crate) struct OracleOutcome<M> {
+    /// Signals for every member of every principal whose eligibility
+    /// flipped.
+    pub(crate) signals: Vec<MemberTransition<M>>,
+    /// The principal-level transitions behind `signals`.
+    pub(crate) transitions: Vec<Transition>,
+    /// Whether a cycle boundary was crossed.
+    pub(crate) cycle_completed: bool,
+}
+
+/// The naive §5 principal layer under
+/// [`OracleEngine`](crate::OracleEngine), kept as its own layer because
+/// it is the reference for the principal rules `alps_core::Engine` folds
+/// into itself: member deltas folded into a per-principal aggregate,
+/// eligibility fanned out to member signals.
+#[derive(Debug, Clone)]
+pub(crate) struct OraclePrincipalLayer<M: Ord + Copy> {
     inner: OracleScheduler,
     principals: HashMap<ProcId, OraclePrincipal<M>>,
 }
 
-impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
+impl<M: Ord + Copy> OraclePrincipalLayer<M> {
     /// Create an empty principal oracle.
     pub fn new(cfg: AlpsConfig) -> Self {
-        OraclePrincipalScheduler {
+        OraclePrincipalLayer {
             inner: OracleScheduler::new(cfg),
             principals: HashMap::new(),
         }
@@ -502,7 +516,7 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
     pub fn complete_quantum(
         &mut self,
         readings: &[(ProcId, MemberReadings<M>)],
-    ) -> PrincipalOutcome<M> {
+    ) -> OracleOutcome<M> {
         let mut obs = Vec::new();
         for (id, members) in readings {
             let Some(p) = self.principals.get_mut(id) else {
@@ -545,7 +559,7 @@ impl<M: Ord + Copy> OraclePrincipalScheduler<M> {
                 }
             }
         }
-        PrincipalOutcome {
+        OracleOutcome {
             signals,
             transitions: inner_out.transitions,
             cycle_completed: inner_out.cycle_completed,

@@ -14,11 +14,8 @@
 
 use alps_conformance::harness::{run_core_ops, MockProc, MockSubstrate};
 use alps_conformance::schedule::Op;
-use alps_conformance::{OracleEngine, OraclePrincipalScheduler};
-use alps_core::{
-    AlpsConfig, DueList, Engine, Instrumentation, Nanos, Observation, PrincipalOutcome,
-    PrincipalScheduler, RecordingSink,
-};
+use alps_conformance::OracleEngine;
+use alps_core::{AlpsConfig, Engine, Instrumentation, Nanos, NullSink, RecordingSink};
 use proptest::prelude::*;
 
 const QUANTUM: Nanos = Nanos(10_000_000);
@@ -228,41 +225,50 @@ fn engine_trace_stats_and_cycle_log_match_the_oracle_under_member_churn() {
 /// charged) and a joiner is reported and seeded once. The schedule
 /// generator never lists a member twice.
 #[test]
-fn a_member_listed_twice_counts_once_in_both_principal_schedulers() {
+fn a_member_listed_twice_counts_once_in_both_engines() {
     let ms = Nanos::from_millis;
     let cfg = AlpsConfig::new(QUANTUM);
-    let mut prod: PrincipalScheduler<u32> = PrincipalScheduler::new(cfg);
-    let mut oracle: OraclePrincipalScheduler<u32> = OraclePrincipalScheduler::new(cfg);
-    let (u, uo) = (prod.add_principal(4), oracle.add_principal(4));
+    let mut prod: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
+    let mut oracle: OracleEngine<u32> = OracleEngine::new(cfg);
+    let (mut sub_p, mut sub_o) = (MockSubstrate::default(), MockSubstrate::default());
+    let u = prod.add_principal(4);
+    assert_eq!(oracle.add_principal(4), u);
     prod.set_membership(u, &[(1, Nanos::ZERO)]);
-    oracle.set_membership(uo, &[(1, Nanos::ZERO)]);
-    let (mut due, mut out) = (DueList::new(), PrincipalOutcome::default());
-    prod.complete_quantum_into(&due, &[], &mut out);
-    oracle.complete_quantum(&[]);
+    oracle.set_membership(u, &[(1, Nanos::ZERO)]);
+    // Complete the first invocation with nothing due: `u` turns eligible.
+    let Ok(()) = prod.complete_quantum(&mut sub_p, &mut NullSink);
+    let Ok(()) = oracle.complete_quantum(&mut sub_o, &mut NullSink);
     let listing = [(1, ms(25)), (2, ms(5)), (1, ms(25)), (2, Nanos::ZERO)];
-    let change = oracle.set_membership(uo, &listing).unwrap();
+    let change = oracle.set_membership(u, &listing).unwrap();
     assert_eq!(change.added, vec![2]);
     assert!(change.removed.is_empty());
     assert_eq!(prod.set_membership(u, &listing), Some(change));
     for _ in 0..3 {
-        prod.begin_quantum_into(&mut due);
-        prod.complete_quantum_into(&due, &[], &mut out);
-        oracle.begin_quantum();
-        oracle.complete_quantum(&[]);
+        let Ok(_) = prod.run_quantum(&mut sub_p, &mut NullSink);
+        let Ok(_) = oracle.run_quantum(&mut sub_o, &mut NullSink);
     }
-    assert_eq!(oracle.begin_quantum(), vec![(uo, vec![1, 2])]);
-    prod.begin_quantum_into(&mut due);
-    assert_eq!(due.iter().collect::<Vec<_>>(), vec![(u, &[1, 2][..])]);
-    let read = |cpu| Observation {
-        total_cpu: cpu,
-        blocked: false,
-    };
-    oracle.complete_quantum(&[(uo, vec![(1, Some(read(ms(30)))), (2, Some(read(ms(10))))])]);
-    let readings = [Some(read(ms(30))), Some(read(ms(10)))];
-    prod.complete_quantum_into(&due, &readings, &mut out);
+    for (m, cpu) in [(1, 30), (2, 10)] {
+        let running = MockProc {
+            cpu: ms(cpu),
+            blocked: false,
+            gone: false,
+            stopped: false,
+        };
+        sub_p.procs.insert(m, running);
+    }
+    sub_o.procs = sub_p.procs.clone();
+    let Ok(_) = prod.begin_quantum(&mut sub_p, &mut NullSink);
+    let Ok(_) = oracle.begin_quantum(&mut sub_o, &mut NullSink);
+    assert_eq!(oracle.due(), [(u, vec![1, 2])]);
+    assert_eq!(
+        prod.due().iter().collect::<Vec<_>>(),
+        vec![(u, &[1, 2][..])]
+    );
+    let Ok(()) = prod.complete_quantum(&mut sub_p, &mut NullSink);
+    let Ok(()) = oracle.complete_quantum(&mut sub_o, &mut NullSink);
     // Charged 30 ms since registration plus 5 ms since joining.
-    assert_eq!(oracle.inner().allowance(uo), Some(0.5));
-    assert_eq!(prod.inner().allowance(u), Some(0.5));
+    assert_eq!(oracle.allowance(u), Some(0.5));
+    assert_eq!(prod.allowance(u), Some(0.5));
 }
 
 /// A pid listed by two principals is owned by the first, in the oracle as

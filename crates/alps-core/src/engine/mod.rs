@@ -10,10 +10,11 @@
 //! identical bookkeeping ([`EngineStats`]), and a uniform instrumentation
 //! stream ([`Event`]/[`EventSink`]) for free.
 //!
-//! The engine is principal-granular — it drives a
-//! [`PrincipalScheduler`], so a scheduled entity may be one fixed process
-//! (the common case; see [`Engine::add_member`]) or a group of processes
-//! scheduled as a unit (§5; see [`Engine::add_principal`] +
+//! The engine is §5's principal layer: each principal is one process of
+//! its [`AlpsScheduler`], charged the sum of its members' consumption,
+//! and its eligibility fans out to every member. A principal may be one
+//! fixed process (the common case; see [`Engine::add_member`]) or a group
+//! of processes scheduled as a unit (see [`Engine::add_principal`] +
 //! [`Engine::set_membership`]). The engine knows which each principal is:
 //! a fixed principal dies with its member, a group lives until removed
 //! and its members come and go at the backend's refreshes.
@@ -30,10 +31,8 @@ use std::collections::HashMap;
 
 use crate::config::AlpsConfig;
 use crate::cycle::{CycleEntry, CycleRecord};
-use crate::principal::{
-    DueList, MemberTransition, MembershipChange, PrincipalOutcome, PrincipalScheduler,
-};
-use crate::sched::{AlpsScheduler, Observation, ProcId, StaleId, Transition};
+use crate::principal::{DueList, MemberSet, MemberTransition, MembershipChange};
+use crate::sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, StaleId, Transition};
 use crate::time::Nanos;
 
 /// Counters for everything externally observable the engine has done.
@@ -160,6 +159,30 @@ impl MemberHealth {
     }
 }
 
+/// One principal's entry in the engine's table.
+#[derive(Debug, Clone)]
+struct Principal<M> {
+    /// The generation of the [`ProcId`] that owns this entry: a stale id
+    /// from a reused slot misses instead of addressing the new tenant.
+    generation: u32,
+    /// A group ([`Engine::add_principal`]) as opposed to a fixed
+    /// single-member principal ([`Engine::add_member`]).
+    group: bool,
+    /// CPU charged so far, over current and past members. Member churn
+    /// does not disturb this: each member's consumption is folded in as
+    /// deltas from its own last reading.
+    cumulative: Nanos,
+    members: MemberSet<M>,
+}
+
+/// The entry of `table` for `id`, if the id is current.
+fn entry_mut<M>(table: &mut [Option<Principal<M>>], id: ProcId) -> Option<&mut Principal<M>> {
+    table
+        .get_mut(id.index())?
+        .as_mut()
+        .filter(|p| p.generation == id.generation())
+}
+
 /// Convenience alias: the engine type driven by a given substrate.
 pub type EngineFor<S> = Engine<<S as Substrate>::Member>;
 
@@ -184,7 +207,11 @@ pub type EngineFor<S> = Engine<<S as Substrate>::Member>;
 /// ([`set_membership`](Engine::set_membership)) drops it.
 #[derive(Debug, Clone)]
 pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
-    sched: PrincipalScheduler<M>,
+    sched: AlpsScheduler,
+    /// Dense principal table indexed by [`ProcId::index`], parallel to
+    /// the scheduler's slots, so the per-quantum lookups are O(1)
+    /// without hashing.
+    principals: Vec<Option<Principal<M>>>,
     /// Every principal in registration order (the order cycle-record
     /// entries are emitted in), each with its cumulative exact CPU at the
     /// last cycle boundary.
@@ -195,21 +222,25 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     /// exiting) costs O(n) amortized instead of the O(n²) that eager
     /// `retain` per removal used to.
     stale: usize,
-    /// Member → owning principal, for reap lookups on failed delivery.
+    /// Member → owning principal: the members the engine manages.
     member_index: HashMap<M, ProcId>,
     cycles: Vec<CycleRecord>,
     stats: EngineStats,
     record_cycles: bool,
     auto_reap: bool,
     fault_policy: FaultPolicy,
-    /// Per-member recovery state (populated only under
-    /// [`FaultPolicy::Harden`]).
+    /// Per-member recovery state, kept under [`FaultPolicy::Harden`] for
+    /// members in `member_index` only.
     health: HashMap<M, MemberHealth>,
     last_begin: Option<Nanos>,
     /// Scratch: the due list of the in-flight invocation.
     due: DueList<M>,
+    /// Scratch: the scheduler's due principals, refilled each quantum.
+    due_ids: Vec<ProcId>,
     /// Scratch: per-member observations, parallel to `due.members()`.
     readings: Vec<Option<Observation>>,
+    /// Scratch: per-principal observations fed to the scheduler.
+    observations: Vec<(ProcId, Observation)>,
     /// Scratch: members found gone during the read phase.
     gone: Vec<(ProcId, M)>,
     /// Scratch: members whose read faulted this quantum (hardening only).
@@ -222,7 +253,10 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     delivered: Vec<bool>,
     /// Outcome of the last completed invocation; its buffers are reused,
     /// so steady-state quanta allocate nothing.
-    outcome: PrincipalOutcome<M>,
+    outcome: QuantumOutcome,
+    /// The last invocation's member signals: every member of every
+    /// principal in `outcome.transitions`.
+    signals: Vec<MemberTransition<M>>,
 }
 
 impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
@@ -231,7 +265,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// only value.
     pub fn new(cfg: AlpsConfig, _: Instrumentation) -> Self {
         Engine {
-            sched: PrincipalScheduler::new(cfg),
+            sched: AlpsScheduler::new(cfg),
+            principals: Vec::new(),
             snapshot: Vec::new(),
             stale: 0,
             member_index: HashMap::new(),
@@ -242,13 +277,16 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             fault_policy: FaultPolicy::Propagate,
             health: HashMap::new(),
             last_begin: None,
-            due: DueList::new(),
+            due: DueList::default(),
+            due_ids: Vec::new(),
             readings: Vec::new(),
+            observations: Vec::new(),
             gone: Vec::new(),
             faulted: Vec::new(),
             sig_batch: Vec::new(),
             delivered: Vec::new(),
-            outcome: PrincipalOutcome::default(),
+            outcome: QuantumOutcome::default(),
+            signals: Vec::new(),
         }
     }
 
@@ -282,7 +320,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Per §2.2 the principal starts ineligible; the caller is responsible
     /// for suspending the member now (the first invocation will resume it).
     pub fn add_member(&mut self, member: M, share: u64, initial_cpu: Nanos) -> ProcId {
-        let id = self.sched.add_member(member, share, initial_cpu);
+        let id = self.insert_principal(share, false, MemberSet::One((member, initial_cpu)));
         self.member_index.insert(member, id);
         self.snapshot.push((id, initial_cpu));
         id
@@ -291,41 +329,102 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Register an empty group (§5). Populate it with
     /// [`Engine::set_membership`].
     pub fn add_principal(&mut self, share: u64) -> ProcId {
-        let id = self.sched.add_principal(share);
+        let id = self.insert_principal(share, true, MemberSet::default());
         self.snapshot.push((id, Nanos::ZERO));
         id
     }
 
+    fn insert_principal(&mut self, share: u64, group: bool, members: MemberSet<M>) -> ProcId {
+        let id = self.sched.add_process(share, Nanos::ZERO);
+        if id.index() == self.principals.len() {
+            self.principals.push(None);
+        }
+        self.principals[id.index()] = Some(Principal {
+            generation: id.generation(),
+            group,
+            cumulative: Nanos::ZERO,
+            members,
+        });
+        id
+    }
+
+    /// The principal for a handle, if the handle is current.
+    fn principal(&self, id: ProcId) -> Option<&Principal<M>> {
+        self.principals
+            .get(id.index())?
+            .as_ref()
+            .filter(|p| p.generation == id.generation())
+    }
+
     /// Replace a group's member set (the once-per-second refresh of §5).
-    /// Returns the joiners/leavers and the reconciliation signals the
-    /// backend must deliver (conveniently via
-    /// [`Engine::apply_signals`]), or `None` for a stale id or a fixed
-    /// principal. A listed member that another principal owns stays with
-    /// that first owner and is left out of this group.
+    ///
+    /// `current` carries, for each member, its *current* cumulative CPU
+    /// reading: a newly joined member is charged only for consumption from
+    /// this point on. A member listed twice counts once, at its first
+    /// listing, and a listed member that another principal owns stays
+    /// with that first owner and is left out of this group. The returned
+    /// [`MembershipChange`] lists joiners and leavers and the signals the
+    /// backend must deliver (conveniently via [`Engine::apply_signals`])
+    /// to reconcile member run states with the principal's eligibility:
+    /// joiners of a suspended principal must be stopped, and its leavers
+    /// resumed so they are not orphaned in the stopped state. Leavers are
+    /// let go: the engine keeps no recovery state for them. Returns `None`
+    /// for a stale id and for a fixed principal, whose one member never
+    /// changes.
     pub fn set_membership(
         &mut self,
         id: ProcId,
         current: &[(M, Nanos)],
     ) -> Option<MembershipChange<M>> {
-        let kept: Vec<(M, Nanos)> = current
-            .iter()
-            .copied()
-            .filter(|(m, _)| self.member_index.get(m).is_none_or(|&o| o == id))
+        let eligible = self.sched.is_eligible(id)?;
+        let p = entry_mut(&mut self.principals, id).filter(|p| p.group)?;
+        let mut members = MemberSet::default();
+        let mut added = Vec::new();
+        for &(m, cpu) in current {
+            let owned_elsewhere = self.member_index.get(&m).is_some_and(|&o| o != id);
+            if owned_elsewhere || members.get(&m).is_some() {
+                continue;
+            }
+            let last = p.members.get(&m).unwrap_or_else(|| {
+                added.push(m);
+                cpu
+            });
+            members.insert(m, last);
+        }
+        let removed: Vec<M> = p
+            .members
+            .keys()
+            .filter(|m| members.get(m).is_none())
             .collect();
-        let change = self.sched.set_membership(id, &kept)?;
-        for m in &change.added {
-            self.member_index.insert(*m, id);
+        p.members = members;
+        for &m in &added {
+            self.member_index.insert(m, id);
         }
-        for m in &change.removed {
+        for m in &removed {
             self.member_index.remove(m);
+            self.health.remove(m);
         }
-        Some(change)
+        let mut signals = Vec::new();
+        if !eligible {
+            signals.extend(added.iter().map(|&m| MemberTransition::Suspend(m)));
+            signals.extend(removed.iter().map(|&m| MemberTransition::Resume(m)));
+        }
+        Some(MembershipChange {
+            added,
+            removed,
+            signals,
+        })
     }
 
     /// Deregister a principal, returning its members (which the backend
-    /// should resume if the principal was ineligible).
+    /// should resume if the principal was ineligible). The engine keeps
+    /// no recovery state for them afterwards.
     pub fn remove_principal(&mut self, id: ProcId) -> Option<Vec<M>> {
-        let members = self.sched.remove_principal(id)?;
+        let p = self
+            .principals
+            .get_mut(id.index())?
+            .take_if(|p| p.generation == id.generation())?;
+        self.sched.remove_process(id);
         self.stale += 1;
         if self.stale * 2 > self.snapshot.len() {
             let sched = &self.sched;
@@ -333,8 +432,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 .retain(|&(x, _)| sched.is_eligible(x).is_some());
             self.stale = 0;
         }
+        let members: Vec<M> = p.members.keys().collect();
         for m in &members {
             self.member_index.remove(m);
+            self.health.remove(m);
         }
         Some(members)
     }
@@ -356,7 +457,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         share: u64,
         sink: &mut dyn EventSink<M>,
     ) -> Result<(), StaleId> {
-        let old = self.sched.inner().share(id).ok_or(StaleId(id))?;
+        let old = self.sched.share(id).ok_or(StaleId(id))?;
         if old == share {
             return Ok(());
         }
@@ -397,7 +498,14 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         if let FaultPolicy::Harden(h) = self.fault_policy {
             self.reconcile(sub, h, sink)?;
         }
-        self.sched.begin_quantum_into(&mut self.due);
+        self.due.clear();
+        self.sched.begin_quantum_into(&mut self.due_ids);
+        for &id in &self.due_ids {
+            let p = self.principals[id.index()]
+                .as_ref()
+                .expect("the scheduler's due ids are registered");
+            self.due.push(id, p.members.keys());
+        }
         sink.on_event(&Event::QuantumStart {
             invocation: self.stats.quanta,
             now,
@@ -508,13 +616,55 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             faulted.clear();
             self.faulted = faulted;
         }
+        // Fold each due principal's member deltas into its charged CPU. A
+        // principal is blocked (§2.4) only when every member that was read
+        // reports blocked: if any member is runnable, it can make progress.
+        self.observations.clear();
+        let mut start = 0;
+        for (id, members) in self.due.iter() {
+            let row = &self.readings[start..start + members.len()];
+            start += members.len();
+            let Some(p) = entry_mut(&mut self.principals, id) else {
+                continue; // reaped or quarantined during the reads
+            };
+            let mut any_read = false;
+            let mut all_blocked = true;
+            for (m, obs) in members.iter().zip(row) {
+                let Some(obs) = obs else {
+                    continue;
+                };
+                any_read = true;
+                if let Some(last) = p.members.get_mut(m) {
+                    p.cumulative += obs.total_cpu.saturating_sub(*last);
+                    *last = obs.total_cpu;
+                }
+                all_blocked &= obs.blocked;
+            }
+            self.observations.push((
+                id,
+                Observation {
+                    total_cpu: p.cumulative,
+                    blocked: any_read && all_blocked,
+                },
+            ));
+        }
         let now = sub.now();
         self.sched
-            .complete_quantum_into(&self.due, &self.readings, &mut self.outcome);
+            .complete_quantum_into(&self.observations, &mut self.outcome);
+        self.signals.clear();
+        for t in &self.outcome.transitions {
+            let p = self.principals[t.proc_id().index()]
+                .as_ref()
+                .expect("a transition's principal is registered");
+            self.signals.extend(p.members.keys().map(|m| match t {
+                Transition::Resume(_) => MemberTransition::Resume(m),
+                Transition::Suspend(_) => MemberTransition::Suspend(m),
+            }));
+        }
         if self.outcome.cycle_completed {
             self.stats.cycles += 1;
             sink.on_event(&Event::CycleEnd {
-                index: self.sched.inner().cycles_completed().saturating_sub(1),
+                index: self.sched.cycles_completed().saturating_sub(1),
                 now,
             });
             if self.record_cycles {
@@ -527,7 +677,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Signals produced by the last [`Engine::complete_quantum`], not yet
     /// (or last) delivered via [`Engine::apply_pending_signals`].
     pub fn pending_signals(&self) -> &[MemberTransition<M>] {
-        &self.outcome.signals
+        &self.signals
     }
 
     /// Principal-level eligibility transitions of the last invocation.
@@ -559,10 +709,14 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                     MemberTransition::Resume(_) => Signal::Continue,
                     MemberTransition::Suspend(_) => Signal::Stop,
                 };
-                self.health
-                    .entry(m)
-                    .or_insert_with(MemberHealth::new)
-                    .desired = Some(sig);
+                // A member let go (a leaver, a removed principal's) gets
+                // its signal once and is not tracked.
+                if self.member_index.contains_key(&m) {
+                    self.health
+                        .entry(m)
+                        .or_insert_with(MemberHealth::new)
+                        .desired = Some(sig);
+                }
                 self.harden_deliver(sub, m, sig, h, sink)?;
             }
             return Ok(());
@@ -604,8 +758,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// Deliver one signal under [`FaultPolicy::Harden`]: success clears the
     /// member's strikes, a bounce (member gone) follows the normal reap
-    /// path, and a substrate error is tolerated, counted, and scheduled for
-    /// a backed-off retry.
+    /// path, and a substrate error is tolerated and counted, and for a
+    /// managed member scheduled for a backed-off retry.
     fn harden_deliver<S>(
         &mut self,
         sub: &mut S,
@@ -643,6 +797,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                     member: m,
                     signal: sig,
                 });
+                if !self.member_index.contains_key(&m) {
+                    return Ok(());
+                }
                 let health = self.health.entry(m).or_insert_with(MemberHealth::new);
                 health.desired = Some(sig);
                 // Exponential backoff in quanta: 1, 2, 4, ... capped at 32.
@@ -675,13 +832,16 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         };
         self.stats.quarantined += 1;
         sink.on_event(&Event::Quarantined { member: m });
-        if self.sched.is_group(id) == Some(false) {
+        let Some(p) = entry_mut(&mut self.principals, id) else {
+            return;
+        };
+        if !p.group {
             self.remove_principal(id);
             return;
         }
         // The evicted member deliberately gets no reconciliation signal:
         // it is faulting, and intent re-assertion covers the rest.
-        if self.sched.evict(id, m) {
+        if p.members.remove(&m).is_some() {
             self.member_index.remove(&m);
         }
     }
@@ -740,9 +900,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         // The signal buffer is moved out for the duration of the call (the
         // borrow checker cannot see that `apply_signals` leaves it alone)
         // and put back so it keeps being reused.
-        let signals = std::mem::take(&mut self.outcome.signals);
+        let signals = std::mem::take(&mut self.signals);
         let result = self.apply_signals(sub, &signals, sink);
-        self.outcome.signals = signals;
+        self.signals = signals;
         result
     }
 
@@ -766,10 +926,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     fn reap(&mut self, id: ProcId, m: M, sink: &mut dyn EventSink<M>) {
         // Only a fixed principal dies with its member; a group's gone
         // member is skipped until the backend's next refresh drops it.
-        if !self.auto_reap || self.sched.is_group(id) != Some(false) {
+        if !self.auto_reap || self.principal(id).is_none_or(|p| p.group) {
             return;
         }
-        self.health.remove(&m);
         self.remove_principal(id);
         self.stats.reaped += 1;
         sink.on_event(&Event::MemberReaped { member: m });
@@ -800,13 +959,13 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         let mut total = Nanos::ZERO;
         for i in 0..self.snapshot.len() {
             let (id, last) = self.snapshot[i];
-            let current = match self.sched.is_group(id) {
+            let current = match self.principal(id) {
                 None => continue, // tombstoned (removed, not yet compacted)
-                Some(true) => self.sched.cumulative(id).unwrap_or(last),
+                Some(p) if p.group => p.cumulative,
                 // A member that is gone is charged nothing further; keep
                 // the old snapshot so the record is stable.
-                Some(false) => match self.sched.member_entries(id) {
-                    Some(&[(m, _)]) => match sub.read_exact(m) {
+                Some(p) => match p.members.as_slice() {
+                    &[(m, _)] => match sub.read_exact(m) {
                         Ok(cpu) => cpu.unwrap_or(last),
                         Err(e) if !hardened => return Err(e),
                         Err(_) => {
@@ -823,14 +982,14 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             total += consumed;
             entries.push(CycleEntry {
                 id,
-                share: self.sched.inner().share(id).unwrap_or(0),
+                share: self.sched.share(id).unwrap_or(0),
                 consumed,
             });
         }
         self.cycles.push(CycleRecord {
-            index: self.sched.inner().cycles_completed().saturating_sub(1),
+            index: self.sched.cycles_completed().saturating_sub(1),
             completed_at: now,
-            total_shares: self.sched.inner().total_shares(),
+            total_shares: self.sched.total_shares(),
             total_consumed: total,
             entries,
         });
@@ -860,42 +1019,42 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// A principal's remaining allowance in quanta.
     pub fn allowance(&self, id: ProcId) -> Option<f64> {
-        self.sched.inner().allowance(id)
+        self.sched.allowance(id)
     }
 
     /// A principal's share, or `None` if it is gone.
     pub fn share(&self, id: ProcId) -> Option<u64> {
-        self.sched.inner().share(id)
+        self.sched.share(id)
     }
 
     /// Whether a principal is currently eligible.
     pub fn is_eligible(&self, id: ProcId) -> Option<bool> {
-        self.sched.inner().is_eligible(id)
+        self.sched.is_eligible(id)
     }
 
     /// Scheduler invocations completed.
     pub fn invocations(&self) -> u64 {
-        self.sched.inner().invocations()
+        self.sched.invocations()
     }
 
     /// Cycles completed.
     pub fn cycles_completed(&self) -> u64 {
-        self.sched.inner().cycles_completed()
+        self.sched.cycles_completed()
     }
 
     /// The configured quantum `Q`.
     pub fn quantum(&self) -> Nanos {
-        self.sched.inner().quantum()
+        self.sched.quantum()
     }
 
     /// CPUs on the governed machine ([`crate::AlpsConfig::cpus`]).
     pub fn cpus(&self) -> usize {
-        self.sched.inner().cpus()
+        self.sched.cpus()
     }
 
     /// Members of a principal.
     pub fn members(&self, id: ProcId) -> Option<Vec<M>> {
-        self.sched.members(id)
+        self.principal(id).map(|p| p.members.keys().collect())
     }
 
     /// The principal a member belongs to, if any.
@@ -905,6 +1064,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// The inner Figure-3 scheduler, for read-only inspection.
     pub fn scheduler(&self) -> &AlpsScheduler {
-        self.sched.inner()
+        &self.sched
     }
 }

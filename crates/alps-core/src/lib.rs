@@ -51,9 +51,11 @@
 //! * [`engine`] — the generic per-quantum control loop every backend
 //!   drives, over the [`Substrate`] trait backends implement (read a
 //!   process, deliver a signal, tell the time), with an [`EventSink`]
-//!   instrumentation stream.
-//! * [`principal`] — §5's resource principals: schedule groups of processes
-//!   (e.g. all processes of one user) as single entities.
+//!   instrumentation stream. It is also §5's principal layer: a
+//!   scheduled entity is one process or a group of processes (e.g. all
+//!   processes of one user), charged their summed CPU.
+//! * [`principal`] — the principal layer's data: member sets, the due
+//!   list, member signals and membership changes.
 //! * [`hierarchy`] — a static share *tree* (users → apps → processes),
 //!   flattened once into the per-process shares ALPS consumes (§5's
 //!   hierarchy; re-flattened by the caller when it changes).
@@ -103,9 +105,7 @@ pub use engine::{
     NullSink, RecordingSink, Signal, Substrate, TraceSink,
 };
 pub use hierarchy::{NodeId, ShareTree};
-pub use principal::{
-    DueList, MemberTransition, MembershipChange, PrincipalOutcome, PrincipalScheduler,
-};
+pub use principal::{DueList, MemberTransition, MembershipChange};
 pub use sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, StaleId, Transition};
 pub use slo::{ShareAdjustment, SloConfig, SloController, SloTarget};
 pub use time::Nanos;

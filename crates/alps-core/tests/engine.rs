@@ -3,13 +3,16 @@
 //! identical due lists, transitions and allowances, its exact per-cycle
 //! log must record what was consumed, and its event stream must narrate
 //! every quantum and cycle boundary. Fixed principals and groups obey
-//! their own teardown, logging and membership rules.
+//! their own teardown, logging and membership rules; a group is charged
+//! its members' summed CPU and its eligibility fans out to every member
+//! (§5); and a hardened engine never re-signals a member it let go.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use alps_core::{
-    AlpsConfig, AlpsScheduler, Engine, Event, FaultPolicy, HardenConfig, Instrumentation, Nanos,
-    NullSink, Observation, ProcId, RecordingSink, Signal, Substrate, Transition,
+    AlpsConfig, AlpsScheduler, Engine, Event, FaultPolicy, HardenConfig, Instrumentation,
+    MemberTransition, Nanos, NullSink, Observation, ProcId, RecordingSink, Signal, Substrate,
+    Transition,
 };
 
 /// A fully scripted substrate: the test owns the clock and every member's
@@ -526,4 +529,308 @@ fn a_member_listed_by_two_principals_stays_with_its_first_owner() {
         .unwrap();
     assert_eq!(change.added, vec![7]);
     assert_eq!(engine.principal_of(7), Some(b));
+}
+
+/// A hardened engine whose fixed principal is removed, and whose member
+/// the driver resumes itself, never signals that member again: before,
+/// the re-assertion of its stale intent stopped it every 16 quanta.
+#[test]
+fn a_hardened_engine_never_resignals_a_removed_principals_member() {
+    let q = Nanos::from_millis(10);
+    let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact)
+        .with_auto_reap(true)
+        .with_fault_policy(FaultPolicy::Harden(HardenConfig::default()));
+    let mut sub = MockSubstrate::default();
+    sub.add(1);
+    sub.add(2);
+    let a = engine.add_member(1, 1, Nanos::ZERO);
+    engine.add_member(2, 3, Nanos::ZERO);
+    let mut sink = RecordingSink::new();
+    for _ in 0..2 {
+        sub.advance(q);
+        engine.run_quantum(&mut sub, &mut sink).unwrap();
+    }
+    assert!(sub.stopped.contains(&1), "A is suspended at quantum 2");
+    assert_eq!(engine.remove_principal(a), Some(vec![1]));
+    sub.stopped.remove(&1); // the driver releases what it let go
+    sink.events.clear();
+    for _ in 0..40 {
+        sub.advance(q);
+        engine.run_quantum(&mut sub, &mut sink).unwrap();
+    }
+    let sent = |e: &&Event<u32>| matches!(e, Event::SignalSent { member: 1, .. });
+    assert_eq!(sink.events.iter().filter(sent).count(), 0);
+    assert!(!sub.stopped.contains(&1));
+}
+
+/// A group's leaver gets its reconciliation signal once and is then let
+/// go: a hardened engine does not re-assert it.
+#[test]
+fn a_hardened_engine_never_resignals_a_group_leaver() {
+    let q = Nanos::from_millis(10);
+    let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact)
+        .with_auto_reap(true)
+        .with_fault_policy(FaultPolicy::Harden(HardenConfig::default()));
+    let mut sub = MockSubstrate::default();
+    for m in [1, 2, 9] {
+        sub.add(m);
+    }
+    engine.add_member(9, 3, Nanos::ZERO);
+    let g = engine.add_principal(1);
+    let mut sink = RecordingSink::new();
+    let change = engine
+        .set_membership(g, &[(1, Nanos::ZERO), (2, Nanos::ZERO)])
+        .unwrap();
+    engine
+        .apply_signals(&mut sub, &change.signals, &mut sink)
+        .unwrap();
+    for _ in 0..2 {
+        sub.advance(q);
+        engine.run_quantum(&mut sub, &mut sink).unwrap();
+    }
+    assert_eq!(engine.is_eligible(g), Some(false), "the group overran");
+    let change = engine.set_membership(g, &[(2, sub.cpu[&2])]).unwrap();
+    assert_eq!(change.signals, vec![MemberTransition::Resume(1)]);
+    sink.events.clear();
+    engine
+        .apply_signals(&mut sub, &change.signals, &mut sink)
+        .unwrap();
+    for _ in 0..40 {
+        sub.advance(q);
+        engine.run_quantum(&mut sub, &mut sink).unwrap();
+    }
+    let sent = |e: &&Event<u32>| matches!(e, Event::SignalSent { member: 1, .. });
+    assert_eq!(
+        sink.events.iter().filter(sent).count(),
+        1,
+        "only its reconciliation"
+    );
+    assert!(!sub.stopped.contains(&1));
+}
+
+// --- §5: a group is charged its members' CPU, and fans out eligibility ---
+
+/// A group engine at a 10 ms quantum (lazy measurement on), over an empty
+/// substrate: a member whose reading is not scripted reads as gone, which
+/// skips it without charge.
+fn group_engine() -> (Engine<u32>, MockSubstrate) {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10));
+    (
+        Engine::new(cfg, Instrumentation::Exact),
+        MockSubstrate::default(),
+    )
+}
+
+/// Script member `m`'s next reading.
+fn reads(sub: &mut MockSubstrate, m: u32, ms: u64, blocked: bool) {
+    sub.cpu.insert(m, Nanos::from_millis(ms));
+    if blocked {
+        sub.blocked.insert(m);
+    } else {
+        sub.blocked.remove(&m);
+    }
+}
+
+/// Stage 1 of a quantum, returning how many principals are due.
+fn begin(e: &mut Engine<u32>, sub: &mut MockSubstrate) -> usize {
+    e.begin_quantum(sub, &mut NullSink).unwrap();
+    e.due().len()
+}
+
+/// Stage 2 of a quantum (without a `begin` first, it completes the
+/// scheduler's invocation with nothing due).
+fn complete(e: &mut Engine<u32>, sub: &mut MockSubstrate) {
+    e.complete_quantum(sub, &mut NullSink).unwrap();
+}
+
+/// One quantum in which nothing is due.
+fn idle_quantum(e: &mut Engine<u32>, sub: &mut MockSubstrate) {
+    assert_eq!(begin(e, sub), 0);
+    complete(e, sub);
+}
+
+#[test]
+fn principal_becomes_eligible_resuming_all_members() {
+    let (mut e, mut sub) = group_engine();
+    let u = e.add_principal(1);
+    e.set_membership(u, &[(100, Nanos::ZERO), (101, Nanos::ZERO)]);
+    idle_quantum(&mut e, &mut sub);
+    let mut resumed: Vec<u32> = e
+        .pending_signals()
+        .iter()
+        .map(|t| {
+            assert!(matches!(t, MemberTransition::Resume(_)));
+            t.member()
+        })
+        .collect();
+    resumed.sort_unstable();
+    assert_eq!(resumed, vec![100, 101]);
+}
+
+#[test]
+fn member_consumption_aggregates() {
+    let (mut e, mut sub) = group_engine();
+    let u = e.add_principal(2);
+    let v = e.add_principal(2);
+    e.set_membership(u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
+    e.set_membership(v, &[(3, Nanos::ZERO)]);
+    complete(&mut e, &mut sub); // both eligible (count=1)
+    idle_quantum(&mut e, &mut sub); // count=2, none due (ceil(2)=2 → due at 3)
+                                    // u's two members consumed 8 and 7 ms; v's one member 5 ms.
+    for (m, ms) in [(1, 8), (2, 7), (3, 5)] {
+        reads(&mut sub, m, ms, false);
+    }
+    assert_eq!(begin(&mut e, &mut sub), 2, "count=3: both due");
+    complete(&mut e, &mut sub);
+    // u: 15ms = 1.5 quanta consumed of allowance 2 → 0.5 left.
+    assert!((e.allowance(u).unwrap() - 0.5).abs() < 1e-9);
+    assert!((e.allowance(v).unwrap() - 1.5).abs() < 1e-9);
+}
+
+#[test]
+fn membership_churn_does_not_lose_or_invent_cpu() {
+    let (mut e, mut sub) = group_engine();
+    let u = e.add_principal(4);
+    e.set_membership(u, &[(1, Nanos::ZERO)]);
+    complete(&mut e, &mut sub); // eligible
+
+    // Member 1 exits after consuming 10ms; member 2 joins having already
+    // consumed 500ms under some other ownership.
+    for _ in 0..3 {
+        idle_quantum(&mut e, &mut sub);
+    }
+    reads(&mut sub, 1, 10, false);
+    assert_eq!(
+        begin(&mut e, &mut sub),
+        1,
+        "count=5: due (ceil(4)=4 after count=1)"
+    );
+    complete(&mut e, &mut sub);
+    let change = e
+        .set_membership(u, &[(2, Nanos::from_millis(500))])
+        .unwrap();
+    assert_eq!(change.added, vec![2]);
+    assert_eq!(change.removed, vec![1]);
+    assert!(change.signals.is_empty(), "principal is eligible");
+    // Member 2 consumes 5ms more (cumulative 505).
+    for _ in 0..2 {
+        idle_quantum(&mut e, &mut sub);
+    }
+    reads(&mut sub, 2, 505, false);
+    assert_eq!(
+        begin(&mut e, &mut sub),
+        1,
+        "due again after ceil(3)=3 quanta"
+    );
+    complete(&mut e, &mut sub);
+    // Total charged: 10ms + 5ms = 1.5 quanta; allowance 4 - 1.5 = 2.5.
+    assert!((e.allowance(u).unwrap() - 2.5).abs() < 1e-9);
+}
+
+#[test]
+fn a_member_listed_twice_counts_once_at_its_first_listing() {
+    let (mut e, mut sub) = group_engine();
+    let u = e.add_principal(4);
+    e.set_membership(u, &[(1, Nanos::ZERO)]);
+    complete(&mut e, &mut sub);
+    // At this refresh member 1 reads 25 ms, and joiner 2 reads 5 ms at
+    // its first listing.
+    let change = e
+        .set_membership(
+            u,
+            &[
+                (1, Nanos::from_millis(25)),
+                (2, Nanos::from_millis(5)),
+                (1, Nanos::from_millis(25)),
+                (2, Nanos::ZERO),
+            ],
+        )
+        .unwrap();
+    assert_eq!(change.added, vec![2]);
+    assert!(change.removed.is_empty());
+    assert_eq!(e.members(u), Some(vec![1, 2]));
+    for _ in 0..3 {
+        idle_quantum(&mut e, &mut sub);
+    }
+    reads(&mut sub, 1, 30, false);
+    reads(&mut sub, 2, 10, false);
+    assert_eq!(begin(&mut e, &mut sub), 1);
+    complete(&mut e, &mut sub);
+    // Charged 30 ms since registration plus 5 ms since joining:
+    // 4 − 3.5 = 0.5 quanta left.
+    assert!((e.allowance(u).unwrap() - 0.5).abs() < 1e-9);
+}
+
+#[test]
+fn joining_a_suspended_principal_means_suspension() {
+    let (mut e, mut sub) = group_engine();
+    let u = e.add_principal(1);
+    let _v = e.add_principal(9);
+    e.set_membership(u, &[(1, Nanos::ZERO)]);
+    complete(&mut e, &mut sub); // eligible, count=1, due at 2
+    reads(&mut sub, 1, 10, false);
+    assert_eq!(
+        begin(&mut e, &mut sub),
+        1,
+        "only u due (v due at ceil(9)+1)"
+    );
+    // u overconsumes: suspended.
+    complete(&mut e, &mut sub);
+    assert_eq!(e.pending_signals(), [MemberTransition::Suspend(1)]);
+    // A new worker is forked into the suspended principal.
+    let change = e
+        .set_membership(u, &[(1, Nanos::from_millis(10)), (7, Nanos::ZERO)])
+        .unwrap();
+    assert_eq!(change.signals, vec![MemberTransition::Suspend(7)]);
+    // And one leaves while suspended: it must be resumed.
+    let change = e.set_membership(u, &[(7, Nanos::ZERO)]).unwrap();
+    assert_eq!(change.signals, vec![MemberTransition::Resume(1)]);
+}
+
+#[test]
+fn principal_blocked_only_when_all_members_blocked() {
+    let (mut e, mut sub) = group_engine();
+    let u = e.add_principal(2);
+    e.set_membership(u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
+    complete(&mut e, &mut sub);
+    idle_quantum(&mut e, &mut sub);
+    // Due: one member runnable → principal not blocked → no penalty.
+    reads(&mut sub, 1, 0, true);
+    reads(&mut sub, 2, 0, false);
+    begin(&mut e, &mut sub);
+    complete(&mut e, &mut sub);
+    assert!((e.allowance(u).unwrap() - 2.0).abs() < 1e-9);
+    // Due again after ceil(2)=2 quanta: both blocked → one-quantum
+    // penalty.
+    idle_quantum(&mut e, &mut sub);
+    reads(&mut sub, 2, 0, true);
+    assert_eq!(begin(&mut e, &mut sub), 1);
+    complete(&mut e, &mut sub);
+    assert!((e.allowance(u).unwrap() - 1.0).abs() < 1e-9);
+}
+
+#[test]
+fn remove_principal_returns_members() {
+    let (mut e, _) = group_engine();
+    let u = e.add_principal(1);
+    e.set_membership(u, &[(5, Nanos::ZERO), (6, Nanos::ZERO)]);
+    let members = e.remove_principal(u).unwrap();
+    assert_eq!(members, vec![5, 6]);
+    assert!(e.proc_ids().is_empty());
+    assert!(e.remove_principal(u).is_none());
+}
+
+#[test]
+fn empty_principal_is_never_blocked() {
+    // A principal with no members reports an empty reading; it must not
+    // receive the blocked penalty.
+    let (mut e, mut sub) = group_engine();
+    let u = e.add_principal(1);
+    complete(&mut e, &mut sub); // eligible
+    begin(&mut e, &mut sub);
+    assert_eq!(e.due().iter().collect::<Vec<_>>(), vec![(u, &[][..])]);
+    complete(&mut e, &mut sub);
+    assert!((e.allowance(u).unwrap() - 1.0).abs() < 1e-9);
 }

@@ -178,21 +178,6 @@ impl Substrate for ActuatorSubstrate {
         }
     }
 
-    fn read_batch(&mut self, members: &[i32], out: &mut Vec<Option<Observation>>) -> Result<()> {
-        if self.dead.is_empty() {
-            // Forward whole batches so the backend's buffer reuse applies.
-            return match &mut self.inner {
-                Inner::Signals(s) => s.read_batch(members, out),
-                Inner::Cgroup(c) => c.read_batch(members, out),
-            };
-        }
-        for &m in members {
-            let o = self.read(m)?;
-            out.push(o);
-        }
-        Ok(())
-    }
-
     fn deliver(&mut self, pid: i32, sig: Signal) -> Result<bool> {
         if self.dead.contains(&pid) {
             return Ok(false);

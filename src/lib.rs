@@ -58,8 +58,8 @@ pub use alps_sim as sim;
 
 pub use alps_core::{
     AlpsConfig, AlpsScheduler, CycleEntry, CycleRecord, Engine, EngineStats, Event, EventSink,
-    Instrumentation, IoPolicy, Nanos, NodeId, NullSink, Observation, PrincipalScheduler, ProcId,
-    RecordingSink, ShareTree, Signal, Substrate, TraceSink, Transition,
+    Instrumentation, IoPolicy, Nanos, NodeId, NullSink, Observation, ProcId, RecordingSink,
+    ShareTree, Signal, Substrate, TraceSink, Transition,
 };
 pub use alps_os::{Membership, SpinnerPool, Supervisor};
 pub use alps_sim::{spawn_alps, spawn_alps_principals, AlpsHandle, CostModel};
