@@ -223,8 +223,6 @@ pub fn run_cgroup_schedule(cfg: AlpsConfig, seed: u64, len: usize) -> DriveRepor
                     });
                 }
             }
-            // One CPU: a migration moves nothing.
-            Op::Migrate { .. } => {}
         }
 
         check_twin_engines(&prod_c, &prod_m, &minted, seed);

@@ -68,26 +68,11 @@ pub enum Op {
         /// Number of back-to-back quanta.
         repeat: u32,
     },
-    /// Move the `victim % live`-th live entity's execution to CPU
-    /// `cpu % cpus` (a no-op on one CPU). Raw
-    /// selectors are resolved at drive time so the same schedule is valid
-    /// — byte-identical, in fact — for any CPU count.
-    Migrate {
-        /// Victim selector (resolved modulo the live population).
-        victim: u64,
-        /// Target CPU selector (resolved modulo the CPU count).
-        cpu: u64,
-    },
 }
 
 /// Generate a schedule of `len` ops from `seed`. Quanta dominate (so
 /// cycles actually complete); registration outweighs removal (so
-/// populations grow into the interesting regime); [`Op::Migrate`] churn
-/// moves members between CPUs. The CPU count is *not* an input — migrate
-/// targets are raw selectors resolved modulo the CPU count at drive time
-/// — so one seed yields one schedule that drives machines of any size
-/// identically (the lever behind the "outputs are invariant in M"
-/// suites).
+/// populations grow into the interesting regime).
 pub fn generate(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = Lcg::new(seed ^ 0x0051_0051_0051_0051);
     let mut ops = Vec::with_capacity(len + 1);
@@ -96,7 +81,7 @@ pub fn generate(seed: u64, len: usize) -> Vec<Op> {
         share: 1 + rng.below(8),
     });
     for _ in 0..len {
-        let roll = rng.below(12);
+        let roll = rng.below(10);
         ops.push(match roll {
             0 | 1 => Op::Add {
                 share: 1 + rng.below(8),
@@ -107,10 +92,6 @@ pub fn generate(seed: u64, len: usize) -> Vec<Op> {
             3 => Op::SetShare {
                 victim: rng.next_u64(),
                 share: 1 + rng.below(8),
-            },
-            4 | 5 => Op::Migrate {
-                victim: rng.next_u64(),
-                cpu: rng.next_u64(),
             },
             _ => Op::Quantum {
                 repeat: 1 + rng.below(4) as u32,
@@ -125,12 +106,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generation_is_deterministic_and_migrates() {
+    fn generation_is_deterministic() {
         assert_eq!(generate(42, 50), generate(42, 50));
         assert_ne!(generate(42, 50), generate(43, 50));
-        assert!(generate(42, 200)
-            .iter()
-            .any(|op| matches!(op, Op::Migrate { .. })));
     }
 
     #[test]

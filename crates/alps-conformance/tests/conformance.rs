@@ -29,7 +29,7 @@ fn core_scheduler_matches_oracle_across_matrix() {
     for (c, cfg) in config_corners().into_iter().enumerate() {
         for s in 0..200u64 {
             let seed = (c as u64) << 32 | s;
-            let rep = run_core_schedule(cfg, seed, 60, 1);
+            let rep = run_core_schedule(cfg, seed, 60);
             total.quanta += rep.quanta;
             total.cycles += rep.cycles;
             total.transitions += rep.transitions;
@@ -71,7 +71,7 @@ fn flat_engine_matches_oracle() {
     {
         for s in 0..50u64 {
             let seed = 0xF1A7_0000_0000_0000 | (c as u64) << 32 | s;
-            let rep = run_engine_schedule(cfg, EngineMode::Flat, seed, 50, 1);
+            let rep = run_engine_schedule(cfg, EngineMode::Flat, seed, 50);
             total.quanta += rep.quanta;
             total.cycles += rep.cycles;
             total.transitions += rep.transitions;
@@ -103,7 +103,7 @@ fn principal_engine_matches_oracle() {
     {
         for s in 0..50u64 {
             let seed = 0x9E1A_0000_0000_0000 | (c as u64) << 32 | s;
-            let rep = run_engine_schedule(cfg, EngineMode::Principals, seed, 50, 1);
+            let rep = run_engine_schedule(cfg, EngineMode::Principals, seed, 50);
             total.quanta += rep.quanta;
             total.cycles += rep.cycles;
             total.transitions += rep.transitions;
@@ -123,12 +123,9 @@ fn principal_engine_matches_oracle() {
 #[test]
 fn differential_runs_are_deterministic() {
     let cfg = config(true, IoPolicy::OneQuantumPenalty);
+    assert_eq!(run_core_schedule(cfg, 7, 60), run_core_schedule(cfg, 7, 60));
     assert_eq!(
-        run_core_schedule(cfg, 7, 60, 1),
-        run_core_schedule(cfg, 7, 60, 1)
-    );
-    assert_eq!(
-        run_engine_schedule(cfg, EngineMode::Principals, 7, 50, 1),
-        run_engine_schedule(cfg, EngineMode::Principals, 7, 50, 1),
+        run_engine_schedule(cfg, EngineMode::Principals, 7, 50),
+        run_engine_schedule(cfg, EngineMode::Principals, 7, 50),
     );
 }

@@ -72,14 +72,14 @@ fn core_schedules_are_pinned() {
         "run_core_schedule",
         20,
         [
-            0xf7d9_f1b8_8883_ecdb,
-            0x319a_43cb_8c81_bcf9,
-            0xf6d0_b268_be6c_e1e7,
-            0x760b_1fcc_7d7a_0174,
-            0x75d9_5b55_36b3_7a4c,
-            0xd168_a477_6eb9_4443,
+            0x271c_3295_2931_55a0,
+            0xc00a_88b8_19e7_2a64,
+            0xa734_2412_f6d1_08c8,
+            0xaf45_9a94_01e5_31e8,
+            0xfb2e_4f97_b43e_abc3,
+            0xc4ef_70e5_2149_b0eb,
         ],
-        |cfg, seed| run_core_schedule(cfg, seed, 60, 2),
+        |cfg, seed| run_core_schedule(cfg, seed, 60),
     );
 }
 
@@ -89,13 +89,13 @@ fn engine_schedules_are_pinned() {
         "run_engine_schedule",
         10,
         [
-            0xeb9c_56de_4b13_5049,
-            0x4480_5f0a_b3d1_5e3f,
-            0x923b_66ff_e126_c605,
-            0xed86_f5c8_682e_b661,
-            0xd3bd_fb9b_14cb_ee0e,
-            0x1b31_c3ab_51db_9112,
+            0x89af_e675_ec26_dbaa,
+            0x20a7_be0d_aa00_770b,
+            0xdd09_3b21_4c32_22fd,
+            0xf991_45ea_16e0_02c7,
+            0x891f_db38_6732_ae09,
+            0xf297_a371_d63f_febb,
         ],
-        |cfg, seed| run_engine_schedule(cfg, EngineMode::Flat, seed, 50, 2),
+        |cfg, seed| run_engine_schedule(cfg, EngineMode::Flat, seed, 50),
     );
 }

@@ -1,10 +1,10 @@
 //! `repro` — regenerate every table and figure of the ALPS paper.
 //!
-//! Usage: `repro [--quick] [--threads N] [--cpus M] [--data <dir>]
-//! <experiment>...` where experiments are any of `table1 table2 fig4 fig5
-//! ablation accounting fig6 io-policy fig7 table3 fig8 fig9 thresholds
-//! websrv smp baseline batch conformance verify latency slo overload
-//! actuators all` (`all` runs every one but `conformance`).
+//! Usage: `repro [--quick] [--threads N] [--data <dir>] <experiment>...`
+//! where experiments are any of `table1 table2 fig4 fig5 ablation
+//! accounting fig6 io-policy fig7 table3 fig8 fig9 thresholds websrv smp
+//! baseline batch conformance verify latency slo overload actuators all`
+//! (`all` runs every one but `conformance`).
 
 #![forbid(unsafe_code)]
 
@@ -14,16 +14,13 @@ mod output;
 use commands::Scale;
 
 const USAGE: &str = "\
-usage: repro [--quick] [--threads N] [--cpus M] [--data <dir>] <experiment>...
+usage: repro [--quick] [--threads N] [--data <dir>] <experiment>...
 experiments: table1 table2 fig4 fig5 ablation accounting fig6 io-policy
              fig7 table3 fig8 fig9 thresholds websrv smp baseline batch
              conformance verify latency slo overload actuators
              all (every experiment above but conformance)
 --quick: shorter runs (fewer cycles/seeds) for smoke testing
 --threads N: sweep worker threads (1 = serial; default ALPS_THREADS or all cores)
---cpus M: conformance only: drive the differential on an M-CPU accounting
-          substrate (default 1; M > 1 also byte-checks every run against
-          its 1-CPU baseline); ignored by every other experiment
 --data <dir>: also write gnuplot-ready .dat files";
 
 fn usage() -> ! {
@@ -35,21 +32,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     args.retain(|a| a != "--quick");
-    let mut cpus = 1usize;
-    if let Some(i) = args.iter().position(|a| a == "--cpus") {
-        if i + 1 >= args.len() {
-            eprintln!("error: --cpus needs a count");
-            std::process::exit(2);
-        }
-        match args[i + 1].parse::<usize>() {
-            Ok(m) if m >= 1 => cpus = m,
-            _ => {
-                eprintln!("error: --cpus wants an integer >= 1, got {:?}", args[i + 1]);
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
-    }
     let data_dir = args.iter().position(|a| a == "--data").map(|i| {
         if i + 1 >= args.len() {
             eprintln!("error: --data needs a directory");
@@ -134,7 +116,7 @@ fn main() {
             "smp" => commands::smp(),
             "baseline" => commands::baseline(&scale),
             "batch" => commands::batch(),
-            "conformance" => commands::conformance(quick, cpus),
+            "conformance" => commands::conformance(quick),
             "verify" => commands::verify(),
             "latency" => commands::latency(&scale),
             "slo" => commands::slo(&scale),

@@ -16,7 +16,7 @@ fn core_scheduler_matches_the_oracle() {
     let mut cycles = 0;
     for lazy in [true, false] {
         for seed in 0..8 {
-            cycles += run_core_schedule(config(lazy), 0x5310_CE00 | seed, 60, 1).cycles;
+            cycles += run_core_schedule(config(lazy), 0x5310_CE00 | seed, 60).cycles;
         }
     }
     assert!(
@@ -31,7 +31,7 @@ fn engine_matches_the_oracle_flat_and_with_principals() {
     for mode in [EngineMode::Flat, EngineMode::Principals] {
         for lazy in [true, false] {
             for seed in 0..8 {
-                quanta += run_engine_schedule(config(lazy), mode, 0xE6_0000 | seed, 50, 1).quanta;
+                quanta += run_engine_schedule(config(lazy), mode, 0xE6_0000 | seed, 50).quanta;
             }
         }
     }
