@@ -18,11 +18,6 @@ OPTIONS:
     -q, --quantum <ms>     ALPS quantum in milliseconds [default: 20]
     -d, --duration <s>     stop after this many seconds [default: forever]
     -r, --refresh <s>      membership refresh period for `user` [default: 1]
-    -c, --cpus <n>         CPUs of the governed machine [default: 1];
-                           recorded in the config and cycle reports — the
-                           algorithm itself enforces shares on *merged*
-                           per-member CPU totals, so it needs no per-CPU
-                           arithmetic on any machine size
     -a, --actuator <mode>  how duty-cycle intents reach processes
                            [default: signals]: `signals` (SIGSTOP/SIGCONT),
                            `weights` (cgroup-v2 cpu.weight writes), or
@@ -70,9 +65,6 @@ pub struct Opts {
     pub duration_s: Option<u64>,
     /// Membership refresh period (user mode).
     pub refresh_s: u64,
-    /// CPUs of the governed machine (config annotation; the scheduler
-    /// works on merged totals regardless).
-    pub cpus: usize,
     /// Per-cycle status output.
     pub verbose: bool,
     /// Per-event engine trace on stderr.
@@ -153,7 +145,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, ParseError> {
         quantum_ms: 20,
         duration_s: None,
         refresh_s: 1,
-        cpus: 1,
         verbose: false,
         trace: false,
         actuator: ActuatorMode::default(),
@@ -183,15 +174,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, ParseError> {
                 opts.refresh_s = parse_time("refresh", v, NS_PER_S)?;
                 if opts.refresh_s == 0 {
                     return err("refresh must be positive");
-                }
-            }
-            "-c" | "--cpus" => {
-                let v = it.next().ok_or(ParseError("--cpus needs a value".into()))?;
-                opts.cpus = v
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad cpu count {v:?}")))?;
-                if opts.cpus == 0 {
-                    return err("cpu count must be positive");
                 }
             }
             "-a" | "--actuator" => {
@@ -275,19 +257,6 @@ mod tests {
             panic!()
         };
         assert!(!o.trace);
-    }
-
-    #[test]
-    fn parses_cpus_flag() {
-        let Cmd::Run(o) = parse(&v(&["run", "--cpus", "4", "1:a", "1:b"])).unwrap() else {
-            panic!()
-        };
-        assert_eq!(o.cpus, 4);
-        let Cmd::Run(o) = parse(&v(&["run", "1:a", "1:b"])).unwrap() else {
-            panic!()
-        };
-        assert_eq!(o.cpus, 1, "the paper's one-CPU machine is the default");
-        assert!(parse(&v(&["run", "-c", "0", "1:a", "1:b"])).is_err());
     }
 
     #[test]

@@ -66,9 +66,7 @@ fn probe() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn config(opts: &Opts) -> AlpsConfig {
-    AlpsConfig::new(Nanos::from_millis(opts.quantum_ms))
-        .with_cycle_log(opts.verbose)
-        .with_cpus(std::num::NonZeroUsize::new(opts.cpus).expect("parser rejects zero"))
+    AlpsConfig::new(Nanos::from_millis(opts.quantum_ms)).with_cycle_log(opts.verbose)
 }
 
 fn deadline(opts: &Opts) -> Option<std::time::Instant> {

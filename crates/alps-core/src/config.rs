@@ -1,7 +1,5 @@
 //! Configuration for an ALPS scheduler instance.
 
-use std::num::NonZeroUsize;
-
 use serde::{Deserialize, Serialize};
 
 use crate::time::Nanos;
@@ -54,13 +52,6 @@ pub struct AlpsConfig {
     /// and appends one record with an entry per principal. The bare
     /// scheduler keeps no log and ignores this switch.
     pub record_cycles: bool,
-    /// Number of CPUs on the machine whose consumption ALPS governs
-    /// (default 1 — the paper's uniprocessor). The algorithm itself is
-    /// CPU-count-agnostic — it observes merged cumulative CPU totals and
-    /// maintains a single global allowance pool — so this knob only
-    /// annotates the run (reports, cycle capacity reasoning); no
-    /// arithmetic branches on it.
-    pub cpus: NonZeroUsize,
 }
 
 impl AlpsConfig {
@@ -71,7 +62,6 @@ impl AlpsConfig {
             lazy_measurement: true,
             io_policy: IoPolicy::OneQuantumPenalty,
             record_cycles: false,
-            cpus: NonZeroUsize::MIN,
         }
     }
 
@@ -98,12 +88,6 @@ impl AlpsConfig {
         self.record_cycles = on;
         self
     }
-
-    /// Builder-style choice of machine CPU count.
-    pub fn with_cpus(mut self, cpus: NonZeroUsize) -> Self {
-        self.cpus = cpus;
-        self
-    }
 }
 
 impl Default for AlpsConfig {
@@ -124,7 +108,6 @@ mod tests {
         assert!(cfg.lazy_measurement);
         assert_eq!(cfg.io_policy, IoPolicy::OneQuantumPenalty);
         assert!(!cfg.record_cycles);
-        assert_eq!(cfg.cpus.get(), 1, "the paper's machine is uniprocessor");
     }
 
     #[test]
@@ -133,12 +116,10 @@ mod tests {
             .with_quantum(Nanos::from_millis(40))
             .with_lazy_measurement(false)
             .with_io_policy(IoPolicy::NoPenalty)
-            .with_cycle_log(true)
-            .with_cpus(NonZeroUsize::new(4).unwrap());
+            .with_cycle_log(true);
         assert_eq!(cfg.quantum, Nanos::from_millis(40));
         assert!(!cfg.lazy_measurement);
         assert_eq!(cfg.io_policy, IoPolicy::NoPenalty);
         assert!(cfg.record_cycles);
-        assert_eq!(cfg.cpus.get(), 4);
     }
 }

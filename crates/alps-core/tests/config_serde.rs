@@ -52,4 +52,15 @@ fn config_json_from_before_the_due_index_and_member_store_knobs_were_removed_sti
     let old = r#"{"quantum":10000000,"lazy_measurement":true,"io_policy":"OneQuantumPenalty","due_index":"Wheel","record_cycles":false,"cpus":1,"member_store":"Chunked"}"#;
     let cfg: AlpsConfig = serde_json::from_str(old).expect("extra keys are ignored");
     assert_eq!(cfg, AlpsConfig::default());
+    // A machine size was once part of the config; it loads as the four
+    // fields that remain.
+    let smp = r#"{"quantum":20000000,"lazy_measurement":false,"io_policy":"NoPenalty","record_cycles":true,"cpus":4}"#;
+    let cfg: AlpsConfig = serde_json::from_str(smp).expect("extra keys are ignored");
+    assert_eq!(
+        cfg,
+        AlpsConfig::new(Nanos::from_millis(20))
+            .with_lazy_measurement(false)
+            .with_io_policy(IoPolicy::NoPenalty)
+            .with_cycle_log(true)
+    );
 }

@@ -299,9 +299,6 @@ fn spawn(
     groups: &[(u64, MemberList)],
     refresh_period: Option<Nanos>,
 ) -> AlpsHandle {
-    // The engine's CPU-count annotation always reflects the machine it
-    // actually governs.
-    let cfg = cfg.with_cpus(std::num::NonZeroUsize::new(sim.cpus()).expect("at least one CPU"));
     // Cycle instrumentation reads ground truth at cycle boundaries (§3.1),
     // independent of the visible-accounting mode the algorithm sees.
     let mut engine = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
