@@ -154,10 +154,144 @@ struct Slot {
 /// One deadline-wheel bucket entry: a slot expected to be due for
 /// measurement when the bucket drains (stale unless `key` still matches
 /// the slot's `wheel_key`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WheelEntry {
     idx: u32,
     key: u64,
+}
+
+/// Wheel entries per pool block: with its chain link, and aligned to
+/// cache lines, a block is 1 KiB.
+const BLOCK: usize = 63;
+/// Blocks per slab: the pool grows 64 KiB at a time.
+const SLAB: usize = 64;
+/// No block: the end of a chain, or an empty bucket or free list.
+const NIL: u32 = u32::MAX;
+
+/// A fixed-size run of one bucket's entries: full, unless it is the head
+/// of its bucket's chain. The link comes first (`repr(C)`), so taking a
+/// free block and filling its first entries touch one cache line.
+#[derive(Debug, Clone)]
+#[repr(C, align(64))]
+struct Block {
+    /// The next block of the same chain (bucket or free list), or [`NIL`].
+    next: u32,
+    entries: [WheelEntry; BLOCK],
+}
+
+/// One wheel bucket: the head of its chain of blocks and how many entries
+/// that head block holds (`1..=BLOCK`; 0 when the bucket is empty).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    len: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket { head: NIL, len: 0 };
+}
+
+/// The deadline wheel's storage: every bucket is a chain of [`Block`]s
+/// drawn from one pool, and a drained bucket's blocks go straight back to
+/// the pool's free list. The wheel therefore holds the entries it indexes
+/// now, plus at most one partly filled block per bucket (the chain's
+/// head). The pool allocates only when its free list is empty, a slab of
+/// [`SLAB`] blocks at a time, and never moves a block once allocated.
+/// Empty (no buckets) in eager mode, and after a checkpoint restore until
+/// [`AlpsScheduler::index_wheel`] rebuilds it.
+#[derive(Debug, Clone)]
+struct WheelPool {
+    buckets: Vec<Bucket>,
+    /// Block `b` is `slabs[b / SLAB][b % SLAB]`.
+    slabs: Vec<Box<[Block; SLAB]>>,
+    /// Head of the free list, linked through [`Block::next`].
+    free: u32,
+}
+
+impl Default for WheelPool {
+    fn default() -> Self {
+        WheelPool {
+            buckets: Vec::new(),
+            slabs: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl WheelPool {
+    fn with_buckets(n: usize) -> Self {
+        WheelPool {
+            buckets: vec![Bucket::EMPTY; n],
+            ..WheelPool::default()
+        }
+    }
+
+    #[inline]
+    fn block(&self, b: u32) -> &Block {
+        &self.slabs[b as usize / SLAB][b as usize % SLAB]
+    }
+
+    #[inline]
+    fn block_mut(&mut self, b: u32) -> &mut Block {
+        &mut self.slabs[b as usize / SLAB][b as usize % SLAB]
+    }
+
+    /// Add `e` to `bucket`.
+    #[inline]
+    fn push(&mut self, bucket: usize, e: WheelEntry) {
+        let Bucket { mut head, mut len } = self.buckets[bucket];
+        if len as usize == BLOCK || head == NIL {
+            // Chain a fresh head block.
+            if self.free == NIL {
+                self.grow();
+            }
+            let b = self.free;
+            self.free = std::mem::replace(&mut self.block_mut(b).next, head);
+            (head, len) = (b, 0);
+        }
+        self.block_mut(head).entries[len as usize] = e;
+        self.buckets[bucket] = Bucket { head, len: len + 1 };
+    }
+
+    /// Add a slab of blocks, all on the (empty) free list.
+    #[cold]
+    fn grow(&mut self) {
+        debug_assert_eq!(self.free, NIL);
+        let first = (self.slabs.len() * SLAB) as u32;
+        let end = first + SLAB as u32;
+        let slab: Box<[Block]> = (first..end)
+            .map(|b| Block {
+                next: if b + 1 < end { b + 1 } else { NIL },
+                entries: [WheelEntry { idx: 0, key: 0 }; BLOCK],
+            })
+            .collect();
+        self.slabs
+            .push(slab.try_into().expect("a slab holds SLAB blocks"));
+        self.free = first;
+    }
+
+    /// Empty `bucket`, calling `f` on each of its entries in turn: an entry
+    /// for which `f` returns `Some(b)` is refiled into bucket `b`. Each
+    /// block returns to the free list once read, so a later refile may
+    /// reuse it while it is hot.
+    #[inline]
+    fn drain(&mut self, bucket: usize, mut f: impl FnMut(WheelEntry) -> Option<usize>) {
+        let Bucket { head, mut len } = std::mem::replace(&mut self.buckets[bucket], Bucket::EMPTY);
+        let mut b = head;
+        while b != NIL {
+            for k in 0..len as usize {
+                let e = self.block(b).entries[k];
+                if let Some(to) = f(e) {
+                    self.push(to, e);
+                }
+            }
+            let free = self.free;
+            let next = std::mem::replace(&mut self.block_mut(b).next, free);
+            self.free = b;
+            b = next;
+            len = BLOCK as u32;
+        }
+    }
 }
 
 /// The ALPS proportional-share scheduler core (one instance per application).
@@ -193,15 +327,18 @@ pub struct AlpsScheduler {
     cycles_completed: u64,
     /// The hierarchical deadline wheel (lazy mode):
     /// `WHEEL_LEVELS × WHEEL_SLOTS` buckets, level-major
-    /// (`wheel[level * WHEEL_SLOTS + slot]`). An entry due at invocation
+    /// (bucket `level * WHEEL_SLOTS + slot`). An entry due at invocation
     /// `d` lives at the level of the highest bit where `d` and the
     /// invocation counter differ (XOR leveling), in slot
     /// `(d >> WHEEL_BITS·level) & (WHEEL_SLOTS-1)`.
     /// Advancing the counter only ever lowers an entry's level, so upper
     /// slots cascade toward level 0 as their window opens; deadlines
     /// beyond the whole span park at the top of the current window and
-    /// are re-filed when reached. Empty in eager mode.
-    wheel: Vec<Vec<WheelEntry>>,
+    /// are re-filed when reached. Not serialized: it only indexes the
+    /// slots' `update` and `eligible`, and is rebuilt from them on first
+    /// use after a restore.
+    #[serde(skip)]
+    wheel: WheelPool,
     /// Due list saved by the last `begin_quantum` (wheel mode). Popping a
     /// wheel entry consumes it, so `complete_quantum` must reschedule
     /// exactly these slots even if the backend supplied no observation for
@@ -215,8 +352,6 @@ pub struct AlpsScheduler {
     /// Number of currently eligible processes (the O(1) replacement for
     /// the liveness valve's full-occupied scan).
     eligible_count: usize,
-    /// Bucket-drain scratch; empty between invocations.
-    drain: Vec<WheelEntry>,
     /// Repartition examined-set scratch; empty between invocations.
     examined: Vec<u32>,
     /// Due-set ordering scratch over `occupied` positions; filled and
@@ -287,9 +422,9 @@ impl AlpsScheduler {
     pub fn new(cfg: AlpsConfig) -> Self {
         assert!(cfg.quantum > Nanos::ZERO, "quantum must be positive");
         let wheel = if cfg.lazy_measurement {
-            vec![Vec::new(); WHEEL_LEVELS * WHEEL_SLOTS as usize]
+            WheelPool::with_buckets(WHEEL_LEVELS * WHEEL_SLOTS as usize)
         } else {
-            Vec::new()
+            WheelPool::default()
         };
         AlpsScheduler {
             slots: Vec::new(),
@@ -306,7 +441,6 @@ impl AlpsScheduler {
             pending: Vec::new(),
             dirty: Vec::new(),
             eligible_count: 0,
-            drain: Vec::new(),
             examined: Vec::new(),
             bits: PosBitmap::default(),
         }
@@ -348,7 +482,39 @@ impl AlpsScheduler {
         let slot = &mut self.slots[idx as usize];
         slot.wheel_key = slot.wheel_key.wrapping_add(1);
         let key = slot.wheel_key;
-        self.wheel[Self::wheel_bucket(self.count, deadline)].push(WheelEntry { idx, key });
+        self.wheel.push(
+            Self::wheel_bucket(self.count, deadline),
+            WheelEntry { idx, key },
+        );
+    }
+
+    /// Rebuild the wheel if a checkpoint restore left it empty: file every
+    /// eligible slot under its current key, at its `update` or, if that has
+    /// passed (`set_share` forced it due), at the next invocation. Slots in
+    /// `pending` are skipped: they were popped, and the next
+    /// `begin_quantum` or `complete_quantum` reschedules them. O(1) unless
+    /// a rebuild is owed.
+    fn index_wheel(&mut self) {
+        if !self.use_wheel() || !self.wheel.buckets.is_empty() {
+            return;
+        }
+        self.wheel = WheelPool::with_buckets(WHEEL_LEVELS * WHEEL_SLOTS as usize);
+        let mut popped = vec![false; self.slots.len()];
+        for &i in &self.pending {
+            popped[i as usize] = true;
+        }
+        let next = self.count + 1;
+        for &i in &self.occupied {
+            let slot = &self.slots[i as usize];
+            match &slot.state {
+                Some(s) if s.eligible && !popped[i as usize] => {
+                    let bucket = Self::wheel_bucket(self.count, s.update.max(next));
+                    let key = slot.wheel_key;
+                    self.wheel.push(bucket, WheelEntry { idx: i, key });
+                }
+                _ => {}
+            }
+        }
     }
 
     /// The quantum length `Q`.
@@ -511,6 +677,7 @@ impl AlpsScheduler {
     /// somebody is eligible to consume it).
     pub fn set_share(&mut self, id: ProcId, share: u64) -> Result<(), StaleId> {
         assert!(share > 0, "share must be positive");
+        self.index_wheel();
         let q = self.cfg.quantum.as_f64();
         let state = self.state_mut(id).ok_or(StaleId(id))?;
         let old = state.share;
@@ -592,6 +759,7 @@ impl AlpsScheduler {
     /// order.
     pub fn begin_quantum_into(&mut self, due: &mut Vec<ProcId>) {
         due.clear();
+        self.index_wheel();
         self.count += 1;
         let count = self.count;
         if self.use_wheel() {
@@ -618,6 +786,19 @@ impl AlpsScheduler {
                 }
             }
             self.pending.clear();
+            let AlpsScheduler {
+                slots, wheel, bits, ..
+            } = self;
+            // An entry is live, with the slot's position and deadline, only
+            // while its key matches the slot's nonce (otherwise it was
+            // superseded, or the slot was vacated or reused) and the slot
+            // is eligible.
+            let live = |e: WheelEntry| {
+                let slot = &slots[e.idx as usize];
+                let s = slot.state.as_ref();
+                let s = s.filter(|s| slot.wheel_key == e.key && s.eligible)?;
+                Some((slot.pos, s.update))
+            };
             // Cascade: whenever the counter crosses a level-`l` window
             // boundary (its low `6·l` bits are zero), the upper-level slot
             // covering the next window spills downward — each entry refiles
@@ -630,53 +811,22 @@ impl AlpsScheduler {
             let mut level = 1;
             while level < WHEEL_LEVELS && count & ((1u64 << (WHEEL_BITS * level as u32)) - 1) == 0 {
                 let slot = ((count >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS - 1)) as usize;
-                let from = level * WHEEL_SLOTS as usize + slot;
-                if !self.wheel[from].is_empty() {
-                    std::mem::swap(&mut self.drain, &mut self.wheel[from]);
-                    for e in &self.drain {
-                        let slot = &self.slots[e.idx as usize];
-                        if slot.wheel_key != e.key {
-                            continue; // superseded, or the slot was vacated/reused
-                        }
-                        let Some(s) = slot.state.as_ref() else {
-                            continue;
-                        };
-                        if !s.eligible {
-                            continue;
-                        }
-                        self.wheel[Self::wheel_bucket(count, s.update)].push(*e);
-                    }
-                    self.drain.clear();
-                }
+                wheel.drain(level * WHEEL_SLOTS as usize + slot, |e| {
+                    live(e).map(|(_, update)| Self::wheel_bucket(count, update))
+                });
                 level += 1;
             }
-            // Drain the level-0 slot for this invocation. An entry is live
-            // only while its key matches the slot's nonce; deadlines beyond
+            // Drain the level-0 slot for this invocation. Deadlines beyond
             // the wheel's span were clamped to the top of the window and
             // are re-filed here (keeping their key) as the window advances.
-            let bucket = (count & (WHEEL_SLOTS - 1)) as usize;
-            std::mem::swap(&mut self.drain, &mut self.wheel[bucket]);
-            let mut k = 0;
-            while k < self.drain.len() {
-                let e = self.drain[k];
-                k += 1;
-                let slot = &self.slots[e.idx as usize];
-                if slot.wheel_key != e.key {
-                    continue; // superseded, or the slot was vacated/reused
+            wheel.drain((count & (WHEEL_SLOTS - 1)) as usize, |e| {
+                let (pos, update) = live(e)?;
+                if update > count {
+                    return Some(Self::wheel_bucket(count, update));
                 }
-                let Some(s) = slot.state.as_ref() else {
-                    continue;
-                };
-                if !s.eligible {
-                    continue;
-                }
-                if s.update > count {
-                    self.wheel[Self::wheel_bucket(count, s.update)].push(e);
-                } else {
-                    self.bits.insert(slot.pos);
-                }
-            }
-            self.drain.clear();
+                bits.insert(pos);
+                None
+            });
             // Report in registration order, each slot once.
             self.bits.drain(|p| {
                 let i = self.occupied[p as usize];
@@ -726,6 +876,7 @@ impl AlpsScheduler {
     ) {
         out.transitions.clear();
         out.cycle_completed = false;
+        self.index_wheel();
         let q = self.cfg.quantum.as_f64();
 
         // Measurement loop. `t_c` adjustments are accumulated locally to
@@ -889,7 +1040,10 @@ impl AlpsScheduler {
                 // is in the future.
                 slot.wheel_key = slot.wheel_key.wrapping_add(1);
                 let key = slot.wheel_key;
-                wheel[Self::wheel_bucket(count, s.update)].push(WheelEntry { idx: i as u32, key });
+                wheel.push(
+                    Self::wheel_bucket(count, s.update),
+                    WheelEntry { idx: i as u32, key },
+                );
             }
         }
     }
@@ -1156,6 +1310,11 @@ mod tests {
     #[test]
     fn a_slot_is_one_cache_line() {
         assert_eq!(std::mem::size_of::<Slot>(), 64);
+    }
+
+    #[test]
+    fn a_wheel_block_is_one_kib() {
+        assert_eq!(std::mem::size_of::<Block>(), 1024);
     }
 
     #[test]
@@ -1458,28 +1617,70 @@ mod tests {
             "eligible_count disagrees with a scan"
         );
         if s.use_wheel() {
-            // At most one live wheel entry per slot, and every eligible
-            // slot is reachable: indexed in the wheel, or queued for the
-            // next repartition via pending/dirty.
-            for (idx, slot) in s.slots.iter().enumerate() {
-                let live_entries = s
-                    .wheel
-                    .iter()
-                    .flatten()
-                    .filter(|e| e.idx as usize == idx && e.key == slot.wheel_key)
-                    .count();
-                assert!(
-                    live_entries <= 1,
-                    "slot {idx} has {live_entries} live wheel entries"
-                );
-                if slot.state.as_ref().is_some_and(|p| p.eligible) {
-                    assert!(
-                        live_entries == 1
-                            || s.pending.contains(&(idx as u32))
-                            || s.dirty.contains(&(idx as u32)),
-                        "eligible slot {idx} unreachable by the wheel"
-                    );
+            assert_wheel_consistent(s);
+        }
+    }
+
+    /// The wheel's pool accounting and reachability: every block is in
+    /// exactly one bucket chain or on the free list; an empty bucket has no
+    /// chain, and a chain's head holds `1..=BLOCK` entries (the blocks
+    /// behind it are full); at most one live entry per slot; every
+    /// eligible slot is indexed in the wheel or queued for the next
+    /// repartition via pending/dirty.
+    fn assert_wheel_consistent(s: &AlpsScheduler) {
+        let pool = &s.wheel;
+        assert_eq!(pool.buckets.len(), WHEEL_LEVELS * WHEEL_SLOTS as usize);
+        let mut owner: Vec<Option<usize>> = vec![None; pool.slabs.len() * SLAB];
+        let mut live_entries = vec![0usize; s.slots.len()];
+        let mut claim = |b: u32, chain: usize| {
+            let b = b as usize;
+            assert!(
+                b < pool.slabs.len() * SLAB,
+                "chain {chain} links past the pool"
+            );
+            assert_eq!(owner[b], None, "block {b} linked twice");
+            owner[b] = Some(chain);
+            pool.block(b as u32)
+        };
+        for (bucket, &Bucket { head, len }) in pool.buckets.iter().enumerate() {
+            assert_eq!(
+                head == NIL,
+                len == 0,
+                "bucket {bucket}: an empty bucket has no chain, a chain's head no empty block"
+            );
+            assert!(
+                len as usize <= BLOCK,
+                "bucket {bucket} holds {len} > {BLOCK} entries"
+            );
+            let (mut b, mut len) = (head, len as usize);
+            while b != NIL {
+                let block = claim(b, bucket);
+                for e in &block.entries[..len] {
+                    if s.slots[e.idx as usize].wheel_key == e.key {
+                        live_entries[e.idx as usize] += 1;
+                    }
                 }
+                (b, len) = (block.next, BLOCK);
+            }
+        }
+        let mut b = pool.free;
+        while b != NIL {
+            b = claim(b, usize::MAX).next;
+        }
+        assert!(
+            owner.iter().all(Option::is_some),
+            "a block is in no chain and not on the free list"
+        );
+        for (idx, slot) in s.slots.iter().enumerate() {
+            let live = live_entries[idx];
+            assert!(live <= 1, "slot {idx} has {live} live wheel entries");
+            if slot.state.as_ref().is_some_and(|p| p.eligible) {
+                assert!(
+                    live == 1
+                        || s.pending.contains(&(idx as u32))
+                        || s.dirty.contains(&(idx as u32)),
+                    "eligible slot {idx} unreachable by the wheel"
+                );
             }
         }
     }
@@ -1526,6 +1727,125 @@ mod tests {
                 got.sort_by_key(|id| (id.idx, id.generation));
                 proptest::prop_assert_eq!(got, want, "proc_ids disagrees with live set");
             }
+        }
+    }
+
+    /// One quantum of the round-trip drive: every due member reports a
+    /// cumulative reading that grows with `k` at one of three rates, one
+    /// in three blocked; a few members leave, join or change share
+    /// between `begin_quantum` and `complete_quantum`.
+    fn churn_quantum(
+        s: &mut AlpsScheduler,
+        live: &mut Vec<ProcId>,
+        k: u64,
+    ) -> (Vec<ProcId>, QuantumOutcome) {
+        let due = s.begin_quantum();
+        if k.is_multiple_of(10) {
+            for j in 0..40 {
+                let id = live.swap_remove((k as usize * 31 + j * 97) % live.len());
+                s.remove_process(id).expect("live id");
+                live.push(s.add_process(1 + (k + j as u64) % 200, Nanos::ZERO));
+            }
+        }
+        if k % 7 == 3 {
+            let id = live[k as usize * 13 % live.len()];
+            s.set_share(id, 1 + k % 150).expect("live id");
+        }
+        let obs: Vec<_> = due
+            .iter()
+            .map(|&id| {
+                let rate = 1 + id.index() as u64 % 3;
+                let reading = Observation {
+                    total_cpu: Nanos::from_millis(10 * k * rate),
+                    blocked: id.index() % 3 == 0,
+                };
+                (id, reading)
+            })
+            .collect();
+        let out = s.complete_quantum(&obs);
+        (due, out)
+    }
+
+    /// A checkpoint carries no wheel; the restored scheduler rebuilds it
+    /// from the slots on first use. At 6 000 members after churn, with
+    /// deadlines parked above level 0, two restored copies — one taken
+    /// mid-quantum, one between quanta just after a share change forced an
+    /// eligible member due — come due and transition exactly like the
+    /// original for 200 quanta.
+    #[test]
+    fn a_restored_wheel_reproduces_the_original() {
+        fn restore(s: &AlpsScheduler) -> AlpsScheduler {
+            let json = serde_json::to_string(s).expect("serialize");
+            assert!(!json.contains("wheel\":["), "the wheel is not serialized");
+            let r: AlpsScheduler = serde_json::from_str(&json).expect("deserialize");
+            assert!(r.wheel.buckets.is_empty(), "rebuilt only on use");
+            r
+        }
+        let mut original = AlpsScheduler::new(cfg_ms(10));
+        let mut live: Vec<ProcId> = (0..6_000u64)
+            .map(|i| original.add_process(1 + i % 200, Nanos::ZERO))
+            .collect();
+        const CHECKPOINT: u64 = 150;
+        for k in 0..CHECKPOINT {
+            churn_quantum(&mut original, &mut live, k);
+        }
+        let parked = original.wheel.buckets[WHEEL_SLOTS as usize..]
+            .iter()
+            .filter(|b| b.head != NIL)
+            .count();
+        assert!(parked > 0, "no deadline parked above level 0");
+
+        // Mid-quantum: the due set popped, a share changed in between.
+        let due = original.begin_quantum();
+        assert!(!due.is_empty());
+        original.set_share(live[0], 7).expect("live id");
+        let mut mid = restore(&original);
+        let obs: Vec<_> = due
+            .iter()
+            .map(|&id| {
+                let total_cpu = Nanos::from_millis(20 * CHECKPOINT);
+                let blocked = false;
+                (id, Observation { total_cpu, blocked })
+            })
+            .collect();
+        let out_o = original.complete_quantum(&obs);
+        let out_r = mid.complete_quantum(&obs);
+        assert_eq!(out_o.transitions, out_r.transitions);
+        assert_wheel_consistent(&mid);
+
+        // Between quanta, with an eligible member's next reading forced to
+        // the coming quantum.
+        let forced = *live
+            .iter()
+            .find(|&&id| original.is_eligible(id) == Some(true))
+            .expect("an eligible member");
+        original.set_share(forced, 3).expect("live id");
+        mid.set_share(forced, 3).expect("live id");
+        let between = restore(&original);
+
+        let mut copies = [(mid, live.clone()), (between, live.clone())];
+        let cycles = original.cycles_completed();
+        for k in CHECKPOINT + 1..CHECKPOINT + 201 {
+            let (due_o, out_o) = churn_quantum(&mut original, &mut live, k);
+            if k == CHECKPOINT + 1 {
+                assert!(due_o.contains(&forced));
+            }
+            for (copy, live_c) in &mut copies {
+                let (due_c, out_c) = churn_quantum(copy, live_c, k);
+                assert_eq!(due_o, due_c, "due sets diverged at quantum {k}");
+                assert_eq!(out_o.transitions, out_c.transitions, "quantum {k}");
+                assert_eq!(out_o.cycle_completed, out_c.cycle_completed);
+            }
+        }
+        assert!(
+            original.cycles_completed() > cycles,
+            "no cycle boundary crossed"
+        );
+        assert_wheel_consistent(&original);
+        let json = serde_json::to_string(&original).unwrap();
+        for (copy, _) in &copies {
+            assert_wheel_consistent(copy);
+            assert_eq!(serde_json::to_string(copy).unwrap(), json);
         }
     }
 }

@@ -249,13 +249,23 @@ impl<'a> Parser<'a> {
                     other => return Err(Error::new(format!("bad escape {:?}", other as char))),
                 },
                 _ => {
-                    // Re-decode UTF-8 starting at this byte.
+                    // Decode only the UTF-8 character starting at this
+                    // byte: validating the rest of the input at every
+                    // character would make parsing quadratic.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error::new("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                    let width = match b {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(start..start + width)
+                        .and_then(|c| std::str::from_utf8(c).ok())
+                        .ok_or_else(|| Error::new("invalid utf-8"))?;
+                    out.push_str(c);
+                    self.pos = start + width;
                 }
             }
         }
@@ -304,7 +314,7 @@ mod tests {
         let v = Value::Map(vec![
             ("a".into(), Value::U64(7)),
             ("b".into(), Value::Seq(vec![Value::F64(1.5), Value::Null])),
-            ("c".into(), Value::Str("hi \"there\"\n".into())),
+            ("c".into(), Value::Str("hi \"there\"\n, ünï € 😀".into())),
             ("d".into(), Value::Bool(true)),
             ("e".into(), Value::I64(-3)),
         ]);
