@@ -193,8 +193,12 @@ fn drive(sup: &mut Supervisor, opts: &Opts) -> Result<(), Box<dyn std::error::Er
         0 => String::new(),
         n => format!(", {n} membership refreshes"),
     };
+    let faults = match s.read_faults + s.signal_faults {
+        0 => String::new(),
+        n => format!(", {n} faults survived ({} quarantined)", s.quarantined),
+    };
     eprintln!(
-        "alps: done — {} quanta, {} measurements, {} signals, {} cycles{refreshes}",
+        "alps: done — {} quanta, {} measurements, {} signals, {} cycles{refreshes}{faults}",
         s.quanta,
         s.measurements,
         s.signals,

@@ -66,24 +66,25 @@ pub enum Event<M> {
         member: M,
     },
     /// A CPU-time read failed with a substrate error and was tolerated
-    /// (only under hardening; the member goes unmeasured this quantum).
+    /// (the member goes unmeasured this quantum).
     ReadFault {
         /// The member whose read failed.
         member: M,
     },
     /// A signal delivery failed with a substrate error and was tolerated
-    /// (only under hardening; a backed-off retry is scheduled).
+    /// (a managed member's retry is scheduled after a backoff).
     SignalFault {
         /// The target member.
         member: M,
         /// What failed to send.
         signal: Signal,
     },
-    /// A previously failed delivery is being re-attempted after backoff.
+    /// A previously failed delivery came due after its backoff; it goes
+    /// out with this quantum's signals.
     SignalRetried {
         /// The target member.
         member: M,
-        /// What is being re-sent.
+        /// The principal's intent now, which is what is re-sent.
         signal: Signal,
     },
     /// A member was quarantined out of scheduling after repeated faults.

@@ -34,8 +34,9 @@ pub enum Signal {
 /// delivery outcomes. A member that no longer exists is reported as
 /// `Ok(None)` from [`Substrate::read`] / [`Substrate::read_exact`] and
 /// `Ok(false)` from [`Substrate::deliver`] — the engine reaps it; `Err` is
-/// reserved for faults that should abort the quantum (e.g. an unreadable
-/// `/proc` for reasons other than process exit).
+/// for faults (e.g. an unreadable `/proc` for reasons other than process
+/// exit), which the engine counts, retries and, when they persist,
+/// quarantines the member for.
 pub trait Substrate {
     /// The backend's member identifier (a `pid_t` on Linux, a simulator
     /// pid in `kernsim`).
@@ -82,6 +83,17 @@ pub trait Substrate {
         Ok(self.read(member)?.map(|o| o.total_cpu))
     }
 
+    /// Whether the last [`read`](Substrate::read) of `member` found it
+    /// stopped by job control (state `T` in `/proc/<pid>/stat`). This is
+    /// the engine's evidence of a lost `Continue`: a member read stopped
+    /// while its principal is eligible is resumed in that quantum. The
+    /// default reports `false`, so over a backend that cannot tell, a
+    /// lost `Continue` waits for the principal's next transition.
+    fn stopped(&self, member: Self::Member) -> bool {
+        let _ = member;
+        false
+    }
+
     /// Deliver a stop/continue signal. Returns `Ok(false)` if the member
     /// no longer exists.
     fn deliver(&mut self, member: Self::Member, signal: Signal) -> Result<bool, Self::Error>;
@@ -90,8 +102,9 @@ pub trait Substrate {
     /// outcome per signal to `delivered` (`false` = member gone).
     ///
     /// Fail-fast: a backend fault aborts the batch with `delivered`
-    /// holding the outcomes of the signals sent before the fault — the
-    /// state a caller looping over [`Substrate::deliver`] would hold.
+    /// holding the outcomes of the signals before the faulting one — the
+    /// state a caller looping over [`Substrate::deliver`] would hold. The
+    /// engine then resumes with the signals after it.
     /// Backends may reorder *work* internally (e.g. group same-signal
     /// deliveries) only if the observable outcome per member is the same
     /// as in-order delivery; the outcomes in `delivered` always follow

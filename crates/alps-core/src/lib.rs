@@ -101,8 +101,8 @@ pub mod prelude {
 pub use config::{AlpsConfig, IoPolicy};
 pub use cycle::{CycleEntry, CycleRecord};
 pub use engine::{
-    Engine, EngineFor, EngineStats, Event, EventSink, FaultPolicy, HardenConfig, Instrumentation,
-    NullSink, RecordingSink, Signal, Substrate, TraceSink,
+    Engine, EngineFor, EngineStats, Event, EventSink, Instrumentation, NullSink, RecordingSink,
+    Signal, Substrate, TraceSink,
 };
 pub use hierarchy::{NodeId, ShareTree};
 pub use principal::{DueList, MemberTransition, MembershipChange};

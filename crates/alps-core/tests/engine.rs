@@ -5,20 +5,22 @@
 //! every quantum and cycle boundary. Fixed principals and groups obey
 //! their own teardown, logging and membership rules; a group is charged
 //! its members' summed CPU and its eligibility fans out to every member
-//! (§5); and a hardened engine never re-signals a member it let go.
+//! (§5). Faults are absorbed: a member it let go is never re-signalled,
+//! a member read stopped while it should run is resumed, a failed
+//! delivery is retried with the current intent, and three consecutive
+//! faults quarantine a member.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use alps_core::{
-    AlpsConfig, AlpsScheduler, Engine, Event, FaultPolicy, HardenConfig, Instrumentation,
-    MemberTransition, Nanos, NullSink, Observation, ProcId, RecordingSink, Signal, Substrate,
-    Transition,
+    AlpsConfig, AlpsScheduler, Engine, Event, Instrumentation, MemberTransition, Nanos, NullSink,
+    Observation, ProcId, RecordingSink, Signal, Substrate, Transition,
 };
 
 /// A fully scripted substrate: the test owns the clock and every member's
 /// cumulative CPU counter; `deliver` tracks the stopped set like a kernel
-/// would. Reads of a `faulty` member fail; only the exact (cycle-boundary)
-/// reads of an `exact_faulty` one do.
+/// would, and `stopped` reports it. Reads of a `faulty` member fail; only
+/// the exact (cycle-boundary) reads of an `exact_faulty` one do.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct MockSubstrate {
     now: Nanos,
@@ -28,6 +30,10 @@ struct MockSubstrate {
     blocked: BTreeSet<u32>,
     faulty: BTreeSet<u32>,
     exact_faulty: BTreeSet<u32>,
+    /// Members whose next this-many deliveries fail.
+    refuse: BTreeMap<u32, u32>,
+    /// Members whose next delivery reports success and does nothing.
+    lose: BTreeSet<u32>,
 }
 
 impl MockSubstrate {
@@ -76,9 +82,20 @@ impl Substrate for MockSubstrate {
         Ok(self.read(m)?.map(|o| o.total_cpu))
     }
 
+    fn stopped(&self, m: u32) -> bool {
+        self.stopped.contains(&m)
+    }
+
     fn deliver(&mut self, m: u32, sig: Signal) -> Result<bool, &'static str> {
+        if let Some(n) = self.refuse.get_mut(&m).filter(|n| **n > 0) {
+            *n -= 1;
+            return Err("refused");
+        }
         if self.gone.contains(&m) || !self.cpu.contains_key(&m) {
             return Ok(false);
+        }
+        if self.lose.remove(&m) {
+            return Ok(true);
         }
         match sig {
             Signal::Stop => self.stopped.insert(m),
@@ -375,20 +392,18 @@ fn the_cycle_log_records_exact_consumption() {
     assert_eq!(shares, vec![1, 2]);
 }
 
-/// With the cycle log on, a hardened engine survives a faulting exact
+/// With the cycle log on, the engine survives a faulting exact
 /// read at a cycle boundary. The scheduler has already committed the
 /// quantum, so its transitions are still delivered; the fault is counted
 /// and narrated, nobody is struck for it, and the member is charged
 /// nothing in this record and what it missed in the next.
 #[test]
-fn a_faulting_boundary_read_under_hardening_keeps_the_quantum() {
+fn a_faulting_boundary_read_keeps_the_quantum() {
     let q = Nanos::from_millis(10);
     let cfg = AlpsConfig::new(q)
         .with_lazy_measurement(false)
         .with_cycle_log(true);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact)
-        .with_auto_reap(true)
-        .with_fault_policy(FaultPolicy::Harden(HardenConfig::default()));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
     let mut sub = MockSubstrate::default();
     sub.add(1);
     sub.add(2);
@@ -470,16 +485,14 @@ fn a_group_whose_only_member_exits_is_kept_and_refilled() {
     assert_eq!(engine.principal_of(1), None);
 }
 
-/// Under hardening a member that keeps faulting is quarantined: a fixed
+/// A member that keeps faulting is quarantined: a fixed
 /// principal goes with it, but a group — even one left empty — only loses
 /// that member, and a later refresh may admit it again.
 #[test]
 fn quarantining_a_group_member_evicts_only_that_member() {
     let q = Nanos::from_millis(10);
     let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact)
-        .with_auto_reap(true)
-        .with_fault_policy(FaultPolicy::Harden(HardenConfig::default()));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
     let mut sub = MockSubstrate::default();
     for m in [1, 9] {
         sub.add(m);
@@ -531,16 +544,13 @@ fn a_member_listed_by_two_principals_stays_with_its_first_owner() {
     assert_eq!(engine.principal_of(7), Some(b));
 }
 
-/// A hardened engine whose fixed principal is removed, and whose member
-/// the driver resumes itself, never signals that member again: before,
-/// the re-assertion of its stale intent stopped it every 16 quanta.
+/// An engine whose fixed principal is removed, and whose member the
+/// driver resumes itself, never signals that member again.
 #[test]
-fn a_hardened_engine_never_resignals_a_removed_principals_member() {
+fn an_engine_never_resignals_a_removed_principals_member() {
     let q = Nanos::from_millis(10);
     let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact)
-        .with_auto_reap(true)
-        .with_fault_policy(FaultPolicy::Harden(HardenConfig::default()));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
     let mut sub = MockSubstrate::default();
     sub.add(1);
     sub.add(2);
@@ -565,14 +575,12 @@ fn a_hardened_engine_never_resignals_a_removed_principals_member() {
 }
 
 /// A group's leaver gets its reconciliation signal once and is then let
-/// go: a hardened engine does not re-assert it.
+/// go: the engine does not re-assert it.
 #[test]
-fn a_hardened_engine_never_resignals_a_group_leaver() {
+fn an_engine_never_resignals_a_group_leaver() {
     let q = Nanos::from_millis(10);
     let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact)
-        .with_auto_reap(true)
-        .with_fault_policy(FaultPolicy::Harden(HardenConfig::default()));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
     let mut sub = MockSubstrate::default();
     for m in [1, 2, 9] {
         sub.add(m);
@@ -833,4 +841,155 @@ fn empty_principal_is_never_blocked() {
     assert_eq!(e.due().iter().collect::<Vec<_>>(), vec![(u, &[][..])]);
     complete(&mut e, &mut sub);
     assert!((e.allowance(u).unwrap() - 1.0).abs() < 1e-9);
+}
+
+// --- faults: repair from evidence, retry with the current intent --------
+
+/// Two fixed principals at 1:`share_b` on members 1 and 2, over a mock
+/// that runs every unstopped member full time.
+fn two_members(share_b: u64) -> (Engine<u32>, MockSubstrate, ProcId) {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut sub = MockSubstrate::default();
+    sub.add(1);
+    sub.add(2);
+    let a = engine.add_member(1, 1, Nanos::ZERO);
+    engine.add_member(2, share_b, Nanos::ZERO);
+    (engine, sub, a)
+}
+
+fn quantum(engine: &mut Engine<u32>, sub: &mut MockSubstrate, sink: &mut RecordingSink<u32>) {
+    sub.advance(Nanos::from_millis(10));
+    engine.run_quantum(sub, sink).unwrap();
+}
+
+/// The signal events addressed to member 1.
+fn signals_to_1(sink: &RecordingSink<u32>) -> Vec<Event<u32>> {
+    sink.events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                Event::SignalSent { member: 1, .. }
+                    | Event::SignalFault { member: 1, .. }
+                    | Event::SignalRetried { member: 1, .. }
+            )
+        })
+        .cloned()
+        .collect()
+}
+
+/// A `Continue` reported delivered but lost leaves its member stopped
+/// while its principal is eligible. The member's next measurement reads
+/// it stopped, and the engine sends `Continue` again in that quantum.
+#[test]
+fn a_lost_continue_is_resent_when_its_member_is_read_stopped() {
+    let (mut engine, mut sub, a) = two_members(3);
+    let mut sink = RecordingSink::new();
+    // At 1:3 over a 40 ms cycle, A is suspended at quantum 2 and resumed
+    // by the boundary at quantum 4, whose `Continue` is lost.
+    for k in 1..=4 {
+        if k == 4 {
+            sub.lose.insert(1);
+        }
+        quantum(&mut engine, &mut sub, &mut sink);
+    }
+    assert_eq!(engine.last_transitions(), [Transition::Resume(a)]);
+    assert!(sub.stopped.contains(&1), "the Continue was lost");
+    // An allowance of one quantum: A is measured at the next quantum.
+    sub.advance(Nanos::from_millis(10));
+    engine.begin_quantum(&mut sub, &mut sink).unwrap();
+    assert_eq!(engine.due().members(), [1]);
+    engine.complete_quantum(&mut sub, &mut sink).unwrap();
+    assert_eq!(engine.pending_signals(), [MemberTransition::Resume(1)]);
+    engine.apply_pending_signals(&mut sub, &mut sink).unwrap();
+    assert!(!sub.stopped.contains(&1));
+    assert_eq!(engine.stats().reasserted, 1);
+    // Repaired, nothing is re-sent again.
+    for _ in 0..40 {
+        quantum(&mut engine, &mut sub, &mut sink);
+    }
+    assert_eq!(engine.stats().reasserted, 1);
+}
+
+/// A failed delivery is retried a quantum later with its principal's
+/// intent at that time. Here A's `Stop` faults, and the next boundary
+/// resumes A before the retry: the retry is A's `Continue`, and no stale
+/// `Stop` goes out. A later `Stop` that faults is retried as a `Stop`.
+#[test]
+fn a_failed_delivery_is_retried_with_the_principals_current_intent() {
+    let (mut engine, mut sub, a) = two_members(2);
+    let mut sink = RecordingSink::new();
+    quantum(&mut engine, &mut sub, &mut sink);
+    sub.refuse.insert(1, 1);
+    quantum(&mut engine, &mut sub, &mut sink);
+    assert_eq!(engine.last_transitions(), [Transition::Suspend(a)]);
+    sink.events.clear();
+    quantum(&mut engine, &mut sub, &mut sink);
+    assert_eq!(engine.last_transitions(), [Transition::Resume(a)]);
+    let cont = Signal::Continue;
+    assert_eq!(
+        signals_to_1(&sink),
+        [
+            Event::SignalRetried {
+                member: 1,
+                signal: cont
+            },
+            Event::SignalSent {
+                member: 1,
+                signal: cont,
+                delivered: true
+            },
+        ]
+    );
+    // Quantum 4 suspends A again; this `Stop` faults too, and A is still
+    // ineligible when its retry comes due.
+    sub.refuse.insert(1, 1);
+    quantum(&mut engine, &mut sub, &mut sink);
+    assert_eq!(engine.last_transitions(), [Transition::Suspend(a)]);
+    sink.events.clear();
+    quantum(&mut engine, &mut sub, &mut sink);
+    let stop = Signal::Stop;
+    assert_eq!(
+        signals_to_1(&sink),
+        [
+            Event::SignalRetried {
+                member: 1,
+                signal: stop
+            },
+            Event::SignalSent {
+                member: 1,
+                signal: stop,
+                delivered: true
+            },
+        ]
+    );
+    assert!(sub.stopped.contains(&1));
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.signal_faults, stats.retries, stats.quarantined),
+        (2, 2, 0)
+    );
+}
+
+/// Three consecutive faulting deliveries quarantine the member; two do
+/// not.
+#[test]
+fn three_consecutive_delivery_faults_quarantine_the_member() {
+    for (faults, quarantined) in [(2, 0), (3, 1)] {
+        let (mut engine, mut sub, a) = two_members(3);
+        let mut sink = RecordingSink::new();
+        quantum(&mut engine, &mut sub, &mut sink);
+        // Quantum 2's `Stop`, its retry at quantum 3, then the boundary's
+        // `Continue` at quantum 4.
+        sub.refuse.insert(1, faults);
+        for _ in 2..=4 {
+            quantum(&mut engine, &mut sub, &mut sink);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.signal_faults, u64::from(faults));
+        assert_eq!(stats.quarantined, quarantined, "{faults} faults");
+        assert_eq!(engine.share(a).is_none(), quarantined == 1);
+        assert_eq!(engine.principal_of(1).is_none(), quarantined == 1);
+    }
 }

@@ -10,7 +10,9 @@
 //! allocates nothing. A pid that has vanished (or turned zombie) is
 //! reported as gone rather than as an error, so the engine can reap it
 //! (and the reader lets go of its descriptor); any other `/proc` or
-//! `kill` failure aborts the quantum with an [`OsError`].
+//! `kill` failure is an [`OsError`], which the engine counts and recovers
+//! from. A member read in the stopped state (`T`) is reported through
+//! [`Substrate::stopped`], the engine's evidence of a lost `SIGCONT`.
 //!
 //! The engine has no "member left" callback, so a driver that removes a
 //! member which is still alive tells the substrate with
@@ -28,6 +30,9 @@ use crate::signal;
 #[derive(Debug, Default)]
 pub struct OsSubstrate {
     stat: proc::StatReader,
+    /// Members whose last reading found them stopped. Almost always
+    /// empty: the engine reads only members it means to run.
+    stopped: Vec<i32>,
 }
 
 impl OsSubstrate {
@@ -47,6 +52,7 @@ impl OsSubstrate {
     /// Let go of the descriptor held for a member that left alive.
     pub fn forget(&mut self, pid: i32) {
         self.stat.forget(pid);
+        self.stopped.retain(|&p| p != pid);
     }
 
     /// How many members have a held descriptor.
@@ -64,14 +70,23 @@ impl Substrate for OsSubstrate {
     }
 
     fn read(&mut self, pid: i32) -> Result<Option<Observation>, OsError> {
-        match self.stat.read(pid) {
-            Ok(stat) if !stat.dead() => Ok(Some(Observation {
-                total_cpu: stat.cpu_time,
-                blocked: stat.blocked(),
-            })),
-            Ok(_) | Err(OsError::NoSuchProcess(_)) => Ok(None),
-            Err(e) => Err(e),
+        let stat = match self.stat.read(pid) {
+            Ok(stat) if !stat.dead() => Some(stat),
+            Ok(_) | Err(OsError::NoSuchProcess(_)) => None,
+            Err(e) => return Err(e),
+        };
+        self.stopped.retain(|&p| p != pid);
+        if stat.is_some_and(|s| s.state == 'T') {
+            self.stopped.push(pid);
         }
+        Ok(stat.map(|s| Observation {
+            total_cpu: s.cpu_time,
+            blocked: s.blocked(),
+        }))
+    }
+
+    fn stopped(&self, pid: i32) -> bool {
+        self.stopped.contains(&pid)
     }
 
     fn deliver(&mut self, pid: i32, sig: Signal) -> Result<bool, OsError> {
@@ -93,35 +108,51 @@ impl Substrate for OsSubstrate {
     /// members runnable than both the old and the new eligible sets
     /// allow, so a slow batch can't transiently overcommit the CPU.
     ///
-    /// On a `kill(2)` fault mid-batch the quantum aborts with the error
-    /// and `delivered` reports nothing: with grouped passes the set of
-    /// signals already sent is not a prefix of `batch`, so partial
-    /// outcomes would misreport. Members whose signal did land are
-    /// re-observed (and bounced members reaped) on the next quantum's
-    /// read pass.
+    /// On a `kill(2)` fault the outcomes reported are those of the
+    /// signals before the first faulting one in batch order, the prefix
+    /// the trait asks for, and each of them was sent: a fault in the stop
+    /// pass first sends the `SIGCONT`s before it. `SIGSTOP`s after the
+    /// fault may have gone out already; the caller's resumption sends them
+    /// again, which changes nothing (stopping is idempotent).
     fn apply_batch(
         &mut self,
         batch: &[(i32, Signal)],
         delivered: &mut Vec<bool>,
     ) -> Result<(), OsError> {
-        let base = delivered.len();
-        delivered.resize(base + batch.len(), false);
-        for pass in [Signal::Stop, Signal::Continue] {
-            for (i, &(pid, sig)) in batch.iter().enumerate() {
-                if sig != pass {
-                    continue;
-                }
-                match self.deliver(pid, sig) {
-                    Ok(d) => delivered[base + i] = d,
-                    Err(e) => {
-                        delivered.truncate(base);
-                        return Err(e);
-                    }
+        apply_grouped(batch, delivered, |pid, sig| self.deliver(pid, sig))
+    }
+}
+
+/// [`OsSubstrate::apply_batch`] over any delivery function.
+fn apply_grouped<E>(
+    batch: &[(i32, Signal)],
+    delivered: &mut Vec<bool>,
+    mut deliver: impl FnMut(i32, Signal) -> Result<bool, E>,
+) -> Result<(), E> {
+    let base = delivered.len();
+    delivered.resize(base + batch.len(), false);
+    let mut fault = None;
+    for pass in [Signal::Stop, Signal::Continue] {
+        // After a fault, only the signals before it go out.
+        let end = fault.as_ref().map_or(batch.len(), |&(i, _)| i);
+        for (i, &(pid, sig)) in batch[..end].iter().enumerate() {
+            if sig != pass {
+                continue;
+            }
+            match deliver(pid, sig) {
+                Ok(d) => delivered[base + i] = d,
+                Err(e) => {
+                    fault = Some((i, e));
+                    break;
                 }
             }
         }
-        Ok(())
     }
+    let Some((i, e)) = fault else {
+        return Ok(());
+    };
+    delivered.truncate(base + i);
+    Err(e)
 }
 
 #[cfg(test)]
@@ -141,6 +172,43 @@ mod tests {
                     // the old member's and says so.
         assert_eq!(sub.read(pid).unwrap(), None);
         assert_eq!(sub.held(), 0);
+    }
+
+    #[test]
+    fn a_faulting_batch_reports_the_signals_before_the_fault_and_sent_them() {
+        use Signal::{Continue as C, Stop as S};
+        let batch = [(1, C), (2, S), (3, C), (4, S), (5, C)];
+        let run = |faulty: &[i32]| {
+            let (mut sent, mut out) = (Vec::new(), vec![false]);
+            let res = apply_grouped(&batch, &mut out, |pid, _| {
+                sent.push(pid);
+                if faulty.contains(&pid) {
+                    Err(pid)
+                } else {
+                    Ok(pid != 3)
+                }
+            });
+            (res, out, sent)
+        };
+        // Stops first, then continues; pid 3 is gone.
+        let all = (
+            Ok(()),
+            vec![false, true, true, false, true, true],
+            vec![2, 4, 1, 3, 5],
+        );
+        assert_eq!(run(&[]), all);
+        // A fault in the stop pass: the SIGCONTs before it go out first.
+        assert_eq!(
+            run(&[4]),
+            (Err(4), vec![false, true, true, false], vec![2, 4, 1, 3])
+        );
+        // A fault in the continue pass: every SIGSTOP is already out.
+        assert_eq!(
+            run(&[3]),
+            (Err(3), vec![false, true, true], vec![2, 4, 1, 3])
+        );
+        // Both: the earlier fault in batch order is the one reported.
+        assert_eq!(run(&[1, 4]), (Err(1), vec![false], vec![2, 4, 1]));
     }
 
     #[test]

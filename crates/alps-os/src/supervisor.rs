@@ -22,12 +22,13 @@
 //!   through [`CgroupSubstrate`] when the host delegates a subtree
 //!   ([`Supervisor::with_actuator`]).
 //!
-//! There are three constructors: [`Supervisor::new`] (signals),
-//! [`Supervisor::hardened`] (signals, with a fault-tolerant loop) and
+//! There are two constructors: [`Supervisor::new`] (signals) and
 //! [`Supervisor::with_actuator`] (any [`ActuatorMode`]). Whichever is
 //! chosen applies to every member: a group's joiners are enrolled with the
 //! actuator and watched exactly as [`Supervisor::add_process`] enrols a
-//! process.
+//! process. Either way the loop survives transient `/proc` and `kill(2)`
+//! faults (see [`Engine`]'s fault handling): they are counted in
+//! [`Supervisor::stats`] and narrated on the event sink.
 //!
 //! ```no_run
 //! use alps_core::{AlpsConfig, Nanos};
@@ -50,9 +51,8 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use alps_core::{
-    AlpsConfig, AlpsScheduler, CycleRecord, Engine, EngineStats, EventSink, FaultPolicy,
-    HardenConfig, Instrumentation, Nanos, NullSink, Observation, ProcId, Signal, Substrate,
-    Transition,
+    AlpsConfig, AlpsScheduler, CycleRecord, Engine, EngineStats, EventSink, Instrumentation, Nanos,
+    NullSink, Observation, ProcId, Signal, Substrate, Transition,
 };
 
 use crate::cgroup::{ActuatorMode, CgroupSubstrate, RealCgroupFs};
@@ -178,6 +178,11 @@ impl Substrate for ActuatorSubstrate {
         }
     }
 
+    fn stopped(&self, pid: i32) -> bool {
+        // The cgroup substrate reads `cpu.stat`, which has no run state.
+        matches!(&self.inner, Inner::Signals(s) if s.stopped(pid))
+    }
+
     fn deliver(&mut self, pid: i32, sig: Signal) -> Result<bool> {
         if self.dead.contains(&pid) {
             return Ok(false);
@@ -244,14 +249,11 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    fn build(cfg: AlpsConfig, policy: Option<HardenConfig>, inner: Inner) -> Self {
-        // §3.1 instrumentation re-reads the substrate at cycle boundaries.
-        let mut engine = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
-        if let Some(harden) = policy {
-            engine = engine.with_fault_policy(FaultPolicy::Harden(harden));
-        }
+    fn build(cfg: AlpsConfig, inner: Inner) -> Self {
         Supervisor {
-            engine,
+            // §3.1 instrumentation re-reads the substrate at cycle
+            // boundaries.
+            engine: Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true),
             procs: Vec::new(),
             groups: Vec::new(),
             // The paper refreshed membership once per second.
@@ -272,18 +274,7 @@ impl Supervisor {
     /// Create a supervisor with no controlled processes, actuating with
     /// classic job-control signals and refreshing groups once a second.
     pub fn new(cfg: AlpsConfig) -> Self {
-        Supervisor::build(cfg, None, Inner::Signals(OsSubstrate::new()))
-    }
-
-    /// Like [`Supervisor::new`], but the per-quantum loop tolerates
-    /// substrate faults instead of aborting on them: transient `/proc`
-    /// read failures are skipped, failed `kill(2)` deliveries are retried
-    /// with backoff, intended run/stop states are periodically
-    /// re-asserted, and a process that keeps faulting is quarantined out
-    /// of scheduling. Recovery activity is visible in
-    /// [`EngineStats`](Supervisor::stats) and on the event sink.
-    pub fn hardened(cfg: AlpsConfig, harden: HardenConfig) -> Self {
-        Supervisor::build(cfg, Some(harden), Inner::Signals(OsSubstrate::new()))
+        Supervisor::build(cfg, Inner::Signals(OsSubstrate::new()))
     }
 
     /// Create a supervisor actuating in the given [`ActuatorMode`].
@@ -298,7 +289,7 @@ impl Supervisor {
                 Inner::Cgroup(CgroupSubstrate::new(RealCgroupFs::discover()?, mode))
             }
         };
-        Ok(Supervisor::build(cfg, None, inner))
+        Ok(Supervisor::build(cfg, inner))
     }
 
     /// Refresh each group's membership every `period` instead of every
@@ -861,13 +852,10 @@ mod tests {
     }
 
     #[test]
-    fn hardened_supervisor_survives_children_dying_mid_run() {
+    fn children_dying_mid_run_are_reaped_without_an_error() {
         let pool = SpinnerPool::spawn(3).expect("spawn spinners");
         let pids = pool.pids();
-        let mut sup = Supervisor::hardened(
-            AlpsConfig::new(Nanos::from_millis(10)),
-            alps_core::HardenConfig::default(),
-        );
+        let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)));
         for &pid in &pids {
             sup.add_process(pid, 1).unwrap();
         }
@@ -880,6 +868,34 @@ mod tests {
         assert_eq!(sup.processes().len(), 1);
         assert!(sup.stats().reaped >= 2);
         assert!(sup.stats().quanta > 20);
+    }
+
+    /// Someone else stops a member the engine means to run: the next
+    /// measurement reads it stopped (`T`) and the supervisor resumes it.
+    #[test]
+    fn a_foreign_sigstop_is_undone_at_the_next_measurement() {
+        let pool = SpinnerPool::spawn_sleepers(1).expect("spawn sleeper");
+        let pid = pool.pids()[0];
+        let state = || proc::read_stat(pid, proc::ns_per_tick()).unwrap().state;
+        // One sleeping member: always eligible, read every quantum.
+        let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false);
+        let mut sup = Supervisor::new(cfg);
+        sup.add_process(pid, 1).unwrap();
+        for _ in 0..3 {
+            sup.run_quantum().unwrap();
+        }
+        assert_ne!(state(), 'T', "resumed by the first quantum");
+        signal::sigstop(pid).unwrap();
+        let stopped = (0..100).any(|_| {
+            std::thread::sleep(Duration::from_millis(2));
+            state() == 'T'
+        });
+        assert!(stopped, "the foreign SIGSTOP never landed");
+        for _ in 0..3 {
+            sup.run_quantum().unwrap();
+        }
+        assert_ne!(state(), 'T');
+        assert_eq!(sup.stats().reasserted, 1);
     }
 
     #[test]
@@ -1008,14 +1024,11 @@ mod tests {
     }
 
     #[test]
-    fn a_hardened_supervisor_runs_a_pid_group() {
+    fn a_pid_group_keeps_its_split_through_a_member_death() {
         let pool_a = SpinnerPool::spawn(1).unwrap();
         let pool_b = SpinnerPool::spawn(2).unwrap();
-        let mut sup = Supervisor::hardened(
-            AlpsConfig::new(Nanos::from_millis(10)),
-            alps_core::HardenConfig::default(),
-        )
-        .with_refresh_period(Duration::from_millis(200));
+        let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)))
+            .with_refresh_period(Duration::from_millis(200));
         let base_a = cpu_of_all(&pool_a.pids());
         let base_b = cpu_of_all(&pool_b.pids());
         let a = sup.add_principal(1, Membership::Pids(pool_a.pids()));

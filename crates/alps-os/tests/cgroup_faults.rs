@@ -1,39 +1,78 @@
-//! Deterministic cgroupfs fault injection against the hardened engine.
+//! Deterministic cgroupfs fault injection against the engine.
 //!
 //! The real failure modes of a cgroup-v2 actuator are filesystem errors:
 //! a read-only delegated subtree (`EROFS`), a leaf directory racing with
 //! removal (`ENOENT`), a `cgroup.procs` entry gone stale because its sole
 //! member exited. These tests script each of them through
-//! [`FakeCgroupFs::fail_next`] and prove the engine's hardening machinery
-//! — fault tallies, backed-off retries, periodic re-assertion, and
-//! quarantine after repeated strikes — behaves over a [`CgroupSubstrate`]
-//! exactly as it does over signals, while the default `Propagate` policy
-//! still surfaces every error to the caller.
+//! [`FakeCgroupFs::fail_next`] and prove the engine's fault handling —
+//! fault tallies, backed-off retries, and quarantine after three
+//! consecutive strikes — behaves over a [`CgroupSubstrate`] exactly as it
+//! does over signals, and that no error escapes the loop.
 
 use std::fmt::Write as _;
 
 use alps_core::{
-    AlpsConfig, Engine, EngineStats, FaultPolicy, HardenConfig, Instrumentation, Nanos, NullSink,
-    ProcId,
+    AlpsConfig, Engine, EngineStats, Instrumentation, Nanos, NullSink, Observation, ProcId, Signal,
+    Substrate,
 };
 use alps_os::cgroup::{ActuatorMode, CgroupFs, CgroupSubstrate, FakeCgroupFs, FakeOp};
 use alps_os::OsError;
 
 const Q: Nanos = Nanos(10_000_000);
 
+/// The cgroup substrate, noting the errno of every error it hands the
+/// engine (`None` for an error without one).
+struct Logged {
+    inner: CgroupSubstrate<FakeCgroupFs>,
+    errnos: Vec<Option<i32>>,
+}
+
+impl Logged {
+    fn log<T>(&mut self, res: Result<T, OsError>) -> Result<T, OsError> {
+        if let Err(e) = &res {
+            self.errnos.push(match e {
+                OsError::Sys { errno, .. } => Some(*errno),
+                _ => None,
+            });
+        }
+        res
+    }
+
+    fn fs_mut(&mut self) -> &mut FakeCgroupFs {
+        self.inner.fs_mut()
+    }
+}
+
+impl Substrate for Logged {
+    type Member = i32;
+    type Error = OsError;
+
+    fn now(&mut self) -> Nanos {
+        self.inner.now()
+    }
+
+    fn read(&mut self, pid: i32) -> Result<Option<Observation>, OsError> {
+        let res = self.inner.read(pid);
+        self.log(res)
+    }
+
+    fn deliver(&mut self, pid: i32, sig: Signal) -> Result<bool, OsError> {
+        let res = self.inner.deliver(pid, sig);
+        self.log(res)
+    }
+}
+
 struct Rig {
     engine: Engine<i32>,
-    sub: CgroupSubstrate<FakeCgroupFs>,
+    sub: Logged,
     ids: Vec<(ProcId, i32)>,
 }
 
-/// A hardened (or propagating) engine over six enrolled members with 1:2:3
-/// shares on a single-CPU fake, ready to drive quanta.
-fn rig(mode: ActuatorMode, policy: FaultPolicy) -> Rig {
+/// An engine over six enrolled members with 1:2:3 shares on a single-CPU
+/// fake, ready to drive quanta.
+fn rig(mode: ActuatorMode) -> Rig {
     let cfg = AlpsConfig::default().with_quantum(Q);
-    let mut engine: Engine<i32> = Engine::new(cfg, Instrumentation::Exact)
-        .with_auto_reap(true)
-        .with_fault_policy(policy);
+    let mut engine: Engine<i32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
     let mut sub = CgroupSubstrate::new(FakeCgroupFs::new(1), mode);
     let mut ids = Vec::new();
     for pid in 100..106 {
@@ -42,6 +81,10 @@ fn rig(mode: ActuatorMode, policy: FaultPolicy) -> Rig {
         let id = engine.add_member(pid, u64::from(pid as u32 % 3) + 1, Nanos::ZERO);
         ids.push((id, pid));
     }
+    let sub = Logged {
+        inner: sub,
+        errnos: Vec::new(),
+    };
     Rig { engine, sub, ids }
 }
 
@@ -60,20 +103,14 @@ fn quantum(r: &mut Rig, group: &mut String) -> Result<(), OsError> {
 fn drive(r: &mut Rig, quanta: u64) -> EngineStats {
     let mut group = String::new();
     for _ in 0..quanta {
-        quantum(r, &mut group).expect("hardened loop must not propagate");
+        quantum(r, &mut group).expect("the loop must not propagate");
     }
     r.engine.stats()
 }
 
 #[test]
 fn erofs_on_weight_writes_is_tolerated_and_retried() {
-    let mut r = rig(
-        ActuatorMode::Weights,
-        FaultPolicy::Harden(HardenConfig {
-            max_strikes: 10,
-            reassert_every: 4,
-        }),
-    );
+    let mut r = rig(ActuatorMode::Weights);
     // A burst of read-only-filesystem failures on `cpu.weight` writes:
     // wide enough to hit several deliveries, short enough that no member
     // strikes out.
@@ -98,13 +135,7 @@ fn erofs_on_weight_writes_is_tolerated_and_retried() {
 
 #[test]
 fn persistent_weight_write_failure_quarantines_the_member() {
-    let mut r = rig(
-        ActuatorMode::Weights,
-        FaultPolicy::Harden(HardenConfig {
-            max_strikes: 3,
-            reassert_every: 8,
-        }),
-    );
+    let mut r = rig(ActuatorMode::Weights);
     // The subtree stays read-only forever: every weight write fails, so
     // members strike out and must be quarantined rather than wedging the
     // loop.
@@ -126,10 +157,7 @@ fn persistent_weight_write_failure_quarantines_the_member() {
 
 #[test]
 fn enoent_on_freeze_writes_is_tolerated_in_signals_mode() {
-    let mut r = rig(
-        ActuatorMode::Signals,
-        FaultPolicy::Harden(HardenConfig::default()),
-    );
+    let mut r = rig(ActuatorMode::Signals);
     // A leaf racing with removal: freezer writes bounce with ENOENT for a
     // while, then recover.
     r.sub.fs_mut().fail_next(FakeOp::Freeze, libc::ENOENT, 4);
@@ -140,10 +168,7 @@ fn enoent_on_freeze_writes_is_tolerated_in_signals_mode() {
 
 #[test]
 fn cap_write_failures_are_tolerated_in_caps_mode() {
-    let mut r = rig(
-        ActuatorMode::Caps,
-        FaultPolicy::Harden(HardenConfig::default()),
-    );
+    let mut r = rig(ActuatorMode::Caps);
     r.sub.fs_mut().fail_next(FakeOp::Max, libc::EACCES, 4);
     let stats = drive(&mut r, 200);
     assert_eq!(stats.quanta, 200, "loop died: {stats:?}");
@@ -152,10 +177,7 @@ fn cap_write_failures_are_tolerated_in_caps_mode() {
 
 #[test]
 fn observe_failures_count_as_read_faults() {
-    let mut r = rig(
-        ActuatorMode::Weights,
-        FaultPolicy::Harden(HardenConfig::default()),
-    );
+    let mut r = rig(ActuatorMode::Weights);
     // Two failures stay under the default strike limit even if both land
     // on the same member, so nobody is quarantined.
     r.sub.fs_mut().fail_next(FakeOp::Observe, libc::EACCES, 2);
@@ -173,13 +195,14 @@ fn stale_cgroup_procs_reaps_like_a_dead_pid() {
     // A leaf whose sole member exited bounces actuation with
     // `NoSuchProcess` and reads as gone — the engine's ordinary reap path
     // must retire the principal exactly as it does when kill(2) races an
-    // exit, with no hardening required.
-    let mut r = rig(ActuatorMode::Weights, FaultPolicy::Propagate);
+    // exit, with no fault counted.
+    let mut r = rig(ActuatorMode::Weights);
     let (id, pid) = r.ids[2];
     r.sub.fs_mut().kill_pid(pid);
     let stats = drive(&mut r, 20);
     assert_eq!(stats.quanta, 20);
     assert_eq!(stats.reaped, 1, "stale leaf not reaped: {stats:?}");
+    assert_eq!((stats.read_faults, stats.signal_faults), (0, 0));
     assert!(
         r.engine.share(id).is_none(),
         "reaped principal still scheduled"
@@ -191,38 +214,32 @@ fn stale_cgroup_procs_reaps_like_a_dead_pid() {
     ));
 }
 
+/// A cgroupfs error is counted, not returned: with every `cpu.weight`
+/// write failing with `EROFS`, each quantum completes, and every signal
+/// fault the engine counts is one of those `EROFS` errors.
 #[test]
-fn propagating_engine_surfaces_cgroupfs_errors() {
-    let mut r = rig(ActuatorMode::Weights, FaultPolicy::Propagate);
+fn cgroupfs_errors_are_counted_and_the_loop_continues() {
+    let mut r = rig(ActuatorMode::Weights);
     let mut group = String::new();
     quantum(&mut r, &mut group).expect("fault-free quantum succeeds");
+    assert!(r.sub.errnos.is_empty());
     r.sub
         .fs_mut()
         .fail_next(FakeOp::Weight, libc::EROFS, u32::MAX);
-    let mut saw_err = false;
     for _ in 0..20 {
-        if let Err(e) = quantum(&mut r, &mut group) {
-            assert!(
-                matches!(e, OsError::Sys { errno, .. } if errno == libc::EROFS),
-                "wrong error: {e}"
-            );
-            saw_err = true;
-            break;
-        }
+        quantum(&mut r, &mut group).expect("a write error is absorbed");
     }
-    assert!(
-        saw_err,
-        "EROFS never propagated under FaultPolicy::Propagate"
-    );
+    let stats = r.engine.stats();
+    assert_eq!(stats.quanta, 21);
+    assert!(stats.signal_faults > 0, "no faults tallied: {stats:?}");
+    assert_eq!(r.sub.errnos.len() as u64, stats.signal_faults);
+    assert!(r.sub.errnos.iter().all(|&e| e == Some(libc::EROFS)));
 }
 
 #[test]
 fn faulty_cgroup_runs_replay_exactly() {
     let run = |seed_faults: bool| {
-        let mut r = rig(
-            ActuatorMode::Weights,
-            FaultPolicy::Harden(HardenConfig::default()),
-        );
+        let mut r = rig(ActuatorMode::Weights);
         if seed_faults {
             r.sub.fs_mut().fail_next(FakeOp::Weight, libc::EROFS, 5);
             r.sub.fs_mut().fail_next(FakeOp::Observe, libc::EACCES, 3);

@@ -88,9 +88,9 @@ impl<S: Substrate> Substrate for FaultySubstrate<S> {
         // The boundary: land whatever was delayed, then report a possibly
         // jittered clock.
         if let Err(_e) = self.release_delayed() {
-            // Inner delivery errors during release are dropped — `now()`
-            // cannot fail, and the engine's reconciliation re-asserts
-            // intent anyway.
+            // Inner delivery errors during release are dropped: `now()`
+            // cannot fail, and a member the dropped signal left stopped
+            // is read stopped and resumed.
         }
         // Monotonic by construction: the plan clamps each jittered
         // reading to its watermark, so a delayed fire re-mints the clock
@@ -127,6 +127,10 @@ impl<S: Substrate> Substrate for FaultySubstrate<S> {
         // Exact reads are instrumentation, not scheduling input; they
         // bypass injection so accuracy metrics stay ground truth.
         self.inner.read_exact(m).map_err(Faulty::Inner)
+    }
+
+    fn stopped(&self, m: S::Member) -> bool {
+        self.inner.stopped(m)
     }
 
     fn deliver(&mut self, m: S::Member, signal: Signal) -> Result<bool, Faulty<S::Error>> {

@@ -2,8 +2,8 @@
 //!
 //! This is the whole backend: the generic [`alps_core::Engine`] does the
 //! scheduling; all it needs from `kernsim` is the clock, per-process CPU
-//! readings, and `SIGSTOP`/`SIGCONT` delivery, which [`SimCtl`] already
-//! exposes to a behavior.
+//! readings and run states, and `SIGSTOP`/`SIGCONT` delivery, which
+//! [`SimCtl`] already exposes to a behavior.
 
 use core::convert::Infallible;
 
@@ -50,6 +50,10 @@ impl Substrate for SimSubstrate<'_, '_> {
         // Ground truth, so accuracy instrumentation measures the
         // scheduler rather than the visible counters it reads.
         Ok(Some(self.ctl.cputime_exact(pid)))
+    }
+
+    fn stopped(&self, pid: Pid) -> bool {
+        self.ctl.state_code(pid) == 'T'
     }
 
     fn deliver(&mut self, pid: Pid, signal: Signal) -> Result<bool, Infallible> {

@@ -9,10 +9,21 @@
 //! no allowance drains, no cycle ends and no transition fires: the loop
 //! body is the bare control path. The wall clock compares the fastest of
 //! three repeats at each N, and the repeats alternate between the two N.
+//!
+//! The same holds one layer up, for the [`Engine`] over a substrate that
+//! reads zero consumption and takes every signal: its fault handling
+//! (retries, repair of lost signals) costs in proportion to the faults,
+//! so a fault-free quantum sends nothing and grows with the due load only.
+//! The two tests take turns on one lock, so no timing runs beside another.
 
+use std::convert::Infallible;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use alps_core::{AlpsConfig, AlpsScheduler, Nanos, Observation, ProcId, QuantumOutcome};
+use alps_core::{
+    AlpsConfig, AlpsScheduler, Engine, Instrumentation, Nanos, NullSink, Observation, ProcId,
+    QuantumOutcome, Signal, Substrate,
+};
 
 const ACTIVE: usize = 1_000;
 const ACTIVE_SHARE: u64 = 5;
@@ -21,6 +32,8 @@ const QUANTA: u64 = 300;
 const SMALL_N: usize = 2_000;
 const LARGE_N: usize = 200_000;
 const REPEATS: usize = 3;
+
+static TIMING: Mutex<()> = Mutex::new(());
 
 /// One drive over `n` registered members: the due members measured and
 /// the wall clock of the `QUANTA` quanta after the warm-up quantum.
@@ -61,8 +74,62 @@ fn drive(n: usize) -> (u64, Duration) {
     (total_due, start.elapsed())
 }
 
-#[test]
-fn quantum_cost_tracks_due_members_not_registered_members() {
+/// Every member reads zero consumption; every signal lands.
+struct Idle;
+
+impl Substrate for Idle {
+    type Member = u32;
+    type Error = Infallible;
+
+    fn now(&mut self) -> Nanos {
+        Nanos::ZERO
+    }
+
+    fn read(&mut self, _: u32) -> Result<Option<Observation>, Infallible> {
+        Ok(Some(Observation {
+            total_cpu: Nanos::ZERO,
+            blocked: false,
+        }))
+    }
+
+    fn deliver(&mut self, _: u32, _: Signal) -> Result<bool, Infallible> {
+        Ok(true)
+    }
+}
+
+/// [`drive`] through an [`Engine`], member `i` in slot `i`: the due
+/// members measured and the wall clock of the `QUANTA` quanta after the
+/// warm-up quantum, which resumes all `n` members.
+fn drive_engine(n: usize) -> (u64, Duration) {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
+    for i in 0..n - ACTIVE {
+        engine.add_member(i as u32, IDLE_BASE_SHARE + i as u64, Nanos::ZERO);
+    }
+    for i in n - ACTIVE..n {
+        engine.add_member(i as u32, ACTIVE_SHARE, Nanos::ZERO);
+    }
+    let warm_up = engine.run_quantum(&mut Idle, &mut NullSink).unwrap();
+    assert_eq!(warm_up.len(), n, "warm-up resumes everyone");
+    let before = engine.stats();
+    let start = Instant::now();
+    for _ in 0..QUANTA {
+        engine.run_quantum(&mut Idle, &mut NullSink).unwrap();
+    }
+    let took = start.elapsed();
+    let after = engine.stats();
+    assert_eq!(
+        after.signals, before.signals,
+        "n = {n}: a signal after warm-up"
+    );
+    assert!(!engine.last_cycle_completed());
+    (after.measurements - before.measurements, took)
+}
+
+/// The fastest of `REPEATS` drives at each N, alternating, with the check
+/// that only the active members came due.
+fn fastest(drive: fn(usize) -> (u64, Duration)) -> (Duration, Duration) {
+    let _turn = TIMING.lock().unwrap_or_else(|e| e.into_inner());
     let (mut small, mut large) = (Duration::MAX, Duration::MAX);
     for _ in 0..REPEATS {
         for (n, fastest) in [(SMALL_N, &mut small), (LARGE_N, &mut large)] {
@@ -75,10 +142,27 @@ fn quantum_cost_tracks_due_members_not_registered_members() {
             *fastest = (*fastest).min(took);
         }
     }
+    (small, large)
+}
+
+#[test]
+fn quantum_cost_tracks_due_members_not_registered_members() {
+    let (small, large) = fastest(drive);
     let ratio = large.as_secs_f64() / small.as_secs_f64();
     assert!(
         ratio < 4.0,
         "a quantum over {LARGE_N} members took {ratio:.2}x one over {SMALL_N} \
+         ({large:?} vs {small:?} for {QUANTA} quanta) at the same due load"
+    );
+}
+
+#[test]
+fn engine_quantum_cost_tracks_due_members_not_registered_members() {
+    let (small, large) = fastest(drive_engine);
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio < 4.0,
+        "an engine quantum over {LARGE_N} members took {ratio:.2}x one over {SMALL_N} \
          ({large:?} vs {small:?} for {QUANTA} quanta) at the same due load"
     );
 }
