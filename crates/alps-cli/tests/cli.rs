@@ -1,7 +1,9 @@
 //! End-to-end tests of the `alps` binary: real child processes, real
 //! signals, real /proc sampling.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn alps() -> Command {
     Command::new(env!("CARGO_BIN_EXE_alps"))
@@ -146,6 +148,59 @@ fn trace_mode_emits_well_formed_events() {
             .any(|l| l.starts_with('[') && l.contains("cycle") && l.contains("complete")),
         "{err}"
     );
+    assert!(err.contains("alps: done"), "{err}");
+}
+
+/// Someone else stops a command `alps run` means to run: the next
+/// measurement reads it stopped and `alps` resumes it, long before the
+/// run ends and releases everything.
+#[test]
+fn run_mode_resumes_a_command_stopped_behind_its_back() {
+    let mut child = alps()
+        .args([
+            "run",
+            "-q",
+            "10",
+            "-d",
+            "3",
+            "1:exec sleep 30",
+            "1:exec sleep 30",
+        ])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run alps");
+    let mut lines = BufReader::new(child.stderr.take().expect("piped stderr")).lines();
+    // "alps: pid <pid> <- 1 share(s): exec sleep 30"
+    let pid: i32 = lines
+        .by_ref()
+        .map_while(Result::ok)
+        .find_map(|l| {
+            l.strip_prefix("alps: pid ")?
+                .split(' ')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .expect("alps names the pid it spawned");
+    // Keep draining so alps never blocks on a full pipe.
+    let rest = std::thread::spawn(move || lines.map_while(Result::ok).collect::<Vec<_>>());
+    let state = || alps_os::read_stat(pid, alps_os::proc::ns_per_tick()).map(|s| s.state);
+    let until = |want: fn(char) -> bool| {
+        let end = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < end {
+            if state().is_ok_and(want) {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        false
+    };
+    assert!(until(|s| s != 'T'), "the first quantum resumes the command");
+    alps_os::signal::sigstop(pid).expect("stop the command");
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(until(|s| s != 'T'), "alps left its command stopped");
+    assert!(child.wait().expect("alps exits").success());
+    let err = rest.join().expect("stderr reader").join("\n");
     assert!(err.contains("alps: done"), "{err}");
 }
 
