@@ -11,7 +11,6 @@ use core::fmt;
 use std::io;
 
 use super::substrate::Signal;
-use crate::sched::ProcId;
 use crate::time::Nanos;
 
 /// One externally visible engine action.
@@ -91,16 +90,6 @@ pub enum Event<M> {
     Quarantined {
         /// The member removed.
         member: M,
-    },
-    /// A principal's share was changed at runtime (e.g. by the SLO
-    /// controller's feedback loop).
-    ShareChanged {
-        /// The principal whose share changed.
-        id: ProcId,
-        /// The share before the change.
-        old: u64,
-        /// The share after the change.
-        new: u64,
     },
 }
 
@@ -219,9 +208,6 @@ impl<W: io::Write, M: fmt::Debug> EventSink<M> for TraceSink<W> {
             }
             Event::Quarantined { member } => {
                 format!("               quarantine {member:?}")
-            }
-            Event::ShareChanged { id, old, new } => {
-                format!("               share   {id:?}: {old} -> {new}")
             }
         };
         let _ = writeln!(self.out, "{line}");

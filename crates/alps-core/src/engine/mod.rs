@@ -70,9 +70,6 @@ pub struct EngineStats {
     pub reasserted: u64,
     /// Members quarantined out of scheduling after repeated faults.
     pub quarantined: u64,
-    /// Runtime share changes applied via [`Engine::adjust_share`] (e.g.
-    /// SLO-controller feedback).
-    pub share_adjustments: u64,
 }
 
 /// How the engine fills its per-cycle consumption log (§3.1).
@@ -146,9 +143,6 @@ fn entry_mut<M>(table: &mut [Option<Principal<M>>], id: ProcId) -> Option<&mut P
         .as_mut()
         .filter(|p| p.generation == id.generation())
 }
-
-/// Convenience alias: the engine type driven by a given substrate.
-pub type EngineFor<S> = Engine<<S as Substrate>::Member>;
 
 /// The generic per-quantum ALPS control loop.
 ///
@@ -408,32 +402,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Change a principal's share (§2.2: remaining allowance is rescaled).
     pub fn set_share(&mut self, id: ProcId, share: u64) -> Result<(), StaleId> {
         self.sched.set_share(id, share)
-    }
-
-    /// Change a principal's share as an *observable* runtime adjustment:
-    /// like [`Engine::set_share`], but counted in
-    /// [`EngineStats::share_adjustments`] and surfaced on the event
-    /// stream as [`Event::ShareChanged`]. A no-op (same share) emits
-    /// nothing, so a disabled controller leaves stats and event streams
-    /// byte-identical.
-    pub fn adjust_share(
-        &mut self,
-        id: ProcId,
-        share: u64,
-        sink: &mut dyn EventSink<M>,
-    ) -> Result<(), StaleId> {
-        let old = self.sched.share(id).ok_or(StaleId(id))?;
-        if old == share {
-            return Ok(());
-        }
-        self.sched.set_share(id, share)?;
-        self.stats.share_adjustments += 1;
-        sink.on_event(&Event::ShareChanged {
-            id,
-            old,
-            new: share,
-        });
-        Ok(())
     }
 
     // --- the per-quantum loop ---------------------------------------------

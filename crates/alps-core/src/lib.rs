@@ -56,15 +56,14 @@
 //!   processes of one user), charged their summed CPU.
 //! * [`principal`] — the principal layer's data: member sets, the due
 //!   list, member signals and membership changes.
-//! * [`hierarchy`] — a static share *tree* (users → apps → processes),
-//!   flattened once into the per-process shares ALPS consumes (§5's
-//!   hierarchy; re-flattened by the caller when it changes).
-//! * [`slo`] — the latency-feedback controller: observe per-tenant tail
-//!   latency, nudge shares to meet per-tenant SLO targets.
 //! * [`cycle`] — per-cycle consumption records for accuracy analysis.
 //! * [`config`] — quantum length, the §2.3 lazy-measurement switch, and
 //!   §2.4 I/O policies.
 //! * [`time`] — the [`Nanos`] time type shared across the workspace.
+//!
+//! Extensions beyond the paper live beside their users: the SLO feedback
+//! controller in `alps-sim`'s SLO experiment, the static share tree in
+//! `workloads`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,10 +71,8 @@
 pub mod config;
 pub mod cycle;
 pub mod engine;
-pub mod hierarchy;
 pub mod principal;
 pub mod sched;
-pub mod slo;
 pub mod time;
 
 /// The types every ALPS driver imports.
@@ -101,11 +98,9 @@ pub mod prelude {
 pub use config::{AlpsConfig, IoPolicy};
 pub use cycle::{CycleEntry, CycleRecord};
 pub use engine::{
-    Engine, EngineFor, EngineStats, Event, EventSink, Instrumentation, NullSink, RecordingSink,
-    Signal, Substrate, TraceSink,
+    Engine, EngineStats, Event, EventSink, Instrumentation, NullSink, RecordingSink, Signal,
+    Substrate, TraceSink,
 };
-pub use hierarchy::{NodeId, ShareTree};
 pub use principal::{DueList, MemberTransition, MembershipChange};
 pub use sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, StaleId, Transition};
-pub use slo::{ShareAdjustment, SloConfig, SloController, SloTarget};
 pub use time::Nanos;

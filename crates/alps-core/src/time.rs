@@ -104,12 +104,6 @@ impl Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
-        self.0.checked_sub(rhs.0).map(Nanos)
-    }
-
     /// Saturating addition (clamps at `Nanos::MAX`).
     #[inline]
     pub fn saturating_add(self, rhs: Nanos) -> Nanos {
@@ -141,19 +135,6 @@ impl Nanos {
     pub fn mul_f64(self, k: f64) -> Nanos {
         debug_assert!(k >= 0.0, "negative scale factor");
         Nanos((self.0 as f64 * k).round() as u64)
-    }
-
-    /// Round this instant *up* to the next multiple of `step` (used for
-    /// aligning timer expiries to clock-tick granularity).
-    #[inline]
-    pub fn round_up_to(self, step: Nanos) -> Nanos {
-        assert!(step.0 > 0, "step must be nonzero");
-        let rem = self.0 % step.0;
-        if rem == 0 {
-            self
-        } else {
-            Nanos(self.0 + (step.0 - rem))
-        }
     }
 }
 
@@ -267,21 +248,6 @@ mod tests {
         assert_eq!(a / 2, Nanos::from_micros(5));
         assert_eq!(b.saturating_sub(a), Nanos::ZERO);
         assert_eq!(a.saturating_sub(b), Nanos::from_micros(7));
-    }
-
-    #[test]
-    fn round_up_to_step() {
-        let step = Nanos::from_millis(10);
-        assert_eq!(
-            Nanos::from_millis(10).round_up_to(step),
-            Nanos::from_millis(10)
-        );
-        assert_eq!(
-            Nanos::from_millis(11).round_up_to(step),
-            Nanos::from_millis(20)
-        );
-        assert_eq!(Nanos::ZERO.round_up_to(step), Nanos::ZERO);
-        assert_eq!(Nanos(1).round_up_to(step), Nanos::from_millis(10));
     }
 
     #[test]

@@ -311,45 +311,6 @@ fn late_timer_counts_overrun_and_charges_full_gap() {
     );
 }
 
-/// `adjust_share` is an observable `set_share`: the change lands in the
-/// scheduler, the counter, and the event stream — and a no-op adjustment
-/// (same share) leaves all three untouched, so a disabled or converged
-/// SLO controller cannot perturb byte-compared stats.
-#[test]
-fn adjust_share_counts_and_narrates() {
-    let cfg = AlpsConfig::new(Nanos::from_millis(10));
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
-    let mut sub = MockSubstrate::default();
-    sub.add(1);
-    sub.add(2);
-    let a = engine.add_member(1, 4, Nanos::ZERO);
-    let b = engine.add_member(2, 4, Nanos::ZERO);
-
-    let mut sink = RecordingSink::new();
-    engine.adjust_share(a, 6, &mut sink).unwrap();
-    assert_eq!(engine.share(a), Some(6));
-    assert_eq!(engine.stats().share_adjustments, 1);
-    assert_eq!(
-        sink.events,
-        vec![Event::ShareChanged {
-            id: a,
-            old: 4,
-            new: 6
-        }]
-    );
-
-    // No-op: same share, nothing counted, nothing emitted.
-    engine.adjust_share(b, 4, &mut sink).unwrap();
-    assert_eq!(engine.stats().share_adjustments, 1);
-    assert_eq!(sink.events.len(), 1);
-
-    // A stale id is an error, not a panic.
-    let events_before = sink.events.len();
-    engine.remove_principal(a);
-    assert!(engine.adjust_share(a, 9, &mut sink).is_err());
-    assert_eq!(sink.events.len(), events_before);
-}
-
 /// The §3.1 log records what was consumed, not what the scheduler
 /// happened to measure: a member that keeps running for 2 ms after its
 /// last measurement (the stop is still in flight) is charged those 2 ms at

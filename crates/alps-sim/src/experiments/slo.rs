@@ -3,10 +3,10 @@
 //! The paper's §5 web experiment assigns *static* shares per user; this
 //! extension study closes the loop: latency-sensitive tenants receive
 //! open-loop traffic ([`workloads::OpenLoop`]), a best-effort tenant
-//! keeps the machine saturated, and an [`alps_core::SloController`]
-//! observes each tenant's windowed p95 every control period and nudges
-//! its ALPS share toward its SLO target via
-//! [`AlpsHandle::adjust_share`](crate::AlpsHandle::adjust_share).
+//! keeps the machine saturated, and an [`SloController`] observes each
+//! tenant's windowed p95 every control period and nudges its ALPS share
+//! toward its SLO target via
+//! [`AlpsHandle::set_share`](crate::AlpsHandle::set_share).
 //!
 //! The operating regime is deliberate. Each tenant is *overloaded*
 //! (offered load exceeds its CPU fraction) with a bounded queue, so its
@@ -29,13 +29,152 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use alps_core::{AlpsConfig, Nanos, ProcId, SloConfig, SloController, SloTarget};
+use alps_core::{AlpsConfig, Nanos, ProcId};
 use kernsim::{Sim, SimConfig};
 use serde::{Deserialize, Serialize};
 use workloads::{Arrivals, BestEffort, OpenLoop, Tenant, Workload};
 
 use crate::cost::CostModel;
 use crate::runner::{spawn_alps_principals, MemberList};
+
+// --- the controller ----------------------------------------------------
+
+/// Per-tenant controller registration: which principal, what target.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SloTarget {
+    /// The principal whose share the controller may move.
+    pub id: ProcId,
+    /// The p95 latency target, in milliseconds.
+    pub p95_target_ms: f64,
+}
+
+/// One share change the controller wants applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShareAdjustment {
+    /// The principal to adjust.
+    pub id: ProcId,
+    /// The new share.
+    pub share: u64,
+}
+
+/// Tuning knobs for [`SloController`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SloConfig {
+    /// Proportional gain on the relative error. Higher converges faster
+    /// but overshoots; 0.5 is a sane default for per-second control
+    /// periods.
+    pub gain: f64,
+    /// Relative errors within `±deadband` produce no adjustment
+    /// (hysteresis). Must be `>= 0`.
+    pub deadband: f64,
+    /// Largest multiplicative change per period (`factor` is clamped to
+    /// `[1/max_step, max_step]`). Must be `> 1`.
+    pub max_step: f64,
+    /// Shares never drop below this (a tenant must keep *some* CPU or it
+    /// can never generate the samples that would raise it back).
+    pub min_share: u64,
+    /// Shares never exceed this (bounds one tenant's ability to squeeze
+    /// the rest).
+    pub max_share: u64,
+}
+
+impl Default for SloConfig {
+    fn default() -> Self {
+        SloConfig {
+            gain: 0.5,
+            deadband: 0.1,
+            max_step: 2.0,
+            min_share: 1,
+            max_share: 64,
+        }
+    }
+}
+
+/// The proportional SLO controller: close the loop from observed tail
+/// latency back to ALPS shares.
+///
+/// ALPS apportions CPU *time*; services care about *latency*. The paper's
+/// motivating web-hosting scenario (§5) assigns static shares per user,
+/// which guarantees a CPU fraction but not a response-time target. The
+/// controller bridges that gap at the application level, in the same
+/// spirit as ALPS itself — no kernel help, just observation and
+/// feedback: each control period it compares every tenant's observed p95
+/// latency against its SLO target and nudges the tenant's share
+/// multiplicatively toward the target.
+///
+/// The law is deliberately simple (proportional, multiplicative,
+/// clamped):
+///
+/// ```text
+/// error  = (p95 - target) / target          // >0 ⇒ missing the SLO
+/// factor = clamp(1 + gain·error, 1/max_step, max_step)
+/// share' = clamp(round(share · factor), min_share, max_share)
+/// ```
+///
+/// with a *deadband*: errors within `±deadband` produce no change, so the
+/// controller is quiet at equilibrium (hysteresis against share
+/// oscillation). A tenant with no samples in the window (starved into
+/// silence) is treated as infinitely late and pushed up by the full
+/// `max_step`.
+///
+/// The controller is pure: it computes [`ShareAdjustment`]s from
+/// observations, and [`run_slo`] applies each through
+/// [`AlpsHandle::set_share`](crate::AlpsHandle::set_share) and counts it.
+#[derive(Debug, Clone)]
+pub struct SloController {
+    cfg: SloConfig,
+    targets: Vec<SloTarget>,
+}
+
+impl SloController {
+    /// A controller over the given tenants.
+    pub fn new(cfg: SloConfig, targets: Vec<SloTarget>) -> Self {
+        assert!(cfg.gain > 0.0, "gain must be positive");
+        assert!(cfg.deadband >= 0.0, "deadband must be non-negative");
+        assert!(cfg.max_step > 1.0, "max_step must exceed 1");
+        assert!(cfg.min_share >= 1, "min_share must be at least 1");
+        assert!(cfg.max_share >= cfg.min_share, "max_share < min_share");
+        SloController { cfg, targets }
+    }
+
+    /// One control period: fold each tenant's observed window p95 (in
+    /// milliseconds; `None` = no samples, treated as unboundedly late)
+    /// and current share into the adjustments to apply. Observations are
+    /// matched to targets by [`ProcId`]; tenants without an observation
+    /// entry are left alone. Returns only *actual* changes — an empty
+    /// vector means the controller is in its deadband everywhere.
+    pub fn control(&self, observed: &[(ProcId, Option<f64>, u64)]) -> Vec<ShareAdjustment> {
+        let mut out = Vec::new();
+        for t in &self.targets {
+            let Some(&(_, p95_ms, share)) = observed.iter().find(|&&(id, _, _)| id == t.id) else {
+                continue;
+            };
+            let factor = match p95_ms {
+                // Starved into silence: no completions at all this
+                // window. Push up as hard as allowed.
+                None => self.cfg.max_step,
+                Some(p95) => {
+                    let error = (p95 - t.p95_target_ms) / t.p95_target_ms;
+                    if error.abs() <= self.cfg.deadband {
+                        continue;
+                    }
+                    (1.0 + self.cfg.gain * error).clamp(1.0 / self.cfg.max_step, self.cfg.max_step)
+                }
+            };
+            let raw = (share as f64 * factor).round() as u64;
+            let new = raw.clamp(self.cfg.min_share, self.cfg.max_share);
+            if new != share {
+                out.push(ShareAdjustment {
+                    id: t.id,
+                    share: new,
+                });
+            }
+        }
+        out
+    }
+}
+
+// --- the experiment ----------------------------------------------------
 
 /// One latency-sensitive tenant of the scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -80,8 +219,8 @@ pub struct SloParams {
     /// Converged-measurement window at the end of the run (final p95 is
     /// computed over completions inside it).
     pub settle: Nanos,
-    /// Whether the controller runs at all. Off = static shares; the
-    /// engine's event stream and counters stay untouched.
+    /// Whether the controller runs at all. Off = static shares, and the
+    /// engine is never asked to change one.
     pub controller_enabled: bool,
     /// Controller tuning.
     pub slo: SloConfig,
@@ -210,7 +349,9 @@ pub struct SloResult {
     pub tenants: Vec<TenantOutcome>,
     /// The best-effort tenant's (fixed) share.
     pub hog_share: u64,
-    /// Share changes the engine actually applied.
+    /// Share changes the controller made. [`SloController::control`]
+    /// returns only real changes, so this is also the number of times a
+    /// tenant's share moved.
     pub share_adjustments: u64,
     /// Whether the controller ran.
     pub controller_enabled: bool,
@@ -302,6 +443,7 @@ pub fn run_slo(p: &SloParams) -> SloResult {
     let mut cursors = vec![0usize; n];
     let mut settle_cursor: Vec<Option<usize>> = vec![None; n];
     let mut trajectories: Vec<Vec<u64>> = vec![Vec::new(); n];
+    let mut share_adjustments = 0;
     while sim.now() < p.duration {
         let next = (sim.now() + p.control_period).min(p.duration);
         sim.run_until(next);
@@ -317,8 +459,9 @@ pub fn run_slo(p: &SloParams) -> SloResult {
                 })
                 .collect();
             for adj in controller.control(&observed) {
-                alps.adjust_share(adj.id, adj.share)
+                alps.set_share(adj.id, adj.share)
                     .expect("principal ids never go stale");
+                share_adjustments += 1;
             }
         }
         for (i, &id) in tenant_ids.iter().enumerate() {
@@ -360,7 +503,7 @@ pub fn run_slo(p: &SloParams) -> SloResult {
     SloResult {
         tenants: outcomes,
         hog_share: p.hog_share,
-        share_adjustments: alps.stats().share_adjustments,
+        share_adjustments,
         controller_enabled: p.controller_enabled,
         converged,
         overhead_pct,
@@ -397,6 +540,112 @@ pub fn run_overload(p: &SloParams) -> OverloadResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alps_core::AlpsScheduler;
+
+    fn two_tenants() -> (ProcId, ProcId, SloController) {
+        let mut s = AlpsScheduler::new(AlpsConfig::new(Nanos::from_millis(10)));
+        let a = s.add_process(4, Nanos::ZERO);
+        let b = s.add_process(4, Nanos::ZERO);
+        let ctl = SloController::new(
+            SloConfig::default(),
+            vec![
+                SloTarget {
+                    id: a,
+                    p95_target_ms: 100.0,
+                },
+                SloTarget {
+                    id: b,
+                    p95_target_ms: 100.0,
+                },
+            ],
+        );
+        (a, b, ctl)
+    }
+
+    #[test]
+    fn within_deadband_is_quiet() {
+        let (a, b, ctl) = two_tenants();
+        let adj = ctl.control(&[(a, Some(105.0), 4), (b, Some(95.0), 4)]);
+        assert!(adj.is_empty(), "±10% deadband, got {adj:?}");
+    }
+
+    #[test]
+    fn missing_the_slo_raises_the_share() {
+        let (a, b, ctl) = two_tenants();
+        // 100% over target with gain 0.5: factor 1.5, share 4 -> 6.
+        let adj = ctl.control(&[(a, Some(200.0), 4), (b, Some(100.0), 4)]);
+        assert_eq!(
+            adj,
+            vec![ShareAdjustment { id: a, share: 6 }],
+            "only the violator moves"
+        );
+    }
+
+    #[test]
+    fn beating_the_slo_lowers_the_share() {
+        let (a, _, ctl) = two_tenants();
+        // 60% under target: factor 1 - 0.3 = 0.7, share 10 -> 7.
+        let adj = ctl.control(&[(a, Some(40.0), 10)]);
+        assert_eq!(adj, vec![ShareAdjustment { id: a, share: 7 }]);
+    }
+
+    #[test]
+    fn step_and_range_clamps_hold() {
+        let (a, _, ctl) = two_tenants();
+        // Error 100x over: raw factor 1 + 0.5*99 huge, clamped to
+        // max_step 2.0; share 40 -> 64 (max_share), not 80.
+        let adj = ctl.control(&[(a, Some(10_000.0), 40)]);
+        assert_eq!(adj, vec![ShareAdjustment { id: a, share: 64 }]);
+        // Far under target at the floor: clamped to min_share.
+        let adj = ctl.control(&[(a, Some(0.001), 2)]);
+        assert_eq!(adj, vec![ShareAdjustment { id: a, share: 1 }]);
+    }
+
+    #[test]
+    fn starved_tenant_is_pushed_up_hard() {
+        let (a, _, ctl) = two_tenants();
+        let adj = ctl.control(&[(a, None, 3)]);
+        assert_eq!(adj, vec![ShareAdjustment { id: a, share: 6 }]);
+    }
+
+    #[test]
+    fn unobserved_tenants_are_left_alone() {
+        let (a, _, ctl) = two_tenants();
+        let adj = ctl.control(&[(a, Some(100.0), 4)]);
+        assert!(adj.is_empty());
+    }
+
+    #[test]
+    fn no_op_adjustments_are_suppressed() {
+        let (a, _, ctl) = two_tenants();
+        // Just outside the deadband but rounding lands on the same share.
+        let adj = ctl.control(&[(a, Some(112.0), 1)]);
+        assert!(adj.is_empty(), "rounded back to 1: {adj:?}");
+    }
+
+    /// `share_adjustments` counts exactly the moves the trajectories
+    /// show: summed over tenants, the changes along
+    /// `[initial_share, share_trajectory…]`.
+    #[test]
+    fn share_adjustments_match_the_share_trajectories() {
+        for enabled in [true, false] {
+            let mut p = SloParams::default().quick();
+            p.controller_enabled = enabled;
+            let r = run_slo(&p);
+            let moves: u64 = r
+                .tenants
+                .iter()
+                .map(|t| {
+                    let path: Vec<u64> = std::iter::once(t.initial_share)
+                        .chain(t.share_trajectory.iter().copied())
+                        .collect();
+                    path.windows(2).filter(|w| w[0] != w[1]).count() as u64
+                })
+                .sum();
+            assert_eq!(r.share_adjustments, moves, "controller on: {enabled}");
+            assert_eq!(moves > 0, enabled, "controller on: {enabled}");
+        }
+    }
 
     #[test]
     fn controller_converges_each_tenant_to_its_target() {

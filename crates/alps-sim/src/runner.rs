@@ -89,20 +89,11 @@ impl AlpsHandle {
     }
 
     /// Change a principal's share at runtime (e.g. when a mesh region
-    /// refines in the paper's scientific-application scenario).
+    /// refines in the paper's scientific-application scenario, or when
+    /// the SLO controller of [`experiments::slo`](crate::experiments::slo)
+    /// acts).
     pub fn set_share(&self, id: ProcId, share: u64) -> Result<(), StaleId> {
         self.shared.borrow_mut().engine.set_share(id, share)
-    }
-
-    /// Change a principal's share mid-run — the SLO controller's actuator.
-    /// Unlike [`Self::set_share`] it is counted and narrated by the
-    /// engine; a no-op (same share) leaves the engine's event stream and
-    /// counters untouched.
-    pub fn adjust_share(&self, id: ProcId, share: u64) -> Result<(), StaleId> {
-        self.shared
-            .borrow_mut()
-            .engine
-            .adjust_share(id, share, &mut NullSink)
     }
 
     /// Group membership refreshes performed.

@@ -241,7 +241,6 @@ fn hardened_runs_are_pinned() {
                 retries: 5,
                 reasserted: 1,
                 quarantined: 0,
-                share_adjustments: 0,
             },
             kernsim::FaultLog {
                 lost_signals: 9,
@@ -271,7 +270,6 @@ fn hardened_runs_are_pinned() {
                 retries: 546,
                 reasserted: 132,
                 quarantined: 4,
-                share_adjustments: 0,
             },
             kernsim::FaultLog::default(),
             2,
@@ -297,7 +295,6 @@ fn hardened_runs_are_pinned() {
                 retries: 0,
                 reasserted: 0,
                 quarantined: 6,
-                share_adjustments: 0,
             },
             kernsim::FaultLog {
                 failed_reads: 26,

@@ -1,105 +1,8 @@
-//! Additional synthetic process behaviors beyond the two built into
-//! `kernsim` ([`kernsim::ComputeBound`], [`kernsim::ComputeThenSleep`]).
+//! A synthetic process behavior beyond the two built into `kernsim`
+//! ([`kernsim::ComputeBound`], [`kernsim::ComputeThenSleep`]).
 
 use alps_core::Nanos;
-use kernsim::{Behavior, Sim, SimCtl, Step};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use crate::workload::{stream, LatencyProbe, Tenant, Workload};
-
-/// Randomized on/off behavior: computes for a uniformly random burst, then
-/// sleeps for a uniformly random interval. Used in robustness tests to
-/// exercise ALPS's I/O accounting with irregular blocking patterns (the
-/// paper's §3.3 pattern is periodic; real I/O is not).
-#[derive(Debug, Clone)]
-pub struct RandomOnOff {
-    burst_min: Nanos,
-    burst_max: Nanos,
-    sleep_min: Nanos,
-    sleep_max: Nanos,
-    rng: SmallRng,
-    sleeping_next: bool,
-}
-
-impl RandomOnOff {
-    /// Construct with burst and sleep ranges and a deterministic seed.
-    pub fn new(burst: (Nanos, Nanos), sleep: (Nanos, Nanos), seed: u64) -> Self {
-        assert!(
-            burst.0 > Nanos::ZERO && burst.1 >= burst.0,
-            "bad burst range"
-        );
-        assert!(
-            sleep.0 > Nanos::ZERO && sleep.1 >= sleep.0,
-            "bad sleep range"
-        );
-        RandomOnOff {
-            burst_min: burst.0,
-            burst_max: burst.1,
-            sleep_min: sleep.0,
-            sleep_max: sleep.1,
-            rng: SmallRng::seed_from_u64(seed),
-            sleeping_next: false,
-        }
-    }
-
-    fn draw(&mut self, lo: Nanos, hi: Nanos) -> Nanos {
-        if lo == hi {
-            lo
-        } else {
-            Nanos(self.rng.gen_range(lo.0..=hi.0))
-        }
-    }
-}
-
-impl Behavior for RandomOnOff {
-    fn on_ready(&mut self, _ctl: &mut SimCtl<'_>) -> Step {
-        if self.sleeping_next {
-            self.sleeping_next = false;
-            let d = self.draw(self.sleep_min, self.sleep_max);
-            Step::Sleep(d)
-        } else {
-            self.sleeping_next = true;
-            let d = self.draw(self.burst_min, self.burst_max);
-            Step::Compute(d)
-        }
-    }
-
-    fn name(&self) -> &str {
-        "random-onoff"
-    }
-}
-
-/// A pool of [`RandomOnOff`] processes as a [`Workload`] spec — the
-/// irregular-I/O tenant of the robustness experiments. Each member's RNG
-/// is seeded from an indexed stream off the tenant seed (the crate's
-/// stream-splitting rule), so pools never share advance order.
-#[derive(Debug, Clone)]
-pub struct OnOffPool {
-    /// Tenant name.
-    pub name: String,
-    /// Number of on/off processes.
-    pub procs: usize,
-    /// Burst range (min, max).
-    pub burst: (Nanos, Nanos),
-    /// Sleep range (min, max).
-    pub sleep: (Nanos, Nanos),
-    /// Tenant seed.
-    pub seed: u64,
-}
-
-impl Workload for OnOffPool {
-    fn spawn(&self, sim: &mut Sim) -> Tenant {
-        assert!(self.procs >= 1, "a pool needs processes");
-        let members = (0..self.procs)
-            .map(|i| {
-                let b = RandomOnOff::new(self.burst, self.sleep, stream(self.seed, 0x4F, i as u64));
-                sim.spawn(format!("{}-p{i}", self.name), Box::new(b))
-            })
-            .collect();
-        Tenant::new(self.name.clone(), members, Vec::new(), LatencyProbe::new())
-    }
-}
+use kernsim::{Behavior, SimCtl, Step};
 
 /// Computes a fixed total amount of CPU and then exits — models a batch job
 /// (e.g. one worker of the scientific application from the paper's intro).
@@ -140,29 +43,6 @@ impl Behavior for FiniteJob {
 mod tests {
     use super::*;
     use kernsim::{Sim, SimConfig};
-
-    #[test]
-    fn random_onoff_alternates_and_is_deterministic() {
-        let mk = || {
-            let mut sim = Sim::new(SimConfig::default());
-            let p = sim.spawn(
-                "r",
-                Box::new(RandomOnOff::new(
-                    (Nanos::from_millis(5), Nanos::from_millis(50)),
-                    (Nanos::from_millis(5), Nanos::from_millis(50)),
-                    42,
-                )),
-            );
-            sim.run_until(Nanos::from_secs(5));
-            sim.proc(p).unwrap().cputime()
-        };
-        let a = mk();
-        let b = mk();
-        assert_eq!(a, b, "same seed, same trace");
-        // On/off with symmetric ranges uses roughly half the CPU.
-        let frac = a.as_secs_f64() / 5.0;
-        assert!(frac > 0.3 && frac < 0.7, "duty cycle ~50%, got {frac}");
-    }
 
     #[test]
     fn finite_job_consumes_exactly_and_exits() {

@@ -8,8 +8,11 @@
 //!
 //! * [`shares`] — the Table-2 share distributions (linear/equal/skewed for
 //!   5/10/20 processes);
+//! * [`hierarchy`] — a static share *tree* (users → apps → processes),
+//!   flattened once into the per-process shares ALPS consumes (§5's
+//!   hierarchy; re-flattened by the caller when it changes);
 //! * [`behavior`] — synthetic process behaviors beyond `kernsim`'s
-//!   built-ins (randomized on/off I/O, finite batch jobs);
+//!   built-ins (finite batch jobs);
 //! * [`webserver`] — the §5 shared-web-server model: three saturated
 //!   bulletin-board sites whose worker pools compete for the CPU;
 //! * [`batch`] — fork-join stages with heterogeneous work (the intro's
@@ -29,6 +32,7 @@
 
 pub mod batch;
 pub mod behavior;
+pub mod hierarchy;
 pub mod replay;
 pub mod shares;
 pub mod traffic;
@@ -36,7 +40,8 @@ pub mod webserver;
 pub mod workload;
 
 pub use batch::BatchStage;
-pub use behavior::{FiniteJob, OnOffPool, RandomOnOff};
+pub use behavior::FiniteJob;
+pub use hierarchy::{NodeId, ShareTree};
 pub use replay::{parse_trace, OnEnd, Replay, Segment, TraceReplay};
 pub use shares::ShareModel;
 pub use traffic::{Arrivals, BestEffort, OpenLoop, STREAM_ARRIVAL, STREAM_CPU, STREAM_DB};

@@ -245,81 +245,4 @@ mod tests {
             s.mean_stretch
         );
     }
-
-    #[test]
-    fn replay_under_alps_is_bounded_by_its_share() {
-        // A greedy trace (all burst, no sleep) next to a spinner at 1:1.
-        let segs = vec![Segment {
-            burst: Nanos::from_millis(50),
-            sleep: Nanos::from_micros(100),
-        }];
-        let mut sim = Sim::new(SimConfig::default());
-        let r = sim.spawn("replay", Box::new(TraceReplay::new(segs, OnEnd::Loop)));
-        let s = sim.spawn("spin", Box::new(kernsim::ComputeBound));
-        alps_sim_spawn(&mut sim, &[(r, 1), (s, 1)]);
-        sim.run_until(Nanos::from_secs(20));
-        let fr = sim.proc(r).unwrap().cputime().as_secs_f64() / 20.0;
-        assert!(fr < 0.56, "replay got {fr} of the CPU at equal shares");
-    }
-
-    /// Local shim so `workloads` does not depend on `alps-sim` (which
-    /// depends on us): a minimal ALPS loop driven straight from a test.
-    fn alps_sim_spawn(sim: &mut Sim, procs: &[(kernsim::Pid, u64)]) {
-        use alps_core::{AlpsConfig, AlpsScheduler, Observation};
-        struct MiniAlps {
-            sched: AlpsScheduler,
-            map: Vec<(alps_core::ProcId, kernsim::Pid)>,
-            armed: bool,
-        }
-        impl Behavior for MiniAlps {
-            fn on_ready(&mut self, ctl: &mut SimCtl<'_>) -> Step {
-                if !self.armed {
-                    self.armed = true;
-                    for &(_, pid) in &self.map {
-                        ctl.sigstop(pid);
-                    }
-                    ctl.set_interval_timer(Nanos::from_millis(10));
-                    return Step::AwaitTimer;
-                }
-                let due = self.sched.begin_quantum();
-                let obs: Vec<_> = due
-                    .iter()
-                    .filter_map(|&id| {
-                        self.map.iter().find(|(i, _)| *i == id).map(|&(_, pid)| {
-                            (
-                                id,
-                                Observation {
-                                    total_cpu: ctl.cputime(pid),
-                                    blocked: ctl.is_blocked(pid),
-                                },
-                            )
-                        })
-                    })
-                    .collect();
-                let out = self.sched.complete_quantum(&obs);
-                for t in &out.transitions {
-                    if let Some(&(_, pid)) = self.map.iter().find(|(i, _)| *i == t.proc_id()) {
-                        match t {
-                            alps_core::Transition::Resume(_) => ctl.sigcont(pid),
-                            alps_core::Transition::Suspend(_) => ctl.sigstop(pid),
-                        }
-                    }
-                }
-                Step::AwaitTimer
-            }
-        }
-        let mut sched = AlpsScheduler::new(AlpsConfig::new(Nanos::from_millis(10)));
-        let map = procs
-            .iter()
-            .map(|&(pid, share)| (sched.add_process(share, Nanos::ZERO), pid))
-            .collect();
-        sim.spawn(
-            "mini-alps",
-            Box::new(MiniAlps {
-                sched,
-                map,
-                armed: false,
-            }),
-        );
-    }
 }

@@ -15,7 +15,8 @@
 //! * [`kernsim`] — a 4.4BSD-style kernel-scheduler simulator;
 //! * [`sim`] — ALPS running inside the simulator with the
 //!   paper's measured operation costs, and drivers for every experiment;
-//! * [`workloads`] — Table-2 share distributions and synthetic workloads;
+//! * [`workloads`] — Table-2 share distributions, the static share tree
+//!   ([`ShareTree`]) and synthetic workloads;
 //! * [`metrics`] — RMS error, regression, and the §4.2
 //!   breakdown-threshold analysis.
 //!
@@ -58,8 +59,9 @@ pub use alps_sim as sim;
 
 pub use alps_core::{
     AlpsConfig, AlpsScheduler, CycleEntry, CycleRecord, Engine, EngineStats, Event, EventSink,
-    Instrumentation, IoPolicy, Nanos, NodeId, NullSink, Observation, ProcId, RecordingSink,
-    ShareTree, Signal, Substrate, TraceSink, Transition,
+    Instrumentation, IoPolicy, Nanos, NullSink, Observation, ProcId, RecordingSink, Signal,
+    Substrate, TraceSink, Transition,
 };
 pub use alps_os::{Membership, SpinnerPool, Supervisor};
 pub use alps_sim::{spawn_alps, spawn_alps_principals, AlpsHandle, CostModel};
+pub use workloads::{NodeId, ShareTree};

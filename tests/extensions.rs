@@ -3,7 +3,7 @@
 use alps::{Nanos, ShareTree};
 use alps_sim::experiments::batch::{run_batch, BatchParams};
 use alps_sim::experiments::smp::{feasible_fractions, run_smp, SmpParams};
-use workloads::{parse_trace, OnEnd, TraceReplay};
+use workloads::{parse_trace, OnEnd, Segment, TraceReplay};
 
 #[test]
 fn smp_enforces_exact_ratios_by_throttling() {
@@ -97,6 +97,31 @@ fn share_tree_end_to_end_with_trace_replay() {
     assert!((fr[0] - 0.375).abs() < 0.03, "{fr:?}");
     assert!((fr[1] - 0.375).abs() < 0.03, "{fr:?}");
     assert!((fr[2] - 0.25).abs() < 0.03, "{fr:?}");
+}
+
+#[test]
+fn replay_under_alps_is_bounded_by_its_share() {
+    use alps::{AlpsConfig, CostModel};
+    use kernsim::{ComputeBound, Sim, SimConfig};
+
+    // A greedy trace (all burst, no sleep) next to a spinner at 1:1.
+    let segs = vec![Segment {
+        burst: Nanos::from_millis(50),
+        sleep: Nanos::from_micros(100),
+    }];
+    let mut sim = Sim::new(SimConfig::default());
+    let r = sim.spawn("replay", Box::new(TraceReplay::new(segs, OnEnd::Loop)));
+    let s = sim.spawn("spin", Box::new(ComputeBound));
+    alps::spawn_alps(
+        &mut sim,
+        "alps",
+        AlpsConfig::new(Nanos::from_millis(10)),
+        CostModel::paper(),
+        &[(r, 1), (s, 1)],
+    );
+    sim.run_until(Nanos::from_secs(20));
+    let fr = sim.proc(r).unwrap().cputime().as_secs_f64() / 20.0;
+    assert!(fr < 0.56, "replay got {fr} of the CPU at equal shares");
 }
 
 #[test]
