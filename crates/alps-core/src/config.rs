@@ -39,10 +39,9 @@ pub struct AlpsConfig {
     /// Enable the lazy-measurement optimization of §2.3: a process whose
     /// allowance is `a` quanta is not re-measured for `⌈a⌉` invocations.
     /// Disabling this yields the unoptimized baseline used in the §3.2
-    /// ablation (every eligible process measured every quantum). It also
-    /// decides how the due set is found: lazy deadlines are popped from
-    /// the deadline wheel in O(due); the eager baseline walks every
-    /// occupied slot, which it must read anyway.
+    /// ablation (every eligible process measured every quantum). Both
+    /// find the due set on the same deadline wheel; this switch only sets
+    /// how far ahead an eligible process's next measurement is filed.
     pub lazy_measurement: bool,
     /// Blocked-process accounting policy (§2.4).
     pub io_policy: IoPolicy,

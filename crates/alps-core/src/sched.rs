@@ -197,7 +197,7 @@ impl Bucket {
 /// now, plus at most one partly filled block per bucket (the chain's
 /// head). The pool allocates only when its free list is empty, a slab of
 /// [`SLAB`] blocks at a time, and never moves a block once allocated.
-/// Empty (no buckets) in eager mode, and after a checkpoint restore until
+/// Empty (no buckets) after a checkpoint restore until
 /// [`AlpsScheduler::index_wheel`] rebuilds it.
 #[derive(Debug, Clone)]
 struct WheelPool {
@@ -325,7 +325,7 @@ pub struct AlpsScheduler {
     count: u64,
     /// Completed-cycle counter.
     cycles_completed: u64,
-    /// The hierarchical deadline wheel (lazy mode):
+    /// The hierarchical deadline wheel:
     /// `WHEEL_LEVELS × WHEEL_SLOTS` buckets, level-major
     /// (bucket `level * WHEEL_SLOTS + slot`). An entry due at invocation
     /// `d` lives at the level of the highest bit where `d` and the
@@ -339,7 +339,7 @@ pub struct AlpsScheduler {
     /// use after a restore.
     #[serde(skip)]
     wheel: WheelPool,
-    /// Due list saved by the last `begin_quantum` (wheel mode). Popping a
+    /// Due list saved by the last `begin_quantum`. Popping a
     /// wheel entry consumes it, so `complete_quantum` must reschedule
     /// exactly these slots even if the backend supplied no observation for
     /// some of them.
@@ -421,11 +421,6 @@ impl AlpsScheduler {
     /// Create a scheduler with no processes.
     pub fn new(cfg: AlpsConfig) -> Self {
         assert!(cfg.quantum > Nanos::ZERO, "quantum must be positive");
-        let wheel = if cfg.lazy_measurement {
-            WheelPool::with_buckets(WHEEL_LEVELS * WHEEL_SLOTS as usize)
-        } else {
-            WheelPool::default()
-        };
         AlpsScheduler {
             slots: Vec::new(),
             cfg,
@@ -437,21 +432,13 @@ impl AlpsScheduler {
             tc: 0.0,
             count: 0,
             cycles_completed: 0,
-            wheel,
+            wheel: WheelPool::with_buckets(WHEEL_LEVELS * WHEEL_SLOTS as usize),
             pending: Vec::new(),
             dirty: Vec::new(),
             eligible_count: 0,
             examined: Vec::new(),
             bits: PosBitmap::default(),
         }
-    }
-
-    /// Whether the wheel drives due-set discovery. The wheel indexes lazy
-    /// deadlines; the eager baseline (every eligible process due every
-    /// quantum) has none, and walks the occupied slots instead.
-    #[inline]
-    fn use_wheel(&self) -> bool {
-        self.cfg.lazy_measurement
     }
 
     /// Bucket index for an entry due at invocation `deadline`, relative to
@@ -494,8 +481,17 @@ impl AlpsScheduler {
     /// `pending` are skipped: they were popped, and the next
     /// `begin_quantum` or `complete_quantum` reschedules them. O(1) unless
     /// a rebuild is owed.
+    ///
+    /// An eager checkpoint may predate the eager wheel: it has no
+    /// `pending` or `dirty` entries, because the baseline once walked
+    /// every slot in both phases, and its deadlines are `count + ⌈a⌉`.
+    /// In eager mode the rebuild therefore brings every eligible slot's
+    /// deadline to the next invocation at the latest, and marks dirty
+    /// every eligible slot and every slot never examined (a process
+    /// added since, still ineligible with `update == 0`), so the next
+    /// repartition examines all that the walk would have.
     fn index_wheel(&mut self) {
-        if !self.use_wheel() || !self.wheel.buckets.is_empty() {
+        if !self.wheel.buckets.is_empty() {
             return;
         }
         self.wheel = WheelPool::with_buckets(WHEEL_LEVELS * WHEEL_SLOTS as usize);
@@ -504,15 +500,20 @@ impl AlpsScheduler {
             popped[i as usize] = true;
         }
         let next = self.count + 1;
+        let eager = !self.cfg.lazy_measurement;
         for &i in &self.occupied {
-            let slot = &self.slots[i as usize];
-            match &slot.state {
-                Some(s) if s.eligible && !popped[i as usize] => {
-                    let bucket = Self::wheel_bucket(self.count, s.update.max(next));
-                    let key = slot.wheel_key;
-                    self.wheel.push(bucket, WheelEntry { idx: i, key });
-                }
-                _ => {}
+            let slot = &mut self.slots[i as usize];
+            let Some(s) = slot.state.as_mut() else {
+                continue;
+            };
+            if eager && (s.eligible || s.update == 0) {
+                s.update = s.update.min(next);
+                self.dirty.push(i);
+            }
+            if s.eligible && !popped[i as usize] {
+                let bucket = Self::wheel_bucket(self.count, s.update.max(next));
+                let key = slot.wheel_key;
+                self.wheel.push(bucket, WheelEntry { idx: i, key });
             }
         }
     }
@@ -616,12 +617,10 @@ impl AlpsScheduler {
             }
         };
         // The new process starts ineligible with `update = 0`: the next
-        // repartition must examine it to emit its initial `Resume`. Under
-        // the wheel that repartition only walks `pending ∪ dirty`, so
+        // repartition must examine it to emit its initial `Resume`. Off a
+        // cycle boundary that repartition only walks `pending ∪ dirty`, so
         // record the obligation here.
-        if self.use_wheel() {
-            self.dirty.push(id.idx);
-        }
+        self.dirty.push(id.idx);
         id
     }
 
@@ -691,18 +690,16 @@ impl AlpsScheduler {
         let allowance_delta = state.allowance - old_allowance;
         self.total_shares = self.total_shares - old + share;
         self.tc += allowance_delta * q;
-        if self.use_wheel() {
-            // The forced `update = 0` must surface through the wheel: an
-            // eligible process needs a pop at the very next invocation
-            // (superseding its previously indexed deadline), and the next
-            // repartition must examine the slot even if it runs before any
-            // `begin_quantum` does (complete-without-begin reschedules it
-            // exactly like the full walk would).
-            self.dirty.push(id.idx);
-            if eligible {
-                let deadline = self.count + 1;
-                self.wheel_insert(id.idx, deadline);
-            }
+        // The forced `update = 0` must surface through the wheel: an
+        // eligible process needs a pop at the very next invocation
+        // (superseding its previously indexed deadline), and the next
+        // repartition must examine the slot even if it runs before any
+        // `begin_quantum` does (complete-without-begin reschedules it
+        // exactly like the full walk would).
+        self.dirty.push(id.idx);
+        if eligible {
+            let deadline = self.count + 1;
+            self.wheel_insert(id.idx, deadline);
         }
         Ok(())
     }
@@ -750,106 +747,91 @@ impl AlpsScheduler {
     /// Allocation-free [`Self::begin_quantum`]: clears `due` and fills it
     /// with the processes whose progress must be measured this quantum.
     ///
-    /// With lazy measurement this pops the invocation's level-0
-    /// deadline-wheel slot (after cascading any upper-level slot whose
-    /// window just opened) and orders the due slots by marking their
-    /// `occupied` positions in a bitmap — O(due + N/4096) plus at most one
-    /// touch per wheel level per parked slot over its whole wait. The eager
-    /// baseline walks every occupied slot. Both return ids in registration
-    /// order.
+    /// This pops the invocation's level-0 deadline-wheel slot (after
+    /// cascading any upper-level slot whose window just opened) and orders
+    /// the due slots by marking their `occupied` positions in a bitmap —
+    /// O(due + N/4096) plus at most one touch per wheel level per parked
+    /// slot over its whole wait — and returns ids in registration order.
+    /// The eager baseline runs on the same wheel: its eligible processes
+    /// are simply due again at the next invocation.
     pub fn begin_quantum_into(&mut self, due: &mut Vec<ProcId>) {
         due.clear();
         self.index_wheel();
         self.count += 1;
         let count = self.count;
-        if self.use_wheel() {
-            // The due set is marked by `occupied` position in `bits` and
-            // read back in position (= registration) order at the end.
-            self.bits.fit(self.occupied.len());
-            // Entries popped by an earlier `begin_quantum` whose invocation
-            // was never completed are still due (only `complete_quantum`
-            // reschedules); fold them back in before draining this bucket.
-            for k in 0..self.pending.len() {
-                let idx = self.pending[k];
-                let slot = &self.slots[idx as usize];
-                let Some(s) = slot.state.as_ref() else {
-                    continue;
-                };
-                if !s.eligible {
-                    continue;
-                }
-                if s.update > count {
-                    let deadline = s.update;
-                    self.wheel_insert(idx, deadline);
-                } else {
-                    self.bits.insert(slot.pos);
-                }
-            }
-            self.pending.clear();
-            let AlpsScheduler {
-                slots, wheel, bits, ..
-            } = self;
-            // An entry is live, with the slot's position and deadline, only
-            // while its key matches the slot's nonce (otherwise it was
-            // superseded, or the slot was vacated or reused) and the slot
-            // is eligible.
-            let live = |e: WheelEntry| {
-                let slot = &slots[e.idx as usize];
-                let s = slot.state.as_ref();
-                let s = s.filter(|s| slot.wheel_key == e.key && s.eligible)?;
-                Some((slot.pos, s.update))
+        // The due set is marked by `occupied` position in `bits` and
+        // read back in position (= registration) order at the end.
+        self.bits.fit(self.occupied.len());
+        // Entries popped by an earlier `begin_quantum` whose invocation
+        // was never completed are still due (only `complete_quantum`
+        // reschedules); fold them back in before draining this bucket.
+        for k in 0..self.pending.len() {
+            let idx = self.pending[k];
+            let slot = &self.slots[idx as usize];
+            let Some(s) = slot.state.as_ref() else {
+                continue;
             };
-            // Cascade: whenever the counter crosses a level-`l` window
-            // boundary (its low `6·l` bits are zero), the upper-level slot
-            // covering the next window spills downward — each entry refiles
-            // (keeping its key) at the exact level the XOR rule now assigns
-            // it. Ascending order is safe: a live refiled entry has
-            // `deadline > count`, and with `count` aligned its target slot
-            // at any lower level is strictly above the index-0 slot those
-            // levels cascade from, so nothing lands in an already-drained
-            // bucket.
-            let mut level = 1;
-            while level < WHEEL_LEVELS && count & ((1u64 << (WHEEL_BITS * level as u32)) - 1) == 0 {
-                let slot = ((count >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS - 1)) as usize;
-                wheel.drain(level * WHEEL_SLOTS as usize + slot, |e| {
-                    live(e).map(|(_, update)| Self::wheel_bucket(count, update))
-                });
-                level += 1;
+            if !s.eligible {
+                continue;
             }
-            // Drain the level-0 slot for this invocation. Deadlines beyond
-            // the wheel's span were clamped to the top of the window and
-            // are re-filed here (keeping their key) as the window advances.
-            wheel.drain((count & (WHEEL_SLOTS - 1)) as usize, |e| {
-                let (pos, update) = live(e)?;
-                if update > count {
-                    return Some(Self::wheel_bucket(count, update));
-                }
-                bits.insert(pos);
-                None
-            });
-            // Report in registration order, each slot once.
-            self.bits.drain(|p| {
-                let i = self.occupied[p as usize];
-                self.pending.push(i);
-                due.push(ProcId {
-                    idx: i,
-                    generation: self.slots[i as usize].generation,
-                });
-            });
-        } else {
-            for &i in &self.occupied {
-                let slot = &self.slots[i as usize];
-                let Some(s) = slot.state.as_ref() else {
-                    continue;
-                };
-                if s.eligible {
-                    due.push(ProcId {
-                        idx: i,
-                        generation: slot.generation,
-                    });
-                }
+            if s.update > count {
+                let deadline = s.update;
+                self.wheel_insert(idx, deadline);
+            } else {
+                self.bits.insert(slot.pos);
             }
         }
+        self.pending.clear();
+        let AlpsScheduler {
+            slots, wheel, bits, ..
+        } = self;
+        // An entry is live, with the slot's position and deadline, only
+        // while its key matches the slot's nonce (otherwise it was
+        // superseded, or the slot was vacated or reused) and the slot
+        // is eligible.
+        let live = |e: WheelEntry| {
+            let slot = &slots[e.idx as usize];
+            let s = slot.state.as_ref();
+            let s = s.filter(|s| slot.wheel_key == e.key && s.eligible)?;
+            Some((slot.pos, s.update))
+        };
+        // Cascade: whenever the counter crosses a level-`l` window
+        // boundary (its low `6·l` bits are zero), the upper-level slot
+        // covering the next window spills downward — each entry refiles
+        // (keeping its key) at the exact level the XOR rule now assigns
+        // it. Ascending order is safe: a live refiled entry has
+        // `deadline > count`, and with `count` aligned its target slot
+        // at any lower level is strictly above the index-0 slot those
+        // levels cascade from, so nothing lands in an already-drained
+        // bucket.
+        let mut level = 1;
+        while level < WHEEL_LEVELS && count & ((1u64 << (WHEEL_BITS * level as u32)) - 1) == 0 {
+            let slot = ((count >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS - 1)) as usize;
+            wheel.drain(level * WHEEL_SLOTS as usize + slot, |e| {
+                live(e).map(|(_, update)| Self::wheel_bucket(count, update))
+            });
+            level += 1;
+        }
+        // Drain the level-0 slot for this invocation. Deadlines beyond
+        // the wheel's span were clamped to the top of the window and
+        // are re-filed here (keeping their key) as the window advances.
+        wheel.drain((count & (WHEEL_SLOTS - 1)) as usize, |e| {
+            let (pos, update) = live(e)?;
+            if update > count {
+                return Some(Self::wheel_bucket(count, update));
+            }
+            bits.insert(pos);
+            None
+        });
+        // Report in registration order, each slot once.
+        self.bits.drain(|p| {
+            let i = self.occupied[p as usize];
+            self.pending.push(i);
+            due.push(ProcId {
+                idx: i,
+                generation: self.slots[i as usize].generation,
+            });
+        });
     }
 
     /// Complete the invocation started by [`Self::begin_quantum`], applying
@@ -923,7 +905,7 @@ impl AlpsScheduler {
 
         // Repartition loop: credit shares, flip eligibility, schedule the
         // next measurement of every process measured this invocation.
-        if self.use_wheel() && !cycle_completed {
+        if !cycle_completed {
             // Off-boundary, only the slots measured this invocation
             // (`pending`) plus those whose `update` was forced due outside
             // an invocation (`dirty`) can need attention: every other
@@ -962,8 +944,7 @@ impl AlpsScheduler {
         } else {
             // Cycle boundaries credit every slot's allowance (and reset its
             // forfeit flag), so the full walk is inherent (it is O(N) once
-            // per cycle, not per quantum). The eager baseline does it
-            // every quantum.
+            // per cycle, not per quantum).
             self.pending.clear();
             self.dirty.clear();
             for k in 0..self.occupied.len() {
@@ -990,7 +971,7 @@ impl AlpsScheduler {
     /// invocation.
     fn repartition_slot(&mut self, i: usize, credit: bool, transitions: &mut Vec<Transition>) {
         let count = self.count;
-        let use_wheel = self.use_wheel();
+        let lazy = self.cfg.lazy_measurement;
         // Disjoint field borrows: the slot's state is mutated while the
         // eligibility counter and the wheel buckets are updated alongside.
         let AlpsScheduler {
@@ -1028,12 +1009,15 @@ impl AlpsScheduler {
         if s.update <= count {
             // A process with allowance a cannot become ineligible in
             // fewer than ⌈a⌉ quanta, so the next measurement can wait
-            // that long (§2.3). Ineligible processes get update ≤ count
+            // that long (§2.3); the §3.2 baseline measures it at the next
+            // invocation instead. Ineligible processes get update ≤ count
             // and are re-examined as soon as they are eligible again. (A
             // share near `u64::MAX` waits past the counter's range: the
             // deadline saturates instead of wrapping into the past.)
-            s.update = count.saturating_add(ceil_quanta(s.allowance));
-            if use_wheel && s.eligible {
+            let wait = ceil_quanta(s.allowance);
+            let wait = if lazy { wait } else { wait.min(1) };
+            s.update = count.saturating_add(wait);
+            if s.eligible {
                 // Index the new deadline (inlined `wheel_insert`; `s`
                 // holds a borrow into `slots`). Eligible implies
                 // allowance > 0, so `⌈allowance⌉ >= 1` and the deadline
@@ -1616,9 +1600,7 @@ mod tests {
             s.eligible_count, eligible,
             "eligible_count disagrees with a scan"
         );
-        if s.use_wheel() {
-            assert_wheel_consistent(s);
-        }
+        assert_wheel_consistent(s);
     }
 
     /// The wheel's pool accounting and reachability: every block is in
@@ -1690,12 +1672,13 @@ mod tests {
 
         /// Random add/remove/quantum churn keeps the O(1) slot indexes
         /// exactly consistent with a brute-force scan of every slot, and
-        /// `proc_ids` reporting exactly the live processes.
+        /// `proc_ids` reporting exactly the live processes, lazy or eager.
         #[test]
         fn slot_index_churn_stays_consistent(
+            lazy in proptest::prelude::any::<bool>(),
             ops in proptest::collection::vec((0u8..4, 0usize..16, 1u64..6), 1..80),
         ) {
-            let mut s = AlpsScheduler::new(cfg_ms(10));
+            let mut s = AlpsScheduler::new(cfg_ms(10).with_lazy_measurement(lazy));
             let mut live: Vec<ProcId> = Vec::new();
             let mut clock = 0u64;
             for (op, pick, share) in ops {
@@ -1768,12 +1751,18 @@ mod tests {
 
     /// A checkpoint carries no wheel; the restored scheduler rebuilds it
     /// from the slots on first use. At 6 000 members after churn, with
-    /// deadlines parked above level 0, two restored copies — one taken
+    /// lazy deadlines parked above level 0, two restored copies — one taken
     /// mid-quantum, one between quanta just after a share change forced an
     /// eligible member due — come due and transition exactly like the
-    /// original for 200 quanta.
+    /// original for 200 quanta, lazy or eager.
     #[test]
     fn a_restored_wheel_reproduces_the_original() {
+        for lazy in [true, false] {
+            restored_wheel_reproduces_the_original(lazy);
+        }
+    }
+
+    fn restored_wheel_reproduces_the_original(lazy: bool) {
         fn restore(s: &AlpsScheduler) -> AlpsScheduler {
             let json = serde_json::to_string(s).expect("serialize");
             assert!(!json.contains("wheel\":["), "the wheel is not serialized");
@@ -1781,7 +1770,7 @@ mod tests {
             assert!(r.wheel.buckets.is_empty(), "rebuilt only on use");
             r
         }
-        let mut original = AlpsScheduler::new(cfg_ms(10));
+        let mut original = AlpsScheduler::new(cfg_ms(10).with_lazy_measurement(lazy));
         let mut live: Vec<ProcId> = (0..6_000u64)
             .map(|i| original.add_process(1 + i % 200, Nanos::ZERO))
             .collect();
@@ -1793,7 +1782,7 @@ mod tests {
             .iter()
             .filter(|b| b.head != NIL)
             .count();
-        assert!(parked > 0, "no deadline parked above level 0");
+        assert!(!lazy || parked > 0, "no deadline parked above level 0");
 
         // Mid-quantum: the due set popped, a share changed in between.
         let due = original.begin_quantum();

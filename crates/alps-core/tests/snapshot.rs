@@ -1,7 +1,9 @@
 //! Checkpoint/restore: a serialized scheduler must behave identically to
 //! the original after restore, mid-cycle state included.
 
-use alps_core::{AlpsConfig, AlpsScheduler, Nanos, Observation, ProcId, QuantumOutcome};
+use alps_core::{
+    AlpsConfig, AlpsScheduler, Nanos, Observation, ProcId, QuantumOutcome, Transition,
+};
 
 fn obs(id: ProcId, ms: u64) -> (ProcId, Observation) {
     (
@@ -219,4 +221,171 @@ fn a_checkpoint_with_per_cycle_counters_still_restores() {
         serde_json::to_string(&restored).unwrap(),
         serde_json::to_string(&fresh).unwrap()
     );
+}
+
+/// The eager scheduler behind [`EAGER_BETWEEN`] and [`EAGER_MID`]: four
+/// members run seven quanta of [`churn_quantum`] with lazy measurement off.
+/// Returns the scheduler and its live ids.
+fn eager_recipe() -> (AlpsScheduler, Vec<ProcId>) {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false);
+    let mut s = AlpsScheduler::new(cfg);
+    let mut live: Vec<ProcId> = (0..4)
+        .map(|i| s.add_process(2 + 3 * i, Nanos::ZERO))
+        .collect();
+    for k in 0..7 {
+        churn_quantum(&mut s, &mut live, k);
+    }
+    (s, live)
+}
+
+/// One quantum as `due/transitions`, ids by slot index (`.g` for a
+/// reused slot's generation), `+` resume, `-` suspend, `*` a cycle end.
+fn describe(due: &[ProcId], out: &QuantumOutcome) -> String {
+    let id = |p: ProcId| match p.generation() {
+        0 => p.index().to_string(),
+        g => format!("{}.{g}", p.index()),
+    };
+    let due: Vec<String> = due.iter().map(|&p| id(p)).collect();
+    let mut s = format!("{}/", due.join(","));
+    for t in &out.transitions {
+        match *t {
+            Transition::Resume(p) => s += &format!("+{}", id(p)),
+            Transition::Suspend(p) => s += &format!("-{}", id(p)),
+        }
+    }
+    if out.cycle_completed {
+        s.push('*');
+    }
+    s
+}
+
+/// Quanta `first..first + n` of [`churn_quantum`], described.
+fn replay(s: &mut AlpsScheduler, live: &mut Vec<ProcId>, first: u64, n: u64) -> Vec<String> {
+    (first..first + n)
+        .map(|k| {
+            let (due, out) = churn_quantum(s, live, k);
+            describe(&due, &out)
+        })
+        .collect()
+}
+
+/// An eager checkpoint written before the eager baseline ran on the
+/// deadline wheel: [`eager_recipe`], then a share change and a new member
+/// between quanta. It has no `pending` or `dirty` entries, and its
+/// deadlines are `count + ⌈a⌉`.
+const EAGER_BETWEEN: &str = concat!(
+    r#"{"cfg":{"quantum":10000000,"lazy_measurement":false,"io_policy":"OneQuantumPenalty","rec"#,
+    r#"ord_cycles":false},"slots":[{"generation":0,"state":{"share":2,"allowance":0.19999999999"#,
+    r#"999984,"eligible":true,"update":8,"last_cpu":18000000,"forfeited":false},"listed":true,""#,
+    r#"pos":0,"wheel_key":0},{"generation":0,"state":{"share":5,"allowance":3.1000000000000005,"#,
+    r#""eligible":true,"update":0,"last_cpu":19000000,"forfeited":false},"listed":true,"pos":1,"#,
+    r#""wheel_key":0},{"generation":0,"state":{"share":3,"allowance":1.3125000000000002,"eligib"#,
+    r#"le":true,"update":8,"last_cpu":20000000,"forfeited":false},"listed":true,"pos":2,"wheel_"#,
+    r#"key":0},{"generation":0,"state":{"share":11,"allowance":8.899999999999997,"eligible":tru"#,
+    r#"e,"update":12,"last_cpu":21000000,"forfeited":false},"listed":true,"pos":3,"wheel_key":0"#,
+    r#"},{"generation":0,"state":{"share":2,"allowance":0.09999999999999998,"eligible":true,"up"#,
+    r#"date":8,"last_cpu":22000000,"forfeited":false},"listed":true,"pos":4,"wheel_key":0},{"ge"#,
+    r#"neration":0,"state":{"share":1,"allowance":0.19999999999999996,"eligible":true,"update":"#,
+    r#"8,"last_cpu":23000000,"forfeited":false},"listed":true,"pos":5,"wheel_key":0},{"generati"#,
+    r#"on":0,"state":{"share":2,"allowance":2,"eligible":false,"update":0,"last_cpu":40000000,""#,
+    r#"forfeited":false},"listed":true,"pos":6,"wheel_key":0}],"free":[],"occupied":[0,1,2,3,4,"#,
+    r#"5,6],"vacated":0,"live":7,"total_shares":26,"tc":158125000,"count":7,"cycles_completed":"#,
+    r#"0,"pending":[],"dirty":[],"eligible_count":6,"examined":[]}"#,
+);
+
+/// What the scheduler that wrote [`EAGER_BETWEEN`] did in its next 64
+/// quanta of [`churn_quantum`], as [`describe`]d.
+const EAGER_BETWEEN_REPLAY: &str = concat!(
+    "0,1,2,3,4,5/-4-5+6 0,1,2,3,6/ 0,1,2,3,6/-0+7 1,2,3,6,7/ 1,2,3,6,7/-2 1,3,6,7/ ",
+    "1,3,6,7/+8 1,3,6,7,8/ 1,3,6,7,8/ 1,3,7,8/ 1,3,7,8/-1+6.1 3,6.1,7,8/ 3,6.1,7,8/ ",
+    "3,6.1,7,8/ 3,6.1,7,8/+0.1 0.1,3,6.1,7,8/ 0.1,3,6.1,7,8/ 0.1,3,6.1,7,8/-7 ",
+    "0.1,3,6.1/+8.1 0.1,3,6.1,8.1/-8.1 0.1,3,6.1/ 0.1,3,6.1/-0.1 3,6.1/+1.1 1.1,3,6.1/ ",
+    "1.1,3,6.1/ 1.1,3,6.1/ 1.1,3,6.1/+5.1 1.1,3,5.1,6.1/ 1.1,3,5.1,6.1/ 1.1,3,5.1,6.1/-3 ",
+    "1.1,5.1,6.1/+2.1 1.1,2.1,5.1,6.1/ 1.1,2.1,5.1,6.1/ 1.1,2.1,5.1/ 1.1,2.1,5.1/+6.2 ",
+    "1.1,2.1,5.1,6.2/ 1.1,2.1,6.2/ 1.1,2.1,6.2/ 1.1,2.1,6.2/+5.2 ",
+    "1.1,2.1,5.2,6.2/+0.1+3+4+7+8.1* 0.1,1.1,2.1,3,4,5.2,6.2,7,8.1/-0.1-4-7-8.1* ",
+    "1.1,2.1,3,5.2,6.2/ 1.1,2.1,3,5.2,6.2/+0.2 0.2,1.1,2.1,3,5.2,6.2/ ",
+    "0.2,1.1,2.1,3,5.2,6.2/ 0.2,1.1,2.1,3,5.2/ 0.2,1.1,2.1,3,5.2/+6.3 ",
+    "0.2,1.1,2.1,3,5.2,6.3/-5.2 0.2,1.1,2.1,6.3/ 0.2,1.1,2.1,6.3/ ",
+    "0.2,1.1,2.1,6.3/+3.1+5.2+7* 0.2,1.1,2.1,3.1,5.2,6.3,7/-5.2-7 0.2,1.1,2.1,3.1,6.3/ ",
+    "0.2,1.1,2.1,3.1,6.3/ 1.1,2.1,3.1,6.3/+0.3 0.3,1.1,2.1,3.1,6.3/ 0.3,1.1,2.1,3.1,6.3/ ",
+    "0.3,1.1,2.1,3.1,6.3/ 0.3,1.1,2.1,3.1,6.3/+4.1 0.3,1.1,2.1,3.1,4.1,6.3/ ",
+    "0.3,1.1,3.1,4.1,6.3/ 0.3,1.1,3.1,4.1,6.3/-4.1 0.3,1.1,3.1,6.3/+2.2 ",
+    "0.3,1.1,2.2,3.1,6.3/",
+);
+
+/// An eager checkpoint written like [`EAGER_BETWEEN`], but between the
+/// `begin_quantum` and the `complete_quantum` of the quantum after
+/// [`eager_recipe`].
+const EAGER_MID: &str = concat!(
+    r#"{"cfg":{"quantum":10000000,"lazy_measurement":false,"io_policy":"OneQuantumPenalty","rec"#,
+    r#"ord_cycles":false},"slots":[{"generation":0,"state":{"share":2,"allowance":0.19999999999"#,
+    r#"999984,"eligible":true,"update":8,"last_cpu":18000000,"forfeited":false},"listed":true,""#,
+    r#"pos":0,"wheel_key":0},{"generation":0,"state":{"share":5,"allowance":3.1000000000000005,"#,
+    r#""eligible":true,"update":10,"last_cpu":19000000,"forfeited":false},"listed":true,"pos":1"#,
+    r#","wheel_key":0},{"generation":0,"state":{"share":3,"allowance":1.3125000000000002,"eligi"#,
+    r#"ble":true,"update":8,"last_cpu":20000000,"forfeited":false},"listed":true,"pos":2,"wheel"#,
+    r#"_key":0},{"generation":0,"state":{"share":11,"allowance":8.899999999999997,"eligible":tr"#,
+    r#"ue,"update":12,"last_cpu":21000000,"forfeited":false},"listed":true,"pos":3,"wheel_key":"#,
+    r#"0},{"generation":0,"state":{"share":2,"allowance":0.09999999999999998,"eligible":true,"u"#,
+    r#"pdate":8,"last_cpu":22000000,"forfeited":false},"listed":true,"pos":4,"wheel_key":0},{"g"#,
+    r#"eneration":0,"state":{"share":1,"allowance":0.19999999999999996,"eligible":true,"update""#,
+    r#":8,"last_cpu":23000000,"forfeited":false},"listed":true,"pos":5,"wheel_key":0}],"free":["#,
+    r#"],"occupied":[0,1,2,3,4,5],"vacated":0,"live":6,"total_shares":24,"tc":138125000,"count""#,
+    r#":8,"cycles_completed":0,"pending":[],"dirty":[],"eligible_count":6,"examined":[]}"#,
+);
+
+/// What the scheduler that wrote [`EAGER_MID`] did in its next 64 quanta:
+/// the one it was in, completed, and 63 of [`churn_quantum`].
+const EAGER_MID_REPLAY: &str = concat!(
+    "0,1,2,3,4,5/-0-4-5 1,2,3/ 1,2,3/+6 1,2,3,6/ 1,2,3,6/-2 1,3,6/ 1,3,6/+7 1,3,6,7/ ",
+    "1,3,6,7/ 1,3,6,7/ 1,3,6,7/-1+8 3,6,7,8/ 3,6,7,8/ 3,6,7,8/ 3,6,7,8/+0.1 0.1,3,6,7,8/ ",
+    "0.1,3,6,7,8/ 0.1,3,6,7,8/-6 0.1,3,8/+7.1 0.1,3,7.1,8/-7.1 0.1,3,8/ 0.1,3,8/-0.1 ",
+    "3,8/+1.1 1.1,3,8/ 1.1,3,8/ 1.1,3,8/ 1.1,3,8/+5.1 1.1,3,5.1,8/ 1.1,3,5.1,8/ ",
+    "1.1,3,5.1,8/-3 1.1,5.1,8/+2.1 1.1,2.1,5.1,8/ 1.1,2.1,5.1,8/ 1.1,2.1,5.1/ ",
+    "1.1,2.1,5.1/+8.1 1.1,2.1,5.1,8.1/ 1.1,2.1,8.1/ 1.1,2.1,8.1/ 1.1,2.1,8.1/+5.2-8.1 ",
+    "1.1,2.1,5.2/+0.1+3+4+6+7.1+8.1* 0.1,1.1,2.1,3,4,5.2,6,7.1,8.1/-0.1-4-6-7.1* ",
+    "1.1,2.1,3,5.2,8.1/ 1.1,2.1,3,5.2,8.1/+0.2 0.2,1.1,2.1,3,5.2,8.1/ ",
+    "0.2,1.1,2.1,3,5.2,8.1/ 0.2,1.1,2.1,3,5.2/ 0.2,1.1,2.1,3,5.2/+8.2 ",
+    "0.2,1.1,2.1,3,5.2,8.2/-5.2 0.2,1.1,2.1,8.2/ 0.2,1.1,2.1,8.2/ ",
+    "0.2,1.1,2.1,8.2/+3.1+5.2+6* 0.2,1.1,2.1,3.1,5.2,6,8.2/-5.2-6 0.2,1.1,2.1,3.1,8.2/ ",
+    "0.2,1.1,2.1,3.1,8.2/ 1.1,2.1,3.1,8.2/+0.3 0.3,1.1,2.1,3.1,8.2/ 0.3,1.1,2.1,3.1,8.2/ ",
+    "0.3,1.1,2.1,3.1,8.2/ 0.3,1.1,2.1,3.1,8.2/+4.1 0.3,1.1,2.1,3.1,4.1,8.2/ ",
+    "0.3,1.1,3.1,4.1,8.2/ 0.3,1.1,3.1,4.1,8.2/-4.1 0.3,1.1,3.1,8.2/+2.2 ",
+    "0.3,1.1,2.2,3.1,8.2/",
+);
+
+/// Restore `json` and check it holds the members `live` lists, in order.
+fn restore_eager(json: &str, live: &[ProcId]) -> AlpsScheduler {
+    let s: AlpsScheduler = serde_json::from_str(json).expect("deserialize");
+    assert_eq!(s.proc_ids().collect::<Vec<_>>(), live);
+    s
+}
+
+#[test]
+fn an_eager_checkpoint_between_quanta_replays_as_written() {
+    let (mut fresh, mut live) = eager_recipe();
+    let id = live[1];
+    fresh.set_share(id, 5).expect("live id");
+    live.push(fresh.add_process(2, Nanos::from_millis(40)));
+    let mut restored = restore_eager(EAGER_BETWEEN, &live);
+    let want: Vec<&str> = EAGER_BETWEEN_REPLAY.split(' ').collect();
+    let mut live_r = live.clone();
+    assert_eq!(replay(&mut restored, &mut live_r, 7, 64), want);
+    assert_eq!(replay(&mut fresh, &mut live, 7, 64), want);
+}
+
+#[test]
+fn an_eager_checkpoint_mid_quantum_replays_as_written() {
+    let (mut fresh, live) = eager_recipe();
+    let due = fresh.begin_quantum();
+    let mut restored = restore_eager(EAGER_MID, &live);
+    let want: Vec<&str> = EAGER_MID_REPLAY.split(' ').collect();
+    for s in [&mut restored, &mut fresh] {
+        let mut live = live.clone();
+        let out = complete(s, &due, 7);
+        let mut got = vec![describe(&due, &out)];
+        got.extend(replay(s, &mut live, 8, 63));
+        assert_eq!(got, want);
+    }
 }

@@ -58,15 +58,6 @@ impl Summary {
             max,
         }
     }
-
-    /// Relative spread `stddev / |mean|`; zero when the mean is zero.
-    pub fn rel_spread(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean.abs()
-        }
-    }
 }
 
 #[cfg(test)]

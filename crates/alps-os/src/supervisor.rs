@@ -313,7 +313,12 @@ impl Supervisor {
     /// Take control of `pid` with the given share. The process is suspended
     /// immediately (it starts in the ineligible group per §2.2 and becomes
     /// eligible at the next quantum).
+    ///
+    /// # Panics
+    ///
+    /// If `share` is zero, before `pid` is touched.
     pub fn add_process(&mut self, pid: i32, share: u64) -> Result<ProcId> {
+        assert!(share > 0, "share must be positive");
         self.sub.enroll(pid, share)?;
         // The initial reading comes from the substrate itself, so each
         // backend charges from its own zero: /proc cumulative CPU for
@@ -802,6 +807,19 @@ mod tests {
             Err(OsError::NoSuchProcess(0)) => {}
             other => panic!("expected NoSuchProcess, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_zero_share_panics_before_the_pid_is_stopped() {
+        let pool = SpinnerPool::spawn_sleepers(1).expect("spawn sleeper");
+        let pid = pool.pids()[0];
+        let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)));
+        let add = std::panic::AssertUnwindSafe(|| sup.add_process(pid, 0));
+        assert!(std::panic::catch_unwind(add).is_err());
+        std::thread::sleep(Duration::from_millis(20));
+        let state = proc::read_stat(pid, proc::ns_per_tick()).unwrap().state;
+        assert_ne!(state, 'T', "left stopped");
+        assert!(sup.processes().is_empty());
     }
 
     #[test]

@@ -337,16 +337,6 @@ impl<'a> ProcView<'a> {
         self.proc.migrations
     }
 
-    /// Exact CPU time consumed on one CPU. The per-CPU readings always
-    /// sum to [`ProcView::cputime`], however often the process migrated.
-    pub fn cputime_on(&self, cpu: CpuId) -> Nanos {
-        self.proc
-            .cputime_per_cpu
-            .get(cpu.index())
-            .copied()
-            .unwrap_or(Nanos::ZERO)
-    }
-
     /// The full per-CPU breakdown of [`ProcView::cputime`], indexed by
     /// [`CpuId`].
     pub fn cputime_per_cpu(&self) -> &'a [Nanos] {

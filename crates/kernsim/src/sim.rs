@@ -256,11 +256,6 @@ impl Sim {
         self.loadavg
     }
 
-    /// Number of processes ever spawned (including exited ones).
-    pub fn process_count(&self) -> usize {
-        self.procs.len()
-    }
-
     /// Number of processes that have not exited.
     pub fn live_count(&self) -> usize {
         self.procs.live_count()
@@ -1083,11 +1078,6 @@ impl<'a> SimCtl<'a> {
     /// Current wall-clock time.
     pub fn now(&self) -> Nanos {
         self.sim.now
-    }
-
-    /// The calling process's pid.
-    pub fn my_pid(&self) -> Pid {
-        self.me
     }
 
     /// The calling process's cumulative CPU time.

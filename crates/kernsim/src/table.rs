@@ -108,12 +108,6 @@ impl ProcTable {
         self.live.len()
     }
 
-    /// The `i`-th live pid (unordered; stable across calls as long as no
-    /// process dies in between).
-    pub fn live_at(&self, i: usize) -> Pid {
-        self.live[i]
-    }
-
     /// The live pids, unordered.
     pub fn live(&self) -> &[Pid] {
         &self.live

@@ -98,11 +98,6 @@ impl Trace {
         self.dropped
     }
 
-    /// Events concerning one process.
-    pub fn for_pid(&self, pid: Pid) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.pid == pid)
-    }
-
     /// Reconstruct the per-process busy intervals on a CPU: each
     /// `(pid, start, end)` is one stretch of execution. Unterminated
     /// stretches are closed at `end_of_trace`.

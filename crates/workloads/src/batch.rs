@@ -13,42 +13,12 @@ use alps_core::Nanos;
 use kernsim::{Behavior, Pid, Sim, SimCtl, Step};
 
 use crate::workload::{LatencyProbe, Tenant, Workload};
-use crate::FiniteJob;
 
 /// One worker of a fork-join stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchJob {
     /// Total CPU the worker needs (e.g. proportional to its region size).
     pub work: Nanos,
-}
-
-/// A spawned batch stage.
-#[derive(Debug, Clone)]
-pub struct Batch {
-    /// Worker pids, in job order.
-    pub pids: Vec<Pid>,
-    /// The jobs, in the same order.
-    pub jobs: Vec<BatchJob>,
-}
-
-impl Batch {
-    /// Completion wall-clock time of each worker (`None` while running).
-    pub fn completion_times(&self, sim: &Sim) -> Vec<Option<Nanos>> {
-        self.pids
-            .iter()
-            .map(|&p| {
-                sim.proc(p)
-                    .unwrap()
-                    .is_exited()
-                    .then(|| sim.proc(p).unwrap().cputime())
-            })
-            .collect()
-    }
-
-    /// Whether every worker has exited.
-    pub fn all_done(&self, sim: &Sim) -> bool {
-        self.pids.iter().all(|&p| sim.proc(p).unwrap().is_exited())
-    }
 }
 
 /// A fork-join stage as a [`Workload`] spec: one worker per job, each
@@ -87,7 +57,7 @@ impl Workload for BatchStage {
     }
 }
 
-/// A [`FiniteJob`] that records its wall-clock completion latency.
+/// A [`crate::FiniteJob`] that records its wall-clock completion latency.
 struct ProbedJob {
     work: Nanos,
     probe: LatencyProbe,
@@ -114,27 +84,10 @@ impl Behavior for ProbedJob {
     }
 }
 
-/// Spawn one worker per job.
-pub fn spawn_batch(sim: &mut Sim, name: &str, jobs: &[BatchJob]) -> Batch {
-    let pids = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, job)| sim.spawn(format!("{name}-j{i}"), Box::new(FiniteJob::new(job.work))))
-        .collect();
-    Batch {
-        pids,
-        jobs: jobs.to_vec(),
-    }
-}
-
-/// Run the simulation until the whole batch has exited (bounded by `cap`),
-/// returning each worker's completion wall-clock time.
-pub fn run_to_completion(sim: &mut Sim, batch: &Batch, cap: Nanos) -> Vec<Nanos> {
-    run_pids_to_completion(sim, &batch.pids, cap)
-}
-
-/// [`run_to_completion`] over a bare pid list — e.g. a
-/// [`Tenant::members`] slice from a spawned [`BatchStage`].
+/// Run the simulation until every worker in `pids` (e.g. a spawned
+/// [`BatchStage`]'s [`Tenant::members`]) has exited, bounded by `cap`,
+/// returning each worker's completion wall-clock time (`cap` for one
+/// still running).
 pub fn run_pids_to_completion(sim: &mut Sim, pids: &[Pid], cap: Nanos) -> Vec<Nanos> {
     let mut done_at: Vec<Option<Nanos>> = vec![None; pids.len()];
     while sim.now() < cap {
@@ -157,40 +110,38 @@ mod tests {
     use super::*;
     use kernsim::SimConfig;
 
+    fn stage(name: &str, work_ms: &[u64]) -> BatchStage {
+        BatchStage {
+            name: name.into(),
+            jobs: work_ms
+                .iter()
+                .map(|&ms| BatchJob {
+                    work: Nanos::from_millis(ms),
+                })
+                .collect(),
+        }
+    }
+
     #[test]
     fn batch_workers_run_and_exit() {
         let mut sim = Sim::new(SimConfig::default());
-        let jobs: Vec<BatchJob> = [100u64, 200, 300]
-            .iter()
-            .map(|&ms| BatchJob {
-                work: Nanos::from_millis(ms),
-            })
-            .collect();
-        let batch = spawn_batch(&mut sim, "stage", &jobs);
-        let done = run_to_completion(&mut sim, &batch, Nanos::from_secs(5));
-        assert!(batch.all_done(&sim));
+        let stage = stage("stage", &[100, 200, 300]);
+        let t = stage.spawn(&mut sim);
+        let done = run_pids_to_completion(&mut sim, &t.members, Nanos::from_secs(5));
+        assert!(t.members.iter().all(|&p| sim.proc(p).unwrap().is_exited()));
         // Total work 600ms on one CPU: the last completion is ~600ms.
         let last = done.iter().max().unwrap();
         assert!((last.as_millis_f64() - 600.0).abs() < 50.0, "{last}");
         // Each consumed exactly its work.
-        for (pid, job) in batch.pids.iter().zip(&jobs) {
-            assert_eq!(sim.proc(*pid).unwrap().cputime(), job.work);
+        for (&pid, job) in t.members.iter().zip(&stage.jobs) {
+            assert_eq!(sim.proc(pid).unwrap().cputime(), job.work);
         }
     }
 
     #[test]
     fn batch_stage_records_stretch_per_worker() {
         let mut sim = Sim::new(SimConfig::default());
-        let stage = BatchStage {
-            name: "mesh".into(),
-            jobs: [100u64, 200, 300]
-                .iter()
-                .map(|&ms| BatchJob {
-                    work: Nanos::from_millis(ms),
-                })
-                .collect(),
-        };
-        let t = stage.spawn(&mut sim);
+        let t = stage("mesh", &[100, 200, 300]).spawn(&mut sim);
         assert_eq!(t.members.len(), 3);
         sim.run_until(Nanos::from_secs(5));
         assert_eq!(t.completed(), 3);
@@ -199,24 +150,5 @@ mod tests {
         // stretch is > 1 and the max is bounded by total/min work = 6.
         assert!(s.mean_stretch > 1.0, "got {}", s.mean_stretch);
         assert!(s.max_stretch <= 6.5, "got {}", s.max_stretch);
-    }
-
-    #[test]
-    fn completion_times_query() {
-        let mut sim = Sim::new(SimConfig::default());
-        let jobs = vec![
-            BatchJob {
-                work: Nanos::from_millis(50),
-            },
-            BatchJob {
-                work: Nanos::from_secs(10),
-            },
-        ];
-        let batch = spawn_batch(&mut sim, "s", &jobs);
-        sim.run_until(Nanos::from_secs(1));
-        let times = batch.completion_times(&sim);
-        assert!(times[0].is_some(), "small job done");
-        assert!(times[1].is_none(), "big job still running");
-        assert!(!batch.all_done(&sim));
     }
 }

@@ -108,16 +108,6 @@ impl LatencyProbe {
         self.inner.borrow().dropped
     }
 
-    /// All completed-request latencies in completion order, nanoseconds.
-    pub fn latencies_ns(&self) -> Vec<u64> {
-        self.inner
-            .borrow()
-            .samples
-            .iter()
-            .map(|&(l, _)| l)
-            .collect()
-    }
-
     /// Histogram over completions after `skip` warm-up requests.
     pub fn histogram(&self, skip: usize) -> LatencyHistogram {
         let inner = self.inner.borrow();
@@ -202,12 +192,6 @@ impl Tenant {
     /// Requests completed since spawn.
     pub fn completed(&self) -> u64 {
         self.probe.completed()
-    }
-
-    /// Wall-clock latencies of all completed requests, completion order,
-    /// nanoseconds.
-    pub fn latencies_ns(&self) -> Vec<u64> {
-        self.probe.latencies_ns()
     }
 
     /// A latency percentile (0.0–1.0) over completions after `skip`

@@ -14,7 +14,13 @@
 //! reads zero consumption and takes every signal: its fault handling
 //! (retries, repair of lost signals) costs in proportion to the faults,
 //! so a fault-free quantum sends nothing and grows with the due load only.
-//! The two tests take turns on one lock, so no timing runs beside another.
+//!
+//! The §3.2 eager baseline (lazy measurement off) measures every eligible
+//! member every quantum, so its quantum costs in proportion to the
+//! eligible members: a suspended member costs nothing until a cycle
+//! boundary credits it.
+//!
+//! The tests take turns on one lock, so no timing runs beside another.
 
 use std::convert::Infallible;
 use std::sync::Mutex;
@@ -27,6 +33,9 @@ use alps_core::{
 
 const ACTIVE: usize = 1_000;
 const ACTIVE_SHARE: u64 = 5;
+/// Share of the eager drive's active members: enough that their zero
+/// readings never let a cycle end.
+const EAGER_ACTIVE_SHARE: u64 = 1_000;
 const IDLE_BASE_SHARE: u64 = 1_000;
 const QUANTA: u64 = 300;
 const SMALL_N: usize = 2_000;
@@ -126,17 +135,67 @@ fn drive_engine(n: usize) -> (u64, Duration) {
     (after.measurements - before.measurements, took)
 }
 
+/// [`drive`] with lazy measurement off: `n - ACTIVE` members at share 1
+/// spend their whole share in the second quantum and stay suspended, and
+/// `ACTIVE` members at [`EAGER_ACTIVE_SHARE`] read zero consumption. The
+/// due members measured and the wall clock of the `QUANTA` quanta after
+/// those two.
+fn drive_eager(n: usize) -> (u64, Duration) {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false);
+    let mut alps = AlpsScheduler::new(cfg);
+    let spenders = n - ACTIVE;
+    for _ in 0..spenders {
+        alps.add_process(1, Nanos::ZERO);
+    }
+    for _ in 0..ACTIVE {
+        alps.add_process(EAGER_ACTIVE_SHARE, Nanos::ZERO);
+    }
+    let (mut due, mut obs) = (Vec::new(), Vec::new());
+    let mut out = QuantumOutcome::default();
+    let mut quantum = |alps: &mut AlpsScheduler, spent: Nanos| {
+        alps.begin_quantum_into(&mut due);
+        obs.clear();
+        obs.extend(due.iter().map(|&id| {
+            let total_cpu = if id.index() < spenders {
+                spent
+            } else {
+                Nanos::ZERO
+            };
+            let blocked = false;
+            (id, Observation { total_cpu, blocked })
+        }));
+        alps.complete_quantum_into(&obs, &mut out);
+        assert!(!out.cycle_completed);
+        (due.len(), out.transitions.len())
+    };
+    assert_eq!(
+        quantum(&mut alps, Nanos::ZERO),
+        (0, n),
+        "warm-up resumes everyone"
+    );
+    let q = Nanos::from_millis(10);
+    assert_eq!(quantum(&mut alps, q), (n, spenders), "the spenders stop");
+
+    let mut total_due = 0;
+    let start = Instant::now();
+    for _ in 0..QUANTA {
+        let (measured, transitions) = quantum(&mut alps, q);
+        assert_eq!(transitions, 0);
+        total_due += measured as u64;
+    }
+    (total_due, start.elapsed())
+}
+
 /// The fastest of `REPEATS` drives at each N, alternating, with the check
-/// that only the active members came due.
-fn fastest(drive: fn(usize) -> (u64, Duration)) -> (Duration, Duration) {
+/// that exactly `want_due` members came due at each.
+fn fastest(drive: fn(usize) -> (u64, Duration), want_due: u64) -> (Duration, Duration) {
     let _turn = TIMING.lock().unwrap_or_else(|e| e.into_inner());
     let (mut small, mut large) = (Duration::MAX, Duration::MAX);
     for _ in 0..REPEATS {
         for (n, fastest) in [(SMALL_N, &mut small), (LARGE_N, &mut large)] {
             let (total_due, took) = drive(n);
             assert_eq!(
-                total_due,
-                QUANTA / ACTIVE_SHARE * ACTIVE as u64,
+                total_due, want_due,
                 "n = {n}: only the active members come due"
             );
             *fastest = (*fastest).min(took);
@@ -147,7 +206,7 @@ fn fastest(drive: fn(usize) -> (u64, Duration)) -> (Duration, Duration) {
 
 #[test]
 fn quantum_cost_tracks_due_members_not_registered_members() {
-    let (small, large) = fastest(drive);
+    let (small, large) = fastest(drive, QUANTA / ACTIVE_SHARE * ACTIVE as u64);
     let ratio = large.as_secs_f64() / small.as_secs_f64();
     assert!(
         ratio < 4.0,
@@ -158,11 +217,22 @@ fn quantum_cost_tracks_due_members_not_registered_members() {
 
 #[test]
 fn engine_quantum_cost_tracks_due_members_not_registered_members() {
-    let (small, large) = fastest(drive_engine);
+    let (small, large) = fastest(drive_engine, QUANTA / ACTIVE_SHARE * ACTIVE as u64);
     let ratio = large.as_secs_f64() / small.as_secs_f64();
     assert!(
         ratio < 4.0,
         "an engine quantum over {LARGE_N} members took {ratio:.2}x one over {SMALL_N} \
          ({large:?} vs {small:?} for {QUANTA} quanta) at the same due load"
+    );
+}
+
+#[test]
+fn eager_quantum_cost_tracks_eligible_members_not_registered_members() {
+    let (small, large) = fastest(drive_eager, QUANTA * ACTIVE as u64);
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio < 4.0,
+        "an eager quantum over {LARGE_N} members took {ratio:.2}x one over {SMALL_N} \
+         ({large:?} vs {small:?} for {QUANTA} quanta) at the same eligible load"
     );
 }
