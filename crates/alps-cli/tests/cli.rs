@@ -265,3 +265,34 @@ fn attach_mode_rejects_missing_pid() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error"), "{err}");
 }
+
+/// A pid listed twice is refused at its second listing, because one
+/// process is scheduled by one principal at most. `alps` exits 1 and the
+/// pid it stopped at the first listing is left running.
+#[test]
+fn attach_mode_refuses_a_pid_listed_twice_and_leaves_it_running() {
+    let mut sleeper = Command::new("sleep")
+        .arg("30")
+        .spawn()
+        .expect("spawn sleep");
+    let pid = sleeper.id() as i32;
+    let (first, second) = (format!("1:{pid}"), format!("2:{pid}"));
+    let out = alps()
+        .args(["attach", "-d", "1", &first, &second])
+        .output()
+        .expect("run alps");
+    let runs = (0..100).any(|_| {
+        let state = alps_os::read_stat(pid, alps_os::proc::ns_per_tick()).map(|s| s.state);
+        std::thread::sleep(Duration::from_millis(10));
+        state.is_ok_and(|s| s != 'T')
+    });
+    let _ = sleeper.kill();
+    let _ = sleeper.wait();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("pid {pid} is already scheduled")),
+        "{err}"
+    );
+    assert!(runs, "alps left pid {pid} stopped");
+}

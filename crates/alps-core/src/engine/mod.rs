@@ -278,9 +278,18 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     ///
     /// Per §2.2 the principal starts ineligible; the caller is responsible
     /// for suspending the member now (the first invocation will resume it).
+    ///
+    /// # Panics
+    ///
+    /// If `member` already belongs to a principal: a member is charged to
+    /// one principal at most.
     pub fn add_member(&mut self, member: M, share: u64, initial_cpu: Nanos) -> ProcId {
         let id = self.insert_principal(share, false, MemberSet::One((member, initial_cpu)));
-        self.member_index.insert(member, id);
+        let owner = self.member_index.insert(member, id);
+        assert!(
+            owner.is_none(),
+            "member {member:?} already belongs to a principal"
+        );
         self.snapshot.push((id, initial_cpu));
         id
     }

@@ -505,6 +505,28 @@ fn a_member_listed_by_two_principals_stays_with_its_first_owner() {
     assert_eq!(engine.principal_of(7), Some(b));
 }
 
+/// `add_member` refuses a member some principal already has: the member
+/// would be charged twice, and removing either owner would unindex it
+/// under the other.
+#[test]
+#[should_panic(expected = "member 7 already belongs to a principal")]
+fn adding_a_fixed_principals_member_again_panics() {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
+    engine.add_member(7, 1, Nanos::ZERO);
+    engine.add_member(7, 2, Nanos::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "member 7 already belongs to a principal")]
+fn adding_a_groups_member_as_a_fixed_principal_panics() {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10));
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
+    let group = engine.add_principal(1);
+    engine.set_membership(group, &[(7, Nanos::ZERO)]).unwrap();
+    engine.add_member(7, 2, Nanos::ZERO);
+}
+
 /// An engine whose fixed principal is removed, and whose member the
 /// driver resumes itself, never signals that member again.
 #[test]

@@ -25,6 +25,9 @@ pub enum OsError {
     },
     /// The target process no longer exists.
     NoSuchProcess(i32),
+    /// The pid is already held for a principal, or is the supervisor's
+    /// own: a process is scheduled by one principal at most.
+    AlreadyHeld(i32),
     /// A scheduler handle that no longer refers to a live registration
     /// (the process was removed or reaped earlier).
     Stale(ProcId),
@@ -42,6 +45,9 @@ impl fmt::Display for OsError {
             }
             OsError::Sys { op, errno } => write!(f, "{op} failed: errno {errno}"),
             OsError::NoSuchProcess(pid) => write!(f, "no such process: {pid}"),
+            OsError::AlreadyHeld(pid) => {
+                write!(f, "pid {pid} is already scheduled, or is the supervisor")
+            }
             OsError::Stale(id) => write!(f, "stale scheduler handle: {id:?}"),
             OsError::Unsupported(what) => write!(f, "unsupported on this host: {what}"),
         }

@@ -22,13 +22,20 @@
 //!   through [`CgroupSubstrate`] when the host delegates a subtree
 //!   ([`Supervisor::with_actuator`]).
 //!
+//! A fixed process is a principal with one member, so both kinds share one
+//! table: each pid the supervisor holds — enrolled with the actuator and
+//! watched — maps to the principal it was enrolled for. One rule keeps the
+//! table equal to the engine's member assignment: after a quantum that
+//! refreshed the groups, reaped or quarantined, every held pid the engine
+//! no longer assigns to its owner is let go. A pid is held by one
+//! principal at most, so [`Supervisor::add_process`] refuses a held pid,
+//! and the supervisor's own, with [`OsError::AlreadyHeld`].
+//!
 //! There are two constructors: [`Supervisor::new`] (signals) and
-//! [`Supervisor::with_actuator`] (any [`ActuatorMode`]). Whichever is
-//! chosen applies to every member: a group's joiners are enrolled with the
-//! actuator and watched exactly as [`Supervisor::add_process`] enrols a
-//! process. Either way the loop survives transient `/proc` and `kill(2)`
-//! faults (see [`Engine`]'s fault handling): they are counted in
-//! [`Supervisor::stats`] and narrated on the event sink.
+//! [`Supervisor::with_actuator`] (any [`ActuatorMode`]), whose actuator
+//! applies to every member. Either way the loop survives transient `/proc`
+//! and `kill(2)` faults (see [`Engine`]'s fault handling): they are counted
+//! in [`Supervisor::stats`] and narrated on the event sink.
 //!
 //! ```no_run
 //! use alps_core::{AlpsConfig, Nanos};
@@ -47,7 +54,7 @@
 //! # }
 //! ```
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use alps_core::{
@@ -123,8 +130,9 @@ impl ActuatorSubstrate {
         }
     }
 
-    /// Stop holding a member that exited, or that left its group after
-    /// its reconciliation signal. Signals only drop the stat descriptor
+    /// Stop holding a pid the engine let go of — an exited or quarantined
+    /// member, a group's leaver after its reconciliation signal — or whose
+    /// enrolment failed. Signals only drop the stat descriptor
     /// (still held if the watcher reported the death, since then nothing
     /// read it) and never signal a reaped — possibly recycled — pid; for
     /// cgroups the leaf is released and torn down.
@@ -219,32 +227,26 @@ pub enum Membership {
     Pids(Vec<i32>),
 }
 
-/// A group: where its pids come from, and which of them are enrolled with
-/// the actuator and watched on its behalf. That is its engine member set
-/// except for a member quarantined since the last refresh.
-#[derive(Debug)]
-struct Group {
-    id: ProcId,
-    source: Membership,
-    enrolled: Vec<i32>,
-}
-
 /// A user-level proportional-share scheduler for real processes.
 #[derive(Debug)]
 pub struct Supervisor {
     engine: Engine<i32>,
-    /// Fixed processes: core id ↔ kernel pid, in registration order.
-    procs: Vec<(ProcId, i32)>,
-    groups: Vec<Group>,
+    /// Each held pid — enrolled with the actuator, watched — and the
+    /// principal it was enrolled for. Between calls, exactly the engine's
+    /// member assignment.
+    held: HashMap<i32, ProcId>,
+    /// Where each group's pids come from, in registration order.
+    groups: Vec<(ProcId, Membership)>,
+    /// The supervisor's own pid, which it never holds.
+    me: i32,
     refresh_period: Nanos,
     next_refresh: Nanos,
     refreshes: u64,
     sub: ActuatorSubstrate,
     /// pidfd exit notification; `None` degrades to pure clock sleeps.
     watcher: Option<ExitWatcher>,
-    /// Reusable buffers for the per-quantum exit drain and reap sync.
+    /// Reusable buffer for the per-quantum exit drain.
     exited_buf: Vec<i32>,
-    removed_buf: Vec<i32>,
     next_deadline: Option<Nanos>,
 }
 
@@ -254,8 +256,9 @@ impl Supervisor {
             // §3.1 instrumentation re-reads the substrate at cycle
             // boundaries.
             engine: Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true),
-            procs: Vec::new(),
+            held: HashMap::new(),
             groups: Vec::new(),
+            me: std::process::id() as i32,
             // The paper refreshed membership once per second.
             refresh_period: Nanos::SECOND,
             next_refresh: Nanos::ZERO,
@@ -266,7 +269,6 @@ impl Supervisor {
             },
             watcher: ExitWatcher::new().ok(),
             exited_buf: Vec::new(),
-            removed_buf: Vec::new(),
             next_deadline: None,
         }
     }
@@ -312,43 +314,21 @@ impl Supervisor {
 
     /// Take control of `pid` with the given share. The process is suspended
     /// immediately (it starts in the ineligible group per §2.2 and becomes
-    /// eligible at the next quantum).
+    /// eligible at the next quantum). A pid already held — added before,
+    /// or a group's member — and the supervisor's own pid are refused with
+    /// [`OsError::AlreadyHeld`] before they are touched.
     ///
     /// # Panics
     ///
     /// If `share` is zero, before `pid` is touched.
     pub fn add_process(&mut self, pid: i32, share: u64) -> Result<ProcId> {
         assert!(share > 0, "share must be positive");
-        self.sub.enroll(pid, share)?;
-        // The initial reading comes from the substrate itself, so each
-        // backend charges from its own zero: /proc cumulative CPU for
-        // signals, the fresh leaf's cpu.stat (zero) for cgroups. It is
-        // also the liveness check: a zombie reads as gone.
-        let obs = match self.sub.read(pid) {
-            Ok(Some(o)) => o,
-            Ok(None) => {
-                let _ = self.sub.release(pid);
-                return Err(OsError::NoSuchProcess(pid));
-            }
-            Err(e) => {
-                let _ = self.sub.release(pid);
-                return Err(e);
-            }
-        };
-        match self.sub.deliver(pid, Signal::Stop) {
-            Ok(true) => {}
-            Ok(false) => {
-                let _ = self.sub.release(pid);
-                return Err(OsError::NoSuchProcess(pid));
-            }
-            Err(e) => {
-                let _ = self.sub.release(pid);
-                return Err(e);
-            }
+        if self.held.contains_key(&pid) || pid == self.me {
+            return Err(OsError::AlreadyHeld(pid));
         }
-        let id = self.engine.add_member(pid, share, obs.total_cpu);
-        self.procs.push((id, pid));
-        self.watch(pid);
+        let baseline = self.enroll(pid, share, true)?;
+        let id = self.engine.add_member(pid, share, baseline);
+        self.hold(pid, id);
         Ok(id)
     }
 
@@ -358,11 +338,7 @@ impl Supervisor {
     /// refresh period from then on.
     pub fn add_principal(&mut self, share: u64, membership: Membership) -> ProcId {
         let id = self.engine.add_principal(share);
-        self.groups.push(Group {
-            id,
-            source: membership,
-            enrolled: Vec::new(),
-        });
+        self.groups.push((id, membership));
         self.next_refresh = Nanos::ZERO;
         id
     }
@@ -371,11 +347,8 @@ impl Supervisor {
     /// the next refresh. Returns `false`, changing nothing, for a
     /// [`Membership::Uid`] group or an unknown id.
     pub fn set_members(&mut self, id: ProcId, pids: Vec<i32>) -> bool {
-        match self.groups.iter_mut().find(|g| g.id == id) {
-            Some(Group {
-                source: Membership::Pids(list),
-                ..
-            }) => {
+        match self.groups.iter_mut().find(|(g, _)| *g == id) {
+            Some((_, Membership::Pids(list))) => {
                 *list = pids;
                 true
             }
@@ -393,10 +366,35 @@ impl Supervisor {
         self.refreshes
     }
 
-    /// A watch failure is not worth failing registration over: degrade
-    /// the whole loop back to clock polling, which the read path handles
-    /// anyway.
-    fn watch(&mut self, pid: i32) {
+    /// The enrolment step of [`Supervisor::add_process`] and the refresh:
+    /// register `pid` with the actuator, take its baseline reading and,
+    /// with `stop`, suspend it (a group's joiners get their signal from
+    /// the membership change instead). The reading comes from the
+    /// substrate itself, so each backend charges from its own zero:
+    /// `/proc` cumulative CPU for signals, the fresh leaf's `cpu.stat`
+    /// (zero) for cgroups. It is also the liveness check: a zombie reads
+    /// as gone. On failure nothing was stopped, and the pid is let go.
+    fn enroll(&mut self, pid: i32, share: u64, stop: bool) -> Result<Nanos> {
+        self.sub.enroll(pid, share)?;
+        let sub = &mut self.sub;
+        let baseline = (|| {
+            let obs = sub.read(pid)?.ok_or(OsError::NoSuchProcess(pid))?;
+            if stop && !sub.deliver(pid, Signal::Stop)? {
+                return Err(OsError::NoSuchProcess(pid));
+            }
+            Ok(obs.total_cpu)
+        })();
+        if baseline.is_err() {
+            sub.let_go(pid);
+        }
+        baseline
+    }
+
+    /// Hold an enrolled `pid` for `owner` and watch it. A watch failure is
+    /// not worth failing registration over: degrade the whole loop back to
+    /// clock polling, which the read path handles anyway.
+    fn hold(&mut self, pid: i32, owner: ProcId) {
+        self.held.insert(pid, owner);
         if let Some(w) = &mut self.watcher {
             if w.watch(pid).is_err() {
                 self.watcher = None;
@@ -404,78 +402,80 @@ impl Supervisor {
         }
     }
 
-    fn unwatch(&mut self, pid: i32) {
-        if let Some(w) = &mut self.watcher {
-            w.unwatch(pid);
-        }
+    /// Let go of every held pid the engine no longer assigns to its owner:
+    /// a reaped or quarantined member, a group's leaver (after its
+    /// reconciliation signal), a joiner the engine turned away. None of
+    /// them is signalled: a reaped pid may already be recycled.
+    fn sync(&mut self) {
+        let (engine, sub, watcher) = (&self.engine, &mut self.sub, &mut self.watcher);
+        self.held.retain(|&pid, &mut owner| {
+            let keep = engine.principal_of(pid) == Some(owner);
+            if !keep {
+                if let Some(w) = watcher {
+                    w.unwatch(pid);
+                }
+                sub.let_go(pid);
+            }
+            keep
+        });
     }
 
-    /// Release a fixed process, or a group and all its members, from
-    /// control (resuming whatever is suspended).
+    /// Release a principal — a fixed process or a group — from control,
+    /// resuming every pid held for it.
     ///
     /// On failure (e.g. a transient cgroupfs write error) nothing more is
-    /// torn down: what is still managed stays fully managed — engine
-    /// state, pid table, and exit watch intact — so the call can simply
-    /// be retried.
+    /// torn down: the principal stays fully managed — engine state, held
+    /// pids and exit watches intact — so the call can simply be retried
+    /// (releasing a pid twice is harmless).
     pub fn remove_process(&mut self, id: ProcId) -> Result<()> {
-        if let Some(g) = self.groups.iter().position(|g| g.id == id) {
-            while let Some(&pid) = self.groups[g].enrolled.last() {
-                self.sub.release(pid)?;
-                self.unwatch(pid);
-                self.groups[g].enrolled.pop();
-            }
-            self.groups.remove(g);
-            self.engine.remove_principal(id);
-            return Ok(());
+        let pids = self.engine.members(id).unwrap_or_default();
+        for &pid in &pids {
+            self.sub.release(pid)?;
         }
-        let Some(pid) = self.pid_of(id) else {
-            // Stale handle: nothing is enrolled under it.
-            self.engine.remove_principal(id);
-            return Ok(());
-        };
-        self.sub.release(pid)?;
-        self.unwatch(pid);
         self.engine.remove_principal(id);
-        self.procs.retain(|&(i, _)| i != id);
+        self.groups.retain(|&(g, _)| g != id);
+        for pid in pids {
+            self.held.remove(&pid);
+            if let Some(w) = &mut self.watcher {
+                w.unwatch(pid);
+            }
+        }
         Ok(())
     }
 
     /// Change a principal's share at runtime (e.g. when the application's
     /// notion of the process's importance changes, as in the adaptive-mesh
-    /// scenario of the paper's introduction).
+    /// scenario of the paper's introduction). A removed or reaped
+    /// principal's handle is refused with [`OsError::Stale`].
     pub fn set_share(&mut self, id: ProcId, share: u64) -> Result<()> {
-        match self.engine.set_share(id, share) {
-            Ok(()) => {
-                // Keep the weight the cgroup backend restores on
-                // `continue` in step with the share, for every member.
-                if let Some(pid) = self.pid_of(id) {
-                    self.sub.set_share(pid, share);
-                }
-                if let Some(g) = self.groups.iter().find(|g| g.id == id) {
-                    for &pid in &g.enrolled {
-                        self.sub.set_share(pid, share);
-                    }
-                }
-                Ok(())
-            }
-            // If the pid table still knows the process, report the real
-            // pid; otherwise the handle itself is stale — never a made-up
-            // pid like the old `unwrap_or(-1)`.
-            Err(_) => Err(match self.pid_of(id) {
-                Some(pid) => OsError::NoSuchProcess(pid),
-                None => OsError::Stale(id),
-            }),
+        self.engine
+            .set_share(id, share)
+            .map_err(|_| OsError::Stale(id))?;
+        // Keep the weight the cgroup backend restores on `continue` in
+        // step with the share, for every member.
+        for pid in self.engine.members(id).unwrap_or_default() {
+            self.sub.set_share(pid, share);
         }
+        Ok(())
     }
 
-    /// The kernel pid of a fixed process.
+    /// The kernel pid of a fixed process; for a group, its lowest member.
     pub fn pid_of(&self, id: ProcId) -> Option<i32> {
-        self.procs.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p)
+        self.engine.members(id)?.first().copied()
     }
 
-    /// Registered fixed `(ProcId, pid)` pairs in registration order.
-    pub fn processes(&self) -> &[(ProcId, i32)] {
-        &self.procs
+    /// Every held `(ProcId, pid)` pair: principals in registration order,
+    /// a group's pids ascending.
+    pub fn processes(&self) -> Vec<(ProcId, i32)> {
+        let engine = &self.engine;
+        engine
+            .proc_ids()
+            .into_iter()
+            .flat_map(|id| {
+                let pids = engine.members(id).unwrap_or_default();
+                pids.into_iter().map(move |pid| (id, pid))
+            })
+            .collect()
     }
 
     /// Activity counters.
@@ -498,58 +498,43 @@ impl Supervisor {
         self.engine.scheduler()
     }
 
-    /// Re-resolve every group's pids: enrol and watch each joiner (taking
-    /// its baseline from the substrate, as [`Supervisor::add_process`]
-    /// does), hand the member set to the engine, deliver the change's
-    /// reconciliation signals, and let go of every pid no longer a member.
-    /// A pid another principal owns is skipped before enrolment, which
-    /// would move it out of its owner's cgroup leaf.
+    /// Re-resolve every group's pids: enrol each joiner, read each pid
+    /// already held for the group, hand the readable ones to the engine,
+    /// and deliver the change's reconciliation signals. A pid held for
+    /// another principal is skipped before enrolment, which would move it
+    /// out of its owner's cgroup leaf.
     fn refresh(&mut self, sink: &mut dyn EventSink<i32>) -> Result<()> {
         self.refreshes += 1;
-        let me = std::process::id() as i32;
         for g in 0..self.groups.len() {
-            let id = self.groups[g].id;
+            let id = self.groups[g].0;
             let share = self.engine.share(id).unwrap_or(1);
-            let pids = match &self.groups[g].source {
+            let pids = match &self.groups[g].1 {
                 Membership::Uid(uid) => proc::pids_of_uid(*uid).unwrap_or_default(),
                 Membership::Pids(pids) => pids.clone(),
             };
             let mut current = Vec::with_capacity(pids.len());
             for pid in pids {
-                if pid == me || self.engine.principal_of(pid).is_some_and(|o| o != id) {
-                    continue;
-                }
-                if !self.groups[g].enrolled.contains(&pid) {
-                    if self.sub.enroll(pid, share).is_err() {
-                        continue; // gone already
-                    }
-                    self.groups[g].enrolled.push(pid);
-                    self.watch(pid);
-                }
                 // The reading is also the liveness check: an exited or
                 // unreadable pid is not a member this period.
-                if let Ok(Some(o)) = self.sub.read(pid) {
-                    current.push((pid, o.total_cpu));
-                }
+                let baseline = match self.held.get(&pid) {
+                    Some(&owner) if owner == id => {
+                        self.sub.read(pid).ok().flatten().map(|o| o.total_cpu)
+                    }
+                    None if pid != self.me => match self.enroll(pid, share, false) {
+                        Ok(cpu) => {
+                            self.hold(pid, id);
+                            Some(cpu)
+                        }
+                        Err(_) => None, // gone already
+                    },
+                    _ => None,
+                };
+                current.extend(baseline.map(|cpu| (pid, cpu)));
             }
             if let Some(change) = self.engine.set_membership(id, &current) {
                 self.engine
                     .apply_signals(&mut self.sub, &change.signals, sink)?;
             }
-            // Ascending, so membership is a binary search.
-            let members = self.engine.members(id).unwrap_or_default();
-            let mut enrolled = std::mem::take(&mut self.groups[g].enrolled);
-            enrolled.retain(|&pid| {
-                let keep = members.binary_search(&pid).is_ok();
-                if !keep {
-                    if let Some(w) = &mut self.watcher {
-                        w.unwatch(pid);
-                    }
-                    self.sub.let_go(pid);
-                }
-                keep
-            });
-            self.groups[g].enrolled = enrolled;
         }
         Ok(())
     }
@@ -598,28 +583,18 @@ impl Supervisor {
             next = deadline + q * (behind + 1);
         }
         self.next_deadline = Some(next);
-        if !self.groups.is_empty() && now >= self.next_refresh {
+        let lost = |s: EngineStats| s.reaped + s.quarantined;
+        let lost_before = lost(self.engine.stats());
+        let refresh = !self.groups.is_empty() && now >= self.next_refresh;
+        if refresh {
             self.refresh(sink)?;
             self.next_refresh = now + self.refresh_period;
         }
         self.engine.run_quantum(&mut self.sub, sink)?;
-        // Keep the pid table, the watcher, and the backend in sync with
-        // what the engine auto-reaped (fixed processes only: the engine
-        // never tears a group down).
-        let engine = &self.engine;
-        let removed = &mut self.removed_buf;
-        removed.clear();
-        self.procs.retain(|&(id, pid)| {
-            let live = engine.share(id).is_some();
-            if !live {
-                removed.push(pid);
-            }
-            live
-        });
-        for i in 0..self.removed_buf.len() {
-            let pid = self.removed_buf[i];
-            self.unwatch(pid);
-            self.sub.let_go(pid);
+        // Only a refresh, a reap or a quarantine changes which pids the
+        // engine assigns.
+        if refresh || lost(self.engine.stats()) != lost_before {
+            self.sync();
         }
         Ok(self.engine.last_transitions())
     }
@@ -644,12 +619,10 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Resume every controlled process, fixed or group member (used on
-    /// shutdown so nothing is left frozen or capped).
+    /// Resume every held pid (used on shutdown so nothing is left frozen
+    /// or capped).
     pub fn release_all(&mut self) {
-        let fixed = self.procs.iter().map(|&(_, pid)| pid);
-        let grouped = self.groups.iter().flat_map(|g| g.enrolled.iter().copied());
-        for pid in fixed.chain(grouped) {
+        for &pid in self.held.keys() {
             let _ = self.sub.release(pid);
         }
     }
@@ -822,26 +795,62 @@ mod tests {
         assert!(sup.processes().is_empty());
     }
 
-    #[test]
-    fn drop_releases_stopped_children() {
-        let pool = SpinnerPool::spawn(1).expect("spawn spinner");
-        let pid = pool.pids()[0];
-        let wait_state = |want: bool| -> bool {
-            for _ in 0..100 {
-                let st = proc::read_stat(pid, proc::ns_per_tick()).unwrap();
-                if (st.state == 'T') == want {
-                    return true;
-                }
+    /// Whether `pid` reads stopped (`T`), or not, within a second.
+    fn reaches(pid: i32, stopped: bool) -> bool {
+        (0..100).any(|_| {
+            let st = proc::read_stat(pid, proc::ns_per_tick()).unwrap();
+            let there = (st.state == 'T') == stopped;
+            if !there {
                 std::thread::sleep(Duration::from_millis(10));
             }
-            false
-        };
+            there
+        })
+    }
+
+    /// A fixed process and a group in one supervisor share the one table,
+    /// and each removal lets go of its own pids only.
+    #[test]
+    fn a_fixed_process_and_a_group_each_release_only_their_own_pids() {
+        let pool = SpinnerPool::spawn_sleepers(3).unwrap();
+        let pids = pool.pids();
+        let mut grouped = pids[1..].to_vec();
+        grouped.sort_unstable();
+        let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false);
+        let mut sup = Supervisor::new(cfg);
+        let watched = |sup: &Supervisor| sup.watcher.as_ref().map(ExitWatcher::watched);
+        let fixed = sup.add_process(pids[0], 1).unwrap();
+        let group = sup.add_principal(2, Membership::Pids(grouped.clone()));
+        sup.run_quantum().unwrap();
+        assert_eq!((held(&sup), watched(&sup)), (3, Some(3)));
+        let listed = vec![(fixed, pids[0]), (group, grouped[0]), (group, grouped[1])];
+        assert_eq!(sup.processes(), listed);
+        sup.set_share(group, 3).unwrap();
+        assert_eq!(sup.scheduler().share(group), Some(3));
+        sup.remove_process(fixed).unwrap();
+        assert_eq!((held(&sup), watched(&sup)), (2, Some(2)));
+        assert_eq!(sup.members(group), Some(grouped.clone()));
+        assert!(reaches(pids[0], false), "the fixed process runs");
+        sup.run_quantum().unwrap();
+        sup.remove_process(group).unwrap();
+        assert_eq!((held(&sup), watched(&sup)), (0, Some(0)));
+        assert!(sup.processes().is_empty());
+        assert!(grouped.iter().all(|&p| reaches(p, false)), "the group runs");
+    }
+
+    /// `Drop` resumes every pid it stopped, fixed or a group's.
+    #[test]
+    fn drop_releases_stopped_children() {
+        let pool = SpinnerPool::spawn_sleepers(3).unwrap();
+        let pids = pool.pids();
         {
             let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)));
-            sup.add_process(pid, 1).unwrap();
-            assert!(wait_state(true), "child did not stop");
-        } // drop
-        assert!(wait_state(false), "drop must SIGCONT the child");
+            sup.add_process(pids[0], 1).unwrap();
+            sup.add_principal(1, Membership::Pids(pids[1..].to_vec()));
+            // The group starts ineligible, so its refresh stops the joiners.
+            sup.refresh(&mut NullSink).unwrap();
+            assert!(pids.iter().all(|&p| reaches(p, true)), "all stopped");
+        }
+        assert!(pids.iter().all(|&p| reaches(p, false)), "drop resumes all");
     }
 
     #[test]
@@ -982,9 +991,9 @@ mod tests {
         let by_uid = sup.add_principal(1, Membership::Uid(u32::MAX));
         let by_pids = sup.add_principal(1, Membership::Pids(vec![]));
         assert!(!sup.set_members(by_uid, vec![1]), "a uid group stays one");
-        assert!(matches!(sup.groups[0].source, Membership::Uid(u32::MAX)));
+        assert!(matches!(sup.groups[0].1, Membership::Uid(u32::MAX)));
         assert!(sup.set_members(by_pids, vec![7]));
-        assert!(matches!(&sup.groups[1].source, Membership::Pids(p) if p == &[7]));
+        assert!(matches!(&sup.groups[1].1, Membership::Pids(p) if p == &[7]));
         sup.remove_process(by_pids).unwrap();
         assert!(!sup.set_members(by_pids, vec![8]), "unknown id");
     }

@@ -3,12 +3,21 @@
 
 use std::time::Duration;
 
+use alps::os::OsError;
 use alps::{AlpsConfig, Membership, Nanos, SpinnerPool, Supervisor};
 
 fn cpu_of(pid: i32) -> Nanos {
     alps::os::read_stat(pid, alps::os::proc::ns_per_tick())
         .map(|s| s.cpu_time)
         .unwrap_or(Nanos::ZERO)
+}
+
+/// Whether `pid` is out of the stopped state `T` within a second.
+fn runs(pid: i32) -> bool {
+    (0..100).any(|_| {
+        std::thread::sleep(Duration::from_millis(10));
+        alps::os::read_stat(pid, alps::os::proc::ns_per_tick()).is_ok_and(|s| s.state != 'T')
+    })
 }
 
 #[test]
@@ -147,4 +156,55 @@ fn real_io_bound_child_is_detected_blocked_and_not_starved() {
         (1.8..=4.8).contains(&ratio),
         "A:C should stay ~1:3, got 1:{ratio:.2} ({a:.2}s vs {c:.2}s)"
     );
+}
+
+/// A pid is held by one principal at most: a second `add_process` of it
+/// is refused before the pid is touched, so removing the first principal
+/// leaves nobody scheduling it.
+#[test]
+fn a_held_pid_cannot_be_added_again() {
+    let pool = SpinnerPool::spawn_sleepers(1).expect("spawn sleeper");
+    let pid = pool.pids()[0];
+    let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)));
+    let first = sup.add_process(pid, 1).unwrap();
+    match sup.add_process(pid, 2) {
+        Err(OsError::AlreadyHeld(p)) => assert_eq!(p, pid),
+        other => panic!("expected AlreadyHeld({pid}), got {other:?}"),
+    }
+    assert_eq!(sup.processes(), vec![(first, pid)]);
+    sup.run_quantum().unwrap();
+    sup.remove_process(first).unwrap();
+    assert!(sup.processes().is_empty());
+    assert!(runs(pid), "the removed pid is left stopped");
+}
+
+/// A pid a group holds cannot be added as a fixed process either.
+#[test]
+fn a_group_members_pid_cannot_be_added_as_a_process() {
+    let pool = SpinnerPool::spawn_sleepers(2).expect("spawn sleepers");
+    let pids = pool.pids();
+    let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)));
+    let group = sup.add_principal(1, Membership::Pids(pids.clone()));
+    sup.run_quantum().unwrap(); // the first refresh enrols both
+    match sup.add_process(pids[0], 1) {
+        Err(OsError::AlreadyHeld(p)) => assert_eq!(p, pids[0]),
+        other => panic!("expected AlreadyHeld({}), got {other:?}", pids[0]),
+    }
+    let mut want = pids.clone();
+    want.sort_unstable();
+    assert_eq!(sup.members(group), Some(want));
+    assert_eq!(sup.processes().len(), 2);
+}
+
+/// The supervisor's own pid is refused before it is signalled: enrolling
+/// it would stop the caller.
+#[test]
+fn the_supervisors_own_pid_cannot_be_added() {
+    let me = std::process::id() as i32;
+    let mut sup = Supervisor::new(AlpsConfig::new(Nanos::from_millis(10)));
+    match sup.add_process(me, 1) {
+        Err(OsError::AlreadyHeld(p)) => assert_eq!(p, me),
+        other => panic!("expected AlreadyHeld({me}), got {other:?}"),
+    }
+    assert!(sup.processes().is_empty());
 }
