@@ -79,38 +79,25 @@ pub struct MockProc {
     pub stopped: bool,
 }
 
-/// A deterministic in-memory [`Substrate`] driven by the harness.
-///
-/// Generic in the member key (default `u32`, the historical pid type of
-/// the engine suites) so the actuator differential suite can key it by
-/// `i32` kernel pids and compare against the cgroup substrate with no
-/// type adaptation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MockSubstrate<M: Copy + Ord + core::hash::Hash + core::fmt::Debug = u32> {
+/// A deterministic in-memory [`Substrate`] driven by the harness, keyed
+/// by `i32` kernel pids like the OS substrates.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MockSubstrate {
     /// The substrate clock.
     pub now: Nanos,
     /// Member state by pid.
-    pub procs: BTreeMap<M, MockProc>,
+    pub procs: BTreeMap<i32, MockProc>,
 }
 
-impl<M: Copy + Ord + core::hash::Hash + core::fmt::Debug> Default for MockSubstrate<M> {
-    fn default() -> Self {
-        MockSubstrate {
-            now: Nanos::ZERO,
-            procs: BTreeMap::new(),
-        }
-    }
-}
-
-impl<M: Copy + Ord + core::hash::Hash + core::fmt::Debug> Substrate for MockSubstrate<M> {
-    type Member = M;
+impl Substrate for MockSubstrate {
+    type Member = i32;
     type Error = Infallible;
 
     fn now(&mut self) -> Nanos {
         self.now
     }
 
-    fn read(&mut self, member: M) -> Result<Option<Observation>, Infallible> {
+    fn read(&mut self, member: i32) -> Result<Option<Observation>, Infallible> {
         Ok(self.procs.get(&member).and_then(|p| {
             (!p.gone).then_some(Observation {
                 total_cpu: p.cpu,
@@ -119,7 +106,7 @@ impl<M: Copy + Ord + core::hash::Hash + core::fmt::Debug> Substrate for MockSubs
         }))
     }
 
-    fn deliver(&mut self, member: M, signal: Signal) -> Result<bool, Infallible> {
+    fn deliver(&mut self, member: i32, signal: Signal) -> Result<bool, Infallible> {
         match self.procs.get_mut(&member) {
             Some(p) if !p.gone => {
                 p.stopped = signal == Signal::Stop;
@@ -130,6 +117,61 @@ impl<M: Copy + Ord + core::hash::Hash + core::fmt::Debug> Substrate for MockSubs
     }
 }
 
+/// The world production's `Engine` runs in while [`OracleEngine`] runs on
+/// a [`MockSubstrate`]. [`run_engine_in`] does everything to both — spawn,
+/// clock, workload, share changes — and then asks the world to match the
+/// oracle's mock.
+pub trait World: Substrate<Member = i32, Error: core::fmt::Debug> {
+    /// Register `pid` at `share` with `cpu` already consumed, then stop
+    /// it: the registration contract says the caller suspends a member.
+    fn spawn_stopped(&mut self, pid: i32, share: u64, cpu: Nanos);
+
+    /// Advance the clock by `dt`.
+    fn advance(&mut self, dt: Nanos);
+
+    /// Apply one member's quantum of workload: it burned `burn` (nothing
+    /// if stopped) and is now blocked and gone as `now`, the oracle's
+    /// mock, says. Panics with `seed` if the world refuses it.
+    fn apply(&mut self, pid: i32, burn: Nanos, now: &MockProc, seed: u64);
+
+    /// Pass a principal's new share on to one of its members, as
+    /// `alps_os::Supervisor::set_share` does.
+    fn pass_share(&mut self, pid: i32, share: u64);
+
+    /// Assert that the world matches the oracle's mock; `shares` holds
+    /// the share last passed to each member. Panics with `seed`.
+    fn check(&self, oracle: &MockSubstrate, shares: &BTreeMap<i32, u64>, seed: u64);
+}
+
+impl World for MockSubstrate {
+    fn spawn_stopped(&mut self, pid: i32, _share: u64, cpu: Nanos) {
+        let proc = MockProc {
+            cpu,
+            blocked: false,
+            gone: false,
+            stopped: true,
+        };
+        self.procs.insert(pid, proc);
+    }
+
+    fn advance(&mut self, dt: Nanos) {
+        self.now = self.now.saturating_add(dt);
+    }
+
+    fn apply(&mut self, pid: i32, burn: Nanos, now: &MockProc, _seed: u64) {
+        let p = self.procs.get_mut(&pid).expect("drawn pid exists");
+        p.cpu = p.cpu.saturating_add(burn);
+        p.blocked = now.blocked;
+        p.gone = now.gone;
+    }
+
+    fn pass_share(&mut self, _pid: i32, _share: u64) {}
+
+    fn check(&self, oracle: &MockSubstrate, _shares: &BTreeMap<i32, u64>, seed: u64) {
+        assert_eq!(self, oracle, "substrate end states diverge (seed {seed})");
+    }
+}
+
 /// Fold a quantum's observables (due list, transitions, cycle flag) into
 /// a fingerprint, so suites can compare whole runs for byte-identity.
 fn fold_quantum(fp: &mut u64, due: &[ProcId], out: &alps_core::QuantumOutcome) {
@@ -137,7 +179,12 @@ fn fold_quantum(fp: &mut u64, due: &[ProcId], out: &alps_core::QuantumOutcome) {
         fold(fp, (id.index() as u64) << 32 | u64::from(id.generation()));
     }
     fold(fp, 0xD0E5_0000 | due.len() as u64);
-    for t in &out.transitions {
+    fold_transitions(fp, &out.transitions);
+    fold(fp, u64::from(out.cycle_completed));
+}
+
+fn fold_transitions(fp: &mut u64, transitions: &[alps_core::Transition]) {
+    for t in transitions {
         let (tag, id) = match *t {
             alps_core::Transition::Resume(id) => (1u64, id),
             alps_core::Transition::Suspend(id) => (2u64, id),
@@ -147,7 +194,6 @@ fn fold_quantum(fp: &mut u64, due: &[ProcId], out: &alps_core::QuantumOutcome) {
             tag << 62 | (id.index() as u64) << 32 | u64::from(id.generation()),
         );
     }
-    fold(fp, u64::from(out.cycle_completed));
 }
 
 /// Drive one generated schedule ([`generate`]) against `AlpsScheduler`
@@ -340,44 +386,66 @@ pub enum EngineMode {
     Principals,
 }
 
+/// The world production's engine runs in, the oracle's mock, and the share
+/// last passed on to each member.
+struct Worlds<W> {
+    world: W,
+    mock: MockSubstrate,
+    shares: BTreeMap<i32, u64>,
+}
+
+impl<W: World> Worlds<W> {
+    /// Spawn a member in both worlds alike; pids count up from 100 and are
+    /// never reused.
+    fn spawn(&mut self, rng: &mut Lcg, q: Nanos, share: u64) -> (i32, Nanos) {
+        let pid = 100 + self.mock.procs.len() as i32;
+        let cpu = rng.nanos_below(q);
+        self.mock.spawn_stopped(pid, share, cpu);
+        self.world.spawn_stopped(pid, share, cpu);
+        self.shares.insert(pid, share);
+        (pid, cpu)
+    }
+}
+
 /// Drive one generated schedule ([`generate`]) against `alps_core::Engine`
-/// and [`OracleEngine`] over twin [`MockSubstrate`]s, asserting identical
-/// due lists, transitions, signals, cycle boundaries, event streams,
-/// stats, cycle logs, and substrate end states after every op.
+/// and [`OracleEngine`] over twin [`MockSubstrate`]s: [`run_engine_in`]
+/// with a mock world.
 pub fn run_engine_schedule(
     cfg: AlpsConfig,
     mode: EngineMode,
     seed: u64,
     len: usize,
 ) -> DriveReport {
-    let mut prod: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
-    let mut oracle: OracleEngine<u32> = OracleEngine::new(cfg).with_auto_reap(true);
-    let mut sub_p = MockSubstrate::default();
-    let mut sub_o = MockSubstrate::default();
+    run_engine_in(MockSubstrate::default(), cfg, mode, seed, len)
+}
+
+/// Drive one generated schedule ([`generate`]) against `alps_core::Engine`
+/// running in `world` and [`OracleEngine`] running on a [`MockSubstrate`],
+/// asserting identical due lists, transitions, signals, cycle boundaries,
+/// event streams, stats and cycle logs after every op, and that the world
+/// matches the oracle's mock ([`World::check`]). The workload is drawn
+/// from the oracle's mock and applied to both.
+pub fn run_engine_in<W: World>(
+    world: W,
+    cfg: AlpsConfig,
+    mode: EngineMode,
+    seed: u64,
+    len: usize,
+) -> DriveReport {
+    let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg).with_auto_reap(true);
+    let mut w = Worlds {
+        world,
+        mock: MockSubstrate::default(),
+        shares: BTreeMap::new(),
+    };
     let mut sink_p = RecordingSink::new();
     let mut sink_o = RecordingSink::new();
     let mut workload = Lcg::new(seed ^ 0x0BAD_CAFE);
     let mut live: Vec<ProcId> = Vec::new();
     let mut minted: Vec<ProcId> = Vec::new();
-    let mut next_pid: u32 = 100;
     let q = cfg.quantum;
     let mut report = DriveReport::default();
-
-    // Spawn a member process in both substrates (identically), initially
-    // stopped — the registration contract says the caller suspends it.
-    let mut spawn = |sub_p: &mut MockSubstrate, sub_o: &mut MockSubstrate, rng: &mut Lcg| {
-        let pid = next_pid;
-        next_pid += 1;
-        let proc = MockProc {
-            cpu: rng.nanos_below(q),
-            blocked: false,
-            gone: false,
-            stopped: true,
-        };
-        sub_p.procs.insert(pid, proc);
-        sub_o.procs.insert(pid, proc);
-        (pid, proc.cpu)
-    };
 
     for op in generate(seed, len) {
         match op {
@@ -385,7 +453,7 @@ pub fn run_engine_schedule(
                 if live.len() >= 8 {
                     continue;
                 }
-                let (pid, initial) = spawn(&mut sub_p, &mut sub_o, &mut workload);
+                let (pid, initial) = w.spawn(&mut workload, q, share);
                 let (id, oid) = match mode {
                     EngineMode::Flat => (
                         prod.add_member(pid, share, initial),
@@ -396,7 +464,7 @@ pub fn run_engine_schedule(
                         let oid = oracle.add_principal(share);
                         let mut members = vec![(pid, initial)];
                         for _ in 0..workload.below(3) {
-                            members.push(spawn(&mut sub_p, &mut sub_o, &mut workload));
+                            members.push(w.spawn(&mut workload, q, share));
                         }
                         let ch = prod.set_membership(id, &members);
                         let ch_o = oracle.set_membership(oid, &members);
@@ -412,6 +480,9 @@ pub fn run_engine_schedule(
                 if live.is_empty() {
                     continue;
                 }
+                // Neither side actuates on removal: the members keep their
+                // run state. (The supervisor's release-on-remove is its
+                // own layer, tested in alps-os.)
                 let id = live.remove(victim as usize % live.len());
                 assert_eq!(
                     prod.remove_principal(id),
@@ -429,6 +500,10 @@ pub fn run_engine_schedule(
                     oracle.set_share(id, share),
                     "set_share diverges (seed {seed})"
                 );
+                for pid in prod.members(id).unwrap_or_default() {
+                    w.world.pass_share(pid, share);
+                    w.shares.insert(pid, share);
+                }
                 // A removed principal's id must be stale on both sides.
                 if let Some(&stale) = minted.iter().find(|&&id| prod.share(id).is_none()) {
                     let res = prod.set_share(stale, share);
@@ -441,50 +516,36 @@ pub fn run_engine_schedule(
                     // Occasionally arrive late (coalesced timer): both
                     // engines must record the overrun.
                     let advance = if workload.chance(1, 10) { q * 3 } else { q };
-                    sub_p.now = sub_p.now.saturating_add(advance);
-                    sub_o.now = sub_o.now.saturating_add(advance);
+                    w.mock.advance(advance);
+                    w.world.advance(advance);
 
                     // Advance the workload model identically in both
-                    // substrates: running processes burn, some block, and
+                    // worlds: running processes burn, some block, and
                     // occasionally one exits.
-                    let decisions: Vec<(u32, Nanos, bool, bool)> = sub_p
-                        .procs
-                        .iter()
-                        .filter(|(_, p)| !p.gone)
-                        .map(|(&pid, p)| {
-                            let burn = if p.stopped {
-                                Nanos::ZERO
-                            } else {
-                                workload.nanos_below(Nanos(q.0 * 3 / 2))
-                            };
-                            let blocked = workload.chance(1, 6);
-                            let exits = workload.chance(1, 40);
-                            (pid, burn, blocked, exits)
-                        })
-                        .collect();
-                    for sub in [&mut sub_p, &mut sub_o] {
-                        for &(pid, burn, blocked, exits) in &decisions {
-                            let p = sub.procs.get_mut(&pid).expect("decided pid exists");
-                            p.cpu = p.cpu.saturating_add(burn);
-                            p.blocked = blocked;
-                            if exits {
-                                p.gone = true;
-                            }
-                        }
+                    for (&pid, p) in w.mock.procs.iter_mut().filter(|(_, p)| !p.gone) {
+                        let burn = if p.stopped {
+                            Nanos::ZERO
+                        } else {
+                            workload.nanos_below(Nanos(q.0 * 3 / 2))
+                        };
+                        p.cpu = p.cpu.saturating_add(burn);
+                        p.blocked = workload.chance(1, 6);
+                        p.gone = workload.chance(1, 40);
+                        w.world.apply(pid, burn, p, seed);
                     }
 
-                    let n = prod.begin_quantum(&mut sub_p, &mut sink_p).unwrap();
-                    let n_o = oracle.begin_quantum(&mut sub_o, &mut sink_o).unwrap();
+                    let n = prod.begin_quantum(&mut w.world, &mut sink_p).unwrap();
+                    let n_o = oracle.begin_quantum(&mut w.mock, &mut sink_o).unwrap();
                     assert_eq!(n, n_o, "due member counts diverge (seed {seed})");
-                    let due: Vec<(ProcId, Vec<u32>)> = prod
+                    let due: Vec<(ProcId, Vec<i32>)> = prod
                         .due()
                         .iter()
                         .map(|(id, ms)| (id, ms.to_vec()))
                         .collect();
                     assert_eq!(due, oracle.due(), "due lists diverge (seed {seed})");
 
-                    prod.complete_quantum(&mut sub_p, &mut sink_p).unwrap();
-                    oracle.complete_quantum(&mut sub_o, &mut sink_o).unwrap();
+                    prod.complete_quantum(&mut w.world, &mut sink_p).unwrap();
+                    oracle.complete_quantum(&mut w.mock, &mut sink_o).unwrap();
                     assert_eq!(
                         prod.last_transitions(),
                         oracle.last_transitions(),
@@ -501,23 +562,15 @@ pub fn run_engine_schedule(
                         "cycle boundary diverges (seed {seed})"
                     );
                     fold(&mut report.fingerprint, n as u64);
-                    for t in prod.last_transitions() {
-                        let (tag, id) = match *t {
-                            alps_core::Transition::Resume(id) => (1u64, id),
-                            alps_core::Transition::Suspend(id) => (2u64, id),
-                        };
-                        fold(
-                            &mut report.fingerprint,
-                            tag << 62 | (id.index() as u64) << 32 | u64::from(id.generation()),
-                        );
-                    }
+                    fold_transitions(&mut report.fingerprint, prod.last_transitions());
                     report.quanta += 1;
                     report.cycles += u64::from(prod.last_cycle_completed());
                     report.transitions += prod.last_transitions().len() as u64;
 
-                    prod.apply_pending_signals(&mut sub_p, &mut sink_p).unwrap();
+                    prod.apply_pending_signals(&mut w.world, &mut sink_p)
+                        .unwrap();
                     oracle
-                        .apply_pending_signals(&mut sub_o, &mut sink_o)
+                        .apply_pending_signals(&mut w.mock, &mut sink_o)
                         .unwrap();
                     // Auto-reap may have removed principals; forget them.
                     live.retain(|&id| prod.share(id).is_some());
@@ -529,16 +582,16 @@ pub fn run_engine_schedule(
         // a member in/out, identically on both engines.
         if mode == EngineMode::Principals && !live.is_empty() && workload.chance(1, 6) {
             let id = live[workload.below(live.len() as u64) as usize];
-            let members = prod.members(id).unwrap_or_default();
-            let mut current: Vec<(u32, Nanos)> = members
-                .iter()
+            let mut current: Vec<(i32, Nanos)> = (prod.members(id).unwrap_or_default())
+                .into_iter()
                 .filter_map(|m| {
-                    let p = sub_p.procs.get(m)?;
-                    (!p.gone).then_some((*m, p.cpu))
+                    let p = w.mock.procs.get(&m)?;
+                    (!p.gone).then_some((m, p.cpu))
                 })
                 .collect();
             if workload.chance(1, 2) {
-                current.push(spawn(&mut sub_p, &mut sub_o, &mut workload));
+                let share = oracle.share(id).expect("a live principal has a share");
+                current.push(w.spawn(&mut workload, q, share));
             } else if current.len() > 1 {
                 let k = workload.below(current.len() as u64) as usize;
                 current.remove(k);
@@ -547,10 +600,10 @@ pub fn run_engine_schedule(
             let ch_o = oracle.set_membership(id, &current);
             assert_eq!(ch, ch_o, "refresh change diverges (seed {seed})");
             if let Some(ch) = ch {
-                prod.apply_signals(&mut sub_p, &ch.signals, &mut sink_p)
+                prod.apply_signals(&mut w.world, &ch.signals, &mut sink_p)
                     .unwrap();
                 oracle
-                    .apply_signals(&mut sub_o, &ch.signals, &mut sink_o)
+                    .apply_signals(&mut w.mock, &ch.signals, &mut sink_o)
                     .unwrap();
             }
         }
@@ -560,7 +613,7 @@ pub fn run_engine_schedule(
             sink_p.events, sink_o.events,
             "event streams diverge (seed {seed})"
         );
-        assert_eq!(sub_p, sub_o, "substrate end states diverge (seed {seed})");
+        w.world.check(&w.mock, &w.shares, seed);
         for &id in &minted {
             if let Some(a) = prod.allowance(id) {
                 fold(&mut report.fingerprint, a.to_bits());
@@ -572,8 +625,8 @@ pub fn run_engine_schedule(
 }
 
 fn check_engine_state(
-    prod: &Engine<u32>,
-    oracle: &OracleEngine<u32>,
+    prod: &Engine<i32>,
+    oracle: &OracleEngine<i32>,
     minted: &[ProcId],
     seed: u64,
 ) {

@@ -139,14 +139,14 @@ proptest! {
 fn engine_trace_stats_and_cycle_log_match_the_oracle_under_member_churn() {
     for lazy in [true, false] {
         let cfg = config(lazy);
-        let mut prod: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
-        let mut oracle: OracleEngine<u32> = OracleEngine::new(cfg).with_auto_reap(true);
-        let mut sub_p: MockSubstrate = MockSubstrate::default();
-        let mut sub_o: MockSubstrate = MockSubstrate::default();
+        let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+        let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg).with_auto_reap(true);
+        let mut sub_p = MockSubstrate::default();
+        let mut sub_o = MockSubstrate::default();
         let mut sink_p = RecordingSink::new();
         let mut sink_o = RecordingSink::new();
-        let mut members: Vec<u32> = Vec::new();
-        let mut next_member: u32 = 0;
+        let mut members: Vec<i32> = Vec::new();
+        let mut next_member: i32 = 0;
         let stopped = MockProc {
             cpu: Nanos::ZERO,
             blocked: false,
@@ -165,7 +165,7 @@ fn engine_trace_stats_and_cycle_log_match_the_oracle_under_member_churn() {
                 next_member += 1;
                 sub_p.procs.insert(m, stopped);
                 sub_o.procs.insert(m, stopped);
-                let share = u64::from(m % 5) + 1;
+                let share = (m % 5) as u64 + 1;
                 assert_eq!(
                     prod.add_member(m, share, sub_p.now),
                     oracle.add_member(m, share, sub_o.now)
@@ -228,8 +228,8 @@ fn engine_trace_stats_and_cycle_log_match_the_oracle_under_member_churn() {
 fn a_member_listed_twice_counts_once_in_both_engines() {
     let ms = Nanos::from_millis;
     let cfg = AlpsConfig::new(QUANTUM);
-    let mut prod: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
-    let mut oracle: OracleEngine<u32> = OracleEngine::new(cfg);
+    let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact);
+    let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg);
     let (mut sub_p, mut sub_o) = (MockSubstrate::default(), MockSubstrate::default());
     let u = prod.add_principal(4);
     assert_eq!(oracle.add_principal(4), u);
@@ -279,13 +279,13 @@ fn a_member_listed_twice_counts_once_in_both_engines() {
 #[test]
 fn a_member_listed_by_two_principals_stays_with_its_first_owner_in_both_engines() {
     let cfg = config(true);
-    let mut prod: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
-    let mut oracle: OracleEngine<u32> = OracleEngine::new(cfg).with_auto_reap(true);
+    let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg).with_auto_reap(true);
     let fixed = prod.add_member(9, 1, Nanos::ZERO);
     assert_eq!(oracle.add_member(9, 1, Nanos::ZERO), fixed);
     let (a, b) = (prod.add_principal(1), prod.add_principal(2));
     assert_eq!((oracle.add_principal(1), oracle.add_principal(2)), (a, b));
-    let refreshes: [(_, &[(u32, Nanos)]); 5] = [
+    let refreshes: [(_, &[(i32, Nanos)]); 5] = [
         (a, &[(7, Nanos::ZERO)]),
         (b, &[(7, Nanos::ZERO), (8, Nanos::ZERO), (9, Nanos::ZERO)]),
         (fixed, &[(7, Nanos::ZERO)]),

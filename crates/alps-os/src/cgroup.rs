@@ -31,15 +31,21 @@
 //! | continue      | `cgroup.freeze = 0` | `weight = clamp(share)`    | `quota = max` (uncapped) |
 //! | stop          | `cgroup.freeze = 1` | `weight = 1`               | `quota = period / 100`   |
 //!
+//! A share change rewrites `cpu.weight` at once, except on a member
+//! demoted in `Weights` mode, which takes the new weight at its next
+//! `continue`. The conformance suite runs the engine on this substrate in
+//! every mode, held to the spec oracle, and checks each leaf against this
+//! table after every step.
+//!
 //! `Signals` mode duty-cycles exactly like the paper (a frozen member is
-//! fully descheduled), so it is byte-equivalent to the signal substrate —
-//! the conformance suite proves this differentially. `Weights` demotes an
-//! ineligible member to the minimum weight instead of freezing it: under
-//! contention it still trickles, which is the qualitative difference
-//! between stop/continue duty-cycling and weight-based fair-share
-//! managers (Solaris SRM). `Caps` throttles an ineligible member to 1% of
-//! the period — the fractional-allocation primitive of DFRS. `repro
-//! actuators` measures the accuracy consequences of all three.
+//! fully descheduled), so it is equivalent to the signal substrate.
+//! `Weights` demotes an ineligible member to the minimum weight instead
+//! of freezing it: under contention it still trickles, which is the
+//! qualitative difference between stop/continue duty-cycling and
+//! weight-based fair-share managers (Solaris SRM). `Caps` throttles an
+//! ineligible member to 1% of the period — the fractional-allocation
+//! primitive of DFRS. `repro actuators` measures the accuracy
+//! consequences of all three.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -1018,6 +1024,8 @@ struct MemberCtl {
     /// The share-derived `cpu.weight` restored on `continue` in
     /// [`ActuatorMode::Weights`].
     weight: u64,
+    /// Whether the last delivery that took was a `stop`.
+    stopped: bool,
 }
 
 /// A cgroup-v2 [`Substrate`]: one leaf group per controlled member, the
@@ -1091,7 +1099,14 @@ impl<F: CgroupFs> CgroupSubstrate<F> {
             let _ = self.fs.remove(&group);
             return Err(e);
         }
-        self.members.insert(pid, MemberCtl { group, weight });
+        self.members.insert(
+            pid,
+            MemberCtl {
+                group,
+                weight,
+                stopped: false,
+            },
+        );
         Ok(())
     }
 
@@ -1130,25 +1145,19 @@ impl<F: CgroupFs> CgroupSubstrate<F> {
         }
     }
 
-    /// Record a share change: updates the weight restored on `continue`
-    /// in [`ActuatorMode::Weights`] (and pushes it immediately — a demoted
-    /// member keeps weight 1 until its next `continue` regardless, since
-    /// the stop translation always writes 1).
+    /// Record a share change and push the new weight to the leaf at
+    /// once — except for a member demoted in [`ActuatorMode::Weights`],
+    /// which keeps weight 1 until its next `continue` restores the new
+    /// weight.
     pub fn set_share(&mut self, pid: i32, share: u64) -> Result<()> {
         let Some(ctl) = self.members.get_mut(&pid) else {
             return Err(OsError::NoSuchProcess(pid));
         };
         ctl.weight = weight_of_share(share);
-        Ok(())
-    }
-
-    /// Release every enrolled member (shutdown; errors ignored so one
-    /// stale leaf cannot leave the rest frozen).
-    pub fn release_all(&mut self) {
-        let pids: Vec<i32> = self.members.keys().copied().collect();
-        for pid in pids {
-            let _ = self.release(pid);
+        if ctl.stopped && self.mode == ActuatorMode::Weights {
+            return Ok(());
         }
+        self.fs.write_weight(&ctl.group, ctl.weight)
     }
 }
 
@@ -1170,21 +1179,23 @@ impl<F: CgroupFs> Substrate for CgroupSubstrate<F> {
     }
 
     fn deliver(&mut self, pid: i32, sig: Signal) -> Result<bool> {
-        let Some(ctl) = self.members.get(&pid) else {
+        let Some(ctl) = self.members.get_mut(&pid) else {
             return Ok(false);
         };
-        let group = ctl.group.clone();
-        let weight = ctl.weight;
+        let (group, weight) = (&ctl.group, ctl.weight);
         let res = match (self.mode, sig) {
-            (ActuatorMode::Signals, Signal::Stop) => self.fs.write_freeze(&group, true),
-            (ActuatorMode::Signals, Signal::Continue) => self.fs.write_freeze(&group, false),
-            (ActuatorMode::Weights, Signal::Stop) => self.fs.write_weight(&group, 1),
-            (ActuatorMode::Weights, Signal::Continue) => self.fs.write_weight(&group, weight),
-            (ActuatorMode::Caps, Signal::Stop) => self.fs.write_max(&group, CpuMax::throttled()),
-            (ActuatorMode::Caps, Signal::Continue) => self.fs.write_max(&group, CpuMax::open()),
+            (ActuatorMode::Signals, Signal::Stop) => self.fs.write_freeze(group, true),
+            (ActuatorMode::Signals, Signal::Continue) => self.fs.write_freeze(group, false),
+            (ActuatorMode::Weights, Signal::Stop) => self.fs.write_weight(group, 1),
+            (ActuatorMode::Weights, Signal::Continue) => self.fs.write_weight(group, weight),
+            (ActuatorMode::Caps, Signal::Stop) => self.fs.write_max(group, CpuMax::throttled()),
+            (ActuatorMode::Caps, Signal::Continue) => self.fs.write_max(group, CpuMax::open()),
         };
         match res {
-            Ok(()) => Ok(true),
+            Ok(()) => {
+                ctl.stopped = sig == Signal::Stop;
+                Ok(true)
+            }
             Err(OsError::NoSuchProcess(_)) => Ok(false),
             Err(e) => Err(e),
         }
@@ -1301,6 +1312,24 @@ mod tests {
                 ActuatorMode::Weights => assert_eq!(g.weight, 300),
                 ActuatorMode::Caps => assert_eq!(g.max, CpuMax::open()),
             }
+        }
+    }
+
+    #[test]
+    fn a_share_change_reaches_cpu_weight_unless_demoted_by_weights() {
+        for mode in ActuatorMode::ALL {
+            let mut sub = CgroupSubstrate::new(FakeCgroupFs::new(1), mode);
+            sub.enroll(7, 3).unwrap();
+            assert!(sub.deliver(7, Signal::Continue).unwrap());
+            sub.set_share(7, 7).unwrap();
+            let weight = |sub: &CgroupSubstrate<FakeCgroupFs>| sub.fs().group("m7").unwrap().weight;
+            assert_eq!(weight(&sub), 7, "running member, {mode}");
+            assert!(sub.deliver(7, Signal::Stop).unwrap());
+            sub.set_share(7, 5).unwrap();
+            let demoted = if mode == ActuatorMode::Weights { 1 } else { 5 };
+            assert_eq!(weight(&sub), demoted, "stopped member, {mode}");
+            assert!(sub.deliver(7, Signal::Continue).unwrap());
+            assert_eq!(weight(&sub), 5, "continued member, {mode}");
         }
     }
 

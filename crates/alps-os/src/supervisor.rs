@@ -451,17 +451,11 @@ impl Supervisor {
         self.engine
             .set_share(id, share)
             .map_err(|_| OsError::Stale(id))?;
-        // Keep the weight the cgroup backend restores on `continue` in
-        // step with the share, for every member.
+        // Keep every member's cgroup weight in step with the share.
         for pid in self.engine.members(id).unwrap_or_default() {
             self.sub.set_share(pid, share);
         }
         Ok(())
-    }
-
-    /// The kernel pid of a fixed process; for a group, its lowest member.
-    pub fn pid_of(&self, id: ProcId) -> Option<i32> {
-        self.engine.members(id)?.first().copied()
     }
 
     /// Every held `(ProcId, pid)` pair: principals in registration order,

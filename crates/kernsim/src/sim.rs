@@ -83,17 +83,21 @@ pub enum KernelPolicy {
     Stride,
 }
 
-/// Tunables of the simulated kernel. Defaults match FreeBSD 4.x on the
-/// paper's hardware: `hz = 100` (10 ms ticks), 100 ms round-robin slice,
-/// priority recomputation every 4 ticks, `schedcpu` every second.
+/// Clock interrupt period (`1/hz`): FreeBSD 4.x's `hz = 100`.
+pub const TICK: Nanos = Nanos::from_millis(10);
+
+/// Round-robin slice for equal-priority processes (FreeBSD 4.x).
+pub const RR_SLICE: Nanos = Nanos::from_millis(100);
+
+/// Recompute the running process's priority every this many ticks
+/// (FreeBSD 4.x).
+pub const PRIORITY_RECALC_TICKS: u64 = 4;
+
+/// Tunables of the simulated kernel. The clock, slice and priority
+/// recomputation are the FreeBSD 4.x constants above ([`TICK`],
+/// [`RR_SLICE`], [`PRIORITY_RECALC_TICKS`]); `schedcpu` runs every second.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Clock interrupt period (`1/hz`).
-    pub tick: Nanos,
-    /// Round-robin slice for equal-priority processes.
-    pub rr_slice: Nanos,
-    /// Recompute the running process's priority every this many ticks.
-    pub priority_recalc_ticks: u64,
     /// Seed for the jitter RNG (initial `estcpu` perturbation). Two runs
     /// with the same seed are identical; the paper averages 3 runs, which
     /// we emulate with 3 seeds.
@@ -116,9 +120,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            tick: Nanos::from_millis(10),
-            rr_slice: Nanos::from_millis(100),
-            priority_recalc_ticks: 4,
             seed: 0,
             spawn_estcpu_jitter: 0.0,
             accounting: CpuAccounting::Exact,
@@ -172,10 +173,9 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// A fresh machine at time zero.
     pub fn new(cfg: SimConfig) -> Self {
-        assert!(cfg.tick > Nanos::ZERO, "tick must be positive");
         let cpus = cfg.cpus.get();
         let mut events = EventQueue::new();
-        events.schedule(cfg.tick, EventKind::Tick);
+        events.schedule(TICK, EventKind::Tick);
         events.schedule(Nanos::SECOND, EventKind::SchedCpu);
         Sim {
             cfg,
@@ -535,7 +535,7 @@ impl Sim {
         if dt == Nanos::ZERO {
             return;
         }
-        let tick = self.cfg.tick.as_f64();
+        let tick = TICK.as_f64();
         // `pass` is only ever read by the stride policy; skip the float
         // work on the decay-usage hot path.
         let stride = self.cfg.policy == KernelPolicy::Stride;
@@ -573,19 +573,14 @@ impl Sim {
 
     fn handle_tick(&mut self) {
         self.tick_count += 1;
-        self.events
-            .schedule(self.now + self.cfg.tick, EventKind::Tick);
+        self.events.schedule(self.now + TICK, EventKind::Tick);
         for cpu in 0..self.running.len() {
             let Some(pid) = self.running[cpu] else {
                 continue;
             };
             // statclock: charge a whole tick to whoever holds the CPU now.
-            let tick = self.cfg.tick;
-            self.procs[pid].visible_cputime += tick;
-            if self
-                .tick_count
-                .is_multiple_of(self.cfg.priority_recalc_ticks)
-            {
+            self.procs[pid].visible_cputime += TICK;
+            if self.tick_count.is_multiple_of(PRIORITY_RECALC_TICKS) {
                 self.resetpriority(pid);
             }
             match self.cfg.policy {
@@ -595,7 +590,7 @@ impl Sim {
                     // on the CPU's own queue once the slice expires. (A
                     // strictly better waiter anywhere never waits this
                     // long — fixup_dispatch preempts for it immediately.)
-                    if self.now - p.dispatched_at >= self.cfg.rr_slice {
+                    if self.now - p.dispatched_at >= RR_SLICE {
                         if let Some(best) = self.runqs[cpu].best_priority() {
                             if best <= p.priority {
                                 self.preempt(cpu);

@@ -1,14 +1,18 @@
 //! `repro conformance` — drive the spec-oracle differential from the CLI.
 //!
 //! Runs the differential harness (production `AlpsScheduler` / `Engine`
-//! vs the executable-spec oracle) across the configuration corners.
+//! vs the executable-spec oracle) across the configuration corners: the
+//! engine on a mock substrate, then on the in-memory cgroup actuator in
+//! each mode.
 //! Every assertion lives inside the harness — a completed run *is* the
 //! pass.
 
+use alps_conformance::actuator::run_cgroup_schedule;
 use alps_conformance::harness::{
     config_corners, run_core_schedule, run_engine_schedule, DriveReport, EngineMode,
 };
 use alps_core::AlpsConfig;
+use alps_os::cgroup::ActuatorMode;
 
 use super::table::Table;
 use crate::output::heading;
@@ -26,17 +30,28 @@ pub fn conformance(quick: bool) {
     let table = Table::new(&[-28, 9, 8, 12, 9]);
     table.header(&["driver", "quanta", "cycles", "transitions", "peak"]);
 
-    type Driver = fn(AlpsConfig, u64, usize) -> DriveReport;
-    let drivers: [(&str, Driver); 3] = [
-        ("core vs oracle", run_core_schedule),
-        ("engine flat", |cfg, seed, len| {
-            run_engine_schedule(cfg, EngineMode::Flat, seed, len)
-        }),
-        ("engine groups", |cfg, seed, len| {
-            run_engine_schedule(cfg, EngineMode::Principals, seed, len)
-        }),
+    type Driver = Box<dyn Fn(AlpsConfig, u64, usize) -> DriveReport>;
+    let modes = [
+        ("flat", EngineMode::Flat),
+        ("groups", EngineMode::Principals),
     ];
-    let mut totals = [DriveReport::default(); 3];
+    let mut drivers: Vec<(String, Driver)> =
+        vec![("core vs oracle".to_string(), Box::new(run_core_schedule))];
+    for (tag, mode) in modes {
+        drivers.push((
+            format!("engine {tag}"),
+            Box::new(move |cfg, seed, len| run_engine_schedule(cfg, mode, seed, len)),
+        ));
+    }
+    for actuator in ActuatorMode::ALL {
+        for (tag, mode) in modes {
+            drivers.push((
+                format!("cgroup {actuator} {tag}"),
+                Box::new(move |cfg, seed, len| run_cgroup_schedule(actuator, cfg, mode, seed, len)),
+            ));
+        }
+    }
+    let mut totals = vec![DriveReport::default(); drivers.len()];
     for (c, cfg) in config_corners().into_iter().enumerate() {
         for s in 0..seeds {
             let seed = 0xC0DE_0000_0000_0000 | (c as u64) << 32 | s;
@@ -51,7 +66,7 @@ pub fn conformance(quick: bool) {
     }
     for ((name, _), rep) in drivers.iter().zip(&totals) {
         table.row(&[
-            name.to_string(),
+            name.clone(),
             rep.quanta.to_string(),
             rep.cycles.to_string(),
             rep.transitions.to_string(),
