@@ -36,7 +36,7 @@ pub struct OracleEngine<M: Copy + Ord + Hash + fmt::Debug> {
     due: Vec<(ProcId, Vec<M>)>,
     /// Outcome of the last completed invocation.
     transitions: Vec<Transition>,
-    signals: Vec<MemberTransition<M>>,
+    signals: Vec<(M, Signal)>,
     cycle_completed: bool,
 }
 
@@ -202,7 +202,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         let now = sub.now();
         let out = self.sched.complete_quantum(&readings);
         self.transitions = out.transitions;
-        self.signals = out.signals;
+        self.signals = out.signals.iter().map(|&t| signal_of(t)).collect();
         self.cycle_completed = out.cycle_completed;
         if out.cycle_completed {
             self.stats.cycles += 1;
@@ -219,7 +219,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
     }
 
     /// Signals produced by the last [`Self::complete_quantum`].
-    pub fn pending_signals(&self) -> &[MemberTransition<M>] {
+    pub fn pending_signals(&self) -> &[(M, Signal)] {
         &self.signals
     }
 
@@ -243,12 +243,20 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
     where
         S: Substrate<Member = M>,
     {
-        for t in signals {
-            let m = t.member();
-            let sig = match t {
-                MemberTransition::Resume(_) => Signal::Continue,
-                MemberTransition::Suspend(_) => Signal::Stop,
-            };
+        let batch: Vec<(M, Signal)> = signals.iter().map(|&t| signal_of(t)).collect();
+        self.deliver(sub, &batch, sink)
+    }
+
+    fn deliver<S>(
+        &mut self,
+        sub: &mut S,
+        batch: &[(M, Signal)],
+        sink: &mut dyn EventSink<M>,
+    ) -> Result<(), S::Error>
+    where
+        S: Substrate<Member = M>,
+    {
+        for &(m, sig) in batch {
             let delivered = sub.deliver(m, sig)?;
             self.stats.signals += 1;
             sink.on_event(&Event::SignalSent {
@@ -276,7 +284,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         S: Substrate<Member = M>,
     {
         let signals = std::mem::take(&mut self.signals);
-        let result = self.apply_signals(sub, &signals, sink);
+        let result = self.deliver(sub, &signals, sink);
         self.signals = signals;
         result
     }
@@ -383,5 +391,13 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
     /// The flat oracle scheduler underneath, for aggregate comparisons.
     pub fn scheduler(&self) -> &crate::oracle::OracleScheduler {
         self.sched.inner()
+    }
+}
+
+/// A member signal as the batch the substrate takes.
+fn signal_of<M>(t: MemberTransition<M>) -> (M, Signal) {
+    match t {
+        MemberTransition::Resume(m) => (m, Signal::Continue),
+        MemberTransition::Suspend(m) => (m, Signal::Stop),
     }
 }

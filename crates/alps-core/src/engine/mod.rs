@@ -120,28 +120,39 @@ struct Repair<M> {
     retry: bool,
 }
 
-/// One principal's entry in the engine's table.
+/// One principal's entry in the engine's table: its members, each with
+/// the cumulative CPU of its last reading, and nothing else. The rest of
+/// what the engine knows of a principal is in the scheduler's slot at the
+/// same index: the generation that validates a [`ProcId`], the share, and
+/// the CPU charged so far over current and past members
+/// ([`AlpsScheduler::charged`], which the fold feeds as `total_cpu`).
+/// The two tables register and remove in lockstep, so the table holds an
+/// entry exactly where the scheduler holds a live slot.
 #[derive(Debug, Clone)]
-struct Principal<M> {
-    /// The generation of the [`ProcId`] that owns this entry: a stale id
-    /// from a reused slot misses instead of addressing the new tenant.
-    generation: u32,
-    /// A group ([`Engine::add_principal`]) as opposed to a fixed
-    /// single-member principal ([`Engine::add_member`]).
-    group: bool,
-    /// CPU charged so far, over current and past members. Member churn
-    /// does not disturb this: each member's consumption is folded in as
-    /// deltas from its own last reading.
-    cumulative: Nanos,
-    members: MemberSet<M>,
+enum Principal<M> {
+    /// A fixed single-member principal ([`Engine::add_member`]).
+    Fixed(M, Nanos),
+    /// A group ([`Engine::add_principal`]). Boxed, so that a fixed entry
+    /// is not padded to a member set's size.
+    Group(Box<MemberSet<M>>),
 }
 
-/// The entry of `table` for `id`, if the id is current.
-fn entry_mut<M>(table: &mut [Option<Principal<M>>], id: ProcId) -> Option<&mut Principal<M>> {
-    table
-        .get_mut(id.index())?
-        .as_mut()
-        .filter(|p| p.generation == id.generation())
+impl<M: Copy + Ord> Principal<M> {
+    /// The members, in ascending order.
+    fn members(&self) -> &[M] {
+        match self {
+            Principal::Fixed(m, _) => std::slice::from_ref(m),
+            Principal::Group(set) => set.members(),
+        }
+    }
+
+    /// Member `m`'s last reading.
+    fn reading_mut(&mut self, m: &M) -> Option<&mut Nanos> {
+        match self {
+            Principal::Fixed(x, last) => (x == m).then_some(last),
+            Principal::Group(set) => set.get_mut(m),
+        }
+    }
 }
 
 /// The generic per-quantum ALPS control loop.
@@ -180,18 +191,21 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     /// the scheduler's slots, so the per-quantum lookups are O(1)
     /// without hashing.
     principals: Vec<Option<Principal<M>>>,
-    /// Every principal in registration order (the order cycle-record
-    /// entries are emitted in), each with its cumulative exact CPU at the
-    /// last cycle boundary.
-    snapshot: Vec<(ProcId, Nanos)>,
-    /// Stale (removed) ids still present in `snapshot`. Removal only
-    /// tombstones; the vector is compacted once stale entries outnumber
+    /// Every principal in registration order: the order of
+    /// [`Engine::proc_ids`] and of cycle-record entries.
+    order: Vec<ProcId>,
+    /// With `record_cycles`, each principal's cumulative exact CPU at the
+    /// last cycle boundary, parallel to `order`; empty without.
+    boundary: Vec<Nanos>,
+    /// Stale (removed) ids still present in `order`. Removal only
+    /// tombstones; the list is compacted once stale entries outnumber
     /// live ones, so a mass reap (every member of a large workload
     /// exiting) costs O(n) amortized instead of the O(n²) that eager
     /// `retain` per removal used to.
     stale: usize,
-    /// Member → owning principal: the members the engine manages.
-    member_index: HashMap<M, ProcId>,
+    /// Member → the slot index of its principal: the members the engine
+    /// manages. The id's generation is the scheduler slot's.
+    member_index: HashMap<M, u32>,
     cycles: Vec<CycleRecord>,
     stats: EngineStats,
     record_cycles: bool,
@@ -212,21 +226,24 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     observations: Vec<(ProcId, Observation)>,
     /// Scratch: members found gone during the read phase.
     gone: Vec<(ProcId, M)>,
-    /// Scratch: positions in `readings`, or in `sig_batch`, whose read or
-    /// delivery faulted.
+    /// Scratch: positions in `readings`, or in the batch being
+    /// delivered, whose read or delivery faulted.
     faulted: Vec<usize>,
     /// Scratch: members to re-signal after this quantum's decision.
     repairs: Vec<Repair<M>>,
-    /// Scratch: the signal batch handed to [`Substrate::apply_batch`].
-    sig_batch: Vec<(M, Signal)>,
-    /// Scratch: per-signal delivery outcomes, parallel to `sig_batch`.
+    /// The last invocation's member signals, staged as the batch
+    /// [`Substrate::apply_batch`] takes: every member of every principal
+    /// in `outcome.transitions`, then the repairs.
+    staged: Vec<(M, Signal)>,
+    /// Scratch: the batch [`Engine::apply_signals`] delivers. Kept apart
+    /// from `staged`, so that a refresh delivered between stages 2 and 3
+    /// leaves the staged signals alone.
+    batch: Vec<(M, Signal)>,
+    /// Scratch: per-signal delivery outcomes of the batch being delivered.
     delivered: Vec<bool>,
     /// Outcome of the last completed invocation; its buffers are reused,
     /// so steady-state quanta allocate nothing.
     outcome: QuantumOutcome,
-    /// The last invocation's member signals: every member of every
-    /// principal in `outcome.transitions`.
-    signals: Vec<MemberTransition<M>>,
 }
 
 impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
@@ -237,7 +254,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         Engine {
             sched: AlpsScheduler::new(cfg),
             principals: Vec::new(),
-            snapshot: Vec::new(),
+            order: Vec::new(),
+            boundary: Vec::new(),
             stale: 0,
             member_index: HashMap::new(),
             cycles: Vec::new(),
@@ -254,10 +272,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             gone: Vec::new(),
             faulted: Vec::new(),
             repairs: Vec::new(),
-            sig_batch: Vec::new(),
+            staged: Vec::new(),
+            batch: Vec::new(),
             delivered: Vec::new(),
             outcome: QuantumOutcome::default(),
-            signals: Vec::new(),
         }
     }
 
@@ -284,44 +302,40 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// If `member` already belongs to a principal: a member is charged to
     /// one principal at most.
     pub fn add_member(&mut self, member: M, share: u64, initial_cpu: Nanos) -> ProcId {
-        let id = self.insert_principal(share, false, MemberSet::One((member, initial_cpu)));
-        let owner = self.member_index.insert(member, id);
+        let id = self.insert_principal(share, Principal::Fixed(member, initial_cpu), initial_cpu);
+        let owner = self.member_index.insert(member, id.index() as u32);
         assert!(
             owner.is_none(),
             "member {member:?} already belongs to a principal"
         );
-        self.snapshot.push((id, initial_cpu));
         id
     }
 
     /// Register an empty group (§5). Populate it with
     /// [`Engine::set_membership`].
     pub fn add_principal(&mut self, share: u64) -> ProcId {
-        let id = self.insert_principal(share, true, MemberSet::default());
-        self.snapshot.push((id, Nanos::ZERO));
-        id
+        let group = Principal::Group(Box::default());
+        self.insert_principal(share, group, Nanos::ZERO)
     }
 
-    fn insert_principal(&mut self, share: u64, group: bool, members: MemberSet<M>) -> ProcId {
+    /// Register `p`, whose cycle log starts from the `exact` reading.
+    fn insert_principal(&mut self, share: u64, p: Principal<M>, exact: Nanos) -> ProcId {
         let id = self.sched.add_process(share, Nanos::ZERO);
         if id.index() == self.principals.len() {
             self.principals.push(None);
         }
-        self.principals[id.index()] = Some(Principal {
-            generation: id.generation(),
-            group,
-            cumulative: Nanos::ZERO,
-            members,
-        });
+        self.principals[id.index()] = Some(p);
+        self.order.push(id);
+        if self.record_cycles {
+            self.boundary.push(exact);
+        }
         id
     }
 
     /// The principal for a handle, if the handle is current.
     fn principal(&self, id: ProcId) -> Option<&Principal<M>> {
-        self.principals
-            .get(id.index())?
-            .as_ref()
-            .filter(|p| p.generation == id.generation())
+        self.sched.is_eligible(id)?;
+        self.principals[id.index()].as_ref()
     }
 
     /// Replace a group's member set (the once-per-second refresh of §5).
@@ -345,28 +359,29 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         current: &[(M, Nanos)],
     ) -> Option<MembershipChange<M>> {
         let eligible = self.sched.is_eligible(id)?;
-        let p = entry_mut(&mut self.principals, id).filter(|p| p.group)?;
+        let Some(Principal::Group(set)) = &mut self.principals[id.index()] else {
+            return None;
+        };
         let mut members = MemberSet::default();
         let mut added = Vec::new();
         for &(m, cpu) in current {
-            let owned_elsewhere = self.member_index.get(&m).is_some_and(|&o| o != id);
+            let owner = self.member_index.get(&m);
+            let owned_elsewhere = owner.is_some_and(|&o| o as usize != id.index());
             if owned_elsewhere || members.get(&m).is_some() {
                 continue;
             }
-            let last = p.members.get(&m).unwrap_or_else(|| {
+            let last = set.get(&m).unwrap_or_else(|| {
                 added.push(m);
                 cpu
             });
             members.insert(m, last);
         }
-        let removed: Vec<M> = p
-            .members
-            .keys()
+        let removed: Vec<M> = (set.members().iter().copied())
             .filter(|m| members.get(m).is_none())
             .collect();
-        p.members = members;
+        **set = members;
         for &m in &added {
-            self.member_index.insert(m, id);
+            self.member_index.insert(m, id.index() as u32);
         }
         for m in &removed {
             self.member_index.remove(m);
@@ -388,19 +403,19 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// should resume if the principal was ineligible). The engine keeps
     /// no recovery state for them afterwards.
     pub fn remove_principal(&mut self, id: ProcId) -> Option<Vec<M>> {
-        let p = self
-            .principals
-            .get_mut(id.index())?
-            .take_if(|p| p.generation == id.generation())?;
-        self.sched.remove_process(id);
+        self.sched.remove_process(id)?;
+        let p = self.principals[id.index()]
+            .take()
+            .expect("a live slot has an entry");
         self.stale += 1;
-        if self.stale * 2 > self.snapshot.len() {
+        if self.stale * 2 > self.order.len() {
             let sched = &self.sched;
-            self.snapshot
-                .retain(|&(x, _)| sched.is_eligible(x).is_some());
+            let mut live = self.order.iter().map(|&x| sched.is_eligible(x).is_some());
+            self.boundary.retain(|_| live.next() == Some(true));
+            self.order.retain(|&x| sched.is_eligible(x).is_some());
             self.stale = 0;
         }
-        let members: Vec<M> = p.members.keys().collect();
+        let members = p.members().to_vec();
         for m in &members {
             self.member_index.remove(m);
             self.forget_faults(m);
@@ -443,7 +458,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             let p = self.principals[id.index()]
                 .as_ref()
                 .expect("the scheduler's due ids are registered");
-            self.due.push(id, p.members.keys());
+            self.due.push(id, p.members());
         }
         sink.on_event(&Event::QuantumStart {
             invocation: self.stats.quanta,
@@ -559,9 +574,12 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         for (id, members) in self.due.iter() {
             let row = &self.readings[start..start + members.len()];
             start += members.len();
-            let Some(p) = entry_mut(&mut self.principals, id) else {
+            let Some(mut charged) = self.sched.charged(id) else {
                 continue; // reaped or quarantined during the reads
             };
+            let p = self.principals[id.index()]
+                .as_mut()
+                .expect("a live slot has an entry");
             let mut any_read = false;
             let mut all_blocked = true;
             for (m, obs) in members.iter().zip(row) {
@@ -569,8 +587,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                     continue;
                 };
                 any_read = true;
-                if let Some(last) = p.members.get_mut(m) {
-                    p.cumulative += obs.total_cpu.saturating_sub(*last);
+                if let Some(last) = p.reading_mut(m) {
+                    charged += obs.total_cpu.saturating_sub(*last);
                     *last = obs.total_cpu;
                 }
                 all_blocked &= obs.blocked;
@@ -578,7 +596,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             self.observations.push((
                 id,
                 Observation {
-                    total_cpu: p.cumulative,
+                    total_cpu: charged,
                     blocked: any_read && all_blocked,
                 },
             ));
@@ -586,15 +604,16 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         let now = sub.now();
         self.sched
             .complete_quantum_into(&self.observations, &mut self.outcome);
-        self.signals.clear();
+        self.staged.clear();
         for t in &self.outcome.transitions {
             let p = self.principals[t.proc_id().index()]
                 .as_ref()
                 .expect("a transition's principal is registered");
-            self.signals.extend(p.members.keys().map(|m| match t {
-                Transition::Resume(_) => MemberTransition::Resume(m),
-                Transition::Suspend(_) => MemberTransition::Suspend(m),
-            }));
+            let signal = match t {
+                Transition::Resume(_) => Signal::Continue,
+                Transition::Suspend(_) => Signal::Stop,
+            };
+            self.staged.extend(p.members().iter().map(|&m| (m, signal)));
         }
         if !self.repairs.is_empty() {
             self.push_repairs(sink);
@@ -613,9 +632,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     }
 
     /// Signals produced by the last [`Engine::complete_quantum`], not yet
-    /// (or last) delivered via [`Engine::apply_pending_signals`].
-    pub fn pending_signals(&self) -> &[MemberTransition<M>] {
-        &self.signals
+    /// (or last) delivered via [`Engine::apply_pending_signals`], in
+    /// delivery order.
+    pub fn pending_signals(&self) -> &[(M, Signal)] {
+        &self.staged
     }
 
     /// Principal-level eligibility transitions of the last invocation.
@@ -642,48 +662,14 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     where
         S: Substrate<Member = M>,
     {
-        self.sig_batch.clear();
-        self.sig_batch.extend(signals.iter().map(|t| match *t {
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        batch.extend(signals.iter().map(|t| match *t {
             MemberTransition::Resume(m) => (m, Signal::Continue),
             MemberTransition::Suspend(m) => (m, Signal::Stop),
         }));
-        self.delivered.clear();
-        self.faulted.clear();
-        // `apply_batch` is fail-fast with the successful prefix's outcomes
-        // in `delivered`, so the signal at `delivered.len()` is the one
-        // that faulted; the batch resumes after it.
-        let mut res = sub.apply_batch(&self.sig_batch, &mut self.delivered);
-        while res.is_err() {
-            let at = self.delivered.len();
-            self.faulted.push(at);
-            self.delivered.push(false);
-            res = sub.apply_batch(&self.sig_batch[at + 1..], &mut self.delivered);
-        }
-        // Bookkeeping in batch order. `reap` never touches the substrate,
-        // so the events emitted and the reaps performed are a per-signal
-        // loop's.
-        let mut faulted = 0;
-        for i in 0..self.sig_batch.len() {
-            let (m, signal) = self.sig_batch[i];
-            if self.faulted.get(faulted) == Some(&i) {
-                faulted += 1;
-                self.signal_fault(m, signal, sink);
-                continue;
-            }
-            let delivered = self.delivered[i];
-            self.stats.signals += 1;
-            sink.on_event(&Event::SignalSent {
-                member: m,
-                signal,
-                delivered,
-            });
-            self.forget_faults(&m);
-            if !delivered {
-                if let Some(&id) = self.member_index.get(&m) {
-                    self.reap(id, m, sink);
-                }
-            }
-        }
+        self.deliver(sub, &batch, sink);
+        self.batch = batch;
         Ok(())
     }
 
@@ -698,13 +684,56 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     where
         S: Substrate<Member = M>,
     {
-        // The signal buffer is moved out for the duration of the call (the
-        // borrow checker cannot see that `apply_signals` leaves it alone)
-        // and put back so it keeps being reused.
-        let signals = std::mem::take(&mut self.signals);
-        let result = self.apply_signals(sub, &signals, sink);
-        self.signals = signals;
-        result
+        // The staged batch is moved out for the duration of the call (the
+        // borrow checker cannot see that `deliver` leaves it alone) and
+        // put back so it keeps being reused.
+        let staged = std::mem::take(&mut self.staged);
+        self.deliver(sub, &staged, sink);
+        self.staged = staged;
+        Ok(())
+    }
+
+    /// Deliver `batch` as one [`Substrate::apply_batch`], absorbing faults.
+    fn deliver<S>(&mut self, sub: &mut S, batch: &[(M, Signal)], sink: &mut dyn EventSink<M>)
+    where
+        S: Substrate<Member = M>,
+    {
+        self.delivered.clear();
+        self.faulted.clear();
+        // `apply_batch` is fail-fast with the successful prefix's outcomes
+        // in `delivered`, so the signal at `delivered.len()` is the one
+        // that faulted; the batch resumes after it.
+        let mut res = sub.apply_batch(batch, &mut self.delivered);
+        while res.is_err() {
+            let at = self.delivered.len();
+            self.faulted.push(at);
+            self.delivered.push(false);
+            res = sub.apply_batch(&batch[at + 1..], &mut self.delivered);
+        }
+        // Bookkeeping in batch order. `reap` never touches the substrate,
+        // so the events emitted and the reaps performed are a per-signal
+        // loop's.
+        let mut faulted = 0;
+        for (i, &(m, signal)) in batch.iter().enumerate() {
+            if self.faulted.get(faulted) == Some(&i) {
+                faulted += 1;
+                self.signal_fault(m, signal, sink);
+                continue;
+            }
+            let delivered = self.delivered[i];
+            self.stats.signals += 1;
+            sink.on_event(&Event::SignalSent {
+                member: m,
+                signal,
+                delivered,
+            });
+            self.forget_faults(&m);
+            if !delivered {
+                if let Some(id) = self.principal_of(m) {
+                    self.reap(id, m, sink);
+                }
+            }
+        }
     }
 
     /// All three stages back to back — the whole scheduler invocation for
@@ -729,7 +758,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     fn reap(&mut self, id: ProcId, m: M, sink: &mut dyn EventSink<M>) {
         // Only a fixed principal dies with its member; a group's gone
         // member is skipped until the backend's next refresh drops it.
-        if !self.auto_reap || self.principal(id).is_none_or(|p| p.group) {
+        if !self.auto_reap || !matches!(self.principal(id), Some(Principal::Fixed(..))) {
             return;
         }
         self.remove_principal(id);
@@ -777,23 +806,24 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// recovers).
     fn quarantine(&mut self, m: M, sink: &mut dyn EventSink<M>) {
         self.faults.remove(&m);
-        let Some(&id) = self.member_index.get(&m) else {
+        let Some(id) = self.principal_of(m) else {
             return;
         };
         self.stats.quarantined += 1;
         sink.on_event(&Event::Quarantined { member: m });
-        let Some(p) = entry_mut(&mut self.principals, id) else {
-            return;
-        };
-        if !p.group {
-            self.remove_principal(id);
-            return;
-        }
-        // The evicted member gets no reconciliation signal: it is
-        // faulting. Re-admitted stopped into an eligible group, it is read
-        // stopped and resumed.
-        if p.members.remove(&m).is_some() {
-            self.member_index.remove(&m);
+        let p = self.principals[id.index()].as_mut();
+        match p.expect("a managed member's principal is registered") {
+            Principal::Fixed(..) => {
+                self.remove_principal(id);
+            }
+            // The evicted member gets no reconciliation signal: it is
+            // faulting. Re-admitted stopped into an eligible group, it is
+            // read stopped and resumed.
+            Principal::Group(set) => {
+                if set.remove(&m).is_some() {
+                    self.member_index.remove(&m);
+                }
+            }
         }
     }
 
@@ -813,7 +843,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 continue; // recovered, let go, or queued again since
             };
             f.retry_at = 0;
-            let Some(&id) = self.member_index.get(&m) else {
+            let Some(id) = self.principal_of(m) else {
                 continue;
             };
             self.repairs.push(Repair {
@@ -844,10 +874,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 continue;
             };
             let flipped = eligible != r.eligible;
-            let (t, signal) = if eligible {
-                (MemberTransition::Resume(r.member), Signal::Continue)
+            let signal = if eligible {
+                Signal::Continue
             } else {
-                (MemberTransition::Suspend(r.member), Signal::Stop)
+                Signal::Stop
             };
             if r.retry {
                 self.stats.retries += 1;
@@ -859,49 +889,48 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 self.stats.reasserted += 1;
             }
             if !flipped {
-                self.signals.push(t);
+                self.staged.push((r.member, signal));
             }
         }
     }
 
-    /// Build a [`CycleRecord`] differenced against the snapshot taken at
+    /// Build a [`CycleRecord`] differenced against the readings taken at
     /// the previous boundary: a fixed principal's member is re-read
     /// exactly, a group is charged what it was charged since (its current
     /// members' lifetimes say nothing about what the group consumed).
     ///
     /// The scheduler has already committed this quantum, so a faulting
     /// read must not abort it: the fault is counted and narrated, and the
-    /// entry is charged nothing and keeps its snapshot, like a gone
+    /// entry is charged nothing and keeps its reading, like a gone
     /// member's (the next boundary charges what it missed). Nobody is
-    /// struck here — a quarantine would compact `snapshot` mid-walk; the
+    /// struck here — a quarantine would compact `order` mid-walk; the
     /// quantum's own reads strike.
     fn record_exact_cycle<S>(&mut self, sub: &mut S, now: Nanos, sink: &mut dyn EventSink<M>)
     where
         S: Substrate<Member = M>,
     {
-        let mut entries = Vec::with_capacity(self.snapshot.len());
+        let mut entries = Vec::with_capacity(self.order.len());
         let mut total = Nanos::ZERO;
-        for i in 0..self.snapshot.len() {
-            let (id, last) = self.snapshot[i];
-            let current = match self.principal(id) {
-                None => continue, // tombstoned (removed, not yet compacted)
-                Some(p) if p.group => p.cumulative,
-                // A member that is gone is charged nothing further; keep
-                // the old snapshot so the record is stable.
-                Some(p) => match p.members.as_slice() {
-                    &[(m, _)] => match sub.read_exact(m) {
-                        Ok(cpu) => cpu.unwrap_or(last),
-                        Err(_) => {
-                            self.stats.read_faults += 1;
-                            sink.on_event(&Event::ReadFault { member: m });
-                            last
-                        }
-                    },
-                    _ => last,
+        for i in 0..self.order.len() {
+            let (id, last) = (self.order[i], self.boundary[i]);
+            let Some(charged) = self.sched.charged(id) else {
+                continue; // tombstoned (removed, not yet compacted)
+            };
+            let current = match self.principals[id.index()] {
+                Some(Principal::Fixed(m, _)) => match sub.read_exact(m) {
+                    // A member that is gone is charged nothing further;
+                    // keep the old reading so the record is stable.
+                    Ok(cpu) => cpu.unwrap_or(last),
+                    Err(_) => {
+                        self.stats.read_faults += 1;
+                        sink.on_event(&Event::ReadFault { member: m });
+                        last
+                    }
                 },
+                _ => charged,
             };
             let consumed = current.saturating_sub(last);
-            self.snapshot[i].1 = current;
+            self.boundary[i] = current;
             total += consumed;
             entries.push(CycleEntry {
                 id,
@@ -932,9 +961,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// Live principals, in registration order.
     pub fn proc_ids(&self) -> Vec<ProcId> {
-        self.snapshot
+        self.order
             .iter()
-            .map(|&(id, _)| id)
+            .copied()
             .filter(|&id| self.sched.is_eligible(id).is_some())
             .collect()
     }
@@ -971,16 +1000,30 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// Members of a principal.
     pub fn members(&self, id: ProcId) -> Option<Vec<M>> {
-        self.principal(id).map(|p| p.members.keys().collect())
+        self.principal(id).map(|p| p.members().to_vec())
     }
 
     /// The principal a member belongs to, if any.
     pub fn principal_of(&self, m: M) -> Option<ProcId> {
-        self.member_index.get(&m).copied()
+        self.member_index.get(&m).map(|&i| self.sched.id_at(i))
     }
 
     /// The inner Figure-3 scheduler, for read-only inspection.
     pub fn scheduler(&self) -> &AlpsScheduler {
         &self.sched
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A table entry is a fixed principal's member and last reading, or a
+    /// group's box: 16 bytes for a 4-byte member, the vacant entry
+    /// included.
+    #[test]
+    fn a_principal_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Principal<i32>>>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Principal<u32>>>(), 16);
     }
 }

@@ -25,15 +25,6 @@ pub enum MemberTransition<M> {
     Suspend(M),
 }
 
-impl<M: Copy> MemberTransition<M> {
-    /// The member this signal addresses.
-    pub fn member(self) -> M {
-        match self {
-            MemberTransition::Resume(m) | MemberTransition::Suspend(m) => m,
-        }
-    }
-}
-
 /// Result of a membership refresh: what the backend must do to reconcile
 /// the new member set with the principal's current eligibility.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,95 +91,68 @@ impl<M> DueList<M> {
     }
 
     /// Append a due principal with its members.
-    pub(crate) fn push(&mut self, id: ProcId, members: impl Iterator<Item = M>) {
+    pub(crate) fn push(&mut self, id: ProcId, members: &[M])
+    where
+        M: Copy,
+    {
         let start = self.members.len() as u32;
-        self.members.extend(members);
+        self.members.extend_from_slice(members);
         self.entries
             .push((id, start, self.members.len() as u32 - start));
     }
 }
 
-/// A principal's members, each with its cumulative CPU at its last
-/// reading, in ascending member order. Every backend registers processes
-/// as single-member principals, so one member is held inline and costs no
-/// allocation; two or more are a `Vec` sorted by member. The empty set is
-/// an empty `Vec`, which does not allocate either.
+/// A group's members in ascending order, each with its cumulative CPU at
+/// its last reading in the parallel `readings`. (A fixed principal holds
+/// its one member inline in the engine's table and has no set.)
 #[derive(Debug, Clone)]
-pub(crate) enum MemberSet<M> {
-    One((M, Nanos)),
-    /// Never exactly one entry.
-    Many(Vec<(M, Nanos)>),
+pub(crate) struct MemberSet<M> {
+    members: Vec<M>,
+    readings: Vec<Nanos>,
 }
 
 impl<M> Default for MemberSet<M> {
     fn default() -> Self {
-        MemberSet::Many(Vec::new())
+        MemberSet {
+            members: Vec::new(),
+            readings: Vec::new(),
+        }
     }
 }
 
 impl<M: Ord + Copy> MemberSet<M> {
-    pub(crate) fn as_slice(&self) -> &[(M, Nanos)] {
-        match self {
-            MemberSet::One(e) => std::slice::from_ref(e),
-            MemberSet::Many(v) => v,
-        }
-    }
-
-    pub(crate) fn keys(&self) -> impl Iterator<Item = M> + '_ {
-        self.as_slice().iter().map(|&(m, _)| m)
-    }
-
-    fn position(&self, m: &M) -> Result<usize, usize> {
-        self.as_slice().binary_search_by_key(m, |&(x, _)| x)
+    pub(crate) fn members(&self) -> &[M] {
+        &self.members
     }
 
     pub(crate) fn get(&self, m: &M) -> Option<Nanos> {
-        self.position(m).ok().map(|i| self.as_slice()[i].1)
+        let i = self.members.binary_search(m).ok()?;
+        Some(self.readings[i])
     }
 
     pub(crate) fn get_mut(&mut self, m: &M) -> Option<&mut Nanos> {
-        let i = self.position(m).ok()?;
-        Some(match self {
-            MemberSet::One((_, cpu)) => cpu,
-            MemberSet::Many(v) => &mut v[i].1,
-        })
+        let i = self.members.binary_search(m).ok()?;
+        Some(&mut self.readings[i])
     }
 
     /// Set `m`'s reading, returning the one it replaces (as
     /// `BTreeMap::insert` does).
     pub(crate) fn insert(&mut self, m: M, cpu: Nanos) -> Option<Nanos> {
-        let i = match self.position(&m) {
-            Ok(_) => return self.get_mut(&m).map(|last| std::mem::replace(last, cpu)),
-            Err(i) => i,
-        };
-        match self {
-            MemberSet::Many(v) if v.is_empty() => *self = MemberSet::One((m, cpu)),
-            MemberSet::Many(v) => v.insert(i, (m, cpu)),
-            MemberSet::One(e) => {
-                let mut v = vec![*e; 2];
-                v[i] = (m, cpu);
-                *self = MemberSet::Many(v);
+        match self.members.binary_search(&m) {
+            Ok(i) => Some(std::mem::replace(&mut self.readings[i], cpu)),
+            Err(i) => {
+                self.members.insert(i, m);
+                self.readings.insert(i, cpu);
+                None
             }
         }
-        None
     }
 
     /// Drop `m`, returning its reading.
     pub(crate) fn remove(&mut self, m: &M) -> Option<Nanos> {
-        let i = self.position(m).ok()?;
-        let (_, cpu) = match std::mem::take(self) {
-            MemberSet::One(e) => e,
-            MemberSet::Many(mut v) => {
-                let e = v.remove(i);
-                *self = if v.len() == 1 {
-                    MemberSet::One(v[0])
-                } else {
-                    MemberSet::Many(v)
-                };
-                e
-            }
-        };
-        Some(cpu)
+        let i = self.members.binary_search(m).ok()?;
+        self.members.remove(i);
+        Some(self.readings.remove(i))
     }
 }
 
@@ -201,8 +165,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// The member set agrees with a `BTreeMap` under arbitrary
-        /// insert / remove / `get_mut` sequences that cross empty, one
-        /// and many members, and always iterates in ascending order.
+        /// insert / remove / `get_mut` sequences, and always iterates in
+        /// ascending order.
         #[test]
         fn member_set_matches_a_btree_map(
             ops in proptest::collection::vec((0u8..3, 0u32..6, 0u64..1000), 1..80),
@@ -221,11 +185,9 @@ mod tests {
                     }
                 }
                 let want: Vec<(u32, Nanos)> = model.iter().map(|(&m, &c)| (m, c)).collect();
-                proptest::prop_assert_eq!(set.as_slice(), &want[..]);
-                proptest::prop_assert!(
-                    matches!(set, MemberSet::One(_)) == (model.len() == 1),
-                    "exactly one member is held inline"
-                );
+                let got: Vec<(u32, Nanos)> =
+                    set.members.iter().copied().zip(set.readings.iter().copied()).collect();
+                proptest::prop_assert_eq!(got, want);
             }
         }
     }

@@ -131,7 +131,10 @@ struct ProcState {
     forfeited: bool,
 }
 
+/// Aligned so that a slot is one 64-byte cache line, not one that
+/// straddles two.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[repr(align(64))]
 struct Slot {
     generation: u32,
     state: Option<ProcState>,
@@ -148,7 +151,19 @@ struct Slot {
     /// recorded key matches. Bumped on every insertion and on removal, so
     /// superseded entries and entries from a previous tenant of a reused
     /// slot die lazily when their bucket drains.
-    wheel_key: u64,
+    ///
+    /// 32 bits cannot alias. Every bucket drains within [`WHEEL_SPAN`]
+    /// (2²⁴) invocations of an entry's insertion, and a drain drops every
+    /// stale entry it meets, so a stale entry outlives at most 2²⁴
+    /// invocations. To match it again the key would have to move 2³²
+    /// times in that window, over 256 times per invocation, where the
+    /// scheduler moves it at most twice (a pending refile and the
+    /// repartition) plus once per `set_share` or `remove_process` call.
+    ///
+    /// Not serialized: the wheel it keys is rebuilt on restore, and an
+    /// older checkpoint's (64-bit) `wheel_key` is ignored.
+    #[serde(skip)]
+    wheel_key: u32,
 }
 
 /// One deadline-wheel bucket entry: a slot expected to be due for
@@ -157,12 +172,12 @@ struct Slot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WheelEntry {
     idx: u32,
-    key: u64,
+    key: u32,
 }
 
 /// Wheel entries per pool block: with its chain link, and aligned to
 /// cache lines, a block is 1 KiB.
-const BLOCK: usize = 63;
+const BLOCK: usize = 127;
 /// Blocks per slab: the pool grows 64 KiB at a time.
 const SLAB: usize = 64;
 /// No block: the end of a chain, or an empty bucket or free list.
@@ -342,7 +357,9 @@ pub struct AlpsScheduler {
     /// Due list saved by the last `begin_quantum`. Popping a
     /// wheel entry consumes it, so `complete_quantum` must reschedule
     /// exactly these slots even if the backend supplied no observation for
-    /// some of them.
+    /// some of them. The off-boundary repartition merges `dirty` into it
+    /// and walks it, so it is also that walk's list; empty after
+    /// `complete_quantum`.
     pending: Vec<u32>,
     /// Slots whose `update` was forced due outside an invocation
     /// (`add_process`, `set_share`) and that the next repartition must
@@ -352,8 +369,6 @@ pub struct AlpsScheduler {
     /// Number of currently eligible processes (the O(1) replacement for
     /// the liveness valve's full-occupied scan).
     eligible_count: usize,
-    /// Repartition examined-set scratch; empty between invocations.
-    examined: Vec<u32>,
     /// Due-set ordering scratch over `occupied` positions; filled and
     /// drained within one call, so empty between calls (and a compaction
     /// between `begin_quantum` and `complete_quantum` cannot stale it).
@@ -436,7 +451,6 @@ impl AlpsScheduler {
             pending: Vec::new(),
             dirty: Vec::new(),
             eligible_count: 0,
-            examined: Vec::new(),
             bits: PosBitmap::default(),
         }
     }
@@ -719,6 +733,22 @@ impl AlpsScheduler {
         self.state(id).map(|s| s.eligible)
     }
 
+    /// The id of the process in slot `idx`, which must hold one.
+    pub(crate) fn id_at(&self, idx: u32) -> ProcId {
+        let slot = &self.slots[idx as usize];
+        debug_assert!(slot.state.is_some(), "slot {idx} is vacant");
+        ProcId {
+            idx,
+            generation: slot.generation,
+        }
+    }
+
+    /// The cumulative CPU reading of the process's last measurement (its
+    /// `initial_cpu` until the first): everything it has been charged for.
+    pub(crate) fn charged(&self, id: ProcId) -> Option<Nanos> {
+        self.state(id).map(|s| s.last_cpu)
+    }
+
     /// Iterate over the ids of all registered processes, in registration
     /// order.
     pub fn proc_ids(&self) -> impl Iterator<Item = ProcId> + '_ {
@@ -914,33 +944,31 @@ impl AlpsScheduler {
             // measurement still stands. Walking `pending ∪ dirty` in
             // registration order therefore emits exactly the transitions
             // and reschedules a walk of every occupied slot would.
-            debug_assert!(self.examined.is_empty());
             // `pending` is already in registration order (`begin_quantum`
             // drained it from the bitmap, and compaction keeps relative
             // order); only slots dirtied since need merging in. A slot
             // vacated since needs no examination, and may have lost its
             // position to compaction.
-            std::mem::swap(&mut self.examined, &mut self.pending);
             if !self.dirty.is_empty() {
                 self.bits.fit(self.occupied.len());
-                for &i in self.examined.iter().chain(&self.dirty) {
+                for &i in self.pending.iter().chain(&self.dirty) {
                     let slot = &self.slots[i as usize];
                     if slot.state.is_some() {
                         self.bits.insert(slot.pos);
                     }
                 }
-                self.examined.clear();
+                self.pending.clear();
                 self.dirty.clear();
                 self.bits
-                    .drain(|p| self.examined.push(self.occupied[p as usize]));
+                    .drain(|p| self.pending.push(self.occupied[p as usize]));
             }
             let mut k = 0;
-            while k < self.examined.len() {
-                let i = self.examined[k] as usize;
+            while k < self.pending.len() {
+                let i = self.pending[k] as usize;
                 k += 1;
                 self.repartition_slot(i, false, &mut out.transitions);
             }
-            self.examined.clear();
+            self.pending.clear();
         } else {
             // Cycle boundaries credit every slot's allowance (and reset its
             // forfeit flag), so the full walk is inherent (it is O(N) once
@@ -1299,6 +1327,11 @@ mod tests {
     #[test]
     fn a_wheel_block_is_one_kib() {
         assert_eq!(std::mem::size_of::<Block>(), 1024);
+    }
+
+    #[test]
+    fn a_wheel_entry_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<WheelEntry>(), 8);
     }
 
     #[test]

@@ -651,13 +651,58 @@ fn principal_becomes_eligible_resuming_all_members() {
     let mut resumed: Vec<u32> = e
         .pending_signals()
         .iter()
-        .map(|t| {
-            assert!(matches!(t, MemberTransition::Resume(_)));
-            t.member()
+        .map(|&(m, signal)| {
+            assert_eq!(signal, Signal::Continue);
+            m
         })
         .collect();
     resumed.sort_unstable();
     assert_eq!(resumed, vec![100, 101]);
+}
+
+/// A refresh delivered between stages 2 and 3 leaves the staged signals
+/// alone: stage 3 then sends every one of them, in order, after the
+/// refresh's own.
+#[test]
+fn staged_signals_survive_a_refresh_delivered_before_them() {
+    let (mut e, mut sub) = group_engine();
+    for m in [1, 2, 5, 7, 8] {
+        sub.add(m);
+    }
+    let u = e.add_principal(1);
+    e.set_membership(u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
+    e.add_member(5, 1, Nanos::ZERO);
+    idle_quantum(&mut e, &mut sub);
+    let staged = e.pending_signals().to_vec();
+    assert_eq!(
+        staged,
+        [
+            (1, Signal::Continue),
+            (2, Signal::Continue),
+            (5, Signal::Continue)
+        ]
+    );
+    // A group registered since is ineligible: its joiners are stopped.
+    let w = e.add_principal(1);
+    let change = e
+        .set_membership(w, &[(7, Nanos::ZERO), (8, Nanos::ZERO)])
+        .unwrap();
+    let mut sink = RecordingSink::new();
+    e.apply_signals(&mut sub, &change.signals, &mut sink)
+        .unwrap();
+    assert_eq!(e.pending_signals(), staged);
+    e.apply_pending_signals(&mut sub, &mut sink).unwrap();
+    let sent: Vec<(u32, Signal)> = sink
+        .events
+        .iter()
+        .filter_map(|ev| match *ev {
+            Event::SignalSent { member, signal, .. } => Some((member, signal)),
+            _ => None,
+        })
+        .collect();
+    let mut want = vec![(7, Signal::Stop), (8, Signal::Stop)];
+    want.extend(staged);
+    assert_eq!(sent, want);
 }
 
 #[test]
@@ -769,7 +814,7 @@ fn joining_a_suspended_principal_means_suspension() {
     );
     // u overconsumes: suspended.
     complete(&mut e, &mut sub);
-    assert_eq!(e.pending_signals(), [MemberTransition::Suspend(1)]);
+    assert_eq!(e.pending_signals(), [(1, Signal::Stop)]);
     // A new worker is forked into the suspended principal.
     let change = e
         .set_membership(u, &[(1, Nanos::from_millis(10)), (7, Nanos::ZERO)])
@@ -884,7 +929,7 @@ fn a_lost_continue_is_resent_when_its_member_is_read_stopped() {
     engine.begin_quantum(&mut sub, &mut sink).unwrap();
     assert_eq!(engine.due().members(), [1]);
     engine.complete_quantum(&mut sub, &mut sink).unwrap();
-    assert_eq!(engine.pending_signals(), [MemberTransition::Resume(1)]);
+    assert_eq!(engine.pending_signals(), [(1, Signal::Continue)]);
     engine.apply_pending_signals(&mut sub, &mut sink).unwrap();
     assert!(!sub.stopped.contains(&1));
     assert_eq!(engine.stats().reasserted, 1);

@@ -389,3 +389,128 @@ fn an_eager_checkpoint_mid_quantum_replays_as_written() {
         assert_eq!(got, want);
     }
 }
+
+/// The scheduler behind [`WIDE_KEY_LAZY`] and [`WIDE_KEY_EAGER`]: eight
+/// members run ten quanta of [`churn_quantum`], two slots reused. Returns
+/// the scheduler and its live ids.
+fn wide_key_recipe(lazy: bool) -> (AlpsScheduler, Vec<ProcId>) {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(lazy);
+    let mut s = AlpsScheduler::new(cfg);
+    let mut live: Vec<ProcId> = (0..8)
+        .map(|i| s.add_process(1 + 2 * i, Nanos::ZERO))
+        .collect();
+    for k in 0..10 {
+        churn_quantum(&mut s, &mut live, k);
+    }
+    (s, live)
+}
+
+/// A checkpoint of [`wide_key_recipe`] (lazy) written while wheel keys
+/// were 64-bit, with the key of slot 1 (eligible) set past `u32::MAX`.
+const WIDE_KEY_LAZY: &str = concat!(
+    r#"{"cfg":{"quantum":10000000,"lazy_measurement":true,"io_policy":"OneQuantumPenalty","record"#,
+    r#"_cycles":false},"slots":[{"generation":0,"state":{"share":1,"allowance":-0.2,"eligible":fa"#,
+    r#"lse,"update":5,"last_cpu":12000000,"forfeited":false},"listed":true,"pos":0,"wheel_key":4}"#,
+    r#",{"generation":0,"state":{"share":3,"allowance":0.19999999999999996,"eligible":true,"updat"#,
+    r#"e":11,"last_cpu":28000000,"forfeited":false},"listed":true,"pos":1,"wheel_key":4294967301}"#,
+    r#",{"generation":0,"state":{"share":3,"allowance":0.10000000000000009,"eligible":true,"updat"#,
+    r#"e":11,"last_cpu":29000000,"forfeited":false},"listed":true,"pos":2,"wheel_key":7},{"genera"#,
+    r#"tion":1,"state":{"share":8,"allowance":2.9000000000000004,"eligible":true,"update":11,"las"#,
+    r#"t_cpu":24000000,"forfeited":false},"listed":true,"pos":3,"wheel_key":6},{"generation":0,"s"#,
+    r#"tate":{"share":9,"allowance":5.9,"eligible":true,"update":16,"last_cpu":31000000,"forfeite"#,
+    r#"d":false},"listed":true,"pos":4,"wheel_key":2},{"generation":0,"state":{"share":11,"allowa"#,
+    r#"nce":11,"eligible":true,"update":12,"last_cpu":0,"forfeited":false},"listed":true,"pos":5,"#,
+    r#""wheel_key":1},{"generation":0,"state":{"share":13,"allowance":13,"eligible":true,"update""#,
+    r#":14,"last_cpu":0,"forfeited":false},"listed":true,"pos":6,"wheel_key":1},{"generation":1,""#,
+    r#"state":{"share":5,"allowance":5,"eligible":true,"update":15,"last_cpu":27000000,"forfeited"#,
+    r#"":false},"listed":true,"pos":7,"wheel_key":3},{"generation":0,"state":{"share":2,"allowanc"#,
+    r#"e":-0.2999999999999999,"eligible":false,"update":7,"last_cpu":26000000,"forfeited":false},"#,
+    r#""listed":true,"pos":8,"wheel_key":4}],"free":[],"occupied":[0,1,2,3,4,5,6,7,8],"vacated":0"#,
+    r#","live":9,"total_shares":55,"tc":376000000,"count":10,"cycles_completed":0,"pending":[],"d"#,
+    r#"irty":[],"eligible_count":7,"examined":[]}"#,
+);
+
+/// What the scheduler that wrote [`WIDE_KEY_LAZY`] did in its next 64
+/// quanta of [`churn_quantum`], as [`describe`]d.
+const WIDE_KEY_LAZY_REPLAY: &str = concat!(
+    "1,2,3.1/-1-2 5/ / 3.1/+4.1 7.1/ 3.1/ 6/-6 4.1,7.1/+3.2 / 5,7.1/ 4.1/ 7.1/+0.1 ",
+    "4.1,7.1/ 0.1,4.1,7.1/ 4.1,5,7.1/-7.1 0.1/+4.2 0.1,3.2,4.2/ 0.1,4.2/ ",
+    "0.1,4.2,5/-0.1-4.2 /+1.1 / 5/ 3.2/ 5/+8.1 1.1,5/ 5/ 5/-5 3.2,8.1/+2.1 1.1/ 8.1/ ",
+    "2.1/ 1.1,8.1/+3.3 2.1,8.1/ 1.1,3.3/ 1.1,2.1/+0.1+4.2+5+6+7.1* 3.3,4.2/-4.2+8.2 ",
+    "0.1,6,8.2/-0.1-6-8.2 / 2.1,3.3/ /+0.2 1.1,3.3,7.1/-7.1 2.1,3.3/+8.2* 8.2/-8.2 ",
+    "/+3.4 0.2/ / 2.1/ 3.4/+5.1 / / 2.1,3.4,5.1/+7.1+8.2* 8.2/+0.3-8.2 7.1/-7.1 / ",
+    "1.1/ 2.1,5.1/+6.1 3.4,6.1/ 6.1/+7.1* 6.1,7.1/-7.1 5.1,6.1/+2.2 3.4,6.1/-6.1 ",
+    "0.3,1.1/ / /+7.2",
+);
+
+/// [`WIDE_KEY_LAZY`] with lazy measurement off.
+const WIDE_KEY_EAGER: &str = concat!(
+    r#"{"cfg":{"quantum":10000000,"lazy_measurement":false,"io_policy":"OneQuantumPenalty","recor"#,
+    r#"d_cycles":false},"slots":[{"generation":0,"state":{"share":1,"allowance":-0.2,"eligible":f"#,
+    r#"alse,"update":5,"last_cpu":12000000,"forfeited":false},"listed":true,"pos":0,"wheel_key":4"#,
+    r#"},{"generation":0,"state":{"share":3,"allowance":0.20000000000000023,"eligible":true,"upda"#,
+    r#"te":11,"last_cpu":28000000,"forfeited":false},"listed":true,"pos":1,"wheel_key":4294967301"#,
+    r#"},{"generation":0,"state":{"share":3,"allowance":0.3000000000000003,"eligible":true,"updat"#,
+    r#"e":11,"last_cpu":29000000,"forfeited":false},"listed":true,"pos":2,"wheel_key":11},{"gener"#,
+    r#"ation":1,"state":{"share":8,"allowance":2.3000000000000007,"eligible":true,"update":11,"la"#,
+    r#"st_cpu":30000000,"forfeited":false},"listed":true,"pos":3,"wheel_key":10},{"generation":0,"#,
+    r#""state":{"share":9,"allowance":5.900000000000001,"eligible":true,"update":11,"last_cpu":31"#,
+    r#"000000,"forfeited":false},"listed":true,"pos":4,"wheel_key":10},{"generation":0,"state":{""#,
+    r#"share":11,"allowance":7.7999999999999945,"eligible":true,"update":11,"last_cpu":32000000,""#,
+    r#"forfeited":false},"listed":true,"pos":5,"wheel_key":10},{"generation":0,"state":{"share":1"#,
+    r#"3,"allowance":9.699999999999994,"eligible":true,"update":11,"last_cpu":33000000,"forfeited"#,
+    r#"":false},"listed":true,"pos":6,"wheel_key":10},{"generation":1,"state":{"share":5,"allowan"#,
+    r#"ce":5,"eligible":true,"update":11,"last_cpu":27000000,"forfeited":false},"listed":true,"po"#,
+    r#"s":7,"wheel_key":8},{"generation":0,"state":{"share":2,"allowance":-0.00000000000000011102"#,
+    r#"230246251565,"eligible":false,"update":6,"last_cpu":23000000,"forfeited":false},"listed":t"#,
+    r#"rue,"pos":8,"wheel_key":4}],"free":[],"occupied":[0,1,2,3,4,5,6,7,8],"vacated":0,"live":9,"#,
+    r#""total_shares":55,"tc":310000000,"count":10,"cycles_completed":0,"pending":[],"dirty":[],""#,
+    r#"eligible_count":7,"examined":[]}"#,
+);
+
+/// What the scheduler that wrote [`WIDE_KEY_EAGER`] did in its next 64
+/// quanta of [`churn_quantum`], as [`describe`]d.
+const WIDE_KEY_EAGER_REPLAY: &str = concat!(
+    "1,2,3.1,4,5,6,7.1/-1 2,3.1,4,5,6,7.1/-2 3.1,4,5,6,7.1/ 3.1,5,6,7.1/+4.1 ",
+    "3.1,4.1,5,6,7.1/ 3.1,4.1,5,6,7.1/ 4.1,5,6,7.1/ 4.1,5,6,7.1/+3.2 3.2,4.1,5,6,7.1/ ",
+    "3.2,4.1,5,6,7.1/ 3.2,4.1,5,6,7.1/ 3.2,4.1,5,6,7.1/+0.1-6 0.1,3.2,4.1,5,7.1/ ",
+    "0.1,3.2,4.1,5,7.1/ 0.1,3.2,4.1,5,7.1/-7.1 0.1,3.2,5/+4.2 0.1,3.2,4.2,5/ ",
+    "0.1,3.2,4.2,5/ 0.1,3.2,4.2,5/-0.1-4.2 3.2,5/+1.1 1.1,3.2,5/ 1.1,3.2,5/ ",
+    "1.1,3.2,5/ 1.1,3.2,5/+8.1 1.1,3.2,5,8.1/ 1.1,3.2,5,8.1/-5 1.1,3.2,8.1/ ",
+    "1.1,3.2,8.1/+2.1 1.1,2.1,3.2,8.1/ 1.1,2.1,3.2,8.1/ 1.1,2.1,8.1/ 1.1,2.1,8.1/+3.3 ",
+    "1.1,2.1,3.3,8.1/ 1.1,2.1,3.3/ 1.1,2.1,3.3/ 1.1,2.1,3.3/+8.2 ",
+    "1.1,2.1,3.3,8.2/+0.1+4.2+5+6+7.1* ",
+    "0.1,1.1,2.1,3.3,4.2,5,6,7.1,8.2/-0.1-4.2-6-7.1* 1.1,2.1,3.3,5,8.2/ ",
+    "1.1,2.1,3.3,5,8.2/+0.2 0.2,1.1,2.1,3.3,5,8.2/ 0.2,1.1,2.1,3.3,5,8.2/ ",
+    "0.2,1.1,2.1,5,8.2/ 0.2,1.1,2.1,5,8.2/+3.4-8.2 0.2,1.1,2.1,3.4,5/ ",
+    "0.2,1.1,2.1,3.4/ 0.2,1.1,2.1,3.4/ 0.2,1.1,2.1,3.4/+5.1 0.2,1.1,2.1,3.4,5.1/ ",
+    "0.2,1.1,2.1,3.4,5.1/ 0.2,1.1,2.1,3.4,5.1/+7.1+8.2* ",
+    "1.1,2.1,3.4,5.1,7.1,8.2/+0.3-7.1-8.2 0.3,1.1,2.1,3.4,5.1/ 0.3,1.1,2.1,3.4,5.1/ ",
+    "0.3,1.1,2.1,3.4,5.1/ 0.3,1.1,2.1,3.4,5.1/+6.1 0.3,1.1,2.1,3.4,5.1,6.1/ ",
+    "0.3,1.1,3.4,5.1,6.1/-6.1 0.3,1.1,3.4,5.1/ 0.3,1.1,3.4,5.1/+2.2 ",
+    "0.3,1.1,2.2,3.4,5.1/ 0.3,1.1,2.2,3.4,5.1/ 0.3,1.1,2.2,3.4,5.1/+6.1* ",
+    "0.3,1.1,2.2,3.4,5.1,6.1/-6.1+7.2",
+);
+
+/// The wheel key is not part of a checkpoint: an older one's is ignored,
+/// even one too wide for today's 32-bit key, and the restored scheduler
+/// comes due and transitions as the one that wrote it did.
+#[test]
+fn a_checkpoint_with_a_wide_wheel_key_replays_as_written() {
+    for (lazy, json, replay_want) in [
+        (true, WIDE_KEY_LAZY, WIDE_KEY_LAZY_REPLAY),
+        (false, WIDE_KEY_EAGER, WIDE_KEY_EAGER_REPLAY),
+    ] {
+        assert!(json.contains(r#""wheel_key":4294967301"#));
+        let (mut fresh, mut live) = wide_key_recipe(lazy);
+        let mut restored: AlpsScheduler = serde_json::from_str(json).expect("deserialize");
+        let want: Vec<&str> = replay_want.split(' ').collect();
+        let mut live_r = live.clone();
+        assert_eq!(
+            replay(&mut restored, &mut live_r, 10, 64),
+            want,
+            "lazy {lazy}"
+        );
+        assert_eq!(replay(&mut fresh, &mut live, 10, 64), want, "lazy {lazy}");
+    }
+}

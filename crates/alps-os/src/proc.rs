@@ -273,11 +273,14 @@ impl StatReader {
     /// process is gone; a zombie comes back as a [`ProcStat`] that is
     /// [`dead`](ProcStat::dead). Either way its descriptor is dropped.
     pub fn read(&mut self, pid: i32) -> Result<ProcStat> {
-        if matches!(&self.held, Some(held) if !held.contains_key(&pid)) {
+        // One lookup for a held pid; a miss opens a descriptor to hold.
+        let mut file = self.held.as_ref().and_then(|held| held.get(&pid));
+        if file.is_none() && self.held.is_some() {
             self.hold(pid)?;
+            file = self.held.as_ref().and_then(|held| held.get(&pid));
         }
         let buf = &mut self.buf[..];
-        let Some(file) = self.held.as_ref().and_then(|held| held.get(&pid)) else {
+        let Some(file) = file else {
             // Degraded (possibly by the open just above).
             let n = read_path(pid, &mut self.path_buf, buf)?;
             return parse_read(pid, buf, n, self.ns_tick);
