@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use alps_core::{AlpsConfig, Nanos, TraceSink};
-use alps_os::{ActuatorMode, Membership, Supervisor};
+use alps_os::{Membership, Supervisor};
 
 use crate::args::{Cmd, Opts, ShareSpec, USAGE};
 
@@ -81,20 +81,8 @@ fn should_stop(deadline: Option<std::time::Instant>) -> bool {
 /// Build the supervisor for the requested actuator, with a pointed error
 /// when the host cannot offer cgroup actuation.
 fn supervisor(opts: &Opts) -> Result<Supervisor, Box<dyn std::error::Error>> {
-    let sup = Supervisor::with_actuator(config(opts), opts.actuator)
-        .map_err(|e| format!("cannot actuate via {}: {e}", opts.actuator))?;
-    if opts.actuator != ActuatorMode::Signals {
-        eprintln!(
-            "alps: actuating via cgroup {} ({})",
-            opts.actuator,
-            if sup.event_driven() {
-                "pidfd exit notification"
-            } else {
-                "clock polling"
-            }
-        );
-    }
-    Ok(sup)
+    Supervisor::with_actuator(config(opts), opts.actuator)
+        .map_err(|e| format!("cannot actuate via {}: {e}", opts.actuator).into())
 }
 
 fn run_commands(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
@@ -120,7 +108,9 @@ fn run_commands(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
     };
     if let Err(e) = enroll() {
         // A mid-list spawn or enrollment failure must not leave the
-        // earlier commands running unmanaged (possibly suspended).
+        // earlier commands running unmanaged (possibly suspended). The
+        // supervisor resumes its members through their pidfds first.
+        drop(sup);
         for child in &mut children {
             let _ = alps_os::signal::sigcont(child.id() as i32);
             let _ = child.kill();
@@ -164,9 +154,9 @@ fn drive(sup: &mut Supervisor, opts: &Opts) -> Result<(), Box<dyn std::error::Er
     let mut last_cycles = 0;
     let mut trace = opts.trace.then(|| TraceSink::new(std::io::stderr()));
     while !should_stop(end) {
-        let _ = match trace.as_mut() {
-            Some(sink) => sup.run_quantum_with(sink)?,
-            None => sup.run_quantum()?,
+        let Ok(_) = match trace.as_mut() {
+            Some(sink) => sup.run_quantum_with(sink),
+            None => sup.run_quantum(),
         };
         if opts.verbose {
             let cycles = sup.cycles_completed();

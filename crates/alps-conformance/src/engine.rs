@@ -6,8 +6,10 @@
 //! over the same [`Substrate`] trait, but built on the
 //! naive oracle schedulers with fresh allocations per quantum. The
 //! differential harness runs it and the production engine over identical
-//! mock substrates and demands identical event streams.
+//! mock substrates and demands identical event streams. It models no
+//! faults, so it runs only over substrates that cannot fail.
 
+use core::convert::Infallible;
 use core::fmt;
 use core::hash::Hash;
 use std::collections::HashMap;
@@ -134,9 +136,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         &mut self,
         sub: &mut S,
         sink: &mut dyn EventSink<M>,
-    ) -> Result<usize, S::Error>
+    ) -> Result<usize, Infallible>
     where
-        S: Substrate<Member = M>,
+        S: Substrate<Member = M, Error = Infallible>,
     {
         let now = sub.now();
         if let Some(last) = self.last_begin {
@@ -168,9 +170,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         &mut self,
         sub: &mut S,
         sink: &mut dyn EventSink<M>,
-    ) -> Result<(), S::Error>
+    ) -> Result<(), Infallible>
     where
-        S: Substrate<Member = M>,
+        S: Substrate<Member = M, Error = Infallible>,
     {
         let due = std::mem::take(&mut self.due);
         let mut readings: Vec<(ProcId, MemberReadings<M>)> = Vec::new();
@@ -239,9 +241,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         sub: &mut S,
         signals: &[MemberTransition<M>],
         sink: &mut dyn EventSink<M>,
-    ) -> Result<(), S::Error>
+    ) -> Result<(), Infallible>
     where
-        S: Substrate<Member = M>,
+        S: Substrate<Member = M, Error = Infallible>,
     {
         let batch: Vec<(M, Signal)> = signals.iter().map(|&t| signal_of(t)).collect();
         self.deliver(sub, &batch, sink)
@@ -252,9 +254,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         sub: &mut S,
         batch: &[(M, Signal)],
         sink: &mut dyn EventSink<M>,
-    ) -> Result<(), S::Error>
+    ) -> Result<(), Infallible>
     where
-        S: Substrate<Member = M>,
+        S: Substrate<Member = M, Error = Infallible>,
     {
         for &(m, sig) in batch {
             let delivered = sub.deliver(m, sig)?;
@@ -279,9 +281,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         &mut self,
         sub: &mut S,
         sink: &mut dyn EventSink<M>,
-    ) -> Result<(), S::Error>
+    ) -> Result<(), Infallible>
     where
-        S: Substrate<Member = M>,
+        S: Substrate<Member = M, Error = Infallible>,
     {
         let signals = std::mem::take(&mut self.signals);
         let result = self.deliver(sub, &signals, sink);
@@ -294,9 +296,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         &mut self,
         sub: &mut S,
         sink: &mut dyn EventSink<M>,
-    ) -> Result<&[Transition], S::Error>
+    ) -> Result<&[Transition], Infallible>
     where
-        S: Substrate<Member = M>,
+        S: Substrate<Member = M, Error = Infallible>,
     {
         self.begin_quantum(sub, sink)?;
         self.complete_quantum(sub, sink)?;
@@ -313,9 +315,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         sink.on_event(&Event::MemberReaped { member: m });
     }
 
-    fn record_exact_cycle<S>(&mut self, sub: &mut S, now: Nanos) -> Result<(), S::Error>
+    fn record_exact_cycle<S>(&mut self, sub: &mut S, now: Nanos) -> Result<(), Infallible>
     where
-        S: Substrate<Member = M>,
+        S: Substrate<Member = M, Error = Infallible>,
     {
         let mut entries = Vec::new();
         let mut total = Nanos::ZERO;

@@ -26,6 +26,7 @@ pub use event::{Event, EventSink, NullSink, RecordingSink, TraceSink};
 pub use substrate::{Signal, Substrate};
 
 use core::cmp::Reverse;
+use core::convert::Infallible;
 use core::fmt;
 use core::hash::Hash;
 use std::collections::{BinaryHeap, HashMap};
@@ -177,7 +178,8 @@ impl<M: Copy + Ord> Principal<M> {
 ///
 /// # Faults
 ///
-/// A substrate error on one member never ends the loop. A failed read is
+/// A substrate error on one member never ends the loop, so the loop's
+/// methods return `Result<_, Infallible>`. A failed read is
 /// skipped without charge; a failed delivery is retried after 1, 2, 4 …
 /// 32 quanta with its principal's intent at that time; both are counted
 /// and narrated, and three consecutive faults quarantine the member. A
@@ -438,7 +440,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         &mut self,
         sub: &mut S,
         sink: &mut dyn EventSink<M>,
-    ) -> Result<usize, S::Error>
+    ) -> Result<usize, Infallible>
     where
         S: Substrate<Member = M>,
     {
@@ -483,15 +485,15 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// [`Engine::last_transitions`], [`Engine::last_cycle_completed`] —
     /// and every buffer involved is reused across invocations.
     ///
-    /// A read that faults is absorbed, not returned as `Err` (see
-    /// [Faults](Engine#faults)). The pending signals also carry the
-    /// quantum's repairs: retries that came due, and `Continue` for a
-    /// member read stopped while its principal is eligible.
+    /// A read that faults is handled as under [Faults](Engine#faults).
+    /// The pending signals also carry the quantum's repairs: retries that
+    /// came due, and `Continue` for a member read stopped while its
+    /// principal is eligible.
     pub fn complete_quantum<S>(
         &mut self,
         sub: &mut S,
         sink: &mut dyn EventSink<M>,
-    ) -> Result<(), S::Error>
+    ) -> Result<(), Infallible>
     where
         S: Substrate<Member = M>,
     {
@@ -650,15 +652,13 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// Stage 3: deliver stop/continue signals through the substrate, as
     /// one [`Substrate::apply_batch`]. A bounced delivery (member gone)
-    /// reaps the member's principal under auto-reap. A delivery that
-    /// faults is absorbed, not returned as `Err` (see
-    /// [Faults](Engine#faults)).
+    /// reaps the member's principal under auto-reap.
     pub fn apply_signals<S>(
         &mut self,
         sub: &mut S,
         signals: &[MemberTransition<M>],
         sink: &mut dyn EventSink<M>,
-    ) -> Result<(), S::Error>
+    ) -> Result<(), Infallible>
     where
         S: Substrate<Member = M>,
     {
@@ -674,13 +674,12 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     }
 
     /// Stage 3 for the common case: deliver the signals produced by the
-    /// last [`Engine::complete_quantum`]. A delivery that faults is
-    /// absorbed, not returned as `Err` (see [Faults](Engine#faults)).
+    /// last [`Engine::complete_quantum`].
     pub fn apply_pending_signals<S>(
         &mut self,
         sub: &mut S,
         sink: &mut dyn EventSink<M>,
-    ) -> Result<(), S::Error>
+    ) -> Result<(), Infallible>
     where
         S: Substrate<Member = M>,
     {
@@ -738,14 +737,12 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// All three stages back to back — the whole scheduler invocation for
     /// backends with nothing to interleave. Returns the principal-level
-    /// eligibility transitions this invocation produced. A member's read
-    /// or delivery fault is absorbed, not returned as `Err` (see
-    /// [Faults](Engine#faults)).
+    /// eligibility transitions this invocation produced.
     pub fn run_quantum<S>(
         &mut self,
         sub: &mut S,
         sink: &mut dyn EventSink<M>,
-    ) -> Result<&[Transition], S::Error>
+    ) -> Result<&[Transition], Infallible>
     where
         S: Substrate<Member = M>,
     {

@@ -6,7 +6,8 @@
 //! * progress sampling via `/proc/<pid>/stat` (cumulative CPU time and the
 //!   wait-channel/blocked test of §2.4), one `pread` per member per
 //!   quantum through a held descriptor ([`StatReader`]);
-//! * eligible/ineligible group moves via `SIGCONT`/`SIGSTOP`;
+//! * eligible/ineligible group moves via `SIGCONT`/`SIGSTOP`, sent
+//!   through each member's held pidfd ([`PidFd`]);
 //! * a drift-free quantum loop on the monotonic clock with coalescing of
 //!   missed boundaries (the pending-signal behavior of §4.2);
 //! * one supervisor ([`Supervisor`]) for fixed processes and for
@@ -17,7 +18,7 @@
 //!
 //! The per-quantum control loop itself lives in [`alps_core::engine`];
 //! this crate implements its [`alps_core::Substrate`] trait over `/proc`
-//! and `kill(2)` ([`substrate::OsSubstrate`]) and supplies the sleep
+//! and `pidfd_send_signal(2)` ([`substrate::OsSubstrate`]) and supplies the sleep
 //! cadence, registration surface, and membership refresh around it.
 //!
 //! ```no_run

@@ -1,25 +1,23 @@
-//! Exit notification via `pidfd_open(2)` + epoll.
+//! Process file descriptors: the handle a supervised member is signalled
+//! through, and exit notification via `pidfd_open(2)` + epoll.
 //!
-//! The paper's supervisor learns about exits by polling: every quantum it
-//! re-reads each member's `/proc/<pid>/stat` and reaps the ones that came
-//! back `ESRCH`. That is O(members) syscalls per quantum whether or not
-//! anything changed. A pidfd becomes readable exactly once — when its
-//! process exits — so parking the quantum sleep inside `epoll_wait` over
-//! the members' pidfds makes exit detection O(transitions): the supervisor
-//! wakes either at the quantum deadline or the instant a member dies,
-//! whichever comes first, and already knows *which* pid died without
-//! touching `/proc`.
+//! A [`PidFd`] names one process for as long as it is open: a signal
+//! sent through it (`pidfd_send_signal(2)`) reaches that process or fails
+//! `ESRCH` once it has been reaped, never a later process given the same
+//! pid number. [`OsSubstrate`](crate::OsSubstrate) signals every member
+//! it holds this way.
 //!
-//! [`ExitWatcher`] owns the epoll instance and the per-member [`PidFd`]s.
-//! The one race worth naming is *exit-before-watch*: the pid dies between
-//! the caller's liveness check and `pidfd_open`, which then fails `ESRCH`.
-//! The watcher absorbs that by recording the pid as already exited, so the
-//! next wait reports it like any other death — callers never see the race.
+//! [`ExitWatcher`] parks a sleep inside `epoll_wait` over a set of
+//! pidfds and reports which of the processes exited by the deadline,
+//! without touching `/proc`. The supervisor does not use it: a member's
+//! exit is found by the next reading or delivery that touches it. The one
+//! race worth naming is *exit-before-watch*: the pid dies before
+//! `pidfd_open`, which then fails `ESRCH`. The watcher absorbs that by
+//! recording the pid as already exited, so the next wait reports it like
+//! any other death.
 //!
-//! `pidfd_open` needs Linux ≥ 5.3. [`ExitWatcher::new`] reports
-//! [`OsError::Unsupported`] on older kernels (probed with pid 0, which is
-//! rejected before the syscall can otherwise fail) and callers fall back
-//! to plain clock sleeps.
+//! `pidfd_open` needs Linux ≥ 5.3: [`PidFd::open`] and
+//! [`ExitWatcher::new`] report [`OsError::Unsupported`] on older kernels.
 
 use std::collections::HashMap;
 
@@ -62,7 +60,8 @@ impl PidFd {
         Ok(PidFd { fd: fd as i32 })
     }
 
-    /// The raw descriptor (for epoll registration).
+    /// The raw descriptor (for epoll registration and
+    /// `pidfd_send_signal`).
     pub fn as_raw_fd(&self) -> i32 {
         self.fd
     }
@@ -204,12 +203,6 @@ impl ExitWatcher {
         }
     }
 
-    /// Drain any already-pending exits without sleeping.
-    pub fn poll(&mut self, exited: &mut Vec<i32>) {
-        exited.append(&mut self.already_exited);
-        self.poll_once(0, exited);
-    }
-
     /// One `epoll_wait` round. Returns `false` on unrecoverable error.
     fn poll_once(&mut self, timeout_ms: i32, exited: &mut Vec<i32>) -> bool {
         let cap = self.fds.len().max(16);
@@ -283,7 +276,7 @@ mod tests {
         let mut w = watcher();
         w.watch(pid).unwrap();
         let mut exited = Vec::new();
-        w.poll(&mut exited);
+        w.wait_until(clock::now(), &mut exited);
         assert_eq!(exited, vec![pid], "raced pid reported as exited");
     }
 

@@ -2,29 +2,48 @@
 //! the eligible and ineligible groups (§2.2).
 
 use crate::error::{OsError, Result};
+use crate::pidfd::PidFd;
 
-fn send(pid: i32, sig: i32, op: &'static str) -> Result<()> {
-    // SAFETY: kill(2) has no memory preconditions; pid is caller-supplied.
-    let rc = unsafe { libc::kill(pid, sig) };
+/// Send signal `sig` to `pid`: through `pidfd` if one is given
+/// (`pidfd_send_signal(2)`), which reaches no process but the one it was
+/// opened for, and by number (`kill(2)`) otherwise.
+/// [`OsError::NoSuchProcess`] if the process is gone.
+pub(crate) fn send(pid: i32, pidfd: Option<&PidFd>, sig: i32) -> Result<()> {
+    let (rc, op) = match pidfd {
+        // SAFETY: an open descriptor, a signal number, and a null siginfo
+        // with no flags, which sends what kill(2) would.
+        Some(fd) => (
+            unsafe {
+                libc::syscall(
+                    libc::SYS_pidfd_send_signal,
+                    fd.as_raw_fd() as libc::c_long,
+                    sig as libc::c_long,
+                    std::ptr::null::<u8>(),
+                    0 as libc::c_long,
+                )
+            },
+            "pidfd_send_signal",
+        ),
+        // SAFETY: kill(2) has no memory preconditions.
+        None => (unsafe { libc::kill(pid, sig) }.into(), "kill"),
+    };
     if rc == 0 {
         return Ok(());
     }
-    let errno = std::io::Error::last_os_error().raw_os_error().unwrap_or(0);
-    if errno == libc::ESRCH {
-        Err(OsError::NoSuchProcess(pid))
-    } else {
-        Err(OsError::Sys { op, errno })
+    match std::io::Error::last_os_error().raw_os_error().unwrap_or(0) {
+        libc::ESRCH => Err(OsError::NoSuchProcess(pid)),
+        errno => Err(OsError::Sys { op, errno }),
     }
 }
 
 /// Suspend a process (`SIGSTOP` — not catchable or ignorable).
 pub fn sigstop(pid: i32) -> Result<()> {
-    send(pid, libc::SIGSTOP, "kill(SIGSTOP)")
+    send(pid, None, libc::SIGSTOP)
 }
 
 /// Resume a process (`SIGCONT`).
 pub fn sigcont(pid: i32) -> Result<()> {
-    send(pid, libc::SIGCONT, "kill(SIGCONT)")
+    send(pid, None, libc::SIGCONT)
 }
 
 /// Probe whether a process exists (signal 0).
@@ -36,7 +55,7 @@ pub fn alive(pid: i32) -> bool {
 /// Terminate a process (`SIGKILL`) — used by test/example harnesses to
 /// clean up spinner children.
 pub fn sigkill(pid: i32) -> Result<()> {
-    send(pid, libc::SIGKILL, "kill(SIGKILL)")
+    send(pid, None, libc::SIGKILL)
 }
 
 #[cfg(test)]

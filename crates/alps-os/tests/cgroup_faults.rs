@@ -89,21 +89,22 @@ fn rig(mode: ActuatorMode) -> Rig {
 }
 
 /// Advance one quantum: tick the fake clock, burn CPU on every leaf that
-/// is allowed to run, and run the engine loop.
-fn quantum(r: &mut Rig, group: &mut String) -> Result<(), OsError> {
+/// is allowed to run, and run the engine loop (which cannot fail: no
+/// error escapes it).
+fn quantum(r: &mut Rig, group: &mut String) {
     r.sub.fs_mut().tick(Q);
     for &(_, pid) in &r.ids {
         group.clear();
         let _ = write!(group, "m{pid}");
         let _ = r.sub.fs_mut().charge(group, Nanos(Q.0 / 2));
     }
-    r.engine.run_quantum(&mut r.sub, &mut NullSink).map(|_| ())
+    let Ok(_) = r.engine.run_quantum(&mut r.sub, &mut NullSink);
 }
 
 fn drive(r: &mut Rig, quanta: u64) -> EngineStats {
     let mut group = String::new();
     for _ in 0..quanta {
-        quantum(r, &mut group).expect("the loop must not propagate");
+        quantum(r, &mut group);
     }
     r.engine.stats()
 }
@@ -221,13 +222,13 @@ fn stale_cgroup_procs_reaps_like_a_dead_pid() {
 fn cgroupfs_errors_are_counted_and_the_loop_continues() {
     let mut r = rig(ActuatorMode::Weights);
     let mut group = String::new();
-    quantum(&mut r, &mut group).expect("fault-free quantum succeeds");
+    quantum(&mut r, &mut group);
     assert!(r.sub.errnos.is_empty());
     r.sub
         .fs_mut()
         .fail_next(FakeOp::Weight, libc::EROFS, u32::MAX);
     for _ in 0..20 {
-        quantum(&mut r, &mut group).expect("a write error is absorbed");
+        quantum(&mut r, &mut group);
     }
     let stats = r.engine.stats();
     assert_eq!(stats.quanta, 21);

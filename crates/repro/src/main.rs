@@ -20,7 +20,7 @@ experiments: table1 table2 fig4 fig5 ablation accounting fig6 io-policy
              conformance verify latency slo overload actuators
              all (every experiment above but conformance)
 --quick: shorter runs (fewer cycles/seeds) for smoke testing
---threads N: sweep worker threads (1 = serial; default ALPS_THREADS or all cores)
+--threads N: sweep worker threads (1 = serial; default all cores)
 --data <dir>: also write gnuplot-ready .dat files";
 
 fn usage() -> ! {

@@ -9,11 +9,9 @@
 //! is byte-identical at any thread count; parallelism changes only the
 //! wall clock.
 //!
-//! Thread count resolution, highest priority first:
-//! 1. [`set_threads`] — the process-wide override behind the `--threads`
-//!    CLI flags;
-//! 2. the `ALPS_THREADS` environment variable;
-//! 3. [`host_cores`] (`std::thread::available_parallelism`).
+//! The thread count is the [`set_threads`] override — the process-wide
+//! setting behind the `--threads` CLI flags — else [`host_cores`]
+//! (`std::thread::available_parallelism`).
 //!
 //! A count of 1 forces the serial path: jobs run inline on the caller's
 //! thread with no pool at all. Sweeps may nest (e.g. a grid of
@@ -26,16 +24,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable consulted when no [`set_threads`] override is in
-/// effect. `ALPS_THREADS=1` forces the serial path.
-pub const THREADS_ENV: &str = "ALPS_THREADS";
-
 /// Process-wide `--threads` override; 0 means unset.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Install (or with `None` clear) the process-wide thread-count
 /// override. This is what the `--threads N` CLI flags call; it takes
-/// precedence over `ALPS_THREADS`.
+/// precedence over [`host_cores`].
 ///
 /// # Panics
 ///
@@ -56,21 +50,12 @@ pub fn host_cores() -> usize {
 }
 
 /// The thread count sweeps run at right now: the [`set_threads`]
-/// override, else a valid `ALPS_THREADS`, else [`host_cores`].
+/// override, else [`host_cores`].
 pub fn threads() -> usize {
-    let over = OVERRIDE.load(Ordering::Relaxed);
-    if over > 0 {
-        return over;
+    match OVERRIDE.load(Ordering::Relaxed) {
+        0 => host_cores(),
+        over => over,
     }
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring invalid {THREADS_ENV}={v:?} (want an integer >= 1)");
-    }
-    host_cores()
 }
 
 /// Apply `f` to every item on a pool of [`threads`] workers and return
@@ -161,10 +146,6 @@ where
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the process-wide knobs ([`set_threads`]
-    /// and `ALPS_THREADS`).
-    static KNOBS: Mutex<()> = Mutex::new(());
-
     #[test]
     fn preserves_input_order_at_any_thread_count() {
         let items: Vec<usize> = (0..100).collect();
@@ -214,17 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_env_beats_host_cores() {
-        let _g = KNOBS.lock().unwrap();
-        std::env::set_var(THREADS_ENV, "3");
-        assert_eq!(threads(), 3);
-        set_threads(Some(2));
-        assert_eq!(threads(), 2);
-        set_threads(None);
-        assert_eq!(threads(), 3);
-        std::env::set_var(THREADS_ENV, "not-a-number");
+    fn override_beats_host_cores() {
         assert_eq!(threads(), host_cores());
-        std::env::remove_var(THREADS_ENV);
+        set_threads(Some(host_cores() + 2));
+        assert_eq!(threads(), host_cores() + 2);
+        set_threads(None);
         assert_eq!(threads(), host_cores());
     }
 }

@@ -60,6 +60,8 @@ pub const SIG_ERR: sighandler_t = !0;
 /// `pidfd_open(2)` syscall number (uniform across Linux architectures;
 /// new syscalls share numbers since 5.1).
 pub const SYS_pidfd_open: c_long = 434;
+/// `pidfd_send_signal(2)` syscall number (uniform likewise).
+pub const SYS_pidfd_send_signal: c_long = 424;
 
 pub const EPOLL_CLOEXEC: c_int = 0o2000000;
 pub const EPOLL_CTL_ADD: c_int = 1;
