@@ -1,8 +1,9 @@
 //! A naive replica of the generic engine loop (`alps_core::Engine`).
 //!
 //! Mirrors every externally visible behavior — overrun detection, the
-//! read/complete/signal stages, auto-reaping of fixed principals, cycle
-//! instrumentation, first-owner-keeps-it membership, [`EngineStats`] —
+//! read/complete/signal stages, reaping of fixed principals, cycle
+//! instrumentation, first-owner-keeps-it membership and the refresh's
+//! reconciliation signals, [`EngineStats`] —
 //! over the same [`Substrate`] trait, but built on the
 //! naive oracle schedulers with fresh allocations per quantum. The
 //! differential harness runs it and the production engine over identical
@@ -15,8 +16,8 @@ use core::hash::Hash;
 use std::collections::HashMap;
 
 use alps_core::{
-    AlpsConfig, CycleEntry, CycleRecord, EngineStats, Event, EventSink, MemberTransition,
-    MembershipChange, Nanos, ProcId, Signal, StaleId, Substrate, Transition,
+    AlpsConfig, CycleEntry, CycleRecord, EngineStats, Event, EventSink, Nanos, ProcId, Signal,
+    StaleId, Substrate, Transition,
 };
 
 use crate::oracle::{MemberReadings, OraclePrincipalLayer};
@@ -32,7 +33,6 @@ pub struct OracleEngine<M: Copy + Ord + Hash + fmt::Debug> {
     cycles: Vec<CycleRecord>,
     stats: EngineStats,
     record_cycles: bool,
-    auto_reap: bool,
     last_begin: Option<Nanos>,
     /// The due list of the in-flight invocation (fresh each quantum).
     due: Vec<(ProcId, Vec<M>)>,
@@ -55,19 +55,12 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
             cycles: Vec::new(),
             stats: EngineStats::default(),
             record_cycles: cfg.record_cycles,
-            auto_reap: false,
             last_begin: None,
             due: Vec::new(),
             transitions: Vec::new(),
             signals: Vec::new(),
             cycle_completed: false,
         }
-    }
-
-    /// Enable auto-reaping of fixed principals whose member is gone.
-    pub fn with_auto_reap(mut self, on: bool) -> Self {
-        self.auto_reap = on;
-        self
     }
 
     /// Register a fixed single-member principal.
@@ -88,25 +81,37 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
     }
 
     /// Replace a group's member set, leaving out any member another
-    /// principal owns.
-    pub fn set_membership(
+    /// principal owns; if the principal is suspended, stop its joiners and
+    /// then resume its leavers. Returns how many signals were sent.
+    pub fn set_membership<S>(
         &mut self,
+        sub: &mut S,
         id: ProcId,
         current: &[(M, Nanos)],
-    ) -> Option<MembershipChange<M>> {
+        sink: &mut dyn EventSink<M>,
+    ) -> Option<usize>
+    where
+        S: Substrate<Member = M, Error = Infallible>,
+    {
         let kept: Vec<(M, Nanos)> = current
             .iter()
             .copied()
             .filter(|(m, _)| self.member_index.get(m).is_none_or(|&o| o == id))
             .collect();
-        let change = self.sched.set_membership(id, &kept)?;
-        for m in &change.added {
+        let (added, removed) = self.sched.set_membership(id, &kept)?;
+        for m in &added {
             self.member_index.insert(*m, id);
         }
-        for m in &change.removed {
+        for m in &removed {
             self.member_index.remove(m);
         }
-        Some(change)
+        let mut signals = Vec::new();
+        if self.sched.is_eligible(id) == Some(false) {
+            signals.extend(added.iter().map(|&m| (m, Signal::Stop)));
+            signals.extend(removed.iter().map(|&m| (m, Signal::Continue)));
+        }
+        let Ok(()) = self.deliver(sub, &signals, sink);
+        Some(signals.len())
     }
 
     /// Deregister a principal, returning its members.
@@ -204,7 +209,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         let now = sub.now();
         let out = self.sched.complete_quantum(&readings);
         self.transitions = out.transitions;
-        self.signals = out.signals.iter().map(|&t| signal_of(t)).collect();
+        self.signals = out.signals;
         self.cycle_completed = out.cycle_completed;
         if out.cycle_completed {
             self.stats.cycles += 1;
@@ -235,20 +240,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         self.cycle_completed
     }
 
-    /// Stage 3: deliver stop/continue signals.
-    pub fn apply_signals<S>(
-        &mut self,
-        sub: &mut S,
-        signals: &[MemberTransition<M>],
-        sink: &mut dyn EventSink<M>,
-    ) -> Result<(), Infallible>
-    where
-        S: Substrate<Member = M, Error = Infallible>,
-    {
-        let batch: Vec<(M, Signal)> = signals.iter().map(|&t| signal_of(t)).collect();
-        self.deliver(sub, &batch, sink)
-    }
-
     fn deliver<S>(
         &mut self,
         sub: &mut S,
@@ -275,8 +266,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
         Ok(())
     }
 
-    /// Stage 3 for the common case: deliver the signals produced by the
-    /// last [`Self::complete_quantum`].
+    /// Stage 3: deliver the signals produced by the last
+    /// [`Self::complete_quantum`].
     pub fn apply_pending_signals<S>(
         &mut self,
         sub: &mut S,
@@ -307,7 +298,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
     }
 
     fn reap(&mut self, id: ProcId, m: M, sink: &mut dyn EventSink<M>) {
-        if !self.auto_reap || self.sched.is_group(id) != Some(false) {
+        if self.sched.is_group(id) != Some(false) {
             return;
         }
         self.remove_principal(id);
@@ -393,13 +384,5 @@ impl<M: Copy + Ord + Hash + fmt::Debug> OracleEngine<M> {
     /// The flat oracle scheduler underneath, for aggregate comparisons.
     pub fn scheduler(&self) -> &crate::oracle::OracleScheduler {
         self.sched.inner()
-    }
-}
-
-/// A member signal as the batch the substrate takes.
-fn signal_of<M>(t: MemberTransition<M>) -> (M, Signal) {
-    match t {
-        MemberTransition::Resume(m) => (m, Signal::Continue),
-        MemberTransition::Suspend(m) => (m, Signal::Stop),
     }
 }

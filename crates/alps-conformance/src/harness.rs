@@ -376,11 +376,11 @@ fn check_core_state(prod: &AlpsScheduler, oracle: &OracleScheduler, minted: &[Pr
 }
 
 /// Whether an engine schedule drives fixed single-member principals or
-/// groups with §5 membership refreshes. Both engines auto-reap: a fixed
+/// groups with §5 membership refreshes. Both engines reap: a fixed
 /// principal dies with its member, a group never.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// One fixed member per principal; exits are auto-reaped.
+    /// One fixed member per principal; exits are reaped.
     Flat,
     /// Groups of 1–3 members; membership reconciled by refresh ops.
     Principals,
@@ -432,8 +432,8 @@ pub fn run_engine_in<W: World>(
     seed: u64,
     len: usize,
 ) -> DriveReport {
-    let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
-    let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg).with_auto_reap(true);
+    let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact);
+    let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg);
     let mut w = Worlds {
         world,
         mock: MockSubstrate::default(),
@@ -466,9 +466,9 @@ pub fn run_engine_in<W: World>(
                         for _ in 0..workload.below(3) {
                             members.push(w.spawn(&mut workload, q, share));
                         }
-                        let ch = prod.set_membership(id, &members);
-                        let ch_o = oracle.set_membership(oid, &members);
-                        assert_eq!(ch, ch_o, "membership change diverges (seed {seed})");
+                        let sent = prod.set_membership(&mut w.world, id, &members, &mut sink_p);
+                        let sent_o = oracle.set_membership(&mut w.mock, oid, &members, &mut sink_o);
+                        assert_eq!(sent, sent_o, "membership signals diverge (seed {seed})");
                         (id, oid)
                     }
                 };
@@ -572,7 +572,7 @@ pub fn run_engine_in<W: World>(
                     oracle
                         .apply_pending_signals(&mut w.mock, &mut sink_o)
                         .unwrap();
-                    // Auto-reap may have removed principals; forget them.
+                    // Reaping may have removed principals; forget them.
                     live.retain(|&id| prod.share(id).is_some());
                 }
             }
@@ -596,16 +596,9 @@ pub fn run_engine_in<W: World>(
                 let k = workload.below(current.len() as u64) as usize;
                 current.remove(k);
             }
-            let ch = prod.set_membership(id, &current);
-            let ch_o = oracle.set_membership(id, &current);
-            assert_eq!(ch, ch_o, "refresh change diverges (seed {seed})");
-            if let Some(ch) = ch {
-                prod.apply_signals(&mut w.world, &ch.signals, &mut sink_p)
-                    .unwrap();
-                oracle
-                    .apply_signals(&mut w.mock, &ch.signals, &mut sink_o)
-                    .unwrap();
-            }
+            let sent = prod.set_membership(&mut w.world, id, &current, &mut sink_p);
+            let sent_o = oracle.set_membership(&mut w.mock, id, &current, &mut sink_o);
+            assert_eq!(sent, sent_o, "refresh signals diverge (seed {seed})");
         }
 
         check_engine_state(&prod, &oracle, &minted, seed);

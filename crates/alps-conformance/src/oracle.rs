@@ -10,8 +10,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use alps_core::{
-    AlpsConfig, IoPolicy, MemberTransition, MembershipChange, Nanos, Observation, ProcId,
-    QuantumOutcome, StaleId, Transition,
+    AlpsConfig, IoPolicy, Nanos, Observation, ProcId, QuantumOutcome, Signal, StaleId, Transition,
 };
 
 #[derive(Debug, Clone)]
@@ -362,7 +361,7 @@ struct OraclePrincipal<M> {
 pub(crate) struct OracleOutcome<M> {
     /// Signals for every member of every principal whose eligibility
     /// flipped.
-    pub(crate) signals: Vec<MemberTransition<M>>,
+    pub(crate) signals: Vec<(M, Signal)>,
     /// The principal-level transitions behind `signals`.
     pub(crate) transitions: Vec<Transition>,
     /// Whether a cycle boundary was crossed.
@@ -452,15 +451,15 @@ impl<M: Ord + Copy> OraclePrincipalLayer<M> {
             .map(|p| p.members.keys().copied().collect())
     }
 
-    /// Replace a group's member set (§5 refresh). A member listed twice
-    /// counts once, at its first listing. `None` for a stale id or a
-    /// fixed principal.
+    /// Replace a group's member set (§5 refresh), returning its joiners,
+    /// in listing order, and its leavers, in key order. A member listed
+    /// twice counts once, at its first listing. `None` for a stale id or
+    /// a fixed principal.
     pub fn set_membership(
         &mut self,
         id: ProcId,
         current: &[(M, Nanos)],
-    ) -> Option<MembershipChange<M>> {
-        let eligible = self.inner.is_eligible(id)?;
+    ) -> Option<(Vec<M>, Vec<M>)> {
         let p = self.principals.get_mut(&id).filter(|p| p.group)?;
         let mut new_members = BTreeMap::new();
         let mut added = Vec::new();
@@ -480,16 +479,7 @@ impl<M: Ord + Copy> OraclePrincipalLayer<M> {
         }
         let removed: Vec<M> = p.members.keys().copied().collect();
         p.members = new_members;
-        let mut signals = Vec::new();
-        if !eligible {
-            signals.extend(added.iter().map(|&m| MemberTransition::Suspend(m)));
-            signals.extend(removed.iter().map(|&m| MemberTransition::Resume(m)));
-        }
-        Some(MembershipChange {
-            added,
-            removed,
-            signals,
-        })
+        Some((added, removed))
     }
 
     /// Begin an invocation: the due principals, each with its members in
@@ -551,12 +541,11 @@ impl<M: Ord + Copy> OraclePrincipalLayer<M> {
         for t in &inner_out.transitions {
             let id = t.proc_id();
             if let Some(p) = self.principals.get(&id) {
-                for &m in p.members.keys() {
-                    signals.push(match t {
-                        Transition::Resume(_) => MemberTransition::Resume(m),
-                        Transition::Suspend(_) => MemberTransition::Suspend(m),
-                    });
-                }
+                let signal = match t {
+                    Transition::Resume(_) => Signal::Continue,
+                    Transition::Suspend(_) => Signal::Stop,
+                };
+                signals.extend(p.members.keys().map(|&m| (m, signal)));
             }
         }
         OracleOutcome {

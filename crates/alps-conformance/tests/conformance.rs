@@ -56,7 +56,7 @@ fn core_scheduler_matches_oracle_across_matrix() {
 }
 
 /// Engine-level differential: flat single-member principals with exact
-/// instrumentation and auto-reaping, over twin mock substrates.
+/// instrumentation and reaping, over twin mock substrates.
 #[test]
 fn flat_engine_matches_oracle() {
     let mut total = DriveReport::default();

@@ -131,7 +131,7 @@ proptest! {
 }
 
 /// Engine-level differential over 300 quanta with member churn (a join
-/// every 17 quanta, a death every 23, auto-reaped): the full externally
+/// every 17 quanta, a death every 23, reaped): the full externally
 /// visible story — the instrumentation event trace, the aggregate
 /// `EngineStats`, the per-cycle records, and the substrate the signals
 /// landed on — must be byte-identical between `Engine` and the oracle.
@@ -139,8 +139,8 @@ proptest! {
 fn engine_trace_stats_and_cycle_log_match_the_oracle_under_member_churn() {
     for lazy in [true, false] {
         let cfg = config(lazy);
-        let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
-        let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg).with_auto_reap(true);
+        let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact);
+        let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg);
         let mut sub_p = MockSubstrate::default();
         let mut sub_o = MockSubstrate::default();
         let mut sink_p = RecordingSink::new();
@@ -222,7 +222,7 @@ fn engine_trace_stats_and_cycle_log_match_the_oracle_under_member_churn() {
 /// A refresh that lists a member twice counts it once, at its first
 /// listing, in the oracle as in production: the member already present
 /// keeps its baseline (so the CPU it used since its last reading is still
-/// charged) and a joiner is reported and seeded once. The schedule
+/// charged) and a joiner is seeded once. The schedule
 /// generator never lists a member twice.
 #[test]
 fn a_member_listed_twice_counts_once_in_both_engines() {
@@ -233,16 +233,20 @@ fn a_member_listed_twice_counts_once_in_both_engines() {
     let (mut sub_p, mut sub_o) = (MockSubstrate::default(), MockSubstrate::default());
     let u = prod.add_principal(4);
     assert_eq!(oracle.add_principal(4), u);
-    prod.set_membership(u, &[(1, Nanos::ZERO)]);
-    oracle.set_membership(u, &[(1, Nanos::ZERO)]);
+    prod.set_membership(&mut sub_p, u, &[(1, Nanos::ZERO)], &mut NullSink);
+    oracle.set_membership(&mut sub_o, u, &[(1, Nanos::ZERO)], &mut NullSink);
     // Complete the first invocation with nothing due: `u` turns eligible.
     let Ok(()) = prod.complete_quantum(&mut sub_p, &mut NullSink);
     let Ok(()) = oracle.complete_quantum(&mut sub_o, &mut NullSink);
     let listing = [(1, ms(25)), (2, ms(5)), (1, ms(25)), (2, Nanos::ZERO)];
-    let change = oracle.set_membership(u, &listing).unwrap();
-    assert_eq!(change.added, vec![2]);
-    assert!(change.removed.is_empty());
-    assert_eq!(prod.set_membership(u, &listing), Some(change));
+    let sent = oracle.set_membership(&mut sub_o, u, &listing, &mut NullSink);
+    assert_eq!(sent, Some(0), "an eligible group is sent nothing");
+    assert_eq!(
+        prod.set_membership(&mut sub_p, u, &listing, &mut NullSink),
+        sent
+    );
+    assert_eq!(oracle.members(u), Some(vec![1, 2]));
+    assert_eq!(prod.members(u), Some(vec![1, 2]));
     for _ in 0..3 {
         let Ok(_) = prod.run_quantum(&mut sub_p, &mut NullSink);
         let Ok(_) = oracle.run_quantum(&mut sub_o, &mut NullSink);
@@ -279,8 +283,9 @@ fn a_member_listed_twice_counts_once_in_both_engines() {
 #[test]
 fn a_member_listed_by_two_principals_stays_with_its_first_owner_in_both_engines() {
     let cfg = config(true);
-    let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
-    let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg).with_auto_reap(true);
+    let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact);
+    let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg);
+    let (mut sub_p, mut sub_o) = (MockSubstrate::default(), MockSubstrate::default());
     let fixed = prod.add_member(9, 1, Nanos::ZERO);
     assert_eq!(oracle.add_member(9, 1, Nanos::ZERO), fixed);
     let (a, b) = (prod.add_principal(1), prod.add_principal(2));
@@ -293,8 +298,11 @@ fn a_member_listed_by_two_principals_stays_with_its_first_owner_in_both_engines(
         (b, &[(7, Nanos::ZERO), (8, Nanos::ZERO)]),
     ];
     for (id, listing) in refreshes {
-        let change = oracle.set_membership(id, listing);
-        assert_eq!(prod.set_membership(id, listing), change);
+        let sent = oracle.set_membership(&mut sub_o, id, listing, &mut NullSink);
+        assert_eq!(
+            prod.set_membership(&mut sub_p, id, listing, &mut NullSink),
+            sent
+        );
         for id in [fixed, a, b] {
             assert_eq!(prod.members(id), oracle.members(id));
         }

@@ -33,7 +33,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::config::AlpsConfig;
 use crate::cycle::{CycleEntry, CycleRecord};
-use crate::principal::{DueList, MemberSet, MemberTransition, MembershipChange};
+use crate::principal::{DueList, MemberSet};
 use crate::sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, StaleId, Transition};
 use crate::time::Nanos;
 
@@ -167,13 +167,12 @@ impl<M: Copy + Ord> Principal<M> {
 /// 2. [`complete_quantum`](Engine::complete_quantum) — read the due
 ///    members from the substrate, feed the observations to the scheduler,
 ///    handle the cycle boundary;
-/// 3. [`apply_signals`](Engine::apply_signals) — deliver the resulting
-///    stop/continue signals.
+/// 3. [`apply_pending_signals`](Engine::apply_pending_signals) — deliver
+///    the resulting stop/continue signals.
 ///
 /// A fixed principal whose member turns out to be gone (unreadable, or a
-/// signal bounces) is reaped automatically when
-/// [`with_auto_reap`](Engine::with_auto_reap) is enabled; a group's gone
-/// member is skipped without charge until the backend's next refresh
+/// signal bounces) is reaped; a group's gone member is skipped without
+/// charge until the backend's next refresh
 /// ([`set_membership`](Engine::set_membership)) drops it.
 ///
 /// # Faults
@@ -211,7 +210,6 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     cycles: Vec<CycleRecord>,
     stats: EngineStats,
     record_cycles: bool,
-    auto_reap: bool,
     /// Members with an outstanding fault, and nobody else.
     faults: HashMap<M, Fault>,
     /// Failed deliveries by retry quantum, earliest first. An entry whose
@@ -237,9 +235,9 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     /// [`Substrate::apply_batch`] takes: every member of every principal
     /// in `outcome.transitions`, then the repairs.
     staged: Vec<(M, Signal)>,
-    /// Scratch: the batch [`Engine::apply_signals`] delivers. Kept apart
-    /// from `staged`, so that a refresh delivered between stages 2 and 3
-    /// leaves the staged signals alone.
+    /// Scratch: the reconciliation batch [`Engine::set_membership`]
+    /// delivers. Kept apart from `staged`, so that a refresh between
+    /// stages 2 and 3 leaves the staged signals alone.
     batch: Vec<(M, Signal)>,
     /// Scratch: per-signal delivery outcomes of the batch being delivered.
     delivered: Vec<bool>,
@@ -263,7 +261,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             cycles: Vec::new(),
             stats: EngineStats::default(),
             record_cycles: cfg.record_cycles,
-            auto_reap: false,
             faults: HashMap::new(),
             retry_queue: BinaryHeap::new(),
             last_begin: None,
@@ -281,11 +278,13 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         }
     }
 
-    /// Enable automatic removal of a fixed principal when its member is
-    /// found to be gone. Off by default. Groups are never torn down by
-    /// the engine either way.
-    pub fn with_auto_reap(mut self, on: bool) -> Self {
-        self.auto_reap = on;
+    /// The engine as it is: a fixed principal is always reaped when its
+    /// member is found gone, so `on` must be `true`. This identity exists
+    /// only because the `benchmark` package, which builds against this API
+    /// from outside the workspace, still calls it; it goes when that
+    /// caller drops it.
+    pub fn with_auto_reap(self, on: bool) -> Self {
+        debug_assert!(on, "every engine reaps");
         self
     }
 
@@ -340,32 +339,40 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         self.principals[id.index()].as_ref()
     }
 
-    /// Replace a group's member set (the once-per-second refresh of §5).
+    /// Replace a group's member set (the once-per-second refresh of §5)
+    /// and reconcile its members' run states with its eligibility.
     ///
     /// `current` carries, for each member, its *current* cumulative CPU
     /// reading: a newly joined member is charged only for consumption from
     /// this point on. A member listed twice counts once, at its first
     /// listing, and a listed member that another principal owns stays
-    /// with that first owner and is left out of this group. The returned
-    /// [`MembershipChange`] lists joiners and leavers and the signals the
-    /// backend must deliver (conveniently via [`Engine::apply_signals`])
-    /// to reconcile member run states with the principal's eligibility:
-    /// joiners of a suspended principal must be stopped, and its leavers
-    /// resumed so they are not orphaned in the stopped state. Leavers are
-    /// let go: the engine keeps no recovery state for them. Returns `None`
-    /// for a stale id and for a fixed principal, whose one member never
-    /// changes.
-    pub fn set_membership(
+    /// with that first owner and is left out of this group. If the
+    /// principal is suspended, its joiners are sent `Stop` and then its
+    /// leavers `Continue`, so that no leaver is orphaned in the stopped
+    /// state; they go out as stage 3's do, faults absorbed, and the
+    /// signals staged by [`Engine::complete_quantum`] are left alone.
+    /// Leavers are let go: the engine keeps no recovery state for them.
+    /// Returns how many signals were sent, or `None` for a stale id and
+    /// for a fixed principal, whose one member never changes.
+    pub fn set_membership<S>(
         &mut self,
+        sub: &mut S,
         id: ProcId,
         current: &[(M, Nanos)],
-    ) -> Option<MembershipChange<M>> {
+        sink: &mut dyn EventSink<M>,
+    ) -> Option<usize>
+    where
+        S: Substrate<Member = M>,
+    {
         let eligible = self.sched.is_eligible(id)?;
         let Some(Principal::Group(set)) = &mut self.principals[id.index()] else {
             return None;
         };
+        // Every joiner paired with `Stop` and every leaver with `Continue`:
+        // the reconciliation a suspended principal needs.
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
         let mut members = MemberSet::default();
-        let mut added = Vec::new();
         for &(m, cpu) in current {
             let owner = self.member_index.get(&m);
             let owned_elsewhere = owner.is_some_and(|&o| o as usize != id.index());
@@ -373,32 +380,32 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 continue;
             }
             let last = set.get(&m).unwrap_or_else(|| {
-                added.push(m);
+                batch.push((m, Signal::Stop));
                 cpu
             });
             members.insert(m, last);
         }
-        let removed: Vec<M> = (set.members().iter().copied())
-            .filter(|m| members.get(m).is_none())
-            .collect();
+        let leavers = set.members().iter().filter(|m| members.get(m).is_none());
+        batch.extend(leavers.map(|&m| (m, Signal::Continue)));
         **set = members;
-        for &m in &added {
-            self.member_index.insert(m, id.index() as u32);
+        for &(m, signal) in &batch {
+            match signal {
+                Signal::Stop => {
+                    self.member_index.insert(m, id.index() as u32);
+                }
+                Signal::Continue => {
+                    self.member_index.remove(&m);
+                    self.forget_faults(&m);
+                }
+            }
         }
-        for m in &removed {
-            self.member_index.remove(m);
-            self.forget_faults(m);
+        if eligible {
+            batch.clear();
         }
-        let mut signals = Vec::new();
-        if !eligible {
-            signals.extend(added.iter().map(|&m| MemberTransition::Suspend(m)));
-            signals.extend(removed.iter().map(|&m| MemberTransition::Resume(m)));
-        }
-        Some(MembershipChange {
-            added,
-            removed,
-            signals,
-        })
+        self.deliver(sub, &batch, sink);
+        let sent = batch.len();
+        self.batch = batch;
+        Some(sent)
     }
 
     /// Deregister a principal, returning its members (which the backend
@@ -478,8 +485,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// Stage 2: read every due member from the substrate and complete the
     /// scheduler invocation. Members that are gone are skipped without
-    /// charge (and reaped, under auto-reap, if they were their principal's
-    /// sole member). On a cycle boundary the per-cycle log, if kept, gains
+    /// charge (and reaped if they were a fixed principal's member). On a cycle boundary the per-cycle log, if kept, gains
     /// one exact record (see [`Instrumentation::Exact`]). The results are
     /// held internally — see [`Engine::pending_signals`],
     /// [`Engine::last_transitions`], [`Engine::last_cycle_completed`] —
@@ -650,31 +656,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         self.outcome.cycle_completed
     }
 
-    /// Stage 3: deliver stop/continue signals through the substrate, as
-    /// one [`Substrate::apply_batch`]. A bounced delivery (member gone)
-    /// reaps the member's principal under auto-reap.
-    pub fn apply_signals<S>(
-        &mut self,
-        sub: &mut S,
-        signals: &[MemberTransition<M>],
-        sink: &mut dyn EventSink<M>,
-    ) -> Result<(), Infallible>
-    where
-        S: Substrate<Member = M>,
-    {
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        batch.extend(signals.iter().map(|t| match *t {
-            MemberTransition::Resume(m) => (m, Signal::Continue),
-            MemberTransition::Suspend(m) => (m, Signal::Stop),
-        }));
-        self.deliver(sub, &batch, sink);
-        self.batch = batch;
-        Ok(())
-    }
-
-    /// Stage 3 for the common case: deliver the signals produced by the
-    /// last [`Engine::complete_quantum`].
+    /// Stage 3: deliver the signals produced by the last
+    /// [`Engine::complete_quantum`], as one [`Substrate::apply_batch`]. A
+    /// bounced delivery (member gone) reaps a fixed principal.
     pub fn apply_pending_signals<S>(
         &mut self,
         sub: &mut S,
@@ -755,7 +739,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     fn reap(&mut self, id: ProcId, m: M, sink: &mut dyn EventSink<M>) {
         // Only a fixed principal dies with its member; a group's gone
         // member is skipped until the backend's next refresh drops it.
-        if !self.auto_reap || !matches!(self.principal(id), Some(Principal::Fixed(..))) {
+        if !matches!(self.principal(id), Some(Principal::Fixed(..))) {
             return;
         }
         self.remove_principal(id);

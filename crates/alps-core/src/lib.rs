@@ -101,6 +101,6 @@ pub use engine::{
     Engine, EngineStats, Event, EventSink, Instrumentation, NullSink, RecordingSink, Signal,
     Substrate, TraceSink,
 };
-pub use principal::{DueList, MemberTransition, MembershipChange};
+pub use principal::DueList;
 pub use sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, StaleId, Transition};
 pub use time::Nanos;

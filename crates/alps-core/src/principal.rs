@@ -16,30 +16,6 @@
 use crate::sched::ProcId;
 use crate::time::Nanos;
 
-/// A signal the backend must deliver to one member process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemberTransition<M> {
-    /// Make the member runnable (`SIGCONT`).
-    Resume(M),
-    /// Suspend the member (`SIGSTOP`).
-    Suspend(M),
-}
-
-/// Result of a membership refresh: what the backend must do to reconcile
-/// the new member set with the principal's current eligibility.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipChange<M> {
-    /// Members that joined. If the principal is currently ineligible they
-    /// must be suspended immediately (`signals` already reflects this).
-    pub added: Vec<M>,
-    /// Members that left (exited or changed owner). Backends typically need
-    /// no action — but if the principal was ineligible, a departing process
-    /// that still exists should be resumed so it is not left frozen.
-    pub removed: Vec<M>,
-    /// Signals to enact to make member states match principal eligibility.
-    pub signals: Vec<MemberTransition<M>>,
-}
-
 /// The due list [`Engine::begin_quantum`](crate::Engine::begin_quantum)
 /// refills: the principals due for measurement this quantum, each with
 /// its member set, flattened into two backing vectors so steady-state

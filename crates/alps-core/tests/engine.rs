@@ -13,8 +13,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use alps_core::{
-    AlpsConfig, AlpsScheduler, Engine, Event, Instrumentation, MemberTransition, Nanos, NullSink,
-    Observation, ProcId, RecordingSink, Signal, Substrate, Transition,
+    AlpsConfig, AlpsScheduler, Engine, Event, Instrumentation, Nanos, NullSink, Observation,
+    ProcId, RecordingSink, Signal, Substrate, Transition,
 };
 
 /// A fully scripted substrate: the test owns the clock and every member's
@@ -364,7 +364,7 @@ fn a_faulting_boundary_read_keeps_the_quantum() {
     let cfg = AlpsConfig::new(q)
         .with_lazy_measurement(false)
         .with_cycle_log(true);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let mut sub = MockSubstrate::default();
     sub.add(1);
     sub.add(2);
@@ -401,22 +401,23 @@ fn a_faulting_boundary_read_keeps_the_quantum() {
     assert_eq!(engine.stats().read_faults, 1);
 }
 
-/// Auto-reap tears down a fixed principal whose member exits, but a group
+/// Reaping tears down a fixed principal whose member exits, but a group
 /// that loses its only member is kept, charged nothing for the dead
 /// member, and filled again by the next refresh.
 #[test]
 fn a_group_whose_only_member_exits_is_kept_and_refilled() {
     let q = Nanos::from_millis(10);
     let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let mut sub = MockSubstrate::default();
     for m in [1, 2, 9] {
         sub.add(m);
     }
     let fixed = engine.add_member(9, 1, Nanos::ZERO);
     let group = engine.add_principal(1);
-    engine.set_membership(group, &[(1, Nanos::ZERO)]).unwrap();
-    assert_eq!(engine.set_membership(fixed, &[(2, Nanos::ZERO)]), None);
+    engine.set_membership(&mut sub, group, &[(1, Nanos::ZERO)], &mut NullSink);
+    let refresh_fixed = engine.set_membership(&mut sub, fixed, &[(2, Nanos::ZERO)], &mut NullSink);
+    assert_eq!(refresh_fixed, None);
     assert_eq!(
         engine.members(fixed),
         Some(vec![9]),
@@ -439,8 +440,7 @@ fn a_group_whose_only_member_exits_is_kept_and_refilled() {
         Some(vec![1]),
         "until the next refresh"
     );
-    let change = engine.set_membership(group, &[(2, Nanos::ZERO)]).unwrap();
-    assert_eq!((change.added, change.removed), (vec![2], vec![1]));
+    engine.set_membership(&mut sub, group, &[(2, Nanos::ZERO)], &mut NullSink);
     assert_eq!(engine.members(group), Some(vec![2]));
     assert_eq!(engine.principal_of(2), Some(group));
     assert_eq!(engine.principal_of(1), None);
@@ -453,14 +453,14 @@ fn a_group_whose_only_member_exits_is_kept_and_refilled() {
 fn quarantining_a_group_member_evicts_only_that_member() {
     let q = Nanos::from_millis(10);
     let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let mut sub = MockSubstrate::default();
     for m in [1, 9] {
         sub.add(m);
     }
     let fixed = engine.add_member(9, 1, Nanos::ZERO);
     let group = engine.add_principal(1);
-    engine.set_membership(group, &[(1, Nanos::ZERO)]).unwrap();
+    engine.set_membership(&mut sub, group, &[(1, Nanos::ZERO)], &mut NullSink);
     sub.faulty.extend([1, 9]);
     for _ in 0..6 {
         sub.advance(q);
@@ -472,8 +472,9 @@ fn quarantining_a_group_member_evicts_only_that_member() {
     assert_eq!(engine.members(group), Some(vec![]));
     assert_eq!(engine.principal_of(1), None);
     sub.faulty.clear();
-    let change = engine.set_membership(group, &[(1, sub.cpu[&1])]).unwrap();
-    assert_eq!(change.added, vec![1]);
+    let listing = [(1, sub.cpu[&1])];
+    engine.set_membership(&mut sub, group, &listing, &mut NullSink);
+    assert_eq!(engine.members(group), Some(vec![1]));
     assert_eq!(engine.principal_of(1), Some(group));
 }
 
@@ -483,25 +484,23 @@ fn quarantining_a_group_member_evicts_only_that_member() {
 #[test]
 fn a_member_listed_by_two_principals_stays_with_its_first_owner() {
     let cfg = AlpsConfig::new(Nanos::from_millis(10));
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
+    let mut sub = MockSubstrate::default();
     let fixed = engine.add_member(9, 1, Nanos::ZERO);
     let a = engine.add_principal(1);
     let b = engine.add_principal(1);
-    engine.set_membership(a, &[(7, Nanos::ZERO)]).unwrap();
-    let change = engine
-        .set_membership(b, &[(7, Nanos::ZERO), (8, Nanos::ZERO), (9, Nanos::ZERO)])
-        .unwrap();
-    assert_eq!(change.added, vec![8]);
+    let zero = Nanos::ZERO;
+    engine.set_membership(&mut sub, a, &[(7, zero)], &mut NullSink);
+    let listing = [(7, zero), (8, zero), (9, zero)];
+    engine.set_membership(&mut sub, b, &listing, &mut NullSink);
     assert_eq!(engine.members(a), Some(vec![7]));
     assert_eq!(engine.members(b), Some(vec![8]));
     assert_eq!(engine.principal_of(7), Some(a));
     assert_eq!(engine.principal_of(9), Some(fixed));
     // Once the first owner lets go, the other group may take the pid.
-    engine.set_membership(a, &[]).unwrap();
-    let change = engine
-        .set_membership(b, &[(7, Nanos::ZERO), (8, Nanos::ZERO)])
-        .unwrap();
-    assert_eq!(change.added, vec![7]);
+    engine.set_membership(&mut sub, a, &[], &mut NullSink);
+    engine.set_membership(&mut sub, b, &[(7, zero), (8, zero)], &mut NullSink);
+    assert_eq!(engine.members(b), Some(vec![7, 8]));
     assert_eq!(engine.principal_of(7), Some(b));
 }
 
@@ -523,7 +522,13 @@ fn adding_a_groups_member_as_a_fixed_principal_panics() {
     let cfg = AlpsConfig::new(Nanos::from_millis(10));
     let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let group = engine.add_principal(1);
-    engine.set_membership(group, &[(7, Nanos::ZERO)]).unwrap();
+    let listing = [(7, Nanos::ZERO)];
+    engine.set_membership(
+        &mut MockSubstrate::default(),
+        group,
+        &listing,
+        &mut NullSink,
+    );
     engine.add_member(7, 2, Nanos::ZERO);
 }
 
@@ -533,7 +538,7 @@ fn adding_a_groups_member_as_a_fixed_principal_panics() {
 fn an_engine_never_resignals_a_removed_principals_member() {
     let q = Nanos::from_millis(10);
     let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let mut sub = MockSubstrate::default();
     sub.add(1);
     sub.add(2);
@@ -563,7 +568,7 @@ fn an_engine_never_resignals_a_removed_principals_member() {
 fn an_engine_never_resignals_a_group_leaver() {
     let q = Nanos::from_millis(10);
     let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let mut sub = MockSubstrate::default();
     for m in [1, 2, 9] {
         sub.add(m);
@@ -571,23 +576,25 @@ fn an_engine_never_resignals_a_group_leaver() {
     engine.add_member(9, 3, Nanos::ZERO);
     let g = engine.add_principal(1);
     let mut sink = RecordingSink::new();
-    let change = engine
-        .set_membership(g, &[(1, Nanos::ZERO), (2, Nanos::ZERO)])
-        .unwrap();
-    engine
-        .apply_signals(&mut sub, &change.signals, &mut sink)
-        .unwrap();
+    let listing = [(1, Nanos::ZERO), (2, Nanos::ZERO)];
+    engine.set_membership(&mut sub, g, &listing, &mut sink);
     for _ in 0..2 {
         sub.advance(q);
         engine.run_quantum(&mut sub, &mut sink).unwrap();
     }
     assert_eq!(engine.is_eligible(g), Some(false), "the group overran");
-    let change = engine.set_membership(g, &[(2, sub.cpu[&2])]).unwrap();
-    assert_eq!(change.signals, vec![MemberTransition::Resume(1)]);
     sink.events.clear();
-    engine
-        .apply_signals(&mut sub, &change.signals, &mut sink)
-        .unwrap();
+    let listing = [(2, sub.cpu[&2])];
+    let sent = engine.set_membership(&mut sub, g, &listing, &mut sink);
+    assert_eq!(sent, Some(1));
+    assert_eq!(
+        sink.events,
+        [Event::SignalSent {
+            member: 1,
+            signal: Signal::Continue,
+            delivered: true
+        }]
+    );
     for _ in 0..40 {
         sub.advance(q);
         engine.run_quantum(&mut sub, &mut sink).unwrap();
@@ -599,6 +606,44 @@ fn an_engine_never_resignals_a_group_leaver() {
         "only its reconciliation"
     );
     assert!(!sub.stopped.contains(&1));
+}
+
+/// A refresh of a suspended group delivers its own reconciliation: with no
+/// other call, its joiner ends stopped and its leaver running.
+#[test]
+fn a_refresh_of_a_suspended_group_stops_its_joiner_and_resumes_its_leaver() {
+    let q = Nanos::from_millis(10);
+    let cfg = AlpsConfig::new(q).with_lazy_measurement(false);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
+    let mut sub = MockSubstrate::default();
+    for m in [1, 2, 3, 9] {
+        sub.add(m);
+    }
+    sub.stopped.remove(&3); // the joiner runs before it joins
+    engine.add_member(9, 3, Nanos::ZERO);
+    let g = engine.add_principal(1);
+    let listing = [(1, Nanos::ZERO), (2, Nanos::ZERO)];
+    engine.set_membership(&mut sub, g, &listing, &mut NullSink);
+    for _ in 0..2 {
+        sub.advance(q);
+        engine.run_quantum(&mut sub, &mut NullSink).unwrap();
+    }
+    assert_eq!(engine.is_eligible(g), Some(false), "the group overran");
+    assert!(sub.stopped.contains(&1) && sub.stopped.contains(&2));
+    let listing = [(2, sub.cpu[&2]), (3, sub.cpu[&3])];
+    let sent = engine.set_membership(&mut sub, g, &listing, &mut NullSink);
+    assert_eq!(
+        sent,
+        Some(2),
+        "a Stop to the joiner, a Continue to the leaver"
+    );
+    assert!(sub.stopped.contains(&3), "the joiner is stopped");
+    assert!(!sub.stopped.contains(&1), "the leaver runs");
+    assert!(
+        sub.stopped.contains(&2),
+        "the member who stays is untouched"
+    );
+    assert_eq!(engine.members(g), Some(vec![2, 3]));
 }
 
 // --- §5: a group is charged its members' CPU, and fans out eligibility ---
@@ -624,6 +669,16 @@ fn reads(sub: &mut MockSubstrate, m: u32, ms: u64, blocked: bool) {
     }
 }
 
+/// Refresh group `id` from `listing`, delivering into `sub`.
+fn refresh(
+    e: &mut Engine<u32>,
+    sub: &mut MockSubstrate,
+    id: ProcId,
+    listing: &[(u32, Nanos)],
+) -> Option<usize> {
+    e.set_membership(sub, id, listing, &mut NullSink)
+}
+
 /// Stage 1 of a quantum, returning how many principals are due.
 fn begin(e: &mut Engine<u32>, sub: &mut MockSubstrate) -> usize {
     e.begin_quantum(sub, &mut NullSink).unwrap();
@@ -646,7 +701,12 @@ fn idle_quantum(e: &mut Engine<u32>, sub: &mut MockSubstrate) {
 fn principal_becomes_eligible_resuming_all_members() {
     let (mut e, mut sub) = group_engine();
     let u = e.add_principal(1);
-    e.set_membership(u, &[(100, Nanos::ZERO), (101, Nanos::ZERO)]);
+    refresh(
+        &mut e,
+        &mut sub,
+        u,
+        &[(100, Nanos::ZERO), (101, Nanos::ZERO)],
+    );
     idle_quantum(&mut e, &mut sub);
     let mut resumed: Vec<u32> = e
         .pending_signals()
@@ -670,7 +730,7 @@ fn staged_signals_survive_a_refresh_delivered_before_them() {
         sub.add(m);
     }
     let u = e.add_principal(1);
-    e.set_membership(u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
+    refresh(&mut e, &mut sub, u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
     e.add_member(5, 1, Nanos::ZERO);
     idle_quantum(&mut e, &mut sub);
     let staged = e.pending_signals().to_vec();
@@ -684,12 +744,9 @@ fn staged_signals_survive_a_refresh_delivered_before_them() {
     );
     // A group registered since is ineligible: its joiners are stopped.
     let w = e.add_principal(1);
-    let change = e
-        .set_membership(w, &[(7, Nanos::ZERO), (8, Nanos::ZERO)])
-        .unwrap();
     let mut sink = RecordingSink::new();
-    e.apply_signals(&mut sub, &change.signals, &mut sink)
-        .unwrap();
+    let listing = [(7, Nanos::ZERO), (8, Nanos::ZERO)];
+    assert_eq!(e.set_membership(&mut sub, w, &listing, &mut sink), Some(2));
     assert_eq!(e.pending_signals(), staged);
     e.apply_pending_signals(&mut sub, &mut sink).unwrap();
     let sent: Vec<(u32, Signal)> = sink
@@ -710,8 +767,8 @@ fn member_consumption_aggregates() {
     let (mut e, mut sub) = group_engine();
     let u = e.add_principal(2);
     let v = e.add_principal(2);
-    e.set_membership(u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
-    e.set_membership(v, &[(3, Nanos::ZERO)]);
+    refresh(&mut e, &mut sub, u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
+    refresh(&mut e, &mut sub, v, &[(3, Nanos::ZERO)]);
     complete(&mut e, &mut sub); // both eligible (count=1)
     idle_quantum(&mut e, &mut sub); // count=2, none due (ceil(2)=2 → due at 3)
                                     // u's two members consumed 8 and 7 ms; v's one member 5 ms.
@@ -729,7 +786,7 @@ fn member_consumption_aggregates() {
 fn membership_churn_does_not_lose_or_invent_cpu() {
     let (mut e, mut sub) = group_engine();
     let u = e.add_principal(4);
-    e.set_membership(u, &[(1, Nanos::ZERO)]);
+    refresh(&mut e, &mut sub, u, &[(1, Nanos::ZERO)]);
     complete(&mut e, &mut sub); // eligible
 
     // Member 1 exits after consuming 10ms; member 2 joins having already
@@ -744,12 +801,9 @@ fn membership_churn_does_not_lose_or_invent_cpu() {
         "count=5: due (ceil(4)=4 after count=1)"
     );
     complete(&mut e, &mut sub);
-    let change = e
-        .set_membership(u, &[(2, Nanos::from_millis(500))])
-        .unwrap();
-    assert_eq!(change.added, vec![2]);
-    assert_eq!(change.removed, vec![1]);
-    assert!(change.signals.is_empty(), "principal is eligible");
+    let sent = refresh(&mut e, &mut sub, u, &[(2, Nanos::from_millis(500))]);
+    assert_eq!(sent, Some(0), "principal is eligible");
+    assert_eq!(e.members(u), Some(vec![2]));
     // Member 2 consumes 5ms more (cumulative 505).
     for _ in 0..2 {
         idle_quantum(&mut e, &mut sub);
@@ -769,23 +823,17 @@ fn membership_churn_does_not_lose_or_invent_cpu() {
 fn a_member_listed_twice_counts_once_at_its_first_listing() {
     let (mut e, mut sub) = group_engine();
     let u = e.add_principal(4);
-    e.set_membership(u, &[(1, Nanos::ZERO)]);
+    refresh(&mut e, &mut sub, u, &[(1, Nanos::ZERO)]);
     complete(&mut e, &mut sub);
     // At this refresh member 1 reads 25 ms, and joiner 2 reads 5 ms at
     // its first listing.
-    let change = e
-        .set_membership(
-            u,
-            &[
-                (1, Nanos::from_millis(25)),
-                (2, Nanos::from_millis(5)),
-                (1, Nanos::from_millis(25)),
-                (2, Nanos::ZERO),
-            ],
-        )
-        .unwrap();
-    assert_eq!(change.added, vec![2]);
-    assert!(change.removed.is_empty());
+    let listing = [
+        (1, Nanos::from_millis(25)),
+        (2, Nanos::from_millis(5)),
+        (1, Nanos::from_millis(25)),
+        (2, Nanos::ZERO),
+    ];
+    assert_eq!(refresh(&mut e, &mut sub, u, &listing), Some(0));
     assert_eq!(e.members(u), Some(vec![1, 2]));
     for _ in 0..3 {
         idle_quantum(&mut e, &mut sub);
@@ -804,7 +852,7 @@ fn joining_a_suspended_principal_means_suspension() {
     let (mut e, mut sub) = group_engine();
     let u = e.add_principal(1);
     let _v = e.add_principal(9);
-    e.set_membership(u, &[(1, Nanos::ZERO)]);
+    refresh(&mut e, &mut sub, u, &[(1, Nanos::ZERO)]);
     complete(&mut e, &mut sub); // eligible, count=1, due at 2
     reads(&mut sub, 1, 10, false);
     assert_eq!(
@@ -816,20 +864,26 @@ fn joining_a_suspended_principal_means_suspension() {
     complete(&mut e, &mut sub);
     assert_eq!(e.pending_signals(), [(1, Signal::Stop)]);
     // A new worker is forked into the suspended principal.
-    let change = e
-        .set_membership(u, &[(1, Nanos::from_millis(10)), (7, Nanos::ZERO)])
-        .unwrap();
-    assert_eq!(change.signals, vec![MemberTransition::Suspend(7)]);
+    let mut sink = RecordingSink::new();
+    let listing = [(1, Nanos::from_millis(10)), (7, Nanos::ZERO)];
+    assert_eq!(e.set_membership(&mut sub, u, &listing, &mut sink), Some(1));
     // And one leaves while suspended: it must be resumed.
-    let change = e.set_membership(u, &[(7, Nanos::ZERO)]).unwrap();
-    assert_eq!(change.signals, vec![MemberTransition::Resume(1)]);
+    let listing = [(7, Nanos::ZERO)];
+    assert_eq!(e.set_membership(&mut sub, u, &listing, &mut sink), Some(1));
+    let sent: Vec<(u32, Signal)> = (sink.events.iter())
+        .filter_map(|ev| match *ev {
+            Event::SignalSent { member, signal, .. } => Some((member, signal)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sent, [(7, Signal::Stop), (1, Signal::Continue)]);
 }
 
 #[test]
 fn principal_blocked_only_when_all_members_blocked() {
     let (mut e, mut sub) = group_engine();
     let u = e.add_principal(2);
-    e.set_membership(u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
+    refresh(&mut e, &mut sub, u, &[(1, Nanos::ZERO), (2, Nanos::ZERO)]);
     complete(&mut e, &mut sub);
     idle_quantum(&mut e, &mut sub);
     // Due: one member runnable → principal not blocked → no penalty.
@@ -849,9 +903,9 @@ fn principal_blocked_only_when_all_members_blocked() {
 
 #[test]
 fn remove_principal_returns_members() {
-    let (mut e, _) = group_engine();
+    let (mut e, mut sub) = group_engine();
     let u = e.add_principal(1);
-    e.set_membership(u, &[(5, Nanos::ZERO), (6, Nanos::ZERO)]);
+    refresh(&mut e, &mut sub, u, &[(5, Nanos::ZERO), (6, Nanos::ZERO)]);
     let members = e.remove_principal(u).unwrap();
     assert_eq!(members, vec![5, 6]);
     assert!(e.proc_ids().is_empty());
@@ -877,7 +931,7 @@ fn empty_principal_is_never_blocked() {
 /// that runs every unstopped member full time.
 fn two_members(share_b: u64) -> (Engine<u32>, MockSubstrate, ProcId) {
     let cfg = AlpsConfig::new(Nanos::from_millis(10));
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let mut sub = MockSubstrate::default();
     sub.add(1);
     sub.add(2);

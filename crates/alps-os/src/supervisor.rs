@@ -214,7 +214,7 @@ impl Supervisor {
         Supervisor {
             // §3.1 instrumentation re-reads the substrate at cycle
             // boundaries.
-            engine: Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true),
+            engine: Engine::new(cfg, Instrumentation::Exact),
             held: HashMap::new(),
             groups: Vec::new(),
             me: std::process::id() as i32,
@@ -424,8 +424,8 @@ impl Supervisor {
     }
 
     /// Re-resolve every group's pids: enrol each joiner, read each pid
-    /// already held for the group, hand the readable ones to the engine,
-    /// and deliver the change's reconciliation signals. A pid held for
+    /// already held for the group, and hand the readable ones to the
+    /// engine, which delivers the reconciliation signals. A pid held for
     /// another principal is skipped before enrolment, which would move it
     /// out of its owner's cgroup leaf.
     fn refresh(&mut self, sink: &mut dyn EventSink<i32>) {
@@ -456,11 +456,8 @@ impl Supervisor {
                 };
                 current.extend(baseline.map(|cpu| (pid, cpu)));
             }
-            if let Some(change) = self.engine.set_membership(id, &current) {
-                let Ok(()) = self
-                    .engine
-                    .apply_signals(&mut self.sub, &change.signals, sink);
-            }
+            self.engine
+                .set_membership(&mut self.sub, id, &current, sink);
         }
     }
 

@@ -72,7 +72,7 @@ struct Rig {
 /// fake, ready to drive quanta.
 fn rig(mode: ActuatorMode) -> Rig {
     let cfg = AlpsConfig::default().with_quantum(Q);
-    let mut engine: Engine<i32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<i32> = Engine::new(cfg, Instrumentation::Exact);
     let mut sub = CgroupSubstrate::new(FakeCgroupFs::new(1), mode);
     let mut ids = Vec::new();
     for pid in 100..106 {

@@ -135,7 +135,7 @@ impl AlpsBehavior {
         } = &mut *shared;
         *refreshes += 1;
         let mut scanned = 0usize;
-        let mut signals = Vec::new();
+        let mut signals = 0usize;
         for (id, members) in groups.iter() {
             let current: Vec<(Pid, Nanos)> = members
                 .borrow()
@@ -145,14 +145,11 @@ impl AlpsBehavior {
                 .map(|p| (p, ctl.cputime(p)))
                 .collect();
             scanned += current.len();
-            if let Some(change) = engine.set_membership(*id, &current) {
-                signals.extend(change.signals);
-            }
+            let mut sub = SimSubstrate::new(ctl);
+            let sent = engine.set_membership(&mut sub, *id, &current, &mut NullSink);
+            signals += sent.unwrap_or(0);
         }
-        engine
-            .apply_signals(&mut SimSubstrate::new(ctl), &signals, &mut NullSink)
-            .unwrap();
-        self.cost.measure(scanned) + self.cost.signals(signals.len())
+        self.cost.measure(scanned) + self.cost.signals(signals)
     }
 }
 
@@ -292,7 +289,7 @@ fn spawn(
 ) -> AlpsHandle {
     // Cycle instrumentation reads ground truth at cycle boundaries (§3.1),
     // independent of the visible-accounting mode the algorithm sees.
-    let mut engine = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine = Engine::new(cfg, Instrumentation::Exact);
     for &(pid, share) in procs {
         engine.add_member(pid, share, sim.proc(pid).unwrap().cputime());
     }

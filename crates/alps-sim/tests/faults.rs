@@ -86,7 +86,7 @@ struct Run {
 /// (the harness plays the kernel), everything else from the wrapper.
 fn drive(rates: FaultRates, seed: u64, quanta: u64, fail_every: u64) -> Run {
     let cfg = AlpsConfig::default().with_quantum(Q);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let mut procs = BTreeMap::new();
     for pid in 0..6u32 {
         procs.insert(pid, (Nanos::ZERO, false));
@@ -421,7 +421,7 @@ struct LostSignalRun {
 /// principal's eligibility.
 fn lost_signal_run(seed: u64, lose: f64) -> LostSignalRun {
     let cfg = AlpsConfig::default().with_quantum(Q).with_cycle_log(true);
-    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
     let procs: BTreeMap<u32, (Nanos, bool)> = (0..6).map(|p| (p, (Nanos::ZERO, false))).collect();
     let rates = FaultRates {
         lose_signal: lose,

@@ -218,8 +218,7 @@ fn a_lazy_scheduler_under_churn_retains_bounded_memory_and_stops_allocating() {
 fn an_engine_over_cgroup_weights_stops_allocating() {
     const QUANTA: usize = 600;
     const Q: Nanos = Nanos::from_millis(10);
-    let mut engine: Engine<i32> =
-        Engine::new(AlpsConfig::new(Q), Instrumentation::Exact).with_auto_reap(true);
+    let mut engine: Engine<i32> = Engine::new(AlpsConfig::new(Q), Instrumentation::Exact);
     let mut sub = CgroupSubstrate::new(FakeCgroupFs::new(4), ActuatorMode::Weights);
     let pids: Vec<i32> = (100..116).collect();
     let leaves: Vec<String> = pids.iter().map(|pid| format!("m{pid}")).collect();
