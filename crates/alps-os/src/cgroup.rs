@@ -529,6 +529,14 @@ impl CgroupFs for RealCgroupFs {
     }
 
     fn attach(&mut self, group: &str, pid: i32) -> Result<()> {
+        // A pid that its held descriptor reads gone is not written: its
+        // number may be another process's by now, and the write would
+        // move that stranger into the subtree.
+        match self.stat.read(pid) {
+            Ok(s) if s.dead() => return Err(OsError::NoSuchProcess(pid)),
+            Err(OsError::NoSuchProcess(_)) => return Err(OsError::NoSuchProcess(pid)),
+            _ => {}
+        }
         // Parking (`group == ""`) lands in the dedicated parked leaf,
         // never the root: once the root distributes the cpu controller,
         // the no-internal-process rule forbids it from holding
@@ -1217,6 +1225,28 @@ mod tests {
 
     fn observed(fs: &mut FakeCgroupFs, group: &str, pid: i32) -> Observation {
         fs.observe(group, pid).unwrap().expect("member alive")
+    }
+
+    /// A member killed and reaped while held is never parked by number:
+    /// `attach` reports it gone and writes nothing to `cgroup.procs`.
+    #[test]
+    fn attach_writes_no_pid_its_held_descriptor_reads_gone() {
+        let dir = std::env::temp_dir().join(format!("alps-attach-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let mut cg = RealCgroupFs::new(&dir);
+        let pool = crate::children::SpinnerPool::spawn_sleepers(1).unwrap();
+        let pid = pool.pids()[0];
+        cg.hold(pid).unwrap();
+        drop(pool); // killed and reaped
+        let res = cg.attach("", pid);
+        let procs = fs::read_to_string(dir.join(PARKED).join("cgroup.procs"));
+        let _ = fs::remove_dir_all(&dir);
+        assert!(
+            matches!(res, Err(OsError::NoSuchProcess(p)) if p == pid),
+            "{res:?}"
+        );
+        let procs = procs.unwrap_or_default();
+        assert!(!procs.contains(&pid.to_string()), "parked {procs:?}");
     }
 
     #[test]
