@@ -109,23 +109,22 @@ fn run_commands(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
     if let Err(e) = enroll() {
         // A mid-list spawn or enrollment failure must not leave the
         // earlier commands running unmanaged (possibly suspended). The
-        // supervisor resumes its members through their pidfds first.
+        // supervisor resumes its members through their pidfds as it
+        // drops; SIGKILL ends a command either way.
         drop(sup);
         for child in &mut children {
-            let _ = alps_os::signal::sigcont(child.id() as i32);
             let _ = child.kill();
             let _ = child.wait();
         }
         return Err(e);
     }
     let result = drive(&mut sup, &opts);
-    sup.release_all();
+    // Dropping the supervisor releases every member once.
     drop(sup);
     // Children are the user's commands: leave them running on exit unless
     // we spawned them for a bounded run.
     if opts.duration_s.is_some() || interrupted() {
         for child in &mut children {
-            let _ = alps_os::signal::sigcont(child.id() as i32);
             let _ = child.kill();
             let _ = child.wait();
         }
@@ -144,9 +143,7 @@ fn attach_pids(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
         sup.add_process(pid, spec.share)?;
         eprintln!("alps: attached pid {pid} with {} share(s)", spec.share);
     }
-    let result = drive(&mut sup, &opts);
-    sup.release_all();
-    result
+    drive(&mut sup, &opts)
 }
 
 fn drive(sup: &mut Supervisor, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
@@ -208,7 +205,5 @@ fn supervise_users(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
         sup.add_principal(spec.share, Membership::Uid(uid));
         eprintln!("alps: uid {uid} <- {} share(s)", spec.share);
     }
-    let result = drive(&mut sup, &opts);
-    sup.release_all();
-    result
+    drive(&mut sup, &opts)
 }
