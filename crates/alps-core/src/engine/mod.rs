@@ -368,8 +368,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         let Some(Principal::Group(set)) = &mut self.principals[id.index()] else {
             return None;
         };
-        // Every joiner paired with `Stop` and every leaver with `Continue`:
-        // the reconciliation a suspended principal needs.
+        // Every joiner paired with `Stop`, then every leaver with
+        // `Continue`: the index update below reads who joined and who
+        // left from it, and a suspended principal's refresh sends it.
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
         let mut members = MemberSet::default();
@@ -485,9 +486,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// Stage 2: read every due member from the substrate and complete the
     /// scheduler invocation. Members that are gone are skipped without
-    /// charge (and reaped if they were a fixed principal's member). On a cycle boundary the per-cycle log, if kept, gains
-    /// one exact record (see [`Instrumentation::Exact`]). The results are
-    /// held internally — see [`Engine::pending_signals`],
+    /// charge (and reaped if they were a fixed principal's member). On a
+    /// cycle boundary the per-cycle log, if kept, gains one exact record
+    /// (see [`Instrumentation::Exact`]). The results are held internally
+    /// — see [`Engine::pending_signals`],
     /// [`Engine::last_transitions`], [`Engine::last_cycle_completed`] —
     /// and every buffer involved is reused across invocations.
     ///
