@@ -278,9 +278,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         }
     }
 
-    /// The engine as it is: a fixed principal is always reaped when its
-    /// member is found gone, so `on` must be `true`. This identity exists
-    /// only because the `benchmark` package, which builds against this API
+    /// Returns the engine unchanged: every engine reaps a fixed principal
+    /// whose member is found gone, so `on` must be `true`. Kept only
+    /// because the `benchmark` package, which builds against this API
     /// from outside the workspace, still calls it; it goes when that
     /// caller drops it.
     pub fn with_auto_reap(self, on: bool) -> Self {

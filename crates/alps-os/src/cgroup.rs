@@ -534,7 +534,7 @@ impl CgroupFs for RealCgroupFs {
         // move that stranger into the subtree.
         match self.stat.read(pid) {
             Ok(s) if s.dead() => return Err(OsError::NoSuchProcess(pid)),
-            Err(OsError::NoSuchProcess(_)) => return Err(OsError::NoSuchProcess(pid)),
+            Err(e @ OsError::NoSuchProcess(_)) => return Err(e),
             _ => {}
         }
         // Parking (`group == ""`) lands in the dedicated parked leaf,
