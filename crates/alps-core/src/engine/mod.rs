@@ -126,7 +126,7 @@ struct Repair<M> {
 /// what the engine knows of a principal is in the scheduler's slot at the
 /// same index: the generation that validates a [`ProcId`], the share, and
 /// the CPU charged so far over current and past members
-/// ([`AlpsScheduler::charged`], which the fold feeds as `total_cpu`).
+/// ([`AlpsScheduler::charged`], which each measurement advances).
 /// The two tables register and remove in lockstep, so the table holds an
 /// entry exactly where the scheduler holds a live slot.
 #[derive(Debug, Clone)]
@@ -165,8 +165,8 @@ impl<M: Copy + Ord> Principal<M> {
 /// 1. [`begin_quantum`](Engine::begin_quantum) — note the time, detect
 ///    overruns, ask the scheduler who is due;
 /// 2. [`complete_quantum`](Engine::complete_quantum) — read the due
-///    members from the substrate, feed the observations to the scheduler,
-///    handle the cycle boundary;
+///    members from the substrate, measure each due principal in one walk,
+///    finish the scheduler's invocation and handle the cycle boundary;
 /// 3. [`apply_pending_signals`](Engine::apply_pending_signals) — deliver
 ///    the resulting stop/continue signals.
 ///
@@ -218,12 +218,8 @@ pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
     last_begin: Option<Nanos>,
     /// Scratch: the due list of the in-flight invocation.
     due: DueList<M>,
-    /// Scratch: the scheduler's due principals, refilled each quantum.
-    due_ids: Vec<ProcId>,
     /// Scratch: per-member observations, parallel to `due.members()`.
     readings: Vec<Option<Observation>>,
-    /// Scratch: per-principal observations fed to the scheduler.
-    observations: Vec<(ProcId, Observation)>,
     /// Scratch: members found gone during the read phase.
     gone: Vec<(ProcId, M)>,
     /// Scratch: positions in `readings`, or in the batch being
@@ -265,9 +261,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             retry_queue: BinaryHeap::new(),
             last_begin: None,
             due: DueList::default(),
-            due_ids: Vec::new(),
             readings: Vec::new(),
-            observations: Vec::new(),
             gone: Vec::new(),
             faulted: Vec::new(),
             repairs: Vec::new(),
@@ -354,16 +348,13 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Leavers are let go: the engine keeps no recovery state for them.
     /// Returns how many signals were sent, or `None` for a stale id and
     /// for a fixed principal, whose one member never changes.
-    pub fn set_membership<S>(
+    pub fn set_membership(
         &mut self,
-        sub: &mut S,
+        sub: &mut impl Substrate<Member = M>,
         id: ProcId,
         current: &[(M, Nanos)],
-        sink: &mut dyn EventSink<M>,
-    ) -> Option<usize>
-    where
-        S: Substrate<Member = M>,
-    {
+        sink: &mut (impl EventSink<M> + ?Sized),
+    ) -> Option<usize> {
         let eligible = self.sched.is_eligible(id)?;
         let Some(Principal::Group(set)) = &mut self.principals[id.index()] else {
             return None;
@@ -444,14 +435,11 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// overrun/coalesced timers, §4.2), refills the internal due list —
     /// inspect it via [`Engine::due`] — and returns the number of members
     /// to read. Touches no member, so it has no fault to absorb.
-    pub fn begin_quantum<S>(
+    pub fn begin_quantum(
         &mut self,
-        sub: &mut S,
-        sink: &mut dyn EventSink<M>,
-    ) -> Result<usize, Infallible>
-    where
-        S: Substrate<Member = M>,
-    {
+        sub: &mut impl Substrate<Member = M>,
+        sink: &mut (impl EventSink<M> + ?Sized),
+    ) -> Result<usize, Infallible> {
         let now = sub.now();
         if let Some(last) = self.last_begin {
             let gap = now.saturating_sub(last);
@@ -463,13 +451,13 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         self.last_begin = Some(now);
         self.stats.quanta += 1;
         self.due.clear();
-        self.sched.begin_quantum_into(&mut self.due_ids);
-        for &id in &self.due_ids {
-            let p = self.principals[id.index()]
-                .as_ref()
-                .expect("the scheduler's due ids are registered");
-            self.due.push(id, p.members());
-        }
+        let (principals, due) = (&self.principals, &mut self.due);
+        self.sched
+            .begin_quantum_with(|id| match principals[id.index()].as_ref() {
+                Some(Principal::Fixed(m, _)) => due.push(id, [*m]),
+                Some(Principal::Group(set)) => due.push(id, set.members().iter().copied()),
+                None => unreachable!("the scheduler's due ids are registered"),
+            });
         sink.on_event(&Event::QuantumStart {
             invocation: self.stats.quanta,
             now,
@@ -485,8 +473,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     }
 
     /// Stage 2: read every due member from the substrate and complete the
-    /// scheduler invocation. Members that are gone are skipped without
-    /// charge (and reaped if they were a fixed principal's member). On a
+    /// scheduler invocation, in one walk that hands each due principal's
+    /// summed deltas straight to Figure 3's measurement step. Members
+    /// that are gone are skipped without charge (and reaped if they were
+    /// a fixed principal's member). On a
     /// cycle boundary the per-cycle log, if kept, gains one exact record
     /// (see [`Instrumentation::Exact`]). The results are held internally
     /// — see [`Engine::pending_signals`],
@@ -497,14 +487,11 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// The pending signals also carry the quantum's repairs: retries that
     /// came due, and `Continue` for a member read stopped while its
     /// principal is eligible.
-    pub fn complete_quantum<S>(
+    pub fn complete_quantum(
         &mut self,
-        sub: &mut S,
-        sink: &mut dyn EventSink<M>,
-    ) -> Result<(), Infallible>
-    where
-        S: Substrate<Member = M>,
-    {
+        sub: &mut impl Substrate<Member = M>,
+        sink: &mut (impl EventSink<M> + ?Sized),
+    ) -> Result<(), Infallible> {
         self.readings.clear();
         self.gone.clear();
         self.faulted.clear();
@@ -522,10 +509,17 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             self.readings.push(None);
             res = sub.read_batch(&self.due.members()[at + 1..], &mut self.readings);
         }
-        // Bookkeeping over the readings, in due order.
+        // One walk in due order. A principal is blocked (§2.4) only when
+        // every member read is; one with no member read, or removed since
+        // stage 1, is not measured. The reaps and strikes below touch only
+        // such principals and unread members, so measuring first is safe.
+        let mut tc_delta = 0.0;
         let mut i = 0;
         let mut faulted = self.faulted.iter().peekable();
         for (id, members) in self.due.iter() {
+            let charged = self.sched.charged(id);
+            let mut p = charged.and(self.principals[id.index()].as_mut());
+            let (mut consumed, mut any_read, mut all_blocked) = (Nanos::ZERO, false, true);
             for &m in members {
                 match self.readings[i] {
                     Some(o) => {
@@ -554,6 +548,14 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                                 retry: false,
                             });
                         }
+                        if let Some(p) = p.as_deref_mut() {
+                            if let Some(last) = p.reading_mut(&m) {
+                                consumed += o.total_cpu.saturating_sub(*last);
+                                *last = o.total_cpu;
+                            }
+                            any_read = true;
+                            all_blocked &= o.blocked;
+                        }
                     }
                     None if faulted.next_if_eq(&&i).is_some() => {
                         self.stats.read_faults += 1;
@@ -563,12 +565,15 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 }
                 i += 1;
             }
+            if let Some(charged) = charged.filter(|_| any_read) {
+                let total = charged + consumed;
+                self.sched.measure(id, total, all_blocked, &mut tc_delta);
+            }
         }
-        let mut gone = std::mem::take(&mut self.gone);
-        for (id, m) in gone.drain(..) {
+        for k in 0..self.gone.len() {
+            let (id, m) = self.gone[k];
             self.reap(id, m, sink);
         }
-        self.gone = gone;
         for k in 0..self.faulted.len() {
             let m = self.due.members()[self.faulted[k]];
             self.strike(m, sink);
@@ -576,44 +581,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         if !self.retry_queue.is_empty() {
             self.take_due_retries();
         }
-        // Fold each due principal's member deltas into its charged CPU. A
-        // principal is blocked (§2.4) only when every member that was read
-        // reports blocked: if any member is runnable, it can make progress.
-        self.observations.clear();
-        let mut start = 0;
-        for (id, members) in self.due.iter() {
-            let row = &self.readings[start..start + members.len()];
-            start += members.len();
-            let Some(mut charged) = self.sched.charged(id) else {
-                continue; // reaped or quarantined during the reads
-            };
-            let p = self.principals[id.index()]
-                .as_mut()
-                .expect("a live slot has an entry");
-            let mut any_read = false;
-            let mut all_blocked = true;
-            for (m, obs) in members.iter().zip(row) {
-                let Some(obs) = obs else {
-                    continue;
-                };
-                any_read = true;
-                if let Some(last) = p.reading_mut(m) {
-                    charged += obs.total_cpu.saturating_sub(*last);
-                    *last = obs.total_cpu;
-                }
-                all_blocked &= obs.blocked;
-            }
-            self.observations.push((
-                id,
-                Observation {
-                    total_cpu: charged,
-                    blocked: any_read && all_blocked,
-                },
-            ));
-        }
         let now = sub.now();
-        self.sched
-            .complete_quantum_into(&self.observations, &mut self.outcome);
+        self.sched.finish_quantum(tc_delta, &mut self.outcome);
         self.staged.clear();
         for t in &self.outcome.transitions {
             let p = self.principals[t.proc_id().index()]
@@ -661,14 +630,11 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Stage 3: deliver the signals produced by the last
     /// [`Engine::complete_quantum`], as one [`Substrate::apply_batch`]. A
     /// bounced delivery (member gone) reaps a fixed principal.
-    pub fn apply_pending_signals<S>(
+    pub fn apply_pending_signals(
         &mut self,
-        sub: &mut S,
-        sink: &mut dyn EventSink<M>,
-    ) -> Result<(), Infallible>
-    where
-        S: Substrate<Member = M>,
-    {
+        sub: &mut impl Substrate<Member = M>,
+        sink: &mut (impl EventSink<M> + ?Sized),
+    ) -> Result<(), Infallible> {
         // The staged batch is moved out for the duration of the call (the
         // borrow checker cannot see that `deliver` leaves it alone) and
         // put back so it keeps being reused.
@@ -679,10 +645,12 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     }
 
     /// Deliver `batch` as one [`Substrate::apply_batch`], absorbing faults.
-    fn deliver<S>(&mut self, sub: &mut S, batch: &[(M, Signal)], sink: &mut dyn EventSink<M>)
-    where
-        S: Substrate<Member = M>,
-    {
+    fn deliver(
+        &mut self,
+        sub: &mut impl Substrate<Member = M>,
+        batch: &[(M, Signal)],
+        sink: &mut (impl EventSink<M> + ?Sized),
+    ) {
         self.delivered.clear();
         self.faulted.clear();
         // `apply_batch` is fail-fast with the successful prefix's outcomes
@@ -724,21 +692,18 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// All three stages back to back — the whole scheduler invocation for
     /// backends with nothing to interleave. Returns the principal-level
     /// eligibility transitions this invocation produced.
-    pub fn run_quantum<S>(
+    pub fn run_quantum(
         &mut self,
-        sub: &mut S,
-        sink: &mut dyn EventSink<M>,
-    ) -> Result<&[Transition], Infallible>
-    where
-        S: Substrate<Member = M>,
-    {
+        sub: &mut impl Substrate<Member = M>,
+        sink: &mut (impl EventSink<M> + ?Sized),
+    ) -> Result<&[Transition], Infallible> {
         self.begin_quantum(sub, sink)?;
         self.complete_quantum(sub, sink)?;
         self.apply_pending_signals(sub, sink)?;
         Ok(&self.outcome.transitions)
     }
 
-    fn reap(&mut self, id: ProcId, m: M, sink: &mut dyn EventSink<M>) {
+    fn reap(&mut self, id: ProcId, m: M, sink: &mut (impl EventSink<M> + ?Sized)) {
         // Only a fixed principal dies with its member; a group's gone
         // member is skipped until the backend's next refresh drops it.
         if !matches!(self.principal(id), Some(Principal::Fixed(..))) {
@@ -755,7 +720,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// after a backoff of 1, 2, 4 … 32 quanta and takes a strike; a member
     /// let go (a leaver, a removed principal's) got its one signal and is
     /// not tracked.
-    fn signal_fault(&mut self, m: M, signal: Signal, sink: &mut dyn EventSink<M>) {
+    fn signal_fault(&mut self, m: M, signal: Signal, sink: &mut (impl EventSink<M> + ?Sized)) {
         self.stats.signal_faults += 1;
         sink.on_event(&Event::SignalFault { member: m, signal });
         if !self.member_index.contains_key(&m) {
@@ -768,7 +733,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     }
 
     /// One fault against `m`; quarantines it at [`MAX_STRIKES`].
-    fn strike(&mut self, m: M, sink: &mut dyn EventSink<M>) {
+    fn strike(&mut self, m: M, sink: &mut (impl EventSink<M> + ?Sized)) {
         let f = self.faults.entry(m).or_default();
         f.strikes += 1;
         if f.strikes >= MAX_STRIKES {
@@ -787,7 +752,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// principal is torn down entirely; from a group, just the member is
     /// evicted (the backend's next refresh may re-admit it if it
     /// recovers).
-    fn quarantine(&mut self, m: M, sink: &mut dyn EventSink<M>) {
+    fn quarantine(&mut self, m: M, sink: &mut (impl EventSink<M> + ?Sized)) {
         self.faults.remove(&m);
         let Some(id) = self.principal_of(m) else {
             return;
@@ -844,7 +809,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// retry of one of them is counted and narrated with that new intent
     /// and sends nothing more, and a stopped reading is moot.
     #[cold]
-    fn push_repairs(&mut self, sink: &mut dyn EventSink<M>) {
+    fn push_repairs(&mut self, sink: &mut (impl EventSink<M> + ?Sized)) {
         self.repairs.sort_unstable_by_key(|r| r.member);
         self.repairs.dedup_by(|r, kept| {
             let same = r.member == kept.member;
@@ -888,10 +853,12 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// member's (the next boundary charges what it missed). Nobody is
     /// struck here — a quarantine would compact `order` mid-walk; the
     /// quantum's own reads strike.
-    fn record_exact_cycle<S>(&mut self, sub: &mut S, now: Nanos, sink: &mut dyn EventSink<M>)
-    where
-        S: Substrate<Member = M>,
-    {
+    fn record_exact_cycle(
+        &mut self,
+        sub: &mut impl Substrate<Member = M>,
+        now: Nanos,
+        sink: &mut (impl EventSink<M> + ?Sized),
+    ) {
         let mut entries = Vec::with_capacity(self.order.len());
         let mut total = Nanos::ZERO;
         for i in 0..self.order.len() {

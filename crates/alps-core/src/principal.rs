@@ -67,12 +67,9 @@ impl<M> DueList<M> {
     }
 
     /// Append a due principal with its members.
-    pub(crate) fn push(&mut self, id: ProcId, members: &[M])
-    where
-        M: Copy,
-    {
+    pub(crate) fn push(&mut self, id: ProcId, members: impl IntoIterator<Item = M>) {
         let start = self.members.len() as u32;
-        self.members.extend_from_slice(members);
+        self.members.extend(members);
         self.entries
             .push((id, start, self.members.len() as u32 - start));
     }

@@ -424,12 +424,12 @@ impl PosBitmap {
 /// `u64::MAX` saturate), without the libm `ceil` call.
 #[inline]
 fn ceil_quanta(a: f64) -> u64 {
-    let t = a as u64; // truncates toward zero, saturating
-    if (t as f64) < a {
-        t.saturating_add(1)
-    } else {
-        t
+    // Below 2⁶³ the signed conversions are single instructions.
+    if a < 9_223_372_036_854_775_808.0 {
+        let t = a as i64; // truncates toward zero, saturating
+        return (t + i64::from((t as f64) < a)).max(0) as u64;
     }
+    a as u64 // an integer already, or NaN; saturating
 }
 
 impl AlpsScheduler {
@@ -729,6 +729,7 @@ impl AlpsScheduler {
     }
 
     /// Whether the process is currently in the eligible group.
+    #[inline]
     pub fn is_eligible(&self, id: ProcId) -> Option<bool> {
         self.state(id).map(|s| s.eligible)
     }
@@ -745,6 +746,7 @@ impl AlpsScheduler {
 
     /// The cumulative CPU reading of the process's last measurement (its
     /// `initial_cpu` until the first): everything it has been charged for.
+    #[inline]
     pub(crate) fn charged(&self, id: ProcId) -> Option<Nanos> {
         self.state(id).map(|s| s.last_cpu)
     }
@@ -786,6 +788,12 @@ impl AlpsScheduler {
     /// are simply due again at the next invocation.
     pub fn begin_quantum_into(&mut self, due: &mut Vec<ProcId>) {
         due.clear();
+        self.begin_quantum_with(|id| due.push(id));
+    }
+
+    /// [`Self::begin_quantum_into`] handing each due process to `f`, so
+    /// the engine fills its due list straight from the drain.
+    pub(crate) fn begin_quantum_with(&mut self, mut f: impl FnMut(ProcId)) {
         self.index_wheel();
         self.count += 1;
         let count = self.count;
@@ -857,7 +865,7 @@ impl AlpsScheduler {
         self.bits.drain(|p| {
             let i = self.occupied[p as usize];
             self.pending.push(i);
-            due.push(ProcId {
+            f(ProcId {
                 idx: i,
                 generation: self.slots[i as usize].generation,
             });
@@ -881,45 +889,68 @@ impl AlpsScheduler {
     /// Allocation-free [`Self::complete_quantum`]: the outcome is written
     /// into `out`, whose transition list is cleared and reused. In steady
     /// state this performs no heap allocation.
+    /// It measures each observation, then finishes the invocation;
+    /// [`Engine`](crate::Engine) measures each due principal as its walk
+    /// reaches it, then finishes alike.
     pub fn complete_quantum_into(
         &mut self,
         observations: &[(ProcId, Observation)],
         out: &mut QuantumOutcome,
     ) {
-        out.transitions.clear();
-        out.cycle_completed = false;
-        self.index_wheel();
-        let q = self.cfg.quantum.as_f64();
-
-        // Measurement loop. `t_c` adjustments are accumulated locally to
-        // avoid aliasing the per-process borrow.
-        let io_policy = self.cfg.io_policy;
         let mut tc_delta = 0.0f64;
         for &(id, obs) in observations {
-            let Some(state) = self.state_mut(id) else {
-                continue;
-            };
-            let consumed = obs.total_cpu.saturating_sub(state.last_cpu);
-            state.last_cpu = obs.total_cpu;
+            self.measure(id, obs.total_cpu, obs.blocked, &mut tc_delta);
+        }
+        self.finish_quantum(tc_delta, out);
+    }
+
+    /// Figure 3's measurement step for one process: charge what it used
+    /// up to `total_cpu` to its allowance, and to `t_c` through
+    /// `tc_delta`, which the caller applies once. A stale id is ignored.
+    #[inline]
+    pub(crate) fn measure(
+        &mut self,
+        id: ProcId,
+        total_cpu: Nanos,
+        blocked: bool,
+        tc_delta: &mut f64,
+    ) {
+        let q = self.cfg.quantum.as_f64();
+        let io_policy = self.cfg.io_policy;
+        let Some(state) = self.state_mut(id) else {
+            return;
+        };
+        let consumed = total_cpu.saturating_sub(state.last_cpu);
+        state.last_cpu = total_cpu;
+        // Taking nothing off changes no float, so skip the division.
+        if consumed > Nanos::ZERO {
             state.allowance -= consumed.as_f64() / q;
-            tc_delta -= consumed.as_f64();
-            if obs.blocked {
-                match io_policy {
-                    IoPolicy::OneQuantumPenalty => {
-                        state.allowance -= 1.0;
-                        tc_delta -= q;
-                    }
-                    IoPolicy::NoPenalty => {}
-                    IoPolicy::ForfeitAllowance => {
-                        if !state.forfeited && state.allowance > 0.0 {
-                            tc_delta -= state.allowance * q;
-                            state.allowance = 0.0;
-                            state.forfeited = true;
-                        }
+            *tc_delta -= consumed.as_f64();
+        }
+        if blocked {
+            match io_policy {
+                IoPolicy::OneQuantumPenalty => {
+                    state.allowance -= 1.0;
+                    *tc_delta -= q;
+                }
+                IoPolicy::NoPenalty => {}
+                IoPolicy::ForfeitAllowance => {
+                    if !state.forfeited && state.allowance > 0.0 {
+                        *tc_delta -= state.allowance * q;
+                        state.allowance = 0.0;
+                        state.forfeited = true;
                     }
                 }
             }
         }
+    }
+
+    /// Apply the measurements' summed `tc_delta`, then cross the cycle
+    /// boundary if due and repartition.
+    pub(crate) fn finish_quantum(&mut self, tc_delta: f64, out: &mut QuantumOutcome) {
+        out.transitions.clear();
+        out.cycle_completed = false;
+        self.index_wheel();
         self.tc += tc_delta;
 
         // Cycle-boundary handling. Figure 3 credits exactly one cycle per
@@ -1060,6 +1091,7 @@ impl AlpsScheduler {
         }
     }
 
+    #[inline]
     fn state(&self, id: ProcId) -> Option<&ProcState> {
         let slot = self.slots.get(id.idx as usize)?;
         if slot.generation != id.generation {
@@ -1068,6 +1100,7 @@ impl AlpsScheduler {
         slot.state.as_ref()
     }
 
+    #[inline]
     fn state_mut(&mut self, id: ProcId) -> Option<&mut ProcState> {
         let slot = self.slots.get_mut(id.idx as usize)?;
         if slot.generation != id.generation {

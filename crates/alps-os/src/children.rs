@@ -4,7 +4,6 @@
 use std::process::{Child, Command, Stdio};
 
 use crate::error::Result;
-use crate::signal;
 
 /// A pool of spinner (busy-loop) child processes, killed on drop.
 #[derive(Debug)]
@@ -83,9 +82,6 @@ impl SpinnerPool {
 impl Drop for SpinnerPool {
     fn drop(&mut self) {
         for child in &mut self.children {
-            let pid = child.id() as i32;
-            // A stopped process cannot die from SIGKILL until continued.
-            let _ = signal::sigcont(pid);
             let _ = child.kill();
             let _ = child.wait();
         }
@@ -95,7 +91,7 @@ impl Drop for SpinnerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proc;
+    use crate::{proc, signal};
 
     #[test]
     fn spinners_consume_cpu_and_die_on_drop() {
@@ -111,6 +107,8 @@ mod tests {
                 .map(|&p| proc::read_stat(p, tick).map(|s| s.cpu_time.0).unwrap_or(0))
                 .sum();
             assert!(total > 0, "spinners burned CPU");
+            // A stopped child dies from SIGKILL as a running one does.
+            signal::sigstop(pids[0]).unwrap();
         }
         // After drop, the pids are gone (reaped by wait()).
         for pid in pids {

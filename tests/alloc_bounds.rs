@@ -6,7 +6,8 @@
 //! more per member. And the scheduler's memory follows what it holds, not
 //! the largest burst it has seen: a lazy scheduler under churn retains a
 //! bounded number of bytes per member and, once warm, allocates nothing.
-//! Neither does the engine driving the cgroup actuator.
+//! Neither does the engine driving the cgroup actuator, nor a lazy engine
+//! whose principals are fixed and grouped.
 //!
 //! A counting global allocator sees every thread of this test binary, so
 //! it counts only while the calling thread has switched counting on.
@@ -17,7 +18,7 @@ use std::collections::VecDeque;
 
 use alps_core::{
     AlpsConfig, AlpsScheduler, Engine, Instrumentation, Nanos, NullSink, Observation, ProcId,
-    QuantumOutcome,
+    QuantumOutcome, Signal, Substrate,
 };
 use alps_os::cgroup::{ActuatorMode, CgroupSubstrate, FakeCgroupFs};
 
@@ -244,6 +245,129 @@ fn an_engine_over_cgroup_weights_stops_allocating() {
     assert!(
         after.measurements > before.measurements && after.signals > before.signals,
         "the second half read and signalled: {before:?} -> {after:?}"
+    );
+    assert_eq!(
+        late_allocs,
+        0,
+        "the second {} quanta allocated {late_allocs} times",
+        QUANTA / 2
+    );
+}
+
+/// A world of `n` members, pid `m` at index `m`: a stopped member is
+/// charged nothing, a running one a whole quantum per quantum, or a tenth
+/// of one and blocked if it is a sleeper (every third pid). Reading and
+/// signalling touch only fixed-size vectors.
+struct Members {
+    now: Nanos,
+    cpu: Vec<Nanos>,
+    stopped: Vec<bool>,
+}
+
+impl Members {
+    const Q: Nanos = Nanos::from_millis(10);
+
+    fn new(n: usize) -> Members {
+        Members {
+            now: Nanos::ZERO,
+            cpu: vec![Nanos::ZERO; n],
+            stopped: vec![true; n],
+        }
+    }
+
+    fn sleeper(m: u32) -> bool {
+        m.is_multiple_of(3)
+    }
+
+    fn tick(&mut self) {
+        self.now += Self::Q;
+        for (m, cpu) in self.cpu.iter_mut().enumerate() {
+            if !self.stopped[m] {
+                let ran = if Self::sleeper(m as u32) {
+                    Self::Q.0 / 10
+                } else {
+                    Self::Q.0
+                };
+                *cpu += Nanos(ran);
+            }
+        }
+    }
+}
+
+impl Substrate for Members {
+    type Member = u32;
+    type Error = core::convert::Infallible;
+
+    fn now(&mut self) -> Nanos {
+        self.now
+    }
+
+    fn read(&mut self, m: u32) -> Result<Option<Observation>, Self::Error> {
+        Ok(Some(Observation {
+            total_cpu: self.cpu[m as usize],
+            blocked: Self::sleeper(m),
+        }))
+    }
+
+    fn deliver(&mut self, m: u32, signal: Signal) -> Result<bool, Self::Error> {
+        self.stopped[m as usize] = signal == Signal::Stop;
+        Ok(true)
+    }
+}
+
+/// A lazy engine with 40 fixed principals and 8 groups of 4 members each:
+/// once warm, its quanta allocate nothing on the fixed side of the due
+/// walk or on the group side. The engine's scratch vectors keep the
+/// capacity of the largest due set and signal batch seen so far, and this
+/// drive first reaches its largest due set in quantum 343, so the first
+/// 600 quanta are the warm-up.
+#[test]
+fn a_lazy_engine_with_fixed_and_group_principals_stops_allocating() {
+    const QUANTA: usize = 1200;
+    const FIXED: u32 = 40;
+    const GROUPS: u32 = 8;
+    const PER_GROUP: u32 = 4;
+    let mut engine: Engine<u32> = Engine::new(AlpsConfig::new(Members::Q), Instrumentation::Exact);
+    let mut sub = Members::new((FIXED + GROUPS * PER_GROUP) as usize);
+    for m in 0..FIXED {
+        engine.add_member(m, 1 + u64::from(m % 5), Nanos::ZERO);
+    }
+    let mut groups = Vec::new();
+    for g in 0..GROUPS {
+        let id = engine.add_principal(1 + u64::from(g % 3));
+        let first = FIXED + g * PER_GROUP;
+        let listing: Vec<(u32, Nanos)> = (first..first + PER_GROUP)
+            .map(|m| (m, Nanos::ZERO))
+            .collect();
+        engine.set_membership(&mut sub, id, &listing, &mut NullSink);
+        groups.push(id);
+    }
+    let mut drive = |engine: &mut Engine<u32>| {
+        let mut group_transitions = 0;
+        for _ in 0..QUANTA / 2 {
+            sub.tick();
+            let Ok(transitions) = engine.run_quantum(&mut sub, &mut NullSink);
+            group_transitions += transitions
+                .iter()
+                .filter(|t| groups.contains(&t.proc_id()))
+                .count();
+        }
+        group_transitions
+    };
+    heap_use_of(|| {
+        drive(&mut engine);
+    });
+    let before = engine.stats();
+    let mut group_transitions = 0;
+    let (late_allocs, _) = heap_use_of(|| group_transitions = drive(&mut engine));
+    let after = engine.stats();
+    assert!(
+        after.measurements > before.measurements && after.cycles > before.cycles,
+        "the second half read members and crossed cycles: {before:?} -> {after:?}"
+    );
+    assert!(
+        group_transitions > 0,
+        "no group was suspended or resumed in the second half"
     );
     assert_eq!(
         late_allocs,
