@@ -26,5 +26,5 @@ pub mod threshold;
 pub use accuracy::{cumulative_cpu_series, mean_rms_relative_error_pct, share_percent_series};
 pub use latency::{LatencyHistogram, LatencySummary};
 pub use regression::{linear_fit, LinearFit};
-pub use summary::{jain_index, mean, rms, stddev, Summary};
+pub use summary::{mean, rms, stddev, Summary};
 pub use threshold::{analyze_overhead_curve, breakdown_threshold, ThresholdAnalysis};

@@ -3,8 +3,8 @@
 //! The workspace-wide interface is [`Summary`]: one struct holding every
 //! scalar statistic the repro tables and bench reports print, built in a
 //! single pass with [`Summary::from_samples`]. The historical free
-//! functions ([`mean`], [`stddev`], [`rms`], [`jain_index`]) remain
-//! available unchanged — they are what `Summary` is computed from.
+//! functions ([`mean`], [`stddev`], [`rms`]) remain available unchanged —
+//! they are what `Summary` is computed from.
 
 use serde::{Deserialize, Serialize};
 
@@ -145,50 +145,5 @@ mod tests {
         assert_eq!(rms(&[]), 0.0);
         assert!((rms(&[0.5, -0.5]) - 0.5).abs() < 1e-12);
         assert!((rms(&[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
-    }
-}
-
-/// Jain's fairness index over per-entity *normalized* allocations
-/// (`allocation / entitlement`): 1.0 means perfectly proportional, `1/n`
-/// means one entity got everything. The standard scheduling-fairness
-/// summary statistic, used by the extension experiments.
-pub fn jain_index(normalized: &[f64]) -> f64 {
-    if normalized.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = normalized.iter().sum();
-    let sum_sq: f64 = normalized.iter().map(|x| x * x).sum();
-    if sum_sq == 0.0 {
-        return 1.0;
-    }
-    (sum * sum) / (normalized.len() as f64 * sum_sq)
-}
-
-#[cfg(test)]
-mod jain_tests {
-    use super::jain_index;
-
-    #[test]
-    fn perfectly_fair_is_one() {
-        assert!((jain_index(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((jain_index(&[0.5, 0.5]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn winner_takes_all_is_one_over_n() {
-        let idx = jain_index(&[1.0, 0.0, 0.0, 0.0]);
-        assert!((idx - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_inputs() {
-        assert_eq!(jain_index(&[]), 1.0);
-        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn partial_unfairness_is_between() {
-        let idx = jain_index(&[1.0, 0.5]);
-        assert!(idx > 0.5 && idx < 1.0);
     }
 }

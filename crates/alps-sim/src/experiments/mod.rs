@@ -9,8 +9,6 @@
 //! * [`multi`] — Figure 7 and Table 3 (three concurrent ALPSs);
 //! * [`scalability`] — Figures 8 and 9 and the §4.2 breakdown thresholds;
 //! * [`webserver`] — the §5 shared-web-server throughput experiment;
-//! * [`smp`] — extension study: ALPS on a multiprocessor (the paper is
-//!   strictly uniprocessor);
 //! * [`baseline`] — user-level ALPS vs in-kernel stride scheduling (the
 //!   §6 related-work trade, quantified);
 //! * [`batch`] — fork-join co-completion under work-proportional shares
@@ -25,6 +23,5 @@ pub mod io;
 pub mod multi;
 pub mod scalability;
 pub mod slo;
-pub mod smp;
 pub mod webserver;
 pub mod workload;

@@ -1,12 +1,11 @@
 //! # kernsim — a 4.4BSD-style kernel-scheduler simulator
 //!
 //! A discrete-event simulation of the substrate the ALPS paper ran on — a
-//! UNIX machine (FreeBSD 4.x on a 2.2 GHz Pentium 4) with the classic
-//! 4.4BSD decay-usage scheduler — generalized to M CPUs
-//! ([`SimConfig::cpus`], default 1, the paper's configuration). It exists
-//! so the paper's evaluation — accuracy, overhead, multi-application
-//! behavior, and the §4.2 scalability breakdown — can be reproduced
-//! deterministically on any machine.
+//! uniprocessor UNIX machine (FreeBSD 4.x on a 2.2 GHz Pentium 4) with
+//! the classic 4.4BSD decay-usage scheduler. It exists so the paper's
+//! evaluation — accuracy, overhead, multi-application behavior, and the
+//! §4.2 scalability breakdown — can be reproduced deterministically on
+//! any machine.
 //!
 //! What is modeled:
 //!
@@ -28,9 +27,6 @@
 //!
 //! Beyond the paper's substrate, the simulator also supports:
 //!
-//! * **multiple CPUs** ([`SimConfig::cpus`]) — per-CPU run queues with
-//!   deterministic idle-time work stealing ([`sim`]'s SMP model) for the
-//!   SMP extension study;
 //! * **in-kernel stride scheduling** ([`KernelPolicy::Stride`]) as the
 //!   baseline comparator (Waldspurger & Weihl);
 //! * **statclock-sampled visible CPU counters**
@@ -63,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cpu;
 pub mod event;
 pub mod fault;
 pub mod pid;
@@ -73,7 +68,6 @@ pub mod sim;
 pub mod table;
 pub mod trace;
 
-pub use cpu::CpuId;
 pub use fault::{FaultLog, FaultPlan, FaultPlanSpec, FaultRates};
 pub use pid::Pid;
 pub use process::{Behavior, ComputeBound, ComputeThenSleep, PState, ProcView, Step};

@@ -2,7 +2,6 @@
 
 use alps_core::Nanos;
 
-use crate::cpu::CpuId;
 use crate::pid::Pid;
 use crate::sim::SimCtl;
 
@@ -197,17 +196,6 @@ pub struct Process {
     pub sleep_epoch: u64,
     /// Total CPU time consumed (event-exact ground truth).
     pub cputime: Nanos,
-    /// Per-CPU breakdown of [`Process::cputime`], indexed by [`CpuId`].
-    /// The invariant `cputime == cputime_per_cpu.iter().sum()` holds at
-    /// every instant, across any number of steals and migrations.
-    pub cputime_per_cpu: Vec<Nanos>,
-    /// The CPU whose run queue (and `schedcpu` decay bitmap) currently
-    /// holds this process. Assigned round-robin at spawn; follows the
-    /// process when another CPU steals it.
-    pub home: CpuId,
-    /// Times the process was dispatched on a CPU other than its home
-    /// (work steals / migrations). Always zero on a one-CPU machine.
-    pub migrations: u64,
     /// Tick-sampled CPU time (what classic statclock accounting would
     /// report to user level); see `SimConfig::accounting`.
     pub visible_cputime: Nanos,
@@ -323,24 +311,6 @@ impl<'a> ProcView<'a> {
     /// Count of voluntary context switches (blocked or exited).
     pub fn voluntary_switches(&self) -> u64 {
         self.proc.voluntary_switches
-    }
-
-    /// The CPU whose run queue currently holds (or last held) the
-    /// process — its scheduling home.
-    pub fn home(&self) -> CpuId {
-        self.proc.home
-    }
-
-    /// Times the process was dispatched away from its home CPU (work
-    /// steals / migrations). Always zero on a one-CPU machine.
-    pub fn migrations(&self) -> u64 {
-        self.proc.migrations
-    }
-
-    /// The full per-CPU breakdown of [`ProcView::cputime`], indexed by
-    /// [`CpuId`].
-    pub fn cputime_per_cpu(&self) -> &'a [Nanos] {
-        &self.proc.cputime_per_cpu
     }
 
     /// Whether the process is blocked on a wait channel (the §2.4 test).

@@ -1,26 +1,12 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Sim`] models a machine with M CPUs ([`SimConfig::cpus`], default 1 —
-//! the paper's uniprocessor) running a 4.4BSD-style kernel scheduler (see
-//! [`crate::sched`]): processes with pluggable [`Behavior`]s compete for
-//! the CPUs under decay-usage priorities, a 100 Hz clock, a 100 ms
-//! round-robin slice, timed sleeps on wait channels, interval timers with
-//! pending-signal coalescing, and `SIGSTOP`/`SIGCONT` job control.
-//! CPU-time accounting is event-exact (nanosecond granularity), both in
-//! total and per CPU.
-//!
-//! ## SMP model
-//!
-//! Each CPU owns a ready queue and a dispatch slot. A process is *homed*
-//! on one CPU (round-robin at spawn): its queue entry and its `schedcpu`
-//! decay bitmap bit live there. Round-robin rotation is local to the home
-//! queue; a CPU that would otherwise idle — or that must dispatch after
-//! preempting for a strictly better waiter — claims the best-priority
-//! process across all queues, scanning victims in the deterministic order
-//! `cpu, cpu+1, …` (mod M) with ties kept local, and the claimed process
-//! is re-homed to the thief ([`TraceKind::Steal`]). With M=1 the scan
-//! only ever sees the one queue, so every schedule is byte-identical to
-//! the pre-SMP simulator — the lockstep suites pin this down.
+//! [`Sim`] models the paper's uniprocessor running a 4.4BSD-style kernel
+//! scheduler (see [`crate::sched`]): processes with pluggable
+//! [`Behavior`]s compete for the one CPU under decay-usage priorities, a
+//! 100 Hz clock, a 100 ms round-robin slice, timed sleeps on wait
+//! channels, interval timers with pending-signal coalescing, and
+//! `SIGSTOP`/`SIGCONT` job control. CPU-time accounting is event-exact
+//! (nanosecond granularity).
 //!
 //! Experiment drivers advance the simulation with [`Sim::run_until`] and
 //! may mutate it (spawn processes, send signals) in between — this is how
@@ -38,13 +24,10 @@
 //! ([`crate::event::EventQueue`]) holding one entry per *armed* timer,
 //! burst or sleep, so quiescent processes cost nothing per tick.
 
-use std::num::NonZeroUsize;
-
 use alps_core::Nanos;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cpu::CpuId;
 use crate::event::{EventKind, EventQueue};
 use crate::pid::Pid;
 use crate::process::{Behavior, IntervalTimer, PState, ProcView, Process, Step};
@@ -108,11 +91,6 @@ pub struct SimConfig {
     pub spawn_estcpu_jitter: f64,
     /// Granularity of the CPU times user-level readers observe.
     pub accounting: CpuAccounting,
-    /// Number of CPUs (M). The paper's machine (and every experiment in
-    /// it) has M=1, the default; values above 1 give each CPU its own
-    /// ready queue and dispatch slot with deterministic work stealing
-    /// (see the module docs and `repro smp`).
-    pub cpus: NonZeroUsize,
     /// In-kernel scheduling policy.
     pub policy: KernelPolicy,
 }
@@ -123,7 +101,6 @@ impl Default for SimConfig {
             seed: 0,
             spawn_estcpu_jitter: 0.0,
             accounting: CpuAccounting::Exact,
-            cpus: NonZeroUsize::MIN,
             policy: KernelPolicy::DecayUsage,
         }
     }
@@ -136,15 +113,12 @@ pub struct Sim {
     last_account: Nanos,
     events: EventQueue,
     procs: ProcTable,
-    /// One decay-usage ready queue per CPU (`runqs[cpu]`). A process is
-    /// queued only on its home CPU's queue.
-    runqs: Vec<RunQueue>,
-    /// Runnable set under [`KernelPolicy::Stride`] (min-pass scan; the
-    /// stride policy keeps a single global pool rather than per-CPU
-    /// queues — pass values are globally comparable).
+    /// The decay-usage ready queue.
+    runq: RunQueue,
+    /// Runnable set under [`KernelPolicy::Stride`] (min-pass scan).
     stride_q: Vec<Pid>,
-    /// The process on each CPU (`running[cpu]`).
-    running: Vec<Option<Pid>>,
+    /// The process on the CPU.
+    running: Option<Pid>,
     loadavg: f64,
     /// Count of `schedcpu` passes performed; sleepers dropped from the
     /// decay-active set stamp this into `Process::sleep_epoch` so wakeup
@@ -153,8 +127,6 @@ pub struct Sim {
     tick_count: u64,
     idle_time: Nanos,
     ctx_switches: u64,
-    /// Cross-queue claims: dispatches of a process homed on another CPU.
-    steals: u64,
     rng: SmallRng,
     trace: Option<Trace>,
 }
@@ -173,7 +145,6 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// A fresh machine at time zero.
     pub fn new(cfg: SimConfig) -> Self {
-        let cpus = cfg.cpus.get();
         let mut events = EventQueue::new();
         events.schedule(TICK, EventKind::Tick);
         events.schedule(Nanos::SECOND, EventKind::SchedCpu);
@@ -182,16 +153,15 @@ impl Sim {
             now: Nanos::ZERO,
             last_account: Nanos::ZERO,
             events,
-            procs: ProcTable::new(cpus),
-            runqs: (0..cpus).map(|_| RunQueue::new()).collect(),
+            procs: ProcTable::new(),
+            runq: RunQueue::new(),
             stride_q: Vec::new(),
-            running: vec![None; cpus],
+            running: None,
             loadavg: 0.0,
             schedcpu_epoch: 0,
             tick_count: 0,
             idle_time: Nanos::ZERO,
             ctx_switches: 0,
-            steals: 0,
             rng: SmallRng::seed_from_u64(cfg.seed),
             trace: None,
         }
@@ -224,18 +194,7 @@ impl Sim {
         &self.cfg
     }
 
-    /// Number of CPUs.
-    pub fn cpus(&self) -> usize {
-        self.cfg.cpus.get()
-    }
-
-    /// The process currently on the given CPU.
-    pub fn running_on(&self, cpu: CpuId) -> Option<Pid> {
-        self.running[cpu.index()]
-    }
-
-    /// Total CPU-idle time, summed over CPUs (an SMP machine can idle
-    /// several CPU-seconds per wall second).
+    /// Total CPU-idle time.
     pub fn idle_time(&self) -> Nanos {
         self.idle_time
     }
@@ -243,12 +202,6 @@ impl Sim {
     /// Total context switches performed.
     pub fn context_switches(&self) -> u64 {
         self.ctx_switches
-    }
-
-    /// Total work steals: dispatches that claimed a process off another
-    /// CPU's ready queue. Always zero on a one-CPU machine.
-    pub fn steals(&self) -> u64 {
-        self.steals
     }
 
     /// Current 1-minute load average.
@@ -294,9 +247,6 @@ impl Sim {
         } else {
             0.0
         };
-        // Home CPUs are dealt round-robin in spawn order (always cpu0 on
-        // a one-CPU machine).
-        let home = CpuId((pid.index() % self.cpus()) as u32);
         self.procs.push(Process {
             pid,
             name: name.into(),
@@ -307,9 +257,6 @@ impl Sim {
             slptime: 0,
             sleep_epoch: 0,
             cputime: Nanos::ZERO,
-            cputime_per_cpu: vec![Nanos::ZERO; self.cpus()],
-            home,
-            migrations: 0,
             burst_remaining: Some(Nanos::ZERO),
             dispatched_at: self.now,
             visible_cputime: Nanos::ZERO,
@@ -383,18 +330,18 @@ impl Sim {
                 self.trace_push(pid, TraceKind::Stop);
             }
             PState::Running => {
-                // A driver, or a behavior running on another CPU, stops a
-                // process that currently holds a CPU.
-                let cpu = self.cpu_of(pid).expect("running process has a CPU");
+                // A driver, or a behavior that just woke, stops the
+                // process that holds the CPU.
+                debug_assert_eq!(self.running, Some(pid));
                 let p = &mut self.procs[pid];
                 p.burst_token = p.burst_token.wrapping_add(1);
                 p.state = PState::Stopped {
                     resume_sleep_until: None,
                     was_awaiting_timer: false,
                 };
-                self.running[cpu] = None;
+                self.running = None;
                 self.trace_push(pid, TraceKind::Stop);
-                self.context_switch(cpu);
+                self.context_switch();
             }
             PState::Sleeping { until } => {
                 let p = &mut self.procs[pid];
@@ -458,8 +405,8 @@ impl Sim {
                 self.remove_runnable(pid);
             }
             PState::Running => {
-                let cpu = self.cpu_of(pid).expect("running process has a CPU");
-                self.running[cpu] = None;
+                debug_assert_eq!(self.running, Some(pid));
+                self.running = None;
             }
             _ => {}
         }
@@ -474,9 +421,9 @@ impl Sim {
     }
 
     /// Brute-force cross-check of every index against the ground-truth
-    /// process states: the live index, the ready queue(s), and the CPU
-    /// assignments must all agree with a full scan. Panics on any
-    /// inconsistency. Test support — O(N·queues), never on the hot path.
+    /// process states: the live index, the ready queue, and the CPU
+    /// assignment must all agree with a full scan. Panics on any
+    /// inconsistency. Test support — O(N), never on the hot path.
     #[doc(hidden)]
     pub fn assert_index_consistent(&self) {
         self.procs.assert_live_index_consistent();
@@ -491,28 +438,18 @@ impl Sim {
                 p.state
             );
             let queued = match self.cfg.policy {
-                KernelPolicy::DecayUsage => {
-                    let on_home = self.runqs[p.home.index()].contains(pid);
-                    for (c, q) in self.runqs.iter().enumerate() {
-                        assert!(
-                            c == p.home.index() || !q.contains(pid),
-                            "{pid} queued on cpu{c}, but home is {}",
-                            p.home
-                        );
-                    }
-                    on_home
-                }
+                KernelPolicy::DecayUsage => self.runq.contains(pid),
                 KernelPolicy::Stride => self.stride_q.contains(&pid),
             };
             match p.state {
                 PState::Runnable => {
                     assert!(queued, "{pid} runnable but not queued");
-                    assert!(self.cpu_of(pid).is_none(), "{pid} runnable yet on a CPU");
+                    assert_ne!(self.running, Some(pid), "{pid} runnable yet on the CPU");
                     runnable += 1;
                 }
                 PState::Running => {
                     assert!(!queued, "{pid} running yet still queued");
-                    assert!(self.cpu_of(pid).is_some(), "{pid} running but on no CPU");
+                    assert_eq!(self.running, Some(pid), "{pid} running but not on the CPU");
                 }
                 _ => assert!(!queued, "{pid} queued in state {:?}", p.state),
             }
@@ -539,24 +476,20 @@ impl Sim {
         // `pass` is only ever read by the stride policy; skip the float
         // work on the decay-usage hot path.
         let stride = self.cfg.policy == KernelPolicy::Stride;
-        for cpu in 0..self.running.len() {
-            match self.running[cpu] {
-                Some(pid) => {
-                    let p = &mut self.procs[pid];
-                    p.cputime += dt;
-                    p.cputime_per_cpu[cpu] += dt;
-                    // Continuous-time estcpu charging: one unit per tick
-                    // of CPU.
-                    p.estcpu = (p.estcpu + dt.as_f64() / tick).min(sched::ESTCPU_MAX);
-                    if stride {
-                        p.pass += sched::stride_advance(p.tickets, dt.as_f64());
-                    }
-                    if let Some(r) = p.burst_remaining.as_mut() {
-                        *r = r.saturating_sub(dt);
-                    }
+        match self.running {
+            Some(pid) => {
+                let p = &mut self.procs[pid];
+                p.cputime += dt;
+                // Continuous-time estcpu charging: one unit per tick of CPU.
+                p.estcpu = (p.estcpu + dt.as_f64() / tick).min(sched::ESTCPU_MAX);
+                if stride {
+                    p.pass += sched::stride_advance(p.tickets, dt.as_f64());
                 }
-                None => self.idle_time += dt,
+                if let Some(r) = p.burst_remaining.as_mut() {
+                    *r = r.saturating_sub(dt);
+                }
             }
+            None => self.idle_time += dt,
         }
         self.last_account = t;
     }
@@ -574,86 +507,70 @@ impl Sim {
     fn handle_tick(&mut self) {
         self.tick_count += 1;
         self.events.schedule(self.now + TICK, EventKind::Tick);
-        for cpu in 0..self.running.len() {
-            let Some(pid) = self.running[cpu] else {
-                continue;
-            };
-            // statclock: charge a whole tick to whoever holds the CPU now.
-            self.procs[pid].visible_cputime += TICK;
-            if self.tick_count.is_multiple_of(PRIORITY_RECALC_TICKS) {
-                self.resetpriority(pid);
-            }
-            match self.cfg.policy {
-                KernelPolicy::DecayUsage => {
-                    let p = &self.procs[pid];
-                    // roundrobin(): rotate among equal-or-better priorities
-                    // on the CPU's own queue once the slice expires. (A
-                    // strictly better waiter anywhere never waits this
-                    // long — fixup_dispatch preempts for it immediately.)
-                    if self.now - p.dispatched_at >= RR_SLICE {
-                        if let Some(best) = self.runqs[cpu].best_priority() {
-                            if best <= p.priority {
-                                self.preempt(cpu);
-                            }
+        let Some(pid) = self.running else {
+            return;
+        };
+        // statclock: charge a whole tick to whoever holds the CPU now.
+        self.procs[pid].visible_cputime += TICK;
+        if self.tick_count.is_multiple_of(PRIORITY_RECALC_TICKS) {
+            self.resetpriority(pid);
+        }
+        match self.cfg.policy {
+            KernelPolicy::DecayUsage => {
+                let p = &self.procs[pid];
+                // roundrobin(): rotate among equal-or-better priorities once
+                // the slice expires. (A strictly better waiter never waits
+                // this long — fixup_dispatch preempts for it immediately.)
+                if self.now - p.dispatched_at >= RR_SLICE {
+                    if let Some(best) = self.runq.best_priority() {
+                        if best <= p.priority {
+                            self.preempt();
                         }
                     }
                 }
-                KernelPolicy::Stride => {
-                    // Stride switches at quantum (tick) granularity: if a
-                    // queued client now has the smallest pass, rotate.
-                    let my_pass = self.procs[pid].pass;
-                    let best = self
-                        .stride_q
-                        .iter()
-                        .map(|&q| self.procs[q].pass)
-                        .fold(f64::INFINITY, f64::min);
-                    if best < my_pass {
-                        self.preempt(cpu);
-                    }
+            }
+            KernelPolicy::Stride => {
+                // Stride switches at quantum (tick) granularity: if a
+                // queued client now has the smallest pass, rotate.
+                let my_pass = self.procs[pid].pass;
+                let best = self
+                    .stride_q
+                    .iter()
+                    .map(|&q| self.procs[q].pass)
+                    .fold(f64::INFINITY, f64::min);
+                if best < my_pass {
+                    self.preempt();
                 }
             }
         }
     }
 
-    /// Enforce the dispatch invariant: every CPU runs one of the best
-    /// runnable processes; a strictly better arrival preempts the
-    /// worst-priority running process immediately.
+    /// Enforce the dispatch invariant: the CPU runs one of the best
+    /// runnable processes; a strictly better arrival preempts the running
+    /// process immediately.
     fn fixup_dispatch(&mut self) {
-        // Fill idle CPUs first (work conservation).
-        for cpu in 0..self.running.len() {
-            if self.running[cpu].is_none() && self.runnable_count() > 0 {
-                self.context_switch(cpu);
-            }
+        // Fill an idle CPU first (work conservation).
+        if self.running.is_none() && self.runnable_count() > 0 {
+            self.context_switch();
         }
         // Decay-usage: preempt while the queue holds something strictly
-        // better than the worst running process. (Stride preempts only at
-        // tick boundaries, in handle_tick.)
+        // better than the running process. (Stride preempts only at tick
+        // boundaries, in handle_tick.)
         if self.cfg.policy != KernelPolicy::DecayUsage {
             return;
         }
-        loop {
-            let Some(best) = self.best_queued_priority() else {
+        while let (Some(best), Some(pid)) = (self.runq.best_priority(), self.running) {
+            if best >= self.procs[pid].priority {
                 return;
-            };
-            let worst = (0..self.running.len())
-                .filter_map(|cpu| self.running[cpu].map(|pid| (self.procs[pid].priority, cpu)))
-                .max();
-            match worst {
-                Some((prio, cpu)) if best < prio => self.preempt(cpu),
-                _ => return,
             }
+            self.preempt();
         }
-    }
-
-    /// The best priority queued on any CPU's ready queue.
-    fn best_queued_priority(&self) -> Option<u8> {
-        self.runqs.iter().filter_map(|q| q.best_priority()).min()
     }
 
     /// Number of queued runnable processes under the active policy.
     fn runnable_count(&self) -> usize {
         match self.cfg.policy {
-            KernelPolicy::DecayUsage => self.runqs.iter().map(|q| q.len()).sum(),
+            KernelPolicy::DecayUsage => self.runq.len(),
             KernelPolicy::Stride => self.stride_q.len(),
         }
     }
@@ -663,7 +580,7 @@ impl Sim {
             .schedule(self.now + Nanos::SECOND, EventKind::SchedCpu);
         self.schedcpu_epoch += 1;
         let epoch = self.schedcpu_epoch;
-        let nrun = self.runnable_count() + self.running.iter().flatten().count();
+        let nrun = self.runnable_count() + usize::from(self.running.is_some());
         self.loadavg = sched::loadavg_step(self.loadavg, nrun);
         let decay = sched::decay_factor(self.loadavg);
         // Only decay-active processes are visited: the dead cost nothing,
@@ -671,48 +588,43 @@ impl Sim {
         // asleep decays it, stamps `sleep_epoch`, and drops it from the
         // set; `updatepri` at wakeup replays the seconds skipped. A pool
         // of long-idle workers therefore costs O(runnable), not O(live),
-        // per second. Each CPU's pass walks its own bitmap — exactly the
-        // processes homed there — word-wise in pid order (with one CPU
-        // that is a single bitmap, the pre-SMP walk). Membership is
-        // stable during the walk (nothing here exits or migrates, and
+        // per second. The pass walks the bitmap word-wise in pid order.
+        // Membership is stable during the walk (nothing here exits, and
         // the pass only clears bits it has copied out).
-        for cpu in 0..self.cpus() {
-            let cid = CpuId(cpu as u32);
-            for wi in 0..self.procs.decay_words(cid) {
-                let mut bits = self.procs.decay_word(cid, wi);
-                while bits != 0 {
-                    let pid = Pid(wi as u32 * 64 + bits.trailing_zeros());
-                    bits &= bits - 1;
-                    let (was_runnable, deactivate) = {
-                        let p = &mut self.procs[pid];
-                        match p.state {
-                            PState::Exited => continue, // unreachable: exit clears the bit
-                            PState::Sleeping { .. } | PState::Stopped { .. } => {
-                                // First whole second asleep: count it, decay
-                                // below, then defer to updatepri at wakeup
-                                // (as in BSD, which skips `slptime > 1`).
-                                p.slptime = p.slptime.saturating_add(1);
-                                p.sleep_epoch = epoch;
-                                (false, true)
-                            }
-                            PState::Runnable => (true, false),
-                            PState::Running => (false, false),
-                        }
-                    };
-                    if deactivate {
-                        self.procs.set_decay_active(pid, false);
-                    }
+        for wi in 0..self.procs.decay_words() {
+            let mut bits = self.procs.decay_word(wi);
+            while bits != 0 {
+                let pid = Pid(wi as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+                let (was_runnable, deactivate) = {
                     let p = &mut self.procs[pid];
-                    p.estcpu *= decay;
-                    let new_prio = sched::user_priority(p.estcpu, p.nice);
-                    if new_prio != p.priority {
-                        p.priority = new_prio;
-                        // Under stride the runnable set lives in stride_q and is
-                        // ordered by pass, not priority — nothing to requeue.
-                        if was_runnable && self.cfg.policy == KernelPolicy::DecayUsage {
-                            self.runqs[cpu].remove(pid);
-                            self.runqs[cpu].push(pid, new_prio);
+                    match p.state {
+                        PState::Exited => continue, // unreachable: exit clears the bit
+                        PState::Sleeping { .. } | PState::Stopped { .. } => {
+                            // First whole second asleep: count it, decay
+                            // below, then defer to updatepri at wakeup (as
+                            // in BSD, which skips `slptime > 1`).
+                            p.slptime = p.slptime.saturating_add(1);
+                            p.sleep_epoch = epoch;
+                            (false, true)
                         }
+                        PState::Runnable => (true, false),
+                        PState::Running => (false, false),
+                    }
+                };
+                if deactivate {
+                    self.procs.set_decay_active(pid, false);
+                }
+                let p = &mut self.procs[pid];
+                p.estcpu *= decay;
+                let new_prio = sched::user_priority(p.estcpu, p.nice);
+                if new_prio != p.priority {
+                    p.priority = new_prio;
+                    // Under stride the runnable set lives in stride_q and is
+                    // ordered by pass, not priority — nothing to requeue.
+                    if was_runnable && self.cfg.policy == KernelPolicy::DecayUsage {
+                        self.runq.remove(pid);
+                        self.runq.push(pid, new_prio);
                     }
                 }
             }
@@ -767,7 +679,7 @@ impl Sim {
         if p.burst_token != token || !matches!(p.state, PState::Running) {
             return; // stale
         }
-        let cpu = self.cpu_of(pid).expect("running process has a CPU");
+        debug_assert_eq!(self.running, Some(pid));
         debug_assert_eq!(p.burst_remaining, Some(Nanos::ZERO));
         let step = self.next_step(pid);
         match step {
@@ -789,9 +701,9 @@ impl Sim {
                 let p = &mut self.procs[pid];
                 p.voluntary_switches += 1;
                 p.burst_token = p.burst_token.wrapping_add(1);
-                self.running[cpu] = None;
+                self.running = None;
                 self.apply_off_cpu_step(pid, blocking);
-                self.context_switch(cpu);
+                self.context_switch();
             }
         }
     }
@@ -892,10 +804,7 @@ impl Sim {
             p.priority
         };
         match self.cfg.policy {
-            KernelPolicy::DecayUsage => {
-                let home = self.procs[pid].home.index();
-                self.runqs[home].push(pid, prio);
-            }
+            KernelPolicy::DecayUsage => self.runq.push(pid, prio),
             KernelPolicy::Stride => {
                 // A client rejoining after a sleep must not cash in pass
                 // credit accrued while absent (the stride re-join rule).
@@ -906,37 +815,30 @@ impl Sim {
             }
         }
         self.trace_push(pid, TraceKind::Wake);
-        // If a CPU is idle, dispatch right away; a preemption of a worse
+        // If the CPU is idle, dispatch right away; a preemption of a worse
         // running process happens in the post-event fixup_dispatch (which
         // also covers driver-initiated wakeups at the top of run_until).
-        if let Some(cpu) = (0..self.running.len()).find(|&c| self.running[c].is_none()) {
-            self.context_switch(cpu);
+        if self.running.is_none() {
+            self.context_switch();
         }
     }
 
-    /// Take the process off the given CPU, requeue it, and dispatch the
+    /// Take the running process off the CPU, requeue it, and dispatch the
     /// best runnable process (`mi_switch` after `roundrobin`/`need_resched`).
-    fn preempt(&mut self, cpu: usize) {
-        if let Some(pid) = self.running[cpu].take() {
+    fn preempt(&mut self) {
+        if let Some(pid) = self.running.take() {
             let p = &mut self.procs[pid];
             p.burst_token = p.burst_token.wrapping_add(1);
             p.priority = sched::user_priority(p.estcpu, p.nice);
             p.state = PState::Runnable;
             let prio = p.priority;
             match self.cfg.policy {
-                // A preempted process stays homed on the CPU it ran on
-                // (its home: dispatch re-homes on steal).
-                KernelPolicy::DecayUsage => self.runqs[cpu].push(pid, prio),
+                KernelPolicy::DecayUsage => self.runq.push(pid, prio),
                 KernelPolicy::Stride => self.stride_q.push(pid),
             }
-            self.trace_push(
-                pid,
-                TraceKind::Preempt {
-                    cpu: CpuId(cpu as u32),
-                },
-            );
+            self.trace_push(pid, TraceKind::Preempt);
         }
-        self.context_switch(cpu);
+        self.context_switch();
     }
 
     /// The smallest pass among runnable and running clients — stride's
@@ -946,7 +848,7 @@ impl Sim {
             .stride_q
             .iter()
             .copied()
-            .chain(self.running.iter().flatten().copied())
+            .chain(self.running)
             .map(|pid| self.procs[pid].pass)
             .fold(f64::INFINITY, f64::min);
         if min.is_finite() {
@@ -956,48 +858,10 @@ impl Sim {
         }
     }
 
-    /// Pop the runnable client the active policy would dispatch next on
-    /// the given CPU.
-    ///
-    /// Under decay-usage this scans the per-CPU queues in the
-    /// deterministic victim order `cpu, cpu+1, … mod M`, taking the
-    /// strictly best priority found; ties keep the earliest queue
-    /// scanned, so the CPU's own queue wins them (affinity). Taking a
-    /// process off another CPU's queue is a work steal: the process is
-    /// re-homed here and a [`TraceKind::Steal`] is recorded. With one
-    /// CPU the scan degenerates to `runqs[0].pop_best()` and the steal
-    /// path is unreachable.
-    fn pop_best_runnable(&mut self, cpu: usize) -> Option<Pid> {
+    /// Pop the runnable client the active policy would dispatch next.
+    fn pop_best_runnable(&mut self) -> Option<Pid> {
         match self.cfg.policy {
-            KernelPolicy::DecayUsage => {
-                let m = self.runqs.len();
-                let mut best: Option<(u8, usize)> = None;
-                for j in 0..m {
-                    let q = (cpu + j) % m;
-                    if let Some(prio) = self.runqs[q].best_priority() {
-                        if best.is_none_or(|(bp, _)| prio < bp) {
-                            best = Some((prio, q));
-                        }
-                    }
-                }
-                let (_, q) = best?;
-                let pid = self.runqs[q].pop_best().map(|(pid, _)| pid).expect(
-                    "queue reported a best priority a moment ago and nothing ran in between",
-                );
-                if q != cpu {
-                    self.steals += 1;
-                    self.procs[pid].migrations += 1;
-                    self.procs.set_home(pid, CpuId(cpu as u32));
-                    self.trace_push(
-                        pid,
-                        TraceKind::Steal {
-                            from: CpuId(q as u32),
-                            to: CpuId(cpu as u32),
-                        },
-                    );
-                }
-                Some(pid)
-            }
+            KernelPolicy::DecayUsage => self.runq.pop_best().map(|(pid, _)| pid),
             KernelPolicy::Stride => {
                 let (idx, _) = self.stride_q.iter().enumerate().min_by(|(_, a), (_, b)| {
                     let pa = self.procs[**a].pass;
@@ -1013,8 +877,7 @@ impl Sim {
     fn remove_runnable(&mut self, pid: Pid) {
         match self.cfg.policy {
             KernelPolicy::DecayUsage => {
-                let home = self.procs[pid].home.index();
-                self.runqs[home].remove(pid);
+                self.runq.remove(pid);
             }
             KernelPolicy::Stride => {
                 self.stride_q.retain(|&q| q != pid);
@@ -1022,15 +885,10 @@ impl Sim {
         }
     }
 
-    /// Which CPU a running process occupies.
-    fn cpu_of(&self, pid: Pid) -> Option<usize> {
-        (0..self.running.len()).find(|&c| self.running[c] == Some(pid))
-    }
-
-    /// Dispatch the best runnable process onto the given (idle) CPU.
-    fn context_switch(&mut self, cpu: usize) {
-        debug_assert!(self.running[cpu].is_none());
-        let Some(pid) = self.pop_best_runnable(cpu) else {
+    /// Dispatch the best runnable process onto the (idle) CPU.
+    fn context_switch(&mut self) {
+        debug_assert!(self.running.is_none());
+        let Some(pid) = self.pop_best_runnable() else {
             return;
         };
         let now = self.now;
@@ -1046,13 +904,8 @@ impl Sim {
             self.events
                 .schedule(now + r, EventKind::BurstDone { pid, token });
         }
-        self.running[cpu] = Some(pid);
-        self.trace_push(
-            pid,
-            TraceKind::Dispatch {
-                cpu: CpuId(cpu as u32),
-            },
-        );
+        self.running = Some(pid);
+        self.trace_push(pid, TraceKind::Dispatch);
     }
 
     fn resetpriority(&mut self, pid: Pid) {

@@ -6,15 +6,7 @@
 //! swap-removal — so the once-per-second `schedcpu` pass (and any other
 //! whole-table walk) touches only live processes. A long-dead process
 //! costs nothing per tick, per second, or per event.
-//!
-//! The decay-active bitmap is partitioned per CPU: a process's bit lives
-//! in the bitmap of its *home* CPU ([`crate::process::Process::home`]),
-//! so the per-CPU `schedcpu` pass walks exactly the processes whose run
-//! queue it owns. A steal moves the bit along with the process
-//! ([`ProcTable::set_home`]). With one CPU there is a single bitmap and
-//! the walk order is identical to the pre-SMP table.
 
-use crate::cpu::CpuId;
 use crate::pid::Pid;
 use crate::process::Process;
 
@@ -22,37 +14,24 @@ use crate::process::Process;
 const DEAD: u32 = u32::MAX;
 
 /// The simulated machine's process table.
+#[derive(Default)]
 pub struct ProcTable {
     slots: Vec<Process>,
     /// Pids of live (not exited) processes, unordered (swap-removal).
     live: Vec<Pid>,
     /// Per-pid position in `live`, or [`DEAD`].
     live_pos: Vec<u32>,
-    /// Per-CPU, pid-indexed bitmaps of processes the once-per-second
-    /// `schedcpu` pass must visit: everything live except processes that
-    /// have been asleep for more than one whole second (their decay is
-    /// deferred to `updatepri` at wakeup, so `schedcpu` need not touch
-    /// them at all). A process's bit is set in exactly one bitmap — its
-    /// home CPU's — or in none.
-    decay_active: Vec<Vec<u64>>,
-}
-
-impl Default for ProcTable {
-    fn default() -> Self {
-        Self::new(1)
-    }
+    /// Pid-indexed bitmap of processes the once-per-second `schedcpu`
+    /// pass must visit: everything live except processes that have been
+    /// asleep for more than one whole second (their decay is deferred to
+    /// `updatepri` at wakeup, so `schedcpu` need not touch them at all).
+    decay_active: Vec<u64>,
 }
 
 impl ProcTable {
-    /// An empty table for a machine with `cpus` CPUs.
-    pub fn new(cpus: usize) -> Self {
-        assert!(cpus >= 1, "need at least one CPU");
-        ProcTable {
-            slots: Vec::new(),
-            live: Vec::new(),
-            live_pos: Vec::new(),
-            decay_active: vec![Vec::new(); cpus],
-        }
+    /// An empty table.
+    pub fn new() -> Self {
+        ProcTable::default()
     }
 
     /// The pid the next [`ProcTable::push`] will occupy.
@@ -71,24 +50,17 @@ impl ProcTable {
     }
 
     /// Insert a freshly spawned process. Its pid must be the next slot;
-    /// its decay-active bit is set in its home CPU's bitmap.
+    /// it starts decay-active.
     pub fn push(&mut self, p: Process) {
         assert_eq!(p.pid, self.next_pid(), "pids are minted densely");
-        assert!(
-            p.home.index() < self.decay_active.len(),
-            "home CPU out of range"
-        );
         self.live_pos.push(self.live.len() as u32);
         self.live.push(p.pid);
         let idx = p.pid.index();
-        let home = p.home.index();
         self.slots.push(p);
-        for bitmap in &mut self.decay_active {
-            if idx / 64 >= bitmap.len() {
-                bitmap.push(0);
-            }
+        if idx / 64 >= self.decay_active.len() {
+            self.decay_active.push(0);
         }
-        self.decay_active[home][idx / 64] |= 1 << (idx % 64);
+        self.decay_active[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Shared access by pid; `None` for a pid this table never minted.
@@ -128,58 +100,36 @@ impl ProcTable {
         self.set_decay_active(pid, false);
     }
 
-    /// Move a process to a new home CPU (a work steal), carrying its
-    /// decay-active bit to the new home's bitmap. O(1).
-    pub fn set_home(&mut self, pid: Pid, home: CpuId) {
-        let old = self.slots[pid.index()].home;
-        if old == home {
-            return;
-        }
-        let active = self.is_decay_active(pid);
-        if active {
-            self.set_decay_active(pid, false);
-        }
-        self.slots[pid.index()].home = home;
-        if active {
-            self.set_decay_active(pid, true);
-        }
-    }
-
-    /// Mark whether `schedcpu` must visit this process (in its home
-    /// CPU's bitmap). O(1).
+    /// Mark whether `schedcpu` must visit this process. O(1).
     pub fn set_decay_active(&mut self, pid: Pid, active: bool) {
         let i = pid.index();
-        let home = self.slots[i].home.index();
         let mask = 1u64 << (i % 64);
         if active {
-            self.decay_active[home][i / 64] |= mask;
+            self.decay_active[i / 64] |= mask;
         } else {
-            self.decay_active[home][i / 64] &= !mask;
+            self.decay_active[i / 64] &= !mask;
         }
     }
 
     /// Whether `schedcpu` currently visits this process.
     pub fn is_decay_active(&self, pid: Pid) -> bool {
         let i = pid.index();
-        let home = self.slots[i].home.index();
-        self.decay_active[home]
+        self.decay_active
             .get(i / 64)
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
     }
 
-    /// Number of 64-bit words in one CPU's decay-active bitmap (every
-    /// CPU's bitmap has the same length).
-    pub fn decay_words(&self, cpu: CpuId) -> usize {
-        self.decay_active[cpu.index()].len()
+    /// Number of 64-bit words in the decay-active bitmap.
+    pub fn decay_words(&self) -> usize {
+        self.decay_active.len()
     }
 
-    /// The `wi`-th word of one CPU's decay-active bitmap: bit `b` set
-    /// means pid `wi*64 + b` is decay-active and homed on `cpu`. Callers
-    /// copy the word and iterate its set bits (`trailing_zeros` /
-    /// `bits &= bits - 1`), so a pass that deactivates processes as it
-    /// goes stays sound.
-    pub fn decay_word(&self, cpu: CpuId, wi: usize) -> u64 {
-        self.decay_active[cpu.index()][wi]
+    /// The `wi`-th word of the decay-active bitmap: bit `b` set means pid
+    /// `wi*64 + b` is decay-active. Callers copy the word and iterate its
+    /// set bits (`trailing_zeros` / `bits &= bits - 1`), so a pass that
+    /// deactivates processes as it goes stays sound.
+    pub fn decay_word(&self, wi: usize) -> u64 {
+        self.decay_active[wi]
     }
 
     /// Brute-force check of the live index against the slot states;
@@ -206,18 +156,6 @@ impl ProcTable {
                     "{} decay-active but dead",
                     p.pid
                 );
-            }
-            // The bit may live only in the home CPU's bitmap.
-            let i = p.pid.index();
-            for (cpu, bitmap) in self.decay_active.iter().enumerate() {
-                if cpu != p.home.index() {
-                    assert!(
-                        bitmap.get(i / 64).is_none_or(|w| w & (1 << (i % 64)) == 0),
-                        "{} decay bit set on cpu{cpu}, but home is {}",
-                        p.pid,
-                        p.home
-                    );
-                }
             }
         }
     }
@@ -252,7 +190,7 @@ mod tests {
     use crate::process::{IntervalTimer, PState};
     use alps_core::Nanos;
 
-    fn proc_homed(pid: Pid, home: CpuId) -> Process {
+    fn proc_named(pid: Pid) -> Process {
         Process {
             pid,
             name: format!("p{}", pid.0),
@@ -263,9 +201,6 @@ mod tests {
             slptime: 0,
             sleep_epoch: 0,
             cputime: Nanos::ZERO,
-            cputime_per_cpu: vec![Nanos::ZERO; home.index() + 1],
-            home,
-            migrations: 0,
             visible_cputime: Nanos::ZERO,
             tickets: 1,
             pass: 0.0,
@@ -281,13 +216,9 @@ mod tests {
         }
     }
 
-    fn proc_named(pid: Pid) -> Process {
-        proc_homed(pid, CpuId(0))
-    }
-
     #[test]
     fn push_get_and_live_tracking() {
-        let mut t = ProcTable::new(1);
+        let mut t = ProcTable::new();
         for i in 0..5 {
             let pid = t.next_pid();
             assert_eq!(pid, Pid(i));
@@ -307,31 +238,9 @@ mod tests {
         let mut live: Vec<u32> = t.live().iter().map(|p| p.0).collect();
         live.sort_unstable();
         assert_eq!(live, vec![0, 2, 4]);
-        t.assert_live_index_consistent();
-    }
-
-    #[test]
-    fn set_home_moves_the_decay_bit_between_cpu_bitmaps() {
-        let mut t = ProcTable::new(2);
-        let pid = t.next_pid();
-        t.push(proc_homed(pid, CpuId(0)));
-        assert!(t.is_decay_active(pid));
-        assert_eq!(t.decay_word(CpuId(0), 0) & 1, 1);
-        assert_eq!(t.decay_word(CpuId(1), 0) & 1, 0);
-
-        t.set_home(pid, CpuId(1));
-        assert_eq!(t[pid].home, CpuId(1));
-        assert!(t.is_decay_active(pid));
-        assert_eq!(t.decay_word(CpuId(0), 0) & 1, 0);
-        assert_eq!(t.decay_word(CpuId(1), 0) & 1, 1);
-        t.assert_live_index_consistent();
-
-        // An inactive bit stays inactive across a move.
-        t.set_decay_active(pid, false);
-        t.set_home(pid, CpuId(0));
-        assert!(!t.is_decay_active(pid));
-        assert_eq!(t.decay_word(CpuId(0), 0) & 1, 0);
-        assert_eq!(t.decay_word(CpuId(1), 0) & 1, 0);
+        // A push starts decay-active; exit clears the bit.
+        assert_eq!(t.decay_words(), 1);
+        assert_eq!(t.decay_word(0), 0b10101);
         t.assert_live_index_consistent();
     }
 }

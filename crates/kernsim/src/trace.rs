@@ -9,32 +9,15 @@
 use alps_core::Nanos;
 use serde::{Deserialize, Serialize};
 
-use crate::cpu::CpuId;
 use crate::pid::Pid;
 
 /// One scheduling event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceKind {
-    /// The process was placed on the given CPU.
-    Dispatch {
-        /// CPU index.
-        cpu: CpuId,
-    },
-    /// The process was taken off the given CPU (still runnable).
-    Preempt {
-        /// CPU index.
-        cpu: CpuId,
-    },
-    /// The process was claimed off another CPU's run queue (idle-time
-    /// work stealing or a cross-CPU preemption dispatch); a
-    /// [`TraceKind::Dispatch`] on `to` follows at the same instant.
-    /// Never emitted on a one-CPU machine.
-    Steal {
-        /// The CPU whose queue held the process.
-        from: CpuId,
-        /// The CPU that claimed it (its new home).
-        to: CpuId,
-    },
+    /// The process was placed on the CPU.
+    Dispatch,
+    /// The process was taken off the CPU (still runnable).
+    Preempt,
     /// The process blocked on a wait channel.
     Block,
     /// The process became runnable after a sleep or stop.
@@ -98,7 +81,7 @@ impl Trace {
         self.dropped
     }
 
-    /// Reconstruct the per-process busy intervals on a CPU: each
+    /// Reconstruct the per-process busy intervals on the CPU: each
     /// `(pid, start, end)` is one stretch of execution. Unterminated
     /// stretches are closed at `end_of_trace`.
     pub fn busy_intervals(&self, end_of_trace: Nanos) -> Vec<(Pid, Nanos, Nanos)> {
@@ -106,11 +89,8 @@ impl Trace {
         let mut out = Vec::new();
         for e in &self.events {
             match e.kind {
-                TraceKind::Dispatch { .. } => open.push((e.pid, e.at)),
-                TraceKind::Preempt { .. }
-                | TraceKind::Block
-                | TraceKind::Stop
-                | TraceKind::Exit => {
+                TraceKind::Dispatch => open.push((e.pid, e.at)),
+                TraceKind::Preempt | TraceKind::Block | TraceKind::Stop | TraceKind::Exit => {
                     if let Some(pos) = open.iter().position(|&(p, _)| p == e.pid) {
                         let (pid, start) = open.remove(pos);
                         out.push((pid, start, e.at));
@@ -188,11 +168,11 @@ mod tests {
     #[test]
     fn busy_intervals_pair_dispatch_with_offcpu() {
         let mut t = Trace::new(100);
-        t.push(Nanos(10), Pid(1), TraceKind::Dispatch { cpu: CpuId(0) });
-        t.push(Nanos(30), Pid(1), TraceKind::Preempt { cpu: CpuId(0) });
-        t.push(Nanos(30), Pid(2), TraceKind::Dispatch { cpu: CpuId(0) });
+        t.push(Nanos(10), Pid(1), TraceKind::Dispatch);
+        t.push(Nanos(30), Pid(1), TraceKind::Preempt);
+        t.push(Nanos(30), Pid(2), TraceKind::Dispatch);
         t.push(Nanos(60), Pid(2), TraceKind::Block);
-        t.push(Nanos(60), Pid(1), TraceKind::Dispatch { cpu: CpuId(0) });
+        t.push(Nanos(60), Pid(1), TraceKind::Dispatch);
         let iv = t.busy_intervals(Nanos(100));
         assert_eq!(iv.len(), 3);
         assert!(iv.contains(&(Pid(1), Nanos(10), Nanos(30))));
@@ -203,9 +183,9 @@ mod tests {
     #[test]
     fn ascii_rendering_marks_busy_columns() {
         let mut t = Trace::new(100);
-        t.push(Nanos(0), Pid(0), TraceKind::Dispatch { cpu: CpuId(0) });
+        t.push(Nanos(0), Pid(0), TraceKind::Dispatch);
         t.push(Nanos(50), Pid(0), TraceKind::Block);
-        t.push(Nanos(50), Pid(1), TraceKind::Dispatch { cpu: CpuId(0) });
+        t.push(Nanos(50), Pid(1), TraceKind::Dispatch);
         let s = t.render_ascii(
             &[(Pid(0), "a"), (Pid(1), "b")],
             Nanos(0),

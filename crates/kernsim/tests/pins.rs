@@ -11,8 +11,6 @@
 //! To re-pin after an *intended* behavior change, run the suite and copy
 //! the `got` values from the failure messages.
 
-use std::num::NonZeroUsize;
-
 use alps_core::Nanos;
 use kernsim::trace::TraceKind;
 use kernsim::{ComputeBound, ComputeThenSleep, FaultPlan, FaultRates, Pid, Sim, SimConfig};
@@ -37,22 +35,22 @@ fn fold(fp: &mut u64, word: u64) {
     *fp = fp.wrapping_mul(0x0000_0100_0000_01B3) ^ word;
 }
 
-/// Fold a [`TraceKind`] — discriminant tag plus CPU payload — so that
-/// kinds differing only in which CPU they name still fingerprint apart.
+/// Fold a [`TraceKind`] as its discriminant tag and two zero words. The
+/// zeros keep the committed fingerprints: the words once carried a CPU
+/// index, which was always 0 on the one CPU.
 fn fold_kind(fp: &mut u64, kind: TraceKind) {
-    let (tag, a, b) = match kind {
-        TraceKind::Dispatch { cpu } => (0, cpu.0, 0),
-        TraceKind::Preempt { cpu } => (1, cpu.0, 0),
-        TraceKind::Steal { from, to } => (2, from.0, to.0),
-        TraceKind::Block => (3, 0, 0),
-        TraceKind::Wake => (4, 0, 0),
-        TraceKind::Stop => (5, 0, 0),
-        TraceKind::Continue => (6, 0, 0),
-        TraceKind::Exit => (7, 0, 0),
+    let tag = match kind {
+        TraceKind::Dispatch => 0,
+        TraceKind::Preempt => 1,
+        TraceKind::Block => 3,
+        TraceKind::Wake => 4,
+        TraceKind::Stop => 5,
+        TraceKind::Continue => 6,
+        TraceKind::Exit => 7,
     };
     fold(fp, tag);
-    fold(fp, a as u64);
-    fold(fp, b as u64);
+    fold(fp, 0);
+    fold(fp, 0);
 }
 
 /// Fingerprint a finished run.
@@ -103,11 +101,10 @@ fn spawn_mix(sim: &mut Sim, cpu: usize, io: usize) -> Vec<Pid> {
 /// machine run on to `end`. With `far_sleeper`, one extra process sleeps
 /// 90 s, so the queue holds (and, given a late enough `end`, pops) an
 /// event far beyond every other pending time.
-fn churn(seed: u64, cpus: usize, far_sleeper: bool, rng_seed: u64, end: Nanos) -> u64 {
+fn churn(seed: u64, far_sleeper: bool, rng_seed: u64, end: Nanos) -> u64 {
     let cfg = SimConfig {
         seed,
         spawn_estcpu_jitter: 8.0,
-        cpus: NonZeroUsize::new(cpus).unwrap(),
         ..SimConfig::default()
     };
     let mut sim = Sim::new(cfg);
@@ -166,23 +163,15 @@ fn assert_pinned(got: u64, want: u64, what: &str) {
 }
 
 #[test]
-fn supervised_churn_is_pinned_on_one_two_and_four_cpus() {
-    let got = [1, 2, 4].map(|cpus| churn(23, cpus, true, 0x5EED_0E41, Nanos::from_secs(100)));
-    let want = [
-        0x3edc_016e_7a23_6151,
-        0xd888_23a5_cd54_3a3c,
-        0x8f9f_719e_2a84_0b95,
-    ];
-    assert_eq!(
-        got, want,
-        "churn with a far sleeper, M = 1, 2, 4: fingerprints moved — got {got:#018x?}"
-    );
+fn supervised_churn_with_a_far_sleeper_is_pinned_on_one_cpu() {
+    let got = churn(23, true, 0x5EED_0E41, Nanos::from_secs(100));
+    assert_pinned(got, 0x3edc_016e_7a23_6151, "churn with a far sleeper");
 }
 
 #[test]
 fn uniprocessor_churn_is_pinned() {
-    let got = churn(11, 1, false, 0xA1B2_C3D4, Nanos::from_secs(31));
-    assert_pinned(got, 0x450f_c4bb_4242_a9fb, "churn, M = 1");
+    let got = churn(11, false, 0xA1B2_C3D4, Nanos::from_secs(31));
+    assert_pinned(got, 0x450f_c4bb_4242_a9fb, "churn");
 }
 
 /// Churn driven by a chaotic [`FaultPlan`] instead of a plain LCG: slice

@@ -2,8 +2,6 @@
 //! time conservation, determinism, and job-control safety under arbitrary
 //! workloads and driver interference.
 
-use std::num::NonZeroUsize;
-
 use alps_core::Nanos;
 use kernsim::event::{EventKind, EventQueue};
 use kernsim::{Behavior, ComputeBound, Sim, SimConfig, SimCtl, Step};
@@ -129,87 +127,6 @@ proptest! {
         }
         sim.run_until(Nanos::from_millis(horizon_ms));
         prop_assert_eq!(sim.idle_time(), Nanos::ZERO);
-    }
-
-    /// SMP time conservation: on an M-CPU machine every nanosecond of
-    /// machine time (horizon × M) is charged to exactly one process's
-    /// per-CPU slot or to idle, under arbitrary workloads. Steals and
-    /// migrations move *where* future time is charged, never how much —
-    /// and each process's merged total equals the sum of its per-CPU
-    /// split at every M ∈ {1, 2, 4}.
-    #[test]
-    fn smp_time_is_conserved_and_the_split_sums(
-        cpus in prop_oneof![Just(1usize), Just(2), Just(4)],
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(step_strategy(), 1..12),
-            1..8,
-        ),
-        horizon_ms in 100u64..3_000,
-    ) {
-        let cfg = SimConfig {
-            cpus: NonZeroUsize::new(cpus).unwrap(),
-            ..SimConfig::default()
-        };
-        let mut sim = Sim::new(cfg);
-        let pids: Vec<_> = scripts
-            .into_iter()
-            .enumerate()
-            .map(|(i, steps)| sim.spawn(format!("s{i}"), Box::new(Scripted { steps, at: 0 })))
-            .collect();
-        let horizon = Nanos::from_millis(horizon_ms);
-        sim.run_until(horizon);
-        let mut total = Nanos::ZERO;
-        for &p in &pids {
-            let v = sim.proc(p).unwrap();
-            prop_assert_eq!(v.cputime_per_cpu().len(), cpus);
-            let split: Nanos = v.cputime_per_cpu().iter().copied().sum();
-            prop_assert_eq!(split, v.cputime(), "merged total != sum of per-CPU split");
-            total += v.cputime();
-        }
-        prop_assert_eq!(total + sim.idle_time(), Nanos(horizon.0 * cpus as u64));
-    }
-
-    /// Migration bookkeeping closes: the machine-wide steal counter
-    /// equals the sum of per-process migration counts, and conservation
-    /// survives stop/cont interference that empties queues and forces
-    /// repeated re-homing.
-    #[test]
-    fn smp_migration_accounting_closes_under_interference(
-        cpus in prop_oneof![Just(2usize), Just(4)],
-        n in 3usize..8,
-        actions in proptest::collection::vec((0u8..2, 0usize..8, 1u64..200), 4..24),
-    ) {
-        let cfg = SimConfig {
-            cpus: NonZeroUsize::new(cpus).unwrap(),
-            spawn_estcpu_jitter: 4.0,
-            ..SimConfig::default()
-        };
-        let mut sim = Sim::new(cfg);
-        let pids: Vec<_> = (0..n)
-            .map(|i| sim.spawn(format!("w{i}"), Box::new(ComputeBound)))
-            .collect();
-        let mut t = Nanos::ZERO;
-        for (op, target, delay_ms) in actions {
-            t += Nanos::from_millis(delay_ms);
-            sim.run_until(t);
-            let pid = pids[target % pids.len()];
-            match op {
-                0 => sim.sigstop(pid),
-                _ => sim.sigcont(pid),
-            }
-        }
-        t += Nanos::from_millis(200);
-        sim.run_until(t);
-        let migrations: u64 = pids.iter().map(|&p| sim.proc(p).unwrap().migrations()).sum();
-        prop_assert_eq!(migrations, sim.steals(), "per-process migrations != machine steals");
-        let mut total = Nanos::ZERO;
-        for &p in &pids {
-            let v = sim.proc(p).unwrap();
-            let split: Nanos = v.cputime_per_cpu().iter().copied().sum();
-            prop_assert_eq!(split, v.cputime());
-            total += v.cputime();
-        }
-        prop_assert_eq!(total + sim.idle_time(), Nanos(sim.now().0 * cpus as u64));
     }
 
     /// Long-run fairness of the decay scheduler itself: equal compute-bound

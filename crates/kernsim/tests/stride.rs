@@ -91,21 +91,6 @@ fn late_joiner_starts_at_global_pass() {
 }
 
 #[test]
-fn stride_on_smp_is_work_conserving() {
-    let mut sim = Sim::new(SimConfig {
-        policy: KernelPolicy::Stride,
-        cpus: std::num::NonZeroUsize::new(2).unwrap(),
-        ..SimConfig::default()
-    });
-    let _a = sim.spawn_tickets("a", 1, Box::new(ComputeBound));
-    let _b = sim.spawn_tickets("b", 9, Box::new(ComputeBound));
-    sim.run_until(Nanos::from_secs(10));
-    // Two processes, two CPUs: both run flat out regardless of tickets
-    // (work conservation clamps the 9:1 request at 1:1).
-    assert_eq!(sim.idle_time(), Nanos::ZERO);
-}
-
-#[test]
 fn job_control_works_under_stride() {
     let mut sim = stride_sim();
     let a = sim.spawn_tickets("a", 1, Box::new(ComputeBound));

@@ -5,14 +5,13 @@
 //! [`io`] (Fig. 6, §2.4), [`multi`] (Fig. 7, Table 3),
 //! [`scalability`](mod@scalability) (Figs. 8–9, §4.2, the stride
 //! baseline), [`web`] (§5), plus the [`batch`](mod@batch),
-//! [`conformance`](mod@conformance) (the spec-oracle differential,
-//! SMP-aware), [`smp`](mod@smp), [`slo`](mod@slo) (SLO-driven share
-//! feedback under open-loop overload), [`actuators`](mod@actuators)
-//! (per-actuation-backend Figure-4 accuracy), and [`verify`](mod@verify)
-//! extensions. All commands keep their
-//! `commands::<name>()` paths via the re-exports below, so `main.rs` is
-//! oblivious to the file layout. Column alignment is shared in
-//! [`table::Table`].
+//! [`conformance`](mod@conformance) (the spec-oracle differential),
+//! [`slo`](mod@slo) (SLO-driven share feedback under open-loop overload),
+//! [`actuators`](mod@actuators) (per-actuation-backend Figure-4
+//! accuracy), and [`verify`](mod@verify) extensions. All commands keep
+//! their `commands::<name>()` paths via the re-exports below, so
+//! `main.rs` is oblivious to the file layout. Column alignment is shared
+//! in [`table::Table`].
 
 mod actuators;
 mod batch;
@@ -22,7 +21,6 @@ mod io;
 mod multi;
 mod scalability;
 mod slo;
-mod smp;
 mod table;
 mod verify;
 mod web;
@@ -36,7 +34,6 @@ pub use io::{fig6, io_policy};
 pub use multi::{fig7, table3};
 pub use scalability::{baseline, scalability};
 pub use slo::{overload, slo};
-pub use smp::smp;
 pub use verify::verify;
 pub use web::{latency, websrv};
 pub use workload::{ablation, accounting, fig4, fig5, table2};

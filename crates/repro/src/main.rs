@@ -2,7 +2,7 @@
 //!
 //! Usage: `repro [--quick] [--threads N] [--data <dir>] <experiment>...`
 //! where experiments are any of `table1 table2 fig4 fig5 ablation
-//! accounting fig6 io-policy fig7 table3 fig8 fig9 thresholds websrv smp
+//! accounting fig6 io-policy fig7 table3 fig8 fig9 thresholds websrv
 //! baseline batch conformance verify latency slo overload actuators all`
 //! (`all` runs every one but `conformance`).
 
@@ -16,7 +16,7 @@ use commands::Scale;
 const USAGE: &str = "\
 usage: repro [--quick] [--threads N] [--data <dir>] <experiment>...
 experiments: table1 table2 fig4 fig5 ablation accounting fig6 io-policy
-             fig7 table3 fig8 fig9 thresholds websrv smp baseline batch
+             fig7 table3 fig8 fig9 thresholds websrv baseline batch
              conformance verify latency slo overload actuators
              all (every experiment above but conformance)
 --quick: shorter runs (fewer cycles/seeds) for smoke testing
@@ -83,7 +83,6 @@ fn main() {
         "fig9",
         "thresholds",
         "websrv",
-        "smp",
         "baseline",
         "batch",
         "latency",
@@ -113,7 +112,6 @@ fn main() {
             "fig9" => commands::scalability(&scale, "fig9"),
             "thresholds" => commands::scalability(&scale, "thresholds"),
             "websrv" => commands::websrv(&scale),
-            "smp" => commands::smp(),
             "baseline" => commands::baseline(&scale),
             "batch" => commands::batch(),
             "conformance" => commands::conformance(quick),

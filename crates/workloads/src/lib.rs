@@ -17,8 +17,6 @@
 //!   bulletin-board sites whose worker pools compete for the CPU;
 //! * [`batch`] — fork-join stages with heterogeneous work (the intro's
 //!   scientific application);
-//! * [`replay`] — trace-driven workloads (replay recorded burst/sleep
-//!   schedules);
 //! * [`traffic`] — open-loop arrival processes (Poisson, flash crowds)
 //!   whose offered load is independent of scheduling — the tail-latency
 //!   and SLO experiments' traffic engine.
@@ -33,7 +31,6 @@
 pub mod batch;
 pub mod behavior;
 pub mod hierarchy;
-pub mod replay;
 pub mod shares;
 pub mod traffic;
 pub mod webserver;
@@ -42,7 +39,6 @@ pub mod workload;
 pub use batch::BatchStage;
 pub use behavior::FiniteJob;
 pub use hierarchy::{NodeId, ShareTree};
-pub use replay::{parse_trace, OnEnd, Replay, Segment, TraceReplay};
 pub use shares::ShareModel;
 pub use traffic::{Arrivals, BestEffort, OpenLoop, STREAM_ARRIVAL, STREAM_CPU, STREAM_DB};
 pub use webserver::Site;

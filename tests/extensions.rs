@@ -2,41 +2,6 @@
 
 use alps::{Nanos, ShareTree};
 use alps_sim::experiments::batch::{run_batch, BatchParams};
-use alps_sim::experiments::smp::{feasible_fractions, run_smp, SmpParams};
-use workloads::{parse_trace, OnEnd, Segment, TraceReplay};
-
-#[test]
-fn smp_enforces_exact_ratios_by_throttling() {
-    let r = run_smp(&SmpParams {
-        cpus: 2,
-        shares: vec![1, 2, 3, 4],
-        quantum: Nanos::from_millis(10),
-        duration: Nanos::from_secs(30),
-        seed: 1,
-    });
-    // Feasible distribution: proportional on 2 CPUs, high fairness.
-    for (i, (&got, want)) in r.achieved_frac.iter().zip([0.1, 0.2, 0.3, 0.4]).enumerate() {
-        assert!((got - want).abs() < 0.03, "proc {i}: {got:.3} vs {want}");
-    }
-    assert!(r.jain > 0.99, "jain {:.4}", r.jain);
-}
-
-#[test]
-fn water_filling_sums_to_at_most_one() {
-    for (shares, cpus) in [
-        (vec![1u64, 9], 2usize),
-        (vec![5, 5, 5], 4),
-        (vec![1, 1, 14], 4),
-        (vec![7], 3),
-    ] {
-        let f = feasible_fractions(&shares, cpus);
-        let sum: f64 = f.iter().sum();
-        assert!(sum <= 1.0 + 1e-9, "{shares:?} on {cpus}: sum {sum}");
-        for &x in &f {
-            assert!(x <= 1.0 / cpus as f64 + 1e-9);
-        }
-    }
-}
 
 #[test]
 fn batch_co_completion_beats_kernel_fairness() {
@@ -49,26 +14,19 @@ fn batch_co_completion_beats_kernel_fairness() {
 }
 
 #[test]
-fn share_tree_end_to_end_with_trace_replay() {
+fn share_tree_end_to_end() {
     use alps::{AlpsConfig, CostModel};
-    use kernsim::{Sim, SimConfig};
+    use kernsim::{ComputeBound, Sim, SimConfig};
 
-    // A two-department tree over trace-replay workloads: the full
-    // extension stack in one scenario.
+    // A two-department share tree flattened onto compute-bound leaves and
+    // enforced by ALPS on the simulated machine.
     let mut tree = ShareTree::new();
     let heavy = tree.add_group(None, 3);
     let light = tree.add_group(None, 1);
     let mut sim = Sim::new(SimConfig::default());
-    let trace = parse_trace("5000 100\n2000 50\n").expect("trace");
     let mut pids = Vec::new();
-    for (i, group) in [(0u64, heavy), (1, heavy), (2, light)]
-        .iter()
-        .map(|&(t, g)| (t, g))
-    {
-        let pid = sim.spawn(
-            format!("t{i}"),
-            Box::new(TraceReplay::new(trace.clone(), OnEnd::Loop)),
-        );
+    for (i, group) in [(0u64, heavy), (1, heavy), (2, light)] {
+        let pid = sim.spawn(format!("t{i}"), Box::new(ComputeBound));
         pids.push(pid);
         tree.add_leaf(Some(group), 1, i);
     }
@@ -97,31 +55,6 @@ fn share_tree_end_to_end_with_trace_replay() {
     assert!((fr[0] - 0.375).abs() < 0.03, "{fr:?}");
     assert!((fr[1] - 0.375).abs() < 0.03, "{fr:?}");
     assert!((fr[2] - 0.25).abs() < 0.03, "{fr:?}");
-}
-
-#[test]
-fn replay_under_alps_is_bounded_by_its_share() {
-    use alps::{AlpsConfig, CostModel};
-    use kernsim::{ComputeBound, Sim, SimConfig};
-
-    // A greedy trace (all burst, no sleep) next to a spinner at 1:1.
-    let segs = vec![Segment {
-        burst: Nanos::from_millis(50),
-        sleep: Nanos::from_micros(100),
-    }];
-    let mut sim = Sim::new(SimConfig::default());
-    let r = sim.spawn("replay", Box::new(TraceReplay::new(segs, OnEnd::Loop)));
-    let s = sim.spawn("spin", Box::new(ComputeBound));
-    alps::spawn_alps(
-        &mut sim,
-        "alps",
-        AlpsConfig::new(Nanos::from_millis(10)),
-        CostModel::paper(),
-        &[(r, 1), (s, 1)],
-    );
-    sim.run_until(Nanos::from_secs(20));
-    let fr = sim.proc(r).unwrap().cputime().as_secs_f64() / 20.0;
-    assert!(fr < 0.56, "replay got {fr} of the CPU at equal shares");
 }
 
 #[test]
