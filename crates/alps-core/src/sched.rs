@@ -24,17 +24,15 @@ use crate::time::Nanos;
 
 /// Bits of the deadline consumed per deadline-wheel level.
 const WHEEL_BITS: u32 = 6;
-/// Slots per deadline-wheel level (`2^WHEEL_BITS`).
+/// Buckets per deadline-wheel level (`2^WHEEL_BITS`).
 const WHEEL_SLOTS: u64 = 1 << WHEEL_BITS;
 /// Deadline-wheel levels. Four levels span `64⁴ ≈ 16.7M` invocations, so
 /// a parked member is touched only when a level boundary passes it: at
 /// most [`WHEEL_LEVELS`] touches per actual deadline, independent of how
 /// long the deadline is.
 const WHEEL_LEVELS: usize = 4;
-/// Deadline bits covered by the wheel (level-0 slot = 1 invocation).
-const WHEEL_SPAN_BITS: u32 = WHEEL_BITS * WHEEL_LEVELS as u32;
-/// Invocations covered by the wheel from any counter position.
-const WHEEL_SPAN: u64 = 1 << WHEEL_SPAN_BITS;
+/// Buckets in the whole wheel, level-major.
+const WHEEL_BUCKETS: usize = WHEEL_LEVELS * WHEEL_SLOTS as usize;
 
 /// Stable handle to a process registered with an [`AlpsScheduler`].
 ///
@@ -143,168 +141,133 @@ struct Slot {
     listed: bool,
     /// The slot's index in `occupied` while `listed`: set when the slot is
     /// appended, kept when a still-listed slot is reused, renumbered by
-    /// compaction. Registration order is therefore position order, so
-    /// marking any set of slots in a [`PosBitmap`] and draining it
-    /// reproduces the occupied-slot walk's iteration order exactly.
+    /// compaction. Registration order is therefore position order, so a
+    /// wheel bucket, a bitmap over positions, drains in the order of the
+    /// occupied-slot walk.
     pos: u32,
-    /// Nonce for deadline-wheel entries: an entry is live only while its
-    /// recorded key matches. Bumped on every insertion and on removal, so
-    /// superseded entries and entries from a previous tenant of a reused
-    /// slot die lazily when their bucket drains.
-    ///
-    /// 32 bits cannot alias. Every bucket drains within [`WHEEL_SPAN`]
-    /// (2²⁴) invocations of an entry's insertion, and a drain drops every
-    /// stale entry it meets, so a stale entry outlives at most 2²⁴
-    /// invocations. To match it again the key would have to move 2³²
-    /// times in that window, over 256 times per invocation, where the
-    /// scheduler moves it at most twice (a pending refile and the
-    /// repartition) plus once per `set_share` or `remove_process` call.
-    ///
-    /// Not serialized: the wheel it keys is rebuilt on restore, and an
-    /// older checkpoint's (64-bit) `wheel_key` is ignored.
+    /// The one deadline-wheel bucket holding this slot's position, if
+    /// any. Only an eligible slot is filed; it is unfiled when it comes
+    /// due, is suspended or removed, or has its share changed, so the
+    /// wheel holds no stale position. Not serialized: the wheel is rebuilt
+    /// on restore, and an older checkpoint's `wheel_key` is ignored.
     #[serde(skip)]
-    wheel_key: u32,
+    filed: Option<u8>,
 }
 
-/// One deadline-wheel bucket entry: a slot expected to be due for
-/// measurement when the bucket drains (stale unless `key` still matches
-/// the slot's `wheel_key`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WheelEntry {
-    idx: u32,
-    key: u32,
+/// The deadline wheel: [`WHEEL_BUCKETS`] bitmaps over `occupied`
+/// positions, each with a summary bit per non-zero word, so a bucket
+/// drains in ascending position (= registration) order in
+/// O(members + positions/4096). Every bucket is `stride` words, all in
+/// one allocation, sized to the position count when a call first finds
+/// it short; a bucket never filed is never written. Empty after a
+/// checkpoint restore until [`AlpsScheduler::index_wheel`] rebuilds it.
+#[derive(Debug, Clone, Default)]
+struct Wheel {
+    /// Words per bucket: bucket `b` is `words[b·stride..(b+1)·stride]`.
+    stride: usize,
+    /// Summary words per bucket: `⌈stride/64⌉`.
+    sstride: usize,
+    words: Vec<u64>,
+    /// Bit `w` of bucket `b`'s summary is set while its word `w` is not
+    /// zero.
+    summary: Vec<u64>,
+    /// Whether the slots' filings are indexed (false after a restore).
+    built: bool,
 }
 
-/// Wheel entries per pool block: with its chain link, and aligned to
-/// cache lines, a block is 1 KiB.
-const BLOCK: usize = 127;
-/// Blocks per slab: the pool grows 64 KiB at a time.
-const SLAB: usize = 64;
-/// No block: the end of a chain, or an empty bucket or free list.
-const NIL: u32 = u32::MAX;
-
-/// A fixed-size run of one bucket's entries: full, unless it is the head
-/// of its bucket's chain. The link comes first (`repr(C)`), so taking a
-/// free block and filling its first entries touch one cache line.
-#[derive(Debug, Clone)]
-#[repr(C, align(64))]
-struct Block {
-    /// The next block of the same chain (bucket or free list), or [`NIL`].
-    next: u32,
-    entries: [WheelEntry; BLOCK],
-}
-
-/// One wheel bucket: the head of its chain of blocks and how many entries
-/// that head block holds (`1..=BLOCK`; 0 when the bucket is empty).
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    head: u32,
-    len: u32,
-}
-
-impl Bucket {
-    const EMPTY: Bucket = Bucket { head: NIL, len: 0 };
-}
-
-/// The deadline wheel's storage: every bucket is a chain of [`Block`]s
-/// drawn from one pool, and a drained bucket's blocks go straight back to
-/// the pool's free list. The wheel therefore holds the entries it indexes
-/// now, plus at most one partly filled block per bucket (the chain's
-/// head). The pool allocates only when its free list is empty, a slab of
-/// [`SLAB`] blocks at a time, and never moves a block once allocated.
-/// Empty (no buckets) after a checkpoint restore until
-/// [`AlpsScheduler::index_wheel`] rebuilds it.
-#[derive(Debug, Clone)]
-struct WheelPool {
-    buckets: Vec<Bucket>,
-    /// Block `b` is `slabs[b / SLAB][b % SLAB]`.
-    slabs: Vec<Box<[Block; SLAB]>>,
-    /// Head of the free list, linked through [`Block::next`].
-    free: u32,
-}
-
-impl Default for WheelPool {
-    fn default() -> Self {
-        WheelPool {
-            buckets: Vec::new(),
-            slabs: Vec::new(),
-            free: NIL,
-        }
-    }
-}
-
-impl WheelPool {
-    fn with_buckets(n: usize) -> Self {
-        WheelPool {
-            buckets: vec![Bucket::EMPTY; n],
-            ..WheelPool::default()
+impl Wheel {
+    /// Make room for positions `0..n`. O(1) when they fit.
+    #[inline]
+    fn fit(&mut self, n: usize) {
+        let need = n.div_ceil(64);
+        if need > self.stride {
+            self.grow(need);
         }
     }
 
-    #[inline]
-    fn block(&self, b: u32) -> &Block {
-        &self.slabs[b as usize / SLAB][b as usize % SLAB]
-    }
-
-    #[inline]
-    fn block_mut(&mut self, b: u32) -> &mut Block {
-        &mut self.slabs[b as usize / SLAB][b as usize % SLAB]
-    }
-
-    /// Add `e` to `bucket`.
-    #[inline]
-    fn push(&mut self, bucket: usize, e: WheelEntry) {
-        let Bucket { mut head, mut len } = self.buckets[bucket];
-        if len as usize == BLOCK || head == NIL {
-            // Chain a fresh head block.
-            if self.free == NIL {
-                self.grow();
-            }
-            let b = self.free;
-            self.free = std::mem::replace(&mut self.block_mut(b).next, head);
-            (head, len) = (b, 0);
-        }
-        self.block_mut(head).entries[len as usize] = e;
-        self.buckets[bucket] = Bucket { head, len: len + 1 };
-    }
-
-    /// Add a slab of blocks, all on the (empty) free list.
+    /// Re-lay the buckets at a stride of at least `need` words (half as
+    /// much again as now, so a growing population re-lays rarely),
+    /// copying only the non-zero words.
     #[cold]
-    fn grow(&mut self) {
-        debug_assert_eq!(self.free, NIL);
-        let first = (self.slabs.len() * SLAB) as u32;
-        let end = first + SLAB as u32;
-        let slab: Box<[Block]> = (first..end)
-            .map(|b| Block {
-                next: if b + 1 < end { b + 1 } else { NIL },
-                entries: [WheelEntry { idx: 0, key: 0 }; BLOCK],
-            })
-            .collect();
-        self.slabs
-            .push(slab.try_into().expect("a slab holds SLAB blocks"));
-        self.free = first;
-    }
-
-    /// Empty `bucket`, calling `f` on each of its entries in turn: an entry
-    /// for which `f` returns `Some(b)` is refiled into bucket `b`. Each
-    /// block returns to the free list once read, so a later refile may
-    /// reuse it while it is hot.
-    #[inline]
-    fn drain(&mut self, bucket: usize, mut f: impl FnMut(WheelEntry) -> Option<usize>) {
-        let Bucket { head, mut len } = std::mem::replace(&mut self.buckets[bucket], Bucket::EMPTY);
-        let mut b = head;
-        while b != NIL {
-            for k in 0..len as usize {
-                let e = self.block(b).entries[k];
-                if let Some(to) = f(e) {
-                    self.push(to, e);
+    fn grow(&mut self, need: usize) {
+        let stride = need.max(self.stride + self.stride / 2);
+        let sstride = stride.div_ceil(64);
+        let mut words = vec![0u64; WHEEL_BUCKETS * stride];
+        let mut summary = vec![0u64; WHEEL_BUCKETS * sstride];
+        for b in 0..WHEEL_BUCKETS {
+            for s in 0..self.sstride {
+                let mut ws = self.summary[b * self.sstride + s];
+                if ws == 0 {
+                    continue;
+                }
+                summary[b * sstride + s] = ws;
+                while ws != 0 {
+                    let w = s * 64 + ws.trailing_zeros() as usize;
+                    ws &= ws - 1;
+                    words[b * stride + w] = self.words[b * self.stride + w];
                 }
             }
-            let free = self.free;
-            let next = std::mem::replace(&mut self.block_mut(b).next, free);
-            self.free = b;
-            b = next;
-            len = BLOCK as u32;
+        }
+        (self.stride, self.sstride) = (stride, sstride);
+        (self.words, self.summary) = (words, summary);
+    }
+
+    #[inline]
+    fn set(&mut self, b: usize, pos: u32) {
+        let w = pos as usize / 64;
+        self.words[b * self.stride + w] |= 1 << (pos % 64);
+        self.summary[b * self.sstride + w / 64] |= 1 << (w % 64);
+    }
+
+    /// File `pos` into bucket `b`, recording it in `filed` and taking it
+    /// out of the bucket it was filed in before.
+    #[inline]
+    fn file(&mut self, filed: &mut Option<u8>, pos: u32, b: usize) {
+        self.unfile(filed, pos);
+        self.set(b, pos);
+        *filed = Some(b as u8);
+    }
+
+    /// Take `pos` out of the bucket `filed` names, if any.
+    #[inline]
+    fn unfile(&mut self, filed: &mut Option<u8>, pos: u32) {
+        let Some(b) = filed.take() else {
+            return;
+        };
+        let w = pos as usize / 64;
+        let word = &mut self.words[b as usize * self.stride + w];
+        *word &= !(1 << (pos % 64));
+        if *word == 0 {
+            self.summary[b as usize * self.sstride + w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    /// Empty bucket `b`, calling `f` on each of its positions in ascending
+    /// order. `f` may file positions into any other bucket.
+    #[inline]
+    fn drain(&mut self, b: usize, mut f: impl FnMut(&mut Wheel, u32)) {
+        for s in 0..self.sstride {
+            let mut ws = self.summary[b * self.sstride + s];
+            if ws == 0 {
+                continue; // not written: a bucket never filed stays untouched
+            }
+            self.summary[b * self.sstride + s] = 0;
+            while ws != 0 {
+                let w = s * 64 + ws.trailing_zeros() as usize;
+                ws &= ws - 1;
+                let mut bits = std::mem::take(&mut self.words[b * self.stride + w]);
+                while bits != 0 {
+                    f(self, (w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+
+    /// Empty every bucket, writing only the words that are not zero.
+    fn clear(&mut self) {
+        for b in 0..WHEEL_BUCKETS {
+            self.drain(b, |_, _| {});
         }
     }
 }
@@ -340,22 +303,20 @@ pub struct AlpsScheduler {
     count: u64,
     /// Completed-cycle counter.
     cycles_completed: u64,
-    /// The hierarchical deadline wheel:
-    /// `WHEEL_LEVELS × WHEEL_SLOTS` buckets, level-major
-    /// (bucket `level * WHEEL_SLOTS + slot`). An entry due at invocation
-    /// `d` lives at the level of the highest bit where `d` and the
-    /// invocation counter differ (XOR leveling), in slot
-    /// `(d >> WHEEL_BITS·level) & (WHEEL_SLOTS-1)`.
-    /// Advancing the counter only ever lowers an entry's level, so upper
-    /// slots cascade toward level 0 as their window opens; deadlines
-    /// beyond the whole span park at the top of the current window and
-    /// are re-filed when reached. Not serialized: it only indexes the
-    /// slots' `update` and `eligible`, and is rebuilt from them on first
-    /// use after a restore.
+    /// The hierarchical deadline wheel: bucket `level·WHEEL_SLOTS + k`
+    /// holds the positions of eligible slots whose next measurement falls
+    /// in the `k`-th window of `64^level` invocations (mod 64). A deadline
+    /// fewer than 64 invocations ahead is filed at level 0, farther ones
+    /// at the lowest level whose window index is fewer than 64 ahead, so
+    /// an upper bucket cascades toward level 0 as its window opens;
+    /// deadlines beyond the whole span park in the top level's farthest
+    /// bucket and are refiled when it cascades. Not serialized: it only
+    /// indexes the slots' `update` and `eligible`, and is rebuilt from
+    /// them on first use after a restore.
     #[serde(skip)]
-    wheel: WheelPool,
-    /// Due list saved by the last `begin_quantum`. Popping a
-    /// wheel entry consumes it, so `complete_quantum` must reschedule
+    wheel: Wheel,
+    /// Due list saved by the last `begin_quantum`. Draining a wheel
+    /// bucket unfiles its slots, so `complete_quantum` must reschedule
     /// exactly these slots even if the backend supplied no observation for
     /// some of them. The off-boundary repartition merges `dirty` into it
     /// and walks it, so it is also that walk's list; empty after
@@ -369,54 +330,6 @@ pub struct AlpsScheduler {
     /// Number of currently eligible processes (the O(1) replacement for
     /// the liveness valve's full-occupied scan).
     eligible_count: usize,
-    /// Due-set ordering scratch over `occupied` positions; filled and
-    /// drained within one call, so empty between calls (and a compaction
-    /// between `begin_quantum` and `complete_quantum` cannot stale it).
-    #[serde(skip)]
-    bits: PosBitmap,
-}
-
-/// A set of `occupied` positions that drains in ascending order: a
-/// counting sort for due sets. One bit per position, plus a summary bit
-/// per non-zero 64-bit word, so a drain costs O(members + capacity/4096).
-#[derive(Debug, Clone, Default)]
-struct PosBitmap {
-    words: Vec<u64>,
-    summary: Vec<u64>,
-}
-
-impl PosBitmap {
-    /// Make room for positions `0..n`. Only grows; O(1) when it fits.
-    fn fit(&mut self, n: usize) {
-        let words = n.div_ceil(64);
-        if self.words.len() < words {
-            self.words.resize(words, 0);
-            self.summary.resize(words.div_ceil(64), 0);
-        }
-    }
-
-    fn insert(&mut self, pos: u32) {
-        let w = pos as usize / 64;
-        self.words[w] |= 1 << (pos % 64);
-        self.summary[w / 64] |= 1 << (w % 64);
-    }
-
-    /// Call `f` on every position in the set, ascending and each once,
-    /// leaving the set empty.
-    fn drain(&mut self, mut f: impl FnMut(u32)) {
-        for (s, summary) in self.summary.iter_mut().enumerate() {
-            let mut ws = std::mem::take(summary);
-            while ws != 0 {
-                let w = s * 64 + ws.trailing_zeros() as usize;
-                ws &= ws - 1;
-                let mut bits = std::mem::take(&mut self.words[w]);
-                while bits != 0 {
-                    f((w * 64) as u32 + bits.trailing_zeros());
-                    bits &= bits - 1;
-                }
-            }
-        }
-    }
 }
 
 /// `⌈a⌉` quanta as an invocation count, for any `a`: exactly
@@ -447,54 +360,45 @@ impl AlpsScheduler {
             tc: 0.0,
             count: 0,
             cycles_completed: 0,
-            wheel: WheelPool::with_buckets(WHEEL_LEVELS * WHEEL_SLOTS as usize),
+            wheel: Wheel {
+                built: true,
+                ..Wheel::default()
+            },
             pending: Vec::new(),
             dirty: Vec::new(),
             eligible_count: 0,
-            bits: PosBitmap::default(),
         }
     }
 
-    /// Bucket index for an entry due at invocation `deadline`, relative to
-    /// counter position `count`: the level of the highest differing bit
-    /// (so the entry cascades down exactly when its window opens), at that
-    /// level's slot of the deadline. Deadlines beyond the wheel's span are
-    /// clamped to the top of the current window (the drain re-files them,
-    /// keeping their key, as the window advances — at most one touch per
-    /// level per [`WHEEL_SPAN`] invocations). Deadlines at or before
-    /// `count` map to the bucket this invocation drains.
+    /// The wheel bucket for a measurement due at invocation `deadline`
+    /// (`>= count`), filed at invocation `count`: level 0 if it is fewer
+    /// than 64 invocations ahead, else the lowest level whose window
+    /// index is fewer than 64 ahead. That window's bucket cascades when
+    /// the window opens, after `count` and no later than `deadline`, and
+    /// its slots refile lower. A deadline past the span parks in the top
+    /// level's farthest bucket, and is refiled at most once per 63 top
+    /// windows until it comes within range. A deadline at `count` maps to
+    /// the bucket this invocation drains.
     #[inline]
     fn wheel_bucket(count: u64, deadline: u64) -> usize {
-        let d = deadline.clamp(count, count | (WHEEL_SPAN - 1));
-        let x = d ^ count;
-        let level = if x == 0 {
-            0
-        } else {
-            ((63 - x.leading_zeros()) / WHEEL_BITS) as usize
-        };
-        let slot = ((d >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS - 1)) as usize;
-        level * WHEEL_SLOTS as usize + slot
+        debug_assert!(deadline >= count);
+        for level in 0..WHEEL_LEVELS {
+            let shift = WHEEL_BITS * level as u32;
+            let window = deadline >> shift;
+            if window - (count >> shift) < WHEEL_SLOTS {
+                return level * WHEEL_SLOTS as usize + (window & (WHEEL_SLOTS - 1)) as usize;
+            }
+        }
+        let far = (count >> (WHEEL_BITS * (WHEEL_LEVELS as u32 - 1))) + WHEEL_SLOTS - 1;
+        WHEEL_BUCKETS - WHEEL_SLOTS as usize + (far & (WHEEL_SLOTS - 1)) as usize
     }
 
-    /// Insert a live wheel entry for `idx`, due at invocation `deadline`
-    /// (which must be `> self.count`), superseding any previous entry.
-    fn wheel_insert(&mut self, idx: u32, deadline: u64) {
-        debug_assert!(deadline > self.count);
-        let slot = &mut self.slots[idx as usize];
-        slot.wheel_key = slot.wheel_key.wrapping_add(1);
-        let key = slot.wheel_key;
-        self.wheel.push(
-            Self::wheel_bucket(self.count, deadline),
-            WheelEntry { idx, key },
-        );
-    }
-
-    /// Rebuild the wheel if a checkpoint restore left it empty: file every
-    /// eligible slot under its current key, at its `update` or, if that has
-    /// passed (`set_share` forced it due), at the next invocation. Slots in
-    /// `pending` are skipped: they were popped, and the next
-    /// `begin_quantum` or `complete_quantum` reschedules them. O(1) unless
-    /// a rebuild is owed.
+    /// Make the wheel index every position, and rebuild it if a
+    /// checkpoint restore left it empty: file every eligible slot at its
+    /// `update` or, if that has passed (`set_share` forced it due), at the
+    /// next invocation. Slots in `pending` are skipped: they came due,
+    /// and the next `begin_quantum` or `complete_quantum` reschedules
+    /// them. O(1) unless the wheel must grow or a rebuild is owed.
     ///
     /// An eager checkpoint may predate the eager wheel: it has no
     /// `pending` or `dirty` entries, because the baseline once walked
@@ -505,10 +409,11 @@ impl AlpsScheduler {
     /// added since, still ineligible with `update == 0`), so the next
     /// repartition examines all that the walk would have.
     fn index_wheel(&mut self) {
-        if !self.wheel.buckets.is_empty() {
+        self.wheel.fit(self.occupied.len());
+        if self.wheel.built {
             return;
         }
-        self.wheel = WheelPool::with_buckets(WHEEL_LEVELS * WHEEL_SLOTS as usize);
+        self.wheel.built = true;
         let mut popped = vec![false; self.slots.len()];
         for &i in &self.pending {
             popped[i as usize] = true;
@@ -526,8 +431,19 @@ impl AlpsScheduler {
             }
             if s.eligible && !popped[i as usize] {
                 let bucket = Self::wheel_bucket(self.count, s.update.max(next));
-                let key = slot.wheel_key;
-                self.wheel.push(bucket, WheelEntry { idx: i, key });
+                self.wheel.file(&mut slot.filed, slot.pos, bucket);
+            }
+        }
+    }
+
+    /// Rebuild the wheel's bitmaps from the slots' filings, after
+    /// compaction renumbered their positions.
+    fn refile_positions(&mut self) {
+        self.wheel.clear();
+        for &i in &self.occupied {
+            let slot = &self.slots[i as usize];
+            if let Some(b) = slot.filed {
+                self.wheel.set(b as usize, slot.pos);
             }
         }
     }
@@ -622,7 +538,7 @@ impl AlpsScheduler {
                 state: Some(state),
                 listed: true,
                 pos: self.occupied.len() as u32,
-                wheel_key: 0,
+                filed: None,
             });
             self.occupied.push((self.slots.len() - 1) as u32);
             ProcId {
@@ -649,9 +565,7 @@ impl AlpsScheduler {
             return None;
         }
         let state = slot.state.take()?;
-        // Kill any deadline-wheel entry lazily: the bumped nonce makes it
-        // stale, and it is discarded the next time its bucket drains.
-        slot.wheel_key = slot.wheel_key.wrapping_add(1);
+        self.wheel.unfile(&mut slot.filed, slot.pos);
         if state.eligible {
             self.eligible_count -= 1;
         }
@@ -671,6 +585,7 @@ impl AlpsScheduler {
                 true
             });
             self.vacated = 0;
+            self.refile_positions();
         }
         self.total_shares -= state.share;
         self.live -= 1;
@@ -705,15 +620,15 @@ impl AlpsScheduler {
         self.total_shares = self.total_shares - old + share;
         self.tc += allowance_delta * q;
         // The forced `update = 0` must surface through the wheel: an
-        // eligible process needs a pop at the very next invocation
-        // (superseding its previously indexed deadline), and the next
-        // repartition must examine the slot even if it runs before any
-        // `begin_quantum` does (complete-without-begin reschedules it
-        // exactly like the full walk would).
+        // eligible process is refiled to come due at the very next
+        // invocation, and the next repartition must examine the slot even
+        // if it runs before any `begin_quantum` does (complete-without-
+        // begin reschedules it exactly like the full walk would).
         self.dirty.push(id.idx);
         if eligible {
-            let deadline = self.count + 1;
-            self.wheel_insert(id.idx, deadline);
+            let bucket = Self::wheel_bucket(self.count, self.count + 1);
+            let slot = &mut self.slots[id.idx as usize];
+            self.wheel.file(&mut slot.filed, slot.pos, bucket);
         }
         Ok(())
     }
@@ -779,11 +694,11 @@ impl AlpsScheduler {
     /// Allocation-free [`Self::begin_quantum`]: clears `due` and fills it
     /// with the processes whose progress must be measured this quantum.
     ///
-    /// This pops the invocation's level-0 deadline-wheel slot (after
-    /// cascading any upper-level slot whose window just opened) and orders
-    /// the due slots by marking their `occupied` positions in a bitmap —
-    /// O(due + N/4096) plus at most one touch per wheel level per parked
-    /// slot over its whole wait — and returns ids in registration order.
+    /// This cascades any upper-level wheel bucket whose window just
+    /// opened and drains the invocation's level-0 bucket, a bitmap over
+    /// `occupied` positions, so the due slots come out in registration
+    /// order — O(due + N/4096) plus at most one touch per wheel level per
+    /// parked slot over its whole wait.
     /// The eager baseline runs on the same wheel: its eligible processes
     /// are simply due again at the next invocation.
     pub fn begin_quantum_into(&mut self, due: &mut Vec<ProcId>) {
@@ -797,77 +712,54 @@ impl AlpsScheduler {
         self.index_wheel();
         self.count += 1;
         let count = self.count;
-        // The due set is marked by `occupied` position in `bits` and
-        // read back in position (= registration) order at the end.
-        self.bits.fit(self.occupied.len());
-        // Entries popped by an earlier `begin_quantum` whose invocation
-        // was never completed are still due (only `complete_quantum`
-        // reschedules); fold them back in before draining this bucket.
-        for k in 0..self.pending.len() {
-            let idx = self.pending[k];
-            let slot = &self.slots[idx as usize];
-            let Some(s) = slot.state.as_ref() else {
-                continue;
-            };
-            if !s.eligible {
-                continue;
-            }
-            if s.update > count {
-                let deadline = s.update;
-                self.wheel_insert(idx, deadline);
-            } else {
-                self.bits.insert(slot.pos);
+        let AlpsScheduler {
+            slots,
+            occupied,
+            wheel,
+            pending,
+            ..
+        } = self;
+        // Slots that came due at an earlier `begin_quantum` whose
+        // invocation was never completed are still due (only
+        // `complete_quantum` reschedules): file them back, into this
+        // invocation's bucket unless their deadline is still ahead.
+        for &idx in pending.iter() {
+            let slot = &mut slots[idx as usize];
+            if let Some(s) = slot.state.as_ref().filter(|s| s.eligible) {
+                let bucket = Self::wheel_bucket(count, s.update.max(count));
+                wheel.file(&mut slot.filed, slot.pos, bucket);
             }
         }
-        self.pending.clear();
-        let AlpsScheduler {
-            slots, wheel, bits, ..
-        } = self;
-        // An entry is live, with the slot's position and deadline, only
-        // while its key matches the slot's nonce (otherwise it was
-        // superseded, or the slot was vacated or reused) and the slot
-        // is eligible.
-        let live = |e: WheelEntry| {
-            let slot = &slots[e.idx as usize];
-            let s = slot.state.as_ref();
-            let s = s.filter(|s| slot.wheel_key == e.key && s.eligible)?;
-            Some((slot.pos, s.update))
-        };
+        pending.clear();
         // Cascade: whenever the counter crosses a level-`l` window
-        // boundary (its low `6·l` bits are zero), the upper-level slot
-        // covering the next window spills downward — each entry refiles
-        // (keeping its key) at the exact level the XOR rule now assigns
-        // it. Ascending order is safe: a live refiled entry has
-        // `deadline > count`, and with `count` aligned its target slot
-        // at any lower level is strictly above the index-0 slot those
-        // levels cascade from, so nothing lands in an already-drained
-        // bucket.
+        // boundary (its low `6·l` bits are zero), the level-`l` bucket of
+        // the window just opened spills downward, each slot refiling by
+        // its distance from `count`. A refile never lands in a bucket
+        // drained here: its level-`l` window index is at least one ahead
+        // (or, at level 0, it is this invocation's bucket, drained last).
         let mut level = 1;
         while level < WHEEL_LEVELS && count & ((1u64 << (WHEEL_BITS * level as u32)) - 1) == 0 {
-            let slot = ((count >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS - 1)) as usize;
-            wheel.drain(level * WHEEL_SLOTS as usize + slot, |e| {
-                live(e).map(|(_, update)| Self::wheel_bucket(count, update))
+            let k = ((count >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS - 1)) as usize;
+            wheel.drain(level * WHEEL_SLOTS as usize + k, |wheel, pos| {
+                let slot = &mut slots[occupied[pos as usize] as usize];
+                let update = slot.state.as_ref().map_or(count, |s| s.update);
+                let bucket = Self::wheel_bucket(count, update.max(count));
+                wheel.set(bucket, pos);
+                slot.filed = Some(bucket as u8);
             });
             level += 1;
         }
-        // Drain the level-0 slot for this invocation. Deadlines beyond
-        // the wheel's span were clamped to the top of the window and
-        // are re-filed here (keeping their key) as the window advances.
-        wheel.drain((count & (WHEEL_SLOTS - 1)) as usize, |e| {
-            let (pos, update) = live(e)?;
-            if update > count {
-                return Some(Self::wheel_bucket(count, update));
-            }
-            bits.insert(pos);
-            None
-        });
-        // Report in registration order, each slot once.
-        self.bits.drain(|p| {
-            let i = self.occupied[p as usize];
-            self.pending.push(i);
+        // Drain this invocation's level-0 bucket: every slot in it is due
+        // now, and comes out in registration order, once.
+        wheel.drain((count & (WHEEL_SLOTS - 1)) as usize, |_, pos| {
+            let idx = occupied[pos as usize];
+            let slot = &mut slots[idx as usize];
+            debug_assert!(slot.state.as_ref().is_some_and(|s| s.update <= count));
+            slot.filed = None;
+            pending.push(idx);
             f(ProcId {
-                idx: i,
-                generation: self.slots[i as usize].generation,
+                idx,
+                generation: slot.generation,
             });
         });
     }
@@ -976,22 +868,34 @@ impl AlpsScheduler {
             // registration order therefore emits exactly the transitions
             // and reschedules a walk of every occupied slot would.
             // `pending` is already in registration order (`begin_quantum`
-            // drained it from the bitmap, and compaction keeps relative
+            // drained it from the wheel, and compaction keeps relative
             // order); only slots dirtied since need merging in. A slot
             // vacated since needs no examination, and may have lost its
             // position to compaction.
+            //
+            // The merge sorts by position in this invocation's level-0
+            // bucket: `begin_quantum` drained it, and every deadline filed
+            // since lies ahead of `count`, so it is empty until the next
+            // `begin_quantum`.
             if !self.dirty.is_empty() {
-                self.bits.fit(self.occupied.len());
-                for &i in self.pending.iter().chain(&self.dirty) {
-                    let slot = &self.slots[i as usize];
+                let scratch = (self.count & (WHEEL_SLOTS - 1)) as usize;
+                let AlpsScheduler {
+                    slots,
+                    occupied,
+                    wheel,
+                    pending,
+                    dirty,
+                    ..
+                } = self;
+                for &i in pending.iter().chain(dirty.iter()) {
+                    let slot = &slots[i as usize];
                     if slot.state.is_some() {
-                        self.bits.insert(slot.pos);
+                        wheel.set(scratch, slot.pos);
                     }
                 }
-                self.pending.clear();
-                self.dirty.clear();
-                self.bits
-                    .drain(|p| self.pending.push(self.occupied[p as usize]));
+                pending.clear();
+                dirty.clear();
+                wheel.drain(scratch, |_, p| pending.push(occupied[p as usize]));
             }
             let mut k = 0;
             while k < self.pending.len() {
@@ -1062,6 +966,7 @@ impl AlpsScheduler {
             transitions.push(if want_eligible {
                 Transition::Resume(id)
             } else {
+                wheel.unfile(&mut slot.filed, slot.pos);
                 Transition::Suspend(id)
             });
         }
@@ -1077,16 +982,10 @@ impl AlpsScheduler {
             let wait = if lazy { wait } else { wait.min(1) };
             s.update = count.saturating_add(wait);
             if s.eligible {
-                // Index the new deadline (inlined `wheel_insert`; `s`
-                // holds a borrow into `slots`). Eligible implies
-                // allowance > 0, so `⌈allowance⌉ >= 1` and the deadline
-                // is in the future.
-                slot.wheel_key = slot.wheel_key.wrapping_add(1);
-                let key = slot.wheel_key;
-                wheel.push(
-                    Self::wheel_bucket(count, s.update),
-                    WheelEntry { idx: i as u32, key },
-                );
+                // Eligible implies allowance > 0, so `⌈allowance⌉ >= 1`
+                // and the deadline is in the future.
+                let bucket = Self::wheel_bucket(count, s.update);
+                wheel.file(&mut slot.filed, slot.pos, bucket);
             }
         }
     }
@@ -1358,16 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn a_wheel_block_is_one_kib() {
-        assert_eq!(std::mem::size_of::<Block>(), 1024);
-    }
-
-    #[test]
-    fn a_wheel_entry_is_eight_bytes() {
-        assert_eq!(std::mem::size_of::<WheelEntry>(), 8);
-    }
-
-    #[test]
     fn remove_process_shortens_cycle_and_invalidates_id() {
         let mut s = AlpsScheduler::new(cfg_ms(10));
         let a = s.add_process(2, Nanos::ZERO);
@@ -1505,6 +1394,75 @@ mod tests {
         }
     }
 
+    /// The level a slot is filed at, if it is filed.
+    fn filed_level(s: &AlpsScheduler, id: ProcId) -> Option<u64> {
+        s.slots[id.index()]
+            .filed
+            .map(|b| u64::from(b) / WHEEL_SLOTS)
+    }
+
+    /// Run invocations until `id` comes due, checking that it does so
+    /// exactly at its `update` and never before. While `id` is the only
+    /// filed slot and sits above level 0, the invocations before the next
+    /// boundary of its level drain and cascade only empty buckets, so they
+    /// are skipped by advancing the counter.
+    fn run_until_due(s: &mut AlpsScheduler, id: ProcId) {
+        let update = s.state(id).expect("live").update;
+        while s.count + 1 < update {
+            if let Some(level @ 1..) = filed_level(s, id) {
+                let step = 1u64 << (WHEEL_BITS as u64 * level);
+                s.count = (s.count / step + 1) * step - 1;
+            }
+            assert!(s.begin_quantum().is_empty(), "due early at {}", s.count);
+            s.complete_quantum(&[]);
+        }
+        assert_eq!(s.begin_quantum(), vec![id], "not due at its update");
+        assert_eq!(s.count, update);
+    }
+
+    #[test]
+    fn a_far_deadline_is_due_exactly_at_its_invocation() {
+        let idle = |id| {
+            let obs = Observation {
+                total_cpu: Nanos::ZERO,
+                blocked: false,
+            };
+            [(id, obs)]
+        };
+        // Allowance 5 000: measured at invocation 5 001, filed at level 2,
+        // cascaded to level 1 at 4 096 and to level 0 at 4 992.
+        let mut s = AlpsScheduler::new(cfg_ms(10));
+        let a = s.add_process(5_000, Nanos::ZERO);
+        quantum(&mut s, &[]);
+        assert_eq!(s.state(a).map(|p| p.update), Some(5_001));
+        assert_eq!(filed_level(&s, a), Some(2));
+        for count in 2..5_001 {
+            assert!(s.begin_quantum().is_empty(), "due early at {count}");
+            s.complete_quantum(&[]);
+        }
+        assert_eq!(s.begin_quantum(), vec![a]);
+        s.complete_quantum(&idle(a));
+        // Due once: next at 10 001.
+        for _ in 0..4_999 {
+            assert!(s.begin_quantum().is_empty(), "due twice");
+            s.complete_quantum(&[]);
+        }
+        assert_eq!(s.begin_quantum(), vec![a]);
+
+        // Past the 64⁴ span: parked in the top level's farthest bucket
+        // and refiled as the top windows open, until it comes due.
+        let span = 1u64 << (WHEEL_BITS * WHEEL_LEVELS as u32);
+        let mut s = AlpsScheduler::new(cfg_ms(10));
+        let far = s.add_process(3 * span, Nanos::ZERO);
+        quantum(&mut s, &[]);
+        assert_eq!(filed_level(&s, far), Some(WHEEL_LEVELS as u64 - 1));
+        run_until_due(&mut s, far);
+        assert_eq!(s.count, 3 * span + 1);
+        s.complete_quantum(&idle(far));
+        run_until_due(&mut s, far);
+        assert_eq!(s.count, 6 * span + 1);
+    }
+
     #[test]
     fn ceil_quanta_matches_libm_ceil() {
         let libm = |a: f64| a.ceil().max(0.0) as u64;
@@ -1549,44 +1507,6 @@ mod tests {
         fn ceil_quanta_matches_libm_ceil_on_any_bit_pattern(bits in proptest::prelude::any::<u64>()) {
             let a = f64::from_bits(bits);
             proptest::prop_assert_eq!(ceil_quanta(a), a.ceil().max(0.0) as u64);
-        }
-
-        /// Draining a position multiset yields it sorted and deduplicated
-        /// and leaves the bitmap empty, across the 64- and 4096-bit word
-        /// boundaries, for bitmaps reused over several rounds and grown
-        /// in between.
-        #[test]
-        fn pos_bitmap_drains_sorted_and_deduplicated(
-            rounds in proptest::collection::vec(
-                (1usize..10_000, proptest::collection::vec((0u32..10_000, 0u8..3), 0..300)),
-                1..4,
-            ),
-        ) {
-            let mut bits = PosBitmap::default();
-            for (n, picks) in rounds {
-                bits.fit(n);
-                // Each pick lands in `0..n`; `copies` inserts duplicates.
-                // The positions either side of each word boundary go in too.
-                let n32 = n as u32;
-                let picks = picks.into_iter().map(|(p, copies)| (p % n32, copies));
-                let edges = [0, 63, 64, 4095, 4096, n32 - 1].into_iter().filter(|&p| p < n32);
-                let mut inserted = Vec::new();
-                for (p, copies) in picks.chain(edges.map(|p| (p, 0))) {
-                    for _ in 0..=copies {
-                        bits.insert(p);
-                        inserted.push(p);
-                    }
-                }
-                let mut drained = Vec::new();
-                bits.drain(|p| drained.push(p));
-                inserted.sort_unstable();
-                inserted.dedup();
-                proptest::prop_assert_eq!(drained, inserted);
-                proptest::prop_assert!(
-                    bits.words.iter().chain(&bits.summary).all(|&w| w == 0),
-                    "bitmap not empty after a drain"
-                );
-            }
         }
     }
 
@@ -1652,10 +1572,6 @@ mod tests {
                 "slot {idx}: pos disagrees with its occupied index"
             );
         }
-        assert!(
-            s.bits.words.iter().chain(&s.bits.summary).all(|&w| w == 0),
-            "position bitmap not empty between calls"
-        );
         let eligible = s
             .occupied
             .iter()
@@ -1669,112 +1585,182 @@ mod tests {
         assert_wheel_consistent(s);
     }
 
-    /// The wheel's pool accounting and reachability: every block is in
-    /// exactly one bucket chain or on the free list; an empty bucket has no
-    /// chain, and a chain's head holds `1..=BLOCK` entries (the blocks
-    /// behind it are full); at most one live entry per slot; every
-    /// eligible slot is indexed in the wheel or queued for the next
-    /// repartition via pending/dirty.
+    /// The wheel indexes exactly the slots' filings: a bucket's summary
+    /// bit is set exactly for its non-zero words; every set bit belongs to
+    /// a live, eligible slot whose filing names that bucket, and every
+    /// filing's bit is set, so a slot is in one bucket at most; every
+    /// eligible slot is filed or queued for the next repartition in
+    /// `pending` or `dirty`; and this invocation's level-0 bucket, the
+    /// repartition's merge scratch, is empty. A wheel a restore left
+    /// unbuilt is empty, and no slot is filed.
     fn assert_wheel_consistent(s: &AlpsScheduler) {
-        let pool = &s.wheel;
-        assert_eq!(pool.buckets.len(), WHEEL_LEVELS * WHEEL_SLOTS as usize);
-        let mut owner: Vec<Option<usize>> = vec![None; pool.slabs.len() * SLAB];
-        let mut live_entries = vec![0usize; s.slots.len()];
-        let mut claim = |b: u32, chain: usize| {
-            let b = b as usize;
+        let w = &s.wheel;
+        let filed = |i: usize| s.slots[i].filed;
+        if !w.built {
             assert!(
-                b < pool.slabs.len() * SLAB,
-                "chain {chain} links past the pool"
+                w.words.iter().all(|&x| x == 0),
+                "an unbuilt wheel holds bits"
             );
-            assert_eq!(owner[b], None, "block {b} linked twice");
-            owner[b] = Some(chain);
-            pool.block(b as u32)
-        };
-        for (bucket, &Bucket { head, len }) in pool.buckets.iter().enumerate() {
-            assert_eq!(
-                head == NIL,
-                len == 0,
-                "bucket {bucket}: an empty bucket has no chain, a chain's head no empty block"
-            );
-            assert!(
-                len as usize <= BLOCK,
-                "bucket {bucket} holds {len} > {BLOCK} entries"
-            );
-            let (mut b, mut len) = (head, len as usize);
-            while b != NIL {
-                let block = claim(b, bucket);
-                for e in &block.entries[..len] {
-                    if s.slots[e.idx as usize].wheel_key == e.key {
-                        live_entries[e.idx as usize] += 1;
-                    }
+            assert!((0..s.slots.len()).all(|i| filed(i).is_none()));
+            return;
+        }
+        assert_eq!(w.sstride, w.stride.div_ceil(64));
+        assert_eq!(w.words.len(), WHEEL_BUCKETS * w.stride);
+        assert_eq!(w.summary.len(), WHEEL_BUCKETS * w.sstride);
+        for b in 0..WHEEL_BUCKETS {
+            for k in 0..w.stride {
+                let word = w.words[b * w.stride + k];
+                let summary = w.summary[b * w.sstride + k / 64] >> (k % 64) & 1;
+                assert_eq!(summary == 1, word != 0, "bucket {b}: summary of word {k}");
+                for bit in (0..64).filter(|bit| word >> bit & 1 == 1) {
+                    let pos = k * 64 + bit;
+                    assert!(
+                        pos < s.occupied.len(),
+                        "bucket {b}: position {pos} unlisted"
+                    );
+                    let i = s.occupied[pos] as usize;
+                    assert!(
+                        s.slots[i].state.as_ref().is_some_and(|p| p.eligible),
+                        "bucket {b}: slot {i} vacant or suspended"
+                    );
+                    assert_eq!(
+                        filed(i),
+                        Some(b as u8),
+                        "bucket {b}: slot {i} filed elsewhere"
+                    );
                 }
-                (b, len) = (block.next, BLOCK);
+            }
+            for s2 in w.stride.div_ceil(64) * 64..w.sstride * 64 {
+                let summary = w.summary[b * w.sstride + s2 / 64] >> (s2 % 64) & 1;
+                assert_eq!(summary, 0, "bucket {b}: summary past the stride");
             }
         }
-        let mut b = pool.free;
-        while b != NIL {
-            b = claim(b, usize::MAX).next;
-        }
+        let now = (s.count & (WHEEL_SLOTS - 1)) as usize;
         assert!(
-            owner.iter().all(Option::is_some),
-            "a block is in no chain and not on the free list"
+            w.words[now * w.stride..(now + 1) * w.stride]
+                .iter()
+                .all(|&x| x == 0),
+            "this invocation's level-0 bucket is not empty"
         );
-        for (idx, slot) in s.slots.iter().enumerate() {
-            let live = live_entries[idx];
-            assert!(live <= 1, "slot {idx} has {live} live wheel entries");
-            if slot.state.as_ref().is_some_and(|p| p.eligible) {
-                assert!(
-                    live == 1
-                        || s.pending.contains(&(idx as u32))
-                        || s.dirty.contains(&(idx as u32)),
-                    "eligible slot {idx} unreachable by the wheel"
+        for (i, slot) in s.slots.iter().enumerate() {
+            if let Some(b) = slot.filed {
+                assert!(slot.listed, "slot {i} filed but unlisted");
+                let pos = slot.pos as usize;
+                let word = w.words[b as usize * w.stride + pos / 64];
+                assert_eq!(
+                    word >> (pos % 64) & 1,
+                    1,
+                    "slot {i}'s filing in bucket {b} unset"
                 );
             }
+            if slot.state.as_ref().is_some_and(|p| p.eligible) {
+                assert!(
+                    slot.filed.is_some()
+                        || s.pending.contains(&(i as u32))
+                        || s.dirty.contains(&(i as u32)),
+                    "eligible slot {i} unreachable by the wheel"
+                );
+            }
+        }
+    }
+
+    /// Figure 3's due set by brute force: every eligible slot whose
+    /// measurement is due at the next invocation, in registration order.
+    fn due_by_scan(s: &AlpsScheduler) -> Vec<ProcId> {
+        let next = s.count + 1;
+        let due = |&i: &u32| {
+            let slot = &s.slots[i as usize];
+            let p = slot.state.as_ref()?;
+            (p.eligible && p.update <= next).then_some(ProcId {
+                idx: i,
+                generation: slot.generation,
+            })
+        };
+        s.occupied.iter().filter_map(due).collect()
+    }
+
+    /// Readings for a due list: each due member has consumed half the
+    /// time on `clock`, and all are blocked or none.
+    fn readings(due: &[ProcId], clock: u64, blocked: bool) -> Vec<(ProcId, Observation)> {
+        let total_cpu = Nanos::from_millis(clock / 2);
+        let obs = Observation { total_cpu, blocked };
+        due.iter().map(|&id| (id, obs)).collect()
+    }
+
+    /// Random churn keeps the O(1) slot indexes and the wheel exactly
+    /// consistent with a brute-force scan of every slot, `proc_ids`
+    /// reporting exactly the live processes, and every due list equal to
+    /// [`due_by_scan`], lazy and eager. Shares reach 5 000, and bursts of
+    /// up to 4 500 quanta let such deadlines come due through the upper
+    /// levels' cascades. A mass removal forces compaction, and a
+    /// checkpoint taken between `begin_quantum` and `complete_quantum`
+    /// carries on in place of the original.
+    fn churn_stays_consistent(lazy: bool, ops: &[(u8, usize, u64)]) {
+        let mut s = AlpsScheduler::new(cfg_ms(10).with_lazy_measurement(lazy));
+        let mut live: Vec<ProcId> = Vec::new();
+        let mut clock = 0u64;
+        let quantum = |s: &mut AlpsScheduler, clock: &mut u64, blocked: bool| {
+            *clock += 10;
+            let want = due_by_scan(s);
+            let due = s.begin_quantum();
+            assert_eq!(due, want, "due list at invocation {}", s.count);
+            s.complete_quantum(&readings(&due, *clock, blocked));
+        };
+        for &(op, pick, far) in ops {
+            let share = if pick % 4 == 0 { far } else { 1 + far % 6 };
+            match op {
+                0..=2 => live.push(s.add_process(share, Nanos::from_millis(clock))),
+                3 if !live.is_empty() => {
+                    let id = live.swap_remove(pick % live.len());
+                    s.remove_process(id).expect("id was live");
+                }
+                4 if !live.is_empty() => {
+                    let id = live[pick % live.len()];
+                    s.set_share(id, share).expect("id was live");
+                }
+                5 => {
+                    // Remove two in three: more than half the occupied
+                    // positions fall vacant, so the index compacts.
+                    let keep = live.len() / 3;
+                    for id in live.drain(keep..) {
+                        s.remove_process(id).expect("id was live");
+                    }
+                }
+                6 => {
+                    clock += 10;
+                    let want = due_by_scan(&s);
+                    let due = s.begin_quantum();
+                    assert_eq!(due, want, "due list at invocation {}", s.count);
+                    let json = serde_json::to_string(&s).expect("serialize");
+                    s = serde_json::from_str(&json).expect("deserialize");
+                    assert_indexes_consistent(&s);
+                    s.complete_quantum(&readings(&due, clock, pick % 2 == 0));
+                }
+                7 => {
+                    for _ in 0..far % 4_500 {
+                        quantum(&mut s, &mut clock, pick % 2 == 0);
+                    }
+                }
+                _ => quantum(&mut s, &mut clock, pick % 2 == 0),
+            }
+            assert_indexes_consistent(&s);
+            let mut want: Vec<ProcId> = live.clone();
+            want.sort_by_key(|id| (id.idx, id.generation));
+            let mut got: Vec<ProcId> = s.proc_ids().collect();
+            got.sort_by_key(|id| (id.idx, id.generation));
+            assert_eq!(got, want, "proc_ids disagrees with live set");
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Random add/remove/quantum churn keeps the O(1) slot indexes
-        /// exactly consistent with a brute-force scan of every slot, and
-        /// `proc_ids` reporting exactly the live processes, lazy or eager.
         #[test]
         fn slot_index_churn_stays_consistent(
-            lazy in proptest::prelude::any::<bool>(),
-            ops in proptest::collection::vec((0u8..4, 0usize..16, 1u64..6), 1..80),
+            ops in proptest::collection::vec((0u8..14, 0usize..16, 1u64..5_001), 1..80),
         ) {
-            let mut s = AlpsScheduler::new(cfg_ms(10).with_lazy_measurement(lazy));
-            let mut live: Vec<ProcId> = Vec::new();
-            let mut clock = 0u64;
-            for (op, pick, share) in ops {
-                match op {
-                    0 | 1 => live.push(s.add_process(share, Nanos::from_millis(clock))),
-                    2 if !live.is_empty() => {
-                        let id = live.swap_remove(pick % live.len());
-                        s.remove_process(id).expect("id was live");
-                    }
-                    _ => {
-                        clock += 10;
-                        let due = s.begin_quantum();
-                        let obs: Vec<_> = due
-                            .iter()
-                            .map(|&id| {
-                                (id, Observation {
-                                    total_cpu: Nanos::from_millis(clock / 2),
-                                    blocked: pick % 2 == 0,
-                                })
-                            })
-                            .collect();
-                        s.complete_quantum(&obs);
-                    }
-                }
-                assert_indexes_consistent(&s);
-                let mut want: Vec<ProcId> = live.clone();
-                want.sort_by_key(|id| (id.idx, id.generation));
-                let mut got: Vec<ProcId> = s.proc_ids().collect();
-                got.sort_by_key(|id| (id.idx, id.generation));
-                proptest::prop_assert_eq!(got, want, "proc_ids disagrees with live set");
+            for lazy in [true, false] {
+                churn_stays_consistent(lazy, &ops);
             }
         }
     }
@@ -1833,7 +1819,7 @@ mod tests {
             let json = serde_json::to_string(s).expect("serialize");
             assert!(!json.contains("wheel\":["), "the wheel is not serialized");
             let r: AlpsScheduler = serde_json::from_str(&json).expect("deserialize");
-            assert!(r.wheel.buckets.is_empty(), "rebuilt only on use");
+            assert!(!r.wheel.built, "rebuilt only on use");
             r
         }
         let mut original = AlpsScheduler::new(cfg_ms(10).with_lazy_measurement(lazy));
@@ -1844,9 +1830,10 @@ mod tests {
         for k in 0..CHECKPOINT {
             churn_quantum(&mut original, &mut live, k);
         }
-        let parked = original.wheel.buckets[WHEEL_SLOTS as usize..]
+        let parked = original
+            .slots
             .iter()
-            .filter(|b| b.head != NIL)
+            .filter(|slot| slot.filed.is_some_and(|b| u64::from(b) >= WHEEL_SLOTS))
             .count();
         assert!(!lazy || parked > 0, "no deadline parked above level 0");
 

@@ -6,6 +6,8 @@
 //! paper's figures summarize — e.g. rendering it as a timeline shows the
 //! eligible-group "staircase" of an ALPS cycle directly.
 
+use std::collections::VecDeque;
+
 use alps_core::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -41,10 +43,11 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// A bounded in-memory trace (oldest events are dropped past the cap).
+/// A bounded in-memory trace: a ring whose oldest event is dropped, in
+/// O(1), when a new one arrives at the cap.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    events: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
 }
@@ -53,7 +56,7 @@ impl Trace {
     /// A trace retaining at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
         Trace {
-            events: Vec::new(),
+            events: VecDeque::new(),
             capacity,
             dropped: 0,
         }
@@ -65,14 +68,14 @@ impl Trace {
             return;
         }
         if self.events.len() == self.capacity {
-            self.events.remove(0);
+            self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push(TraceEvent { at, pid, kind });
+        self.events.push_back(TraceEvent { at, pid, kind });
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
+    pub fn events(&self) -> &VecDeque<TraceEvent> {
         &self.events
     }
 
@@ -156,6 +159,20 @@ mod tests {
         assert_eq!(t.events().len(), 3);
         assert_eq!(t.dropped(), 2);
         assert_eq!(t.events()[0].at, Nanos(2));
+    }
+
+    #[test]
+    fn a_full_trace_keeps_the_latest_events_oldest_first() {
+        let mut t = Trace::new(3);
+        for i in 0..10 {
+            t.push(Nanos(i), Pid(i as u32), TraceKind::Wake);
+        }
+        let at: Vec<Nanos> = t.events().iter().map(|e| e.at).collect();
+        assert_eq!(at, [Nanos(7), Nanos(8), Nanos(9)]);
+        assert_eq!(t.dropped(), 7);
+        // Serialized as a sequence, oldest first, as when it was a `Vec`.
+        let json = serde_json::to_string(&t).expect("serialize");
+        assert!(json.starts_with(r#"{"events":[{"at":7,"#), "{json}");
     }
 
     #[test]

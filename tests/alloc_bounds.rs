@@ -94,10 +94,11 @@ fn ten_thousand_registrations_allocate_only_to_grow() {
 }
 
 /// Heap a lazy scheduler under churn may retain per member, beyond what
-/// registration allocated. The deadline wheel pools its entries in
-/// fixed-size blocks that return to the pool as buckets drain: the drive
-/// below retains 27 B per member, against 299 B when every bucket is a
-/// `Vec` that keeps the largest capacity any bucket has held.
+/// registration allocated. The deadline wheel's buckets are bitmaps over
+/// registration positions, sized once at the first quantum: the drive
+/// below retains 39 B per member (27 B when the wheel pooled its entries
+/// in fixed-size blocks), against 299 B when every bucket is a `Vec` that
+/// keeps the largest capacity any bucket has held.
 const RETAINED_BYTES_PER_MEMBER: isize = 64;
 
 /// A drive of a bare lazy scheduler: members with shares 1 to 20, nine in
@@ -368,6 +369,42 @@ fn a_lazy_engine_with_fixed_and_group_principals_stops_allocating() {
     assert!(
         group_transitions > 0,
         "no group was suspended or resumed in the second half"
+    );
+    assert_eq!(
+        late_allocs,
+        0,
+        "the second {} quanta allocated {late_allocs} times",
+        QUANTA / 2
+    );
+}
+
+/// A lazy engine of 300 fixed principals at shares 1 to 300: a share
+/// past 63 is measured more than 63 quanta ahead, so its deadline is filed
+/// above the deadline wheel's level 0 and cascades down as its window
+/// opens, and both keep happening through the measured second half.
+/// Neither allocates: the wheel's upper levels are laid out with level 0.
+#[test]
+fn a_lazy_engine_with_far_deadlines_stops_allocating() {
+    const QUANTA: usize = 1200;
+    const MEMBERS: u32 = 300;
+    let mut engine: Engine<u32> = Engine::new(AlpsConfig::new(Members::Q), Instrumentation::Exact);
+    let mut sub = Members::new(MEMBERS as usize);
+    for m in 0..MEMBERS {
+        engine.add_member(m, 1 + u64::from(m), Nanos::ZERO);
+    }
+    let mut drive = |engine: &mut Engine<u32>| {
+        for _ in 0..QUANTA / 2 {
+            sub.tick();
+            let Ok(_) = engine.run_quantum(&mut sub, &mut NullSink);
+        }
+    };
+    heap_use_of(|| drive(&mut engine));
+    let before = engine.stats();
+    let (late_allocs, _) = heap_use_of(|| drive(&mut engine));
+    let after = engine.stats();
+    assert!(
+        after.measurements > before.measurements,
+        "the second half read members: {before:?} -> {after:?}"
     );
     assert_eq!(
         late_allocs,
