@@ -61,9 +61,8 @@
 //!   §2.4 I/O policies.
 //! * [`time`] — the [`Nanos`] time type shared across the workspace.
 //!
-//! Extensions beyond the paper live beside their users: the SLO feedback
-//! controller in `alps-sim`'s SLO experiment, the static share tree in
-//! `workloads`.
+//! Extensions beyond the paper live beside their users: the static share
+//! tree in `workloads`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,9 @@
 //! Per-request latency recording: fixed-bin histograms and tail
 //! summaries.
 //!
-//! The traffic engine (`workloads::traffic`) records one sample per
-//! completed request; this module turns those samples into the
-//! percentile summaries the SLO controller and the repro tables consume.
+//! A workload's latency probe (`workloads::LatencyProbe`) records one
+//! sample per completed request; this module turns those samples into
+//! percentile and stretch summaries.
 //!
 //! * [`LatencyHistogram`] — a fixed-bin log-scale histogram of latency
 //!   nanoseconds. Bins are exact up to [`LIN_BINS`] ns and then keep
@@ -179,8 +179,7 @@ impl LatencyHistogram {
     }
 }
 
-/// The tail-latency summary of one tenant over one observation window —
-/// what the repro tables print and what the `SloController` feeds on.
+/// The tail-latency summary of one tenant over one observation window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Requests completed in the window.

@@ -11,8 +11,8 @@
 //! * [`summary`] — the [`Summary`] scalar-statistics block (and the
 //!   historical mean/stddev/RMS free functions it consolidates);
 //! * [`latency`] — fixed-bin latency histograms and the
-//!   [`LatencySummary`] tail/stretch/yield block the traffic engine and
-//!   SLO controller consume.
+//!   [`LatencySummary`] tail/stretch/yield block over a workload's
+//!   per-request samples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

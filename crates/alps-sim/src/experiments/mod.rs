@@ -12,9 +12,7 @@
 //! * [`baseline`] — user-level ALPS vs in-kernel stride scheduling (the
 //!   §6 related-work trade, quantified);
 //! * [`batch`] — fork-join co-completion under work-proportional shares
-//!   (the introduction's scientific-application motivation);
-//! * [`slo`] — extension study: open-loop overload with SLO-driven share
-//!   feedback (static §5 shares, closed-loop).
+//!   (the introduction's scientific-application motivation).
 
 pub mod accounting;
 pub mod baseline;
@@ -22,6 +20,5 @@ pub mod batch;
 pub mod io;
 pub mod multi;
 pub mod scalability;
-pub mod slo;
 pub mod webserver;
 pub mod workload;

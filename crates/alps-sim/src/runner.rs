@@ -73,25 +73,13 @@ impl AlpsHandle {
         self.shared.borrow().engine.proc_ids()
     }
 
-    /// Current allowance of a principal, in quanta.
-    pub fn allowance(&self, id: ProcId) -> Option<f64> {
-        self.shared.borrow().engine.allowance(id)
-    }
-
     /// Scheduler invocation count (`count` in Figure 3).
     pub fn invocations(&self) -> u64 {
         self.shared.borrow().engine.invocations()
     }
 
-    /// A principal's current share.
-    pub fn share(&self, id: ProcId) -> Option<u64> {
-        self.shared.borrow().engine.share(id)
-    }
-
     /// Change a principal's share at runtime (e.g. when a mesh region
-    /// refines in the paper's scientific-application scenario, or when
-    /// the SLO controller of [`experiments::slo`](crate::experiments::slo)
-    /// acts).
+    /// refines in the paper's scientific-application scenario).
     pub fn set_share(&self, id: ProcId, share: u64) -> Result<(), StaleId> {
         self.shared.borrow_mut().engine.set_share(id, share)
     }
@@ -525,6 +513,31 @@ mod tests {
         };
         let (ca, cb) = (sum(&ga), sum(&gb));
         let ratio = cb / ca;
+        assert!((ratio - 3.0).abs() < 0.25, "expected 3:1, got {ratio:.3}");
+    }
+
+    #[test]
+    fn set_share_mid_run_retargets_the_split() {
+        let mut sim = Sim::new(SimConfig::default());
+        let a = sim.spawn("a", Box::new(ComputeBound));
+        let b = sim.spawn("b", Box::new(ComputeBound));
+        let alps = spawn_alps(
+            &mut sim,
+            "alps",
+            q_ms(10),
+            CostModel::paper(),
+            &[(a, 1), (b, 1)],
+        );
+        let cpu = |sim: &Sim| [a, b].map(|p| sim.proc(p).unwrap().cputime().as_secs_f64());
+        sim.run_until(Nanos::from_secs(10));
+        let before = cpu(&sim);
+        let even = before[0] / before[1];
+        assert!((even - 1.0).abs() < 0.25, "expected 1:1, got {even:.3}");
+        // Raise `a` to 3 and measure only the window after the change.
+        alps.set_share(alps.proc_ids()[0], 3).unwrap();
+        sim.run_until(Nanos::from_secs(40));
+        let after = cpu(&sim);
+        let ratio = (after[0] - before[0]) / (after[1] - before[1]);
         assert!((ratio - 3.0).abs() < 0.25, "expected 3:1, got {ratio:.3}");
     }
 

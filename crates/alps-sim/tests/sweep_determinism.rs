@@ -5,10 +5,9 @@
 
 use alps_core::Nanos;
 use alps_sim::experiments::scalability::{run_scalability, ScalabilityParams};
-use alps_sim::experiments::slo::{run_slo_sweep, SloParams};
 use alps_sim::experiments::workload::{run_workload_mean, WorkloadParams, WorkloadRun};
 use std::sync::Mutex;
-use workloads::{Arrivals, ShareModel};
+use workloads::ShareModel;
 
 /// Serializes the tests that flip the process-wide thread override.
 static THREADS_KNOB: Mutex<()> = Mutex::new(());
@@ -53,63 +52,6 @@ fn workload_mean_is_invariant_to_thread_count() {
     let parallel = run_workload_mean(&p, &[1, 2, 3]);
     alps_sweep::set_threads(None);
     assert_runs_identical(&serial, &parallel);
-}
-
-/// A small SLO scenario: short run, controller active the whole time.
-fn slo_quick() -> SloParams {
-    SloParams {
-        duration: Nanos::from_secs(8),
-        settle: Nanos::from_secs(3),
-        ..SloParams::default()
-    }
-}
-
-/// Per-seed JSON fingerprints of an SLO sweep — every field of every
-/// tenant outcome, bit-for-bit (serde renders f64 exactly).
-fn slo_fingerprints(p: &SloParams, seeds: &[u64]) -> Vec<String> {
-    run_slo_sweep(p, seeds)
-        .into_iter()
-        .map(|(s, r)| format!("{s}:{}", serde_json::to_string(&r).unwrap()))
-        .collect()
-}
-
-#[test]
-fn slo_sweep_is_invariant_to_thread_count_and_seed_order() {
-    let _g = THREADS_KNOB.lock().unwrap();
-    let p = slo_quick();
-    alps_sweep::set_threads(Some(1));
-    let serial = slo_fingerprints(&p, &[1, 2, 3]);
-    alps_sweep::set_threads(Some(4));
-    let parallel = slo_fingerprints(&p, &[1, 2, 3]);
-    let mut reversed = slo_fingerprints(&p, &[3, 2, 1]);
-    alps_sweep::set_threads(None);
-    assert_eq!(serial, parallel, "thread count must be invisible");
-    reversed.reverse();
-    assert_eq!(serial, reversed, "seed order must be invisible");
-}
-
-#[test]
-fn arrival_traces_fingerprint_is_stable() {
-    // The offered traffic of the default SLO scenario is a pure function
-    // of the spec: the first 64 arrival gaps of each tenant, xor-folded.
-    // If this fingerprint moves, every latency table in EXPERIMENTS.md
-    // silently changes meaning — bump them together, deliberately.
-    let p = SloParams::default();
-    let fp: u64 = p
-        .tenants
-        .iter()
-        .enumerate()
-        .flat_map(|(i, t)| {
-            let seed = p.seed.wrapping_mul(31).wrapping_add(i as u64);
-            t.arrivals.trace(seed, 64)
-        })
-        .fold(0u64, |acc, t| acc.rotate_left(7) ^ t.as_nanos());
-    assert_eq!(fp, 0xe01a_f635_91b3_a1c9, "arrival fingerprint drifted");
-    // And a different scenario seed produces a different trace.
-    let alt = Arrivals::Poisson {
-        mean_interarrival: Nanos::from_millis(8),
-    };
-    assert_ne!(alt.trace(1, 64), alt.trace(2, 64));
 }
 
 #[test]

@@ -170,9 +170,13 @@ mod tests {
         let at: Vec<Nanos> = t.events().iter().map(|e| e.at).collect();
         assert_eq!(at, [Nanos(7), Nanos(8), Nanos(9)]);
         assert_eq!(t.dropped(), 7);
-        // Serialized as a sequence, oldest first, as when it was a `Vec`.
+        // Serialized as a sequence, oldest first, as when it was a `Vec`,
+        // each pid as its bare number; the events read back unchanged.
         let json = serde_json::to_string(&t).expect("serialize");
-        assert!(json.starts_with(r#"{"events":[{"at":7,"#), "{json}");
+        assert!(json.starts_with(r#"{"events":[{"at":7,"pid":7,"#), "{json}");
+        let back: Trace = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back.events(), t.events());
+        assert_eq!(back.dropped(), t.dropped());
     }
 
     #[test]

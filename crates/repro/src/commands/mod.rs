@@ -6,7 +6,6 @@
 //! [`scalability`](mod@scalability) (Figs. 8–9, §4.2, the stride
 //! baseline), [`web`] (§5), plus the [`batch`](mod@batch),
 //! [`conformance`](mod@conformance) (the spec-oracle differential),
-//! [`slo`](mod@slo) (SLO-driven share feedback under open-loop overload),
 //! [`actuators`](mod@actuators) (per-actuation-backend Figure-4
 //! accuracy), and [`verify`](mod@verify) extensions. All commands keep
 //! their `commands::<name>()` paths via the re-exports below, so
@@ -20,7 +19,6 @@ mod costs;
 mod io;
 mod multi;
 mod scalability;
-mod slo;
 mod table;
 mod verify;
 mod web;
@@ -33,7 +31,6 @@ pub use costs::table1;
 pub use io::{fig6, io_policy};
 pub use multi::{fig7, table3};
 pub use scalability::{baseline, scalability};
-pub use slo::{overload, slo};
 pub use verify::verify;
 pub use web::{latency, websrv};
 pub use workload::{ablation, accounting, fig4, fig5, table2};

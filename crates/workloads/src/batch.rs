@@ -53,7 +53,7 @@ impl Workload for BatchStage {
                 )
             })
             .collect();
-        Tenant::new(self.name.clone(), members, Vec::new(), probe)
+        Tenant::new(self.name.clone(), members, probe)
     }
 }
 

@@ -2,9 +2,8 @@
 //!
 //! Everything the paper runs *under* ALPS, behind one interface: a
 //! [`Workload`] spec spawns into a simulation and hands back a uniform
-//! [`Tenant`] handle (member pids for membership scans, auxiliary pids
-//! ALPS must never signal, and a [`LatencyProbe`] feeding
-//! per-request latency into `alps_metrics`):
+//! [`Tenant`] handle (member pids for membership scans and a
+//! [`LatencyProbe`] feeding per-request latency into `alps_metrics`):
 //!
 //! * [`shares`] — the Table-2 share distributions (linear/equal/skewed for
 //!   5/10/20 processes);
@@ -16,10 +15,7 @@
 //! * [`webserver`] — the §5 shared-web-server model: three saturated
 //!   bulletin-board sites whose worker pools compete for the CPU;
 //! * [`batch`] — fork-join stages with heterogeneous work (the intro's
-//!   scientific application);
-//! * [`traffic`] — open-loop arrival processes (Poisson, flash crowds)
-//!   whose offered load is independent of scheduling — the tail-latency
-//!   and SLO experiments' traffic engine.
+//!   scientific application).
 //!
 //! All workload randomness follows the stream-splitting rule documented
 //! in [`workload`]: stateless indexed draws, never shared-RNG advance
@@ -32,7 +28,6 @@ pub mod batch;
 pub mod behavior;
 pub mod hierarchy;
 pub mod shares;
-pub mod traffic;
 pub mod webserver;
 pub mod workload;
 
@@ -40,6 +35,5 @@ pub use batch::BatchStage;
 pub use behavior::FiniteJob;
 pub use hierarchy::{NodeId, ShareTree};
 pub use shares::ShareModel;
-pub use traffic::{Arrivals, BestEffort, OpenLoop, STREAM_ARRIVAL, STREAM_CPU, STREAM_DB};
-pub use webserver::Site;
+pub use webserver::{Site, STREAM_CPU, STREAM_DB};
 pub use workload::{jitter_factor, splitmix64, stream, unit_f64, LatencyProbe, Tenant, Workload};

@@ -27,8 +27,12 @@ use std::rc::Rc;
 use alps_core::Nanos;
 use kernsim::{Behavior, Sim, SimCtl, Step};
 
-use crate::traffic::{STREAM_CPU, STREAM_DB};
 use crate::workload::{jitter_factor, stream, LatencyProbe, Tenant, Workload};
+
+/// Stream id for request CPU costs.
+pub const STREAM_CPU: u64 = 0x42;
+/// Stream id for request blocking (I/O) costs.
+pub const STREAM_DB: u64 = 0x43;
 
 /// One hosted site: the spec the §5 experiments spawn per user.
 #[derive(Debug, Clone)]
@@ -99,7 +103,7 @@ impl Workload for Site {
             };
             members.push(pid);
         }
-        Tenant::new(self.name.clone(), members, Vec::new(), probe)
+        Tenant::new(self.name.clone(), members, probe)
     }
 }
 

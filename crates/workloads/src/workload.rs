@@ -1,19 +1,15 @@
 //! The uniform workload interface: [`Workload`], [`Tenant`], and
 //! [`LatencyProbe`].
 //!
-//! Every workload generator in this crate — web sites, batch stages,
-//! trace replays, open-loop traffic — is a *spec* struct implementing
-//! [`Workload`]: `spawn(&self, sim)` materializes the spec's processes
-//! into a simulation and hands back a [`Tenant`], the uniform handle the
-//! experiments operate on. A tenant knows which of its pids are
-//! ALPS-visible [`Tenant::members`] (handed to `spawn_alps_principals` /
-//! membership scans) and which are auxiliary infrastructure
-//! ([`Tenant::aux`] — e.g. an open-loop arrival generator that must never
-//! be SIGSTOPped, or arrivals would depend on scheduling). Every tenant
-//! carries a [`LatencyProbe`] that its behaviors feed per-request
+//! Every workload generator in this crate — web sites, batch stages —
+//! is a *spec* struct implementing [`Workload`]: `spawn(&self, sim)`
+//! materializes the spec's processes into a simulation and hands back a
+//! [`Tenant`], the uniform handle the experiments operate on. A tenant
+//! knows its ALPS-visible [`Tenant::members`] (handed to
+//! `spawn_alps_principals` / membership scans) and carries a
+//! [`LatencyProbe`] that its behaviors feed per-request
 //! `(latency, service)` samples; the probe renders
-//! [`alps_metrics::LatencySummary`] blocks for tables and for the SLO
-//! controller's control periods.
+//! [`alps_metrics::LatencySummary`] blocks and exact percentiles.
 //!
 //! # The stream-splitting rule
 //!
@@ -24,8 +20,8 @@
 //! couples tenants to the scheduler: adding a tenant, changing a share,
 //! or reordering a sweep would perturb every other tenant's costs.
 //! Indexed streams make request *k*'s cost a pure function of the spec,
-//! so arrival traces and service demands are byte-identical across
-//! thread counts, seed orders, and controller on/off runs.
+//! so service demands are byte-identical across thread counts, seed
+//! orders, and share changes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -62,21 +58,13 @@ pub fn jitter_factor(bits: u64, jitter: f64) -> f64 {
     }
 }
 
-#[derive(Debug, Default)]
-struct ProbeInner {
-    /// `(latency_ns, service_ns)` per completed request, completion order.
-    samples: Vec<(u64, u64)>,
-    /// Requests dropped before service (open-loop queue overflow).
-    dropped: u64,
-}
-
 /// Shared per-tenant latency recorder: behaviors push one
-/// `(latency, service)` sample per completed request; readers render
-/// [`LatencySummary`] blocks over all samples or over a window (the SLO
-/// controller's per-period view).
+/// `(latency, service)` sample per completed request, in completion
+/// order; readers render [`LatencySummary`] blocks and percentiles over
+/// the samples after a warm-up prefix.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyProbe {
-    inner: Rc<RefCell<ProbeInner>>,
+    samples: Rc<RefCell<Vec<(u64, u64)>>>,
 }
 
 impl LatencyProbe {
@@ -87,32 +75,18 @@ impl LatencyProbe {
 
     /// Record one completed request.
     pub fn record(&self, latency_ns: u64, service_ns: u64) {
-        self.inner
-            .borrow_mut()
-            .samples
-            .push((latency_ns, service_ns));
-    }
-
-    /// Count one request dropped before service (queue overflow).
-    pub fn record_drop(&self) {
-        self.inner.borrow_mut().dropped += 1;
+        self.samples.borrow_mut().push((latency_ns, service_ns));
     }
 
     /// Requests completed so far.
     pub fn completed(&self) -> u64 {
-        self.inner.borrow().samples.len() as u64
-    }
-
-    /// Requests dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.samples.borrow().len() as u64
     }
 
     /// Histogram over completions after `skip` warm-up requests.
     pub fn histogram(&self, skip: usize) -> LatencyHistogram {
-        let inner = self.inner.borrow();
         let mut h = LatencyHistogram::new();
-        for &(l, s) in inner.samples.iter().skip(skip) {
+        for &(l, s) in self.samples.borrow().iter().skip(skip) {
             h.record(l, s);
         }
         h
@@ -123,23 +97,12 @@ impl LatencyProbe {
         LatencySummary::from_histogram(&self.histogram(skip))
     }
 
-    /// Summary of the samples recorded since `cursor`, plus the new
-    /// cursor — the SLO controller's per-control-period window.
-    pub fn window_summary(&self, cursor: usize) -> (LatencySummary, usize) {
-        let inner = self.inner.borrow();
-        let mut h = LatencyHistogram::new();
-        for &(l, s) in inner.samples.iter().skip(cursor) {
-            h.record(l, s);
-        }
-        (LatencySummary::from_histogram(&h), inner.samples.len())
-    }
-
     /// A latency percentile (0.0–1.0) over completions after `skip`
     /// warm-up requests, in milliseconds; exact (sorts the raw samples),
     /// `None` if no samples.
     pub fn percentile_ms(&self, pct: f64, skip: usize) -> Option<f64> {
-        let inner = self.inner.borrow();
-        let mut xs: Vec<u64> = inner.samples.iter().skip(skip).map(|&(l, _)| l).collect();
+        let samples = self.samples.borrow();
+        let mut xs: Vec<u64> = samples.iter().skip(skip).map(|&(l, _)| l).collect();
         if xs.is_empty() {
             return None;
         }
@@ -150,8 +113,7 @@ impl LatencyProbe {
 }
 
 /// The uniform handle a spawned workload hands back: its name, its
-/// ALPS-visible member pids, its auxiliary (never-signalled) pids, and
-/// its latency probe.
+/// ALPS-visible member pids, and its latency probe.
 #[derive(Debug, Clone)]
 pub struct Tenant {
     /// Tenant name (e.g. the user account the workload runs as).
@@ -160,33 +122,18 @@ pub struct Tenant {
     /// model this includes idle pool workers — they exist and are
     /// measured even though they never contend.
     pub members: Vec<Pid>,
-    /// Auxiliary pids that must stay outside ALPS's reach — e.g. an
-    /// open-loop arrival generator, whose timing must not depend on the
-    /// tenant's share.
-    pub aux: Vec<Pid>,
     probe: LatencyProbe,
 }
 
 impl Tenant {
     /// Assemble a tenant handle (workload `spawn` implementations call
     /// this).
-    pub fn new(
-        name: impl Into<String>,
-        members: Vec<Pid>,
-        aux: Vec<Pid>,
-        probe: LatencyProbe,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, members: Vec<Pid>, probe: LatencyProbe) -> Self {
         Tenant {
             name: name.into(),
             members,
-            aux,
             probe,
         }
-    }
-
-    /// The tenant's latency probe.
-    pub fn probe(&self) -> &LatencyProbe {
-        &self.probe
     }
 
     /// Requests completed since spawn.
@@ -255,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_summary_and_windows() {
+    fn probe_summary_and_percentiles() {
         let p = LatencyProbe::new();
         for i in 1..=10u64 {
             p.record(i * 1_000_000, 1_000_000);
@@ -264,12 +211,6 @@ mod tests {
         let s = p.summary(0);
         assert_eq!(s.count, 10);
         assert!(s.max_ms > 9.0);
-        // Window: only what arrived since the cursor.
-        let (w, cur) = p.window_summary(8);
-        assert_eq!(w.count, 2);
-        assert_eq!(cur, 10);
-        let (w2, _) = p.window_summary(cur);
-        assert_eq!(w2.count, 0);
         // Exact percentile over raw samples.
         assert_eq!(p.percentile_ms(1.0, 0), Some(10.0));
         assert_eq!(p.percentile_ms(0.0, 9), Some(10.0));

@@ -6,7 +6,9 @@
 //! the shapes this workspace uses: named structs, tuple structs, unit
 //! structs, and enums with unit / tuple / struct variants; the
 //! `#[serde(skip)]`, `#[serde(default)]` (on named fields), and
-//! `#[serde(transparent)]` attributes; no generics.
+//! `#[serde(transparent)]` attributes; no generics. As in serde, a
+//! one-field tuple struct (a newtype) is written as its inner value,
+//! with or without `transparent`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -247,7 +249,7 @@ fn gen_serialize(item: &Item) -> String {
         Body::Struct(Shape::Named(fields)) => ser_named(fields, "&self."),
         Body::Struct(Shape::Tuple(fields)) => {
             let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-            if item.transparent && live.len() == 1 {
+            if live.len() == 1 && (item.transparent || fields.len() == 1) {
                 format!("::serde::Serialize::to_value(&self.{})", live[0].name)
             } else {
                 let elems: Vec<String> = live
