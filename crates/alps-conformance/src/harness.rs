@@ -32,6 +32,9 @@ pub struct DriveReport {
     pub transitions: u64,
     /// Peak live population.
     pub peak_live: usize,
+    /// Member counters stepped back ([`run_engine_rewinding`]; 0 in
+    /// every other run).
+    pub rewinds: u64,
     /// FNV-style fold of every per-quantum observable (due ids,
     /// transitions, allowance bit patterns), so suites can assert that two
     /// runs saw *byte-identical* scheduler behavior.
@@ -158,9 +161,11 @@ impl World for MockSubstrate {
         self.now = self.now.saturating_add(dt);
     }
 
-    fn apply(&mut self, pid: i32, burn: Nanos, now: &MockProc, _seed: u64) {
+    /// Takes the oracle mock's counter as it is, so a twin mock follows
+    /// a counter that steps back ([`run_engine_rewinding`]) as well.
+    fn apply(&mut self, pid: i32, _burn: Nanos, now: &MockProc, _seed: u64) {
         let p = self.procs.get_mut(&pid).expect("drawn pid exists");
-        p.cpu = p.cpu.saturating_add(burn);
+        p.cpu = now.cpu;
         p.blocked = now.blocked;
         p.gone = now.gone;
     }
@@ -432,6 +437,37 @@ pub fn run_engine_in<W: World>(
     seed: u64,
     len: usize,
 ) -> DriveReport {
+    drive_engine(world, cfg, mode, seed, len, None)
+}
+
+/// [`run_engine_schedule`] with counters that may step back, as a
+/// glitching `/proc` reading can: after each quantum's workload, each
+/// live member's counter falls by up to a quantum with probability 1/4.
+/// Those draws come from a stream of their own, seeded from `seed`, so
+/// the op schedule is [`generate`]'s for `seed` and no other driver's
+/// draws move. Both engines charge the saturating forward delta from a
+/// member's previous reading, the lower one included.
+pub fn run_engine_rewinding(
+    cfg: AlpsConfig,
+    mode: EngineMode,
+    seed: u64,
+    len: usize,
+) -> DriveReport {
+    let rewind = Lcg::new(seed ^ 0x0BAC_C0DE_5EED_0000);
+    drive_engine(MockSubstrate::default(), cfg, mode, seed, len, Some(rewind))
+}
+
+/// [`run_engine_in`], stepping counters back with draws from `rewind`
+/// if given. Only a world that takes the mock's counter as it is
+/// (a [`MockSubstrate`]) can follow a step back.
+fn drive_engine<W: World>(
+    world: W,
+    cfg: AlpsConfig,
+    mode: EngineMode,
+    seed: u64,
+    len: usize,
+    mut rewind: Option<Lcg>,
+) -> DriveReport {
     let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact);
     let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg);
     let mut w = Worlds {
@@ -531,6 +567,12 @@ pub fn run_engine_in<W: World>(
                         p.cpu = p.cpu.saturating_add(burn);
                         p.blocked = workload.chance(1, 6);
                         p.gone = workload.chance(1, 40);
+                        if let Some(r) = rewind.as_mut() {
+                            if r.chance(1, 4) {
+                                p.cpu = p.cpu.saturating_sub(r.nanos_below(q));
+                                report.rewinds += 1;
+                            }
+                        }
                         w.world.apply(pid, burn, p, seed);
                     }
 
@@ -634,7 +676,7 @@ fn check_engine_state(
         "cycle logs diverge (seed {seed})"
     );
     assert_eq!(
-        prod.scheduler().cycle_time_remaining().to_bits(),
+        prod.cycle_time_remaining().to_bits(),
         oracle.scheduler().cycle_time_remaining().to_bits(),
         "t_c diverges (seed {seed})"
     );

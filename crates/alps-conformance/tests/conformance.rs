@@ -6,7 +6,8 @@
 //! the seed, so any divergence replays exactly.
 
 use alps_conformance::harness::{
-    config_corners, run_core_schedule, run_engine_schedule, DriveReport, EngineMode,
+    config_corners, run_core_schedule, run_engine_rewinding, run_engine_schedule, DriveReport,
+    EngineMode,
 };
 use alps_core::{AlpsConfig, IoPolicy, Nanos};
 
@@ -116,6 +117,42 @@ fn principal_engine_matches_oracle() {
         "too few transitions: {}",
         total.transitions
     );
+}
+
+/// Engine-level differential over counters that step back: fixed
+/// principals and groups, lazy and eager, every I/O policy. A fixed
+/// principal's reading goes to the scheduler raw and a group's members'
+/// readings are summed, and both are charged the saturating forward delta
+/// the oracle computes, to the bit on every allowance.
+#[test]
+fn engines_match_the_oracle_when_counters_step_back() {
+    for mode in [EngineMode::Flat, EngineMode::Principals] {
+        let mut total = DriveReport::default();
+        for (c, cfg) in config_corners().into_iter().enumerate() {
+            for s in 0..20u64 {
+                let seed = 0xBAC0_0000_0000_0000 | (c as u64) << 32 | s;
+                let rep = run_engine_rewinding(cfg, mode, seed, 50);
+                total.quanta += rep.quanta;
+                total.cycles += rep.cycles;
+                total.rewinds += rep.rewinds;
+            }
+        }
+        assert!(
+            total.quanta > 5_000,
+            "{mode:?}: too few quanta: {}",
+            total.quanta
+        );
+        assert!(
+            total.cycles > 100,
+            "{mode:?}: too few cycles: {}",
+            total.cycles
+        );
+        assert!(
+            total.rewinds > 5_000,
+            "{mode:?}: too few rewinds: {}",
+            total.rewinds
+        );
+    }
 }
 
 /// The same seed drives the same schedule to the same report — the whole

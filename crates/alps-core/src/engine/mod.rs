@@ -33,7 +33,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::config::AlpsConfig;
 use crate::cycle::{CycleEntry, CycleRecord};
-use crate::principal::{DueList, MemberSet};
+use crate::principal::{DueList, MemberSet, Principal};
 use crate::sched::{AlpsScheduler, Observation, ProcId, QuantumOutcome, StaleId, Transition};
 use crate::time::Nanos;
 
@@ -121,38 +121,14 @@ struct Repair<M> {
     retry: bool,
 }
 
-/// One principal's entry in the engine's table: its members, each with
-/// the cumulative CPU of its last reading, and nothing else. The rest of
-/// what the engine knows of a principal is in the scheduler's slot at the
-/// same index: the generation that validates a [`ProcId`], the share, and
-/// the CPU charged so far over current and past members
-/// ([`AlpsScheduler::charged`], which each measurement advances).
-/// The two tables register and remove in lockstep, so the table holds an
-/// entry exactly where the scheduler holds a live slot.
-#[derive(Debug, Clone)]
-enum Principal<M> {
-    /// A fixed single-member principal ([`Engine::add_member`]).
-    Fixed(M, Nanos),
-    /// A group ([`Engine::add_principal`]). Boxed, so that a fixed entry
-    /// is not padded to a member set's size.
-    Group(Box<MemberSet<M>>),
-}
-
-impl<M: Copy + Ord> Principal<M> {
-    /// The members, in ascending order.
-    fn members(&self) -> &[M] {
-        match self {
-            Principal::Fixed(m, _) => std::slice::from_ref(m),
-            Principal::Group(set) => set.members(),
-        }
-    }
-
-    /// Member `m`'s last reading.
-    fn reading_mut(&mut self, m: &M) -> Option<&mut Nanos> {
-        match self {
-            Principal::Fixed(x, last) => (x == m).then_some(last),
-            Principal::Group(set) => set.get_mut(m),
-        }
+/// The members of the principal whose entry is `p`, in ascending order.
+fn members_of<'a, M>(groups: &'a [MemberSet<M>], p: &'a Principal<M>) -> &'a [M]
+where
+    M: Copy + Ord,
+{
+    match p {
+        Principal::Fixed(m) => std::slice::from_ref(m),
+        Principal::Group(g) => groups[*g as usize].members(),
     }
 }
 
@@ -187,11 +163,18 @@ impl<M: Copy + Ord> Principal<M> {
 /// on a timer, so a fault-free quantum does no recovery work.
 #[derive(Debug, Clone)]
 pub struct Engine<M: Copy + Ord + Hash + fmt::Debug> {
-    sched: AlpsScheduler,
-    /// Dense principal table indexed by [`ProcId::index`], parallel to
-    /// the scheduler's slots, so the per-quantum lookups are O(1)
-    /// without hashing.
-    principals: Vec<Option<Principal<M>>>,
+    /// The Figure-3 scheduler, one process per principal. Its slot is the
+    /// engine's whole record of a principal: the generation that
+    /// validates a [`ProcId`], the share, the last reading, and the
+    /// [`Principal`] entry as the slot's payload, so a due fixed
+    /// principal is read and charged in one slot access.
+    sched: AlpsScheduler<Principal<M>>,
+    /// The group table: each live group's members, at the index its
+    /// [`Principal::Group`] entry names. A removed group's set is emptied
+    /// and its index reused.
+    groups: Vec<MemberSet<M>>,
+    /// Indices of `groups` free for reuse (LIFO).
+    free_groups: Vec<u32>,
     /// Every principal in registration order: the order of
     /// [`Engine::proc_ids`] and of cycle-record entries.
     order: Vec<ProcId>,
@@ -248,8 +231,9 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// only value.
     pub fn new(cfg: AlpsConfig, _: Instrumentation) -> Self {
         Engine {
-            sched: AlpsScheduler::new(cfg),
-            principals: Vec::new(),
+            sched: AlpsScheduler::with_payloads(cfg),
+            groups: Vec::new(),
+            free_groups: Vec::new(),
             order: Vec::new(),
             boundary: Vec::new(),
             stale: 0,
@@ -297,7 +281,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// If `member` already belongs to a principal: a member is charged to
     /// one principal at most.
     pub fn add_member(&mut self, member: M, share: u64, initial_cpu: Nanos) -> ProcId {
-        let id = self.insert_principal(share, Principal::Fixed(member, initial_cpu), initial_cpu);
+        let id = self.insert_principal(share, Principal::Fixed(member), initial_cpu);
         let owner = self.member_index.insert(member, id.index() as u32);
         assert!(
             owner.is_none(),
@@ -309,28 +293,21 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// Register an empty group (§5). Populate it with
     /// [`Engine::set_membership`].
     pub fn add_principal(&mut self, share: u64) -> ProcId {
-        let group = Principal::Group(Box::default());
-        self.insert_principal(share, group, Nanos::ZERO)
+        let g = self.free_groups.pop().unwrap_or_else(|| {
+            self.groups.push(MemberSet::default());
+            (self.groups.len() - 1) as u32
+        });
+        self.insert_principal(share, Principal::Group(g), Nanos::ZERO)
     }
 
-    /// Register `p`, whose cycle log starts from the `exact` reading.
-    fn insert_principal(&mut self, share: u64, p: Principal<M>, exact: Nanos) -> ProcId {
-        let id = self.sched.add_process(share, Nanos::ZERO);
-        if id.index() == self.principals.len() {
-            self.principals.push(None);
-        }
-        self.principals[id.index()] = Some(p);
+    /// Register `p`, whose first reading, and the cycle log's, is `cpu`.
+    fn insert_principal(&mut self, share: u64, p: Principal<M>, cpu: Nanos) -> ProcId {
+        let id = self.sched.add_process_with(share, cpu, p);
         self.order.push(id);
         if self.record_cycles {
-            self.boundary.push(exact);
+            self.boundary.push(cpu);
         }
         id
-    }
-
-    /// The principal for a handle, if the handle is current.
-    fn principal(&self, id: ProcId) -> Option<&Principal<M>> {
-        self.sched.is_eligible(id)?;
-        self.principals[id.index()].as_ref()
     }
 
     /// Replace a group's member set (the once-per-second refresh of §5)
@@ -356,9 +333,10 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         sink: &mut (impl EventSink<M> + ?Sized),
     ) -> Option<usize> {
         let eligible = self.sched.is_eligible(id)?;
-        let Some(Principal::Group(set)) = &mut self.principals[id.index()] else {
+        let Principal::Group(g) = *self.sched.payload(id)? else {
             return None;
         };
+        let set = &mut self.groups[g as usize];
         // Every joiner paired with `Stop`, then every leaver with
         // `Continue`: the index update below reads who joined and who
         // left from it, and a suspended principal's refresh sends it.
@@ -379,7 +357,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         }
         let leavers = set.members().iter().filter(|m| members.get(m).is_none());
         batch.extend(leavers.map(|&m| (m, Signal::Continue)));
-        **set = members;
+        *set = members;
         for &(m, signal) in &batch {
             match signal {
                 Signal::Stop => {
@@ -404,10 +382,14 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     /// should resume if the principal was ineligible). The engine keeps
     /// no recovery state for them afterwards.
     pub fn remove_principal(&mut self, id: ProcId) -> Option<Vec<M>> {
-        self.sched.remove_process(id)?;
-        let p = self.principals[id.index()]
-            .take()
-            .expect("a live slot has an entry");
+        let members = match *self.sched.payload(id)? {
+            Principal::Fixed(m) => vec![m],
+            Principal::Group(g) => {
+                self.free_groups.push(g);
+                std::mem::take(&mut self.groups[g as usize]).into_members()
+            }
+        };
+        self.sched.remove_process(id);
         self.stale += 1;
         if self.stale * 2 > self.order.len() {
             let sched = &self.sched;
@@ -416,7 +398,6 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             self.order.retain(|&x| sched.is_eligible(x).is_some());
             self.stale = 0;
         }
-        let members = p.members().to_vec();
         for m in &members {
             self.member_index.remove(m);
             self.forget_faults(m);
@@ -451,13 +432,11 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         self.last_begin = Some(now);
         self.stats.quanta += 1;
         self.due.clear();
-        let (principals, due) = (&self.principals, &mut self.due);
-        self.sched
-            .begin_quantum_with(|id| match principals[id.index()].as_ref() {
-                Some(Principal::Fixed(m, _)) => due.push(id, [*m]),
-                Some(Principal::Group(set)) => due.push(id, set.members().iter().copied()),
-                None => unreachable!("the scheduler's due ids are registered"),
-            });
+        let (groups, due) = (&self.groups, &mut self.due);
+        self.sched.begin_quantum_with(|id, p| match *p {
+            Principal::Fixed(m) => due.push_fixed(id, m),
+            Principal::Group(g) => due.push_group(id, groups[g as usize].members()),
+        });
         sink.on_event(&Event::QuantumStart {
             invocation: self.stats.quanta,
             now,
@@ -509,16 +488,27 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             self.readings.push(None);
             res = sub.read_batch(&self.due.members()[at + 1..], &mut self.readings);
         }
-        // One walk in due order. A principal is blocked (§2.4) only when
-        // every member read is; one with no member read, or removed since
-        // stage 1, is not measured. The reaps and strikes below touch only
-        // such principals and unread members, so measuring first is safe.
+        // One walk in due order. A fixed principal's reading goes to the
+        // scheduler as it is, and the scheduler charges the forward delta
+        // from its last one. A group is charged the sum of its members'
+        // forward deltas on top of what it was charged before, and is
+        // blocked (§2.4) only when every member read is. A principal with
+        // no member read, or removed since stage 1, is not measured. The
+        // reaps and strikes below touch only such principals and unread
+        // members, so measuring first is safe.
         let mut tc_delta = 0.0;
         let mut i = 0;
         let mut faulted = self.faulted.iter().peekable();
-        for (id, members) in self.due.iter() {
-            let charged = self.sched.charged(id);
-            let mut p = charged.and(self.principals[id.index()].as_mut());
+        for (id, group, members) in self.due.walk() {
+            // A group removed since stage 1 has no charge and is skipped.
+            let mut set = None;
+            if group {
+                if let (Some(charged), Some(&Principal::Group(g))) =
+                    (self.sched.charged(id), self.sched.payload(id))
+                {
+                    set = Some((charged, &mut self.groups[g as usize]));
+                }
+            }
             let (mut consumed, mut any_read, mut all_blocked) = (Nanos::ZERO, false, true);
             for &m in members {
                 match self.readings[i] {
@@ -548,8 +538,11 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                                 retry: false,
                             });
                         }
-                        if let Some(p) = p.as_deref_mut() {
-                            if let Some(last) = p.reading_mut(&m) {
+                        if !group {
+                            self.sched
+                                .measure(id, o.total_cpu, o.blocked, &mut tc_delta);
+                        } else if let Some((_, set)) = set.as_mut() {
+                            if let Some(last) = set.get_mut(&m) {
                                 consumed += o.total_cpu.saturating_sub(*last);
                                 *last = o.total_cpu;
                             }
@@ -565,7 +558,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
                 }
                 i += 1;
             }
-            if let Some(charged) = charged.filter(|_| any_read) {
+            if let Some((charged, _)) = set.filter(|_| any_read) {
                 let total = charged + consumed;
                 self.sched.measure(id, total, all_blocked, &mut tc_delta);
             }
@@ -585,14 +578,17 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         self.sched.finish_quantum(tc_delta, &mut self.outcome);
         self.staged.clear();
         for t in &self.outcome.transitions {
-            let p = self.principals[t.proc_id().index()]
-                .as_ref()
+            let id = t.proc_id();
+            let p = self
+                .sched
+                .payload(id)
                 .expect("a transition's principal is registered");
             let signal = match t {
                 Transition::Resume(_) => Signal::Continue,
                 Transition::Suspend(_) => Signal::Stop,
             };
-            self.staged.extend(p.members().iter().map(|&m| (m, signal)));
+            let members = members_of(&self.groups, p);
+            self.staged.extend(members.iter().map(|&m| (m, signal)));
         }
         if !self.repairs.is_empty() {
             self.push_repairs(sink);
@@ -706,7 +702,7 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
     fn reap(&mut self, id: ProcId, m: M, sink: &mut (impl EventSink<M> + ?Sized)) {
         // Only a fixed principal dies with its member; a group's gone
         // member is skipped until the backend's next refresh drops it.
-        if !matches!(self.principal(id), Some(Principal::Fixed(..))) {
+        if !matches!(self.sched.payload(id), Some(Principal::Fixed(_))) {
             return;
         }
         self.remove_principal(id);
@@ -759,16 +755,16 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         };
         self.stats.quarantined += 1;
         sink.on_event(&Event::Quarantined { member: m });
-        let p = self.principals[id.index()].as_mut();
-        match p.expect("a managed member's principal is registered") {
-            Principal::Fixed(..) => {
+        let p = self.sched.payload(id);
+        match *p.expect("a managed member's principal is registered") {
+            Principal::Fixed(_) => {
                 self.remove_principal(id);
             }
             // The evicted member gets no reconciliation signal: it is
             // faulting. Re-admitted stopped into an eligible group, it is
             // read stopped and resumed.
-            Principal::Group(set) => {
-                if set.remove(&m).is_some() {
+            Principal::Group(g) => {
+                if self.groups[g as usize].remove(&m).is_some() {
                     self.member_index.remove(&m);
                 }
             }
@@ -866,8 +862,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
             let Some(charged) = self.sched.charged(id) else {
                 continue; // tombstoned (removed, not yet compacted)
             };
-            let current = match self.principals[id.index()] {
-                Some(Principal::Fixed(m, _)) => match sub.read_exact(m) {
+            let current = match self.sched.payload(id) {
+                Some(&Principal::Fixed(m)) => match sub.read_exact(m) {
                     // A member that is gone is charged nothing further;
                     // keep the old reading so the record is stable.
                     Ok(cpu) => cpu.unwrap_or(last),
@@ -950,7 +946,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
 
     /// Members of a principal.
     pub fn members(&self, id: ProcId) -> Option<Vec<M>> {
-        self.principal(id).map(|p| p.members().to_vec())
+        let p = self.sched.payload(id)?;
+        Some(members_of(&self.groups, p).to_vec())
     }
 
     /// The principal a member belongs to, if any.
@@ -958,22 +955,8 @@ impl<M: Copy + Ord + Hash + fmt::Debug> Engine<M> {
         self.member_index.get(&m).map(|&i| self.sched.id_at(i))
     }
 
-    /// The inner Figure-3 scheduler, for read-only inspection.
-    pub fn scheduler(&self) -> &AlpsScheduler {
-        &self.sched
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A table entry is a fixed principal's member and last reading, or a
-    /// group's box: 16 bytes for a 4-byte member, the vacant entry
-    /// included.
-    #[test]
-    fn a_principal_entry_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Option<Principal<i32>>>(), 16);
-        assert_eq!(std::mem::size_of::<Option<Principal<u32>>>(), 16);
+    /// CPU time remaining before the current cycle completes (`t_c`).
+    pub fn cycle_time_remaining(&self) -> f64 {
+        self.sched.cycle_time_remaining()
     }
 }

@@ -54,8 +54,8 @@
 //!   instrumentation stream. It is also §5's principal layer: a
 //!   scheduled entity is one process or a group of processes (e.g. all
 //!   processes of one user), charged their summed CPU.
-//! * [`principal`] — the principal layer's data: member sets, the due
-//!   list, member signals and membership changes.
+//! * [`principal`] — the principal layer's data: the entry each
+//!   principal keeps in its scheduler slot, member sets, the due list.
 //! * [`cycle`] — per-cycle consumption records for accuracy analysis.
 //! * [`config`] — quantum length, the §2.3 lazy-measurement switch, and
 //!   §2.4 I/O policies.

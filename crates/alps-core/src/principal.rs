@@ -16,15 +16,30 @@
 use crate::sched::ProcId;
 use crate::time::Nanos;
 
+/// A principal's entry, kept in its slot of the engine's
+/// [`AlpsScheduler`](crate::AlpsScheduler) beside its share and allowance:
+/// 8 bytes for a 4-byte member, so the slot stays one cache line.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Principal<M> {
+    /// A fixed single-member principal
+    /// ([`Engine::add_member`](crate::Engine::add_member)). The slot's
+    /// last reading is its member's raw cumulative CPU.
+    Fixed(M),
+    /// A group ([`Engine::add_principal`](crate::Engine::add_principal)),
+    /// whose member set is the engine's group table at this index. The
+    /// slot's last reading is the CPU charged to the group so far.
+    Group(u32),
+}
+
 /// The due list [`Engine::begin_quantum`](crate::Engine::begin_quantum)
 /// refills: the principals due for measurement this quantum, each with
 /// its member set, flattened into two backing vectors so steady-state
 /// refills allocate nothing.
 #[derive(Debug, Clone)]
 pub struct DueList<M> {
-    /// `(principal, start, len)` — the member slice of each due principal
-    /// within `members`.
-    entries: Vec<(ProcId, u32, u32)>,
+    /// `(principal, start, len, group)` — the member slice of each due
+    /// principal within `members`, and whether the principal is a group.
+    entries: Vec<(ProcId, u32, u32, bool)>,
     /// All members to read this quantum, in due order.
     members: Vec<M>,
 }
@@ -56,9 +71,18 @@ impl<M> DueList<M> {
 
     /// Iterate over `(principal, members)` pairs in due order.
     pub fn iter(&self) -> impl Iterator<Item = (ProcId, &[M])> + '_ {
-        self.entries
-            .iter()
-            .map(|&(id, start, len)| (id, &self.members[start as usize..(start + len) as usize]))
+        self.walk().map(|(id, _, members)| (id, members))
+    }
+
+    /// Iterate over `(principal, group, members)` in due order.
+    pub(crate) fn walk(&self) -> impl Iterator<Item = (ProcId, bool, &[M])> + '_ {
+        self.entries.iter().map(|&(id, start, len, group)| {
+            (
+                id,
+                group,
+                &self.members[start as usize..(start + len) as usize],
+            )
+        })
     }
 
     pub(crate) fn clear(&mut self) {
@@ -66,18 +90,26 @@ impl<M> DueList<M> {
         self.members.clear();
     }
 
-    /// Append a due principal with its members.
-    pub(crate) fn push(&mut self, id: ProcId, members: impl IntoIterator<Item = M>) {
+    /// Append a due fixed principal with its member.
+    pub(crate) fn push_fixed(&mut self, id: ProcId, m: M) {
+        self.entries.push((id, self.members.len() as u32, 1, false));
+        self.members.push(m);
+    }
+
+    /// Append a due group with its members.
+    pub(crate) fn push_group(&mut self, id: ProcId, members: &[M])
+    where
+        M: Copy,
+    {
         let start = self.members.len() as u32;
-        self.members.extend(members);
-        self.entries
-            .push((id, start, self.members.len() as u32 - start));
+        self.members.extend_from_slice(members);
+        self.entries.push((id, start, members.len() as u32, true));
     }
 }
 
 /// A group's members in ascending order, each with its cumulative CPU at
 /// its last reading in the parallel `readings`. (A fixed principal holds
-/// its one member inline in the engine's table and has no set.)
+/// its one member in its [`Principal`] entry and has no set.)
 #[derive(Debug, Clone)]
 pub(crate) struct MemberSet<M> {
     members: Vec<M>,
@@ -96,6 +128,10 @@ impl<M> Default for MemberSet<M> {
 impl<M: Ord + Copy> MemberSet<M> {
     pub(crate) fn members(&self) -> &[M] {
         &self.members
+    }
+
+    pub(crate) fn into_members(self) -> Vec<M> {
+        self.members
     }
 
     pub(crate) fn get(&self, m: &M) -> Option<Nanos> {

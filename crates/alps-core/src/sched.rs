@@ -130,10 +130,10 @@ struct ProcState {
 }
 
 /// Aligned so that a slot is one 64-byte cache line, not one that
-/// straddles two.
+/// straddles two: with an 8-byte payload or none, the line holds it all.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[repr(align(64))]
-struct Slot {
+struct Slot<P> {
     generation: u32,
     state: Option<ProcState>,
     /// Whether this slot has an entry in the `occupied` index (either
@@ -152,6 +152,11 @@ struct Slot {
     /// on restore, and an older checkpoint's `wheel_key` is ignored.
     #[serde(skip)]
     filed: Option<u8>,
+    /// What the scheduler's owner keeps with the process (the engine's
+    /// principal entry; nothing for the bare scheduler). A vacated slot
+    /// keeps its last payload until the slot is reused. Not serialized.
+    #[serde(skip)]
+    payload: P,
 }
 
 /// The deadline wheel: [`WHEEL_BUCKETS`] bitmaps over `occupied`
@@ -278,12 +283,17 @@ impl Wheel {
 /// restore it after a restart without resetting allowances or cycle
 /// accounting (backends must re-attach their process handles by
 /// [`ProcId`], which is stable across the round trip).
+///
+/// Each slot carries a payload `P` beside the process's state, in the
+/// same cache line: the [`Engine`](crate::Engine) keeps its principal
+/// entry there. The bare scheduler's payload is `()`; a checkpoint holds
+/// no payload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AlpsScheduler {
+pub struct AlpsScheduler<P = ()> {
     cfg: AlpsConfig,
     /// Slot storage, indexed by [`ProcId::index`]; every access
     /// generation-checks the handle against the slot.
-    slots: Vec<Slot>,
+    slots: Vec<Slot<P>>,
     /// Vacant slot indices (LIFO), so registration and removal are O(1)
     /// regardless of population size.
     free: Vec<u32>,
@@ -348,6 +358,27 @@ fn ceil_quanta(a: f64) -> u64 {
 impl AlpsScheduler {
     /// Create a scheduler with no processes.
     pub fn new(cfg: AlpsConfig) -> Self {
+        Self::with_payloads(cfg)
+    }
+
+    /// Register a process with the given share and current cumulative CPU
+    /// reading.
+    ///
+    /// Per §2.2, the process starts *ineligible* with an allowance equal to
+    /// its share; the next invocation will emit a [`Transition::Resume`] for
+    /// it. Backends should therefore place the process in the suspended
+    /// state upon registration (e.g. send `SIGSTOP`).
+    ///
+    /// The remaining cycle time is extended by `share · Q`, keeping the
+    /// invariant that `t_c` equals the CPU time still owed in this cycle.
+    pub fn add_process(&mut self, share: u64, initial_cpu: Nanos) -> ProcId {
+        self.add_process_with(share, initial_cpu, ())
+    }
+}
+
+impl<P> AlpsScheduler<P> {
+    /// A scheduler with no processes, whose slots carry a `P` each.
+    pub(crate) fn with_payloads(cfg: AlpsConfig) -> Self {
         assert!(cfg.quantum > Nanos::ZERO, "quantum must be positive");
         AlpsScheduler {
             slots: Vec::new(),
@@ -488,17 +519,13 @@ impl AlpsScheduler {
         self.live == 0
     }
 
-    /// Register a process with the given share and current cumulative CPU
-    /// reading.
-    ///
-    /// Per §2.2, the process starts *ineligible* with an allowance equal to
-    /// its share; the next invocation will emit a [`Transition::Resume`] for
-    /// it. Backends should therefore place the process in the suspended
-    /// state upon registration (e.g. send `SIGSTOP`).
-    ///
-    /// The remaining cycle time is extended by `share · Q`, keeping the
-    /// invariant that `t_c` equals the CPU time still owed in this cycle.
-    pub fn add_process(&mut self, share: u64, initial_cpu: Nanos) -> ProcId {
+    /// [`AlpsScheduler::add_process`], keeping `payload` in the slot.
+    pub(crate) fn add_process_with(
+        &mut self,
+        share: u64,
+        initial_cpu: Nanos,
+        payload: P,
+    ) -> ProcId {
         assert!(share > 0, "share must be positive");
         let state = ProcState {
             share,
@@ -518,6 +545,7 @@ impl AlpsScheduler {
             let slot = &mut self.slots[idx];
             slot.generation = slot.generation.wrapping_add(1);
             slot.state = Some(state);
+            slot.payload = payload;
             if !slot.listed {
                 // The vacated entry was compacted away; list the slot
                 // again. (If it is still listed, the old entry simply
@@ -539,6 +567,7 @@ impl AlpsScheduler {
                 listed: true,
                 pos: self.occupied.len() as u32,
                 filed: None,
+                payload,
             });
             self.occupied.push((self.slots.len() - 1) as u32);
             ProcId {
@@ -660,10 +689,17 @@ impl AlpsScheduler {
     }
 
     /// The cumulative CPU reading of the process's last measurement (its
-    /// `initial_cpu` until the first): everything it has been charged for.
+    /// `initial_cpu` until the first).
     #[inline]
     pub(crate) fn charged(&self, id: ProcId) -> Option<Nanos> {
         self.state(id).map(|s| s.last_cpu)
+    }
+
+    /// The payload of a live process.
+    #[inline]
+    pub(crate) fn payload(&self, id: ProcId) -> Option<&P> {
+        let slot = self.slots.get(id.idx as usize)?;
+        (slot.generation == id.generation && slot.state.is_some()).then_some(&slot.payload)
     }
 
     /// Iterate over the ids of all registered processes, in registration
@@ -703,12 +739,13 @@ impl AlpsScheduler {
     /// are simply due again at the next invocation.
     pub fn begin_quantum_into(&mut self, due: &mut Vec<ProcId>) {
         due.clear();
-        self.begin_quantum_with(|id| due.push(id));
+        self.begin_quantum_with(|id, _| due.push(id));
     }
 
-    /// [`Self::begin_quantum_into`] handing each due process to `f`, so
-    /// the engine fills its due list straight from the drain.
-    pub(crate) fn begin_quantum_with(&mut self, mut f: impl FnMut(ProcId)) {
+    /// [`Self::begin_quantum_into`] handing each due process to `f` with
+    /// its payload, so the engine fills its due list straight from the
+    /// drain.
+    pub(crate) fn begin_quantum_with(&mut self, mut f: impl FnMut(ProcId, &P)) {
         self.index_wheel();
         self.count += 1;
         let count = self.count;
@@ -757,10 +794,11 @@ impl AlpsScheduler {
             debug_assert!(slot.state.as_ref().is_some_and(|s| s.update <= count));
             slot.filed = None;
             pending.push(idx);
-            f(ProcId {
+            let id = ProcId {
                 idx,
                 generation: slot.generation,
-            });
+            };
+            f(id, &slot.payload);
         });
     }
 
@@ -1251,9 +1289,14 @@ mod tests {
         assert!((s.cycle_time_remaining() - 30e6).abs() < 1e-3);
     }
 
+    /// The slot holds the engine's principal entry for the tree's 4-byte
+    /// members (`i32`, `u32`, kernsim's `Pid`) and stays one line.
     #[test]
     fn a_slot_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Slot>(), 64);
+        use crate::principal::Principal;
+        assert_eq!(std::mem::size_of::<Slot<()>>(), 64);
+        assert_eq!(std::mem::size_of::<Slot<Principal<i32>>>(), 64);
+        assert_eq!(std::mem::size_of::<Slot<Principal<u32>>>(), 64);
     }
 
     #[test]

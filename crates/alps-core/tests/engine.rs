@@ -754,6 +754,28 @@ fn staged_signals_survive_a_refresh_delivered_before_them() {
     assert_eq!(sent, want);
 }
 
+/// A reading below the last one is charged nothing, and the next charge
+/// counts from it, as for a group's member and in the oracle: a fixed
+/// member registered at 100 ms and read at 90, then 110 ms, is charged
+/// 0 ms, then 20 ms.
+#[test]
+fn a_fixed_member_read_backwards_is_charged_from_the_lower_reading() {
+    let cfg = AlpsConfig::new(Nanos::from_millis(10)).with_lazy_measurement(false);
+    let mut e: Engine<u32> = Engine::new(cfg, Instrumentation::Exact);
+    let mut sub = MockSubstrate::default();
+    let id = e.add_member(1, 10, Nanos::from_millis(100));
+    complete(&mut e, &mut sub); // eligible, allowance 10 quanta
+    assert_eq!(e.allowance(id), Some(10.0));
+    reads(&mut sub, 1, 90, false);
+    assert_eq!(begin(&mut e, &mut sub), 1);
+    complete(&mut e, &mut sub);
+    assert_eq!(e.allowance(id), Some(10.0), "a step back is charged 0 ms");
+    reads(&mut sub, 1, 110, false);
+    assert_eq!(begin(&mut e, &mut sub), 1);
+    complete(&mut e, &mut sub);
+    assert_eq!(e.allowance(id), Some(8.0), "90 to 110 ms is charged 20 ms");
+}
+
 #[test]
 fn member_consumption_aggregates() {
     let (mut e, mut sub) = group_engine();
@@ -902,6 +924,14 @@ fn remove_principal_returns_members() {
     assert_eq!(members, vec![5, 6]);
     assert!(e.proc_ids().is_empty());
     assert!(e.remove_principal(u).is_none());
+    // The next group takes the removed one's place in the engine's group
+    // table and starts with none of its members.
+    let v = e.add_principal(2);
+    assert_eq!(e.members(v), Some(vec![]));
+    assert_eq!(e.principal_of(5), None);
+    refresh(&mut e, &mut sub, v, &[(6, Nanos::ZERO), (7, Nanos::ZERO)]);
+    assert_eq!(e.members(v), Some(vec![6, 7]));
+    assert_eq!(e.remove_principal(v), Some(vec![6, 7]));
 }
 
 #[test]
@@ -1189,7 +1219,7 @@ fn the_due_walk_measures_what_the_raw_scheduler_is_handed() {
             let at = format!("{policy:?}, quantum {k}");
             assert_eq!(engine.last_transitions(), out.transitions, "{at}");
             assert_eq!(engine.last_cycle_completed(), out.cycle_completed, "{at}");
-            let tc = engine.scheduler().cycle_time_remaining();
+            let tc = engine.cycle_time_remaining();
             assert_eq!(tc.to_bits(), raw.cycle_time_remaining().to_bits(), "{at}");
             for (id, _) in &principals {
                 let bits = |a: Option<f64>| a.map(f64::to_bits);

@@ -514,3 +514,75 @@ fn a_checkpoint_with_a_wide_wheel_key_replays_as_written() {
         assert_eq!(replay(&mut fresh, &mut live, 10, 64), want, "lazy {lazy}");
     }
 }
+
+/// The lazy [`wide_key_recipe`], quanta 10 to 26 of [`churn_quantum`],
+/// then quantum 27's `begin_quantum`, which pops two members, and its
+/// mid-quantum churn, a removal and a share change: `pending` and
+/// `dirty` are both in use. Returns the scheduler, its live ids and the
+/// due set popped.
+fn mid_quantum_recipe() -> (AlpsScheduler, Vec<ProcId>, Vec<ProcId>) {
+    let (mut s, mut live) = wide_key_recipe(true);
+    for k in 10..27 {
+        churn_quantum(&mut s, &mut live, k);
+    }
+    let due = s.begin_quantum();
+    mid_quantum_churn(&mut s, &mut live, 27);
+    (s, live, due)
+}
+
+/// [`mid_quantum_recipe`]'s checkpoint as the scheduler wrote it before
+/// its slots carried a payload. The payload is not serialized, so the
+/// format is the same.
+const PRE_PAYLOAD_CHECKPOINT: &str = concat!(
+    r#"{"cfg":{"quantum":10000000,"lazy_measurement":true,"io_policy":"OneQuantumPenalty","reco"#,
+    r#"rd_cycles":false},"slots":[{"generation":1,"state":{"share":2,"allowance":0.499999999999"#,
+    r#"99994,"eligible":true,"update":28,"last_cpu":78000000,"forfeited":false},"listed":true,""#,
+    r#"pos":0},{"generation":0,"state":null,"listed":true,"pos":1},{"generation":0,"state":{"sh"#,
+    r#"are":3,"allowance":-0.1999999999999999,"eligible":false,"update":11,"last_cpu":32000000,"#,
+    r#""forfeited":false},"listed":true,"pos":2},{"generation":2,"state":{"share":9,"allowance""#,
+    r#":6,"eligible":true,"update":33,"last_cpu":81000000,"forfeited":false},"listed":true,"pos"#,
+    r#"":3},{"generation":2,"state":{"share":1,"allowance":0.30000000000000004,"eligible":true,"#,
+    r#""update":28,"last_cpu":82000000,"forfeited":false},"listed":true,"pos":4},{"generation":"#,
+    r#"0,"state":{"share":11,"allowance":3.3000000000000007,"eligible":true,"update":29,"last_c"#,
+    r#"pu":77000000,"forfeited":false},"listed":true,"pos":5},{"generation":0,"state":{"share":"#,
+    r#"4,"allowance":-1.4000000000000004,"eligible":false,"update":17,"last_cpu":54000000,"forf"#,
+    r#"eited":false},"listed":true,"pos":6},{"generation":1,"state":{"share":5,"allowance":-0.2"#,
+    r#"0000000000000012,"eligible":false,"update":25,"last_cpu":79000000,"forfeited":false},"li"#,
+    r#"sted":true,"pos":7},{"generation":0,"state":{"share":1,"allowance":-0.14999999999999994,"#,
+    r#""eligible":false,"update":0,"last_cpu":26000000,"forfeited":false},"listed":true,"pos":8"#,
+    r#"}],"free":[1],"occupied":[0,1,2,3,4,5,6,7,8],"vacated":1,"live":8,"total_shares":36,"tc""#,
+    r#":78500000,"count":28,"cycles_completed":0,"pending":[0,4],"dirty":[8],"eligible_count":4"#,
+    r#"}"#,
+);
+
+/// A checkpoint written before slots carried a payload restores, writes
+/// itself out again byte for byte, is what today's scheduler writes for
+/// the same history, and completes its quantum and the next 64 as the
+/// original does.
+#[test]
+fn a_checkpoint_from_before_slot_payloads_round_trips_byte_identically() {
+    let mut restored: AlpsScheduler =
+        serde_json::from_str(PRE_PAYLOAD_CHECKPOINT).expect("deserialize");
+    assert_eq!(
+        serde_json::to_string(&restored).unwrap(),
+        PRE_PAYLOAD_CHECKPOINT
+    );
+    let (mut fresh, live, due) = mid_quantum_recipe();
+    assert_eq!(
+        serde_json::to_string(&fresh).unwrap(),
+        PRE_PAYLOAD_CHECKPOINT
+    );
+    let mut got = Vec::new();
+    for s in [&mut fresh, &mut restored] {
+        let mut live = live.clone();
+        let out = complete(s, &due, 27);
+        let mut quanta = vec![describe(&due, &out)];
+        quanta.extend(replay(s, &mut live, 28, 64));
+        got.push(quanta);
+    }
+    assert_eq!(got[0], got[1]);
+    assert_eq!(
+        serde_json::to_string(&restored).unwrap(),
+        serde_json::to_string(&fresh).unwrap()
+    );
+}

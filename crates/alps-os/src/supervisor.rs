@@ -62,8 +62,8 @@ use std::convert::Infallible;
 use std::time::Duration;
 
 use alps_core::{
-    AlpsConfig, AlpsScheduler, CycleRecord, Engine, EngineStats, EventSink, Instrumentation, Nanos,
-    NullSink, Observation, ProcId, Signal, Substrate, Transition,
+    AlpsConfig, CycleRecord, Engine, EngineStats, EventSink, Instrumentation, Nanos, NullSink,
+    Observation, ProcId, Signal, Substrate, Transition,
 };
 
 use crate::cgroup::{ActuatorMode, CgroupSubstrate, RealCgroupFs};
@@ -418,9 +418,9 @@ impl Supervisor {
         self.engine.cycles()
     }
 
-    /// Access the underlying algorithm state (read-only).
-    pub fn scheduler(&self) -> &AlpsScheduler {
-        self.engine.scheduler()
+    /// A principal's share, or `None` if it is gone.
+    pub fn share(&self, id: ProcId) -> Option<u64> {
+        self.engine.share(id)
     }
 
     /// Re-resolve every group's pids: enrol each joiner, read each pid
@@ -743,7 +743,7 @@ mod tests {
         let listed = vec![(fixed, pids[0]), (group, grouped[0]), (group, grouped[1])];
         assert_eq!(sup.processes(), listed);
         sup.set_share(group, 3).unwrap();
-        assert_eq!(sup.scheduler().share(group), Some(3));
+        assert_eq!(sup.share(group), Some(3));
         sup.remove_process(fixed).unwrap();
         assert_eq!(held(&sup), (2, 2));
         assert_eq!(sup.members(group), Some(grouped.clone()));

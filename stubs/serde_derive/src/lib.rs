@@ -6,9 +6,12 @@
 //! the shapes this workspace uses: named structs, tuple structs, unit
 //! structs, and enums with unit / tuple / struct variants; the
 //! `#[serde(skip)]`, `#[serde(default)]` (on named fields), and
-//! `#[serde(transparent)]` attributes; no generics. As in serde, a
-//! one-field tuple struct (a newtype) is written as its inner value,
-//! with or without `transparent`.
+//! `#[serde(transparent)]` attributes; and type parameters without
+//! declared bounds (`struct S<P = ()>`), each bound in the impl by the
+//! trait derived and, for `Deserialize`, by `Default`, which a skipped
+//! field of that type is filled with. As in serde, a one-field tuple
+//! struct (a newtype) is written as its inner value, with or without
+//! `transparent`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -52,8 +55,30 @@ enum Body {
 
 struct Item {
     name: String,
+    /// Type parameter names, in order.
+    params: Vec<String>,
     transparent: bool,
     body: Body,
+}
+
+impl Item {
+    /// `impl<...> {trait_} for Name<...>`, each parameter bound by `bound`.
+    fn impl_header(&self, trait_: &str, bound: &str) -> String {
+        if self.params.is_empty() {
+            return format!("impl {trait_} for {}", self.name);
+        }
+        let bounded: Vec<String> = self
+            .params
+            .iter()
+            .map(|p| format!("{p}: {bound}"))
+            .collect();
+        format!(
+            "impl<{}> {trait_} for {}<{}>",
+            bounded.join(", "),
+            self.name,
+            self.params.join(", ")
+        )
+    }
 }
 
 /// Serde attribute words found while skipping `#[...]` attributes.
@@ -176,11 +201,7 @@ fn parse_item(input: TokenStream) -> Item {
         other => panic!("serde_derive: expected type name, got {other}"),
     };
     i += 1;
-    if let Some(TokenTree::Punct(p)) = toks.get(i) {
-        if p.as_char() == '<' {
-            panic!("serde_derive: generic types are not supported by the in-tree stub");
-        }
-    }
+    let params = parse_params(&toks, &mut i);
     let body = match kind.as_str() {
         "struct" => Body::Struct(match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -225,9 +246,47 @@ fn parse_item(input: TokenStream) -> Item {
     };
     Item {
         name,
+        params,
         transparent,
         body,
     }
+}
+
+/// The names of the type parameters in `<...>` at `toks[*i]`, if any,
+/// stepping past them. A parameter may carry a default (`P = ()`), not a
+/// bound, a lifetime or a `const`.
+fn parse_params(toks: &[TokenTree], i: &mut usize) -> Vec<String> {
+    match toks.get(*i) {
+        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {}
+        _ => return Vec::new(),
+    }
+    let start = *i + 1;
+    let mut depth = 1;
+    while depth > 0 {
+        *i += 1;
+        match &toks[*i] {
+            TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
+            TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
+            _ => {}
+        }
+    }
+    let params = split_top(&toks[start..*i])
+        .iter()
+        .map(|chunk| {
+            let name = match chunk.first() {
+                Some(TokenTree::Ident(id)) if id.to_string() != "const" => id.to_string(),
+                _ => panic!("serde_derive: only type parameters are supported"),
+            };
+            match chunk.get(1) {
+                None => {}
+                Some(TokenTree::Punct(p)) if p.as_char() == '=' => {}
+                Some(_) => panic!("serde_derive: a type parameter may not declare bounds"),
+            }
+            name
+        })
+        .collect();
+    *i += 1;
+    params
 }
 
 fn ser_named(fields: &[Field], access: &str) -> String {
@@ -311,7 +370,8 @@ fn gen_serialize(item: &Item) -> String {
         }
     };
     format!(
-        "impl ::serde::Serialize for {name} {{ fn to_value(&self) -> ::serde::Value {{ {body} }} }}"
+        "{} {{ fn to_value(&self) -> ::serde::Value {{ {body} }} }}",
+        item.impl_header("::serde::Serialize", "::serde::Serialize"),
     )
 }
 
@@ -417,8 +477,12 @@ fn gen_deserialize(item: &Item) -> String {
         }
     };
     format!(
-        "impl ::serde::Deserialize for {name} {{ \
+        "{} {{ \
            fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::Error> {{ {body} }} \
-         }}"
+         }}",
+        item.impl_header(
+            "::serde::Deserialize",
+            "::serde::Deserialize + ::core::default::Default"
+        ),
     )
 }

@@ -5,7 +5,11 @@ Starts the program as a child, attaches one software cpu-clock
 `perf_event_open` event to it (user mode only, enabled at its `exec`), and
 records the instruction pointer at every sampling tick. It then attributes
 the samples in the program's own binary to functions with `nm` and to
-source lines with `addr2line`, and prints both tables, hottest first.
+source lines with `addr2line`, and prints both tables, hottest first. A
+sample's source line is the innermost frame of its inline chain that lies
+outside the Rust standard library (`/rustc/...`), so time spent in an
+inlined `Vec` index or `Option` match is charged to the line of ours that
+made the call; a sample with no such frame keeps its innermost one.
 
 It needs no PMU and no `perf` binary: a software clock event works in VMs
 without hardware counters, and user-only sampling of one's own child is
@@ -153,6 +157,33 @@ def symbols(binary):
     return syms
 
 
+def source_lines(binary, addrs):
+    """Each address's source line: the innermost frame of its inline chain
+    outside `/rustc/`, or its innermost frame if all are, resolved in one
+    `addr2line -i -a` call. Paths under the current directory are printed
+    relative to it."""
+    out = subprocess.run(
+        ["addr2line", "-e", binary, "-C", "-i", "-a"],
+        input="".join(f"{a:x}\n" for a in addrs),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    chains = {}
+    for line in out:
+        if line.startswith("0x"):
+            frames = chains.setdefault(int(line, 16), [])
+        else:
+            frames.append(re.sub(r" \(discriminator \d+\)$", "", line))
+    here = os.getcwd() + os.sep
+    lines = {}
+    for a, frames in chains.items():
+        ours = [f for f in frames if "/rustc/" not in f]
+        loc = (ours or frames)[0]
+        lines[a] = loc[len(here) :] if loc.startswith(here) else loc
+    return lines
+
+
 def run(argv, period_ns):
     """Run `argv` under the sampler: its samples, samples lost, the
     binary's maps, and the child's exit status."""
@@ -235,17 +266,8 @@ def main():
         print(f"{100 * n / total:6.1f} {n:8}  {name}")
 
     if args.lines and by_addr:
-        addrs = sorted(by_addr)
-        out = subprocess.run(
-            ["addr2line", "-e", binary, "-C"],
-            input="".join(f"{a:x}\n" for a in addrs),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.splitlines()
         by_line = {}
-        for a, loc in zip(addrs, out):
-            loc = re.sub(r" \(discriminator \d+\)$", "", loc)
+        for a, loc in source_lines(binary, sorted(by_addr)).items():
             by_line[loc] = by_line.get(loc, 0) + by_addr[a]
         print(f"\n{'%':>6} {'samples':>8}  source line")
         for loc, n in sorted(by_line.items(), key=lambda kv: -kv[1])[: args.lines]:
