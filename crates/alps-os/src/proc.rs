@@ -80,41 +80,86 @@ pub fn parse_stat(pid: i32, contents: &str, ns_tick: u64) -> Result<ProcStat> {
 /// field delimiter and never looks inside `comm`.
 pub fn parse_stat_bytes(pid: i32, contents: &[u8], ns_tick: u64) -> Result<ProcStat> {
     let bad = |reason: String| OsError::Parse { pid, reason };
-    let close = contents
-        .iter()
-        .rposition(|&b| b == b')')
-        .ok_or_else(|| bad("no closing paren around comm".into()))?;
+    let close =
+        last_close_paren(contents).ok_or_else(|| bad("no closing paren around comm".into()))?;
     let rest = &contents[close + 1..];
     // After comm: field 3 is state; utime and stime are fields 14 and 15 of
-    // the full line, i.e. indices 0, 11 and 12 of `rest`. Walked with the
-    // split iterator (no per-parse field vector — this runs once per
+    // the full line, i.e. indices 0, 11 and 12 of `rest`. One forward pass
+    // finds the fields up to stime and stops there (this runs once per
     // member per quantum on the supervisor hot path).
-    let split = || {
-        rest.split(u8::is_ascii_whitespace)
-            .filter(|f| !f.is_empty())
-    };
-    let mut fields = split();
-    let too_short = || bad(format!("only {} fields after comm", split().count()));
-    let state = match fields.next().ok_or_else(too_short)?[0] {
+    let mut fields = [&rest[..0]; 13];
+    let mut n = 0;
+    let mut start = None;
+    for (i, &b) in rest.iter().enumerate() {
+        if !b.is_ascii_whitespace() {
+            start.get_or_insert(i);
+        } else if let Some(s) = start.take() {
+            fields[n] = &rest[s..i];
+            n += 1;
+            if n == fields.len() {
+                break;
+            }
+        }
+    }
+    if let Some(s) = start {
+        fields[n] = &rest[s..];
+        n += 1;
+    }
+    if n < fields.len() {
+        return Err(bad(format!("only {n} fields after comm")));
+    }
+    let state = match fields[0][0] {
         b if b.is_ascii() => b as char,
         b => return Err(bad(format!("state byte {b:#04x} is not ASCII"))),
     };
-    let utime_field = fields.nth(10).ok_or_else(too_short)?;
-    let stime_field = fields.next().ok_or_else(too_short)?;
     let ticks = |name: &str, field: &[u8]| {
-        std::str::from_utf8(field)
-            .ok()
-            .and_then(|f| f.parse::<u64>().ok())
+        parse_ticks(field)
             .ok_or_else(|| bad(format!("bad {name} {:?}", String::from_utf8_lossy(field))))
     };
-    let utime = ticks("utime", utime_field)?;
-    let stime = ticks("stime", stime_field)?;
+    let utime = ticks("utime", fields[11])?;
+    let stime = ticks("stime", fields[12])?;
     Ok(ProcStat {
         pid,
         state,
         // Saturate: adversarial stat lines can carry u64::MAX tick counts,
         // which must clamp rather than overflow.
         cpu_time: Nanos(utime.saturating_add(stime).saturating_mul(ns_tick)),
+    })
+}
+
+/// Index of the last `)` in `line`, searched eight bytes at a time from
+/// the end: `comm` closes near the start of a stat line, so the search
+/// crosses the 40-odd numeric fields after it first.
+fn last_close_paren(line: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const PARENS: u64 = u64::from_ne_bytes([b')'; 8]);
+    let mut end = line.len();
+    for chunk in line.rchunks_exact(8) {
+        let word = u64::from_ne_bytes(chunk.try_into().expect("an exact chunk")) ^ PARENS;
+        // Nonzero exactly when some byte of `word` is zero, i.e. some byte
+        // of the chunk is `)`; which one is left to the byte search.
+        if word.wrapping_sub(ONES) & !word & HIGHS != 0 {
+            break;
+        }
+        end -= 8;
+    }
+    line[..end].iter().rposition(|&b| b == b')')
+}
+
+/// A tick count as `str::parse::<u64>` reads one: an optional `+`, then
+/// one or more decimal digits; `None` for anything else or on overflow.
+fn parse_ticks(field: &[u8]) -> Option<u64> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(digit))
     })
 }
 
@@ -382,6 +427,53 @@ mod tests {
         // Bytes after the anchor that are not ASCII are an error, not a
         // state nobody has heard of.
         assert!(parse_stat_bytes(1, b"1 (x) \xc3\xa9 1 2 3 4 5 6 7 8 9 10 11 12 13", 1).is_err());
+    }
+
+    #[test]
+    fn the_paren_search_finds_the_last_paren_at_every_offset() {
+        for len in 0..40 {
+            for first in 0..=len {
+                for second in first..=len {
+                    let mut line = vec![b'7'; len];
+                    for at in [first, second] {
+                        if at < len {
+                            line[at] = b')';
+                        }
+                    }
+                    assert_eq!(
+                        last_close_paren(&line),
+                        line.iter().rposition(|&b| b == b')'),
+                        "{:?}",
+                        String::from_utf8_lossy(&line)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tick_fields_parse_as_str_parse_does() {
+        for field in [
+            "0",
+            "7",
+            "0042",
+            "+5",
+            "+",
+            "++5",
+            "-5",
+            "-0",
+            "5a",
+            "1.5",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999999",
+        ] {
+            assert_eq!(
+                parse_ticks(field.as_bytes()),
+                field.parse::<u64>().ok(),
+                "{field:?}"
+            );
+        }
     }
 
     #[test]

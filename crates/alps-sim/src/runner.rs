@@ -129,8 +129,10 @@ impl AlpsBehavior {
                 .borrow()
                 .iter()
                 .copied()
-                .filter(|&p| !ctl.is_exited(p))
-                .map(|p| (p, ctl.cputime(p)))
+                .filter_map(|p| {
+                    let v = ctl.proc(p).expect("unknown pid");
+                    (!v.is_exited()).then(|| (p, v.visible_cputime()))
+                })
                 .collect();
             scanned += current.len();
             let mut sub = SimSubstrate::new(ctl);

@@ -33,31 +33,33 @@ impl Substrate for SimSubstrate<'_, '_> {
     }
 
     fn read(&mut self, pid: Pid) -> Result<Option<Observation>, Infallible> {
-        if self.ctl.is_exited(pid) {
+        let p = self.ctl.proc(pid).expect("unknown pid");
+        if p.is_exited() {
             return Ok(None);
         }
         Ok(Some(Observation {
             // The tick-granular reading a real user-level scheduler sees.
-            total_cpu: self.ctl.cputime(pid),
-            blocked: self.ctl.is_blocked(pid),
+            total_cpu: p.visible_cputime(),
+            blocked: p.is_blocked(),
         }))
     }
 
     fn read_exact(&mut self, pid: Pid) -> Result<Option<Nanos>, Infallible> {
-        if self.ctl.is_exited(pid) {
+        let p = self.ctl.proc(pid).expect("unknown pid");
+        if p.is_exited() {
             return Ok(None);
         }
         // Ground truth, so accuracy instrumentation measures the
         // scheduler rather than the visible counters it reads.
-        Ok(Some(self.ctl.cputime_exact(pid)))
+        Ok(Some(p.cputime()))
     }
 
     fn stopped(&self, pid: Pid) -> bool {
-        self.ctl.state_code(pid) == 'T'
+        self.ctl.proc(pid).expect("unknown pid").is_stopped()
     }
 
     fn deliver(&mut self, pid: Pid, signal: Signal) -> Result<bool, Infallible> {
-        if self.ctl.is_exited(pid) {
+        if self.ctl.proc(pid).expect("unknown pid").is_exited() {
             return Ok(false);
         }
         match signal {

@@ -8,9 +8,14 @@
 //! instead of being hunted down inside the queue.
 //!
 //! The queue is a binary heap keyed on `(time, seq)`, O(log E) per
-//! operation. E stays small: a supervised run keeps all but the on-deck
-//! member stopped, and nothing in the repository holds more pending events
-//! than it has processes.
+//! operation. It holds the process events and the once-per-second
+//! `schedcpu` pass, never the 100 Hz clock tick: the simulator keeps the
+//! next tick as a `(time, seq)` key of its own, takes its sequence number
+//! from [`EventQueue::mint`], and runs it whenever that key precedes
+//! [`EventQueue::peek_key`], so a tick ties with a queued event exactly as
+//! if it were queued. E stays small: a supervised run keeps all but the
+//! on-deck member stopped, and nothing in the repository holds more
+//! pending events than it has processes.
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -21,10 +26,6 @@ use crate::pid::Pid;
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// The periodic clock interrupt (`hardclock`/`statclock`): charges the
-    /// running process, enforces the round-robin slice, recomputes the
-    /// running process's priority, and performs any pending preemption.
-    Tick,
     /// The once-per-second `schedcpu` pass: decays every process's `estcpu`,
     /// updates the load average, and ages sleep times.
     SchedCpu,
@@ -96,16 +97,30 @@ impl EventQueue {
         }
     }
 
-    /// Schedule `kind` to fire at `at`.
-    pub fn schedule(&mut self, at: Nanos, kind: EventKind) {
+    /// Take the next sequence number without scheduling anything, for an
+    /// event kept outside the queue that must tie-break against queued
+    /// ones as if it had been scheduled now.
+    pub fn mint(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `kind` to fire at `at`.
+    pub fn schedule(&mut self, at: Nanos, kind: EventKind) {
+        let seq = self.mint();
         self.heap.push(Reverse(Event { at, seq, kind }));
     }
 
     /// Time of the next event, if any.
     pub fn peek_time(&self) -> Option<Nanos> {
         self.heap.peek().map(|Reverse(e)| e.at)
+    }
+
+    /// The `(time, seq)` key of the next event, if any: the order
+    /// [`Self::pop`] follows.
+    pub fn peek_key(&self) -> Option<(Nanos, u64)> {
+        self.heap.peek().map(|Reverse(e)| (e.at, e.seq))
     }
 
     /// Pop the next event.
@@ -139,12 +154,19 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    /// A process event of no particular meaning, where a test needs a kind
+    /// distinct from `SchedCpu` and `Wake`.
+    const BURST: EventKind = EventKind::BurstDone {
+        pid: Pid(0),
+        token: 0,
+    };
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(Nanos(30), EventKind::Tick);
+        q.schedule(Nanos(30), BURST);
         q.schedule(Nanos(10), EventKind::SchedCpu);
-        q.schedule(Nanos(20), EventKind::Tick);
+        q.schedule(Nanos(20), BURST);
         assert_eq!(q.peek_time(), Some(Nanos(10)));
         assert_eq!(q.pop().unwrap().at, Nanos(10));
         assert_eq!(q.pop().unwrap().at, Nanos(20));
@@ -155,7 +177,7 @@ mod tests {
     #[test]
     fn simultaneous_events_fifo() {
         let mut q = EventQueue::new();
-        q.schedule(Nanos(5), EventKind::Tick);
+        q.schedule(Nanos(5), BURST);
         q.schedule(
             Nanos(5),
             EventKind::Wake {
@@ -164,7 +186,7 @@ mod tests {
             },
         );
         q.schedule(Nanos(5), EventKind::SchedCpu);
-        assert_eq!(q.pop().unwrap().kind, EventKind::Tick);
+        assert_eq!(q.pop().unwrap().kind, BURST);
         assert!(matches!(q.pop().unwrap().kind, EventKind::Wake { .. }));
         assert_eq!(q.pop().unwrap().kind, EventKind::SchedCpu);
     }
@@ -173,7 +195,7 @@ mod tests {
     fn len_and_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.schedule(Nanos(1), EventKind::Tick);
+        q.schedule(Nanos(1), BURST);
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -185,9 +207,9 @@ mod tests {
         // zero-length burst) must fire after everything already pending
         // at that time.
         let mut q = EventQueue::new();
-        q.schedule(Nanos(7), EventKind::Tick);
+        q.schedule(Nanos(7), BURST);
         q.schedule(Nanos(7), EventKind::SchedCpu);
-        assert_eq!(q.pop().unwrap().kind, EventKind::Tick);
+        assert_eq!(q.pop().unwrap().kind, BURST);
         q.schedule(
             Nanos(7),
             EventKind::Wake {
@@ -202,7 +224,7 @@ mod tests {
     #[test]
     fn pop_due_stops_at_the_deadline_and_leaves_the_queue_untouched() {
         let mut q = EventQueue::new();
-        q.schedule(Nanos(10), EventKind::Tick);
+        q.schedule(Nanos(10), BURST);
         q.schedule(Nanos::from_secs(600), EventKind::SchedCpu);
         assert!(q.pop_due(Nanos(9)).is_none());
         assert_eq!(q.len(), 2);
@@ -213,5 +235,20 @@ mod tests {
             EventKind::SchedCpu
         );
         assert!(q.pop_due(Nanos(u64::MAX)).is_none());
+    }
+
+    #[test]
+    fn a_minted_key_ties_between_events_scheduled_around_it() {
+        let mut q = EventQueue::new();
+        q.schedule(Nanos(5), BURST);
+        let minted = (Nanos(5), q.mint());
+        q.schedule(Nanos(5), EventKind::SchedCpu);
+        assert_eq!(q.len(), 2, "minting schedules nothing");
+        let first = q.peek_key().unwrap();
+        assert!(first < minted);
+        assert_eq!(q.pop().unwrap().kind, BURST);
+        assert!(minted < q.peek_key().unwrap());
+        assert_eq!(q.pop().unwrap().kind, EventKind::SchedCpu);
+        assert_eq!(q.peek_key(), None);
     }
 }

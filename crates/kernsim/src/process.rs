@@ -254,33 +254,39 @@ pub struct ProcView<'a> {
 
 impl<'a> ProcView<'a> {
     /// The process's pid.
+    #[inline]
     pub fn pid(&self) -> Pid {
         self.proc.pid
     }
 
     /// Process name.
+    #[inline]
     pub fn name(&self) -> &'a str {
         &self.proc.name
     }
 
     /// Lifecycle state.
+    #[inline]
     pub fn state(&self) -> PState {
         self.proc.state
     }
 
     /// The `/proc`-style one-letter state code.
+    #[inline]
     pub fn state_code(&self) -> char {
         self.proc.state.code()
     }
 
     /// Exact cumulative CPU time (simulation ground truth, valid after
     /// exit).
+    #[inline]
     pub fn cputime(&self) -> Nanos {
         self.proc.cputime
     }
 
     /// Cumulative CPU time as a *user-level reader* sees it: exact or
     /// tick-sampled per `SimConfig::accounting`.
+    #[inline]
     pub fn visible_cputime(&self) -> Nanos {
         match self.accounting {
             crate::sim::CpuAccounting::Exact => self.proc.cputime,
@@ -289,41 +295,49 @@ impl<'a> ProcView<'a> {
     }
 
     /// Current decay-usage priority (lower is better).
+    #[inline]
     pub fn priority(&self) -> u8 {
         self.proc.priority
     }
 
     /// Nice value.
+    #[inline]
     pub fn nice(&self) -> i8 {
         self.proc.nice
     }
 
     /// Recent-CPU estimate driving the decay-usage priority.
+    #[inline]
     pub fn estcpu(&self) -> f64 {
         self.proc.estcpu
     }
 
     /// Times the process was placed on the CPU.
+    #[inline]
     pub fn dispatches(&self) -> u64 {
         self.proc.dispatches
     }
 
     /// Count of voluntary context switches (blocked or exited).
+    #[inline]
     pub fn voluntary_switches(&self) -> u64 {
         self.proc.voluntary_switches
     }
 
     /// Whether the process is blocked on a wait channel (the §2.4 test).
+    #[inline]
     pub fn is_blocked(&self) -> bool {
         matches!(self.proc.state, PState::Sleeping { .. })
     }
 
     /// Whether the process has exited.
+    #[inline]
     pub fn is_exited(&self) -> bool {
         matches!(self.proc.state, PState::Exited)
     }
 
     /// Whether the process is stopped by job control.
+    #[inline]
     pub fn is_stopped(&self) -> bool {
         matches!(self.proc.state, PState::Stopped { .. })
     }

@@ -22,7 +22,11 @@
 //! ([`crate::sched::RunQueue`]) supports O(1) insert/remove/pop; and the
 //! timer/burst/wakeup machinery is an event queue
 //! ([`crate::event::EventQueue`]) holding one entry per *armed* timer,
-//! burst or sleep, so quiescent processes cost nothing per tick.
+//! burst or sleep, so quiescent processes cost nothing per tick. The
+//! 100 Hz clock tick, more than half of all events, never enters the
+//! queue: the machine keeps the next tick's `(time, seq)` key beside it
+//! and compares that key with the queue's head, so a tick costs no heap
+//! push or pop and still ties with process events in the queue's order.
 
 use alps_core::Nanos;
 use rand::rngs::SmallRng;
@@ -112,6 +116,11 @@ pub struct Sim {
     now: Nanos,
     last_account: Nanos,
     events: EventQueue,
+    /// The next clock tick's `(time, seq)` key. The tick is not queued:
+    /// [`Self::run_until`] runs it when this key precedes the queue's head,
+    /// and its sequence number is minted from the queue's counter, so it
+    /// orders against queued events exactly as a queued tick would.
+    next_tick: (Nanos, u64),
     procs: ProcTable,
     /// The decay-usage ready queue.
     runq: RunQueue,
@@ -146,13 +155,14 @@ impl Sim {
     /// A fresh machine at time zero.
     pub fn new(cfg: SimConfig) -> Self {
         let mut events = EventQueue::new();
-        events.schedule(TICK, EventKind::Tick);
+        let next_tick = (TICK, events.mint());
         events.schedule(Nanos::SECOND, EventKind::SchedCpu);
         Sim {
             cfg,
             now: Nanos::ZERO,
             last_account: Nanos::ZERO,
             events,
+            next_tick,
             procs: ProcTable::new(),
             runq: RunQueue::new(),
             stride_q: Vec::new(),
@@ -290,6 +300,7 @@ impl Sim {
     /// assert_eq!(p.cputime(), Nanos::from_secs(1));
     /// assert!(!p.is_blocked());
     /// ```
+    #[inline]
     pub fn proc(&self, pid: Pid) -> Option<ProcView<'_>> {
         self.procs.get(pid).map(|p| ProcView {
             proc: p,
@@ -298,16 +309,34 @@ impl Sim {
     }
 
     /// Advance simulated time to `deadline`, processing every event due on
-    /// the way. Returns the number of events processed.
+    /// the way, clock ticks included. Returns the number of events
+    /// processed.
     pub fn run_until(&mut self, deadline: Nanos) -> u64 {
         assert!(deadline >= self.now, "cannot run backwards");
         self.fixup_dispatch();
         let mut handled = 0;
-        while let Some(ev) = self.events.pop_due(deadline) {
-            debug_assert!(ev.at >= self.now, "event from the past");
-            self.advance_to(ev.at);
-            self.now = ev.at;
-            self.handle(ev.kind);
+        loop {
+            // The queue's head is peeked afresh after every tick: a tick
+            // that dispatches schedules a burst that may end before the
+            // next tick.
+            let tick = self.next_tick;
+            if self.events.peek_key().is_some_and(|head| head < tick) {
+                let Some(ev) = self.events.pop_due(deadline) else {
+                    break;
+                };
+                debug_assert!(ev.at >= self.now, "event from the past");
+                self.advance_to(ev.at);
+                self.now = ev.at;
+                self.handle(ev.kind);
+            } else {
+                let at = tick.0;
+                if at > deadline {
+                    break;
+                }
+                self.advance_to(at);
+                self.now = at;
+                self.handle_tick();
+            }
             // A wakeup that beats the running process preempts right away,
             // as on a return from interrupt in BSD.
             self.fixup_dispatch();
@@ -496,7 +525,6 @@ impl Sim {
 
     fn handle(&mut self, kind: EventKind) {
         match kind {
-            EventKind::Tick => self.handle_tick(),
             EventKind::SchedCpu => self.handle_schedcpu(),
             EventKind::Wake { pid, token } => self.handle_wake(pid, token),
             EventKind::TimerFire { pid, token } => self.handle_timer_fire(pid, token),
@@ -504,9 +532,12 @@ impl Sim {
         }
     }
 
+    /// The periodic clock interrupt (`hardclock`/`statclock`): charges the
+    /// running process, enforces the round-robin slice, recomputes the
+    /// running process's priority, and performs any pending preemption.
     fn handle_tick(&mut self) {
         self.tick_count += 1;
-        self.events.schedule(self.now + TICK, EventKind::Tick);
+        self.next_tick = (self.now + TICK, self.events.mint());
         let Some(pid) = self.running else {
             return;
         };
@@ -933,38 +964,14 @@ impl<'a> SimCtl<'a> {
         self.sim.procs[self.me].cputime
     }
 
-    /// Read-only view of any process (see [`Sim::proc`]).
+    /// Read-only view of any process (see [`Sim::proc`]): the reads ALPS
+    /// makes, one lookup per process. A user-level scheduler sees
+    /// [`ProcView::visible_cputime`], subject to [`SimConfig::accounting`];
+    /// [`ProcView::cputime`] is simulation ground truth, for
+    /// instrumentation only.
+    #[inline]
     pub fn proc(&self, pid: Pid) -> Option<ProcView<'_>> {
         self.sim.proc(pid)
-    }
-
-    /// Cumulative CPU time of any process as a user-level reader sees it
-    /// (the expensive read ALPS minimizes; cost accounting happens in the
-    /// ALPS runner, not here). Subject to [`SimConfig::accounting`].
-    pub fn cputime(&self, pid: Pid) -> Nanos {
-        self.sim.proc(pid).expect("unknown pid").visible_cputime()
-    }
-
-    /// Event-exact cumulative CPU time — simulation ground truth, for
-    /// *instrumentation* only (a real user-level scheduler cannot see
-    /// better than [`Self::cputime`]).
-    pub fn cputime_exact(&self, pid: Pid) -> Nanos {
-        self.sim.procs[pid].cputime
-    }
-
-    /// Whether a process is blocked on a wait channel (§2.4's test).
-    pub fn is_blocked(&self, pid: Pid) -> bool {
-        self.sim.proc(pid).expect("unknown pid").is_blocked()
-    }
-
-    /// Whether a process has exited.
-    pub fn is_exited(&self, pid: Pid) -> bool {
-        self.sim.proc(pid).expect("unknown pid").is_exited()
-    }
-
-    /// `/proc`-style state code of a process.
-    pub fn state_code(&self, pid: Pid) -> char {
-        self.sim.proc(pid).expect("unknown pid").state_code()
     }
 
     /// Send `SIGSTOP` to another process.
@@ -1033,6 +1040,61 @@ mod tests {
         s.run_until(Nanos::from_secs(5));
         assert_eq!(cputime(&s, p), Nanos::from_secs(5));
         assert_eq!(s.idle_time(), Nanos::ZERO);
+    }
+
+    #[test]
+    fn a_tick_ties_with_process_timers_in_the_order_they_were_armed() {
+        /// Arms an interval timer on its first step and waits on it
+        /// forever: every fire is one `Block` in the trace.
+        struct Waiter {
+            period: Nanos,
+            armed: bool,
+        }
+        impl Behavior for Waiter {
+            fn on_ready(&mut self, ctl: &mut SimCtl<'_>) -> Step {
+                if !self.armed {
+                    self.armed = true;
+                    ctl.set_interval_timer(self.period);
+                }
+                Step::AwaitTimer
+            }
+        }
+        let waiter = |period| {
+            Box::new(Waiter {
+                period,
+                armed: false,
+            })
+        };
+        // Two hogs rotate at the 120 ms tick (its priority recomputation
+        // lets the waiting hog preempt). Two timers come due at that same
+        // instant: `early` was armed at 0, before the 110 ms tick took the
+        // 120 ms tick's sequence number; `late` is armed just after it.
+        let t = Nanos::from_millis(120);
+        let mut s = sim();
+        s.enable_trace(256);
+        let h1 = s.spawn("h1", Box::new(ComputeBound));
+        let h2 = s.spawn("h2", Box::new(ComputeBound));
+        let early = s.spawn("early", waiter(t));
+        s.run_until(t - TICK);
+        let late = s.spawn("late", waiter(TICK));
+        s.run_until(t);
+        let at_t: Vec<_> = s
+            .trace()
+            .expect("enabled")
+            .events()
+            .iter()
+            .filter(|e| e.at == t)
+            .map(|e| (e.pid, e.kind))
+            .collect();
+        assert_eq!(
+            at_t,
+            [
+                (early, TraceKind::Block),
+                (h2, TraceKind::Preempt),
+                (h1, TraceKind::Dispatch),
+                (late, TraceKind::Block),
+            ]
+        );
     }
 
     #[test]

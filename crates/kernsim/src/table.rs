@@ -64,6 +64,7 @@ impl ProcTable {
     }
 
     /// Shared access by pid; `None` for a pid this table never minted.
+    #[inline]
     pub fn get(&self, pid: Pid) -> Option<&Process> {
         self.slots.get(pid.index())
     }

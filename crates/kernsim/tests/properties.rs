@@ -4,7 +4,7 @@
 
 use alps_core::Nanos;
 use kernsim::event::{EventKind, EventQueue};
-use kernsim::{Behavior, ComputeBound, Sim, SimConfig, SimCtl, Step};
+use kernsim::{Behavior, ComputeBound, Pid, Sim, SimConfig, SimCtl, Step};
 use proptest::prelude::*;
 
 /// A behavior exercising every step type from a scripted list.
@@ -181,7 +181,13 @@ proptest! {
         let mut popped = 0usize;
         let total = ops.len();
         for (scheduled, (off, pops)) in ops.into_iter().enumerate() {
-            q.schedule(Nanos(floor.saturating_add(off)), EventKind::Tick);
+            q.schedule(
+                Nanos(floor.saturating_add(off)),
+                EventKind::BurstDone {
+                    pid: Pid(0),
+                    token: 0,
+                },
+            );
             prop_assert_eq!(q.len(), scheduled + 1 - popped);
             for _ in 0..pops {
                 let at = q.peek_time();

@@ -8,7 +8,6 @@
 
 pub type c_int = i32;
 pub type c_long = i64;
-pub type c_uint = u32;
 pub type time_t = i64;
 pub type pid_t = i32;
 pub type uid_t = u32;
@@ -52,10 +51,6 @@ pub const CLOCK_MONOTONIC: clockid_t = 1;
 pub const TIMER_ABSTIME: c_int = 1;
 
 pub const _SC_CLK_TCK: c_int = 2;
-
-pub const SIG_DFL: sighandler_t = 0;
-pub const SIG_IGN: sighandler_t = 1;
-pub const SIG_ERR: sighandler_t = !0;
 
 /// `pidfd_open(2)` syscall number (uniform across Linux architectures;
 /// new syscalls share numbers since 5.1).
