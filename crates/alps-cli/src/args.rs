@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use alps_os::ActuatorMode;
-
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
 alps — user-level proportional-share CPU scheduler (ALPS, HPDC 2006)
@@ -18,11 +16,6 @@ OPTIONS:
     -q, --quantum <ms>     ALPS quantum in milliseconds [default: 20]
     -d, --duration <s>     stop after this many seconds [default: forever]
     -r, --refresh <s>      membership refresh period for `user` [default: 1]
-    -a, --actuator <mode>  how duty-cycle intents reach processes
-                           [default: signals]: `signals` (SIGSTOP/SIGCONT),
-                           `weights` (cgroup-v2 cpu.weight writes), or
-                           `caps` (cgroup-v2 cpu.max hard caps); weights
-                           and caps need a delegated cgroup-v2 subtree
     -v, --verbose          print a status line at each completed cycle
     -t, --trace            trace every engine event to stderr
     -h, --help             show this help
@@ -69,8 +62,6 @@ pub struct Opts {
     pub verbose: bool,
     /// Per-event engine trace on stderr.
     pub trace: bool,
-    /// How duty-cycle intents are enforced (signals or cgroup writes).
-    pub actuator: ActuatorMode,
     /// The share specs.
     pub specs: Vec<ShareSpec>,
 }
@@ -147,7 +138,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, ParseError> {
         refresh_s: 1,
         verbose: false,
         trace: false,
-        actuator: ActuatorMode::default(),
         specs: Vec::new(),
     };
     while let Some(arg) = it.next() {
@@ -175,12 +165,6 @@ pub fn parse(argv: &[String]) -> Result<Cmd, ParseError> {
                 if opts.refresh_s == 0 {
                     return err("refresh must be positive");
                 }
-            }
-            "-a" | "--actuator" => {
-                let v = it
-                    .next()
-                    .ok_or(ParseError("--actuator needs a mode".into()))?;
-                opts.actuator = v.parse().map_err(|e: String| ParseError(e))?;
             }
             "-v" | "--verbose" => opts.verbose = true,
             "-t" | "--trace" => opts.trace = true,
@@ -257,25 +241,6 @@ mod tests {
             panic!()
         };
         assert!(!o.trace);
-    }
-
-    #[test]
-    fn parses_actuator_flag() {
-        let Cmd::Run(o) = parse(&v(&["run", "--actuator", "weights", "1:a", "1:b"])).unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(o.actuator, ActuatorMode::Weights);
-        let Cmd::Run(o) = parse(&v(&["run", "-a", "caps", "1:a", "1:b"])).unwrap() else {
-            panic!()
-        };
-        assert_eq!(o.actuator, ActuatorMode::Caps);
-        let Cmd::Run(o) = parse(&v(&["run", "1:a", "1:b"])).unwrap() else {
-            panic!()
-        };
-        assert_eq!(o.actuator, ActuatorMode::Signals, "signals is the default");
-        assert!(parse(&v(&["run", "-a", "fpga", "1:a", "1:b"])).is_err());
-        assert!(parse(&v(&["run", "-a"])).is_err());
     }
 
     #[test]

@@ -78,19 +78,9 @@ fn should_stop(deadline: Option<std::time::Instant>) -> bool {
     interrupted() || deadline.is_some_and(|d| std::time::Instant::now() >= d)
 }
 
-/// Build the supervisor for the requested actuator, with a pointed error
-/// when the host cannot offer cgroup actuation.
-fn supervisor(opts: &Opts) -> Result<Supervisor, Box<dyn std::error::Error>> {
-    Supervisor::with_actuator(config(opts), opts.actuator)
-        .map_err(|e| format!("cannot actuate via {}: {e}", opts.actuator).into())
-}
-
 fn run_commands(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
     install_signal_handlers();
-    // Build the supervisor before spawning anything: an unavailable
-    // actuator (e.g. no delegated cgroup subtree) must fail with zero
-    // commands left behind.
-    let mut sup = supervisor(&opts)?;
+    let mut sup = Supervisor::new(config(&opts));
     let mut children: Vec<Child> = Vec::new();
     let mut enroll = || -> Result<(), Box<dyn std::error::Error>> {
         for ShareSpec { target, share } in &opts.specs {
@@ -134,7 +124,7 @@ fn run_commands(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
 
 fn attach_pids(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
     install_signal_handlers();
-    let mut sup = supervisor(&opts)?;
+    let mut sup = Supervisor::new(config(&opts));
     for spec in &opts.specs {
         let pid: i32 = spec
             .target
@@ -196,7 +186,8 @@ fn drive(sup: &mut Supervisor, opts: &Opts) -> Result<(), Box<dyn std::error::Er
 
 fn supervise_users(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
     install_signal_handlers();
-    let mut sup = supervisor(&opts)?.with_refresh_period(Duration::from_secs(opts.refresh_s));
+    let mut sup =
+        Supervisor::new(config(&opts)).with_refresh_period(Duration::from_secs(opts.refresh_s));
     for spec in &opts.specs {
         let uid: u32 = spec
             .target

@@ -120,63 +120,6 @@ impl Substrate for MockSubstrate {
     }
 }
 
-/// The world production's `Engine` runs in while [`OracleEngine`] runs on
-/// a [`MockSubstrate`]. [`run_engine_in`] does everything to both — spawn,
-/// clock, workload, share changes — and then asks the world to match the
-/// oracle's mock.
-pub trait World: Substrate<Member = i32, Error: core::fmt::Debug> {
-    /// Register `pid` at `share` with `cpu` already consumed, then stop
-    /// it: the registration contract says the caller suspends a member.
-    fn spawn_stopped(&mut self, pid: i32, share: u64, cpu: Nanos);
-
-    /// Advance the clock by `dt`.
-    fn advance(&mut self, dt: Nanos);
-
-    /// Apply one member's quantum of workload: it burned `burn` (nothing
-    /// if stopped) and is now blocked and gone as `now`, the oracle's
-    /// mock, says. Panics with `seed` if the world refuses it.
-    fn apply(&mut self, pid: i32, burn: Nanos, now: &MockProc, seed: u64);
-
-    /// Pass a principal's new share on to one of its members, as
-    /// `alps_os::Supervisor::set_share` does.
-    fn pass_share(&mut self, pid: i32, share: u64);
-
-    /// Assert that the world matches the oracle's mock; `shares` holds
-    /// the share last passed to each member. Panics with `seed`.
-    fn check(&self, oracle: &MockSubstrate, shares: &BTreeMap<i32, u64>, seed: u64);
-}
-
-impl World for MockSubstrate {
-    fn spawn_stopped(&mut self, pid: i32, _share: u64, cpu: Nanos) {
-        let proc = MockProc {
-            cpu,
-            blocked: false,
-            gone: false,
-            stopped: true,
-        };
-        self.procs.insert(pid, proc);
-    }
-
-    fn advance(&mut self, dt: Nanos) {
-        self.now = self.now.saturating_add(dt);
-    }
-
-    /// Takes the oracle mock's counter as it is, so a twin mock follows
-    /// a counter that steps back ([`run_engine_rewinding`]) as well.
-    fn apply(&mut self, pid: i32, _burn: Nanos, now: &MockProc, _seed: u64) {
-        let p = self.procs.get_mut(&pid).expect("drawn pid exists");
-        p.cpu = now.cpu;
-        p.blocked = now.blocked;
-        p.gone = now.gone;
-    }
-
-    fn pass_share(&mut self, _pid: i32, _share: u64) {}
-
-    fn check(&self, oracle: &MockSubstrate, _shares: &BTreeMap<i32, u64>, seed: u64) {
-        assert_eq!(self, oracle, "substrate end states diverge (seed {seed})");
-    }
-}
-
 /// Fold a quantum's observables (due list, transitions, cycle flag) into
 /// a fingerprint, so suites can compare whole runs for byte-identity.
 fn fold_quantum(fp: &mut u64, due: &[ProcId], out: &alps_core::QuantumOutcome) {
@@ -391,53 +334,44 @@ pub enum EngineMode {
     Principals,
 }
 
-/// The world production's engine runs in, the oracle's mock, and the share
-/// last passed on to each member.
-struct Worlds<W> {
-    world: W,
-    mock: MockSubstrate,
-    shares: BTreeMap<i32, u64>,
+/// Production's mock and the oracle's: every spawn, clock step and
+/// workload draw lands in both, and each engine's signals in its own.
+struct Mocks {
+    prod: MockSubstrate,
+    oracle: MockSubstrate,
 }
 
-impl<W: World> Worlds<W> {
-    /// Spawn a member in both worlds alike; pids count up from 100 and are
-    /// never reused.
-    fn spawn(&mut self, rng: &mut Lcg, q: Nanos, share: u64) -> (i32, Nanos) {
-        let pid = 100 + self.mock.procs.len() as i32;
+impl Mocks {
+    /// Spawn a member, stopped as the registration contract says the
+    /// caller leaves it, in both mocks alike; pids count up from 100 and
+    /// are never reused.
+    fn spawn(&mut self, rng: &mut Lcg, q: Nanos) -> (i32, Nanos) {
+        let pid = 100 + self.oracle.procs.len() as i32;
         let cpu = rng.nanos_below(q);
-        self.mock.spawn_stopped(pid, share, cpu);
-        self.world.spawn_stopped(pid, share, cpu);
-        self.shares.insert(pid, share);
+        let proc = MockProc {
+            cpu,
+            blocked: false,
+            gone: false,
+            stopped: true,
+        };
+        self.oracle.procs.insert(pid, proc);
+        self.prod.procs.insert(pid, proc);
         (pid, cpu)
     }
 }
 
 /// Drive one generated schedule ([`generate`]) against `alps_core::Engine`
-/// and [`OracleEngine`] over twin [`MockSubstrate`]s: [`run_engine_in`]
-/// with a mock world.
+/// and [`OracleEngine`], each over its own [`MockSubstrate`], asserting
+/// identical due lists, transitions, signals, cycle boundaries, event
+/// streams, stats, cycle logs and mock end states after every op. The
+/// workload is drawn from the oracle's mock and applied to both.
 pub fn run_engine_schedule(
     cfg: AlpsConfig,
     mode: EngineMode,
     seed: u64,
     len: usize,
 ) -> DriveReport {
-    run_engine_in(MockSubstrate::default(), cfg, mode, seed, len)
-}
-
-/// Drive one generated schedule ([`generate`]) against `alps_core::Engine`
-/// running in `world` and [`OracleEngine`] running on a [`MockSubstrate`],
-/// asserting identical due lists, transitions, signals, cycle boundaries,
-/// event streams, stats and cycle logs after every op, and that the world
-/// matches the oracle's mock ([`World::check`]). The workload is drawn
-/// from the oracle's mock and applied to both.
-pub fn run_engine_in<W: World>(
-    world: W,
-    cfg: AlpsConfig,
-    mode: EngineMode,
-    seed: u64,
-    len: usize,
-) -> DriveReport {
-    drive_engine(world, cfg, mode, seed, len, None)
+    drive_engine(cfg, mode, seed, len, None)
 }
 
 /// [`run_engine_schedule`] with counters that may step back, as a
@@ -454,14 +388,12 @@ pub fn run_engine_rewinding(
     len: usize,
 ) -> DriveReport {
     let rewind = Lcg::new(seed ^ 0x0BAC_C0DE_5EED_0000);
-    drive_engine(MockSubstrate::default(), cfg, mode, seed, len, Some(rewind))
+    drive_engine(cfg, mode, seed, len, Some(rewind))
 }
 
-/// [`run_engine_in`], stepping counters back with draws from `rewind`
-/// if given. Only a world that takes the mock's counter as it is
-/// (a [`MockSubstrate`]) can follow a step back.
-fn drive_engine<W: World>(
-    world: W,
+/// [`run_engine_schedule`], stepping counters back with draws from
+/// `rewind` if given.
+fn drive_engine(
     cfg: AlpsConfig,
     mode: EngineMode,
     seed: u64,
@@ -470,10 +402,9 @@ fn drive_engine<W: World>(
 ) -> DriveReport {
     let mut prod: Engine<i32> = Engine::new(cfg, Instrumentation::Exact);
     let mut oracle: OracleEngine<i32> = OracleEngine::new(cfg);
-    let mut w = Worlds {
-        world,
-        mock: MockSubstrate::default(),
-        shares: BTreeMap::new(),
+    let mut w = Mocks {
+        prod: MockSubstrate::default(),
+        oracle: MockSubstrate::default(),
     };
     let mut sink_p = RecordingSink::new();
     let mut sink_o = RecordingSink::new();
@@ -489,7 +420,7 @@ fn drive_engine<W: World>(
                 if live.len() >= 8 {
                     continue;
                 }
-                let (pid, initial) = w.spawn(&mut workload, q, share);
+                let (pid, initial) = w.spawn(&mut workload, q);
                 let (id, oid) = match mode {
                     EngineMode::Flat => (
                         prod.add_member(pid, share, initial),
@@ -500,10 +431,11 @@ fn drive_engine<W: World>(
                         let oid = oracle.add_principal(share);
                         let mut members = vec![(pid, initial)];
                         for _ in 0..workload.below(3) {
-                            members.push(w.spawn(&mut workload, q, share));
+                            members.push(w.spawn(&mut workload, q));
                         }
-                        let sent = prod.set_membership(&mut w.world, id, &members, &mut sink_p);
-                        let sent_o = oracle.set_membership(&mut w.mock, oid, &members, &mut sink_o);
+                        let sent = prod.set_membership(&mut w.prod, id, &members, &mut sink_p);
+                        let sent_o =
+                            oracle.set_membership(&mut w.oracle, oid, &members, &mut sink_o);
                         assert_eq!(sent, sent_o, "membership signals diverge (seed {seed})");
                         (id, oid)
                     }
@@ -536,10 +468,6 @@ fn drive_engine<W: World>(
                     oracle.set_share(id, share),
                     "set_share diverges (seed {seed})"
                 );
-                for pid in prod.members(id).unwrap_or_default() {
-                    w.world.pass_share(pid, share);
-                    w.shares.insert(pid, share);
-                }
                 // A removed principal's id must be stale on both sides.
                 if let Some(&stale) = minted.iter().find(|&&id| prod.share(id).is_none()) {
                     let res = prod.set_share(stale, share);
@@ -552,13 +480,13 @@ fn drive_engine<W: World>(
                     // Occasionally arrive late (coalesced timer): both
                     // engines must record the overrun.
                     let advance = if workload.chance(1, 10) { q * 3 } else { q };
-                    w.mock.advance(advance);
-                    w.world.advance(advance);
+                    w.oracle.now = w.oracle.now.saturating_add(advance);
+                    w.prod.now = w.prod.now.saturating_add(advance);
 
                     // Advance the workload model identically in both
-                    // worlds: running processes burn, some block, and
+                    // mocks: running processes burn, some block, and
                     // occasionally one exits.
-                    for (&pid, p) in w.mock.procs.iter_mut().filter(|(_, p)| !p.gone) {
+                    for (&pid, p) in w.oracle.procs.iter_mut().filter(|(_, p)| !p.gone) {
                         let burn = if p.stopped {
                             Nanos::ZERO
                         } else {
@@ -573,11 +501,16 @@ fn drive_engine<W: World>(
                                 report.rewinds += 1;
                             }
                         }
-                        w.world.apply(pid, burn, p, seed);
+                        // Production's mock takes the counter as it is, so
+                        // it follows a step back as well.
+                        let twin = w.prod.procs.get_mut(&pid).expect("drawn pid exists");
+                        twin.cpu = p.cpu;
+                        twin.blocked = p.blocked;
+                        twin.gone = p.gone;
                     }
 
-                    let n = prod.begin_quantum(&mut w.world, &mut sink_p).unwrap();
-                    let n_o = oracle.begin_quantum(&mut w.mock, &mut sink_o).unwrap();
+                    let n = prod.begin_quantum(&mut w.prod, &mut sink_p).unwrap();
+                    let n_o = oracle.begin_quantum(&mut w.oracle, &mut sink_o).unwrap();
                     assert_eq!(n, n_o, "due member counts diverge (seed {seed})");
                     let due: Vec<(ProcId, Vec<i32>)> = prod
                         .due()
@@ -586,8 +519,8 @@ fn drive_engine<W: World>(
                         .collect();
                     assert_eq!(due, oracle.due(), "due lists diverge (seed {seed})");
 
-                    prod.complete_quantum(&mut w.world, &mut sink_p).unwrap();
-                    oracle.complete_quantum(&mut w.mock, &mut sink_o).unwrap();
+                    prod.complete_quantum(&mut w.prod, &mut sink_p).unwrap();
+                    oracle.complete_quantum(&mut w.oracle, &mut sink_o).unwrap();
                     assert_eq!(
                         prod.last_transitions(),
                         oracle.last_transitions(),
@@ -609,10 +542,10 @@ fn drive_engine<W: World>(
                     report.cycles += u64::from(prod.last_cycle_completed());
                     report.transitions += prod.last_transitions().len() as u64;
 
-                    prod.apply_pending_signals(&mut w.world, &mut sink_p)
+                    prod.apply_pending_signals(&mut w.prod, &mut sink_p)
                         .unwrap();
                     oracle
-                        .apply_pending_signals(&mut w.mock, &mut sink_o)
+                        .apply_pending_signals(&mut w.oracle, &mut sink_o)
                         .unwrap();
                     // Reaping may have removed principals; forget them.
                     live.retain(|&id| prod.share(id).is_some());
@@ -627,19 +560,18 @@ fn drive_engine<W: World>(
             let mut current: Vec<(i32, Nanos)> = (prod.members(id).unwrap_or_default())
                 .into_iter()
                 .filter_map(|m| {
-                    let p = w.mock.procs.get(&m)?;
+                    let p = w.oracle.procs.get(&m)?;
                     (!p.gone).then_some((m, p.cpu))
                 })
                 .collect();
             if workload.chance(1, 2) {
-                let share = oracle.share(id).expect("a live principal has a share");
-                current.push(w.spawn(&mut workload, q, share));
+                current.push(w.spawn(&mut workload, q));
             } else if current.len() > 1 {
                 let k = workload.below(current.len() as u64) as usize;
                 current.remove(k);
             }
-            let sent = prod.set_membership(&mut w.world, id, &current, &mut sink_p);
-            let sent_o = oracle.set_membership(&mut w.mock, id, &current, &mut sink_o);
+            let sent = prod.set_membership(&mut w.prod, id, &current, &mut sink_p);
+            let sent_o = oracle.set_membership(&mut w.oracle, id, &current, &mut sink_o);
             assert_eq!(sent, sent_o, "refresh signals diverge (seed {seed})");
         }
 
@@ -648,7 +580,10 @@ fn drive_engine<W: World>(
             sink_p.events, sink_o.events,
             "event streams diverge (seed {seed})"
         );
-        w.world.check(&w.mock, &w.shares, seed);
+        assert_eq!(
+            w.prod, w.oracle,
+            "substrate end states diverge (seed {seed})"
+        );
         for &id in &minted {
             if let Some(a) = prod.allowance(id) {
                 fold(&mut report.fingerprint, a.to_bits());

@@ -25,12 +25,10 @@
 //! [`harness`] generates randomized schedules (seeded, deterministic) and
 //! drives oracle and production side by side, asserting identical due
 //! lists, transitions, signals, events, cycle records, and stats after
-//! every step. It has one engine-level driver, generic over the
-//! [`harness::World`] production's engine runs in: a mock substrate, or
-//! ([`actuator`]) the cgroup actuator over an in-memory cgroupfs in any
-//! mode, whose leaf state is held to the oracle's mock. The suites in
-//! `tests/` sweep the full configuration matrix — {lazy, eager} × I/O
-//! policies × {flat, principals}, and every cgroup actuator mode — across
+//! every step; the engine-level drivers also hold production's mock
+//! substrate equal to the oracle's. The suites in `tests/` sweep the full
+//! configuration matrix — {lazy, eager} × I/O policies × {flat,
+//! principals} — across
 //! well over a thousand generated schedules, drive hand-written and
 //! property-generated op lists the generator cannot reach
 //! (`tests/oracle_inputs.rs`), and pin production's fingerprints to
@@ -49,7 +47,6 @@
 mod engine;
 mod oracle;
 
-pub mod actuator;
 pub mod harness;
 pub mod schedule;
 

@@ -31,8 +31,8 @@ pub enum OsError {
     /// A scheduler handle that no longer refers to a live registration
     /// (the process was removed or reaped earlier).
     Stale(ProcId),
-    /// The host lacks a required facility (cgroup v2 delegation, pidfd)
-    /// — callers fall back or skip.
+    /// The host lacks a required facility (`pidfd_open` before Linux
+    /// 5.3) — callers fall back or skip.
     Unsupported(&'static str),
 }
 

@@ -41,7 +41,6 @@
 // This crate is the syscall boundary; unsafe is confined to small,
 // commented blocks around libc calls.
 
-pub mod cgroup;
 pub mod children;
 pub mod clock;
 pub mod error;
@@ -52,7 +51,6 @@ pub mod signal;
 pub mod substrate;
 pub mod supervisor;
 
-pub use cgroup::{ActuatorMode, CgroupFs, CgroupSubstrate, CpuMax, FakeCgroupFs, RealCgroupFs};
 pub use children::SpinnerPool;
 pub use error::{OsError, Result};
 pub use pidfd::{ExitWatcher, PidFd};

@@ -9,36 +9,27 @@
 //! sleep cadence, the registration surface — fixed processes
 //! ([`Supervisor::add_process`]) and groups whose members are refreshed
 //! once per period, e.g. all processes of one user (§5,
-//! [`Supervisor::add_principal`]) — and two things the paper's FreeBSD box
-//! could not offer:
-//!
-//! * **members pinned by their own descriptors** — each member is read
-//!   through a held `/proc/<pid>/stat` descriptor and, with the signal
-//!   actuator, signalled through a held pidfd (`pidfd_send_signal(2)`),
-//!   so a member reaped between two quanta is found gone at its next
-//!   reading or delivery. The descriptors stay open until the member is
-//!   let go, so whatever process gets its pid number next is never
-//!   measured or signalled in its place;
-//! * **a choice of actuator** ([`ActuatorMode`]) — classic
-//!   `SIGSTOP`/`SIGCONT`, or cgroup-v2 `cpu.weight` / `cpu.max` writes
-//!   through [`CgroupSubstrate`] when the host delegates a subtree
-//!   ([`Supervisor::with_actuator`]).
+//! [`Supervisor::add_principal`]) — and one thing the paper's FreeBSD box
+//! could not offer: members pinned by their own descriptors. Each member
+//! is read through a held `/proc/<pid>/stat` descriptor and signalled
+//! through a held pidfd (`pidfd_send_signal(2)`), so a member reaped
+//! between two quanta is found gone at its next reading or delivery. The
+//! descriptors stay open until the member is let go, so whatever process
+//! gets its pid number next is never measured or signalled in its place.
 //!
 //! A fixed process is a principal with one member, so both kinds share one
-//! table: each pid the supervisor holds — enrolled with the actuator —
-//! maps to the principal it was enrolled for. One rule keeps the
+//! table: each pid the supervisor holds — its descriptors open — maps to
+//! the principal it was enrolled for. One rule keeps the
 //! table equal to the engine's member assignment: after a quantum that
 //! refreshed the groups, reaped or quarantined, every held pid the engine
 //! no longer assigns to its owner is let go. A pid is held by one
 //! principal at most, so [`Supervisor::add_process`] refuses a held pid,
 //! and the supervisor's own, with [`OsError::AlreadyHeld`].
 //!
-//! There are two constructors: [`Supervisor::new`] (signals) and
-//! [`Supervisor::with_actuator`] (any [`ActuatorMode`]), whose actuator
-//! applies to every member. Either way the loop survives transient `/proc`
-//! and signalling faults (see [`Engine`]'s fault handling): they are
-//! counted in [`Supervisor::stats`] and narrated on the event sink, so the
-//! loop's methods cannot fail.
+//! The loop survives transient `/proc` and signalling faults (see
+//! [`Engine`]'s fault handling): they are counted in
+//! [`Supervisor::stats`] and narrated on the event sink, so the loop's
+//! methods cannot fail.
 //!
 //! ```no_run
 //! use alps_core::{AlpsConfig, Nanos};
@@ -63,123 +54,13 @@ use std::time::Duration;
 
 use alps_core::{
     AlpsConfig, CycleRecord, Engine, EngineStats, EventSink, Instrumentation, Nanos, NullSink,
-    Observation, ProcId, Signal, Substrate, Transition,
+    ProcId, Signal, Substrate, Transition,
 };
 
-use crate::cgroup::{ActuatorMode, CgroupSubstrate, RealCgroupFs};
 use crate::clock;
 use crate::error::{OsError, Result};
 use crate::proc;
 use crate::substrate::OsSubstrate;
-use ActuatorSubstrate::{Cgroup, Signals};
-
-/// The supervisor's substrate: the backend behind the chosen actuator.
-#[derive(Debug)]
-enum ActuatorSubstrate {
-    Signals(OsSubstrate),
-    Cgroup(CgroupSubstrate<RealCgroupFs>),
-}
-
-impl ActuatorSubstrate {
-    fn mode(&self) -> ActuatorMode {
-        match self {
-            Signals(_) => ActuatorMode::Signals,
-            Cgroup(c) => c.mode(),
-        }
-    }
-
-    /// Backend-specific registration, failing with
-    /// [`OsError::NoSuchProcess`] for an absent pid. Both open the
-    /// member's stat descriptor, signals its pidfd too; cgroups then
-    /// create and populate the member's leaf group, which must not be
-    /// done for a pid that is not alive, so they read the stat first.
-    fn enroll(&mut self, pid: i32, share: u64) -> Result<()> {
-        match self {
-            Signals(s) => s.hold(pid),
-            Cgroup(c) => {
-                c.fs_mut().hold(pid)?;
-                c.enroll(pid, share)
-            }
-        }
-    }
-
-    /// Intentional release on removal/shutdown: resume the member
-    /// (`SIGCONT` through its pidfd / thaw + uncap); for cgroups also park
-    /// it in the subtree's parked leaf and remove its member leaf. Its
-    /// descriptors stay open until it is let go.
-    fn release(&mut self, pid: i32) -> Result<()> {
-        match self {
-            Signals(s) => s.deliver(pid, Signal::Continue).map(drop),
-            Cgroup(c) => c.release(pid),
-        }
-    }
-
-    /// Stop holding a pid: one released, one the engine let go of — an
-    /// exited or quarantined member, a group's leaver after its
-    /// reconciliation signal — or one whose enrolment failed. Its
-    /// descriptors are closed, and nothing is signalled; a cgroup leaf
-    /// still standing is released and torn down.
-    fn let_go(&mut self, pid: i32) {
-        match self {
-            Signals(s) => s.forget(pid),
-            Cgroup(c) => {
-                let _ = c.release(pid);
-                c.fs_mut().forget(pid);
-            }
-        }
-    }
-
-    fn set_share(&mut self, pid: i32, share: u64) {
-        if let Cgroup(c) = self {
-            let _ = c.set_share(pid, share);
-        }
-    }
-
-    /// Final teardown (the per-member leaves are already released).
-    fn shutdown(&mut self) {
-        if let Cgroup(c) = self {
-            let _ = c.fs_mut().remove_root();
-        }
-    }
-}
-
-impl Substrate for ActuatorSubstrate {
-    type Member = i32;
-    type Error = OsError;
-
-    fn now(&mut self) -> Nanos {
-        match self {
-            Signals(s) => s.now(),
-            Cgroup(c) => c.now(),
-        }
-    }
-
-    fn read(&mut self, pid: i32) -> Result<Option<Observation>> {
-        match self {
-            Signals(s) => s.read(pid),
-            Cgroup(c) => c.read(pid),
-        }
-    }
-
-    fn stopped(&self, pid: i32) -> bool {
-        // The cgroup substrate reads `cpu.stat`, which has no run state.
-        matches!(self, Signals(s) if s.stopped(pid))
-    }
-
-    fn deliver(&mut self, pid: i32, sig: Signal) -> Result<bool> {
-        match self {
-            Signals(s) => s.deliver(pid, sig),
-            Cgroup(c) => c.deliver(pid, sig),
-        }
-    }
-
-    fn apply_batch(&mut self, batch: &[(i32, Signal)], delivered: &mut Vec<bool>) -> Result<()> {
-        match self {
-            Signals(s) => s.apply_batch(batch, delivered),
-            Cgroup(c) => c.apply_batch(batch, delivered),
-        }
-    }
-}
 
 /// Where a group's member pids come from at each refresh.
 #[derive(Debug, Clone)]
@@ -194,8 +75,8 @@ pub enum Membership {
 #[derive(Debug)]
 pub struct Supervisor {
     engine: Engine<i32>,
-    /// Each held pid — enrolled with the actuator — and the principal it
-    /// was enrolled for. Between calls, exactly the engine's member
+    /// Each held pid — its descriptors open — and the principal it was
+    /// enrolled for. Between calls, exactly the engine's member
     /// assignment.
     held: HashMap<i32, ProcId>,
     /// Where each group's pids come from, in registration order.
@@ -205,12 +86,14 @@ pub struct Supervisor {
     refresh_period: Nanos,
     next_refresh: Nanos,
     refreshes: u64,
-    sub: ActuatorSubstrate,
+    sub: OsSubstrate,
     next_deadline: Option<Nanos>,
 }
 
 impl Supervisor {
-    fn build(cfg: AlpsConfig, sub: ActuatorSubstrate) -> Self {
+    /// Create a supervisor with no controlled processes, refreshing groups
+    /// once a second.
+    pub fn new(cfg: AlpsConfig) -> Self {
         Supervisor {
             // §3.1 instrumentation re-reads the substrate at cycle
             // boundaries.
@@ -222,30 +105,9 @@ impl Supervisor {
             refresh_period: Nanos::SECOND,
             next_refresh: Nanos::ZERO,
             refreshes: 0,
-            sub,
+            sub: OsSubstrate::new(),
             next_deadline: None,
         }
-    }
-
-    /// Create a supervisor with no controlled processes, actuating with
-    /// classic job-control signals and refreshing groups once a second.
-    pub fn new(cfg: AlpsConfig) -> Self {
-        Supervisor::build(cfg, Signals(OsSubstrate::new()))
-    }
-
-    /// Create a supervisor actuating in the given [`ActuatorMode`].
-    /// `Signals` uses `kill(2)` (never fails to construct); `Weights` and
-    /// `Caps` discover a delegated cgroup-v2 subtree and actuate through
-    /// `cpu.weight` / `cpu.max` writes, failing with
-    /// [`OsError::Unsupported`] when the host offers none.
-    pub fn with_actuator(cfg: AlpsConfig, mode: ActuatorMode) -> Result<Self> {
-        let sub = match mode {
-            ActuatorMode::Signals => Signals(OsSubstrate::new()),
-            ActuatorMode::Weights | ActuatorMode::Caps => {
-                Cgroup(CgroupSubstrate::new(RealCgroupFs::discover()?, mode))
-            }
-        };
-        Ok(Supervisor::build(cfg, sub))
     }
 
     /// Refresh each group's membership every `period` instead of every
@@ -253,11 +115,6 @@ impl Supervisor {
     pub fn with_refresh_period(mut self, period: Duration) -> Self {
         self.refresh_period = period.into();
         self
-    }
-
-    /// The actuator this supervisor enforces with.
-    pub fn actuator(&self) -> ActuatorMode {
-        self.sub.mode()
     }
 
     /// Take control of `pid` with the given share. The process is suspended
@@ -274,7 +131,7 @@ impl Supervisor {
         if self.held.contains_key(&pid) || pid == self.me {
             return Err(OsError::AlreadyHeld(pid));
         }
-        let baseline = self.enroll(pid, share, true)?;
+        let baseline = self.enroll(pid, true)?;
         let id = self.engine.add_member(pid, share, baseline);
         self.held.insert(pid, id);
         Ok(id)
@@ -315,17 +172,15 @@ impl Supervisor {
     }
 
     /// The enrolment step of [`Supervisor::add_process`] and the refresh:
-    /// register `pid` with the actuator, take its baseline reading and,
-    /// with `stop`, suspend it (a group's joiners get their signal from
-    /// the membership change instead). The reading comes from the
-    /// substrate itself, so each backend charges from its own zero:
-    /// `/proc` cumulative CPU for signals, the fresh leaf's `cpu.stat`
-    /// (zero) for cgroups. It is also the liveness check: a zombie reads
-    /// as gone. On failure nothing was stopped, and the pid is let go.
-    fn enroll(&mut self, pid: i32, share: u64, stop: bool) -> Result<Nanos> {
+    /// hold `pid`'s descriptors, take its baseline reading (`/proc`
+    /// cumulative CPU) and, with `stop`, suspend it (a group's joiners get
+    /// their signal from the membership change instead). The reading is
+    /// also the liveness check: a zombie reads as gone. On failure nothing
+    /// was stopped, and the pid is let go.
+    fn enroll(&mut self, pid: i32, stop: bool) -> Result<Nanos> {
         let sub = &mut self.sub;
         let baseline = (|| {
-            sub.enroll(pid, share)?;
+            sub.hold(pid)?;
             let obs = sub.read(pid)?.ok_or(OsError::NoSuchProcess(pid))?;
             if stop && !sub.deliver(pid, Signal::Stop)? {
                 return Err(OsError::NoSuchProcess(pid));
@@ -333,7 +188,7 @@ impl Supervisor {
             Ok(obs.total_cpu)
         })();
         if baseline.is_err() {
-            sub.let_go(pid);
+            sub.forget(pid);
         }
         baseline
     }
@@ -347,7 +202,7 @@ impl Supervisor {
         self.held.retain(|&pid, &mut owner| {
             let keep = engine.principal_of(pid) == Some(owner);
             if !keep {
-                sub.let_go(pid);
+                sub.forget(pid);
             }
             keep
         });
@@ -356,20 +211,20 @@ impl Supervisor {
     /// Release a principal — a fixed process or a group — from control,
     /// resuming every pid held for it.
     ///
-    /// On failure (e.g. a transient cgroupfs write error) nothing more is
+    /// On failure (a `SIGCONT` that could not be sent) nothing more is
     /// torn down: the principal stays fully managed — engine state and
     /// held pids intact — so the call can simply be retried
     /// (releasing a pid twice is harmless).
     pub fn remove_process(&mut self, id: ProcId) -> Result<()> {
         let pids = self.engine.members(id).unwrap_or_default();
         for &pid in &pids {
-            self.sub.release(pid)?;
+            self.sub.deliver(pid, Signal::Continue)?;
         }
         self.engine.remove_principal(id);
         self.groups.retain(|&(g, _)| g != id);
         for pid in pids {
             self.held.remove(&pid);
-            self.sub.let_go(pid);
+            self.sub.forget(pid);
         }
         Ok(())
     }
@@ -381,12 +236,7 @@ impl Supervisor {
     pub fn set_share(&mut self, id: ProcId, share: u64) -> Result<()> {
         self.engine
             .set_share(id, share)
-            .map_err(|_| OsError::Stale(id))?;
-        // Keep every member's cgroup weight in step with the share.
-        for pid in self.engine.members(id).unwrap_or_default() {
-            self.sub.set_share(pid, share);
-        }
-        Ok(())
+            .map_err(|_| OsError::Stale(id))
     }
 
     /// Every held `(ProcId, pid)` pair: principals in registration order,
@@ -426,13 +276,12 @@ impl Supervisor {
     /// Re-resolve every group's pids: enrol each joiner, read each pid
     /// already held for the group, and hand the readable ones to the
     /// engine, which delivers the reconciliation signals. A pid held for
-    /// another principal is skipped before enrolment, which would move it
-    /// out of its owner's cgroup leaf.
+    /// another principal is skipped: a process is scheduled by one
+    /// principal at most.
     fn refresh(&mut self, sink: &mut dyn EventSink<i32>) {
         self.refreshes += 1;
         for g in 0..self.groups.len() {
             let id = self.groups[g].0;
-            let share = self.engine.share(id).unwrap_or(1);
             let pids = match &self.groups[g].1 {
                 Membership::Uid(uid) => proc::pids_of_uid(*uid).unwrap_or_default(),
                 Membership::Pids(pids) => pids.clone(),
@@ -445,7 +294,7 @@ impl Supervisor {
                     Some(&owner) if owner == id => {
                         self.sub.read(pid).ok().flatten().map(|o| o.total_cpu)
                     }
-                    None if pid != self.me => match self.enroll(pid, share, false) {
+                    None if pid != self.me => match self.enroll(pid, false) {
                         Ok(cpu) => {
                             self.held.insert(pid, id);
                             Some(cpu)
@@ -531,12 +380,12 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Resume every held pid (used on shutdown so nothing is left frozen
-    /// or capped). They stay held, so a later call (`Drop` after this)
+    /// Resume every held pid (used on shutdown so nothing is left
+    /// stopped). They stay held, so a later call (`Drop` after this)
     /// signals through the same pidfds.
     pub fn release_all(&mut self) {
         for &pid in self.held.keys() {
-            let _ = self.sub.release(pid);
+            let _ = self.sub.deliver(pid, Signal::Continue);
         }
     }
 }
@@ -544,7 +393,6 @@ impl Supervisor {
 impl Drop for Supervisor {
     fn drop(&mut self) {
         self.release_all();
-        self.sub.shutdown();
     }
 }
 
@@ -560,12 +408,9 @@ mod tests {
             .unwrap_or(Nanos::ZERO)
     }
 
-    /// Stat descriptors and pidfds the signal backend holds.
+    /// Stat descriptors and pidfds the substrate holds.
     fn held(sup: &Supervisor) -> (usize, usize) {
-        match &sup.sub {
-            Signals(s) => (s.held(), s.pidfds()),
-            Cgroup(_) => panic!("not the signal actuator"),
-        }
+        (sup.sub.held(), sup.sub.pidfds())
     }
 
     #[test]
@@ -994,24 +839,5 @@ mod tests {
         );
         let stats = sup.stats();
         assert_eq!((stats.read_faults, stats.quarantined), (0, 0));
-    }
-
-    #[test]
-    fn with_actuator_signals_always_constructs() {
-        let sup = Supervisor::with_actuator(AlpsConfig::default(), ActuatorMode::Signals).unwrap();
-        assert_eq!(sup.actuator(), ActuatorMode::Signals);
-    }
-
-    #[test]
-    fn with_actuator_cgroup_is_supported_or_reports_why() {
-        // Unprivileged boxes without a delegated subtree must get a clean
-        // Unsupported, not a panic or a half-built supervisor.
-        for mode in [ActuatorMode::Weights, ActuatorMode::Caps] {
-            match Supervisor::with_actuator(AlpsConfig::default(), mode) {
-                Ok(sup) => assert_eq!(sup.actuator(), mode),
-                Err(OsError::Unsupported(_)) => {}
-                Err(e) => panic!("expected Ok or Unsupported, got {e}"),
-            }
-        }
     }
 }

@@ -2,17 +2,15 @@
 //!
 //! Runs the differential harness (production `AlpsScheduler` / `Engine`
 //! vs the executable-spec oracle) across the configuration corners: the
-//! engine on a mock substrate, then on the in-memory cgroup actuator in
-//! each mode.
+//! bare scheduler, then the engine on a mock substrate with fixed
+//! principals and with groups.
 //! Every assertion lives inside the harness — a completed run *is* the
 //! pass.
 
-use alps_conformance::actuator::run_cgroup_schedule;
 use alps_conformance::harness::{
     config_corners, run_core_schedule, run_engine_schedule, DriveReport, EngineMode,
 };
 use alps_core::AlpsConfig;
-use alps_os::cgroup::ActuatorMode;
 
 use super::table::Table;
 use crate::output::heading;
@@ -42,14 +40,6 @@ pub fn conformance(quick: bool) {
             format!("engine {tag}"),
             Box::new(move |cfg, seed, len| run_engine_schedule(cfg, mode, seed, len)),
         ));
-    }
-    for actuator in ActuatorMode::ALL {
-        for (tag, mode) in modes {
-            drivers.push((
-                format!("cgroup {actuator} {tag}"),
-                Box::new(move |cfg, seed, len| run_cgroup_schedule(actuator, cfg, mode, seed, len)),
-            ));
-        }
     }
     let mut totals = vec![DriveReport::default(); drivers.len()];
     for (c, cfg) in config_corners().into_iter().enumerate() {

@@ -5,14 +5,12 @@
 //! [`io`] (Fig. 6, §2.4), [`multi`] (Fig. 7, Table 3),
 //! [`scalability`](mod@scalability) (Figs. 8–9, §4.2, the stride
 //! baseline), [`web`] (§5), plus the [`batch`](mod@batch),
-//! [`conformance`](mod@conformance) (the spec-oracle differential),
-//! [`actuators`](mod@actuators) (per-actuation-backend Figure-4
-//! accuracy), and [`verify`](mod@verify) extensions. All commands keep
+//! [`conformance`](mod@conformance) (the spec-oracle differential), and
+//! [`verify`](mod@verify) extensions. All commands keep
 //! their `commands::<name>()` paths via the re-exports below, so
 //! `main.rs` is oblivious to the file layout. Column alignment is shared
 //! in [`table::Table`].
 
-mod actuators;
 mod batch;
 mod conformance;
 mod costs;
@@ -24,7 +22,6 @@ mod verify;
 mod web;
 mod workload;
 
-pub use actuators::actuators;
 pub use batch::batch;
 pub use conformance::conformance;
 pub use costs::table1;
@@ -46,8 +43,6 @@ pub struct Scale {
     pub scal_secs: u64,
     /// Seconds of measured web-server throughput.
     pub web_secs: u64,
-    /// Whether this is the `--quick` smoke scale.
-    pub quick: bool,
 }
 
 impl Scale {
@@ -58,7 +53,6 @@ impl Scale {
             seeds: 3,
             scal_secs: 80,
             web_secs: 60,
-            quick: false,
         }
     }
 
@@ -69,7 +63,6 @@ impl Scale {
             seeds: 1,
             scal_secs: 30,
             web_secs: 20,
-            quick: true,
         }
     }
 

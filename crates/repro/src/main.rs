@@ -3,7 +3,7 @@
 //! Usage: `repro [--quick] [--threads N] [--data <dir>] <experiment>...`
 //! where experiments are any of `table1 table2 fig4 fig5 ablation
 //! accounting fig6 io-policy fig7 table3 fig8 fig9 thresholds websrv
-//! baseline batch conformance verify latency actuators all`
+//! baseline batch conformance verify latency all`
 //! (`all` runs every one but `conformance`).
 
 #![forbid(unsafe_code)]
@@ -17,7 +17,7 @@ const USAGE: &str = "\
 usage: repro [--quick] [--threads N] [--data <dir>] <experiment>...
 experiments: table1 table2 fig4 fig5 ablation accounting fig6 io-policy
              fig7 table3 fig8 fig9 thresholds websrv baseline batch
-             conformance verify latency actuators
+             conformance verify latency
              all (every experiment above but conformance)
 --quick: shorter runs (fewer cycles/seeds) for smoke testing
 --threads N: sweep worker threads (1 = serial; default all cores)
@@ -86,7 +86,6 @@ fn main() {
         "baseline",
         "batch",
         "latency",
-        "actuators",
         "verify",
     ];
     let selected: Vec<String> = if args.iter().any(|a| a == "all") {
@@ -115,7 +114,6 @@ fn main() {
             "conformance" => commands::conformance(quick),
             "verify" => commands::verify(),
             "latency" => commands::latency(&scale),
-            "actuators" => commands::actuators(&scale),
             other => {
                 eprintln!("unknown experiment: {other}");
                 usage();

@@ -30,11 +30,8 @@ pub const SIGCONT: c_int = 18;
 
 pub const EINTR: c_int = 4;
 pub const ESRCH: c_int = 3;
-pub const ENOENT: c_int = 2;
-pub const EACCES: c_int = 13;
 pub const ENFILE: c_int = 23;
 pub const EMFILE: c_int = 24;
-pub const EROFS: c_int = 30;
 pub const ENOSYS: c_int = 38;
 
 /// `struct rlimit` (`rlim_t` is 64-bit on 64-bit Linux).
