@@ -8,15 +8,9 @@
 //!   blocked-process policy ablation;
 //! * [`multi`] — Figure 7 and Table 3 (three concurrent ALPSs);
 //! * [`scalability`] — Figures 8 and 9 and the §4.2 breakdown thresholds;
-//! * [`webserver`] — the §5 shared-web-server throughput experiment;
-//! * [`baseline`] — user-level ALPS vs in-kernel stride scheduling (the
-//!   §6 related-work trade, quantified);
-//! * [`batch`] — fork-join co-completion under work-proportional shares
-//!   (the introduction's scientific-application motivation).
+//! * [`webserver`] — the §5 shared-web-server throughput experiment.
 
 pub mod accounting;
-pub mod baseline;
-pub mod batch;
 pub mod io;
 pub mod multi;
 pub mod scalability;

@@ -240,73 +240,3 @@ mod tests {
         assert!(r.alps_p95_ms[0] >= r.alps_p95_ms[2]);
     }
 }
-
-/// One point of the quantum-vs-latency sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LatencyPoint {
-    /// Quantum in milliseconds.
-    pub quantum_ms: f64,
-    /// Throughput fractions under ALPS.
-    pub fractions: [f64; 3],
-    /// p50 latency per site, ms.
-    pub p50_ms: [f64; 3],
-    /// p95 latency per site, ms.
-    pub p95_ms: [f64; 3],
-    /// ALPS overhead, percent.
-    pub overhead_pct: f64,
-}
-
-/// Sweep the ALPS quantum and report the latency cost of coarse quanta.
-///
-/// The paper studies the accuracy/overhead trade of the quantum length
-/// (§3.1–§3.2); for an interactive workload there is a third axis: a
-/// throttled principal's requests stall in whole-cycle units (`S·Q` of
-/// CPU), so tail latency of the small-share site grows linearly with the
-/// quantum while overhead shrinks.
-pub fn run_latency_sweep(base: &WebParams, quanta_ms: &[u64]) -> Vec<LatencyPoint> {
-    quanta_ms
-        .iter()
-        .map(|&q| {
-            let mut p = *base;
-            p.quantum = Nanos::from_millis(q);
-            let r = run_webserver(&p);
-            LatencyPoint {
-                quantum_ms: q as f64,
-                fractions: r.alps_fractions,
-                p50_ms: r.alps_p50_ms,
-                p95_ms: r.alps_p95_ms,
-                overhead_pct: r.overhead_pct,
-            }
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod latency_tests {
-    use super::*;
-
-    #[test]
-    fn coarser_quanta_cost_tail_latency_but_less_overhead() {
-        let base = WebParams {
-            workers_per_site: 12,
-            active_per_site: 6,
-            duration: Nanos::from_secs(20),
-            warmup: Nanos::from_secs(3),
-            ..WebParams::default()
-        };
-        let pts = run_latency_sweep(&base, &[25, 200]);
-        // Throughput fractions hold at both quanta.
-        for pt in &pts {
-            assert!((pt.fractions[2] - 0.5).abs() < 0.08, "{pt:?}");
-        }
-        // The throttled site's tail latency grows with the quantum...
-        assert!(
-            pts[1].p95_ms[0] > pts[0].p95_ms[0] * 1.5,
-            "p95 {:.0}ms @25ms vs {:.0}ms @200ms",
-            pts[0].p95_ms[0],
-            pts[1].p95_ms[0]
-        );
-        // ...while ALPS overhead shrinks.
-        assert!(pts[1].overhead_pct < pts[0].overhead_pct);
-    }
-}

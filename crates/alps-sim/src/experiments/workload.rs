@@ -114,7 +114,6 @@ pub fn run_workload(p: &WorkloadParams) -> WorkloadRun {
         seed: p.seed,
         spawn_estcpu_jitter: 8.0,
         accounting: p.accounting,
-        ..SimConfig::default()
     };
     let mut sim = Sim::new(sim_cfg);
     let procs: Vec<(kernsim::Pid, u64)> = shares

@@ -27,8 +27,6 @@
 //!
 //! Beyond the paper's substrate, the simulator also supports:
 //!
-//! * **in-kernel stride scheduling** ([`KernelPolicy::Stride`]) as the
-//!   baseline comparator (Waldspurger & Weihl);
 //! * **statclock-sampled visible CPU counters**
 //!   ([`CpuAccounting::TickSampled`]) for the measurement-granularity
 //!   ablation;
@@ -71,6 +69,6 @@ pub mod trace;
 pub use fault::{FaultLog, FaultPlan, FaultPlanSpec, FaultRates};
 pub use pid::Pid;
 pub use process::{Behavior, ComputeBound, ComputeThenSleep, PState, ProcView, Step};
-pub use sim::{CpuAccounting, KernelPolicy, Sim, SimConfig, SimCtl};
+pub use sim::{CpuAccounting, Sim, SimConfig, SimCtl};
 pub use table::ProcTable;
 pub use trace::{Trace, TraceEvent, TraceKind};

@@ -199,11 +199,6 @@ pub struct Process {
     /// Tick-sampled CPU time (what classic statclock accounting would
     /// report to user level); see `SimConfig::accounting`.
     pub visible_cputime: Nanos,
-    /// Stride-scheduling tickets (only meaningful under
-    /// `KernelPolicy::Stride`).
-    pub tickets: u64,
-    /// Stride-scheduling pass value.
-    pub pass: f64,
     /// Remaining CPU in the current burst; `None` = compute forever.
     pub burst_remaining: Option<Nanos>,
     /// Wall-clock time of the current dispatch (for the RR slice).

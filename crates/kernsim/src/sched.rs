@@ -68,18 +68,6 @@ pub fn updatepri(estcpu: f64, loadavg: f64, slptime: u32) -> f64 {
     estcpu * decay_factor(loadavg).powi(slptime as i32)
 }
 
-/// Stride scheduling (Waldspurger & Weihl): each client's *stride* is
-/// inversely proportional to its tickets; the scheduler always runs the
-/// client with the smallest *pass*, advancing `pass` by `stride` per unit
-/// of CPU consumed. With `STRIDE1` as the numerator, a client holding `t`
-/// tickets advances its pass by `STRIDE1 / t` per nanosecond of CPU.
-pub const STRIDE1: f64 = (1u64 << 20) as f64;
-
-/// Pass advance for `t` tickets over `dt` nanoseconds of CPU.
-pub fn stride_advance(tickets: u64, dt_ns: f64) -> f64 {
-    STRIDE1 * dt_ns / tickets.max(1) as f64
-}
-
 /// Exponential smoothing constant for the 1-minute load average sampled
 /// once per second: `exp(-1/60)`.
 pub const LOADAVG_EXP: f64 = 0.983_471_453_8;

@@ -56,20 +56,6 @@ pub enum CpuAccounting {
     TickSampled,
 }
 
-/// Which in-kernel scheduling policy the simulated machine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPolicy {
-    /// The 4.4BSD decay-usage scheduler the paper ran on (default).
-    #[default]
-    DecayUsage,
-    /// In-kernel stride scheduling (Waldspurger & Weihl, the paper's ref
-    /// \[26\]): deterministic proportional share by tickets, used as the
-    /// baseline comparator for ALPS (`repro baseline`). Processes carry
-    /// tickets (see [`Sim::spawn_tickets`]); the CPU always runs the
-    /// smallest-pass runnable client.
-    Stride,
-}
-
 /// Clock interrupt period (`1/hz`): FreeBSD 4.x's `hz = 100`.
 pub const TICK: Nanos = Nanos::from_millis(10);
 
@@ -95,8 +81,6 @@ pub struct SimConfig {
     pub spawn_estcpu_jitter: f64,
     /// Granularity of the CPU times user-level readers observe.
     pub accounting: CpuAccounting,
-    /// In-kernel scheduling policy.
-    pub policy: KernelPolicy,
 }
 
 impl Default for SimConfig {
@@ -105,7 +89,6 @@ impl Default for SimConfig {
             seed: 0,
             spawn_estcpu_jitter: 0.0,
             accounting: CpuAccounting::Exact,
-            policy: KernelPolicy::DecayUsage,
         }
     }
 }
@@ -124,8 +107,6 @@ pub struct Sim {
     procs: ProcTable,
     /// The decay-usage ready queue.
     runq: RunQueue,
-    /// Runnable set under [`KernelPolicy::Stride`] (min-pass scan).
-    stride_q: Vec<Pid>,
     /// The process on the CPU.
     running: Option<Pid>,
     loadavg: f64,
@@ -165,7 +146,6 @@ impl Sim {
             next_tick,
             procs: ProcTable::new(),
             runq: RunQueue::new(),
-            stride_q: Vec::new(),
             running: None,
             loadavg: 0.0,
             schedcpu_epoch: 0,
@@ -230,20 +210,6 @@ impl Sim {
         self.spawn_nice(name, 0, behavior)
     }
 
-    /// Spawn with an explicit stride-ticket count (only meaningful under
-    /// [`KernelPolicy::Stride`]; ignored by the decay-usage policy).
-    pub fn spawn_tickets(
-        &mut self,
-        name: impl Into<String>,
-        tickets: u64,
-        behavior: Box<dyn Behavior>,
-    ) -> Pid {
-        assert!(tickets > 0, "tickets must be positive");
-        let pid = self.spawn_nice(name, 0, behavior);
-        self.procs[pid].tickets = tickets;
-        pid
-    }
-
     /// Spawn with an explicit nice value.
     pub fn spawn_nice(
         &mut self,
@@ -270,8 +236,6 @@ impl Sim {
             burst_remaining: Some(Nanos::ZERO),
             dispatched_at: self.now,
             visible_cputime: Nanos::ZERO,
-            tickets: 1,
-            pass: self.global_pass(),
             kernel_boost: false,
             wake_token: 0,
             burst_token: 0,
@@ -351,7 +315,7 @@ impl Sim {
     pub fn sigstop(&mut self, pid: Pid) {
         match self.procs[pid].state {
             PState::Runnable => {
-                self.remove_runnable(pid);
+                self.runq.remove(pid);
                 self.procs[pid].state = PState::Stopped {
                     resume_sleep_until: None,
                     was_awaiting_timer: false,
@@ -431,7 +395,7 @@ impl Sim {
         match self.procs[pid].state {
             PState::Exited => return,
             PState::Runnable => {
-                self.remove_runnable(pid);
+                self.runq.remove(pid);
             }
             PState::Running => {
                 debug_assert_eq!(self.running, Some(pid));
@@ -466,10 +430,7 @@ impl Sim {
                 "{pid}: live index disagrees with state {:?}",
                 p.state
             );
-            let queued = match self.cfg.policy {
-                KernelPolicy::DecayUsage => self.runq.contains(pid),
-                KernelPolicy::Stride => self.stride_q.contains(&pid),
-            };
+            let queued = self.runq.contains(pid);
             match p.state {
                 PState::Runnable => {
                     assert!(queued, "{pid} runnable but not queued");
@@ -484,7 +445,7 @@ impl Sim {
             }
         }
         assert_eq!(
-            self.runnable_count(),
+            self.runq.len(),
             runnable,
             "ready-queue length disagrees with a full scan"
         );
@@ -502,18 +463,12 @@ impl Sim {
             return;
         }
         let tick = TICK.as_f64();
-        // `pass` is only ever read by the stride policy; skip the float
-        // work on the decay-usage hot path.
-        let stride = self.cfg.policy == KernelPolicy::Stride;
         match self.running {
             Some(pid) => {
                 let p = &mut self.procs[pid];
                 p.cputime += dt;
                 // Continuous-time estcpu charging: one unit per tick of CPU.
                 p.estcpu = (p.estcpu + dt.as_f64() / tick).min(sched::ESTCPU_MAX);
-                if stride {
-                    p.pass += sched::stride_advance(p.tickets, dt.as_f64());
-                }
                 if let Some(r) = p.burst_remaining.as_mut() {
                     *r = r.saturating_sub(dt);
                 }
@@ -546,30 +501,13 @@ impl Sim {
         if self.tick_count.is_multiple_of(PRIORITY_RECALC_TICKS) {
             self.resetpriority(pid);
         }
-        match self.cfg.policy {
-            KernelPolicy::DecayUsage => {
-                let p = &self.procs[pid];
-                // roundrobin(): rotate among equal-or-better priorities once
-                // the slice expires. (A strictly better waiter never waits
-                // this long — fixup_dispatch preempts for it immediately.)
-                if self.now - p.dispatched_at >= RR_SLICE {
-                    if let Some(best) = self.runq.best_priority() {
-                        if best <= p.priority {
-                            self.preempt();
-                        }
-                    }
-                }
-            }
-            KernelPolicy::Stride => {
-                // Stride switches at quantum (tick) granularity: if a
-                // queued client now has the smallest pass, rotate.
-                let my_pass = self.procs[pid].pass;
-                let best = self
-                    .stride_q
-                    .iter()
-                    .map(|&q| self.procs[q].pass)
-                    .fold(f64::INFINITY, f64::min);
-                if best < my_pass {
+        let p = &self.procs[pid];
+        // roundrobin(): rotate among equal-or-better priorities once the
+        // slice expires. (A strictly better waiter never waits this long —
+        // fixup_dispatch preempts for it immediately.)
+        if self.now - p.dispatched_at >= RR_SLICE {
+            if let Some(best) = self.runq.best_priority() {
+                if best <= p.priority {
                     self.preempt();
                 }
             }
@@ -581,15 +519,11 @@ impl Sim {
     /// process immediately.
     fn fixup_dispatch(&mut self) {
         // Fill an idle CPU first (work conservation).
-        if self.running.is_none() && self.runnable_count() > 0 {
+        if self.running.is_none() && !self.runq.is_empty() {
             self.context_switch();
         }
-        // Decay-usage: preempt while the queue holds something strictly
-        // better than the running process. (Stride preempts only at tick
-        // boundaries, in handle_tick.)
-        if self.cfg.policy != KernelPolicy::DecayUsage {
-            return;
-        }
+        // Preempt while the queue holds something strictly better than the
+        // running process.
         while let (Some(best), Some(pid)) = (self.runq.best_priority(), self.running) {
             if best >= self.procs[pid].priority {
                 return;
@@ -598,20 +532,12 @@ impl Sim {
         }
     }
 
-    /// Number of queued runnable processes under the active policy.
-    fn runnable_count(&self) -> usize {
-        match self.cfg.policy {
-            KernelPolicy::DecayUsage => self.runq.len(),
-            KernelPolicy::Stride => self.stride_q.len(),
-        }
-    }
-
     fn handle_schedcpu(&mut self) {
         self.events
             .schedule(self.now + Nanos::SECOND, EventKind::SchedCpu);
         self.schedcpu_epoch += 1;
         let epoch = self.schedcpu_epoch;
-        let nrun = self.runnable_count() + usize::from(self.running.is_some());
+        let nrun = self.runq.len() + usize::from(self.running.is_some());
         self.loadavg = sched::loadavg_step(self.loadavg, nrun);
         let decay = sched::decay_factor(self.loadavg);
         // Only decay-active processes are visited: the dead cost nothing,
@@ -651,9 +577,7 @@ impl Sim {
                 let new_prio = sched::user_priority(p.estcpu, p.nice);
                 if new_prio != p.priority {
                     p.priority = new_prio;
-                    // Under stride the runnable set lives in stride_q and is
-                    // ordered by pass, not priority — nothing to requeue.
-                    if was_runnable && self.cfg.policy == KernelPolicy::DecayUsage {
+                    if was_runnable {
                         self.runq.remove(pid);
                         self.runq.push(pid, new_prio);
                     }
@@ -834,17 +758,7 @@ impl Sim {
         } else {
             p.priority
         };
-        match self.cfg.policy {
-            KernelPolicy::DecayUsage => self.runq.push(pid, prio),
-            KernelPolicy::Stride => {
-                // A client rejoining after a sleep must not cash in pass
-                // credit accrued while absent (the stride re-join rule).
-                let floor = self.global_pass();
-                let p = &mut self.procs[pid];
-                p.pass = p.pass.max(floor);
-                self.stride_q.push(pid);
-            }
-        }
+        self.runq.push(pid, prio);
         self.trace_push(pid, TraceKind::Wake);
         // If the CPU is idle, dispatch right away; a preemption of a worse
         // running process happens in the post-event fixup_dispatch (which
@@ -863,63 +777,16 @@ impl Sim {
             p.priority = sched::user_priority(p.estcpu, p.nice);
             p.state = PState::Runnable;
             let prio = p.priority;
-            match self.cfg.policy {
-                KernelPolicy::DecayUsage => self.runq.push(pid, prio),
-                KernelPolicy::Stride => self.stride_q.push(pid),
-            }
+            self.runq.push(pid, prio);
             self.trace_push(pid, TraceKind::Preempt);
         }
         self.context_switch();
     }
 
-    /// The smallest pass among runnable and running clients — stride's
-    /// global virtual time, used as the re-join floor for sleepers.
-    fn global_pass(&self) -> f64 {
-        let min = self
-            .stride_q
-            .iter()
-            .copied()
-            .chain(self.running)
-            .map(|pid| self.procs[pid].pass)
-            .fold(f64::INFINITY, f64::min);
-        if min.is_finite() {
-            min
-        } else {
-            0.0
-        }
-    }
-
-    /// Pop the runnable client the active policy would dispatch next.
-    fn pop_best_runnable(&mut self) -> Option<Pid> {
-        match self.cfg.policy {
-            KernelPolicy::DecayUsage => self.runq.pop_best().map(|(pid, _)| pid),
-            KernelPolicy::Stride => {
-                let (idx, _) = self.stride_q.iter().enumerate().min_by(|(_, a), (_, b)| {
-                    let pa = self.procs[**a].pass;
-                    let pb = self.procs[**b].pass;
-                    pa.total_cmp(&pb)
-                })?;
-                Some(self.stride_q.swap_remove(idx))
-            }
-        }
-    }
-
-    /// Remove a process from whichever runnable structure holds it.
-    fn remove_runnable(&mut self, pid: Pid) {
-        match self.cfg.policy {
-            KernelPolicy::DecayUsage => {
-                self.runq.remove(pid);
-            }
-            KernelPolicy::Stride => {
-                self.stride_q.retain(|&q| q != pid);
-            }
-        }
-    }
-
     /// Dispatch the best runnable process onto the (idle) CPU.
     fn context_switch(&mut self) {
         debug_assert!(self.running.is_none());
-        let Some(pid) = self.pop_best_runnable() else {
+        let Some((pid, _)) = self.runq.pop_best() else {
             return;
         };
         let now = self.now;

@@ -203,8 +203,6 @@ mod tests {
             sleep_epoch: 0,
             cputime: Nanos::ZERO,
             visible_cputime: Nanos::ZERO,
-            tickets: 1,
-            pass: 0.0,
             burst_remaining: None,
             dispatched_at: Nanos::ZERO,
             kernel_boost: false,

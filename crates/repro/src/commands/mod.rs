@@ -3,15 +3,13 @@
 //! Each module covers one slice of the paper: [`costs`] (Table 1),
 //! [`workload`] (Table 2, Figs. 4–5, the §3.2 and accounting ablations),
 //! [`io`] (Fig. 6, §2.4), [`multi`] (Fig. 7, Table 3),
-//! [`scalability`](mod@scalability) (Figs. 8–9, §4.2, the stride
-//! baseline), [`web`] (§5), plus the [`batch`](mod@batch),
-//! [`conformance`](mod@conformance) (the spec-oracle differential), and
+//! [`scalability`](mod@scalability) (Figs. 8–9, §4.2), [`web`] (§5), plus
+//! the [`conformance`](mod@conformance) (the spec-oracle differential) and
 //! [`verify`](mod@verify) extensions. All commands keep
 //! their `commands::<name>()` paths via the re-exports below, so
 //! `main.rs` is oblivious to the file layout. Column alignment is shared
 //! in [`table::Table`].
 
-mod batch;
 mod conformance;
 mod costs;
 mod io;
@@ -22,14 +20,13 @@ mod verify;
 mod web;
 mod workload;
 
-pub use batch::batch;
 pub use conformance::conformance;
 pub use costs::table1;
 pub use io::{fig6, io_policy};
 pub use multi::{fig7, table3};
-pub use scalability::{baseline, scalability};
+pub use scalability::scalability;
 pub use verify::verify;
-pub use web::{latency, websrv};
+pub use web::websrv;
 pub use workload::{ablation, accounting, fig4, fig5, table2};
 
 /// Shared run-scale knobs.

@@ -1,8 +1,7 @@
-//! Scalability and breakdown: Figures 8 and 9, the §4.2 threshold
-//! analysis, and the in-kernel stride baseline (§6).
+//! Scalability and breakdown: Figures 8 and 9 and the §4.2 threshold
+//! analysis.
 
 use alps_core::Nanos;
-use alps_sim::experiments::baseline::run_baseline_row;
 use alps_sim::experiments::scalability::{run_scalability, ScalabilityParams};
 
 use super::table::Table;
@@ -75,39 +74,4 @@ pub fn scalability(scale: &Scale, which: &str) {
     }
     println!("\npaper: fits U10=.0639N+.060, U20=.0338N+.034, U40=.0172N+.016;");
     println!("predicted thresholds 39/54/75, observed 40/60/90.");
-}
-
-/// Baseline: user-level ALPS vs in-kernel stride scheduling (§6).
-pub fn baseline(scale: &Scale) {
-    heading("baseline: user-level ALPS vs in-kernel stride (paper §6 trade)");
-    let table = Table::new(&[4, 12, 12, 10, 14]);
-    table.header(&[
-        "N",
-        "ALPS err(%)",
-        "ALPS ovh(%)",
-        "serviced",
-        "stride err(%)",
-    ]);
-    let rows = alps_sweep::sweep_map(vec![5usize, 10, 20, 40, 60, 90], |n| {
-        run_baseline_row(
-            n,
-            Nanos::from_millis(10),
-            Nanos::from_secs(scale.scal_secs.min(50)),
-            1,
-        )
-    });
-    for row in rows {
-        table.row(&[
-            row.n.to_string(),
-            fmt(row.alps_error_pct, 2),
-            fmt(row.alps_overhead_pct, 3),
-            fmt(row.alps_serviced, 3),
-            fmt(row.stride_error_pct, 3),
-        ]);
-    }
-    println!(
-        "
-in-kernel stride (Waldspurger & Weihl) is near-exact and has no"
-    );
-    println!("breakdown regime; ALPS trades those for zero kernel modification.");
 }

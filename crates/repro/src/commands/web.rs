@@ -1,60 +1,11 @@
-//! The shared web server (§5) and the quantum-vs-latency extension.
+//! The shared web server (§5).
 
 use alps_core::Nanos;
-use alps_sim::experiments::webserver::{run_latency_sweep, run_webserver, WebParams};
+use alps_sim::experiments::webserver::{run_webserver, WebParams};
 
 use super::table::Table;
 use super::Scale;
-use crate::output::{fmt, heading, rule, write_data};
-
-/// Quantum-length vs latency trade-off on the web workload (extension).
-pub fn latency(scale: &Scale) {
-    heading("extension: quantum length vs request latency (web workload)");
-    let base = WebParams {
-        duration: Nanos::from_secs(scale.web_secs.min(40)),
-        warmup: Nanos::from_secs(5),
-        ..WebParams::default()
-    };
-    let pts = run_latency_sweep(&base, &[25, 50, 100, 200, 400]);
-    println!(
-        "{:>7} {:>17} {:>21} {:>21} {:>8}",
-        "Q (ms)", "fractions A/B/C", "p50 ms A/B/C", "p95 ms A/B/C", "ovh %"
-    );
-    rule(80);
-    let mut rows = Vec::new();
-    for pt in &pts {
-        println!(
-            "{:>7} {:>5.2}/{:.2}/{:.2} {:>7}/{:>6}/{:>6} {:>7}/{:>6}/{:>6} {:>8}",
-            pt.quantum_ms,
-            pt.fractions[0],
-            pt.fractions[1],
-            pt.fractions[2],
-            fmt(pt.p50_ms[0], 0),
-            fmt(pt.p50_ms[1], 0),
-            fmt(pt.p50_ms[2], 0),
-            fmt(pt.p95_ms[0], 0),
-            fmt(pt.p95_ms[1], 0),
-            fmt(pt.p95_ms[2], 0),
-            fmt(pt.overhead_pct, 2)
-        );
-        rows.push(vec![
-            pt.quantum_ms,
-            pt.p50_ms[0],
-            pt.p95_ms[0],
-            pt.p50_ms[2],
-            pt.p95_ms[2],
-            pt.overhead_pct,
-        ]);
-    }
-    write_data(
-        "latency_sweep.dat",
-        "quantum_ms siteA_p50 siteA_p95 siteC_p50 siteC_p95 overhead_pct",
-        &rows,
-    );
-    println!("\nthroughput fractions hold at every quantum; the throttled site's");
-    println!("tail latency grows with Q (stalls come in whole-cycle units) while");
-    println!("ALPS overhead shrinks — the third axis of the paper's Q trade-off.");
-}
+use crate::output::{fmt, heading};
 
 /// §5: the shared web server.
 pub fn websrv(scale: &Scale) {

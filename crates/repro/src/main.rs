@@ -3,8 +3,8 @@
 //! Usage: `repro [--quick] [--threads N] [--data <dir>] <experiment>...`
 //! where experiments are any of `table1 table2 fig4 fig5 ablation
 //! accounting fig6 io-policy fig7 table3 fig8 fig9 thresholds websrv
-//! baseline batch conformance verify latency all`
-//! (`all` runs every one but `conformance`).
+//! conformance verify all` (`all` runs every one but `conformance`).
+//! Every name is checked before any experiment runs.
 
 #![forbid(unsafe_code)]
 
@@ -16,12 +16,50 @@ use commands::Scale;
 const USAGE: &str = "\
 usage: repro [--quick] [--threads N] [--data <dir>] <experiment>...
 experiments: table1 table2 fig4 fig5 ablation accounting fig6 io-policy
-             fig7 table3 fig8 fig9 thresholds websrv baseline batch
-             conformance verify latency
+             fig7 table3 fig8 fig9 thresholds websrv conformance verify
              all (every experiment above but conformance)
 --quick: shorter runs (fewer cycles/seeds) for smoke testing
 --threads N: sweep worker threads (1 = serial; default all cores)
 --data <dir>: also write gnuplot-ready .dat files";
+
+/// What `all` runs, in order: every experiment but `conformance`.
+const ALL: [&str; 15] = [
+    "table1",
+    "table2",
+    "fig4",
+    "fig5",
+    "ablation",
+    "accounting",
+    "fig6",
+    "io-policy",
+    "fig7",
+    "table3",
+    "fig8",
+    "fig9",
+    "thresholds",
+    "websrv",
+    "verify",
+];
+
+/// The experiments `args` names, in order (`all` anywhere selects
+/// [`ALL`]), or the first name that is not an experiment.
+fn select(args: &[String]) -> Result<Vec<&'static str>, &str> {
+    let names = args
+        .iter()
+        .map(|a| {
+            ALL.iter()
+                .chain(&["conformance", "all"])
+                .find(|&&n| n == a)
+                .copied()
+                .ok_or(a.as_str())
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(if names.contains(&"all") {
+        ALL.to_vec()
+    } else {
+        names
+    })
+}
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -67,34 +105,13 @@ fn main() {
     if args.is_empty() {
         usage();
     }
+    let selected = select(&args).unwrap_or_else(|other| {
+        eprintln!("unknown experiment: {other}");
+        usage()
+    });
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    let all = [
-        "table1",
-        "table2",
-        "fig4",
-        "fig5",
-        "ablation",
-        "accounting",
-        "fig6",
-        "io-policy",
-        "fig7",
-        "table3",
-        "fig8",
-        "fig9",
-        "thresholds",
-        "websrv",
-        "baseline",
-        "batch",
-        "latency",
-        "verify",
-    ];
-    let selected: Vec<String> = if args.iter().any(|a| a == "all") {
-        all.iter().map(|s| s.to_string()).collect()
-    } else {
-        args
-    };
-    for exp in &selected {
-        match exp.as_str() {
+    for exp in selected {
+        match exp {
             "table1" => commands::table1(),
             "table2" => commands::table2(),
             "fig4" => commands::fig4(&scale),
@@ -109,15 +126,36 @@ fn main() {
             "fig9" => commands::scalability(&scale, "fig9"),
             "thresholds" => commands::scalability(&scale, "thresholds"),
             "websrv" => commands::websrv(&scale),
-            "baseline" => commands::baseline(&scale),
-            "batch" => commands::batch(),
             "conformance" => commands::conformance(quick),
             "verify" => commands::verify(),
-            "latency" => commands::latency(&scale),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                usage();
-            }
+            other => unreachable!("{other} passed select"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(names: &[&str]) -> Vec<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn every_name_is_checked_before_any_runs() {
+        assert_eq!(select(&args(&["fig4", "bogus"])), Err("bogus"));
+        for retired in ["baseline", "batch", "latency"] {
+            assert_eq!(select(&args(&["table2", retired])), Err(retired));
+            assert_eq!(select(&args(&["all", retired])), Err(retired));
+        }
+    }
+
+    #[test]
+    fn all_selects_every_experiment_but_conformance() {
+        assert_eq!(select(&args(&["fig6", "all"])), Ok(ALL.to_vec()));
+        assert_eq!(
+            select(&args(&["conformance", "fig6"])),
+            Ok(vec!["conformance", "fig6"])
+        );
     }
 }

@@ -7,15 +7,10 @@
 //!
 //! * [`shares`] — the Table-2 share distributions (linear/equal/skewed for
 //!   5/10/20 processes);
-//! * [`hierarchy`] — a static share *tree* (users → apps → processes),
-//!   flattened once into the per-process shares ALPS consumes (§5's
-//!   hierarchy; re-flattened by the caller when it changes);
 //! * [`behavior`] — synthetic process behaviors beyond `kernsim`'s
 //!   built-ins (finite batch jobs);
 //! * [`webserver`] — the §5 shared-web-server model: three saturated
-//!   bulletin-board sites whose worker pools compete for the CPU;
-//! * [`batch`] — fork-join stages with heterogeneous work (the intro's
-//!   scientific application).
+//!   bulletin-board sites whose worker pools compete for the CPU.
 //!
 //! All workload randomness follows the stream-splitting rule documented
 //! in [`workload`]: stateless indexed draws, never shared-RNG advance
@@ -24,16 +19,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod behavior;
-pub mod hierarchy;
 pub mod shares;
 pub mod webserver;
 pub mod workload;
 
-pub use batch::BatchStage;
 pub use behavior::FiniteJob;
-pub use hierarchy::{NodeId, ShareTree};
 pub use shares::ShareModel;
 pub use webserver::{Site, STREAM_CPU, STREAM_DB};
 pub use workload::{jitter_factor, splitmix64, stream, unit_f64, LatencyProbe, Tenant, Workload};

@@ -15,8 +15,7 @@
 //! * [`kernsim`] — a 4.4BSD-style kernel-scheduler simulator;
 //! * [`sim`] — ALPS running inside the simulator with the
 //!   paper's measured operation costs, and drivers for every experiment;
-//! * [`workloads`] — Table-2 share distributions, the static share tree
-//!   ([`ShareTree`]) and synthetic workloads;
+//! * [`workloads`] — Table-2 share distributions and synthetic workloads;
 //! * [`metrics`] — RMS error, regression, and the §4.2
 //!   breakdown-threshold analysis.
 //!
@@ -64,4 +63,3 @@ pub use alps_core::{
 };
 pub use alps_os::{Membership, SpinnerPool, Supervisor};
 pub use alps_sim::{spawn_alps, spawn_alps_principals, AlpsHandle, CostModel};
-pub use workloads::{NodeId, ShareTree};

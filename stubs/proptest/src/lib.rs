@@ -111,18 +111,6 @@ pub trait Strategy {
         Map { inner: self, f }
     }
 
-    /// Discard values failing the predicate (re-drawn, bounded retries).
-    fn prop_filter<F: Fn(&Self::Value) -> bool>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-    {
-        Filter {
-            inner: self,
-            whence,
-            f,
-        }
-    }
-
     /// Type-erase the strategy (needed by `prop_oneof!`).
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -165,27 +153,6 @@ impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F> {
 
     fn sample(&self, rng: &mut TestRng) -> U {
         (self.f)(self.inner.sample(rng))
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    f: F,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-
-    fn sample(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let v = self.inner.sample(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter {:?}: too many rejected draws", self.whence);
     }
 }
 
@@ -404,17 +371,11 @@ macro_rules! arb_int {
     )*};
 }
 
-arb_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+arb_int!(u8, u32, u64);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> Self {
         rng.next_u64() & 1 == 1
-    }
-}
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.unit_f64()
     }
 }
 
@@ -660,8 +621,8 @@ pub mod runner {
 /// Common imports, mirroring `proptest::prelude::*`.
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-        Arbitrary, BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError,
+        any, prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest, Arbitrary,
+        BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError,
     };
 
     /// The `prop` module alias (`prop::sample::select`, …).
@@ -693,15 +654,6 @@ macro_rules! prop_assert_eq {
     ($a:expr, $b:expr, $($fmt:tt)*) => {{
         let (a, b) = (&$a, &$b);
         $crate::prop_assert!(a == b, $($fmt)*);
-    }};
-}
-
-/// Assert inequality inside a `proptest!` body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => {{
-        let (a, b) = (&$a, &$b);
-        $crate::prop_assert!(a != b, "assertion failed: {:?} != {:?}", a, b);
     }};
 }
 
